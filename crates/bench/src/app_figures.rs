@@ -319,9 +319,7 @@ pub fn fig12_constrained_cache() -> String {
 }
 
 /// Figure 13: all four applications running concurrently on 4 cores under
-/// the time-sliced scheduler, D-VMM vs D-VMM+Leap. (The pre-scheduler
-/// trace-granularity interleaving is still available via
-/// `Simulator::run_interleaved`.)
+/// the time-sliced scheduler, D-VMM vs D-VMM+Leap.
 pub fn fig13_multi_app() -> String {
     let traces: Vec<AccessTrace> = AppKind::ALL.iter().map(|&k| app_trace(k)).collect();
 

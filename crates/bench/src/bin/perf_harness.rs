@@ -12,6 +12,9 @@
 //!     [--fault-plan PLAN.json] [--recovery]
 //! ```
 //!
+//! Malformed flags — an unknown flag, a flag missing its value, or a value
+//! that does not parse — are reported on stderr with exit code 2.
+//!
 //! `--quick` shrinks the traces for CI smoke runs. `--trace LOG`
 //! (repeatable) adds a recorded fault log (perf-script or DAMON format,
 //! auto-detected — see `leap_workloads::ingest`) as an extra workload row,
@@ -285,38 +288,103 @@ fn json_stages(s: &StageBreakdown) -> String {
     )
 }
 
+/// The harness's command line, parsed.
+#[derive(Debug, PartialEq, Eq)]
+struct HarnessOptions {
+    quick: bool,
+    cores: usize,
+    out: String,
+    trace_logs: Vec<String>,
+    tenants: usize,
+    fault_plan: Option<String>,
+    recovery: bool,
+}
+
+impl Default for HarnessOptions {
+    fn default() -> Self {
+        HarnessOptions {
+            quick: false,
+            cores: 4,
+            out: "BENCH_replay.json".to_string(),
+            trace_logs: Vec::new(),
+            tenants: 0,
+            fault_plan: None,
+            recovery: false,
+        }
+    }
+}
+
+/// A malformed command line: the binary reports it on stderr and exits 2
+/// rather than running with a silently substituted default.
+#[derive(Debug, PartialEq, Eq)]
+enum HarnessArgError {
+    /// An argument matched no known flag.
+    UnknownFlag { flag: String },
+    /// A flag that requires a value was the last argument.
+    MissingValue { flag: String },
+    /// A flag value failed to parse (or is out of range).
+    InvalidValue { flag: String, value: String },
+}
+
+impl std::fmt::Display for HarnessArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            HarnessArgError::UnknownFlag { flag } => write!(f, "unknown flag {flag}"),
+            HarnessArgError::MissingValue { flag } => write!(f, "flag {flag} requires a value"),
+            HarnessArgError::InvalidValue { flag, value } => {
+                write!(f, "invalid value {value:?} for {flag}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for HarnessArgError {}
+
+/// Parses the argument list (without the program name).
+fn parse_args(args: &[String]) -> Result<HarnessOptions, HarnessArgError> {
+    let mut opts = HarnessOptions::default();
+    let mut rest = args.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .cloned()
+                .ok_or(HarnessArgError::MissingValue { flag: flag.clone() })
+        };
+        let count = |value: String, min: usize| match value.parse::<usize>() {
+            Ok(n) if n >= min => Ok(n),
+            _ => Err(HarnessArgError::InvalidValue {
+                flag: flag.clone(),
+                value,
+            }),
+        };
+        match flag.as_str() {
+            "--quick" => opts.quick = true,
+            "--recovery" => opts.recovery = true,
+            "--cores" => opts.cores = count(value()?, 1)?,
+            "--tenants" => opts.tenants = count(value()?, 0)?,
+            "--out" => opts.out = value()?,
+            "--trace" => opts.trace_logs.push(value()?),
+            "--fault-plan" => opts.fault_plan = Some(value()?),
+            _ => return Err(HarnessArgError::UnknownFlag { flag: flag.clone() }),
+        }
+    }
+    Ok(opts)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let cores = args
-        .iter()
-        .position(|a| a == "--cores")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_replay.json".to_string());
-    let trace_logs: Vec<String> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--trace")
-        .filter_map(|(i, _)| args.get(i + 1).cloned())
-        .collect();
-    let tenants: usize = args
-        .iter()
-        .position(|a| a == "--tenants")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let fault_plan_path = args
-        .iter()
-        .position(|a| a == "--fault-plan")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let HarnessOptions {
+        quick,
+        cores,
+        out: out_path,
+        trace_logs,
+        tenants,
+        fault_plan: fault_plan_path,
+        recovery,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("perf_harness: {e}");
+        std::process::exit(2);
+    });
     let fault = fault_plan_path
         .as_deref()
         .map(|path| {
@@ -330,7 +398,7 @@ fn main() {
             })
         })
         .unwrap_or(FaultSpec::none());
-    let recovery = if args.iter().any(|a| a == "--recovery") {
+    let recovery = if recovery {
         RecoveryPolicy::tail_tolerant()
     } else {
         RecoveryPolicy::none()
@@ -638,4 +706,108 @@ fn main() {
     );
     std::fs::write(&out_path, &json).expect("write bench json");
     println!("wrote {out_path} (peak RSS {} kB)", peak_rss_kb());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<HarnessOptions, HarnessArgError> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn invalid(flag: &str, value: &str) -> HarnessArgError {
+        HarnessArgError::InvalidValue {
+            flag: flag.to_string(),
+            value: value.to_string(),
+        }
+    }
+
+    #[test]
+    fn no_flags_give_the_defaults() {
+        assert_eq!(parse(&[]), Ok(HarnessOptions::default()));
+    }
+
+    #[test]
+    fn the_ci_invocation_parses() {
+        let opts = parse(&["--quick", "--tenants", "8", "--out", "BENCH_replay.json"]).unwrap();
+        assert_eq!(
+            opts,
+            HarnessOptions {
+                quick: true,
+                tenants: 8,
+                ..HarnessOptions::default()
+            }
+        );
+    }
+
+    #[test]
+    fn every_flag_is_recognised() {
+        let opts = parse(&[
+            "--cores",
+            "2",
+            "--trace",
+            "a.log",
+            "--trace",
+            "b.log",
+            "--fault-plan",
+            "plan.json",
+            "--recovery",
+            "--out",
+            "x.json",
+        ])
+        .unwrap();
+        assert_eq!(opts.cores, 2);
+        assert_eq!(opts.trace_logs, ["a.log", "b.log"]);
+        assert_eq!(opts.fault_plan.as_deref(), Some("plan.json"));
+        assert!(opts.recovery);
+        assert_eq!(opts.out, "x.json");
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        assert_eq!(
+            parse(&["--core", "2"]),
+            Err(HarnessArgError::UnknownFlag {
+                flag: "--core".to_string()
+            })
+        );
+        assert_eq!(
+            parse(&["--quick", "stray"]),
+            Err(HarnessArgError::UnknownFlag {
+                flag: "stray".to_string()
+            })
+        );
+    }
+
+    #[test]
+    fn trailing_value_flags_are_missing_their_value() {
+        for flag in ["--cores", "--tenants", "--out", "--trace", "--fault-plan"] {
+            assert_eq!(
+                parse(&["--quick", flag]),
+                Err(HarnessArgError::MissingValue {
+                    flag: flag.to_string()
+                }),
+                "{flag}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_counts_are_invalid_values() {
+        assert_eq!(parse(&["--cores", "abc"]), Err(invalid("--cores", "abc")));
+        assert_eq!(parse(&["--cores", "0"]), Err(invalid("--cores", "0")));
+        assert_eq!(parse(&["--cores", "-1"]), Err(invalid("--cores", "-1")));
+        assert_eq!(parse(&["--tenants", "x"]), Err(invalid("--tenants", "x")));
+        assert_eq!(parse(&["--tenants", "0"]).map(|o| o.tenants), Ok(0));
+    }
+
+    #[test]
+    fn errors_name_the_flag() {
+        let message = parse(&["--cores", "abc"]).unwrap_err().to_string();
+        assert!(
+            message.contains("--cores") && message.contains("abc"),
+            "{message}"
+        );
+    }
 }

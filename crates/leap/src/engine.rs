@@ -12,11 +12,14 @@
 //!
 //! Single-process replays run the core in its legacy layout: one cache
 //! shard, one evictor, one monotonic clock. Scheduled multi-process replays
-//! ([`crate::Simulator::run_multi`]) call
-//! [`EngineCore::enter_scheduled_mode`] first, which reshapes the cache into
-//! per-core shards, builds one eviction-policy instance per shard, switches
-//! the tracker to per-core trend state, and lets the scheduler drive the
-//! clock per core via [`EngineCore::switch_core`].
+//! ([`crate::Simulator::run_multi`]) run replay workers built from it: a
+//! per-core slice ([`EngineCore::shard_worker`]) for each core, or — when
+//! the front-end cannot be split per core — the core itself after
+//! [`EngineCore::enter_scheduled_mode`], which reshapes the cache into
+//! per-core shards, builds one eviction-policy instance per shard, and
+//! switches the tracker to per-core trend state. Either way the driver
+//! moves the worker onto a core's timeline before every access via
+//! [`EngineCore::enter_core`].
 
 use crate::builder::SimSetup;
 use crate::components::ResolvedComponents;
@@ -45,7 +48,6 @@ pub(crate) struct EngineCore {
     pub data_path: Box<dyn DataPath>,
     pub evictors: Vec<Box<dyn CacheEvictor>>,
     pub result: RunResult,
-    pub seq: u64,
     /// The resolved component factories, kept so scheduled replays can build
     /// fresh per-core shard workers (one data path, evictor, and tracker per
     /// worker).
@@ -104,7 +106,6 @@ impl EngineCore {
             data_path: components.data_path.build(&config, &mut rng),
             evictors: vec![components.eviction.build(&config)],
             result: RunResult::default(),
-            seq: 0,
             components,
             rng_salt,
             core_cursor: 0,
@@ -155,7 +156,6 @@ impl EngineCore {
             data_path: self.components.data_path.build(&config, &mut rng),
             evictors: vec![self.components.eviction.build(&config)],
             result: RunResult::default(),
-            seq: 0,
             components: self.components.clone(),
             rng_salt: self.rng_salt,
             core_cursor: 0,
@@ -173,13 +173,6 @@ impl EngineCore {
             label: self.label.clone(),
             config,
         }
-    }
-
-    /// Advances this worker's clock to the scheduler-provided start instant
-    /// of its next access (never backwards; within one core the scheduler's
-    /// clock is monotonic).
-    pub fn sync_clock(&mut self, now: Nanos) {
-        self.clock.advance_to(now);
     }
 
     /// Pre-sizes the per-access histograms for `accesses` samples so the
@@ -219,9 +212,10 @@ impl EngineCore {
     }
 
     /// Moves the engine onto `core` at that core's local time. Called by the
-    /// scheduler before every access of a scheduled replay; the clock may
-    /// jump backwards across cores (each core has its own timeline).
-    pub fn switch_core(&mut self, core: usize, now: Nanos) {
+    /// driver before every access of a scheduled replay; a worker spanning
+    /// every core may jump backwards across cores (each core has its own
+    /// timeline), while a per-core shard worker only ever moves forward.
+    pub fn enter_core(&mut self, core: usize, now: Nanos) {
         self.active_core = core;
         self.clock = SimClock::starting_at(now);
     }
@@ -232,13 +226,6 @@ impl EngineCore {
     /// per access, not per core); a plain field store on the data path.
     pub fn set_active_tenant(&mut self, tenant: u32) {
         self.data_path.set_active_tenant(tenant);
-    }
-
-    /// Pins the clock to the replay's completion instant (the latest core's
-    /// local time) so [`EngineCore::into_result`] reports the parallel
-    /// makespan rather than the last-stepped core's time.
-    pub fn finish_at(&mut self, completion: Nanos) {
-        self.clock.advance_to(completion);
     }
 
     /// Stamps the result metadata from the traces about to be replayed.
@@ -726,7 +713,8 @@ impl EngineCore {
     }
 
     /// Charges one access: advances the clock over the access's compute and
-    /// `latency`, records the histograms, and emits the [`FaultEvent`].
+    /// `latency`, records the histograms, and emits the [`FaultEvent`]
+    /// (its `seq` is stamped by whoever delivers it).
     ///
     /// Must be called exactly once per access, after the outcome-specific
     /// work (the compute advance happens in [`EngineCore::begin_access`]).
@@ -744,8 +732,8 @@ impl EngineCore {
         if outcome.is_remote() {
             self.result.remote_access_latency.record(latency);
         }
-        let event = FaultEvent {
-            seq: self.seq,
+        FaultEvent {
+            seq: 0,
             pid,
             core: self.active_core,
             page: access.page,
@@ -755,9 +743,7 @@ impl EngineCore {
             latency,
             completed_at: self.clock.now(),
             prefetches_issued,
-        };
-        self.seq += 1;
-        event
+        }
     }
 
     /// Starts one access: advances the clock over its compute cost and

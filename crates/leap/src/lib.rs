@@ -23,10 +23,13 @@
 //!
 //! Multi-process replays ([`session::Simulator::run_multi`]) time-share the
 //! processes over [`SimConfig::cores`] cores with the deterministic
-//! scheduler in [`sched`]; the VMM front-end shards its swap space, prefetch
-//! cache, eviction state, and prefetcher trends per core, and every
-//! [`session::FaultEvent`] carries the core it ran on so per-core streams
-//! (Figure 13 scale-up curves) come straight out of the observer API.
+//! scheduler in [`sched`], through one driver ([`parallel`]): the front-end
+//! splits into per-core shard workers where its state allows (the VMM with
+//! per-process isolation shards its swap space, prefetch cache, eviction
+//! state, and prefetcher trends per core) or into one worker spanning every
+//! core where it does not. Every [`session::FaultEvent`] carries the core it
+//! ran on and a per-core dense `seq`, so per-core streams (Figure 13
+//! scale-up curves) come straight out of the observer API.
 //!
 //! # Quick start
 //!

@@ -20,10 +20,11 @@
 //!   fixed merge order.
 //!
 //! The scheduler is pure bookkeeping — it never touches engine state. The
-//! driver loop (in [`crate::Simulator::run_multi`] and
-//! [`crate::Session::run_multi`]) asks for the next slot, switches the
-//! simulator onto that core, steps one access, and reports the core's new
-//! local time back.
+//! one replay driver ([`crate::parallel`], behind
+//! [`crate::Simulator::run_multi`] and [`crate::Session::run_multi`]) asks
+//! for the next slot, moves the worker serving that core onto it
+//! ([`crate::Simulator::enter_core`]), steps one access, and reports the
+//! core's new local time back.
 //!
 //! [`SimConfig::sched_quantum`]: crate::SimConfig::sched_quantum
 
@@ -231,28 +232,6 @@ impl CoreScheduler {
     pub fn core_times(&self) -> &[Nanos] {
         &self.core_now
     }
-}
-
-/// Drives one full schedule: builds a [`CoreScheduler`] for `lens`
-/// processes over `cores` cores, and for every slot calls `step` (which
-/// must execute the access and return the core's new local time). Returns
-/// the makespan. Shared by `Simulator::run_multi` and
-/// `Session::run_multi` so the batch and observed replays cannot drift
-/// apart.
-pub(crate) fn drive_schedule(
-    lens: &[usize],
-    cores: usize,
-    quantum: Nanos,
-    seed: u64,
-    context_switch: Nanos,
-    mut step: impl FnMut(&ScheduledSlot) -> Nanos,
-) -> Nanos {
-    let mut sched = CoreScheduler::with_context_switch(lens, cores, quantum, seed, context_switch);
-    while let Some(slot) = sched.next_slot() {
-        let now_after = step(&slot);
-        sched.completed(&slot, now_after);
-    }
-    sched.completion_time()
 }
 
 #[cfg(test)]

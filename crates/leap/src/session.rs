@@ -10,19 +10,21 @@
 //! numerically identical output (see `leap-bench`'s Figure 2/7 percentile
 //! rows).
 //!
-//! Multi-process replays ([`Simulator::run_multi`]) are driven by the
-//! time-sliced per-core scheduler in [`crate::sched`]: every [`FaultEvent`]
-//! carries the core it ran on, so per-core streams (and Figure 13-style
-//! scale-up curves) fall out of the same observer machinery — see
-//! [`CoreActivity`] and [`EventLog`].
+//! Multi-process replays ([`Simulator::run_multi`]) have one driver: the
+//! front-end splits itself into replay workers
+//! ([`Simulator::into_workers`]), which [`crate::parallel`] steps under the
+//! time-sliced per-core scheduler in [`crate::sched`]. Every
+//! [`FaultEvent`] carries the core it ran on and a per-core dense `seq`, so
+//! per-core streams (and Figure 13-style scale-up curves) fall out of the
+//! same observer machinery — see [`CoreActivity`] and [`EventLog`].
 
 use crate::config::SimConfig;
+use crate::parallel;
 use crate::result::RunResult;
-use crate::sched;
+use crate::sched::CoreScheduler;
 use leap_mem::{CacheOrigin, Pid};
 use leap_metrics::LatencyHistogram;
 use leap_sim_core::Nanos;
-use leap_workloads::multi::InterleavedStep;
 use leap_workloads::{Access, AccessTrace};
 
 /// How one access was served.
@@ -55,20 +57,18 @@ impl AccessOutcome {
 /// One access's journey through the fault engine, as emitted to observers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// 0-based index of the access in replay order. Dense per replay for
-    /// single-process runs. In sharded multi-process replays (the VMM with
-    /// per-process isolation) the index is **per core** — dense within each
-    /// core's stream — and the merged stream is ordered by `(core, seq)`.
-    /// Replays on the monolithic fallback path (the VFS; the VMM with
-    /// `per_process_isolation = false`) keep one global counter across
-    /// cores, so per-core streams there have gaps.
+    /// 0-based index of the access in its core's stream, stamped by
+    /// whatever delivers the event: a [`Session`] numbers the accesses it
+    /// steps densely from zero, and a multi-process replay
+    /// ([`Simulator::run_multi`]) numbers each core's accesses densely from
+    /// zero and delivers the merged stream in `(core, seq)` order. Events
+    /// returned straight from [`Simulator::step_access`] carry 0.
     pub seq: u64,
     /// The accessing process.
     pub pid: Pid,
     /// The CPU core the access ran on. Scheduled multi-process replays
     /// ([`Simulator::run_multi`]) report the scheduler's core placement;
-    /// single-process and interleaved replays attribute everything to
-    /// core 0.
+    /// single-process replays attribute everything to core 0.
     pub core: usize,
     /// The virtual page (VMM) or file page (VFS) touched.
     pub page: u64,
@@ -192,11 +192,15 @@ impl EventRing {
 /// A paging/file front-end that replays access traces.
 ///
 /// The required methods are the stepwise core ([`Simulator::prepare`], then
-/// [`Simulator::step_access`] per access, then [`Simulator::into_result`]);
-/// the batch entry points [`Simulator::run`], [`Simulator::run_multi`] and
-/// [`Simulator::run_interleaved`] are provided on top of them, as is the
-/// observable [`Session`] wrapper.
-pub trait Simulator: Sized {
+/// [`Simulator::step_access`] per access, then [`Simulator::into_result`])
+/// and the two hooks of the multi-process driver
+/// ([`Simulator::into_workers`], [`Simulator::enter_core`]); the batch entry
+/// points [`Simulator::run`] and [`Simulator::run_multi`] are provided on
+/// top of them, as is the observable [`Session`] wrapper.
+///
+/// Simulators are `Send` so a thread-parallel replay can move shard workers
+/// onto their own OS threads.
+pub trait Simulator: Sized + Send {
     /// The configuration this simulator was built with.
     fn config(&self) -> &SimConfig;
 
@@ -207,36 +211,37 @@ pub trait Simulator: Sized {
     /// `traces` becomes `Pid(i + 1)`) and stamps the result metadata.
     fn prepare(&mut self, traces: &[AccessTrace]);
 
-    /// Like [`Simulator::prepare`], but for a scheduled multi-core replay:
-    /// front-ends that shard state per core do so here. The default just
-    /// delegates to `prepare`.
-    fn prepare_multi(&mut self, traces: &[AccessTrace]) {
-        self.prepare(traces);
-    }
-
     /// Replays the working set once without recording metrics (the paper's
     /// allocate-and-initialise phase). Front-ends without that notion keep
     /// the default no-op.
     fn prepopulate(&mut self, _pid: Pid, _trace: &AccessTrace) {}
 
     /// Executes one access for `pid`, charging its latency, and describes it.
+    /// The event's `seq` is left 0 for the caller to stamp.
     fn step_access(&mut self, pid: Pid, access: Access) -> FaultEvent;
 
     /// The current simulated instant (the active core's local clock).
     fn now(&self) -> Nanos;
 
-    /// Moves the simulator onto `core` at that core's local time `now`.
-    /// Called by the scheduler before every access of a scheduled replay;
-    /// front-ends without per-core state keep the default no-op.
-    fn switch_core(&mut self, _core: usize, _now: Nanos) {}
-
-    /// Pins the finished replay's completion time to `completion` (the
-    /// latest core's local clock), so the result reports the parallel
-    /// makespan. Front-ends without per-core clocks keep the default no-op.
-    fn finish_multi(&mut self, _completion: Nanos) {}
-
-    /// Finishes the run and returns the accumulated result.
+    /// Finishes the run and returns the accumulated result. For a replay
+    /// worker this is its partial result; the driver folds the partials and
+    /// stamps the makespan.
     fn into_result(self) -> RunResult;
+
+    /// Splits this simulator into the replay workers of a scheduled
+    /// multi-process replay of `traces` under `sched`: either one
+    /// share-nothing worker per core, worker `c` owning exactly the
+    /// processes `sched` dealt onto core `c`, or — when the front-end's
+    /// state cannot be split per core — a single worker spanning every
+    /// core. Either way the workers come back prepared (and prepopulated,
+    /// where the front-end does that), with the run's label and workload
+    /// name stamped on their results. See [`crate::parallel`].
+    fn into_workers(self, traces: &[AccessTrace], sched: &CoreScheduler) -> Vec<Self>;
+
+    /// Moves the worker onto `core` at that core's local time `now`. The
+    /// driver calls it before every access of a scheduled replay; `now`
+    /// never runs behind the worker's own clock for that core.
+    fn enter_core(&mut self, core: usize, now: Nanos);
 
     /// Replays a single-process trace to completion.
     fn run(mut self, trace: &AccessTrace) -> RunResult {
@@ -251,93 +256,51 @@ pub trait Simulator: Sized {
     /// [`SimConfig::cores`] cores by the deterministic scheduler in
     /// [`crate::sched`]: per-core run queues, one
     /// [`SimConfig::sched_quantum`] time slice per turn, per-core sharded
-    /// swap/cache state in front-ends that support it (the VMM). Process `i`
-    /// in `traces` becomes `Pid(i + 1)`.
+    /// swap/cache state. Process `i` in `traces` becomes `Pid(i + 1)`.
     ///
     /// The reported completion time is the *makespan* — the local time of
     /// the latest core — so throughput scales with cores the way the
     /// paper's Figure 13 setup does. Equal seeds (and quantum) reproduce
     /// the schedule, the per-core [`FaultEvent`] streams, and every
-    /// aggregate statistic exactly.
+    /// aggregate statistic exactly, in either
+    /// [`SimConfig::replay_mode`](crate::SimConfig::replay_mode).
     fn run_multi(self, traces: &[AccessTrace]) -> RunResult {
         self.run_multi_observed(traces, &mut [])
     }
 
     /// Like [`Simulator::run_multi`], additionally delivering every
-    /// [`FaultEvent`] to `observers` in batches through an [`EventRing`]
+    /// [`FaultEvent`] to `observers` in `(core, seq)` order, in batches
     /// (this is what [`Session::run_multi`] calls; `on_complete` is the
     /// session's job).
     ///
-    /// The default implementation replays serially on the calling thread
-    /// whatever [`SimConfig::replay_mode`] says — it is what front-ends
-    /// without per-core shard state (the VFS) use. The VMM front-end
-    /// overrides it with the shard-worker machinery in [`crate::parallel`],
-    /// honouring the configured mode.
-    ///
-    /// [`SimConfig::replay_mode`]: crate::SimConfig::replay_mode
+    /// Builds the scheduler, splits the front-end with
+    /// [`Simulator::into_workers`], steps the workers in the configured
+    /// [`crate::config::ReplayMode`], and folds their partial results (see
+    /// [`crate::parallel`]).
     fn run_multi_observed(
         self,
         traces: &[AccessTrace],
         observers: &mut [&mut dyn Observer],
     ) -> RunResult {
-        run_multi_monolithic(self, traces, observers)
-    }
-
-    /// Replays a pre-merged multi-process schedule (as produced by
-    /// [`leap_workloads::interleave`]) on one serial timeline — the
-    /// trace-granularity interleaving [`Simulator::run_multi`] used before
-    /// the time-sliced scheduler existed. Kept for experiments that need an
-    /// explicit, externally-chosen access order.
-    fn run_interleaved(
-        mut self,
-        traces: &[AccessTrace],
-        schedule: &[InterleavedStep],
-    ) -> RunResult {
-        self.prepare(traces);
-        for step in schedule {
-            self.step_access(Pid(step.process as u32 + 1), step.access);
-        }
-        self.into_result()
+        let config = self.config();
+        let mode = config.replay_mode;
+        let lens: Vec<usize> = traces.iter().map(AccessTrace::len).collect();
+        let sched = CoreScheduler::with_context_switch(
+            &lens,
+            config.cores,
+            config.sched_quantum,
+            config.seed,
+            config.context_switch_cost,
+        );
+        let workers = self.into_workers(traces, &sched);
+        let outcome = parallel::replay(mode, workers, traces, sched, !observers.is_empty());
+        parallel::finish_sharded(outcome, observers)
     }
 
     /// Wraps this simulator in an observable [`Session`].
     fn session<'obs>(self) -> Session<'obs, Self> {
         Session::new(self)
     }
-}
-
-/// The monolithic scheduled replay: one engine stepped by the global
-/// time-sliced scheduler on the calling thread, events batched through an
-/// [`EventRing`]. This is the default [`Simulator::run_multi_observed`] and
-/// the fallback for configurations whose state genuinely cannot be sharded
-/// per core (the VFS's single file cache; the VMM under
-/// `per_process_isolation = false`, where all processes share one
-/// prefetcher stream by definition).
-pub(crate) fn run_multi_monolithic<S: Simulator>(
-    mut sim: S,
-    traces: &[AccessTrace],
-    observers: &mut [&mut dyn Observer],
-) -> RunResult {
-    sim.prepare_multi(traces);
-    let lens: Vec<usize> = traces.iter().map(|t| t.len()).collect();
-    let config = sim.config();
-    let (cores, quantum, seed, switch_cost) = (
-        config.cores,
-        config.sched_quantum,
-        config.seed,
-        config.context_switch_cost,
-    );
-    let mut ring = EventRing::default();
-    let completion = sched::drive_schedule(&lens, cores, quantum, seed, switch_cost, |slot| {
-        sim.switch_core(slot.core, slot.now);
-        let access = traces[slot.process].accesses()[slot.access_index];
-        let event = sim.step_access(Pid(slot.process as u32 + 1), access);
-        ring.push(event, observers);
-        sim.now()
-    });
-    ring.flush(observers);
-    sim.finish_multi(completion);
-    sim.into_result()
 }
 
 /// Drives a [`Simulator`] step by step, fanning every [`FaultEvent`] out to
@@ -366,7 +329,7 @@ pub struct Session<'obs, S> {
     sim: S,
     observers: Vec<&'obs mut dyn Observer>,
     ring: EventRing,
-    seq_check: u64,
+    seq: u64,
 }
 
 impl<'obs, S: Simulator> Session<'obs, S> {
@@ -376,7 +339,7 @@ impl<'obs, S: Simulator> Session<'obs, S> {
             sim,
             observers: Vec::new(),
             ring: EventRing::default(),
-            seq_check: 0,
+            seq: 0,
         }
     }
 
@@ -397,15 +360,16 @@ impl<'obs, S: Simulator> Session<'obs, S> {
         self.sim.prepare(traces);
     }
 
-    /// Executes one access and queues its event for the observers.
+    /// Executes one access, stamps its `seq` (dense from zero over the
+    /// session), and queues its event for the observers.
     ///
     /// Events are delivered in batches (see [`EventRing`]); any still-queued
     /// events are flushed by [`Session::finish`], so by the time the result
     /// is returned observers have seen the complete stream.
     pub fn step(&mut self, pid: Pid, access: Access) -> FaultEvent {
-        let event = self.sim.step_access(pid, access);
-        debug_assert_eq!(event.seq, self.seq_check, "simulators emit dense seqs");
-        self.seq_check = event.seq + 1;
+        let mut event = self.sim.step_access(pid, access);
+        event.seq = self.seq;
+        self.seq += 1;
         self.ring.push(event, &mut self.observers);
         event
     }
@@ -455,19 +419,6 @@ impl<'obs, S: Simulator> Session<'obs, S> {
             observer.on_complete(&result);
         }
         result
-    }
-
-    /// Streamed equivalent of [`Simulator::run_interleaved`].
-    pub fn run_interleaved(
-        mut self,
-        traces: &[AccessTrace],
-        schedule: &[InterleavedStep],
-    ) -> RunResult {
-        self.prepare(traces);
-        for step in schedule {
-            self.step(Pid(step.process as u32 + 1), step.access);
-        }
-        self.finish()
     }
 }
 

@@ -17,6 +17,7 @@ use crate::builder::SimSetup;
 use crate::config::SimConfig;
 use crate::engine::EngineCore;
 use crate::result::RunResult;
+use crate::sched::CoreScheduler;
 use crate::session::{AccessOutcome, FaultEvent, Simulator};
 use leap_mem::{MemoryLimit, Pid, SwapSlot};
 use leap_prefetcher::PageAddr;
@@ -205,24 +206,22 @@ impl Simulator for VfsSimulator {
             .stamp_run(format!("vfs-{}", EngineCore::workload_name(traces)));
     }
 
-    /// Prepares a scheduled replay. The VFS keeps one shared cache (its
-    /// budget models one file cache, not per-core swap regions) but still
-    /// gets per-core trend state and per-core clocks from the engine.
-    fn prepare_multi(&mut self, traces: &[AccessTrace]) {
+    /// One worker spanning every core: the VFS keeps one shared cache (its
+    /// budget models one file cache, not per-core swap regions), so it
+    /// cannot be split per core, but it still gets per-core trend state and
+    /// per-core clocks from the engine.
+    fn into_workers(mut self, traces: &[AccessTrace], _sched: &CoreScheduler) -> Vec<Self> {
         self.prepare(traces);
         self.engine.enter_scheduled_mode(1, u64::MAX);
+        vec![self]
+    }
+
+    fn enter_core(&mut self, core: usize, now: Nanos) {
+        self.engine.enter_core(core, now);
     }
 
     fn now(&self) -> Nanos {
         self.engine.clock.now()
-    }
-
-    fn switch_core(&mut self, core: usize, now: Nanos) {
-        self.engine.switch_core(core, now);
-    }
-
-    fn finish_multi(&mut self, completion: Nanos) {
-        self.engine.finish_at(completion);
     }
 
     fn step_access(&mut self, pid: Pid, access: Access) -> FaultEvent {

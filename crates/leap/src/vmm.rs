@@ -29,10 +29,9 @@
 use crate::builder::SimSetup;
 use crate::config::SimConfig;
 use crate::engine::EngineCore;
-use crate::parallel::{self, CoreWorker};
 use crate::result::RunResult;
 use crate::sched::CoreScheduler;
-use crate::session::{AccessOutcome, FaultEvent, Observer, Simulator};
+use crate::session::{AccessOutcome, FaultEvent, Simulator};
 use leap_mem::{
     FramePool, LruList, MemoryLimit, PageState, PageTable, Pid, ShardedSwap, SwapSlot, VirtPage,
 };
@@ -122,7 +121,7 @@ impl VmmSimulator {
             // global pool just needs to be large enough to never be the
             // binding constraint. The swap space starts unsharded (one
             // region); a scheduled multi-core replay reshards it in
-            // `prepare_multi`.
+            // `into_workers`.
             frames: FramePool::new(u64::MAX / 2),
             swap: ShardedSwap::new(1, SWAP_CAPACITY),
             span_slots: Vec::new(),
@@ -149,9 +148,9 @@ impl VmmSimulator {
     /// (whose models are learned in page space) see the same delta structure
     /// in the slot-addressed fault stream they are consulted with.
     ///
-    /// The prepopulation happens inside each shard worker's construction
-    /// (or in [`Simulator::prepare_multi`] on the monolithic fallback), so
-    /// Serial and Threaded replays observe bit-identical state.
+    /// The prepopulation happens inside replay-worker construction
+    /// ([`Simulator::into_workers`]), so Serial and Threaded replays observe
+    /// bit-identical state.
     pub fn set_prepopulate_multi(&mut self, on: bool) {
         self.prepopulate_multi = on;
     }
@@ -436,6 +435,7 @@ impl VmmSimulator {
         sched: &CoreScheduler,
     ) -> Vec<VmmSimulator> {
         let shards = self.engine.config.cores;
+        let workload = EngineCore::workload_name(traces);
         (0..shards)
             .map(|core| {
                 let mut worker = VmmSimulator {
@@ -469,6 +469,7 @@ impl VmmSimulator {
                     }
                 }
                 worker.engine.reserve_accesses(accesses);
+                worker.engine.stamp_run(workload.clone());
                 worker
             })
             .collect()
@@ -486,25 +487,6 @@ impl VmmSimulator {
         let process = self.processes.get_mut(&pid).expect("registered process");
         process.page_table.map(page, frame);
         process.resident_lru.push(page);
-    }
-}
-
-impl CoreWorker for VmmSimulator {
-    fn step(&mut self, pid: Pid, access: Access) -> FaultEvent {
-        self.step_access(pid, access)
-    }
-
-    fn sync_clock(&mut self, now: Nanos) {
-        self.engine.sync_clock(now);
-    }
-
-    fn local_now(&self) -> Nanos {
-        self.engine.clock.now()
-    }
-
-    fn into_partial(mut self) -> RunResult {
-        self.engine.seal_pipeline();
-        self.engine.result
     }
 }
 
@@ -526,12 +508,20 @@ impl Simulator for VmmSimulator {
         self.engine.stamp_run(EngineCore::workload_name(traces));
     }
 
-    /// Prepares the fallback monolithic scheduled replay (used only when
-    /// `per_process_isolation` is off): per-process state as in
-    /// [`Simulator::prepare`], then shards the swap space and the engine's
-    /// cache/eviction state into one shard per configured core while the
-    /// prefetcher stream stays shared.
-    fn prepare_multi(&mut self, traces: &[AccessTrace]) {
+    /// Shard workers, one per core, under per-process isolation.
+    ///
+    /// Without isolation every process shares one prefetcher stream *across
+    /// cores* (the kernel's global read-ahead state), so the engine cannot
+    /// be split into share-nothing workers: the simulator itself becomes one
+    /// worker spanning every core, with per-process state as in
+    /// [`Simulator::prepare`], the swap space and the engine's
+    /// cache/eviction state sharded per core, and the prefetcher stream
+    /// shared. The parallelism Leap's per-process, per-core state enables is
+    /// precisely what the shared path lacks.
+    fn into_workers(mut self, traces: &[AccessTrace], sched: &CoreScheduler) -> Vec<Self> {
+        if self.engine.config.per_process_isolation {
+            return self.into_shard_workers(traces, sched);
+        }
         self.prepare(traces);
         let shards = self.engine.config.cores;
         self.swap = ShardedSwap::new(shards, SWAP_CAPACITY);
@@ -541,55 +531,11 @@ impl Simulator for VmmSimulator {
                 self.prepopulate(Pid(i as u32 + 1), trace);
             }
         }
+        vec![self]
     }
 
-    fn switch_core(&mut self, core: usize, now: Nanos) {
-        self.engine.switch_core(core, now);
-    }
-
-    fn finish_multi(&mut self, completion: Nanos) {
-        self.engine.finish_at(completion);
-    }
-
-    /// Replays `traces` through per-core shard workers — serially
-    /// interleaved or one OS thread per core, per
-    /// [`SimConfig::replay_mode`] — and aggregates the shards
-    /// deterministically (see [`crate::parallel`]).
-    ///
-    /// Without per-process isolation every process shares one prefetcher
-    /// stream *across cores* (the kernel's global readahead state), so the
-    /// engine cannot be split into share-nothing workers; that configuration
-    /// keeps the monolithic serial reference regardless of
-    /// [`SimConfig::replay_mode`] — the parallelism Leap's per-process,
-    /// per-core state enables is precisely what the shared path lacks.
-    fn run_multi_observed(
-        self,
-        traces: &[AccessTrace],
-        observers: &mut [&mut dyn Observer],
-    ) -> RunResult {
-        let config = self.engine.config;
-        if !config.per_process_isolation {
-            return crate::session::run_multi_monolithic(self, traces, observers);
-        }
-        let lens: Vec<usize> = traces.iter().map(|t| t.len()).collect();
-        let sched = CoreScheduler::with_context_switch(
-            &lens,
-            config.cores,
-            config.sched_quantum,
-            config.seed,
-            config.context_switch_cost,
-        );
-        let label = self.engine.label.clone();
-        let workload = EngineCore::workload_name(traces);
-        let workers = self.into_shard_workers(traces, &sched);
-        let outcome = parallel::replay(
-            config.replay_mode,
-            workers,
-            traces,
-            sched,
-            !observers.is_empty(),
-        );
-        parallel::finish_sharded(label, workload, outcome, observers)
+    fn enter_core(&mut self, core: usize, now: Nanos) {
+        self.engine.enter_core(core, now);
     }
 
     fn now(&self) -> Nanos {
@@ -671,7 +617,7 @@ mod tests {
     use leap_prefetcher::PrefetcherKind;
     use leap_remote::BackendKind;
     use leap_sim_core::units::MIB;
-    use leap_workloads::{interleave, sequential_trace, stride_trace, AppKind, AppModel};
+    use leap_workloads::{sequential_trace, stride_trace, AppKind, AppModel};
 
     /// A single measured Stride-10 pass; experiments prepopulate the working
     /// set first so the swap-slot layout follows the address order, as in the
@@ -847,20 +793,21 @@ mod tests {
             .with_accesses(seq.len())
             .generate();
         let traces = vec![seq, noisy];
-        let schedule = interleave(&traces, 123);
 
-        let isolated_config = SimConfig::builder()
-            .memory_fraction(0.5)
-            .per_process_isolation(true)
-            .build()
-            .unwrap();
-        let isolated = VmmSimulator::new(isolated_config).run_interleaved(&traces, &schedule);
-        let shared_config = SimConfig::builder()
-            .memory_fraction(0.5)
-            .per_process_isolation(false)
-            .build()
-            .unwrap();
-        let shared = VmmSimulator::new(shared_config).run_interleaved(&traces, &schedule);
+        // One core, so both processes time-share it and their faults
+        // interleave in the shared configuration's single trend stream.
+        let config = |isolation: bool| {
+            SimConfig::builder()
+                .memory_fraction(0.5)
+                .cores(1)
+                .sched_quantum(Nanos::from_micros(50))
+                .seed(123)
+                .per_process_isolation(isolation)
+                .build()
+                .unwrap()
+        };
+        let isolated = VmmSimulator::new(config(true)).run_multi(&traces);
+        let shared = VmmSimulator::new(config(false)).run_multi(&traces);
         assert!(isolated.remote_accesses > 0);
         // Isolation lets the sequential process keep its trend, so overall
         // prefetch coverage is at least as good as with shared state.

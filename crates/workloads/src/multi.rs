@@ -7,12 +7,12 @@
 //! accesses it still has left — a simple model of fair time sharing that
 //! preserves each trace's internal order.
 //!
-//! This pre-merged, trace-granularity schedule is what the engine's
-//! `Simulator::run_interleaved` replays on one serial timeline. The
-//! Figure 13 experiments themselves use `Simulator::run_multi` instead,
-//! which time-shares the *un-merged* traces over per-core run queues with a
-//! quantum-based scheduler (see `leap::sched`) — use `interleave` when an
-//! experiment needs an explicit, externally-chosen global access order.
+//! The engine does not replay such schedules: `Simulator::run_multi`
+//! time-shares the *un-merged* traces over per-core run queues with a
+//! quantum-based scheduler (see `leap::sched`). Use `interleave` when a
+//! consumer of a multi-process access stream needs an explicit,
+//! externally-chosen global access order — for example to feed a trace
+//! recorder synthetic multi-pid streams.
 
 use crate::trace::{Access, AccessTrace};
 use leap_sim_core::DetRng;

@@ -3,7 +3,7 @@
 
 use leap_repro::leap_sim_core::units::MIB;
 use leap_repro::leap_sim_core::Nanos;
-use leap_repro::leap_workloads::{interleave, stride_trace};
+use leap_repro::leap_workloads::stride_trace;
 use leap_repro::prelude::*;
 
 #[test]
@@ -116,10 +116,16 @@ fn vfs_supports_multi_process_runs_via_the_trait() {
     let result = VfsSimulator::new(config).run_multi(&traces);
     assert_eq!(result.total_accesses, total);
     assert!(result.workload.contains('+'));
-    // ...and an explicit pre-merged schedule still works via run_interleaved.
-    let schedule = interleave(&traces, 5);
-    let result = VfsSimulator::new(config).run_interleaved(&traces, &schedule);
-    assert_eq!(result.total_accesses, schedule.len() as u64);
+    // ...through the same observable driver as the VMM: every access is
+    // delivered once, attributed to the core it ran on.
+    let mut cores = CoreActivity::default();
+    let observed = VfsSimulator::new(config)
+        .session()
+        .observe(&mut cores)
+        .run_multi(&traces);
+    assert_eq!(cores.total_accesses(), total);
+    assert_eq!(cores.completion_time(), observed.completion_time);
+    assert_eq!(observed.completion_time, result.completion_time);
 }
 
 #[test]

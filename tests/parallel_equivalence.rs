@@ -113,17 +113,46 @@ fn threaded_replay_is_bit_identical_to_serial_across_core_counts() {
 #[test]
 fn merged_stream_is_core_major_with_dense_per_core_seqs() {
     let traces = app_traces(4, 7);
-    let (log, _) = run_logged(config(3, 11, ReplayMode::Threaded), &traces);
-    // The merged stream is ordered by (core, seq)...
-    let keys: Vec<(usize, u64)> = log.events().iter().map(|e| (e.core, e.seq)).collect();
-    let mut sorted = keys.clone();
-    sorted.sort_unstable();
-    assert_eq!(keys, sorted, "stream not in (core, seq) order");
-    // ...and within each core the seqs are dense from zero.
-    for core in 0..log.cores_seen() {
-        let stream = log.for_core(core);
-        for (i, event) in stream.iter().enumerate() {
-            assert_eq!(event.seq, i as u64, "core {core} seq not dense");
+    let shared_readahead = SimConfig::linux_defaults()
+        .to_builder()
+        .cores(3)
+        .sched_quantum(Nanos::from_micros(250))
+        .seed(11);
+    // Every front-end shape: isolated shard workers, the shared-readahead
+    // VMM and the VFS (one worker spanning every core), in both modes.
+    for mode in [ReplayMode::Serial, ReplayMode::Threaded] {
+        let shared = shared_readahead
+            .clone()
+            .replay_mode(mode)
+            .build()
+            .expect("valid config");
+        let mut vfs_log = EventLog::default();
+        VfsSimulator::new(config(3, 11, mode))
+            .session()
+            .observe(&mut vfs_log)
+            .run_multi(&traces);
+        let logs = [
+            ("isolated vmm", run_logged(config(3, 11, mode), &traces).0),
+            ("shared-readahead vmm", run_logged(shared, &traces).0),
+            ("vfs", vfs_log),
+        ];
+        for (name, log) in logs {
+            assert!(log.cores_seen() > 1, "{name}: work stayed on one core");
+            // The merged stream is ordered by (core, seq)...
+            let keys: Vec<(usize, u64)> = log.events().iter().map(|e| (e.core, e.seq)).collect();
+            let mut sorted = keys.clone();
+            sorted.sort_unstable();
+            assert_eq!(keys, sorted, "{name} ({mode:?}): not in (core, seq) order");
+            // ...and within each core the seqs are dense from zero.
+            for core in 0..log.cores_seen() {
+                let stream = log.for_core(core);
+                for (i, event) in stream.iter().enumerate() {
+                    assert_eq!(
+                        event.seq, i as u64,
+                        "{name} ({mode:?}): core {core} seq not dense"
+                    );
+                }
+            }
         }
     }
 }
@@ -257,11 +286,12 @@ fn event_ring_batches_single_process_streams_too() {
 }
 
 #[test]
-fn shared_prefetcher_configs_fall_back_to_the_monolithic_reference() {
+fn shared_prefetcher_configs_replay_as_one_worker_spanning_every_core() {
     // Without per-process isolation all processes share one prefetcher
     // stream across cores (the kernel's global readahead state), which
-    // cannot be split into share-nothing workers — both modes must take the
-    // identical monolithic path.
+    // cannot be split into share-nothing workers — the simulator becomes
+    // one worker spanning every core, which both modes step serially, so
+    // they must agree exactly.
     let traces = app_traces(3, 25);
     let base = SimConfig::linux_defaults()
         .to_builder()

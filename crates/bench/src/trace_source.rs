@@ -1,14 +1,13 @@
 //! [`TraceSource`]: where a benchmark workload's traces come from.
 //!
-//! The perf harness historically hard-coded two synthetic workloads; the
-//! trace-ingestion subsystem adds recorded fault logs as a third source.
-//! `TraceSource` names all three so harness rows, CLI flags
-//! (`perf_harness --trace PATH`), and examples resolve workloads the same
-//! way.
+//! A workload is either the generated Figure 11 application mix or a
+//! recorded fault log from the trace-ingestion subsystem. `TraceSource`
+//! names both so the arena's corpus rows and its `--trace PATH` flag
+//! resolve workloads the same way.
 
 use leap_sim_core::units::MIB;
 use leap_workloads::ingest::{ingest_path, IngestError};
-use leap_workloads::{sequential_trace, stride_trace, AccessTrace, AppKind, AppModel};
+use leap_workloads::{AccessTrace, AppKind, AppModel};
 use std::path::PathBuf;
 
 use crate::EXPERIMENT_SEED;
@@ -21,12 +20,6 @@ pub enum TraceSource {
     Fig11Mix {
         /// Accesses per application trace.
         accesses: usize,
-    },
-    /// Four large regular synthetic traces (sequential + strides) sized so
-    /// replay cost is dominated by the fault hot path.
-    SyntheticLarge {
-        /// Approximate accesses per process.
-        accesses_per_proc: usize,
     },
     /// A recorded fault log (perf-script page faults or DAMON region
     /// samples, auto-detected), demultiplexed into one trace per pid.
@@ -41,7 +34,6 @@ impl TraceSource {
     pub fn label(&self) -> String {
         match self {
             TraceSource::Fig11Mix { .. } => "fig11-app-mix".to_string(),
-            TraceSource::SyntheticLarge { .. } => "synthetic-large".to_string(),
             TraceSource::FaultLog { path } => {
                 let stem = path
                     .file_stem()
@@ -65,12 +57,6 @@ impl TraceSource {
                         .generate()
                 })
                 .collect()),
-            TraceSource::SyntheticLarge { accesses_per_proc } => Ok(vec![
-                sequential_trace(16 * MIB, 1 + accesses_per_proc / 4096),
-                stride_trace(16 * MIB, 10, 1 + accesses_per_proc / 410),
-                sequential_trace(16 * MIB, 1 + accesses_per_proc / 4096),
-                stride_trace(16 * MIB, 7, 1 + accesses_per_proc / 586),
-            ]),
             TraceSource::FaultLog { path } => Ok(ingest_path(path)?.into_traces()),
         }
     }
@@ -85,12 +71,6 @@ mod tests {
         let mix = TraceSource::Fig11Mix { accesses: 500 };
         assert_eq!(mix.label(), "fig11-app-mix");
         assert_eq!(mix.load().unwrap().len(), AppKind::ALL.len());
-
-        let synth = TraceSource::SyntheticLarge {
-            accesses_per_proc: 1_000,
-        };
-        assert_eq!(synth.label(), "synthetic-large");
-        assert_eq!(synth.load().unwrap().len(), 4);
     }
 
     #[test]

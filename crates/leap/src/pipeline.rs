@@ -36,6 +36,7 @@
 //!   completion, i.e. the I/O is billed synchronously (the property tests
 //!   pin this degeneration against an independent serial reference).
 
+use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
 use leap_sim_core::Nanos;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -77,9 +78,6 @@ pub struct PipelineStats {
     /// same order).
     pub completion_checksum: u64,
 }
-
-const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-const CHECKSUM_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 impl PipelineStats {
     /// Total requests submitted.
@@ -204,11 +202,10 @@ impl AsyncPipeline {
 
     fn note_completion(&mut self, at: Nanos) {
         self.stats.completed += 1;
-        self.stats.completion_checksum = self
-            .stats
-            .completion_checksum
-            .wrapping_mul(CHECKSUM_PRIME)
-            .wrapping_add(at.as_nanos() ^ self.stats.completed);
+        self.stats.completion_checksum = checksum_fold(
+            self.stats.completion_checksum,
+            at.as_nanos() ^ self.stats.completed,
+        );
     }
 }
 

@@ -18,22 +18,21 @@
 //!   clocksources). The hot path takes a dozen probes per simulated
 //!   access, so an actively-probed run is *not* comparable to an unprobed
 //!   one — which is why the probes can also be switched off at runtime
-//!   ([`set_active`]): the perf harness times its wall-clock repeats with
-//!   the probes inactive (one predictable branch per section) and runs a
-//!   separate attribution repeat with them active, so the headline
-//!   pages/sec and the stage breakdown come observer-free from the same
-//!   binary.
+//!   ([`set_active`]): the benchmark's traced pass times its unprobed
+//!   replays with the probes inactive (one predictable branch per section)
+//!   and runs separate probed replays with them active, so the unprobed
+//!   wall-clock and the stage breakdown come from the same binary.
 //!
 //! Accumulators are process-global atomics, so threaded replays sum the
 //! stage time of all shard workers (a CPU-time-like total that can exceed
 //! wall-clock when workers overlap). Simulated results are unaffected
 //! either way: the probes read the host clock, never the simulation clock.
 //!
-//! Run the instrumented harness with:
+//! The benchmark's traced pass builds with this feature and reports the
+//! four buckets as per-layer shares of each replay:
 //!
 //! ```text
-//! cargo run --release -p leap-bench --features stage-timing \
-//!     --bin perf_harness -- --out BENCH_replay.json
+//! python3 perfbench/run.py --workload apps --seed 1 --seconds 20 --trace 1
 //! ```
 
 /// The four instrumented stages of the fault hot path.

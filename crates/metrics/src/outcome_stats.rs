@@ -14,13 +14,8 @@
 //! and recovery ledgers — so the arena's golden suite can pin that `Serial`
 //! and `Threaded` replays agree bit-for-bit.
 
+use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
 use serde::{Deserialize, Serialize};
-
-/// FNV-1a offset basis — the checksum seed shared with the fault-injection
-/// and recovery ledgers.
-pub const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime used to fold words into the checksum.
-pub const CHECKSUM_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Event tags folded into the checksum ahead of each event word, so the
 /// stream distinguishes a covered slot from a prefetched one.
@@ -86,11 +81,7 @@ impl PrefetchOutcomes {
     }
 
     fn fold(&mut self, tag: u64, word: u64) {
-        self.checksum = self.checksum.wrapping_mul(CHECKSUM_PRIME).wrapping_add(tag);
-        self.checksum = self
-            .checksum
-            .wrapping_mul(CHECKSUM_PRIME)
-            .wrapping_add(word);
+        self.checksum = checksum_fold(checksum_fold(self.checksum, tag), word);
     }
 
     /// Books one page admitted to the cache by prefetching. `slot` is the

@@ -19,18 +19,13 @@
 //!   shard and merges across shards commutatively, mirroring the engine's
 //!   pipeline-stats discipline.
 
+use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
 use leap_sim_core::{DetRng, Nanos};
 use serde::{Deserialize, Serialize};
 
 /// Salt folded into the run seed before expanding a plan, so the fault
 /// schedule draws from its own stream and leaves component streams untouched.
 const FAULT_SALT: u64 = 0x8F1B_BCDC_FA17_71AD;
-
-/// FNV-1a offset basis — the checksum seed shared with `PipelineStats` (and
-/// with the recovery layer's `RecoveryStats`).
-pub(crate) const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime used to fold words into the checksum.
-pub(crate) const CHECKSUM_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Multiplier denominator: epoch multipliers are expressed in thousandths,
 /// so `1000` is the identity and `2500` means 2.5× slower.
@@ -704,10 +699,7 @@ impl FaultInjectionStats {
 
     /// Folds one event word into the checksum (order-sensitive per shard).
     pub fn record(&mut self, word: u64) {
-        self.checksum = self
-            .checksum
-            .wrapping_mul(CHECKSUM_PRIME)
-            .wrapping_add(word);
+        self.checksum = checksum_fold(self.checksum, word);
     }
 
     /// Merges another shard's stats into this one. Counter fields add;

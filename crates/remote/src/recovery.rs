@@ -17,7 +17,7 @@
 //!    (`RecoveryStats::checksum`), merged across shards exactly like
 //!    `FaultInjectionStats`.
 
-use crate::fault::{CHECKSUM_PRIME, CHECKSUM_SEED};
+use leap_sim_core::hash::{CHECKSUM_PRIME, CHECKSUM_SEED};
 use leap_sim_core::{DetRng, Nanos};
 use serde::{Deserialize, Serialize};
 

@@ -16,15 +16,9 @@
 use leap::{AccessOutcome, FaultEvent, Observer, RunResult, TenantRecovery};
 use leap_mem::CacheOrigin;
 use leap_metrics::LatencyHistogram;
+use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
 use leap_sim_core::Nanos;
 use std::collections::BTreeMap;
-
-const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
-const CHECKSUM_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fold(checksum: u64, word: u64) -> u64 {
-    checksum.wrapping_mul(CHECKSUM_PRIME).wrapping_add(word)
-}
 
 fn outcome_word(outcome: AccessOutcome) -> u64 {
     match outcome {
@@ -158,14 +152,14 @@ impl Observer for TenantQos {
             acc.cache_hits += 1;
         }
         let mut word = event.page;
-        word = fold(word, u64::from(event.is_write));
-        word = fold(word, outcome_word(event.outcome));
-        word = fold(word, u64::from(event.prefetches_issued));
-        word = fold(word, event.core as u64);
-        acc.behavior_checksum = fold(acc.behavior_checksum, word);
-        let mut timed = fold(word, event.latency.as_nanos());
-        timed = fold(timed, event.completed_at.as_nanos());
-        acc.timing_checksum = fold(acc.timing_checksum, timed);
+        word = checksum_fold(word, u64::from(event.is_write));
+        word = checksum_fold(word, outcome_word(event.outcome));
+        word = checksum_fold(word, u64::from(event.prefetches_issued));
+        word = checksum_fold(word, event.core as u64);
+        acc.behavior_checksum = checksum_fold(acc.behavior_checksum, word);
+        let mut timed = checksum_fold(word, event.latency.as_nanos());
+        timed = checksum_fold(timed, event.completed_at.as_nanos());
+        acc.timing_checksum = checksum_fold(acc.timing_checksum, timed);
     }
 
     fn on_complete(&mut self, result: &RunResult) {

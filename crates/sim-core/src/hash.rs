@@ -19,6 +19,11 @@
 //! in this workspace originates from the simulator itself (slot numbers,
 //! page numbers, pids, deltas), never from untrusted input.
 //!
+//! The module also holds the FNV constants and fold step behind every
+//! event-stream checksum in the workspace (fault, recovery, prefetch-outcome,
+//! pipeline and tenant-QoS ledgers), so those fingerprints share one
+//! definition.
+//!
 //! # Examples
 //!
 //! ```
@@ -39,6 +44,20 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// Rotation applied before each fold so consecutive words land in different
 /// bit positions.
 const ROTATE: u32 = 5;
+
+/// FNV-1a 64-bit offset basis: the value every event-stream checksum starts
+/// from, and the origin shard checksums measure their drift against.
+pub const CHECKSUM_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit prime the checksums fold words with.
+pub const CHECKSUM_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// The ordered checksum fold step, `checksum * PRIME + word` (wrapping):
+/// folding the same words in a different order gives a different value.
+#[inline]
+pub fn checksum_fold(checksum: u64, word: u64) -> u64 {
+    checksum.wrapping_mul(CHECKSUM_PRIME).wrapping_add(word)
+}
 
 /// The FxHash streaming hasher: one rotate + xor + multiply per 8-byte word.
 ///

@@ -14,7 +14,8 @@
 //! - [`units`]: byte-size constants and page geometry shared by all crates.
 //! - [`hash`]: a dependency-free FxHash-style hasher ([`FxHashMap`]) for the
 //!   hot maps every fault probes — deterministic and ~an order of magnitude
-//!   cheaper than SipHash on the small integer keys used here.
+//!   cheaper than SipHash on the small integer keys used here — plus the
+//!   FNV fold ([`hash::checksum_fold`]) every event-stream checksum uses.
 //!
 //! Everything is `std`-only and allocation-light; the hot paths (sampling a
 //! latency, advancing the clock, hashing a key) are O(1).

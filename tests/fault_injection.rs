@@ -521,8 +521,8 @@ fn storm_plan_fixture_is_fresh() {
         "committed storm plan drifted from FaultSpec::canonical_storm(); if \
          the change is intentional, regenerate with REGEN_GOLDEN=1"
     );
-    // And the committed bytes parse back to the canonical spec (the same
-    // file `perf_harness --fault-plan` consumes).
+    // And the committed bytes parse back to the canonical spec, so the file
+    // stays a plan `FaultSpec::from_json` loads as-is.
     let parsed = FaultSpec::from_json(committed.trim_end()).expect("fixture parses");
     assert_eq!(parsed, FaultSpec::canonical_storm());
 }

@@ -6,7 +6,8 @@
 //!    stormy, in both replay modes.
 //! 2. With the tail-tolerant policy active, every recovery counter —
 //!    including the order-insensitive checksum — is bit-identical between
-//!    `ReplayMode::Serial` and `ReplayMode::Threaded` across core counts.
+//!    `ReplayMode::Serial` and `ReplayMode::Threaded` across core counts,
+//!    under both the canonical storm and the partition storm.
 //! 3. Retries are pointwise monotone in deadline tightness: recovery
 //!    decisions ride per-request streams derived from the request ordinal,
 //!    so tightening the timeout can only add retries, never reshuffle them.
@@ -120,22 +121,28 @@ fn none_policy_is_byte_identical_to_no_policy_at_all() {
 #[test]
 fn recovery_stats_are_bit_identical_across_modes_and_cores() {
     let traces = perf_traces();
-    let storm = FaultSpec::canonical_storm();
     let policy = RecoveryPolicy::tail_tolerant();
-    for cores in [1usize, 2, 4] {
-        let serial =
-            VmmSimulator::new(config(cores, ReplayMode::Serial, storm, policy)).run_multi(&traces);
-        let threaded = VmmSimulator::new(config(cores, ReplayMode::Threaded, storm, policy))
-            .run_multi(&traces);
-        assert!(
-            !serial.recovery_stats.is_quiet(),
-            "the storm must trigger recovery actions on {cores} cores"
-        );
-        assert_eq!(
-            serial.recovery_stats.checksum, threaded.recovery_stats.checksum,
-            "recovery checksum diverged on {cores} cores"
-        );
-        assert_results_identical(serial, threaded);
+    let partition = FaultSpec::canonical_partition_storm();
+    for storm in [FaultSpec::canonical_storm(), partition] {
+        for cores in [1usize, 2, 4] {
+            let serial = VmmSimulator::new(config(cores, ReplayMode::Serial, storm, policy))
+                .run_multi(&traces);
+            let threaded = VmmSimulator::new(config(cores, ReplayMode::Threaded, storm, policy))
+                .run_multi(&traces);
+            assert!(
+                !serial.recovery_stats.is_quiet(),
+                "the storm must trigger recovery actions on {cores} cores"
+            );
+            assert!(
+                storm != partition || serial.recovery_stats.hedges_issued > 0,
+                "the partition storm never triggered a hedge on {cores} cores"
+            );
+            assert_eq!(
+                serial.recovery_stats.checksum, threaded.recovery_stats.checksum,
+                "recovery checksum diverged on {cores} cores"
+            );
+            assert_results_identical(serial, threaded);
+        }
     }
 }
 

@@ -115,6 +115,8 @@ pub struct EagerEvictor {
     /// them is a fallback; their scan time is not modelled because the list
     /// stays short by construction under the eager policy.
     fallback: LazyReclaimer,
+    /// Reusable buffer for the slots a FIFO reclaim pass frees.
+    victims: Vec<SwapSlot>,
 }
 
 impl Default for EagerEvictor {
@@ -129,6 +131,7 @@ impl EagerEvictor {
         EagerEvictor {
             fifo: PrefetchFifoLru::new(),
             fallback: LazyReclaimer::with_defaults(),
+            victims: Vec::new(),
         }
     }
 
@@ -198,8 +201,8 @@ impl CacheEvictor for EagerEvictor {
 
     fn make_space(&mut self, cache: &mut SwapCache, target: u64, now: Nanos) -> EvictionReport {
         let mut report = EvictionReport::default();
-        let victims = self.fifo.reclaim_fifo(cache, target);
-        report.freed_unused_prefetches = victims.len() as u64;
+        self.victims.clear();
+        report.freed_unused_prefetches = self.fifo.reclaim_fifo(cache, target, &mut self.victims);
         if report.freed_total() < target {
             // No unconsumed prefetches left: fall back to LRU over whatever
             // remains (demand entries). Eager eviction has no post-hit waits

@@ -33,7 +33,7 @@ use crate::result::RunResult;
 use crate::sched::CoreScheduler;
 use crate::session::{AccessOutcome, FaultEvent, Simulator};
 use leap_mem::{
-    FramePool, LruList, MemoryLimit, PageState, PageTable, Pid, ShardedSwap, SwapSlot, VirtPage,
+    FramePool, MemoryLimit, PageState, PageTable, Pid, ShardedSwap, SwapSlot, VirtPage,
 };
 use leap_prefetcher::PageAddr;
 use leap_sim_core::hash::FxHashMap;
@@ -57,15 +57,6 @@ const SWAP_OUT_OVERHEAD: Nanos = Nanos(1_000);
 /// constraint, halved so per-shard region arithmetic cannot overflow.
 const SWAP_CAPACITY: u64 = u64::MAX / 2;
 
-/// Per-process paging state. The process's cgroup-style memory budget lives
-/// in the engine's tenant ledger ([`EngineCore::set_tenant_limit`]), not
-/// here, so eviction accounting is enforced where evictions are booked.
-#[derive(Debug)]
-struct ProcessState {
-    page_table: PageTable,
-    resident_lru: LruList<VirtPage>,
-}
-
 /// The disaggregated-VMM simulator.
 ///
 /// See the crate-level example for typical usage; drive it through the
@@ -75,7 +66,11 @@ struct ProcessState {
 #[derive(Debug)]
 pub struct VmmSimulator {
     engine: EngineCore,
-    processes: FxHashMap<Pid, ProcessState>,
+    /// Per-process page tables, each carrying its process's resident LRU.
+    /// The process's cgroup-style memory budget lives in the engine's
+    /// tenant ledger ([`EngineCore::set_tenant_limit`]), not here, so
+    /// eviction accounting is enforced where evictions are booked.
+    page_tables: FxHashMap<Pid, PageTable>,
     frames: FramePool,
     swap: ShardedSwap,
     /// Reusable scratch for span-batched prefetch admission: the span's
@@ -116,7 +111,7 @@ impl VmmSimulator {
     pub fn from_setup(setup: &SimSetup) -> Self {
         VmmSimulator {
             engine: EngineCore::new(setup, 0),
-            processes: FxHashMap::default(),
+            page_tables: FxHashMap::default(),
             // The frame pool is sized lazily per-process via MemoryLimit; the
             // global pool just needs to be large enough to never be the
             // binding constraint. The swap space starts unsharded (one
@@ -187,20 +182,13 @@ impl VmmSimulator {
                 self.engine.config.memory_fraction,
             ),
         };
-        // Pre-size the per-process maps from the trace's working set (the
-        // page table sees every touched page; the LRU at most the resident
-        // limit), clamped so a degenerate trace cannot pre-allocate the
-        // world: steady-state faults then never rehash either structure.
+        // Pre-size the page table from the trace's working set (it sees
+        // every touched page), clamped so a degenerate trace cannot
+        // pre-allocate the world: steady-state faults then never rehash it.
         let table_hint = working_set_pages.min(1 << 22) as usize;
-        let lru_hint = limit.limit_pages().min(table_hint as u64) as usize;
         self.engine.set_tenant_limit(pid, limit);
-        self.processes.insert(
-            pid,
-            ProcessState {
-                page_table: PageTable::with_capacity(table_hint),
-                resident_lru: LruList::with_capacity(lru_hint),
-            },
-        );
+        self.page_tables
+            .insert(pid, PageTable::with_capacity(table_hint));
     }
 
     /// Handles an access to a swapped-out page (the remote page access
@@ -314,7 +302,7 @@ impl VmmSimulator {
             }
         }
         match single_owner {
-            Some(pid) if !mixed && self.processes.contains_key(&pid) => {
+            Some(pid) if !mixed && self.page_tables.contains_key(&pid) => {
                 self.span_pages.clear();
                 self.span_pages.extend(
                     self.span_owners
@@ -324,9 +312,9 @@ impl VmmSimulator {
                 self.span_states.clear();
                 self.span_states
                     .resize(self.span_pages.len(), PageState::Untouched);
-                let process = self.processes.get(&pid).expect("checked above");
-                process
-                    .page_table
+                self.page_tables
+                    .get(&pid)
+                    .expect("checked above")
                     .lookup_span(&self.span_pages, &mut self.span_states);
                 let mut owned = 0usize;
                 for i in 0..self.span_slots.len() {
@@ -348,8 +336,8 @@ impl VmmSimulator {
                     let Some((owner_pid, owner_page)) = self.span_owners[i] else {
                         continue;
                     };
-                    if let Some(owner) = self.processes.get(&owner_pid) {
-                        if owner.page_table.is_resident(owner_page) {
+                    if let Some(table) = self.page_tables.get(&owner_pid) {
+                        if table.is_resident(owner_page) {
                             continue;
                         }
                     }
@@ -389,34 +377,26 @@ impl VmmSimulator {
         let scan_wait = Nanos(80).saturating_add(Nanos(20) * scan_pages.min(64));
         wait = wait.saturating_add(scan_wait);
 
+        let table = self.page_tables.get_mut(&pid).expect("registered process");
         for _ in 0..need {
-            let victim = {
-                let process = self.processes.get_mut(&pid).expect("registered process");
-                process.resident_lru.pop_lru()
+            let Some(victim_page) = table.lru_page() else {
+                break;
             };
-            let Some(victim_page) = victim else { break };
             // Slots come from the active core's shard region, so a core's
             // sequential page-outs stay sequential in its own region.
             let core = self.engine.active_core();
-            let slot = match self.swap.allocate_on(core, pid, victim_page) {
-                Some(s) => s,
-                None => break,
+            let Some(slot) = self.swap.allocate_on(core, pid, victim_page) else {
+                break;
             };
-            let process = self.processes.get_mut(&pid).expect("registered process");
-            if process
-                .page_table
-                .unmap_to_swap(victim_page, slot)
-                .is_some()
-            {
-                self.engine.record_swap_out(pid);
-                wait = wait.saturating_add(SWAP_OUT_OVERHEAD);
-                // The write-back itself is asynchronous: issue it so the
-                // backend and dispatch queues see the traffic, but do not
-                // charge its latency to the faulting access — unless the
-                // in-flight budget is exhausted, in which case the stall
-                // surfaces as allocation wait below.
-                let _ = self.engine.write_remote_async(slot.0);
-            }
+            table.swap_out_lru(slot);
+            self.engine.record_swap_out(pid);
+            wait = wait.saturating_add(SWAP_OUT_OVERHEAD);
+            // The write-back itself is asynchronous: issue it so the
+            // backend and dispatch queues see the traffic, but do not
+            // charge its latency to the faulting access — unless the
+            // in-flight budget is exhausted, in which case the stall
+            // surfaces as allocation wait below.
+            let _ = self.engine.write_remote_async(slot.0);
         }
         wait = wait.saturating_add(self.engine.take_pending_stall());
         self.engine.result.allocation_wait.record(wait);
@@ -440,7 +420,7 @@ impl VmmSimulator {
             .map(|core| {
                 let mut worker = VmmSimulator {
                     engine: self.engine.shard_worker(core, shards),
-                    processes: FxHashMap::default(),
+                    page_tables: FxHashMap::default(),
                     frames: FramePool::new(u64::MAX / 2),
                     swap: ShardedSwap::region(core, shards, SWAP_CAPACITY),
                     span_slots: Vec::new(),
@@ -484,9 +464,10 @@ impl VmmSimulator {
         // make_room should have freed space; if the charge still does not
         // fit, the limit saturates and one more page is evicted next time.
         let _ = self.engine.charge_tenant(pid);
-        let process = self.processes.get_mut(&pid).expect("registered process");
-        process.page_table.map(page, frame);
-        process.resident_lru.push(page);
+        self.page_tables
+            .get_mut(&pid)
+            .expect("registered process")
+            .map(page, frame);
     }
 }
 
@@ -550,11 +531,8 @@ impl Simulator for VmmSimulator {
         pages.dedup();
         for page in pages {
             let vp = VirtPage(page);
-            let already_resident = {
-                let process = self.processes.get(&pid).expect("registered process");
-                process.page_table.is_resident(vp)
-            };
-            if already_resident {
+            let table = self.page_tables.get(&pid).expect("registered process");
+            if table.is_resident(vp) {
                 continue;
             }
             let _ = self.make_room(pid, 1);
@@ -574,20 +552,16 @@ impl Simulator for VmmSimulator {
         self.engine.begin_access(&access);
 
         let page = VirtPage(access.page);
-        let state = {
-            let process = self
-                .processes
-                .get(&pid)
-                .unwrap_or_else(|| panic!("process {pid} not registered"));
-            process.page_table.lookup(page)
-        };
+        // One probe classifies the access and, for a resident page, moves
+        // it to the MRU end of the process's LRU.
+        let state = self
+            .page_tables
+            .get_mut(&pid)
+            .unwrap_or_else(|| panic!("process {pid} not registered"))
+            .lookup_touch(page);
 
         let (latency, outcome, prefetches_issued) = match state {
-            PageState::Resident(_) => {
-                let process = self.processes.get_mut(&pid).expect("checked above");
-                process.resident_lru.touch(&page);
-                (LOCAL_ACCESS, AccessOutcome::LocalHit, 0)
-            }
+            PageState::Resident(_) => (LOCAL_ACCESS, AccessOutcome::LocalHit, 0),
             PageState::Untouched => {
                 self.engine.result.first_touch_faults += 1;
                 let alloc_wait = self.make_room(pid, 1);

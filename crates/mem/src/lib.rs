@@ -7,11 +7,11 @@
 //! - [`types`]: process ids, virtual page numbers, swap slots, frame ids.
 //! - [`frames`]: a fixed pool of physical frames ([`FramePool`]).
 //! - [`page_table`]: per-process page tables mapping virtual pages to frames
-//!   or swap slots ([`PageTable`]).
+//!   or swap slots, with the resident pages in LRU order ([`PageTable`]).
 //! - [`swap`]: the shared, sequentially laid-out swap space
 //!   ([`SwapSpace`]) — all processes allocate slots from the same area, which
 //!   is why consecutive slots can belong to different processes (§2.3).
-//! - [`lru`]: active/inactive LRU lists used by the background reclaimer
+//! - [`lru`]: the LRU list the swap-cache reclaimers order pages with
 //!   ([`LruList`]).
 //! - [`swap_cache`]: the swap/prefetch cache ([`SwapCache`]) holding pages
 //!   brought in from the slower tier before they are mapped.

@@ -1,11 +1,12 @@
-//! An LRU list with O(1) touch/evict, used for resident-page reclamation.
+//! An LRU list with O(1) touch/evict, used for swap-cache reclamation.
 //!
-//! The kernel keeps resident pages on active/inactive LRU lists that the
+//! The kernel keeps cached pages on active/inactive LRU lists that the
 //! background reclaimer (`kswapd`) scans when memory pressure builds. This
 //! module provides the ordered structure those policies need; the scan-cost
-//! and eviction *policies* live in the `leap-eviction` crate.
+//! and eviction *policies* live in the `leap-eviction` crate. (A process's
+//! resident pages are ordered by its [`crate::PageTable`] itself.)
 
-use leap_sim_core::hash::{fx_map_with_capacity, FxHashMap};
+use leap_sim_core::hash::FxHashMap;
 use std::hash::Hash;
 
 /// An ordered least-recently-used list over keys of type `K`.
@@ -56,19 +57,6 @@ impl<K: Eq + Hash + Clone> LruList<K> {
             nodes: Vec::new(),
             free: Vec::new(),
             index: FxHashMap::default(),
-            head: None,
-            tail: None,
-        }
-    }
-
-    /// Creates an empty list pre-sized for `capacity` keys (e.g. a
-    /// process's resident-page limit), so steady-state `push`/`touch`
-    /// never reallocate the node slab or rehash the index.
-    pub fn with_capacity(capacity: usize) -> Self {
-        LruList {
-            nodes: Vec::with_capacity(capacity),
-            free: Vec::new(),
-            index: fx_map_with_capacity(capacity),
             head: None,
             tail: None,
         }

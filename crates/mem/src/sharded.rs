@@ -106,9 +106,9 @@ impl ShardedSwap {
 
     /// Allocates a slot for `(pid, page)` from `core`'s region.
     ///
-    /// Within the region the same sequential-burst layout (and clean-slot
-    /// reuse) as [`SwapSpace::allocate`] applies. Returns `None` when the
-    /// region is full.
+    /// Within the region the same sequential-burst layout as
+    /// [`SwapSpace::allocate`] applies. Returns `None` when the region is
+    /// full.
     pub fn allocate_on(&mut self, core: usize, pid: Pid, page: VirtPage) -> Option<SwapSlot> {
         let shard = core.min(self.shards.len() - 1);
         self.shards[shard].allocate(pid, page)
@@ -157,11 +157,6 @@ impl ShardedSwap {
                 }
             }
         }
-    }
-
-    /// Returns the slot currently assigned to `(pid, page)` in any shard.
-    pub fn slot_of(&self, pid: Pid, page: VirtPage) -> Option<SwapSlot> {
-        self.shards.iter().find_map(|s| s.slot_of(pid, page))
     }
 
     /// Number of slots currently in use across all shards.
@@ -396,7 +391,6 @@ mod tests {
         let b = swap.allocate_on(1, Pid(2), VirtPage(9)).unwrap();
         assert_eq!(swap.owner(a), Some((Pid(1), VirtPage(9))));
         assert_eq!(swap.owner(b), Some((Pid(2), VirtPage(9))));
-        assert_eq!(swap.slot_of(Pid(2), VirtPage(9)), Some(b));
         swap.free(a);
         assert_eq!(swap.owner(a), None);
         assert_eq!(swap.used_slots(), 1);

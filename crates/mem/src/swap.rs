@@ -9,7 +9,6 @@
 //! interleave in the shared offset space.
 
 use crate::types::{Pid, SwapSlot, VirtPage};
-use leap_sim_core::hash::FxHashMap;
 
 /// The shared swap area: allocation of slots and slot → page bookkeeping.
 ///
@@ -33,20 +32,18 @@ pub struct SwapSpace {
     /// Next slot to try for a fresh (never used) allocation; keeps the
     /// sequential layout the kernel aims for.
     next_fresh: u64,
-    /// Slots that have been freed and can be reused.
+    /// Slots that have been freed, reused only once every fresh slot of
+    /// the region has been handed out.
     free_slots: Vec<SwapSlot>,
-    /// Owner of each in-use slot, indexed by `slot - base`. In-use slots
-    /// are dense from `base` — fresh allocations are sequential and freed
-    /// slots are reused before `next_fresh` advances — so the vector's
-    /// length tracks the region's high-water mark (bounded by the pages
-    /// ever swapped out, not the region's capacity), and every owner probe
-    /// on the fault hot path is a direct index instead of a hash lookup.
+    /// Owner of each slot below the high-water mark `next_fresh`, indexed
+    /// by `slot - base` (`None` once freed). Fresh allocations are
+    /// sequential from `base`, so the vector's length is the number of
+    /// slots ever handed out — bounded by the pages ever swapped out, not
+    /// the region's capacity — and every owner probe on the fault hot path
+    /// is a direct index instead of a hash lookup.
     owners: Vec<Option<(Pid, VirtPage)>>,
     /// Number of in-use slots (`Some` entries of `owners`).
     used: u64,
-    /// Reverse map so a page that is swapped out again can reuse its slot,
-    /// which the kernel does when the swap-cache copy is still clean.
-    by_page: FxHashMap<(Pid, VirtPage), SwapSlot>,
 }
 
 impl SwapSpace {
@@ -69,7 +66,6 @@ impl SwapSpace {
             free_slots: Vec::new(),
             owners: Vec::new(),
             used: 0,
-            by_page: FxHashMap::default(),
         }
     }
 
@@ -96,18 +92,15 @@ impl SwapSpace {
         self.used
     }
 
-    /// Allocates a slot for `(pid, page)`.
+    /// Allocates a slot for `(pid, page)`: the next fresh slot of the
+    /// region while any remain (so a burst of page-outs lands in
+    /// consecutive slots), then a previously freed one.
     ///
-    /// If the page already owns a slot (it was swapped out before and the
-    /// mapping is still recorded), the same slot is returned — this models
-    /// the kernel reusing a clean swap-cache slot and is what preserves
-    /// spatial locality across repeated page-outs of the same region.
+    /// Every call takes a new slot. The caller frees a page's slot when the
+    /// page is swapped back in, so a page never owns two slots.
     ///
     /// Returns `None` when the swap area is full.
     pub fn allocate(&mut self, pid: Pid, page: VirtPage) -> Option<SwapSlot> {
-        if let Some(&slot) = self.by_page.get(&(pid, page)) {
-            return Some(slot);
-        }
         let slot = if self.next_fresh < self.base.saturating_add(self.capacity) {
             let s = SwapSlot(self.next_fresh);
             self.next_fresh += 1;
@@ -121,7 +114,6 @@ impl SwapSpace {
         }
         self.owners[idx] = Some((pid, page));
         self.used += 1;
-        self.by_page.insert((pid, page), slot);
         Some(slot)
     }
 
@@ -130,8 +122,7 @@ impl SwapSpace {
         let Some(idx) = self.owner_index(slot) else {
             return;
         };
-        if let Some(owner) = self.owners[idx].take() {
-            self.by_page.remove(&owner);
+        if self.owners[idx].take().is_some() {
             self.free_slots.push(slot);
             self.used -= 1;
         }
@@ -140,11 +131,6 @@ impl SwapSpace {
     /// Returns the process and virtual page stored in a slot, if any.
     pub fn owner(&self, slot: SwapSlot) -> Option<(Pid, VirtPage)> {
         self.owner_index(slot).and_then(|idx| self.owners[idx])
-    }
-
-    /// Returns the slot currently assigned to `(pid, page)`, if any.
-    pub fn slot_of(&self, pid: Pid, page: VirtPage) -> Option<SwapSlot> {
-        self.by_page.get(&(pid, page)).copied()
     }
 }
 
@@ -175,63 +161,63 @@ mod tests {
     }
 
     #[test]
-    fn repeated_swap_out_reuses_the_slot() {
-        let mut swap = SwapSpace::new(10);
+    fn fresh_slots_come_before_freed_ones() {
+        let mut swap = SwapSpace::new(3);
         let first = swap.allocate(Pid(1), VirtPage(42)).unwrap();
-        let second = swap.allocate(Pid(1), VirtPage(42)).unwrap();
-        assert_eq!(first, second);
-        assert_eq!(swap.used_slots(), 1);
+        swap.free(first);
+        // A freed slot waits until the region's fresh slots run out.
+        assert_eq!(swap.allocate(Pid(1), VirtPage(42)), Some(SwapSlot(1)));
+        assert_eq!(swap.allocate(Pid(1), VirtPage(43)), Some(SwapSlot(2)));
+        assert_eq!(swap.allocate(Pid(1), VirtPage(44)), Some(first));
+        assert_eq!(swap.owner(first), Some((Pid(1), VirtPage(44))));
+        assert_eq!(swap.used_slots(), 3);
     }
 
     #[test]
     fn capacity_is_enforced() {
         let mut swap = SwapSpace::new(2);
-        assert!(swap.allocate(Pid(1), VirtPage(0)).is_some());
+        let slot = swap.allocate(Pid(1), VirtPage(0)).unwrap();
         assert!(swap.allocate(Pid(1), VirtPage(1)).is_some());
         assert!(swap.allocate(Pid(1), VirtPage(2)).is_none());
         // Freeing makes room again.
-        let slot = swap.slot_of(Pid(1), VirtPage(0)).unwrap();
         swap.free(slot);
         assert!(swap.allocate(Pid(1), VirtPage(2)).is_some());
     }
 
     #[test]
-    fn free_clears_both_maps() {
+    fn free_forgets_the_owner() {
         let mut swap = SwapSpace::new(4);
         let slot = swap.allocate(Pid(3), VirtPage(9)).unwrap();
         swap.free(slot);
         assert_eq!(swap.owner(slot), None);
-        assert_eq!(swap.slot_of(Pid(3), VirtPage(9)), None);
         // Freeing an already-free slot is a harmless no-op.
         swap.free(slot);
         assert_eq!(swap.used_slots(), 0);
     }
 
     proptest! {
-        /// owners and by_page stay mutually consistent under random workloads.
+        /// Owners and the used count match a reference map of the slots
+        /// handed out and not yet freed, under random workloads.
         #[test]
-        fn prop_maps_stay_consistent(
+        fn prop_owners_match_reference(
             ops in proptest::collection::vec((0u32..4, 0u64..32, any::<bool>()), 0..200),
         ) {
             let mut swap = SwapSpace::new(64);
+            let mut held: Vec<(SwapSlot, (Pid, VirtPage))> = Vec::new();
             for (pid, page, alloc) in ops {
                 if alloc {
-                    let _ = swap.allocate(Pid(pid), VirtPage(page));
-                } else if let Some(slot) = swap.slot_of(Pid(pid), VirtPage(page)) {
+                    if let Some(slot) = swap.allocate(Pid(pid), VirtPage(page)) {
+                        prop_assert!(held.iter().all(|&(s, _)| s != slot));
+                        held.push((slot, (Pid(pid), VirtPage(page))));
+                    }
+                } else if !held.is_empty() {
+                    let (slot, _) = held.swap_remove(page as usize % held.len());
                     swap.free(slot);
                 }
             }
-            // Every owner entry has a matching by_page entry and vice versa.
-            let mut in_use = 0u64;
-            for (idx, owner) in swap.owners.iter().enumerate() {
-                let Some((pid, page)) = owner else { continue };
-                in_use += 1;
-                let slot = SwapSlot(swap.base + idx as u64);
-                prop_assert_eq!(swap.by_page.get(&(*pid, *page)).copied(), Some(slot));
-            }
-            prop_assert_eq!(swap.used_slots(), in_use);
-            for ((pid, page), slot) in swap.by_page.iter() {
-                prop_assert_eq!(swap.owner(*slot), Some((*pid, *page)));
+            prop_assert_eq!(swap.used_slots(), held.len() as u64);
+            for &(slot, owner) in &held {
+                prop_assert_eq!(swap.owner(slot), Some(owner));
             }
         }
 

@@ -26,8 +26,8 @@
 //! majority is either the incoming delta or the tier's previous majority.
 //! Checking both is two map probes. The tier count is a constant for a
 //! given configuration, so the whole update is O(1) amortized, and all maps
-//! are pre-reserved to their maximum population (the tier's window size), so
-//! steady-state records perform **zero heap allocations** — the
+//! are pre-reserved to twice their maximum population (the tier's window
+//! size), so steady-state records perform **zero heap allocations** — the
 //! `hot_path_alloc` contract extends to the detector.
 //!
 //! ## Equivalence
@@ -62,9 +62,13 @@ struct Tier {
 impl Tier {
     fn new(raw_size: usize, capacity: usize) -> Self {
         // At most `min(raw_size, capacity)` distinct deltas ever live in
-        // the window; +1 headroom keeps the map strictly below its reserve
-        // so inserts never trigger growth.
-        let reserve = raw_size.min(capacity) + 1;
+        // the window (+1 while a slide is in flight). The map churns —
+        // every slide can remove one key and insert another — and the
+        // removals leave tombstones; once they use up the free buckets the
+        // table rehashes, in place only while it is at most half full.
+        // Reserving twice the population keeps it there, so inserts never
+        // reallocate.
+        let reserve = 2 * (raw_size.min(capacity) + 1);
         Tier {
             raw_size,
             counts: fx_map_with_capacity(reserve),

@@ -159,9 +159,11 @@ impl DetRng {
 
     /// Samples a Zipfian-distributed rank in `[0, n)` with skew `theta`.
     ///
-    /// Uses simple inverse-CDF sampling over the precomputed harmonic sum is
-    /// avoided for memory reasons; instead we use the approximation from
-    /// Gray et al. (the "quick and dirty" zipf used by YCSB-like generators).
+    /// Exact inverse-CDF sampling would need the whole precomputed harmonic
+    /// table; instead this uses the closed-form approximation from Gray et
+    /// al. (the "quick and dirty" zipf of YCSB-like generators), with the
+    /// normalising ζ(n) sum computed exactly over the first 1024 terms and
+    /// by an integral approximation beyond.
     pub fn zipf(&mut self, n: usize, theta: f64) -> usize {
         assert!(n > 0, "zipf requires n > 0");
         if n == 1 {

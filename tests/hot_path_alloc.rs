@@ -1,18 +1,23 @@
-//! Zero per-fault heap allocations on the prefetch decision hot path.
+//! Zero per-fault heap allocations on the fault hot path.
 //!
 //! The fault hot path — access-history update, trend detection, window
 //! sizing, and candidate generation into the `PrefetchDecision` inline
-//! buffer — must not touch the heap once per-process state exists, for any
-//! window up to the inline capacity. This test binary installs a counting
-//! global allocator and pins that contract for the Leap prefetcher, the
-//! baselines, and the tracker layer the engine calls into.
+//! buffer, the eager eviction FIFO, the page table's resident LRU, and the
+//! span-batched remote I/O — must not touch the heap once per-process
+//! state exists, for any window up to the inline capacity. This test binary
+//! installs a global allocator that counts each thread's allocations and
+//! pins that contract for the Leap prefetcher, the baselines, the tracker
+//! layer the engine calls into, and the memory-management structures.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use leap_repro::leap::tracker::PageAccessTracker;
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
-use leap_repro::leap_mem::Pid;
+use leap_repro::leap_eviction::PrefetchFifoLru;
+use leap_repro::leap_mem::{
+    CacheOrigin, FrameId, PageState, PageTable, Pid, SwapCache, SwapSlot, VirtPage,
+};
 use leap_repro::leap_prefetcher::{
     IncrementalTrendDetector, LeapConfig, LeapPrefetcher, PageAddr, Prefetcher, PrefetcherKind,
     INLINE_DECISION_PAGES,
@@ -23,14 +28,23 @@ use leap_repro::leap_remote::{
 use leap_repro::leap_sim_core::{DetRng, Nanos};
 
 /// Counts every allocation (and reallocation) made through the global
-/// allocator.
+/// allocator, per thread: a test reads only its own thread's count, so the
+/// test harness's threads (and tests running in parallel) cannot add to it.
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` because the allocator also runs while a thread's locals
+    // are being torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -39,7 +53,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,39 +61,15 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Serialises the tests: the allocation counter is process-wide, so any test
-/// allocating concurrently with another test's counting section would
-/// pollute its count. Every test in this binary takes the lock first.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn serial_guard() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Runs `f` three times and returns the *minimum* allocation count of one
-/// run. A genuine per-fault allocation shows up thousands of times in every
-/// run; the minimum filters out one-off noise from the test harness's own
-/// threads (which this binary cannot fully silence).
-fn count_allocs(mut f: impl FnMut()) -> u64 {
-    (0..3)
-        .map(|_| {
-            let before = allocations();
-            f();
-            allocations() - before
-        })
-        .min()
-        .expect("three runs")
+/// The number of heap allocations `f` makes on the calling thread.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]
 fn leap_prefetcher_steady_state_faults_do_not_allocate() {
-    let _serial = serial_guard();
     let mut p = LeapPrefetcher::new(LeapConfig::default());
     // Warm up: build the history and lock in a sequential trend.
     for i in 0..128u64 {
@@ -102,7 +92,6 @@ fn leap_prefetcher_steady_state_faults_do_not_allocate() {
 
 #[test]
 fn incremental_trend_detector_records_do_not_allocate() {
-    let _serial = serial_guard();
     // The detector's per-tier count maps are pre-reserved to their maximum
     // window population, so steady-state records — even a worst-case stream
     // of all-distinct deltas churning every tier — stay off the heap.
@@ -135,7 +124,6 @@ fn incremental_trend_detector_records_do_not_allocate() {
 
 #[test]
 fn irregular_and_speculative_decisions_do_not_allocate_either() {
-    let _serial = serial_guard();
     let mut p = LeapPrefetcher::new(LeapConfig::default());
     for i in 0..128u64 {
         let _ = p.on_fault(PageAddr(i * 3));
@@ -156,7 +144,6 @@ fn irregular_and_speculative_decisions_do_not_allocate_either() {
 
 #[test]
 fn windows_up_to_the_inline_capacity_stay_on_the_stack() {
-    let _serial = serial_guard();
     let mut p = LeapPrefetcher::new(LeapConfig {
         max_prefetch_window: INLINE_DECISION_PAGES,
         ..LeapConfig::default()
@@ -180,7 +167,6 @@ fn windows_up_to_the_inline_capacity_stay_on_the_stack() {
 
 #[test]
 fn oversized_windows_spill_but_still_work() {
-    let _serial = serial_guard();
     // Windows past the inline capacity are allowed to allocate — but must
     // produce the full candidate list.
     let mut p = LeapPrefetcher::new(LeapConfig {
@@ -212,7 +198,6 @@ fn oversized_windows_spill_but_still_work() {
 
 #[test]
 fn baseline_prefetchers_do_not_allocate_in_steady_state() {
-    let _serial = serial_guard();
     for kind in [
         PrefetcherKind::None,
         PrefetcherKind::NextNLine,
@@ -239,7 +224,6 @@ fn baseline_prefetchers_do_not_allocate_in_steady_state() {
 
 #[test]
 fn tracker_layer_adds_no_allocations_once_instances_exist() {
-    let _serial = serial_guard();
     // The engine consults the prefetcher through PageAccessTracker (one
     // instance per (pid, core)); after the instances exist, routing a fault
     // through the tracker must be as allocation-free as the prefetcher
@@ -266,7 +250,6 @@ fn tracker_layer_adds_no_allocations_once_instances_exist() {
 
 #[test]
 fn span_batched_remote_io_does_not_allocate_in_steady_state() {
-    let _serial = serial_guard();
     // The span-batched remote I/O path — table-sampled transport latency,
     // fault-modifier bookkeeping, and the deferred span dispatch — must run
     // out of the agent's per-shard arenas once the slabs are mapped, even
@@ -320,7 +303,6 @@ fn span_batched_remote_io_does_not_allocate_in_steady_state() {
 
 #[test]
 fn lean_data_path_span_reads_do_not_allocate_in_steady_state() {
-    let _serial = serial_guard();
     // The lean path's read_span override batches the software-stage samples
     // and the agent span into per-path arenas; after warm-up a whole span
     // costs zero heap traffic.
@@ -346,4 +328,102 @@ fn lean_data_path_span_reads_do_not_allocate_in_steady_state() {
         allocs, 0,
         "lean span reads allocated {allocs} times in steady state"
     );
+}
+
+#[test]
+fn eager_fifo_insert_hit_reclaim_cycle_does_not_allocate() {
+    // The eager policy's steady state: every fault admits a span of fresh
+    // prefetched slots, most of them are hit (freed on hit), and the rest
+    // are reclaimed in FIFO order to keep the cache at its budget. Once
+    // the queue, the count map and the cache have grown to that working
+    // size, none of it may touch the heap — compaction included.
+    const SPAN: u64 = 8;
+    const BUDGET: u64 = 256;
+    let mut cache = SwapCache::unbounded();
+    let mut fifo = PrefetchFifoLru::new();
+    let mut span: Vec<SwapSlot> = Vec::with_capacity(SPAN as usize);
+    let mut freed: Vec<SwapSlot> = Vec::with_capacity(BUDGET as usize);
+    let mut next = 0u64;
+    let mut cycle = |steps: u64| {
+        for step in 0..steps {
+            let now = Nanos::from_micros(step);
+            span.clear();
+            span.extend((next..next + SPAN).map(SwapSlot));
+            next += SPAN;
+            for &slot in &span {
+                cache.insert_fresh(slot, Pid(1), CacheOrigin::Prefetch, now);
+            }
+            fifo.on_prefetch_insert_span(&span);
+            // Every slot but the span's last is consumed, out of order.
+            for &slot in span[..SPAN as usize - 1].iter().rev() {
+                let (_, taken) = cache
+                    .record_hit_take(slot, now, true)
+                    .expect("prefetched slot is cached");
+                assert!(taken);
+                assert!(fifo.on_hit_freed(slot));
+            }
+            if cache.len() > BUDGET {
+                freed.clear();
+                let over = cache.len() - BUDGET;
+                assert_eq!(fifo.reclaim_fifo(&mut cache, over, &mut freed), over);
+            }
+        }
+    };
+    cycle(4_096);
+    let allocs = count_allocs(|| cycle(8_192));
+    assert_eq!(
+        allocs, 0,
+        "eager FIFO insert/hit/reclaim cycle allocated {allocs} times"
+    );
+    assert_eq!(fifo.len() as u64, cache.len());
+}
+
+#[test]
+fn page_table_touch_evict_map_cycle_does_not_allocate() {
+    // The VMM's steady state over one process: a resident hit is a
+    // `lookup_touch`, a fault on a swapped page evicts the LRU page and maps
+    // the faulting one back in. With the table pre-sized to the working set
+    // nothing here may touch the heap.
+    const PAGES: u64 = 4_096;
+    const RESIDENT: u64 = 1_024;
+    let mut table = PageTable::with_capacity(PAGES as usize);
+    let mut slot = 0u64;
+    let mut access = |table: &mut PageTable, page: VirtPage| match table.lookup_touch(page) {
+        PageState::Resident(_) => {}
+        PageState::Untouched | PageState::Swapped(_) => {
+            if table.resident_pages() >= RESIDENT {
+                slot += 1;
+                let (_, frame) = table
+                    .swap_out_lru(SwapSlot(slot))
+                    .expect("a resident page to evict");
+                table.map(page, frame);
+            } else {
+                table.map(page, FrameId(page.0));
+            }
+        }
+    };
+    for p in 0..PAGES {
+        access(&mut table, VirtPage(p));
+    }
+    let mut x = 88_172_645_463_325_252u64;
+    let allocs = count_allocs(|| {
+        for i in 0..16_384u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // A hot quarter of the pages takes most accesses.
+            let page = if i % 4 == 0 {
+                x % PAGES
+            } else {
+                x % (PAGES / 4)
+            };
+            access(&mut table, VirtPage(page));
+        }
+    });
+    assert_eq!(
+        allocs, 0,
+        "page table touch/evict/map cycle allocated {allocs} times"
+    );
+    assert_eq!(table.resident_pages(), RESIDENT);
+    assert_eq!(table.touched_pages(), PAGES);
 }

@@ -1,8 +1,8 @@
 //! Criterion microbenchmarks for the latency samplers: the analytic
 //! log-normal (exp/ln/sqrt per draw) against the precomputed inverse-CDF
-//! quantile table (one RNG draw + a linear interpolation), single-sample
-//! and span-batched. These are the numbers behind the table-sampler entry
-//! in EXPERIMENTS.md.
+//! quantile table (one RNG draw + a linear interpolation), plain and
+//! fault-scaled. These are the numbers behind the table-sampler entry in
+//! EXPERIMENTS.md.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use leap_sim_core::{DetRng, LatencySampler, LogNormalLatency, Nanos, TableLatency};
@@ -32,30 +32,6 @@ fn bench_single_sample(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_span_sample(c: &mut Criterion) {
-    // One prefetch window's worth of draws per iteration, the way the
-    // span-batched data path consumes the sampler.
-    const SPAN: usize = 32;
-    let mut group = c.benchmark_group("sampler_span32");
-    group.bench_function("lognormal/analytic_loop", |b| {
-        let sampler = analytic();
-        let mut rng = DetRng::seed_from(2);
-        b.iter(|| {
-            let mut sum = Nanos::ZERO;
-            for _ in 0..SPAN {
-                sum = sum.saturating_add(sampler.sample(&mut rng));
-            }
-            black_box(sum)
-        })
-    });
-    group.bench_function("lognormal/table_span", |b| {
-        let sampler = table();
-        let mut rng = DetRng::seed_from(2);
-        b.iter(|| black_box(sampler.sample_span(&mut rng, SPAN)))
-    });
-    group.finish();
-}
-
 fn bench_scaled_sample(c: &mut Criterion) {
     // A degraded-epoch multiplier on the table path: the scale is integer
     // arithmetic after the draw, so it should cost next to nothing.
@@ -73,10 +49,5 @@ fn bench_scaled_sample(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_single_sample,
-    bench_span_sample,
-    bench_scaled_sample
-);
+criterion_group!(benches, bench_single_sample, bench_scaled_sample);
 criterion_main!(benches);

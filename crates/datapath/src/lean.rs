@@ -9,7 +9,7 @@
 //! (Figure 6).
 
 use crate::stages::{DataPath, PathLatency, Stage};
-use leap_remote::{HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind, RemoteIoResult};
+use leap_remote::{HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind};
 use leap_sim_core::{DetRng, LatencySampler, Nanos, TableLatency};
 
 /// Latency parameters for the lean path's software stages.
@@ -64,12 +64,6 @@ pub struct LeanDataPath {
     rng: DetRng,
     reads: u64,
     writes: u64,
-    /// Arena for per-read software-stage samples, reused across
-    /// [`DataPath::read_span`] calls (one lean path per shard worker, so
-    /// this is the per-shard arena).
-    span_software: Vec<(Nanos, Nanos)>,
-    /// Arena for per-read remote I/O results, reused like `span_software`.
-    span_io: Vec<Option<RemoteIoResult>>,
 }
 
 impl LeanDataPath {
@@ -112,8 +106,6 @@ impl LeanDataPath {
             rng: local_rng,
             reads: 0,
             writes: 0,
-            span_software: Vec::new(),
-            span_io: Vec::new(),
         }
     }
 
@@ -185,84 +177,6 @@ impl DataPath for LeanDataPath {
     fn write_page(&mut self, page_offset: u64, core: usize, now: Nanos) -> PathLatency {
         self.writes += 1;
         self.serve(RemoteIoKind::Write, page_offset, core, now)
-    }
-
-    /// Span-batched read path: bit-identical to the per-read loop (the
-    /// prefetcher/interface samplers draw in the same per-page order on the
-    /// lean path's own stream, and the agent stream is untouched by them, so
-    /// grouping the software draws ahead of the span I/O reorders nothing
-    /// within either stream), with the queue bookkeeping deferred to one
-    /// [`leap_remote::DispatchQueues::dispatch_span`] and every intermediate
-    /// buffer arena-backed — a steady-state span allocates nothing.
-    fn read_span(
-        &mut self,
-        pages: &[u64],
-        core: usize,
-        now: Nanos,
-        totals: &mut Vec<Nanos>,
-    ) -> PathLatency {
-        if pages.is_empty() {
-            return PathLatency::new();
-        }
-        self.reads += pages.len() as u64;
-        let mut software = std::mem::take(&mut self.span_software);
-        software.clear();
-        for _ in pages {
-            let prefetcher = self.prefetcher_sampler.sample(&mut self.rng);
-            let interface = self.interface_sampler.sample(&mut self.rng);
-            software.push((prefetcher, interface));
-        }
-        let mut io = std::mem::take(&mut self.span_io);
-        io.clear();
-        self.agent
-            .remote_io_span(RemoteIoKind::Read, pages, core, now, &mut io);
-
-        let ssd_fallback = leap_remote::BackendKind::Ssd.nominal_latency();
-        let fixed = self
-            .params
-            .cache_lookup
-            .saturating_add(self.params.mmu_update);
-        let mut prefetcher_sum = Nanos::ZERO;
-        let mut interface_sum = Nanos::ZERO;
-        let mut dispatch_sum = Nanos::ZERO;
-        let mut transfer_sum = Nanos::ZERO;
-        for (&(prefetcher, interface), result) in software.iter().zip(io.iter()) {
-            prefetcher_sum = prefetcher_sum.saturating_add(prefetcher);
-            interface_sum = interface_sum.saturating_add(interface);
-            let device = match result {
-                Some(r) => {
-                    dispatch_sum = dispatch_sum.saturating_add(r.queueing_delay);
-                    transfer_sum = transfer_sum.saturating_add(r.transport_latency);
-                    r.queueing_delay.saturating_add(r.transport_latency)
-                }
-                None => {
-                    // Same fallback as `serve`: out of remote capacity means
-                    // a local SSD swap access, no dispatch-queue stage.
-                    transfer_sum = transfer_sum.saturating_add(ssd_fallback);
-                    ssd_fallback
-                }
-            };
-            totals.push(
-                fixed
-                    .saturating_add(prefetcher)
-                    .saturating_add(interface)
-                    .saturating_add(device),
-            );
-        }
-        self.span_software = software;
-        self.span_io = io;
-
-        let n = pages.len() as u64;
-        let mut aggregate = PathLatency::new();
-        aggregate.push(Stage::CacheLookup, self.params.cache_lookup * n);
-        aggregate.push(Stage::Prefetcher, prefetcher_sum);
-        aggregate.push(Stage::RemoteInterface, interface_sum);
-        if !dispatch_sum.is_zero() {
-            aggregate.push(Stage::Dispatch, dispatch_sum);
-        }
-        aggregate.push(Stage::DeviceTransfer, transfer_sum);
-        aggregate.push(Stage::MmuUpdate, self.params.mmu_update * n);
-        aggregate
     }
 
     fn name(&self) -> &'static str {
@@ -370,39 +284,12 @@ mod tests {
     }
 
     #[test]
-    fn read_span_is_bit_identical_to_per_read_loop() {
-        let mut span_path = LeanDataPath::with_default_cluster(DetRng::seed_from(9));
-        let mut loop_path = LeanDataPath::with_default_cluster(DetRng::seed_from(9));
-        let mut span_totals = Vec::new();
-        for step in 0..60u64 {
-            let now = Nanos::from_micros(step * 7);
-            let core = (step % 4) as usize;
-            let pages: Vec<u64> = (0..(step % 6)).map(|i| step * 13 + i).collect();
-            span_totals.clear();
-            let aggregate = span_path.read_span(&pages, core, now, &mut span_totals);
-            let mut loop_total = Nanos::ZERO;
-            for (i, &page) in pages.iter().enumerate() {
-                let b = loop_path.read_page(page, core, now);
-                assert_eq!(span_totals[i], b.total(), "step {step} page {i}");
-                loop_total += b.total();
-            }
-            assert_eq!(aggregate.total(), loop_total, "step {step} aggregate");
-        }
-        assert_eq!(span_path.io_counts(), loop_path.io_counts());
-        assert_eq!(span_path.agent().io_counts(), loop_path.agent().io_counts());
-        // Both RNG streams advanced identically: the next read matches too.
-        assert_eq!(
-            span_path.read_page(999, 0, Nanos::from_millis(10)).total(),
-            loop_path.read_page(999, 0, Nanos::from_millis(10)).total()
-        );
-    }
-
-    #[test]
-    fn read_span_stays_identical_with_recovery_and_partitions() {
+    fn read_span_matches_per_read_loop_stage_by_stage() {
         use leap_remote::{recovery_stream_seed, FaultPlan, FaultSpec, RecoveryPolicy};
-        // With an active recovery policy (and link partitions in the plan)
-        // the span path must fall back to the per-request reference path;
-        // this pins that the fallback really is bit-identical.
+        // Under a partition storm with tail-tolerant recovery every request
+        // can fail over, retry or hedge. The span's per-read totals and its
+        // per-stage aggregate (what Figure 1/7 style reports read) must
+        // equal the per-read loop's, stage by stage.
         let build = || {
             let mut path = LeanDataPath::with_default_cluster(DetRng::seed_from(31));
             let spec = FaultSpec::canonical_partition_storm();
@@ -421,14 +308,23 @@ mod tests {
             let pages: Vec<u64> = (0..(step % 6)).map(|i| step * 13 + i).collect();
             span_totals.clear();
             let aggregate = span_path.read_span(&pages, core, now, &mut span_totals);
-            let mut loop_total = Nanos::ZERO;
+            let mut stage_sums = [Nanos::ZERO; Stage::ALL.len()];
             for (i, &page) in pages.iter().enumerate() {
                 let b = loop_path.read_page(page, core, now);
                 assert_eq!(span_totals[i], b.total(), "step {step} page {i}");
-                loop_total += b.total();
+                for stage in Stage::ALL {
+                    stage_sums[stage.index()] += b.stage_total(stage);
+                }
             }
-            assert_eq!(aggregate.total(), loop_total, "step {step} aggregate");
+            for stage in Stage::ALL {
+                assert_eq!(
+                    aggregate.stage_total(stage),
+                    stage_sums[stage.index()],
+                    "step {step} stage {stage}"
+                );
+            }
         }
+        assert_eq!(span_path.io_counts(), loop_path.io_counts());
         assert_eq!(
             span_path.recovery_stats(),
             loop_path.recovery_stats(),

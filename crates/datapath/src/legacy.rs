@@ -9,7 +9,9 @@
 //! batching stages vary enough to pull the average far from the median.
 
 use crate::stages::{DataPath, PathLatency, Stage};
-use leap_remote::{BackendKind, DispatchQueues, FaultInjectionStats, FaultPlan, StorageBackend};
+use leap_remote::{
+    BackendKind, DispatchQueues, FaultInjectionStats, FaultPlan, RemoteIoKind, StorageBackend,
+};
 use leap_sim_core::{DetRng, LatencySampler, Nanos, TableLatency};
 
 /// Latency parameters for the legacy path's software stages.
@@ -174,7 +176,11 @@ impl LegacyDataPath {
         (self.reads, self.writes)
     }
 
-    fn software_stages(&mut self, breakdown: &mut PathLatency) {
+    /// One request through the block layer and the device. Reads and writes
+    /// draw in the same order (the three block-layer stages, then the device
+    /// transfer); only a read pays the MMU update that maps the page.
+    fn serve(&mut self, kind: RemoteIoKind, core: usize, now: Nanos) -> PathLatency {
+        let mut breakdown = PathLatency::new();
         breakdown.push(Stage::CacheLookup, self.params.cache_lookup);
         breakdown.push(
             Stage::BioPreparation,
@@ -185,33 +191,30 @@ impl LegacyDataPath {
             self.queue_sampler.sample(&mut self.rng),
         );
         breakdown.push(Stage::Dispatch, self.dispatch_sampler.sample(&mut self.rng));
+        let transfer = match kind {
+            RemoteIoKind::Read => self.backend.read_latency(&mut self.rng),
+            RemoteIoKind::Write => self.backend.write_latency(&mut self.rng),
+        };
+        let transfer = self.apply_faults(transfer, now);
+        let outcome = self.device_queues.dispatch(core, now, transfer);
+        breakdown.push(Stage::QueueingAndBatching, outcome.queueing_delay);
+        breakdown.push(Stage::DeviceTransfer, transfer);
+        if kind == RemoteIoKind::Read {
+            breakdown.push(Stage::MmuUpdate, self.params.mmu_update);
+        }
+        breakdown
     }
 }
 
 impl DataPath for LegacyDataPath {
     fn read_page(&mut self, _page_offset: u64, core: usize, now: Nanos) -> PathLatency {
         self.reads += 1;
-        let mut breakdown = PathLatency::new();
-        self.software_stages(&mut breakdown);
-        let transfer = self.backend.read_latency(&mut self.rng);
-        let transfer = self.apply_faults(transfer, now);
-        let outcome = self.device_queues.dispatch(core, now, transfer);
-        breakdown.push(Stage::QueueingAndBatching, outcome.queueing_delay);
-        breakdown.push(Stage::DeviceTransfer, transfer);
-        breakdown.push(Stage::MmuUpdate, self.params.mmu_update);
-        breakdown
+        self.serve(RemoteIoKind::Read, core, now)
     }
 
     fn write_page(&mut self, _page_offset: u64, core: usize, now: Nanos) -> PathLatency {
         self.writes += 1;
-        let mut breakdown = PathLatency::new();
-        self.software_stages(&mut breakdown);
-        let transfer = self.backend.write_latency(&mut self.rng);
-        let transfer = self.apply_faults(transfer, now);
-        let outcome = self.device_queues.dispatch(core, now, transfer);
-        breakdown.push(Stage::QueueingAndBatching, outcome.queueing_delay);
-        breakdown.push(Stage::DeviceTransfer, transfer);
-        breakdown
+        self.serve(RemoteIoKind::Write, core, now)
     }
 
     fn name(&self) -> &'static str {

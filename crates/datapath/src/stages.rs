@@ -3,6 +3,7 @@
 use leap_sim_core::Nanos;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::AddAssign;
 
 /// A software or hardware stage a page request may pass through.
 ///
@@ -90,41 +91,33 @@ pub struct StageLatency {
     pub latency: Nanos,
 }
 
-/// Stage entries a [`PathLatency`] stores inline, without touching the
-/// heap.
+/// The latency breakdown of one page request through a data path, or the
+/// per-stage sums over a span of them.
 ///
-/// The longest pipeline in the workspace (the legacy block-layer path)
-/// records 7 stages per request, so every breakdown a data path produces
-/// fits inline — the engine calls `read_page`/`write_page` for every remote
-/// access, every prefetch, and every write-back, and none of those calls
-/// may allocate.
-pub const INLINE_PATH_STAGES: usize = 8;
-
-/// The full latency breakdown of one page request through a data path.
+/// One saturating accumulator per [`Stage`], indexed by [`Stage::index`]: a
+/// stage recorded twice (the legacy path charges queueing both in the block
+/// layer and on the device queue) accumulates, and a breakdown is a fixed
+/// 64-byte value, so building one per remote access, prefetch and
+/// write-back never touches the heap.
 ///
-/// Stage entries live in a fixed inline buffer ([`INLINE_PATH_STAGES`]
-/// long) and only spill to the heap for longer synthetic pipelines, keeping
-/// the per-request data-path bookkeeping allocation-free.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// # Examples
+///
+/// ```
+/// use leap_datapath::{PathLatency, Stage};
+/// use leap_sim_core::Nanos;
+///
+/// let mut span = PathLatency::new();
+/// let mut read = PathLatency::new();
+/// read.push(Stage::DeviceTransfer, Nanos::from_micros(4));
+/// read.push(Stage::CacheLookup, Nanos::from_nanos(270));
+/// span += read;
+/// span += read;
+/// assert_eq!(span.stage_total(Stage::DeviceTransfer), Nanos::from_micros(8));
+/// assert_eq!(span.total(), Nanos::from_nanos(8_540));
+/// ```
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PathLatency {
-    inline: [StageLatency; INLINE_PATH_STAGES],
-    len: usize,
-    /// Overflow storage; holds *all* entries once the inline capacity is
-    /// exceeded, so `stages()` always yields one contiguous slice.
-    spill: Vec<StageLatency>,
-}
-
-impl Default for PathLatency {
-    fn default() -> Self {
-        PathLatency {
-            inline: [StageLatency {
-                stage: Stage::CacheLookup,
-                latency: Nanos::ZERO,
-            }; INLINE_PATH_STAGES],
-            len: 0,
-            spill: Vec::new(),
-        }
-    }
+    stages: [Nanos; Stage::ALL.len()],
 }
 
 impl PathLatency {
@@ -133,56 +126,43 @@ impl PathLatency {
         PathLatency::default()
     }
 
-    fn stages(&self) -> &[StageLatency] {
-        if self.spill.is_empty() {
-            &self.inline[..self.len]
-        } else {
-            &self.spill
-        }
-    }
-
-    /// Adds a stage's latency (stages may repeat, e.g. two device transfers).
+    /// Adds a stage's latency to that stage's running sum.
+    #[inline]
     pub fn push(&mut self, stage: Stage, latency: Nanos) {
-        let entry = StageLatency { stage, latency };
-        if self.len < INLINE_PATH_STAGES && self.spill.is_empty() {
-            self.inline[self.len] = entry;
-        } else {
-            if self.spill.is_empty() {
-                self.spill.reserve(self.len + 1);
-                self.spill.extend_from_slice(&self.inline[..self.len]);
-            }
-            self.spill.push(entry);
-        }
-        self.len += 1;
+        let slot = &mut self.stages[stage.index()];
+        *slot = slot.saturating_add(latency);
     }
 
     /// Total end-to-end latency.
     pub fn total(&self) -> Nanos {
-        self.stages().iter().map(|s| s.latency).sum()
+        self.stages.iter().copied().sum()
     }
 
     /// Latency attributed to one stage (summed over repeats).
     pub fn stage_total(&self, stage: Stage) -> Nanos {
-        self.stages()
-            .iter()
-            .filter(|s| s.stage == stage)
-            .map(|s| s.latency)
-            .sum()
+        self.stages[stage.index()]
     }
 
-    /// Iterates over the recorded stages in order.
-    pub fn iter(&self) -> impl Iterator<Item = &StageLatency> {
-        self.stages().iter()
+    /// Iterates over the stages with non-zero latency, in [`Stage::ALL`]
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = StageLatency> + '_ {
+        Stage::ALL
+            .into_iter()
+            .map(|stage| StageLatency {
+                stage,
+                latency: self.stages[stage.index()],
+            })
+            .filter(|entry| !entry.latency.is_zero())
     }
+}
 
-    /// Number of recorded stage entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no stages were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+impl AddAssign for PathLatency {
+    /// Element-wise saturating sum: folds one request's breakdown into a
+    /// span's aggregate.
+    fn add_assign(&mut self, rhs: PathLatency) {
+        for (sum, latency) in self.stages.iter_mut().zip(rhs.stages) {
+            *sum = sum.saturating_add(latency);
+        }
     }
 }
 
@@ -204,11 +184,9 @@ pub trait DataPath: Send + std::fmt::Debug {
     /// and returning the aggregate breakdown with per-stage sums over the
     /// span.
     ///
-    /// The default implementation is the per-read loop, so every data path
-    /// gets span semantics for free; implementations may override it to
-    /// batch the span (deferred queue bookkeeping, arena-backed buffers) as
-    /// long as each read's total and the RNG draws stay bit-identical to
-    /// the loop.
+    /// This is a provided loop over [`DataPath::read_page`], and both data
+    /// paths use it as is: a span issues exactly the per-page requests, in
+    /// order.
     fn read_span(
         &mut self,
         pages: &[u64],
@@ -216,19 +194,11 @@ pub trait DataPath: Send + std::fmt::Debug {
         now: Nanos,
         totals: &mut Vec<Nanos>,
     ) -> PathLatency {
-        let mut sums = [Nanos::ZERO; INLINE_PATH_STAGES];
+        let mut aggregate = PathLatency::new();
         for &page in pages {
             let breakdown = self.read_page(page, core, now);
             totals.push(breakdown.total());
-            for entry in breakdown.iter() {
-                sums[entry.stage.index()] = sums[entry.stage.index()].saturating_add(entry.latency);
-            }
-        }
-        let mut aggregate = PathLatency::new();
-        for stage in Stage::ALL {
-            if !sums[stage.index()].is_zero() {
-                aggregate.push(stage, sums[stage.index()]);
-            }
+            aggregate += breakdown;
         }
         aggregate
     }
@@ -255,7 +225,7 @@ pub trait DataPath: Send + std::fmt::Debug {
     }
 
     /// Tags subsequent accesses with the issuing tenant (`0` = untagged).
-    /// The engine calls this at scheduler context switches; paths without
+    /// The engine calls this before every access; paths without
     /// tenant-aware fault/recovery layers ignore it.
     fn set_active_tenant(&mut self, _tenant: u32) {}
 }
@@ -271,7 +241,7 @@ mod tests {
         p.push(Stage::DeviceTransfer, Nanos::from_micros(4));
         p.push(Stage::MmuUpdate, Nanos::from_micros(2));
         assert_eq!(p.total(), Nanos::from_nanos(270 + 4_000 + 2_000));
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.iter().count(), 3);
     }
 
     #[test]
@@ -286,20 +256,38 @@ mod tests {
     #[test]
     fn empty_breakdown() {
         let p = PathLatency::new();
-        assert!(p.is_empty());
+        assert_eq!(p.iter().next(), None);
         assert_eq!(p.total(), Nanos::ZERO);
     }
 
     #[test]
-    fn spills_transparently_past_the_inline_capacity() {
+    fn repeated_stages_accumulate_and_iterate_in_pipeline_order() {
+        // Pushed out of pipeline order, with the legacy path's repeated
+        // queueing stage and a zero-latency stage that must not show up.
         let mut p = PathLatency::new();
-        for i in 0..INLINE_PATH_STAGES as u64 + 3 {
-            p.push(Stage::DeviceTransfer, Nanos::from_nanos(i + 1));
+        p.push(Stage::MmuUpdate, Nanos::from_nanos(5));
+        p.push(Stage::QueueingAndBatching, Nanos::from_nanos(30));
+        p.push(Stage::Dispatch, Nanos::ZERO);
+        p.push(Stage::CacheLookup, Nanos::from_nanos(1));
+        p.push(Stage::QueueingAndBatching, Nanos::from_nanos(12));
+        let entries: Vec<(Stage, u64)> =
+            p.iter().map(|e| (e.stage, e.latency.as_nanos())).collect();
+        assert_eq!(
+            entries,
+            vec![
+                (Stage::CacheLookup, 1),
+                (Stage::QueueingAndBatching, 42),
+                (Stage::MmuUpdate, 5),
+            ]
+        );
+        assert_eq!(p.total(), Nanos::from_nanos(48));
+    }
+
+    #[test]
+    fn index_matches_position_in_all() {
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage.index(), i, "{stage}");
         }
-        assert_eq!(p.len(), INLINE_PATH_STAGES + 3);
-        let expected: u64 = (1..=INLINE_PATH_STAGES as u64 + 3).sum();
-        assert_eq!(p.total(), Nanos::from_nanos(expected));
-        assert_eq!(p.iter().count(), p.len());
     }
 
     #[test]

@@ -264,14 +264,6 @@ impl EngineCore {
     /// Serves one page read over the data path from the next core.
     pub fn read_remote(&mut self, page_offset: u64) -> PathLatency {
         let core = self.next_core();
-        self.read_remote_on(page_offset, core)
-    }
-
-    /// Serves one page read over the data path on an explicitly pinned
-    /// core. Span admission draws one core per span and issues every read
-    /// of the span from it, the way a faulting thread issues its whole
-    /// prefetch window from the CPU it runs on.
-    pub fn read_remote_on(&mut self, page_offset: u64, core: usize) -> PathLatency {
         let now = self.clock.now();
         stage_timing::time(Stage::DataPath, || {
             self.data_path.read_page(page_offset, core, now)
@@ -287,22 +279,11 @@ impl EngineCore {
         })
     }
 
-    /// Serves one prefetch read on an explicitly pinned core (same dispatch
-    /// queues and random streams as [`EngineCore::read_remote_on`]), then
-    /// submits it to the async pipeline so any in-flight-budget stall
-    /// accumulates for the front-end to charge via
-    /// [`EngineCore::take_pending_stall`].
-    pub fn read_remote_async_on(&mut self, page_offset: u64, core: usize) -> PathLatency {
-        let breakdown = self.read_remote_on(page_offset, core);
-        self.submit_async(breakdown.total(), IoKind::PrefetchRead);
-        breakdown
-    }
-
-    /// Serves a whole span of prefetch reads on one pinned core: one
-    /// data-path span call (so batching data paths fold the per-read queue
-    /// bookkeeping into one pass), then one async-pipeline submission per
-    /// read in page order. Per-read totals, RNG draws, and pipeline stalls
-    /// are bit-identical to looping [`EngineCore::read_remote_async_on`].
+    /// Serves a span of prefetch reads on one pinned core, the way a
+    /// faulting thread issues its whole prefetch window from the CPU it runs
+    /// on: one data-path span call, then one async-pipeline submission per
+    /// read in page order, so any in-flight-budget stall accumulates for the
+    /// front-end to charge via [`EngineCore::take_pending_stall`].
     pub fn read_remote_span(&mut self, pages: &[u64], core: usize) -> PathLatency {
         let mut totals = std::mem::take(&mut self.total_scratch);
         totals.clear();
@@ -318,7 +299,7 @@ impl EngineCore {
     }
 
     /// Issues one write-back like [`EngineCore::write_remote`], then submits
-    /// it to the async pipeline (see [`EngineCore::read_remote_async`]).
+    /// it to the async pipeline (see [`EngineCore::read_remote_span`]).
     pub fn write_remote_async(&mut self, page_offset: u64) -> PathLatency {
         let breakdown = self.write_remote(page_offset);
         self.submit_async(breakdown.total(), IoKind::WriteBack);
@@ -358,12 +339,12 @@ impl EngineCore {
         }
     }
 
-    /// How many of `pid`'s resident pages must be reclaimed before `extra`
-    /// more fit under its budget (0 when the tenant has headroom or no
+    /// How many of `pid`'s resident pages must be reclaimed before one more
+    /// fits under its budget (0 when the tenant has headroom or no
     /// registered limit).
-    pub fn tenant_pages_to_reclaim(&self, pid: Pid, extra: u64) -> u64 {
+    pub fn tenant_pages_to_reclaim(&self, pid: Pid) -> u64 {
         match self.tenant_limits.get(&pid) {
-            Some(limit) => limit.pages_to_reclaim_for(extra),
+            Some(limit) => limit.pages_to_reclaim_for(1),
             None => 0,
         }
     }
@@ -509,8 +490,7 @@ impl EngineCore {
             return 0;
         }
         // One core per span: the faulting thread issues its whole prefetch
-        // window from the CPU it runs on (and the batched dispatch below
-        // needs a single queue target).
+        // window from the CPU it runs on.
         let core = self.next_core();
         let span_shard = self.cache.span_shard(slots);
         if let Some(shard) = span_shard {
@@ -532,7 +512,7 @@ impl EngineCore {
             if !self.make_cache_space_at(shard) {
                 continue;
             }
-            let _ = self.read_remote_async_on(slot.0, core);
+            let _ = self.read_remote_span(&[slot.0], core);
             let now = self.clock.now();
             stage_timing::time(Stage::Cache, || {
                 self.cache.shard_mut(shard).insert_fresh(
@@ -591,9 +571,8 @@ impl EngineCore {
             admitted_owners.push(owners[i]);
             pages.push(slot.0);
         }
-        // All the span's reads go out in one data-path call: same draws,
-        // same per-read totals and pipeline submissions as the per-page
-        // loop, with the queue bookkeeping done once.
+        // All the span's reads go out in one data-path call, issued and
+        // submitted to the pipeline in page order.
         if !pages.is_empty() {
             let _ = self.read_remote_span(&pages, core);
         }

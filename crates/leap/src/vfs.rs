@@ -169,7 +169,7 @@ impl VfsSimulator {
                 continue;
             }
             self.ensure_cache_room(cslot);
-            let _ = self.engine.read_remote_on(candidate.0, core);
+            let _ = self.engine.read_remote_span(&[candidate.0], core);
             if self.engine.insert_prefetched(cslot, pid) {
                 issued += 1;
             }

@@ -88,7 +88,7 @@ pub struct VmmSimulator {
     tenant_budget_pages: FxHashMap<u32, u64>,
     /// When set, scheduled multi-process replays prepopulate each process's
     /// working set (address order, metrics discarded) before the measured
-    /// run, like [`crate::session::run_prepopulated`] does for single
+    /// run, like [`crate::session::Session::run_prepopulated`] does for single
     /// traces. See [`VmmSimulator::set_prepopulate_multi`].
     prepopulate_multi: bool,
 }
@@ -237,9 +237,9 @@ impl VmmSimulator {
         // background reclaimer (no synchronous allocation wait); on a miss
         // the faulting process may have to wait for direct reclaim.
         if cache_hit {
-            let _ = self.make_room(pid, 1);
+            let _ = self.make_room(pid);
         } else {
-            let alloc_wait = self.make_room(pid, 1);
+            let alloc_wait = self.make_room(pid);
             latency = latency.saturating_add(alloc_wait);
         }
         self.swap.free(slot);
@@ -357,11 +357,14 @@ impl VmmSimulator {
             .admit_prefetch_span(&self.span_slots, &self.span_pids)
     }
 
-    /// Ensures `pages` frames can be charged to `pid`, swapping out the least
-    /// recently used resident pages if needed. Returns the allocation wait
+    /// Ensures one more frame can be charged to `pid`, swapping out its least
+    /// recently used resident page if needed. Returns the allocation wait
     /// charged to the faulting access.
-    fn make_room(&mut self, pid: Pid, pages: u64) -> Nanos {
-        let need = self.engine.tenant_pages_to_reclaim(pid, pages);
+    fn make_room(&mut self, pid: Pid) -> Nanos {
+        // `MemoryLimit::try_charge` (via `EngineCore::charge_tenant`) is the
+        // only charge and never takes a tenant past its limit, so `need` is
+        // at most 1: each fault writes back at most one page.
+        let need = self.engine.tenant_pages_to_reclaim(pid);
         if need == 0 {
             return Nanos::ZERO;
         }
@@ -535,7 +538,7 @@ impl Simulator for VmmSimulator {
             if table.is_resident(vp) {
                 continue;
             }
-            let _ = self.make_room(pid, 1);
+            let _ = self.make_room(pid);
             self.map_in(pid, vp, true);
         }
         // Prepopulation metrics (allocation waits recorded by make_room,
@@ -564,7 +567,7 @@ impl Simulator for VmmSimulator {
             PageState::Resident(_) => (LOCAL_ACCESS, AccessOutcome::LocalHit, 0),
             PageState::Untouched => {
                 self.engine.result.first_touch_faults += 1;
-                let alloc_wait = self.make_room(pid, 1);
+                let alloc_wait = self.make_room(pid);
                 self.map_in(pid, page, access.is_write);
                 (
                     MINOR_FAULT.saturating_add(alloc_wait),

@@ -56,21 +56,27 @@ pub struct SwapCache {
     entries: FxHashMap<SwapSlot, CacheEntry>,
 }
 
-/// Entries pre-reserved for caches whose configured capacity is unbounded
-/// (or absurdly large): enough that realistic replays never rehash early,
-/// small enough to cost nothing per shard.
+/// Entries pre-reserved for caches of more pages than this (unbounded ones
+/// included): enough that realistic replays never rehash early, small
+/// enough to cost nothing per shard.
 const DEFAULT_RESERVE_PAGES: usize = 1_024;
 
 impl SwapCache {
     /// Creates a cache bounded to `capacity_pages` pages.
     ///
-    /// The entry map is pre-reserved from the capacity (clamped to 1024
-    /// entries so an unbounded capacity does not pre-allocate the world),
-    /// so small bounded caches never rehash and large ones only rehash
-    /// past the reserve. Callers that know the real expected population
-    /// use [`SwapCache::with_capacity_hint`].
+    /// A cache of up to 1024 pages reserves entries for twice its capacity,
+    /// so it never grows: evictions leave tombstones in the map, and a map
+    /// reserved for exactly its peak population still grows once they use
+    /// up its free buckets, while one at most half full rehashes in place.
+    /// Larger (or unbounded) caches reserve 1024 entries and grow past
+    /// them. Callers that know the real expected population use
+    /// [`SwapCache::with_capacity_hint`].
     pub fn new(capacity_pages: u64) -> Self {
-        let reserve = capacity_pages.min(DEFAULT_RESERVE_PAGES as u64) as usize;
+        let reserve = if capacity_pages <= DEFAULT_RESERVE_PAGES as u64 {
+            2 * capacity_pages as usize
+        } else {
+            DEFAULT_RESERVE_PAGES
+        };
         SwapCache::with_capacity_hint(capacity_pages, reserve)
     }
 

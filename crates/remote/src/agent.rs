@@ -7,7 +7,7 @@
 //! and forwards page reads/writes to per-core RDMA dispatch queues.
 
 use crate::backend::{BackendKind, StorageBackend};
-use crate::dispatch::{DispatchOutcome, DispatchQueues};
+use crate::dispatch::DispatchQueues;
 use crate::fault::{scale_latency_milli, FaultInjectionStats, FaultModifiers, FaultPlan};
 use crate::recovery::{self, RecoveryPolicy, RecoveryStats, TenantRecovery};
 use crate::slab::{MachineId, RemoteCluster, SlabId, SlabMap, DEFAULT_SLAB_BYTES};
@@ -102,14 +102,6 @@ pub struct HostAgent {
     /// latency of the next request (the repair stalls the fabric, and the
     /// next page access pays for it).
     pending_reconstruction: Nanos,
-    /// Arena for span service times, reused across [`remote_io_span`] calls.
-    /// Each shard worker owns its own agent, so these are per-shard arenas:
-    /// after warm-up a span dispatch allocates nothing.
-    ///
-    /// [`remote_io_span`]: HostAgent::remote_io_span
-    span_services: Vec<Nanos>,
-    /// Arena for span dispatch outcomes, reused like `span_services`.
-    span_outcomes: Vec<DispatchOutcome>,
     /// The installed recovery policy; `none()` by default, in which case no
     /// recovery branch fires and no recovery RNG stream is ever derived.
     recovery: RecoveryPolicy,
@@ -123,7 +115,7 @@ pub struct HostAgent {
     /// Accounting for every recovery action the agent took.
     recovery_stats: RecoveryStats,
     /// The tenant the currently executing access belongs to (`0` = untagged
-    /// single-process traffic). Set by the engine at context-switch points.
+    /// single-process traffic). Set by the engine before every access.
     active_tenant: u32,
     /// Per-tenant recovery ledger; only touched for tagged traffic, so the
     /// single-tenant hot path never probes the map.
@@ -151,8 +143,6 @@ impl HostAgent {
             next_failure: 0,
             fault_stats: FaultInjectionStats::default(),
             pending_reconstruction: Nanos::ZERO,
-            span_services: Vec::new(),
-            span_outcomes: Vec::new(),
             recovery: RecoveryPolicy::none(),
             recovery_seed: 0,
             recovery_requests: 0,
@@ -214,7 +204,7 @@ impl HostAgent {
     }
 
     /// Tags subsequent accesses with the tenant that issued them (`0` clears
-    /// the tag). The engine calls this at scheduler context switches so
+    /// the tag). The engine calls this before every access so
     /// tenant-targeted fault plans and per-tenant recovery ledgers attribute
     /// work correctly.
     pub fn set_active_tenant(&mut self, tenant: u32) {
@@ -747,111 +737,6 @@ impl HostAgent {
             total: outcome.queueing_delay.saturating_add(transport),
         })
     }
-
-    /// Performs a whole span of remote I/Os — one per page offset, all
-    /// issued from CPU `core` at time `now` — appending one result per page
-    /// to `results` (`None` where the slab cannot be mapped).
-    ///
-    /// Bit-identical to calling [`remote_io`](HostAgent::remote_io) once per
-    /// page in order: due failures are applied once (re-checking them per
-    /// page at the same `now` is a no-op), the epoch modifiers are resolved
-    /// once (they depend only on `now`), the per-page interleaving of slab
-    /// mapping → latency sampling → fault accounting → reconstruction
-    /// charging is preserved exactly (same RNG draws in the same order, same
-    /// checksum words in the same order), and the deferred queue updates go
-    /// through [`DispatchQueues::dispatch_span`], which replays the same
-    /// sequential fold. What changes is the cost: queue bookkeeping happens
-    /// once per span, and the service-time/outcome buffers are per-shard
-    /// arenas, so a steady-state span allocates nothing.
-    pub fn remote_io_span(
-        &mut self,
-        kind: RemoteIoKind,
-        pages: &[u64],
-        core: usize,
-        now: Nanos,
-        results: &mut Vec<Option<RemoteIoResult>>,
-    ) {
-        if pages.is_empty() {
-            return;
-        }
-        if self.recovery.is_active() || self.plan.has_partitions() {
-            // Recovery cancellations and partition re-routing interact with
-            // the queue clock per request, so the batched fold below cannot
-            // model them; take the per-request reference path (bit-identical
-            // by definition). Applying due failures per page at the same
-            // `now` is idempotent.
-            for &page_offset in pages {
-                let io = self.remote_io(kind, page_offset, core, now);
-                results.push(io);
-            }
-            return;
-        }
-        if !self.plan.is_empty() {
-            self.apply_due_failures(now);
-        }
-        let mods = self.effective_modifiers(now);
-        let mut services = std::mem::take(&mut self.span_services);
-        let mut outcomes = std::mem::take(&mut self.span_outcomes);
-        services.clear();
-        outcomes.clear();
-        let base = results.len();
-        for &page_offset in pages {
-            let Some(machine) = self.ensure_mapped(page_offset) else {
-                results.push(None);
-                continue;
-            };
-            let mut transport = match kind {
-                RemoteIoKind::Read => {
-                    self.reads += 1;
-                    self.backend
-                        .read_latency_scaled(&mut self.rng, mods.multiplier_milli)
-                }
-                RemoteIoKind::Write => {
-                    self.writes += 1;
-                    self.backend
-                        .write_latency_scaled(&mut self.rng, mods.multiplier_milli)
-                }
-            };
-            if mods.spike_active {
-                self.fault_stats.spiked_requests += 1;
-                self.fault_stats.record(0x5b1c_e000u64 ^ now.as_nanos());
-            }
-            if mods.degraded_active {
-                self.fault_stats.degraded_requests += 1;
-                self.fault_stats.record(0xde64_ade0u64 ^ now.as_nanos());
-            }
-            if !mods.reconnect_penalty.is_zero() {
-                transport = transport.saturating_add(mods.reconnect_penalty);
-                self.fault_stats.reconnect_requests += 1;
-                self.fault_stats.reconnect_penalty_total = self
-                    .fault_stats
-                    .reconnect_penalty_total
-                    .saturating_add(mods.reconnect_penalty);
-                self.fault_stats.record(0x4ec0_44ecu64 ^ now.as_nanos());
-            }
-            if !self.pending_reconstruction.is_zero() {
-                let repair = std::mem::replace(&mut self.pending_reconstruction, Nanos::ZERO);
-                transport = transport.saturating_add(repair);
-            }
-            services.push(transport);
-            results.push(Some(RemoteIoResult {
-                machine,
-                queueing_delay: Nanos::ZERO,
-                transport_latency: transport,
-                total: transport,
-            }));
-        }
-        self.queues
-            .dispatch_span(core, now, &services, &mut outcomes);
-        for (result, outcome) in results[base..].iter_mut().flatten().zip(&outcomes) {
-            result.queueing_delay = outcome.queueing_delay;
-            result.total = outcome
-                .queueing_delay
-                .saturating_add(result.transport_latency);
-        }
-        self.span_services = services;
-        self.span_outcomes = outcomes;
-    }
 }
 
 #[cfg(test)]
@@ -1099,53 +984,6 @@ mod tests {
         // Re-running past the failure applies nothing further.
         let _ = agent.remote_io(RemoteIoKind::Read, 2, 2, Nanos::from_micros(30));
         assert_eq!(agent.fault_stats().machines_failed, 1);
-    }
-
-    #[test]
-    fn span_io_is_bit_identical_to_per_page_io() {
-        use crate::fault::FaultSpec;
-        // A storm plan with every fault kind active, so the span path must
-        // reproduce sampling, fault accounting, failover, and queue state
-        // exactly — not just the healthy arithmetic.
-        let spec = FaultSpec {
-            latency_spikes: 2,
-            spike_multiplier_milli: 4_000,
-            degraded_epochs: 1,
-            degraded_multiplier_milli: 1_500,
-            machine_failures: 1,
-            reconnect_storms: 1,
-            reconnect_penalty: Nanos::from_micros(25),
-            epoch: Nanos::from_micros(60),
-            start: Nanos::from_micros(5),
-            horizon: Nanos::from_micros(400),
-            partition_epochs: 0,
-            target_tenant: 0,
-        };
-        let build = || {
-            let mut agent = agent_with(RemoteCluster::homogeneous(4, 64), 2);
-            agent.install_fault_plan(FaultPlan::from_spec(21, &spec, 4));
-            agent
-        };
-        let mut per_page = build();
-        let mut span = build();
-        let mut span_results = Vec::new();
-        for step in 0..40u64 {
-            let now = Nanos::from_nanos(step * 11_000);
-            let core = (step % 3) as usize;
-            let pages: Vec<u64> = (0..(step % 5)).map(|i| step * 31 + i * 7).collect();
-            let reference: Vec<Option<RemoteIoResult>> = pages
-                .iter()
-                .map(|&p| per_page.remote_io(RemoteIoKind::Read, p, core, now))
-                .collect();
-            span_results.clear();
-            span.remote_io_span(RemoteIoKind::Read, &pages, core, now, &mut span_results);
-            assert_eq!(span_results, reference, "step {step}");
-        }
-        assert_eq!(span.fault_stats(), per_page.fault_stats());
-        assert_eq!(span.io_counts(), per_page.io_counts());
-        for c in 0..span.config.cores {
-            assert_eq!(span.queues.idle_at(c), per_page.queues.idle_at(c));
-        }
     }
 
     #[test]

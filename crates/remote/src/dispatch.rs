@@ -81,39 +81,6 @@ impl DispatchQueues {
         }
     }
 
-    /// Stages a whole span of requests issued by `core` at time `now`, one
-    /// [`DispatchOutcome`] appended to `outcomes` per service time.
-    ///
-    /// Exactly equivalent to calling [`dispatch`](DispatchQueues::dispatch)
-    /// once per element of `service_times`, but the per-queue bookkeeping
-    /// (index reduction, busy-clock read, dispatch-counter update) happens
-    /// once per span: the busy clock is folded through a local and written
-    /// back in one store. Callers reuse the `outcomes` buffer as a per-shard
-    /// arena, so a steady-state span dispatch allocates nothing.
-    pub fn dispatch_span(
-        &mut self,
-        core: usize,
-        now: Nanos,
-        service_times: &[Nanos],
-        outcomes: &mut Vec<DispatchOutcome>,
-    ) {
-        if service_times.is_empty() {
-            return;
-        }
-        let idx = core % self.busy_until.len();
-        let mut busy = self.busy_until[idx];
-        for &service in service_times {
-            let start = busy.max(now);
-            busy = start.saturating_add(service);
-            outcomes.push(DispatchOutcome {
-                queueing_delay: start.saturating_sub(now),
-                completes_at: busy,
-            });
-        }
-        self.busy_until[idx] = busy;
-        self.dispatched[idx] += service_times.len() as u64;
-    }
-
     /// Total requests dispatched on queue `core` so far.
     pub fn dispatched_on(&self, core: usize) -> u64 {
         self.dispatched[core % self.dispatched.len()]
@@ -364,83 +331,6 @@ mod tests {
                     let out = q.dispatch(core, now, Nanos::from_nanos(service));
                     prop_assert!(out.completes_at >= now);
                     prop_assert!(out.completes_at >= idle_before);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn dispatch_span_matches_per_read_loop() {
-        let mut span_q = DispatchQueues::new(2);
-        let mut loop_q = DispatchQueues::new(2);
-        let services = [
-            Nanos::from_micros(4),
-            Nanos::from_micros(1),
-            Nanos::from_micros(9),
-        ];
-        let mut outcomes = Vec::new();
-        span_q.dispatch_span(5, Nanos::from_micros(2), &services, &mut outcomes);
-        let looped: Vec<DispatchOutcome> = services
-            .iter()
-            .map(|&s| loop_q.dispatch(5, Nanos::from_micros(2), s))
-            .collect();
-        assert_eq!(outcomes, looped);
-        assert_eq!(span_q.idle_at(5), loop_q.idle_at(5));
-        assert_eq!(span_q.total_dispatched(), 3);
-    }
-
-    #[test]
-    fn empty_span_changes_nothing() {
-        let mut q = DispatchQueues::new(1);
-        let _ = q.dispatch(0, Nanos::ZERO, Nanos::from_micros(3));
-        let mut outcomes = Vec::new();
-        q.dispatch_span(0, Nanos::from_micros(1), &[], &mut outcomes);
-        assert!(outcomes.is_empty());
-        assert_eq!(q.total_dispatched(), 1);
-        assert_eq!(q.idle_at(0), Nanos::from_micros(3));
-    }
-
-    proptest! {
-        /// `dispatch_span` is bit-identical to the per-read dispatch loop —
-        /// including its interaction with `cancel_in_flight` firing between
-        /// spans, as a machine failure under a fault plan would — for every
-        /// interleaving of spans and cancellations.
-        #[test]
-        fn prop_dispatch_span_equals_per_read_loop(
-            events in proptest::collection::vec((0u64..50_000, 1u64..20_000, 0usize..12), 1..60),
-        ) {
-            let mut span_q = DispatchQueues::new(3);
-            let mut loop_q = DispatchQueues::new(3);
-            let mut now = Nanos::ZERO;
-            let mut pending: Vec<Nanos> = Vec::new();
-            let mut outcomes: Vec<DispatchOutcome> = Vec::new();
-            for (gap, service, action) in events {
-                now = now.saturating_add(Nanos::from_nanos(gap));
-                if action == 0 {
-                    // A mid-run failure cancels in-flight tails on both.
-                    prop_assert_eq!(
-                        span_q.cancel_in_flight(now),
-                        loop_q.cancel_in_flight(now)
-                    );
-                    continue;
-                }
-                // Build a span of 1..=4 service times on one core, dispatch
-                // it batched on one queue set and per-read on the other.
-                pending.clear();
-                let span_len = 1 + action % 4;
-                for i in 0..span_len {
-                    pending.push(Nanos::from_nanos(service + i as u64));
-                }
-                let core = action % 3;
-                outcomes.clear();
-                span_q.dispatch_span(core, now, &pending, &mut outcomes);
-                for (i, &s) in pending.iter().enumerate() {
-                    let reference = loop_q.dispatch(core, now, s);
-                    prop_assert_eq!(outcomes[i], reference);
-                }
-                for c in 0..3 {
-                    prop_assert_eq!(span_q.idle_at(c), loop_q.idle_at(c));
-                    prop_assert_eq!(span_q.dispatched_on(c), loop_q.dispatched_on(c));
                 }
             }
         }

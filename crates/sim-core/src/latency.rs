@@ -48,19 +48,6 @@ pub trait LatencySampler: Send + Sync + std::fmt::Debug {
     fn sample_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
         scale_nanos_milli(self.sample(rng), multiplier_milli)
     }
-
-    /// Charges a whole span of `n` operations in one call: exactly equal to
-    /// summing `n` sequential [`sample`](LatencySampler::sample) calls on the
-    /// same RNG stream (same draws, same order, saturating sum).
-    /// Implementations may tighten the loop but must preserve that identity.
-    #[inline]
-    fn sample_span(&self, rng: &mut DetRng, n: usize) -> Nanos {
-        let mut total = Nanos::ZERO;
-        for _ in 0..n {
-            total = total.saturating_add(self.sample(rng));
-        }
-        total
-    }
 }
 
 /// A latency that is always the same value.
@@ -210,8 +197,8 @@ pub const TABLE_SIZE: usize = 4096;
 /// construction (4096 intervals, 4097 knots) and a sample is one [`DetRng`]
 /// draw plus a linear interpolation — no `ln`/`exp`/`cos` per sample, and no
 /// rejection, so the sampler consumes exactly **one** `next_u64` per sample.
-/// That one-draw-per-sample discipline is what keeps Serial/Threaded replay
-/// bit-identical when samplers are shared across span-batched call sites.
+/// That one-draw-per-sample discipline keeps every caller's RNG stream, and
+/// so Serial/Threaded replay, bit-identical.
 ///
 /// Numerically the table agrees with the analytic sampler to within its
 /// quantile resolution (1/4096); the extreme tails are winsorized at the
@@ -368,17 +355,6 @@ impl LatencySampler for TableLatency {
 
     fn nominal(&self) -> Nanos {
         self.nominal
-    }
-
-    #[inline]
-    fn sample_span(&self, rng: &mut DetRng, n: usize) -> Nanos {
-        // Identical draws in identical order to n sequential `sample` calls;
-        // only the loop body is tightened (no virtual dispatch per sample).
-        let mut total: u64 = 0;
-        for _ in 0..n {
-            total = total.saturating_add(self.lerp(rng.next_f64()));
-        }
-        Nanos::from_nanos(total)
     }
 }
 
@@ -821,36 +797,6 @@ mod tests {
                 (x - analytic).abs() <= analytic * 2e-3 + 1.0,
                 "knot {} = {} vs analytic {}", knot, x, analytic
             );
-        }
-    }
-
-    proptest! {
-        /// `sample_span(n)` is bit-identical to n sequential `sample` calls
-        /// on the same RNG stream — for the table sampler (tight loop
-        /// override) and the default trait implementation alike.
-        #[test]
-        fn prop_sample_span_equals_sequential_samples(
-            seed in 0u64..1_000,
-            n in 0usize..64,
-            median_us in 1u64..100,
-        ) {
-            let table = TableLatency::from_lognormal(
-                Nanos::from_micros(median_us), 0.3, Nanos::from_nanos(200));
-            let lognormal = LogNormalLatency::new(
-                Nanos::from_micros(median_us), 0.3, Nanos::from_nanos(200));
-            let samplers: [&dyn LatencySampler; 2] = [&table, &lognormal];
-            for s in samplers {
-                let mut span_rng = DetRng::seed_from(seed);
-                let mut seq_rng = DetRng::seed_from(seed);
-                let span = s.sample_span(&mut span_rng, n);
-                let mut seq = Nanos::ZERO;
-                for _ in 0..n {
-                    seq = seq.saturating_add(s.sample(&mut seq_rng));
-                }
-                prop_assert_eq!(span, seq);
-                // Both consumed the same number of draws.
-                prop_assert_eq!(span_rng.next_u64(), seq_rng.next_u64());
-            }
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! The fault hot path — access-history update, trend detection, window
 //! sizing, and candidate generation into the `PrefetchDecision` inline
-//! buffer, the eager eviction FIFO, the page table's resident LRU, and the
-//! span-batched remote I/O — must not touch the heap once per-process
+//! buffer, the eager eviction FIFO, the page table's resident LRU, the
+//! bounded swap cache, and remote I/O — must not touch the heap once per-process
 //! state exists, for any window up to the inline capacity. This test binary
 //! installs a global allocator that counts each thread's allocations and
 //! pins that contract for the Leap prefetcher, the baselines, the tracker
@@ -11,6 +11,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 use leap_repro::leap::tracker::PageAccessTracker;
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
@@ -249,11 +250,11 @@ fn tracker_layer_adds_no_allocations_once_instances_exist() {
 }
 
 #[test]
-fn span_batched_remote_io_does_not_allocate_in_steady_state() {
-    // The span-batched remote I/O path — table-sampled transport latency,
-    // fault-modifier bookkeeping, and the deferred span dispatch — must run
-    // out of the agent's per-shard arenas once the slabs are mapped, even
-    // while spike/degraded/reconnect epochs are live.
+fn remote_io_does_not_allocate_in_steady_state() {
+    // The agent's one request path — slab lookup, table-sampled transport
+    // latency, fault-modifier bookkeeping and the dispatch queue — must not
+    // touch the heap once the slabs are mapped, even while
+    // spike/degraded/reconnect epochs are live.
     let mut agent = HostAgent::new(
         HostAgentConfig::default(),
         RemoteCluster::homogeneous(4, 64),
@@ -273,39 +274,34 @@ fn span_batched_remote_io_does_not_allocate_in_steady_state() {
     };
     agent.install_fault_plan(FaultPlan::from_spec(21, &spec, 8));
     let pages: Vec<u64> = (0..8u64).map(|i| i * 3).collect();
-    let mut results = Vec::with_capacity(pages.len());
-    // Warm up: map every slab the spans touch and size the span arenas.
+    // Warm up: map every slab the requests touch.
     let mut now = Nanos::ZERO;
     for _ in 0..32 {
         now = now.saturating_add(Nanos::from_micros(10));
-        results.clear();
-        agent.remote_io_span(RemoteIoKind::Read, &pages, 0, now, &mut results);
+        for &page in &pages {
+            let _ = agent.remote_io(RemoteIoKind::Read, page, 0, now);
+        }
     }
     let allocs = count_allocs(|| {
         for step in 0..2_048u64 {
             now = now.saturating_add(Nanos::from_micros(5));
-            results.clear();
-            agent.remote_io_span(
-                RemoteIoKind::Read,
-                &pages,
-                (step % 8) as usize,
-                now,
-                &mut results,
-            );
-            assert!(results.iter().all(|r| r.is_some()));
+            for &page in &pages {
+                let io = agent.remote_io(RemoteIoKind::Read, page, (step % 8) as usize, now);
+                assert!(io.is_some());
+            }
         }
     });
     assert_eq!(
         allocs, 0,
-        "span-batched remote I/O allocated {allocs} times in steady state"
+        "remote I/O allocated {allocs} times in steady state"
     );
 }
 
 #[test]
 fn lean_data_path_span_reads_do_not_allocate_in_steady_state() {
-    // The lean path's read_span override batches the software-stage samples
-    // and the agent span into per-path arenas; after warm-up a whole span
-    // costs zero heap traffic.
+    // A span read is the per-page loop over the lean path, each page's
+    // breakdown a fixed-size value folded into the span's aggregate; after
+    // warm-up a whole span costs zero heap traffic.
     let mut path = LeanDataPath::with_default_cluster(DetRng::seed_from(13));
     let pages: Vec<u64> = (0..8u64).collect();
     let mut totals = Vec::with_capacity(pages.len());
@@ -321,13 +317,47 @@ fn lean_data_path_span_reads_do_not_allocate_in_steady_state() {
             totals.clear();
             let breakdown = path.read_span(&pages, (step % 4) as usize, now, &mut totals);
             assert_eq!(totals.len(), pages.len());
-            assert!(!breakdown.is_empty());
+            assert!(!breakdown.total().is_zero());
         }
     });
     assert_eq!(
         allocs, 0,
         "lean span reads allocated {allocs} times in steady state"
     );
+}
+
+#[test]
+fn bounded_swap_cache_churn_does_not_allocate() {
+    // A bounded cache filled to its capacity and then churned the way the
+    // engine drives it — evict the oldest page, insert a fresh one — must
+    // never outgrow the map `SwapCache::new` reserved. Evictions leave
+    // tombstones behind, so a map reserved for exactly its peak population
+    // can still grow into a larger table. Slots are scattered, as a
+    // prefetch window's are across processes and swap regions.
+    for capacity in [64u64, 256, 1_000, 1_024] {
+        let mut cache = SwapCache::new(capacity);
+        let mut fifo = VecDeque::with_capacity(capacity as usize);
+        let mut x = 88_172_645_463_325_252u64 ^ capacity;
+        let allocs = count_allocs(|| {
+            for step in 0..(64 * capacity) {
+                if cache.is_full() {
+                    let oldest = fifo.pop_front().expect("a full cache has a page");
+                    assert!(cache.remove(SwapSlot(oldest)).is_some());
+                }
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let now = Nanos::from_nanos(step);
+                assert!(cache.insert(SwapSlot(x), Pid(1), CacheOrigin::Prefetch, now));
+                fifo.push_back(x);
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "bounded cache of {capacity} pages allocated {allocs} times under churn"
+        );
+        assert_eq!(cache.len(), capacity);
+    }
 }
 
 #[test]

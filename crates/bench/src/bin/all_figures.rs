@@ -1,29 +1,32 @@
-//! Runs every figure/table experiment in sequence and prints the reports.
+//! Runs the figure/table experiments and prints their reports.
+//!
+//! With no arguments every experiment runs in sequence under a banner, with
+//! the quick tenant sweep. `--only NAME` runs one experiment and prints its
+//! bare report; `fig_tenants` then runs its full sweep unless `--quick` is
+//! also given. Malformed arguments exit with status 2 and list the valid
+//! names.
+
+use leap_bench::{parse_figure_args, FIGURES};
+
 fn main() {
-    let reports: Vec<(&str, String)> = vec![
-        ("Figure 1", leap_bench::fig01_datapath_breakdown()),
-        ("Figure 2", leap_bench::fig02_default_datapath_cdf()),
-        ("Figure 3", leap_bench::fig03_pattern_windows()),
-        ("Figure 4", leap_bench::fig04_lazy_eviction_wait()),
-        ("Table 1", leap_bench::table1_prefetcher_comparison()),
-        ("Figure 7", leap_bench::fig07_leap_datapath_cdf()),
-        ("Figure 8a", leap_bench::fig08a_benefit_breakdown()),
-        ("Figure 8b", leap_bench::fig08b_slow_storage()),
-        ("Figure 9", leap_bench::fig09_prefetcher_cache()),
-        ("Figure 10", leap_bench::fig10_prefetch_effectiveness()),
-        ("Figure 11", leap_bench::fig11_applications()),
-        ("Figure 12", leap_bench::fig12_constrained_cache()),
-        ("Figure 13", leap_bench::fig13_multi_app()),
-        ("Figure 13 scale-up", leap_bench::fig13_scaleup()),
-        (
-            "Tenant scale-up",
-            leap_bench::fig_tenants(&[2, 4, 8], 2_000),
-        ),
-        ("Leap under churn", leap_bench::fig_churn()),
-        ("Tail latency under churn", leap_bench::fig_hedging()),
-    ];
-    for (name, report) in reports {
-        println!("==================== {name} ====================");
-        println!("{report}");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let parsed = parse_figure_args(&args).unwrap_or_else(|problem| {
+        eprintln!("all_figures: {problem}");
+        eprintln!("usage: all_figures [--only NAME] [--quick]");
+        eprint!("valid names:");
+        for fig in &FIGURES {
+            eprint!(" {}", fig.name);
+        }
+        eprintln!();
+        std::process::exit(2);
+    });
+    match parsed.only {
+        Some(fig) => println!("{}", (fig.run)(parsed.quick)),
+        None => {
+            for fig in &FIGURES {
+                println!("==================== {} ====================", fig.title);
+                println!("{}", (fig.run)(true));
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@ use crate::stages::{DataPath, PathLatency, Stage};
 use leap_remote::{
     BackendKind, DispatchQueues, FaultInjectionStats, FaultPlan, RemoteIoKind, StorageBackend,
 };
-use leap_sim_core::{DetRng, LatencySampler, Nanos, TableLatency};
+use leap_sim_core::{scale_nanos_milli, DetRng, LatencySampler, Nanos, TableLatency};
 
 /// Latency parameters for the legacy path's software stages.
 #[derive(Debug, Clone, Copy)]
@@ -145,7 +145,7 @@ impl LegacyDataPath {
         if mods.is_identity() {
             return transfer;
         }
-        let mut transfer = leap_remote::fault::scale_latency_milli(transfer, mods.multiplier_milli);
+        let mut transfer = scale_nanos_milli(transfer, mods.multiplier_milli);
         if mods.spike_active {
             self.fault_stats.spiked_requests += 1;
             self.fault_stats.record(0x5b1c_e000u64 ^ now.as_nanos());

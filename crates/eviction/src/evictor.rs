@@ -1,12 +1,9 @@
-//! The [`CacheEvictor`] trait: one pluggable interface over both eviction
-//! policies.
+//! The [`CacheEvictor`] trait: one interface over both eviction policies.
 //!
 //! The fault engine in the `leap` crate used to match on an eviction enum at
 //! every call site and carry both a [`LazyReclaimer`] and a
 //! [`PrefetchFifoLru`] around. This trait moves that policy dispatch behind
-//! one object so engines hold a single `Box<dyn CacheEvictor>` and so
-//! third-party policies can be registered through `leap`'s component
-//! registry without touching the engine.
+//! one object so engines hold a single `Box<dyn CacheEvictor>`.
 
 use crate::eager::PrefetchFifoLru;
 use crate::lazy::{LazyReclaimer, LazyReclaimerConfig};

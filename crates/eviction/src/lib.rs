@@ -13,19 +13,13 @@
 //!   wait-time accounting (regenerates Figure 4).
 //! - [`eager`]: Leap's `PrefetchFifoLruList` and eager-free behaviour,
 //!   including the ~36 % page-allocation-time reduction the paper reports.
+//! - [`evictor`]: the [`CacheEvictor`] trait putting both policies behind
+//!   one engine-facing interface.
 
-//! - [`evictor`]: the [`CacheEvictor`] trait putting both policies (and any
-//!   third-party policy registered through `leap`'s component registry)
-//!   behind one engine-facing interface.
-//! - [`clockpro`]: a CLOCK-Pro-style retention policy, the reference
-//!   *out-of-crate* evictor exercised through the component registry.
-
-pub mod clockpro;
 pub mod eager;
 pub mod evictor;
 pub mod lazy;
 
-pub use clockpro::ClockProEvictor;
 pub use eager::{EagerEvictionStats, PrefetchFifoLru};
 pub use evictor::{CacheEvictor, EagerEvictor, EvictionReport, LazyEvictor};
 pub use lazy::{LazyReclaimer, LazyReclaimerConfig, ReclaimOutcome};

@@ -4,13 +4,11 @@
 //! every knob has a setter, and [`SimConfigBuilder::build`] validates the
 //! combination, returning `Result<SimConfig, ConfigError>` instead of
 //! silently clamping or letting nonsense configurations produce nonsense
-//! results. Custom components (a third-party prefetcher, data path, or
-//! eviction policy) are injected with the `custom_*` setters or selected by
-//! registry name with the `*_named` setters; [`SimConfigBuilder::build_setup`]
+//! results. A third-party prefetcher is injected with
+//! [`SimConfigBuilder::custom_prefetcher`]; [`SimConfigBuilder::build_setup`]
 //! then yields a [`SimSetup`] from which simulators are constructed.
 
-use crate::components::{ComponentRegistry, ResolvedComponents};
-use crate::components::{DataPathFactory, EvictionFactory, PrefetcherFactory};
+use crate::components::{PrefetcherFactory, ResolvedComponents};
 use crate::config::{DataPathKind, EvictionPolicy, ReplayMode, SimConfig};
 use crate::error::ConfigError;
 use crate::vfs::VfsSimulator;
@@ -46,13 +44,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct SimConfigBuilder {
     config: SimConfig,
-    registry: ComponentRegistry,
     prefetcher_override: Option<Arc<dyn PrefetcherFactory>>,
-    data_path_override: Option<Arc<dyn DataPathFactory>>,
-    eviction_override: Option<Arc<dyn EvictionFactory>>,
-    named_prefetcher: Option<String>,
-    named_data_path: Option<String>,
-    named_eviction: Option<String>,
 }
 
 impl Default for SimConfigBuilder {
@@ -66,29 +58,20 @@ impl SimConfigBuilder {
     pub fn from_config(config: SimConfig) -> Self {
         SimConfigBuilder {
             config,
-            registry: ComponentRegistry::builtin(),
             prefetcher_override: None,
-            data_path_override: None,
-            eviction_override: None,
-            named_prefetcher: None,
-            named_data_path: None,
-            named_eviction: None,
         }
     }
 
     /// Selects a built-in prefetching algorithm.
     pub fn prefetcher(mut self, kind: PrefetcherKind) -> Self {
         self.config.prefetcher = kind;
-        self.named_prefetcher = None;
         self.prefetcher_override = None;
         self
     }
 
-    /// Selects a built-in data path.
+    /// Selects the data path.
     pub fn data_path(mut self, kind: DataPathKind) -> Self {
         self.config.data_path = kind;
-        self.named_data_path = None;
-        self.data_path_override = None;
         self
     }
 
@@ -98,11 +81,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects a built-in eviction policy.
+    /// Selects the eviction policy.
     pub fn eviction(mut self, policy: EvictionPolicy) -> Self {
         self.config.eviction = policy;
-        self.named_eviction = None;
-        self.eviction_override = None;
         self
     }
 
@@ -281,100 +262,36 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Replaces the component registry consulted by the `*_named` selectors
-    /// (defaults to [`ComponentRegistry::builtin`]).
-    pub fn registry(mut self, registry: ComponentRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
-    /// Injects a custom prefetcher factory, bypassing the registry. One
-    /// instance is built per process under per-process isolation.
+    /// Injects a custom prefetcher factory in place of the built-in
+    /// [`SimConfig::prefetcher`]. One instance is built per process under
+    /// per-process isolation.
     pub fn custom_prefetcher(mut self, factory: impl PrefetcherFactory + 'static) -> Self {
         self.prefetcher_override = Some(Arc::new(factory));
-        self.named_prefetcher = None;
-        self
-    }
-
-    /// Injects a custom data-path factory, bypassing the registry.
-    pub fn custom_data_path(mut self, factory: impl DataPathFactory + 'static) -> Self {
-        self.data_path_override = Some(Arc::new(factory));
-        self.named_data_path = None;
-        self
-    }
-
-    /// Injects a custom eviction factory, bypassing the registry.
-    pub fn custom_eviction(mut self, factory: impl EvictionFactory + 'static) -> Self {
-        self.eviction_override = Some(Arc::new(factory));
-        self.named_eviction = None;
-        self
-    }
-
-    /// Selects a prefetcher from the registry by name (resolved and
-    /// validated at [`SimConfigBuilder::build_setup`] time).
-    pub fn prefetcher_named(mut self, name: impl Into<String>) -> Self {
-        self.named_prefetcher = Some(name.into());
-        self.prefetcher_override = None;
-        self
-    }
-
-    /// Selects a data path from the registry by name.
-    pub fn data_path_named(mut self, name: impl Into<String>) -> Self {
-        self.named_data_path = Some(name.into());
-        self.data_path_override = None;
-        self
-    }
-
-    /// Selects an eviction policy from the registry by name.
-    pub fn eviction_named(mut self, name: impl Into<String>) -> Self {
-        self.named_eviction = Some(name.into());
-        self.eviction_override = None;
         self
     }
 
     /// Validates and returns the plain-data configuration.
     ///
-    /// Component injections/selections are *not* carried by [`SimConfig`]
-    /// (it stays `Copy` serializable data), so calling `build` while one is
-    /// pending returns [`ConfigError::ComponentsRequireSetup`] instead of
-    /// silently dropping it; use [`SimConfigBuilder::build_setup`] (or
-    /// `build_vmm` / `build_vfs`) when custom components are in play.
+    /// A custom prefetcher is *not* carried by [`SimConfig`] (it stays
+    /// `Copy` serializable data), so calling `build` while one is pending
+    /// returns [`ConfigError::ComponentsRequireSetup`] instead of silently
+    /// dropping it; use [`SimConfigBuilder::build_setup`] (or `build_vmm` /
+    /// `build_vfs`) when a custom prefetcher is in play.
     pub fn build(self) -> Result<SimConfig, ConfigError> {
         self.config.validate()?;
-        if self.prefetcher_override.is_some() || self.named_prefetcher.is_some() {
-            return Err(ConfigError::ComponentsRequireSetup { role: "prefetcher" });
-        }
-        if self.data_path_override.is_some() || self.named_data_path.is_some() {
-            return Err(ConfigError::ComponentsRequireSetup { role: "data-path" });
-        }
-        if self.eviction_override.is_some() || self.named_eviction.is_some() {
-            return Err(ConfigError::ComponentsRequireSetup { role: "eviction" });
+        if self.prefetcher_override.is_some() {
+            return Err(ConfigError::ComponentsRequireSetup);
         }
         Ok(self.config)
     }
 
-    /// Validates the configuration and resolves the three components,
-    /// returning a [`SimSetup`] from which simulators are constructed.
+    /// Validates the configuration and resolves its components, returning a
+    /// [`SimSetup`] from which simulators are constructed.
     pub fn build_setup(self) -> Result<SimSetup, ConfigError> {
         self.config.validate()?;
         let mut components = ResolvedComponents::builtin_for(&self.config);
-        if let Some(name) = &self.named_prefetcher {
-            components.prefetcher = self.registry.prefetcher(name)?;
-        }
-        if let Some(name) = &self.named_data_path {
-            components.data_path = self.registry.data_path(name)?;
-        }
-        if let Some(name) = &self.named_eviction {
-            components.eviction = self.registry.eviction(name)?;
-        }
         if let Some(factory) = self.prefetcher_override {
             components.prefetcher = factory;
-        }
-        if let Some(factory) = self.data_path_override {
-            components.data_path = factory;
-        }
-        if let Some(factory) = self.eviction_override {
-            components.eviction = factory;
         }
         Ok(SimSetup {
             config: self.config,
@@ -418,7 +335,7 @@ impl SimSetup {
         })
     }
 
-    /// The resolved component factories.
+    /// The resolved components.
     pub fn components(&self) -> &ResolvedComponents {
         &self.components
     }
@@ -539,31 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn named_selection_resolves_through_the_registry() {
-        let setup = SimConfig::builder()
-            .prefetcher_named("Stride")
-            .data_path_named("linux-default")
-            .eviction_named("lazy")
-            .build_setup()
-            .unwrap();
-        assert_eq!(setup.components().prefetcher.name(), "Stride");
-        assert_eq!(setup.components().data_path.name(), "linux-default");
-        assert_eq!(setup.components().eviction.name(), "lazy");
-
-        let err = SimConfig::builder()
-            .prefetcher_named("oracle")
-            .build_setup()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::UnknownComponent {
-                role: "prefetcher",
-                name: "oracle".into()
-            }
-        );
-    }
-
-    #[test]
     fn plain_build_rejects_pending_component_selections() {
         #[derive(Debug)]
         struct Fixed;
@@ -579,11 +471,7 @@ mod tests {
         // build() errors instead of silently dropping it...
         assert!(matches!(
             SimConfig::builder().custom_prefetcher(Fixed).build(),
-            Err(ConfigError::ComponentsRequireSetup { role: "prefetcher" })
-        ));
-        assert!(matches!(
-            SimConfig::builder().eviction_named("lazy").build(),
-            Err(ConfigError::ComponentsRequireSetup { role: "eviction" })
+            Err(ConfigError::ComponentsRequireSetup)
         ));
         // ...while build_setup() carries it through.
         let setup = SimConfig::builder()
@@ -595,8 +483,26 @@ mod tests {
 
     #[test]
     fn setup_label_matches_config_label_for_builtins() {
-        let setup = SimSetup::from_config(SimConfig::leap_defaults()).unwrap();
-        assert_eq!(setup.label(), setup.config.label());
+        let prefetchers = [
+            PrefetcherKind::None,
+            PrefetcherKind::NextNLine,
+            PrefetcherKind::Stride,
+            PrefetcherKind::ReadAhead,
+            PrefetcherKind::Leap,
+        ];
+        for prefetcher in prefetchers {
+            for data_path in [DataPathKind::LinuxDefault, DataPathKind::Leap] {
+                for eviction in [EvictionPolicy::Lazy, EvictionPolicy::Eager] {
+                    let setup = SimConfig::builder()
+                        .prefetcher(prefetcher)
+                        .data_path(data_path)
+                        .eviction(eviction)
+                        .build_setup()
+                        .unwrap();
+                    assert_eq!(setup.label(), setup.config.label());
+                }
+            }
+        }
     }
 
     #[test]

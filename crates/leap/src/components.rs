@@ -1,27 +1,22 @@
-//! Pluggable simulator components: factory traits and the registry.
+//! Simulator components: the prefetcher plug-in point and the built-ins.
 //!
 //! The paper's claim is that Leap is a *composition* of three separable
 //! mechanisms — the majority-trend prefetcher, the lean data path, and eager
-//! eviction. This module makes that composition a first-class, open API:
+//! eviction. The data path and the eviction policy are closed choices, one
+//! enum each ([`DataPathKind::build`], [`EvictionPolicy::build`]). The
+//! prefetcher is the one open role: a [`PrefetcherFactory`] defined outside
+//! this crate — an oracle or 3PO-style programmed prefetch policy, a Markov
+//! delta model — is injected with
+//! [`crate::SimConfigBuilder::custom_prefetcher`]. A factory (rather than an
+//! instance) is what plugs in because per-process isolation (§4.1) needs one
+//! fresh prefetcher per process; [`KindPrefetcherFactory`] wraps the
+//! built-in [`PrefetcherKind`]s.
 //!
-//! - [`PrefetcherFactory`], [`DataPathFactory`], and [`EvictionFactory`]
-//!   build the three mechanism instances for a given [`SimConfig`]. A
-//!   factory (rather than an instance) is what plugs in because per-process
-//!   isolation (§4.1) needs one fresh prefetcher per process.
-//! - [`ComponentRegistry`] resolves component *names* to factories. The
-//!   closed enums ([`PrefetcherKind`], [`DataPathKind`], [`EvictionPolicy`])
-//!   are registered as the built-ins; third-party components — an oracle or
-//!   3PO-style programmed prefetch policy, a custom interconnect model, a
-//!   different reclaimer — register alongside them without touching this
-//!   crate, via [`ComponentRegistry::register_prefetcher`] (etc.) or
-//!   [`crate::SimConfigBuilder::custom_prefetcher`] (etc.).
-//!
-//! Built-in factories honour every relevant [`SimConfig`] knob: history and
+//! The built-ins honour every relevant [`SimConfig`] knob: history and
 //! window sizes for prefetchers, core count and backend (including the
 //! constant-latency overrides) for data paths.
 
 use crate::config::{DataPathKind, EvictionPolicy, SimConfig};
-use crate::error::ConfigError;
 use leap_datapath::{DataPath, LeanDataPath, LegacyDataPath};
 use leap_eviction::{CacheEvictor, EagerEvictor, LazyEvictor};
 use leap_prefetcher::{
@@ -30,7 +25,6 @@ use leap_prefetcher::{
 };
 use leap_remote::{ConstLatencyOverride, FaultPlan, HostAgent, HostAgentConfig, RemoteCluster};
 use leap_sim_core::DetRng;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -39,30 +33,11 @@ use std::sync::Arc;
 /// One instance is requested per process under per-process isolation, so
 /// implementations must return fresh, independent state on every call.
 pub trait PrefetcherFactory: fmt::Debug + Send + Sync {
-    /// The component name used in the registry and in report labels.
+    /// The component name used in report labels.
     fn name(&self) -> &'static str;
 
     /// Builds one prefetcher instance for `config`.
     fn build(&self, config: &SimConfig) -> Box<dyn Prefetcher>;
-}
-
-/// Builds the data path serving cache misses for a configuration.
-pub trait DataPathFactory: fmt::Debug + Send + Sync {
-    /// The component name used in the registry and in report labels.
-    fn name(&self) -> &'static str;
-
-    /// Builds the data path. Randomness must come only from `rng` so runs
-    /// stay deterministic for a seed.
-    fn build(&self, config: &SimConfig, rng: &mut DetRng) -> Box<dyn DataPath>;
-}
-
-/// Builds the prefetch-cache eviction policy for a configuration.
-pub trait EvictionFactory: fmt::Debug + Send + Sync {
-    /// The component name used in the registry and in report labels.
-    fn name(&self) -> &'static str;
-
-    /// Builds the evictor.
-    fn build(&self, config: &SimConfig) -> Box<dyn CacheEvictor>;
 }
 
 /// Built-in prefetcher factory wrapping a [`PrefetcherKind`].
@@ -113,208 +88,79 @@ fn backend_override(config: &SimConfig) -> Option<ConstLatencyOverride> {
     })
 }
 
-/// Built-in factory for the default Linux block-layer data path.
-#[derive(Debug, Clone, Copy)]
-pub struct LegacyDataPathFactory;
-
-impl DataPathFactory for LegacyDataPathFactory {
-    fn name(&self) -> &'static str {
-        DataPathKind::LinuxDefault.label()
-    }
-
-    fn build(&self, config: &SimConfig, rng: &mut DetRng) -> Box<dyn DataPath> {
-        let mut path = LegacyDataPath::new(config.backend, rng.fork());
-        if let Some(overrides) = backend_override(config) {
-            path.set_backend(overrides.into_backend(config.backend));
+impl DataPathKind {
+    /// Builds the data path serving cache misses for `config`. Randomness
+    /// comes only from `rng`, so runs stay deterministic for a seed.
+    pub fn build(self, config: &SimConfig, rng: &mut DetRng) -> Box<dyn DataPath> {
+        match self {
+            DataPathKind::LinuxDefault => {
+                let mut path = LegacyDataPath::new(config.backend, rng.fork());
+                if let Some(overrides) = backend_override(config) {
+                    path.set_backend(overrides.into_backend(config.backend));
+                }
+                if config.fault.is_active() {
+                    // machine_count 0: the block-layer path has no remote
+                    // cluster, so it sees the epoch faults but never machine
+                    // failures.
+                    path.install_fault_plan(FaultPlan::from_spec(config.seed, &config.fault, 0));
+                }
+                Box::new(path)
+            }
+            DataPathKind::Leap => {
+                let agent = HostAgent::new(
+                    HostAgentConfig {
+                        cores: config.cores,
+                        backend: config.backend,
+                        ..HostAgentConfig::default()
+                    },
+                    RemoteCluster::homogeneous(4, 256),
+                    rng.fork(),
+                );
+                let mut path = LeanDataPath::new(agent, rng.fork());
+                if let Some(overrides) = backend_override(config) {
+                    path.agent_mut()
+                        .set_backend(overrides.into_backend(config.backend));
+                }
+                if config.fault.is_active() {
+                    let machines = path.agent().cluster().len() as u32;
+                    path.agent_mut().install_fault_plan(FaultPlan::from_spec(
+                        config.seed,
+                        &config.fault,
+                        machines,
+                    ));
+                }
+                if config.recovery.is_active() {
+                    path.agent_mut().install_recovery(
+                        config.recovery,
+                        leap_remote::recovery_stream_seed(config.seed),
+                    );
+                }
+                Box::new(path)
+            }
         }
-        if config.fault.is_active() {
-            // machine_count 0: the block-layer path has no remote cluster,
-            // so it sees the epoch faults but never machine failures.
-            path.install_fault_plan(FaultPlan::from_spec(config.seed, &config.fault, 0));
-        }
-        Box::new(path)
-    }
-}
-
-/// Built-in factory for Leap's lean data path over the remote-memory host
-/// agent.
-#[derive(Debug, Clone, Copy)]
-pub struct LeanDataPathFactory;
-
-impl DataPathFactory for LeanDataPathFactory {
-    fn name(&self) -> &'static str {
-        DataPathKind::Leap.label()
-    }
-
-    fn build(&self, config: &SimConfig, rng: &mut DetRng) -> Box<dyn DataPath> {
-        let agent = HostAgent::new(
-            HostAgentConfig {
-                cores: config.cores,
-                backend: config.backend,
-                ..HostAgentConfig::default()
-            },
-            RemoteCluster::homogeneous(4, 256),
-            rng.fork(),
-        );
-        let mut path = LeanDataPath::new(agent, rng.fork());
-        if let Some(overrides) = backend_override(config) {
-            path.agent_mut()
-                .set_backend(overrides.into_backend(config.backend));
-        }
-        if config.fault.is_active() {
-            let machines = path.agent().cluster().len() as u32;
-            path.agent_mut().install_fault_plan(FaultPlan::from_spec(
-                config.seed,
-                &config.fault,
-                machines,
-            ));
-        }
-        if config.recovery.is_active() {
-            path.agent_mut().install_recovery(
-                config.recovery,
-                leap_remote::recovery_stream_seed(config.seed),
-            );
-        }
-        Box::new(path)
     }
 }
 
-/// Built-in eviction factory wrapping an [`EvictionPolicy`].
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyEvictionFactory(pub EvictionPolicy);
-
-impl EvictionFactory for PolicyEvictionFactory {
-    fn name(&self) -> &'static str {
-        self.0.label()
-    }
-
-    fn build(&self, _config: &SimConfig) -> Box<dyn CacheEvictor> {
-        match self.0 {
+impl EvictionPolicy {
+    /// Builds the prefetch-cache evictor of this policy.
+    pub fn build(self) -> Box<dyn CacheEvictor> {
+        match self {
             EvictionPolicy::Lazy => Box::new(LazyEvictor::new()),
             EvictionPolicy::Eager => Box::new(EagerEvictor::new()),
         }
     }
 }
 
-/// Name-indexed factories for the three component roles.
-///
-/// [`ComponentRegistry::builtin`] registers every enum variant under its
-/// `label()`; user components are added with the `register_*` methods and
-/// selected by name through [`crate::SimConfigBuilder::prefetcher_named`]
-/// (etc.) or injected directly with
-/// [`crate::SimConfigBuilder::custom_prefetcher`] (etc.).
-#[derive(Debug, Clone, Default)]
-pub struct ComponentRegistry {
-    prefetchers: BTreeMap<String, Arc<dyn PrefetcherFactory>>,
-    data_paths: BTreeMap<String, Arc<dyn DataPathFactory>>,
-    evictions: BTreeMap<String, Arc<dyn EvictionFactory>>,
-}
-
-impl ComponentRegistry {
-    /// An empty registry (no components at all).
-    pub fn empty() -> Self {
-        ComponentRegistry::default()
-    }
-
-    /// The registry with every built-in component registered: all
-    /// [`PrefetcherKind`]s, both [`DataPathKind`]s, both
-    /// [`EvictionPolicy`]s, each under its `label()`.
-    pub fn builtin() -> Self {
-        let mut registry = ComponentRegistry::empty();
-        for kind in [
-            PrefetcherKind::None,
-            PrefetcherKind::NextNLine,
-            PrefetcherKind::Stride,
-            PrefetcherKind::ReadAhead,
-            PrefetcherKind::Leap,
-        ] {
-            registry.register_prefetcher(Arc::new(KindPrefetcherFactory(kind)));
-        }
-        registry.register_data_path(Arc::new(LegacyDataPathFactory));
-        registry.register_data_path(Arc::new(LeanDataPathFactory));
-        registry.register_eviction(Arc::new(PolicyEvictionFactory(EvictionPolicy::Lazy)));
-        registry.register_eviction(Arc::new(PolicyEvictionFactory(EvictionPolicy::Eager)));
-        registry
-    }
-
-    /// Registers (or replaces) a prefetcher factory under its name.
-    pub fn register_prefetcher(&mut self, factory: Arc<dyn PrefetcherFactory>) -> &mut Self {
-        self.prefetchers.insert(factory.name().to_string(), factory);
-        self
-    }
-
-    /// Registers (or replaces) a data-path factory under its name.
-    pub fn register_data_path(&mut self, factory: Arc<dyn DataPathFactory>) -> &mut Self {
-        self.data_paths.insert(factory.name().to_string(), factory);
-        self
-    }
-
-    /// Registers (or replaces) an eviction factory under its name.
-    pub fn register_eviction(&mut self, factory: Arc<dyn EvictionFactory>) -> &mut Self {
-        self.evictions.insert(factory.name().to_string(), factory);
-        self
-    }
-
-    /// Looks up a prefetcher factory by name.
-    pub fn prefetcher(&self, name: &str) -> Result<Arc<dyn PrefetcherFactory>, ConfigError> {
-        self.prefetchers
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ConfigError::UnknownComponent {
-                role: "prefetcher",
-                name: name.to_string(),
-            })
-    }
-
-    /// Looks up a data-path factory by name.
-    pub fn data_path(&self, name: &str) -> Result<Arc<dyn DataPathFactory>, ConfigError> {
-        self.data_paths
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ConfigError::UnknownComponent {
-                role: "data-path",
-                name: name.to_string(),
-            })
-    }
-
-    /// Looks up an eviction factory by name.
-    pub fn eviction(&self, name: &str) -> Result<Arc<dyn EvictionFactory>, ConfigError> {
-        self.evictions
-            .get(name)
-            .cloned()
-            .ok_or_else(|| ConfigError::UnknownComponent {
-                role: "eviction",
-                name: name.to_string(),
-            })
-    }
-
-    /// Registered prefetcher names, sorted.
-    pub fn prefetcher_names(&self) -> Vec<&str> {
-        self.prefetchers.keys().map(String::as_str).collect()
-    }
-
-    /// Registered data-path names, sorted.
-    pub fn data_path_names(&self) -> Vec<&str> {
-        self.data_paths.keys().map(String::as_str).collect()
-    }
-
-    /// Registered eviction-policy names, sorted.
-    pub fn eviction_names(&self) -> Vec<&str> {
-        self.evictions.keys().map(String::as_str).collect()
-    }
-}
-
-/// The three factories a simulator run uses, resolved from a config plus any
-/// builder overrides. Produced by [`crate::SimConfigBuilder::build_setup`];
-/// plain configs resolve to the built-ins.
+/// The components a simulator run uses: the prefetcher factory (a built-in
+/// or a [`crate::SimConfigBuilder::custom_prefetcher`] injection) and the
+/// data path. Produced by [`crate::SimConfigBuilder::build_setup`]; plain
+/// configs resolve to the built-ins.
 #[derive(Debug, Clone)]
 pub struct ResolvedComponents {
     /// Prefetcher factory (one instance built per process under isolation).
     pub prefetcher: Arc<dyn PrefetcherFactory>,
-    /// Data-path factory.
-    pub data_path: Arc<dyn DataPathFactory>,
-    /// Eviction-policy factory.
-    pub eviction: Arc<dyn EvictionFactory>,
+    /// The data path, always the configuration's own.
+    pub data_path: DataPathKind,
 }
 
 impl ResolvedComponents {
@@ -322,22 +168,18 @@ impl ResolvedComponents {
     pub fn builtin_for(config: &SimConfig) -> Self {
         ResolvedComponents {
             prefetcher: Arc::new(KindPrefetcherFactory(config.prefetcher)),
-            data_path: match config.data_path {
-                DataPathKind::LinuxDefault => Arc::new(LegacyDataPathFactory),
-                DataPathKind::Leap => Arc::new(LeanDataPathFactory),
-            },
-            eviction: Arc::new(PolicyEvictionFactory(config.eviction)),
+            data_path: config.data_path,
         }
     }
 
     /// A `data-path/prefetcher/eviction @fraction%` label; identical to
-    /// [`SimConfig::label`] when only built-ins are in play.
+    /// [`SimConfig::label`] unless a custom prefetcher is in play.
     pub fn label(&self, config: &SimConfig) -> String {
         format!(
             "{}/{}/{} @{:.0}%",
-            self.data_path.name(),
+            config.data_path.label(),
             self.prefetcher.name(),
-            self.eviction.name(),
+            config.eviction.label(),
             config.memory_fraction * 100.0
         )
     }
@@ -348,55 +190,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtin_registry_contains_every_enum_variant() {
-        let registry = ComponentRegistry::builtin();
-        assert_eq!(
-            registry.prefetcher_names(),
-            vec!["Leap", "Next-N-Line", "No-Prefetch", "Read-Ahead", "Stride"]
-        );
-        assert_eq!(registry.data_path_names(), vec!["leap", "linux-default"]);
-        assert_eq!(registry.eviction_names(), vec!["eager", "lazy"]);
-    }
-
-    #[test]
-    fn unknown_names_error_with_role() {
-        let registry = ComponentRegistry::builtin();
-        assert_eq!(
-            registry.prefetcher("oracle").unwrap_err(),
-            ConfigError::UnknownComponent {
-                role: "prefetcher",
-                name: "oracle".into()
-            }
-        );
-        assert!(registry.data_path("quantum-tunnel").is_err());
-        assert!(registry.eviction("clairvoyant").is_err());
-    }
-
-    #[test]
-    fn builtin_factories_build_their_kind() {
+    fn builtin_components_build_their_kind() {
         let config = SimConfig::leap_defaults();
-        let registry = ComponentRegistry::builtin();
-        let factory = registry.prefetcher("Leap").unwrap();
-        let prefetcher = factory.build(&config);
+        let prefetcher = ResolvedComponents::builtin_for(&config)
+            .prefetcher
+            .build(&config);
         assert_eq!(prefetcher.name(), "Leap");
-        let eviction = registry.eviction("eager").unwrap().build(&config);
-        assert!(eviction.frees_on_hit());
-        let lazy = registry.eviction("lazy").unwrap().build(&config);
-        assert!(!lazy.frees_on_hit());
+        assert!(EvictionPolicy::Eager.build().frees_on_hit());
+        assert!(!EvictionPolicy::Lazy.build().frees_on_hit());
     }
 
     #[test]
-    fn resolved_components_label_matches_config_label() {
-        let config = SimConfig::leap_defaults();
-        let resolved = ResolvedComponents::builtin_for(&config);
-        assert_eq!(resolved.label(&config), config.label());
-        let linux = SimConfig::linux_defaults();
-        let resolved = ResolvedComponents::builtin_for(&linux);
-        assert_eq!(resolved.label(&linux), linux.label());
-    }
-
-    #[test]
-    fn data_path_factories_honour_latency_overrides() {
+    fn data_paths_honour_latency_overrides() {
         use leap_sim_core::Nanos;
         let mut config = SimConfig::linux_defaults();
         config.backend_read_latency = Some(Nanos::from_micros(1));
@@ -404,9 +209,9 @@ mod tests {
         let mut rng = DetRng::seed_from(7);
         // Builds succeed and stay deterministic; the latency effect itself is
         // asserted end-to-end in the builder tests.
-        let _legacy = LegacyDataPathFactory.build(&config, &mut rng);
+        let _legacy = DataPathKind::LinuxDefault.build(&config, &mut rng);
         let mut config = SimConfig::leap_defaults();
         config.backend_read_latency = Some(Nanos::from_micros(1));
-        let _lean = LeanDataPathFactory.build(&config, &mut rng);
+        let _lean = DataPathKind::Leap.build(&config, &mut rng);
     }
 }

@@ -553,6 +553,54 @@ impl Default for SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Valid JSON with every fault and recovery key active: the text the
+    /// mutation property corrupts.
+    fn storm_jsons() -> [String; 2] {
+        let config = SimConfig::leap_defaults()
+            .to_builder()
+            .fault_plan(FaultSpec::canonical_partition_storm())
+            .recovery_policy(RecoveryPolicy::tail_tolerant())
+            .build()
+            .unwrap();
+        let jsons = [config.to_json(), config.fault.to_json()];
+        assert_eq!(SimConfig::from_json(&jsons[0]), Ok(config));
+        assert_eq!(FaultSpec::from_json(&jsons[1]), Ok(config.fault));
+        jsons
+    }
+
+    /// Both parsers must return `Ok` or a typed error, never panic.
+    fn parse_both(bytes: &[u8]) {
+        let text = String::from_utf8_lossy(bytes);
+        let _ = SimConfig::from_json(&text);
+        let _ = FaultSpec::from_json(&text);
+    }
+
+    proptest! {
+        #[test]
+        fn from_json_never_panics_on_arbitrary_bytes(
+            bytes in collection::vec(any::<u8>(), 0..256),
+        ) {
+            parse_both(&bytes);
+            // Inside braces the bytes get past the object check.
+            parse_both(&[b"{".as_slice(), &bytes, b"}"].concat());
+        }
+
+        #[test]
+        fn from_json_never_panics_on_mutated_or_truncated_json(
+            at in any::<usize>(),
+            byte in any::<u8>(),
+        ) {
+            for json in storm_jsons() {
+                let mut mutated = json.clone().into_bytes();
+                let i = at % mutated.len();
+                mutated[i] = byte;
+                parse_both(&mutated);
+                parse_both(&json.as_bytes()[..i]);
+            }
+        }
+    }
 
     #[test]
     fn canonical_configs_differ_where_expected() {
@@ -723,13 +771,25 @@ mod tests {
             SimConfig::from_json("{\"bogus_key\":1}"),
             Err(ConfigError::Parse(_))
         ));
-        assert!(matches!(
-            SimConfig::from_json("{\"prefetcher\":\"Quantum\"}"),
-            Err(ConfigError::UnknownComponent {
-                role: "prefetcher",
-                ..
-            })
-        ));
+        // Every label-valued key names its role and echoes the bad label.
+        for (key, role) in [
+            ("prefetcher", "prefetcher"),
+            ("data_path", "data-path"),
+            ("backend", "backend"),
+            ("eviction", "eviction"),
+            ("replay_mode", "replay-mode"),
+        ] {
+            let err = SimConfig::from_json(&format!("{{\"{key}\":\"Quantum\"}}")).unwrap_err();
+            assert_eq!(
+                err,
+                ConfigError::UnknownComponent {
+                    role,
+                    name: "Quantum".into()
+                },
+                "{key}"
+            );
+            assert_eq!(err.to_string(), format!("unknown {role} \"Quantum\""));
+        }
         // Parsed configs are validated like built ones.
         assert!(matches!(
             SimConfig::from_json("{\"cores\":0}"),

@@ -48,9 +48,8 @@ pub(crate) struct EngineCore {
     pub data_path: Box<dyn DataPath>,
     pub evictors: Vec<Box<dyn CacheEvictor>>,
     pub result: RunResult,
-    /// The resolved component factories, kept so scheduled replays can build
-    /// fresh per-core shard workers (one data path, evictor, and tracker per
-    /// worker).
+    /// The resolved components, kept so scheduled replays can build fresh
+    /// per-core shard workers (one data path and tracker per worker).
     components: ResolvedComponents,
     /// Salt decorrelating this front-end's random streams (and those of its
     /// shard workers) from other front-ends under the same seed.
@@ -104,7 +103,7 @@ impl EngineCore {
             cache: ShardedSwapCache::single(config.prefetch_cache_pages),
             tracker: PageAccessTracker::new(components.prefetcher.clone(), &config),
             data_path: components.data_path.build(&config, &mut rng),
-            evictors: vec![components.eviction.build(&config)],
+            evictors: vec![config.eviction.build()],
             result: RunResult::default(),
             components,
             rng_salt,
@@ -154,7 +153,7 @@ impl EngineCore {
             cache: ShardedSwapCache::single(per_shard),
             tracker,
             data_path: self.components.data_path.build(&config, &mut rng),
-            evictors: vec![self.components.eviction.build(&config)],
+            evictors: vec![config.eviction.build()],
             result: RunResult::default(),
             components: self.components.clone(),
             rng_salt: self.rng_salt,
@@ -199,7 +198,7 @@ impl EngineCore {
         };
         self.cache = ShardedSwapCache::new(cache_shards, per_shard, span);
         self.evictors = (0..cache_shards)
-            .map(|_| self.components.eviction.build(&self.config))
+            .map(|_| self.config.eviction.build())
             .collect();
         self.tracker.set_per_core(true);
         self.scheduled = true;

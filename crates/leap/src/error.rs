@@ -52,24 +52,19 @@ pub enum ConfigError {
         /// Which override was zero: `"read"` or `"write"`.
         which: &'static str,
     },
-    /// A component name was not found in the registry.
+    /// A serialized config names a component label that no variant has.
     UnknownComponent {
-        /// Which registry was consulted: `"prefetcher"`, `"data-path"`, or
-        /// `"eviction"`.
+        /// Which field held the label: `"prefetcher"`, `"data-path"`,
+        /// `"backend"`, `"eviction"`, or `"replay-mode"`.
         role: &'static str,
-        /// The requested name.
+        /// The unrecognised label.
         name: String,
     },
-    /// [`crate::SimConfigBuilder::build`] was called while a custom or
-    /// named component selection is pending. Plain [`crate::SimConfig`]
-    /// cannot carry components; use
+    /// [`crate::SimConfigBuilder::build`] was called while a custom
+    /// prefetcher is pending. Plain [`crate::SimConfig`] cannot carry it; use
     /// [`crate::SimConfigBuilder::build_setup`] (or `build_vmm` /
-    /// `build_vfs`) so the selection is honoured instead of dropped.
-    ComponentsRequireSetup {
-        /// Which selection is pending: `"prefetcher"`, `"data-path"`, or
-        /// `"eviction"`.
-        role: &'static str,
-    },
+    /// `build_vfs`) so the prefetcher is honoured instead of dropped.
+    ComponentsRequireSetup,
     /// The fault-injection spec is inconsistent (see
     /// [`leap_remote::FaultSpec::validate`]).
     InvalidFaultSpec {
@@ -115,11 +110,11 @@ impl fmt::Display for ConfigError {
                 write!(f, "backend {which} latency override must be nonzero")
             }
             ConfigError::UnknownComponent { role, name } => {
-                write!(f, "no {role} component named {name:?} is registered")
+                write!(f, "unknown {role} {name:?}")
             }
-            ConfigError::ComponentsRequireSetup { role } => write!(
+            ConfigError::ComponentsRequireSetup => write!(
                 f,
-                "a custom/named {role} selection is pending; build_setup() \
+                "a custom prefetcher is pending; build_setup() \
                  (or build_vmm()/build_vfs()) must be used so it is not dropped"
             ),
             ConfigError::InvalidFaultSpec { reason } => {

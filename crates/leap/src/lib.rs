@@ -54,16 +54,14 @@
 //! assert!(result.cache_stats.hit_ratio() > 0.5);
 //! ```
 //!
-//! # Plugging in components
+//! # Plugging in a prefetcher
 //!
-//! The three mechanisms the paper composes — prefetcher, data path, eviction
-//! policy — are open: implement [`components::PrefetcherFactory`] (or the
-//! data-path/eviction equivalents) outside this crate and inject it with
-//! [`SimConfigBuilder::custom_prefetcher`], or register it in a
-//! [`components::ComponentRegistry`] and select it by name with
-//! [`SimConfigBuilder::prefetcher_named`]. The built-in enums
-//! ([`leap_prefetcher::PrefetcherKind`], [`DataPathKind`],
-//! [`EvictionPolicy`]) are themselves just registry entries.
+//! Of the three mechanisms the paper composes, the data path and the
+//! eviction policy are closed enum choices ([`DataPathKind`],
+//! [`EvictionPolicy`]). The prefetcher is open: implement
+//! [`components::PrefetcherFactory`] outside this crate and inject it with
+//! [`SimConfigBuilder::custom_prefetcher`]; it gets per-process isolation
+//! like the built-in [`leap_prefetcher::PrefetcherKind`]s.
 
 #![warn(missing_docs)]
 
@@ -84,9 +82,7 @@ pub mod vfs;
 pub mod vmm;
 
 pub use builder::{SimConfigBuilder, SimSetup};
-pub use components::{
-    ComponentRegistry, DataPathFactory, EvictionFactory, PrefetcherFactory, ResolvedComponents,
-};
+pub use components::{PrefetcherFactory, ResolvedComponents};
 pub use config::{DataPathKind, EvictionPolicy, ReplayMode, SimConfig};
 pub use error::ConfigError;
 pub use pipeline::{AsyncPipeline, IoKind, PipelineStats, SubmitOutcome};
@@ -109,9 +105,7 @@ pub use leap_remote::{
 /// Commonly used items, re-exported for examples and experiment binaries.
 pub mod prelude {
     pub use crate::builder::{SimConfigBuilder, SimSetup};
-    pub use crate::components::{
-        ComponentRegistry, DataPathFactory, EvictionFactory, PrefetcherFactory,
-    };
+    pub use crate::components::PrefetcherFactory;
     pub use crate::config::{DataPathKind, EvictionPolicy, ReplayMode, SimConfig};
     pub use crate::error::ConfigError;
     pub use crate::pipeline::{AsyncPipeline, IoKind, PipelineStats, SubmitOutcome};

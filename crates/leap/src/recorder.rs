@@ -47,8 +47,6 @@ use crate::session::{FaultEvent, Observer};
 use leap_sim_core::units::PAGE_SHIFT;
 use leap_sim_core::Nanos;
 use leap_workloads::AccessTrace;
-use std::io::Write;
-use std::path::Path;
 
 /// One recorded access, pending export.
 #[derive(Debug, Clone, Copy)]
@@ -145,16 +143,6 @@ impl TraceRecorder {
             );
         }
         out
-    }
-
-    /// Writes the rendered log to `writer`.
-    pub fn write_to<W: Write>(&self, mut writer: W) -> std::io::Result<()> {
-        writer.write_all(self.to_log().as_bytes())
-    }
-
-    /// Writes the rendered log to a file at `path`.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> std::io::Result<()> {
-        std::fs::write(path, self.to_log())
     }
 }
 

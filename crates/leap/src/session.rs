@@ -432,11 +432,6 @@ pub struct HistogramObserver {
 }
 
 impl HistogramObserver {
-    /// Collects every access's latency.
-    pub fn all_accesses() -> Self {
-        HistogramObserver::default()
-    }
-
     /// Collects remote page accesses only (cache hits, remote fetches, and
     /// VFS buffered writes — exactly what `RunResult::remote_access_latency`
     /// records).

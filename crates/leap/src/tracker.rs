@@ -14,8 +14,9 @@
 //! buffer.
 //!
 //! Prefetcher instances come from a [`PrefetcherFactory`], so any algorithm
-//! registered with the component registry — built-in or third-party — gets
-//! correct per-process isolation for free.
+//! — built-in or injected with
+//! [`crate::SimConfigBuilder::custom_prefetcher`] — gets correct
+//! per-process isolation for free.
 
 use crate::components::{KindPrefetcherFactory, PrefetcherFactory};
 use crate::config::SimConfig;

@@ -73,8 +73,8 @@ impl VfsSimulator {
         VfsSimulator::from_setup(&setup)
     }
 
-    /// Creates a simulator from a resolved setup (possibly carrying custom
-    /// registry components).
+    /// Creates a simulator from a resolved setup (possibly carrying a custom
+    /// prefetcher).
     pub fn from_setup(setup: &SimSetup) -> Self {
         VfsSimulator {
             engine: EngineCore::new(setup, 0xF5),

@@ -106,8 +106,8 @@ impl VmmSimulator {
         VmmSimulator::from_setup(&setup)
     }
 
-    /// Creates a simulator from a resolved setup (possibly carrying custom
-    /// registry components).
+    /// Creates a simulator from a resolved setup (possibly carrying a custom
+    /// prefetcher).
     pub fn from_setup(setup: &SimSetup) -> Self {
         VmmSimulator {
             engine: EngineCore::new(setup, 0),

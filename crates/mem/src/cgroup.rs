@@ -76,11 +76,6 @@ impl MemoryLimit {
         self.limit_pages.saturating_sub(self.used_pages)
     }
 
-    /// True if usage has reached the limit.
-    pub fn at_limit(&self) -> bool {
-        self.used_pages >= self.limit_pages
-    }
-
     /// Number of pages that must be reclaimed before `extra` pages can be
     /// charged (zero if they already fit).
     pub fn pages_to_reclaim_for(&self, extra: u64) -> u64 {

@@ -235,11 +235,6 @@ impl ShardedSwapCache {
         &mut self.shards[i]
     }
 
-    /// Mutable iterator over all shards, in shard order.
-    pub fn shards_mut(&mut self) -> impl Iterator<Item = &mut SwapCache> + '_ {
-        self.shards.iter_mut()
-    }
-
     /// Total pages cached across all shards.
     pub fn len(&self) -> u64 {
         self.shards.iter().map(|s| s.len()).sum()

@@ -137,11 +137,6 @@ impl IncrementalTrendDetector {
         &self.history
     }
 
-    /// Number of detection-window tiers maintained.
-    pub fn tier_count(&self) -> usize {
-        self.tiers.len()
-    }
-
     /// Records a faulting access, sliding every tier's window by one, and
     /// returns the recorded delta. O(tier count) = O(1) for a fixed
     /// configuration; allocation-free in steady state.

@@ -68,7 +68,7 @@ pub enum MarkovOrder {
 }
 
 impl MarkovOrder {
-    /// Component-registry name for a model of this order.
+    /// Report-label name for a model of this order.
     pub fn label(self) -> &'static str {
         match self {
             MarkovOrder::First => "Markov-1",
@@ -119,11 +119,6 @@ impl FrozenModel {
     /// Distinct first-order contexts the model knows.
     pub fn first_order_contexts(&self) -> usize {
         self.first.len()
-    }
-
-    /// Distinct second-order contexts the model knows.
-    pub fn second_order_contexts(&self) -> usize {
-        self.second.len()
     }
 
     /// Total transitions observed during training (both orders).

@@ -14,8 +14,8 @@
 //! achieve; with a stale or wrong program it degrades gracefully to no
 //! prefetching. It exists here both as a reference point for Figure 9/10
 //! style comparisons and as the canonical example of a *third-party*
-//! algorithm plugging into the simulators through `leap`'s component
-//! registry without touching the `leap` crate.
+//! algorithm plugging into the simulators through `leap`'s
+//! `SimConfigBuilder::custom_prefetcher` without touching the `leap` crate.
 
 use crate::types::{PageAddr, PrefetchDecision, Prefetcher};
 use leap_workloads::AccessTrace;

@@ -273,7 +273,8 @@ impl<'a> IntoIterator for &'a PrefetchDecision {
 ///
 /// The trait is deliberately open: third-party algorithms (an oracle, a
 /// 3PO-style programmed policy, a learned model) implement it outside this
-/// crate and plug into the simulators through `leap`'s component registry.
+/// crate and plug into the simulators through `leap`'s
+/// `SimConfigBuilder::custom_prefetcher`.
 /// [`Prefetcher::name`] is free-form for exactly that reason — built-in
 /// algorithms report their [`PrefetcherKind`] label.
 pub trait Prefetcher: Send + fmt::Debug {

@@ -8,10 +8,10 @@
 
 use crate::backend::{BackendKind, StorageBackend};
 use crate::dispatch::DispatchQueues;
-use crate::fault::{scale_latency_milli, FaultInjectionStats, FaultModifiers, FaultPlan};
+use crate::fault::{FaultInjectionStats, FaultModifiers, FaultPlan};
 use crate::recovery::{self, RecoveryPolicy, RecoveryStats, TenantRecovery};
 use crate::slab::{MachineId, RemoteCluster, SlabId, SlabMap, DEFAULT_SLAB_BYTES};
-use leap_sim_core::{DetRng, Nanos};
+use leap_sim_core::{scale_nanos_milli, DetRng, Nanos};
 use std::collections::BTreeMap;
 
 /// Pages copied from a surviving replica when one lost copy is rebuilt.
@@ -590,7 +590,7 @@ impl HostAgent {
         // genuine outliers relative to the current regime get retried.
         let mut elapsed = Nanos::ZERO;
         if !self.recovery.timeout.is_zero() && self.recovery.max_retries > 0 {
-            let deadline = scale_latency_milli(self.recovery.timeout, multiplier_milli);
+            let deadline = scale_nanos_milli(self.recovery.timeout, multiplier_milli);
             let mut retries = 0u32;
             while attempt > deadline && retries < self.recovery.max_retries {
                 let _ = self

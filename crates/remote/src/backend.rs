@@ -87,15 +87,6 @@ pub struct StorageBackend {
 }
 
 impl StorageBackend {
-    /// Creates a backend with explicit read/write samplers.
-    pub fn with_samplers(
-        kind: BackendKind,
-        read: Box<dyn LatencySampler>,
-        write: Box<dyn LatencySampler>,
-    ) -> Self {
-        StorageBackend { kind, read, write }
-    }
-
     /// Creates a backend of the given kind with the paper-calibrated
     /// latency distribution.
     pub fn new(kind: BackendKind) -> Self {

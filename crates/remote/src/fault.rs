@@ -20,16 +20,12 @@
 //!   pipeline-stats discipline.
 
 use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
-use leap_sim_core::{DetRng, Nanos};
+use leap_sim_core::{DetRng, Nanos, MULTIPLIER_IDENTITY_MILLI};
 use serde::{Deserialize, Serialize};
 
 /// Salt folded into the run seed before expanding a plan, so the fault
 /// schedule draws from its own stream and leaves component streams untouched.
 const FAULT_SALT: u64 = 0x8F1B_BCDC_FA17_71AD;
-
-/// Multiplier denominator: epoch multipliers are expressed in thousandths,
-/// so `1000` is the identity and `2500` means 2.5× slower.
-pub const MULTIPLIER_IDENTITY_MILLI: u64 = 1000;
 
 /// How much churn to inject, expressed as counts over a virtual-time window.
 ///
@@ -634,16 +630,6 @@ fn compose_multiplier_milli(a: u64, b: u64) -> u64 {
     ((u128::from(a) * u128::from(b)) / u128::from(MULTIPLIER_IDENTITY_MILLI)) as u64
 }
 
-/// Scales a sampled latency by a multiplier in thousandths. The identity
-/// multiplier returns the base unchanged (bit-identical healthy runs).
-///
-/// Delegates to [`leap_sim_core::scale_nanos_milli`], the single scaling
-/// primitive every sampler's `sample_scaled` folds epoch multipliers with.
-#[inline]
-pub fn scale_latency_milli(base: Nanos, multiplier_milli: u64) -> Nanos {
-    leap_sim_core::scale_nanos_milli(base, multiplier_milli)
-}
-
 /// Per-run fault-injection accounting, merged across shards.
 ///
 /// The checksum folds a word per fault event in shard-deterministic order
@@ -974,18 +960,6 @@ mod tests {
         assert!(e.covers(Nanos::from_nanos(199)));
         assert!(!e.covers(Nanos::from_nanos(200)));
         assert!(!e.covers(Nanos::from_nanos(99)));
-    }
-
-    #[test]
-    fn latency_scaling_identity_and_growth() {
-        let base = Nanos::from_micros(4);
-        assert_eq!(scale_latency_milli(base, 1_000), base);
-        assert_eq!(scale_latency_milli(base, 2_500), Nanos::from_micros(10));
-        assert_eq!(
-            scale_latency_milli(Nanos::from_nanos(u64::MAX), 4_000),
-            Nanos::from_nanos(u64::MAX),
-            "scaling saturates instead of wrapping"
-        );
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl RemoteCluster {
         RemoteCluster { machines }
     }
 
-    /// Adds one machine to the cluster.
-    pub fn add_machine(&mut self, machine: RemoteMachine) {
-        self.machines.push(machine);
-    }
-
     /// Number of machines in the cluster.
     pub fn len(&self) -> usize {
         self.machines.len()

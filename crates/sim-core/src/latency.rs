@@ -73,74 +73,6 @@ impl LatencySampler for ConstantLatency {
     }
 }
 
-/// A latency sampled uniformly from `[low, high]`.
-#[derive(Debug, Clone, Copy)]
-pub struct UniformLatency {
-    low: Nanos,
-    high: Nanos,
-}
-
-impl UniformLatency {
-    /// Creates a uniform sampler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `low > high`.
-    pub fn new(low: Nanos, high: Nanos) -> Self {
-        assert!(low <= high, "UniformLatency requires low <= high");
-        UniformLatency { low, high }
-    }
-}
-
-impl LatencySampler for UniformLatency {
-    fn sample(&self, rng: &mut DetRng) -> Nanos {
-        if self.low == self.high {
-            return self.low;
-        }
-        Nanos::from_nanos(rng.gen_range_u64(self.low.as_nanos(), self.high.as_nanos() + 1))
-    }
-
-    fn nominal(&self) -> Nanos {
-        Nanos::from_nanos((self.low.as_nanos() + self.high.as_nanos()) / 2)
-    }
-}
-
-/// A latency sampled from a (truncated) normal distribution.
-///
-/// Samples below `floor` are clamped; device latencies can never be negative
-/// or smaller than a minimum service time.
-#[derive(Debug, Clone, Copy)]
-pub struct NormalLatency {
-    mean: Nanos,
-    std_dev: Nanos,
-    floor: Nanos,
-}
-
-impl NormalLatency {
-    /// Creates a normal sampler with the given mean and standard deviation,
-    /// clamped below at `floor`.
-    pub fn new(mean: Nanos, std_dev: Nanos, floor: Nanos) -> Self {
-        NormalLatency {
-            mean,
-            std_dev,
-            floor,
-        }
-    }
-}
-
-impl LatencySampler for NormalLatency {
-    fn sample(&self, rng: &mut DetRng) -> Nanos {
-        let z = rng.standard_normal();
-        let v = self.mean.as_nanos() as f64 + z * self.std_dev.as_nanos() as f64;
-        let v = v.max(self.floor.as_nanos() as f64);
-        Nanos::from_nanos(v.round() as u64)
-    }
-
-    fn nominal(&self) -> Nanos {
-        self.mean
-    }
-}
-
 /// A latency sampled from a log-normal distribution.
 ///
 /// Log-normal captures the long right tail of RDMA operations and software
@@ -526,39 +458,6 @@ impl LatencySampler for MixtureLatency {
     }
 }
 
-/// A latency sampler that replays an empirical set of values.
-///
-/// Useful for tests and for plugging real measurement distributions into the
-/// simulator.
-#[derive(Debug, Clone)]
-pub struct EmpiricalLatency {
-    values: Vec<Nanos>,
-}
-
-impl EmpiricalLatency {
-    /// Creates an empirical sampler from observed values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    pub fn new(mut values: Vec<Nanos>) -> Self {
-        assert!(!values.is_empty(), "EmpiricalLatency needs values");
-        values.sort_unstable();
-        EmpiricalLatency { values }
-    }
-}
-
-impl LatencySampler for EmpiricalLatency {
-    fn sample(&self, rng: &mut DetRng) -> Nanos {
-        let idx = rng.gen_range_usize(0, self.values.len());
-        self.values[idx]
-    }
-
-    fn nominal(&self) -> Nanos {
-        self.values[self.values.len() / 2]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,36 +475,6 @@ mod tests {
             assert_eq!(s.sample(&mut r), Nanos::from_micros(5));
         }
         assert_eq!(s.nominal(), Nanos::from_micros(5));
-    }
-
-    #[test]
-    fn uniform_stays_in_bounds() {
-        let s = UniformLatency::new(Nanos::from_nanos(100), Nanos::from_nanos(200));
-        let mut r = rng();
-        for _ in 0..1000 {
-            let v = s.sample(&mut r);
-            assert!(v >= Nanos::from_nanos(100) && v <= Nanos::from_nanos(200));
-        }
-    }
-
-    #[test]
-    fn uniform_degenerate_range() {
-        let s = UniformLatency::new(Nanos::from_nanos(50), Nanos::from_nanos(50));
-        let mut r = rng();
-        assert_eq!(s.sample(&mut r), Nanos::from_nanos(50));
-    }
-
-    #[test]
-    fn normal_respects_floor() {
-        let s = NormalLatency::new(
-            Nanos::from_nanos(100),
-            Nanos::from_nanos(500),
-            Nanos::from_nanos(80),
-        );
-        let mut r = rng();
-        for _ in 0..1000 {
-            assert!(s.sample(&mut r) >= Nanos::from_nanos(80));
-        }
     }
 
     #[test]
@@ -642,27 +511,6 @@ mod tests {
         }
         assert!(saw_fast && saw_slow);
         assert_eq!(s.nominal(), Nanos::from_nanos(505));
-    }
-
-    #[test]
-    fn empirical_replays_observed_values() {
-        let values = vec![
-            Nanos::from_nanos(5),
-            Nanos::from_nanos(7),
-            Nanos::from_nanos(9),
-        ];
-        let s = EmpiricalLatency::new(values.clone());
-        let mut r = rng();
-        for _ in 0..100 {
-            assert!(values.contains(&s.sample(&mut r)));
-        }
-        assert_eq!(s.nominal(), Nanos::from_nanos(7));
-    }
-
-    #[test]
-    #[should_panic(expected = "low <= high")]
-    fn uniform_rejects_inverted_range() {
-        let _ = UniformLatency::new(Nanos::from_nanos(10), Nanos::from_nanos(5));
     }
 
     #[test]

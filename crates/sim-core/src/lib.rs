@@ -9,8 +9,8 @@
 //! - [`rng`]: a small, seedable, deterministic random number generator
 //!   ([`DetRng`]) so that every experiment is reproducible bit-for-bit.
 //! - [`latency`]: latency samplers ([`LatencySampler`]) used to model device
-//!   and software-stage costs (constant, uniform, normal, log-normal and
-//!   empirical mixtures with heavy tails).
+//!   and software-stage costs (constant, log-normal, mixtures with heavy
+//!   tails, and the precomputed quantile tables the backends sample).
 //! - [`units`]: byte-size constants and page geometry shared by all crates.
 //! - [`hash`]: a dependency-free FxHash-style hasher ([`FxHashMap`]) for the
 //!   hot maps every fault probes — deterministic and ~an order of magnitude
@@ -30,9 +30,8 @@ pub mod units;
 pub use clock::SimClock;
 pub use hash::{fx_map_with_capacity, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use latency::{
-    scale_nanos_milli, ConstantLatency, EmpiricalLatency, LatencySampler, LogNormalLatency,
-    MixtureLatency, NormalLatency, TableLatency, UniformLatency, MULTIPLIER_IDENTITY_MILLI,
-    TABLE_SIZE,
+    scale_nanos_milli, ConstantLatency, LatencySampler, LogNormalLatency, MixtureLatency,
+    TableLatency, MULTIPLIER_IDENTITY_MILLI, TABLE_SIZE,
 };
 pub use rng::DetRng;
 pub use time::Nanos;

@@ -1,13 +1,12 @@
-//! The acceptance test for the pluggable component registry: prefetchers
-//! defined *outside* the `leap` crate run end-to-end through `VmmSimulator`,
-//! injected via `SimConfigBuilder::custom_prefetcher` or selected by name
-//! from a `ComponentRegistry` — without touching `leap` itself.
+//! The acceptance test for the prefetcher plug-in point: prefetchers defined
+//! *outside* the `leap` crate run end-to-end through `VmmSimulator`,
+//! injected via `SimConfigBuilder::custom_prefetcher` — without touching
+//! `leap` itself.
 
 use leap_repro::leap_prefetcher::{PageAddr, PrefetchDecision, Prefetcher, ProgrammedPrefetcher};
 use leap_repro::leap_sim_core::units::MIB;
 use leap_repro::leap_workloads::stride_trace;
 use leap_repro::prelude::*;
-use std::sync::Arc;
 
 /// A prefetcher that exists only in this test file: it never prefetches, and
 /// counts how many faults it observed so the test can prove the simulator
@@ -90,7 +89,8 @@ fn custom_prefetcher_shows_up_in_the_run_label() {
 }
 
 /// Factory for the 3PO-style programmed prefetcher from `leap-prefetcher`:
-/// the factory (the part the registry needs) lives here, outside `leap`.
+/// the factory (the part `custom_prefetcher` takes) lives here, outside
+/// `leap`.
 #[derive(Debug)]
 struct ProgramFactory {
     program: Vec<u64>,
@@ -111,7 +111,7 @@ impl PrefetcherFactory for ProgramFactory {
 }
 
 #[test]
-fn programmed_oracle_beats_readahead_on_stride_via_registry() {
+fn programmed_oracle_beats_readahead_on_stride() {
     let trace = stride_trace(4 * MIB, 10, 1);
     // The "profiled program": the swap offsets the measured pass will fault
     // on. Prepopulation fixes swap slots to address order, so page == slot.
@@ -143,39 +143,6 @@ fn programmed_oracle_beats_readahead_on_stride_via_registry() {
     );
     assert!(oracle.cache_stats.hit_ratio() > readahead.cache_stats.hit_ratio() + 0.3);
     assert!(oracle.completion_time < readahead.completion_time);
-}
-
-#[test]
-fn named_registration_resolves_through_a_registry() {
-    let trace = stride_trace(2 * MIB, 10, 1);
-    let mut registry = ComponentRegistry::builtin();
-    registry.register_prefetcher(Arc::new(ProgramFactory {
-        program: trace.page_sequence(),
-        lookahead: 8,
-    }));
-
-    let result = SimConfig::builder()
-        .memory_fraction(0.5)
-        .registry(registry.clone())
-        .prefetcher_named("Programmed-3PO")
-        .build_vmm()
-        .expect("valid config")
-        .run_prepopulated(&trace);
-    assert!(result.cache_stats.hit_ratio() > 0.7);
-
-    // Unknown names still fail loudly.
-    let err = SimConfig::builder()
-        .registry(registry)
-        .prefetcher_named("does-not-exist")
-        .build_vmm()
-        .unwrap_err();
-    assert!(matches!(
-        err,
-        ConfigError::UnknownComponent {
-            role: "prefetcher",
-            ..
-        }
-    ));
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use leap_repro::leap_prefetcher::{PageAddr, PrefetchDecision, Prefetcher, ProgrammedPrefetcher};
 use leap_repro::leap_sim_core::units::MIB;
+use leap_repro::leap_sim_core::Nanos;
 use leap_repro::leap_workloads::stride_trace;
 use leap_repro::prelude::*;
 
@@ -166,5 +167,42 @@ fn custom_prefetcher_gets_per_process_isolation() {
     assert_eq!(
         faults.load(std::sync::atomic::Ordering::Relaxed),
         result.cache_stats.misses()
+    );
+}
+
+/// A plugged-in prefetcher inherits the replay-mode bit-identity contract:
+/// serial and threaded multi-process replays agree event for event.
+#[test]
+fn custom_prefetcher_is_bit_identical_across_replay_modes() {
+    let traces = vec![stride_trace(2 * MIB, 10, 2), stride_trace(2 * MIB, 7, 2)];
+    let run = |mode: ReplayMode| {
+        let sim = SimConfig::builder()
+            .memory_fraction(0.5)
+            .cores(2)
+            .sched_quantum(Nanos::from_micros(250))
+            .per_process_isolation(true)
+            .custom_prefetcher(ProgramFactory {
+                program: traces[0].page_sequence(),
+                lookahead: 8,
+            })
+            .seed(29)
+            .replay_mode(mode)
+            .build_vmm()
+            .expect("valid config");
+        let mut log = EventLog::default();
+        let result = sim.session().observe(&mut log).run_multi(&traces);
+        (log, result)
+    };
+    let (log_serial, mut serial) = run(ReplayMode::Serial);
+    let (log_threaded, mut threaded) = run(ReplayMode::Threaded);
+    assert!(serial.config_label.contains("Programmed-3PO"));
+    assert!(serial.cache_stats.prefetch_hits() > 0);
+    assert_eq!(log_serial.events(), log_threaded.events());
+    assert_eq!(serial.completion_time, threaded.completion_time);
+    assert_eq!(serial.cache_stats, threaded.cache_stats);
+    assert_eq!(serial.pages_swapped_out, threaded.pages_swapped_out);
+    assert_eq!(
+        serial.access_latency.sorted_samples(),
+        threaded.access_latency.sorted_samples()
     );
 }

@@ -5,6 +5,9 @@
 //! [`LatencySampler`]. Samplers are deterministic given a [`DetRng`] stream,
 //! so whole experiments replay identically across runs.
 
+use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::hash::FxHashMap;
 use crate::rng::DetRng;
 use crate::time::Nanos;
 
@@ -139,11 +142,13 @@ pub const TABLE_SIZE: usize = 4096;
 #[derive(Debug, Clone)]
 pub struct TableLatency {
     /// `TABLE_SIZE + 1` quantile knots in nanoseconds, monotone
-    /// non-decreasing, floor-clamped at construction. Shared: mixture
-    /// tables are memoized process-wide by their exact parameters, so
-    /// per-run shard workers clone a pointer instead of re-inverting the
-    /// CDF.
-    knots: std::sync::Arc<[f64]>,
+    /// non-decreasing, floor-clamped at construction. Both constructors
+    /// memoize their tables process-wide by exact parameter bits (see
+    /// [`memoized_knots`]), so the data paths and backends every replay
+    /// rebuilds per shard worker never re-evaluate a quantile function:
+    /// a mixture table shares the memoized allocation, a log-normal table
+    /// copies it.
+    knots: Arc<[f64]>,
     nominal: Nanos,
 }
 
@@ -160,16 +165,21 @@ impl TableLatency {
             sigma.is_finite() && sigma > 0.0,
             "TableLatency needs a positive sigma"
         );
-        let m = median.as_nanos() as f64;
-        let f = floor.as_nanos() as f64;
-        let knots = (0..=TABLE_SIZE)
-            .map(|i| {
-                let q = winsorized_quantile(i);
-                (m * (sigma * inverse_normal_cdf(q)).exp()).max(f)
-            })
-            .collect();
+        let key = TableKey::LogNormal(median.as_nanos(), sigma.to_bits(), floor.as_nanos());
+        let memoized = memoized_knots(key, || {
+            let m = median.as_nanos() as f64;
+            let f = floor.as_nanos() as f64;
+            (0..=TABLE_SIZE)
+                .map(|i| (m * (sigma * inverse_normal_cdf(winsorized_quantile(i))).exp()).max(f))
+                .collect()
+        });
+        // A private copy: ~2 µs against the ~85 µs evaluation it skips.
+        // Sharing one allocation across the data paths that every replay
+        // rebuilds per shard worker raised the replay benchmark's peak RSS
+        // by ~1.5 MiB on its threaded workloads (2-vCPU VM, glibc: the
+        // worker threads' heaps grew instead of returning memory).
         TableLatency {
-            knots,
+            knots: Arc::from(&memoized[..]),
             nominal: median,
         }
     }
@@ -213,42 +223,25 @@ impl TableLatency {
             })
             .collect();
         // Inverting the mixture CDF is 64 bisection steps per knot × 4097
-        // knots — tens of milliseconds of construction work. Shard workers
-        // rebuild their backends on every run, and the workspace only ever
-        // uses a handful of distinct mixtures, so the knot tables are
-        // memoized process-wide. Keyed by exact parameter bits: only
-        // bit-identical mixtures share a table, so sampled values are
-        // unchanged by the cache.
-        type MixtureKey = Vec<(u64, u64, u64, u64)>;
-        type MixtureTableCache =
-            std::sync::Mutex<crate::hash::FxHashMap<MixtureKey, std::sync::Arc<[f64]>>>;
-        static MIXTURE_TABLES: std::sync::OnceLock<MixtureTableCache> = std::sync::OnceLock::new();
-        let key: MixtureKey = components
-            .iter()
-            .map(|&(w, median, sigma, floor)| {
-                (
-                    w.to_bits(),
-                    median.as_nanos(),
-                    sigma.to_bits(),
-                    floor.as_nanos(),
-                )
-            })
-            .collect();
-        let cache = MIXTURE_TABLES.get_or_init(Default::default);
-        let cached = cache
-            .lock()
-            .expect("mixture table cache")
-            .get(&key)
-            .cloned();
-        let knots = cached.unwrap_or_else(|| {
-            let knots: std::sync::Arc<[f64]> = (0..=TABLE_SIZE)
+        // knots: tens of milliseconds, the one construction cost left once
+        // the table is memoized.
+        let key = TableKey::Mixture(
+            components
+                .iter()
+                .map(|&(w, median, sigma, floor)| {
+                    (
+                        w.to_bits(),
+                        median.as_nanos(),
+                        sigma.to_bits(),
+                        floor.as_nanos(),
+                    )
+                })
+                .collect(),
+        );
+        let knots = memoized_knots(key, || {
+            (0..=TABLE_SIZE)
                 .map(|i| mixture_quantile(winsorized_quantile(i), &comps, total_weight))
-                .collect();
-            cache
-                .lock()
-                .expect("mixture table cache")
-                .insert(key, knots.clone());
-            knots
+                .collect()
         });
         // Same arithmetic as MixtureLatency::nominal over LogNormal
         // components (whose nominal is the median).
@@ -295,6 +288,39 @@ impl LatencySampler for TableLatency {
 fn winsorized_quantile(i: usize) -> f64 {
     let n = TABLE_SIZE as f64;
     ((i as f64) / n).clamp(0.5 / n, 1.0 - 0.5 / n)
+}
+
+/// What a [`TableLatency`]'s knots were built from, by exact parameter
+/// bits.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum TableKey {
+    /// [`TableLatency::from_lognormal`]: median nanos, sigma bits, floor
+    /// nanos.
+    LogNormal(u64, u64, u64),
+    /// [`TableLatency::from_lognormal_mixture`]: per component, weight
+    /// bits, median nanos, sigma bits, floor nanos.
+    Mixture(Vec<(u64, u64, u64, u64)>),
+}
+
+/// The knots memoized under `key`, built by `build` on the first request.
+///
+/// Shard workers rebuild their data paths and backends on every replay,
+/// and the workspace uses only a handful of distinct tables, so one
+/// process-wide map holds them all. Only bit-identical parameters share a
+/// key, so sampled values are unchanged by the cache. `build` runs without
+/// the lock held.
+fn memoized_knots(key: TableKey, build: impl FnOnce() -> Arc<[f64]>) -> Arc<[f64]> {
+    static TABLES: OnceLock<Mutex<FxHashMap<TableKey, Arc<[f64]>>>> = OnceLock::new();
+    let tables = TABLES.get_or_init(Default::default);
+    let cached = tables.lock().expect("knot table cache").get(&key).cloned();
+    cached.unwrap_or_else(|| {
+        let knots = build();
+        tables
+            .lock()
+            .expect("knot table cache")
+            .insert(key, knots.clone());
+        knots
+    })
 }
 
 /// The standard normal CDF Φ, via Abramowitz & Stegun 26.2.17
@@ -573,6 +599,47 @@ mod tests {
             assert!(v >= prev, "quantile function must be monotone");
             prev = v;
         }
+    }
+
+    #[test]
+    fn lognormal_tables_are_memoized_by_exact_parameters() {
+        let (median, floor) = (Nanos::from_nanos(7_321), Nanos::from_nanos(950));
+        let key =
+            |sigma: f64| TableKey::LogNormal(median.as_nanos(), sigma.to_bits(), floor.as_nanos());
+        let direct = |sigma: f64| -> Vec<u64> {
+            (0..=TABLE_SIZE)
+                .map(|i| {
+                    let q = winsorized_quantile(i);
+                    (7_321.0 * (sigma * inverse_normal_cdf(q)).exp())
+                        .max(950.0)
+                        .to_bits()
+                })
+                .collect()
+        };
+        let bits = |knots: &[f64]| knots.iter().map(|k| k.to_bits()).collect::<Vec<u64>>();
+        // Two sigmas one bit apart are two keys, each memoized by its first
+        // construction and equal to a direct evaluation.
+        let sigma = 0.37_f64;
+        let next_sigma = f64::from_bits(sigma.to_bits() + 1);
+        for s in [sigma, next_sigma] {
+            let table = TableLatency::from_lognormal(median, s, floor);
+            let memoized = memoized_knots(key(s), || panic!("sigma {s} must be memoized"));
+            assert_eq!(bits(&table.knots), direct(s));
+            assert_eq!(bits(&memoized), direct(s));
+        }
+        // A one-component mixture with the same parameters (built by
+        // bisection) has its own key, and shares its memoized allocation.
+        let mixture = TableLatency::from_lognormal_mixture(&[(1.0, median, sigma, floor)]);
+        let mixture_key = TableKey::Mixture(vec![(
+            1.0f64.to_bits(),
+            median.as_nanos(),
+            sigma.to_bits(),
+            floor.as_nanos(),
+        )]);
+        let shared = memoized_knots(mixture_key, || panic!("the mixture must be memoized"));
+        assert!(Arc::ptr_eq(&mixture.knots, &shared), "mixtures share");
+        let lognormal = memoized_knots(key(sigma), || unreachable!());
+        assert!(!Arc::ptr_eq(&shared, &lognormal));
     }
 
     #[test]

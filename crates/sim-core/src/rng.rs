@@ -4,6 +4,8 @@
 //! generators, slab placement) draws from a [`DetRng`] seeded from the
 //! experiment configuration so that repeated runs are bit-for-bit identical.
 
+use std::cell::Cell;
+
 /// A seedable, deterministic random number generator.
 ///
 /// Internally this is a self-contained xoshiro256++ generator whose state is
@@ -164,37 +166,92 @@ impl DetRng {
     /// al. (the "quick and dirty" zipf of YCSB-like generators), with the
     /// normalising ζ(n) sum computed exactly over the first 1024 terms and
     /// by an integral approximation beyond.
+    ///
+    /// ζ(n) and the constants derived from it depend only on `n` and the
+    /// clamped `theta`, so each thread memoizes them for its last
+    /// `(n, theta bits)` key. A generator drawing from one key pays the
+    /// 1024-term sum once; every further sample is one draw and at most one
+    /// `powf`, with no lock and no allocation. Switching keys recomputes
+    /// the same expressions, so every sample is bit-identical to an
+    /// unmemoized evaluation.
     pub fn zipf(&mut self, n: usize, theta: f64) -> usize {
         assert!(n > 0, "zipf requires n > 0");
         if n == 1 {
             return 0;
         }
         let theta = theta.clamp(0.0001, 0.9999);
-        let zeta2 = 1.0 + 0.5f64.powf(theta);
-        let zetan = Self::zeta_approx(n, theta);
-        let alpha = 1.0 / (1.0 - theta);
-        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+        let c = ZipfConstants::of(n, theta);
         let u = self.next_f64();
-        let uz = u * zetan;
+        let uz = u * c.zetan;
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(theta) {
+        if uz < c.zeta2 {
             return 1;
         }
-        let rank = (n as f64 * (eta * u - eta + 1.0).powf(alpha)) as usize;
+        let rank = (n as f64 * (c.eta * u - c.eta + 1.0).powf(c.alpha)) as usize;
         rank.min(n - 1)
     }
 
     fn zeta_approx(n: usize, theta: f64) -> f64 {
-        // Exact for small n, integral approximation for large n to keep the
-        // generator O(1) per sample.
+        // Exact for small n, integral approximation for large n. Up to 1024
+        // `powf` calls, so `ZipfConstants::of` runs it once per key, not
+        // per sample.
         if n <= 1024 {
             (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
         } else {
             let head: f64 = (1..=1024).map(|i| 1.0 / (i as f64).powf(theta)).sum();
             let tail = ((n as f64).powf(1.0 - theta) - 1024f64.powf(1.0 - theta)) / (1.0 - theta);
             head + tail
+        }
+    }
+}
+
+/// The per-key constants of [`DetRng::zipf`], for one `(n, theta)` with
+/// `theta` already clamped.
+#[derive(Debug, Clone, Copy)]
+struct ZipfConstants {
+    n: usize,
+    theta_bits: u64,
+    /// ζ(2) = 1 + 2^-θ: a draw below it (and at or above 1) is rank 1.
+    zeta2: f64,
+    zetan: f64,
+    alpha: f64,
+    eta: f64,
+}
+
+thread_local! {
+    /// The last key's constants on this thread. A `Copy` value in a `Cell`:
+    /// reading and replacing it takes no lock and allocates nothing.
+    static ZIPF_MEMO: Cell<Option<ZipfConstants>> = const { Cell::new(None) };
+}
+
+impl ZipfConstants {
+    /// The constants for `(n, theta)`, from this thread's memo when the
+    /// key matches its last one, computed (and memoized) otherwise.
+    #[inline]
+    fn of(n: usize, theta: f64) -> ZipfConstants {
+        let theta_bits = theta.to_bits();
+        ZIPF_MEMO.with(|memo| match memo.get() {
+            Some(c) if c.n == n && c.theta_bits == theta_bits => c,
+            _ => {
+                let c = ZipfConstants::compute(n, theta);
+                memo.set(Some(c));
+                c
+            }
+        })
+    }
+
+    fn compute(n: usize, theta: f64) -> ZipfConstants {
+        let zeta2 = 1.0 + 0.5f64.powf(theta);
+        let zetan = DetRng::zeta_approx(n, theta);
+        ZipfConstants {
+            n,
+            theta_bits: theta.to_bits(),
+            zeta2,
+            zetan,
+            alpha: 1.0 / (1.0 - theta),
+            eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
         }
     }
 }
@@ -263,6 +320,65 @@ mod tests {
         }
         // With high skew, a large fraction of accesses hit the top-10 ranks.
         assert!(head > n / 4, "only {head} of {n} samples in the head");
+    }
+
+    /// `DetRng::zipf` without the memo: every expression evaluated per
+    /// call, in the same order.
+    fn zipf_unmemoized(rng: &mut DetRng, n: usize, theta: f64) -> usize {
+        assert!(n > 0);
+        if n == 1 {
+            return 0;
+        }
+        let theta = theta.clamp(0.0001, 0.9999);
+        let zeta2 = 1.0 + 0.5f64.powf(theta);
+        let zetan = if n <= 1024 {
+            (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
+        } else {
+            let head: f64 = (1..=1024).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+            head + ((n as f64).powf(1.0 - theta) - 1024f64.powf(1.0 - theta)) / (1.0 - theta)
+        };
+        let alpha = 1.0 / (1.0 - theta);
+        let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+        let u = rng.next_f64();
+        let uz = u * zetan;
+        if uz < 1.0 {
+            return 0;
+        }
+        if uz < 1.0 + 0.5f64.powf(theta) {
+            return 1;
+        }
+        let rank = (n as f64 * (eta * u - eta + 1.0).powf(alpha)) as usize;
+        rank.min(n - 1)
+    }
+
+    /// `n` on both sides of the exact-sum boundary (1024).
+    const ZIPF_NS: [usize; 9] = [1, 2, 3, 512, 1023, 1024, 1025, 2048, 100_000];
+    /// Inside the clamp, at both clamp bounds, and beyond them.
+    const ZIPF_THETAS: [f64; 9] = [-1.0, 0.0, 0.0001, 0.5, 0.7, 0.99, 0.9999, 1.0, 2.0];
+
+    proptest! {
+        /// Interleaved keys, each drawn a few times in a row, must give the
+        /// unmemoized sampler's ranks draw for draw, and leave both
+        /// generators in the same state.
+        #[test]
+        fn prop_zipf_memo_matches_unmemoized(
+            seed in any::<u64>(),
+            runs in proptest::collection::vec((0usize..9, 0usize..9, 1usize..4), 1..24),
+        ) {
+            let mut memoized = DetRng::seed_from(seed);
+            let mut direct = DetRng::seed_from(seed);
+            for (ni, ti, draws) in runs {
+                let (n, theta) = (ZIPF_NS[ni], ZIPF_THETAS[ti]);
+                for _ in 0..draws {
+                    prop_assert_eq!(
+                        memoized.zipf(n, theta),
+                        zipf_unmemoized(&mut direct, n, theta),
+                        "n {} theta {}", n, theta
+                    );
+                }
+            }
+            prop_assert_eq!(memoized.next_u64(), direct.next_u64());
+        }
     }
 
     proptest! {

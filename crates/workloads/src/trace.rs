@@ -1,5 +1,7 @@
 //! Access traces: the page-granularity input every experiment replays.
 
+use std::sync::OnceLock;
+
 use leap_sim_core::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -50,11 +52,26 @@ impl Access {
 /// assert_eq!(trace.len(), 2);
 /// assert_eq!(trace.working_set_pages(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AccessTrace {
     name: String,
     accesses: Vec<Access>,
+    /// [`AccessTrace::working_set_pages`], computed on first use. Every
+    /// replay registers each process with its working set, and the
+    /// accesses never change, so the sort runs at most once per trace.
+    #[serde(skip)]
+    working_set: OnceLock<u64>,
 }
+
+/// Two traces are equal when their names and accesses are; whether either
+/// has computed its working set yet does not matter.
+impl PartialEq for AccessTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.accesses == other.accesses
+    }
+}
+
+impl Eq for AccessTrace {}
 
 impl AccessTrace {
     /// Creates a trace from a name and accesses.
@@ -62,6 +79,7 @@ impl AccessTrace {
         AccessTrace {
             name: name.into(),
             accesses,
+            working_set: OnceLock::new(),
         }
     }
 
@@ -91,11 +109,16 @@ impl AccessTrace {
     }
 
     /// Number of distinct pages touched (the working set, in pages).
+    ///
+    /// Computed by a sort and dedup on the first call; later calls, on this
+    /// trace or on clones made after it, read the stored count.
     pub fn working_set_pages(&self) -> u64 {
-        let mut pages: Vec<u64> = self.accesses.iter().map(|a| a.page).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        pages.len() as u64
+        *self.working_set.get_or_init(|| {
+            let mut pages: Vec<u64> = self.accesses.iter().map(|a| a.page).collect();
+            pages.sort_unstable();
+            pages.dedup();
+            pages.len() as u64
+        })
     }
 
     /// Total compute time of the trace (the paging-free lower bound on
@@ -113,16 +136,34 @@ impl AccessTrace {
     /// Truncates the trace to at most `n` accesses (cheap way to produce
     /// scaled-down experiment variants).
     pub fn truncated(&self, n: usize) -> AccessTrace {
-        AccessTrace {
-            name: self.name.clone(),
-            accesses: self.accesses.iter().take(n).copied().collect(),
-        }
+        AccessTrace::new(
+            self.name.clone(),
+            self.accesses.iter().take(n).copied().collect(),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn distinct_pages(accesses: &[Access]) -> u64 {
+        let mut pages: Vec<u64> = accesses.iter().map(|a| a.page).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages.len() as u64
+    }
+
+    fn trace_of(pages: &[u64]) -> AccessTrace {
+        AccessTrace::new(
+            "t",
+            pages
+                .iter()
+                .map(|&p| Access::read(p, Nanos::ZERO))
+                .collect(),
+        )
+    }
 
     #[test]
     fn working_set_counts_distinct_pages() {
@@ -163,5 +204,39 @@ mod tests {
     fn read_write_constructors() {
         assert!(!Access::read(5, Nanos::ZERO).is_write);
         assert!(Access::write(5, Nanos::ZERO).is_write);
+    }
+
+    #[test]
+    fn queried_trace_equals_unqueried_copy() {
+        let queried = trace_of(&[4, 1, 4, 9]);
+        let fresh = trace_of(&[4, 1, 4, 9]);
+        assert_eq!(queried.working_set_pages(), 3);
+        assert_eq!(queried, fresh);
+        assert_eq!(fresh, queried);
+        assert_ne!(queried, trace_of(&[4, 1, 4]));
+    }
+
+    proptest! {
+        /// The stored working set is the sort-and-dedup count, on the
+        /// trace, on a clone taken before or after the first query, and on
+        /// a truncated copy (which counts its own prefix).
+        #[test]
+        fn prop_working_set_cache_matches_a_fresh_count(
+            pages in proptest::collection::vec(0u64..64, 0..200),
+            keep in 0usize..240,
+        ) {
+            let trace = trace_of(&pages);
+            let early_clone = trace.clone();
+            let expected = distinct_pages(trace.accesses());
+            prop_assert_eq!(trace.working_set_pages(), expected);
+            prop_assert_eq!(trace.working_set_pages(), expected);
+            prop_assert_eq!(trace.clone().working_set_pages(), expected);
+            prop_assert_eq!(early_clone.working_set_pages(), expected);
+            let short = trace.truncated(keep);
+            prop_assert_eq!(
+                short.working_set_pages(),
+                distinct_pages(&trace.accesses()[..keep.min(pages.len())])
+            );
+        }
     }
 }

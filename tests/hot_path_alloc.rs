@@ -7,7 +7,9 @@
 //! state exists, for any window up to the inline capacity. This test binary
 //! installs a global allocator that counts each thread's allocations and
 //! pins that contract for the Leap prefetcher, the baselines, the tracker
-//! layer the engine calls into, and the memory-management structures.
+//! layer the engine calls into, and the memory-management structures. It
+//! also pins the two memoized set-up computations that every generated
+//! access and every replay repeat: a zipf draw, and a trace's working set.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -27,6 +29,7 @@ use leap_repro::leap_remote::{
     FaultPlan, FaultSpec, HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind,
 };
 use leap_repro::leap_sim_core::{DetRng, Nanos};
+use leap_repro::leap_workloads::{Access, AccessTrace};
 
 /// Counts every allocation (and reallocation) made through the global
 /// allocator, per thread: a test reads only its own thread's count, so the
@@ -456,4 +459,39 @@ fn page_table_touch_evict_map_cycle_does_not_allocate() {
     );
     assert_eq!(table.resident_pages(), RESIDENT);
     assert_eq!(table.touched_pages(), PAGES);
+}
+
+#[test]
+fn zipf_draws_do_not_allocate() {
+    let mut rng = DetRng::seed_from(17);
+    let allocs = count_allocs(|| {
+        for i in 0..4_096usize {
+            // Alternate keys so the memo is recomputed as well as hit.
+            let (n, theta) = if i % 512 < 500 {
+                (2_048, 0.99)
+            } else {
+                (512, 0.7)
+            };
+            assert!(rng.zipf(n, theta) < n);
+        }
+    });
+    assert_eq!(allocs, 0, "4096 zipf draws allocated {allocs} times");
+}
+
+#[test]
+fn repeated_working_set_queries_do_not_allocate() {
+    let trace = AccessTrace::new(
+        "ws",
+        (0..4_096u64)
+            .map(|i| Access::read(i * 7 % 1_000, Nanos::ZERO))
+            .collect(),
+    );
+    assert_eq!(trace.working_set_pages(), 1_000);
+    let allocs = count_allocs(|| {
+        assert_eq!(trace.working_set_pages(), 1_000);
+    });
+    assert_eq!(
+        allocs, 0,
+        "a second working-set query allocated {allocs} times"
+    );
 }

@@ -178,15 +178,16 @@ pub trait DataPath: Send + std::fmt::Debug {
     /// Serves a single 4 KB page write, returning its latency breakdown.
     fn write_page(&mut self, page_offset: u64, core: usize, now: Nanos) -> PathLatency;
 
-    /// Serves a whole span of page reads issued together — same core, same
-    /// instant, as when an admitted prefetch span goes out — pushing each
-    /// read's end-to-end total onto `totals` (one entry per page, in order)
-    /// and returning the aggregate breakdown with per-stage sums over the
-    /// span.
+    /// Serves a span of page reads issued from one core at one instant,
+    /// pushing each read's end-to-end total onto `totals` (one entry per
+    /// page, in order) and returning the aggregate breakdown with per-stage
+    /// sums over the span.
     ///
     /// This is a provided loop over [`DataPath::read_page`], and both data
     /// paths use it as is: a span issues exactly the per-page requests, in
-    /// order.
+    /// order. The engine admits prefetches one page at a time and does not
+    /// call it; the benchmark's traced pass does, to time the data path on
+    /// its own.
     fn read_span(
         &mut self,
         pages: &[u64],

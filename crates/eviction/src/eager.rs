@@ -10,7 +10,6 @@
 
 use leap_mem::{SwapCache, SwapSlot};
 use leap_sim_core::hash::FxHashMap;
-use leap_sim_core::Nanos;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -82,16 +81,6 @@ impl PrefetchFifoLru {
         self.stats.tracked = self.live as u64;
     }
 
-    /// Registers a whole prefetched span at once, in slice order, with one
-    /// counter update. Equivalent to calling
-    /// [`PrefetchFifoLru::on_prefetch_insert`] for each slot in order.
-    pub fn on_prefetch_insert_span(&mut self, slots: &[SwapSlot]) {
-        for &slot in slots {
-            self.push(slot);
-        }
-        self.stats.tracked = self.live as u64;
-    }
-
     fn push(&mut self, slot: SwapSlot) {
         self.fifo.push_back(slot);
         self.counts.entry(slot).or_default().0 += 1;
@@ -156,7 +145,10 @@ impl PrefetchFifoLru {
     /// appending the slots actually freed to `freed`. Slots whose cache
     /// entry is already gone leave the list without counting.
     ///
-    /// Returns the number of slots freed.
+    /// Returns how many of the freed entries were still unused prefetches
+    /// ([`CacheEntry::is_unused_prefetch`](leap_mem::CacheEntry::is_unused_prefetch)).
+    /// The rest were overwritten by a demand insert (a buffered write)
+    /// after their admission.
     pub fn reclaim_fifo(
         &mut self,
         cache: &mut SwapCache,
@@ -164,6 +156,7 @@ impl PrefetchFifoLru {
         freed: &mut Vec<SwapSlot>,
     ) -> u64 {
         let mut count = 0u64;
+        let mut unused = 0u64;
         while count < target {
             let Some(slot) = self.fifo.pop_front() else {
                 break;
@@ -182,14 +175,15 @@ impl PrefetchFifoLru {
                 continue;
             }
             self.live -= 1;
-            if cache.remove(slot).is_some() {
+            if let Some(entry) = cache.remove(slot) {
                 self.stats.freed_unconsumed += 1;
                 freed.push(slot);
                 count += 1;
+                unused += u64::from(entry.is_unused_prefetch());
             }
         }
         self.stats.tracked = self.live as u64;
-        count
+        unused
     }
 
     /// Number of prefetched pages currently awaiting consumption.
@@ -206,23 +200,13 @@ impl PrefetchFifoLru {
     pub fn stats(&self) -> EagerEvictionStats {
         self.stats
     }
-
-    /// The page-allocation wait-time saving of eager eviction relative to a
-    /// lazy scan that would have had to walk `lazy_scan_pages` extra pages at
-    /// `scan_cost_per_page` each.
-    ///
-    /// This is the quantity behind the paper's "page allocation time reduced
-    /// by ~750 ns (36 %)" claim: the allocator no longer waits for consumed
-    /// prefetch pages to be scanned out.
-    pub fn allocation_wait_saving(lazy_scan_pages: u64, scan_cost_per_page: Nanos) -> Nanos {
-        scan_cost_per_page * lazy_scan_pages
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use leap_mem::{CacheOrigin, Pid};
+    use leap_sim_core::Nanos;
     use proptest::prelude::*;
 
     fn prefetched_cache(n: u64) -> (SwapCache, PrefetchFifoLru) {
@@ -294,16 +278,6 @@ mod tests {
         assert!(fifo.is_empty());
         let nothing = reclaim(&mut fifo, &mut cache, 1);
         assert!(nothing.is_empty());
-    }
-
-    #[test]
-    fn allocation_wait_saving_scales_with_scanned_pages() {
-        let saving = PrefetchFifoLru::allocation_wait_saving(10, Nanos::from_nanos(80));
-        assert_eq!(saving, Nanos::from_nanos(800));
-        assert_eq!(
-            PrefetchFifoLru::allocation_wait_saving(0, Nanos::from_nanos(80)),
-            Nanos::ZERO
-        );
     }
 
     #[test]
@@ -415,8 +389,8 @@ mod tests {
 
         /// The skip-count FIFO is observably the linear FIFO: the same hit
         /// and reclaim results, victims in the same order, and the same
-        /// `len()` and `stats()` after every step of random insert,
-        /// span-insert, hit, external-removal and reclaim sequences over a
+        /// `len()` and `stats()` after every step of random run-insert, hit,
+        /// external-removal and reclaim sequences over a
         /// small slot space (so slots are queued repeatedly and entries go
         /// stale). Hit-heavy mixes drive the compaction pass too.
         #[test]
@@ -429,24 +403,15 @@ mod tests {
             let mut ref_cache = SwapCache::unbounded();
             let mut fifo = PrefetchFifoLru::new();
             let mut reference = LinearFifo::default();
-            let mut span = Vec::new();
             let mut freed = Vec::new();
             for (op, slot, n) in ops {
                 match op {
                     0 | 1 => {
-                        span.clear();
-                        span.extend((slot..slot + n.max(1)).map(SwapSlot));
-                        for &s in &span {
+                        for s in (slot..slot + n.max(1)).map(SwapSlot) {
                             cache.insert(s, Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
                             ref_cache.insert(s, Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
                             reference.insert(s);
-                        }
-                        if op == 0 {
-                            for &s in &span {
-                                fifo.on_prefetch_insert(s);
-                            }
-                        } else {
-                            fifo.on_prefetch_insert_span(&span);
+                            fifo.on_prefetch_insert(s);
                         }
                     }
                     2 => {

@@ -51,17 +51,6 @@ pub trait CacheEvictor: std::fmt::Debug + Send {
     /// Notifies the policy that `slot` entered the cache.
     fn on_insert(&mut self, slot: SwapSlot, origin: CacheOrigin);
 
-    /// Notifies the policy that a whole prefetch span entered the cache,
-    /// in slice order. Must be observably identical to calling
-    /// [`CacheEvictor::on_insert`] per slot (the default does exactly
-    /// that); policies override it to batch their bookkeeping — the engine
-    /// calls this once per admitted span instead of once per page.
-    fn on_insert_span(&mut self, slots: &[SwapSlot], origin: CacheOrigin) {
-        for &slot in slots {
-            self.on_insert(slot, origin);
-        }
-    }
-
     /// Notifies the policy that `slot` left the cache for reasons outside
     /// its control.
     fn on_remove(&mut self, slot: SwapSlot);
@@ -159,17 +148,6 @@ impl CacheEvictor for EagerEvictor {
         }
     }
 
-    fn on_insert_span(&mut self, slots: &[SwapSlot], origin: CacheOrigin) {
-        match origin {
-            CacheOrigin::Prefetch => self.fifo.on_prefetch_insert_span(slots),
-            CacheOrigin::Demand => {
-                for &slot in slots {
-                    self.fallback.on_insert(slot);
-                }
-            }
-        }
-    }
-
     fn on_remove(&mut self, slot: SwapSlot) {
         self.fallback.on_remove(slot);
     }
@@ -200,6 +178,7 @@ impl CacheEvictor for EagerEvictor {
         let mut report = EvictionReport::default();
         self.victims.clear();
         report.freed_unused_prefetches = self.fifo.reclaim_fifo(cache, target, &mut self.victims);
+        report.freed_other = self.victims.len() as u64 - report.freed_unused_prefetches;
         if report.freed_total() < target {
             // No unconsumed prefetches left: fall back to LRU over whatever
             // remains (demand entries). Eager eviction has no post-hit waits
@@ -316,7 +295,6 @@ impl CacheEvictor for LazyEvictor {
 mod tests {
     use super::*;
     use leap_mem::Pid;
-    use proptest::prelude::*;
 
     fn insert(cache: &mut SwapCache, e: &mut dyn CacheEvictor, slot: u64, origin: CacheOrigin) {
         cache.insert(SwapSlot(slot), Pid(1), origin, Nanos::ZERO);
@@ -396,53 +374,6 @@ mod tests {
         let mut e2 = LazyEvictor::with_config(LazyReclaimerConfig::default(), 4);
         insert(&mut small, &mut e2, 1, CacheOrigin::Prefetch);
         assert!(e2.background_reclaim(&mut small, Nanos::ZERO).is_none());
-    }
-
-    proptest! {
-        /// Span-notified inserts are observably identical to per-page
-        /// notification for both policies: same hit reactions, same
-        /// eviction victims in the same (FIFO / LRU) order.
-        #[test]
-        fn prop_on_insert_span_matches_per_page_loop(
-            span in proptest::collection::vec((0u64..64, any::<bool>()), 1..24),
-            hits in proptest::collection::vec(0u64..64, 0..12),
-            target in 1u64..24,
-        ) {
-            let eviction_order = |use_span: bool, lazy: bool| {
-                let mut cache = SwapCache::unbounded();
-                let mut evictor: Box<dyn CacheEvictor> = if lazy {
-                    Box::new(LazyEvictor::new())
-                } else {
-                    Box::new(EagerEvictor::new())
-                };
-                let slots: Vec<SwapSlot> = span.iter().map(|&(s, _)| SwapSlot(s)).collect();
-                let origin = CacheOrigin::Prefetch;
-                for &slot in &slots {
-                    cache.insert(slot, Pid(1), origin, Nanos::ZERO);
-                }
-                if use_span {
-                    evictor.on_insert_span(&slots, origin);
-                } else {
-                    for &slot in &slots {
-                        evictor.on_insert(slot, origin);
-                    }
-                }
-                let mut hit_frees = Vec::new();
-                for &h in &hits {
-                    let slot = SwapSlot(h);
-                    if cache.record_hit(slot, Nanos::from_micros(1)).is_some() {
-                        hit_frees.push(evictor.on_hit(slot, origin, &mut cache));
-                    }
-                }
-                let report = evictor.make_space(&mut cache, target, Nanos::from_micros(9));
-                let mut remaining: Vec<u64> = cache.iter().map(|(s, _)| s.0).collect();
-                remaining.sort_unstable();
-                (hit_frees, report.freed_total(), report.freed_unused_prefetches, remaining)
-            };
-            for lazy in [false, true] {
-                prop_assert_eq!(eviction_order(true, lazy), eviction_order(false, lazy));
-            }
-        }
     }
 
     #[test]

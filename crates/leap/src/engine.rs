@@ -75,19 +75,6 @@ pub(crate) struct EngineCore {
     /// engine, so budget enforcement and per-tenant eviction counts live in
     /// one place.
     tenant_limits: FxHashMap<Pid, MemoryLimit>,
-    /// Reusable scratch for span-batched prefetch admission (slots admitted
-    /// this span), so the fault hot path never allocates for it.
-    span_scratch: Vec<SwapSlot>,
-    /// Owner pids running parallel to `span_scratch`.
-    owner_scratch: Vec<Pid>,
-    /// Per-slot presence mask for the span's batched probe.
-    present_scratch: Vec<bool>,
-    /// Page offsets of the admitted span, handed to the data path's span
-    /// read in one call.
-    page_scratch: Vec<u64>,
-    /// Per-read totals the data path's span read fills in, replayed into
-    /// the async pipeline in page order.
-    total_scratch: Vec<Nanos>,
 }
 
 impl EngineCore {
@@ -114,11 +101,6 @@ impl EngineCore {
             pipeline: AsyncPipeline::new(config.async_depth),
             pending_stall: Nanos::ZERO,
             tenant_limits: FxHashMap::default(),
-            span_scratch: Vec::new(),
-            owner_scratch: Vec::new(),
-            present_scratch: Vec::new(),
-            page_scratch: Vec::new(),
-            total_scratch: Vec::new(),
             label: setup.label(),
             config,
         }
@@ -164,11 +146,6 @@ impl EngineCore {
             pipeline: AsyncPipeline::new(config.async_depth),
             pending_stall: Nanos::ZERO,
             tenant_limits: FxHashMap::default(),
-            span_scratch: Vec::new(),
-            owner_scratch: Vec::new(),
-            present_scratch: Vec::new(),
-            page_scratch: Vec::new(),
-            total_scratch: Vec::new(),
             label: self.label.clone(),
             config,
         }
@@ -278,27 +255,20 @@ impl EngineCore {
         })
     }
 
-    /// Serves a span of prefetch reads on one pinned core, the way a
-    /// faulting thread issues its whole prefetch window from the CPU it runs
-    /// on: one data-path span call, then one async-pipeline submission per
-    /// read in page order, so any in-flight-budget stall accumulates for the
-    /// front-end to charge via [`EngineCore::take_pending_stall`].
-    pub fn read_remote_span(&mut self, pages: &[u64], core: usize) -> PathLatency {
-        let mut totals = std::mem::take(&mut self.total_scratch);
-        totals.clear();
+    /// Issues one prefetch read on `core` (the core its span was drawn
+    /// for), then submits it to the async pipeline, so any
+    /// in-flight-budget stall accumulates for the front-end to charge via
+    /// [`EngineCore::take_pending_stall`].
+    fn read_prefetch(&mut self, page_offset: u64, core: usize) {
         let now = self.clock.now();
-        let aggregate = stage_timing::time(Stage::DataPath, || {
-            self.data_path.read_span(pages, core, now, &mut totals)
+        let breakdown = stage_timing::time(Stage::DataPath, || {
+            self.data_path.read_page(page_offset, core, now)
         });
-        for &total in &totals {
-            self.submit_async(total, IoKind::PrefetchRead);
-        }
-        self.total_scratch = totals;
-        aggregate
+        self.submit_async(breakdown.total(), IoKind::PrefetchRead);
     }
 
     /// Issues one write-back like [`EngineCore::write_remote`], then submits
-    /// it to the async pipeline (see [`EngineCore::read_remote_span`]).
+    /// it to the async pipeline (see [`EngineCore::read_prefetch`]).
     pub fn write_remote_async(&mut self, page_offset: u64) -> PathLatency {
         let breakdown = self.write_remote(page_offset);
         self.submit_async(breakdown.total(), IoKind::WriteBack);
@@ -452,18 +422,8 @@ impl EngineCore {
         }
     }
 
-    /// True when `extra` more pages fit under the whole-cache budget (so a
-    /// batched span insert cannot trip it mid-span).
-    fn budget_fits(&self, extra: u64) -> bool {
-        match self.cache_budget {
-            Some(budget) => self.cache.len() + extra <= budget,
-            None => true,
-        }
-    }
-
-    /// Makes room in an already-routed cache shard (the span-batched
-    /// admission path routes once per span, not once per page), honouring
-    /// both the shard's capacity and the whole-cache budget.
+    /// Makes room in cache shard `shard`, honouring both the shard's
+    /// capacity and the whole-cache budget.
     pub fn make_cache_space_at(&mut self, shard: usize) -> bool {
         if !self.cache.shard(shard).is_full() && !self.over_budget() {
             return true;
@@ -471,18 +431,12 @@ impl EngineCore {
         self.force_evict(shard)
     }
 
-    /// Admits a whole prefetch span into the cache: for each slot, probe
-    /// presence, make room, issue the read over the data path, and insert —
-    /// with routing done once per span and the statistics/eviction
-    /// bookkeeping batched whenever the span's shard has room for all of it
-    /// (then no eviction can interleave, so batch and per-page sequencing
-    /// are observably identical). `owners[i]` is the process whose page
-    /// lives in `slots[i]`.
-    ///
-    /// Decision-for-decision equivalent to the historical per-candidate
-    /// loop (probe, `make_cache_space`, `read_remote`,
-    /// `insert_prefetched`), which the spans-vs-loops property tests pin.
-    /// Returns how many prefetches were issued.
+    /// Admits a prefetch span into the cache, one candidate at a time:
+    /// probe presence, make room, issue the read, insert, count, and tell
+    /// the shard's eviction policy — so the policy sees every insert before
+    /// the next make-space call. `owners[i]` is the process whose page
+    /// lives in `slots[i]`. A duplicate candidate finds its first copy
+    /// present and is skipped. Returns how many prefetches were issued.
     pub fn admit_prefetch_span(&mut self, slots: &[SwapSlot], owners: &[Pid]) -> u32 {
         debug_assert_eq!(slots.len(), owners.len());
         if slots.is_empty() {
@@ -491,35 +445,21 @@ impl EngineCore {
         // One core per span: the faulting thread issues its whole prefetch
         // window from the CPU it runs on.
         let core = self.next_core();
-        let span_shard = self.cache.span_shard(slots);
-        if let Some(shard) = span_shard {
-            if self.cache.shard(shard).free_pages() >= slots.len() as u64
-                && self.budget_fits(slots.len() as u64)
-            {
-                return self.admit_span_batched(shard, core, slots, owners);
-            }
-        }
-        // Careful path: the span straddles shards or its shard may have to
-        // evict mid-span, so keep strict per-slot sequencing (the eviction
-        // policy must see every insert before the next make-space call).
         let mut issued = 0u32;
-        for (i, &slot) in slots.iter().enumerate() {
-            let shard = span_shard.unwrap_or_else(|| self.cache.shard_of(slot));
+        for (&slot, &owner) in slots.iter().zip(owners) {
+            let shard = self.cache.shard_of(slot);
             if stage_timing::time(Stage::Cache, || self.cache.shard(shard).contains(slot)) {
                 continue;
             }
             if !self.make_cache_space_at(shard) {
                 continue;
             }
-            let _ = self.read_remote_span(&[slot.0], core);
+            self.read_prefetch(slot.0, core);
             let now = self.clock.now();
             stage_timing::time(Stage::Cache, || {
-                self.cache.shard_mut(shard).insert_fresh(
-                    slot,
-                    owners[i],
-                    CacheOrigin::Prefetch,
-                    now,
-                )
+                self.cache
+                    .shard_mut(shard)
+                    .insert_fresh(slot, owner, CacheOrigin::Prefetch, now)
             });
             self.result.cache_stats.record_add(1);
             self.result.prefetch_stats.record_prefetched(1);
@@ -529,78 +469,6 @@ impl EngineCore {
             });
             issued += 1;
         }
-        issued
-    }
-
-    /// The no-eviction-possible fast path of [`EngineCore::admit_prefetch_span`]:
-    /// one presence probe for the whole span, one data-path span read for
-    /// every admitted page, then one batched insert pass, one evictor
-    /// notification, and one statistics update.
-    fn admit_span_batched(
-        &mut self,
-        shard: usize,
-        core: usize,
-        slots: &[SwapSlot],
-        owners: &[Pid],
-    ) -> u32 {
-        let mut admitted = std::mem::take(&mut self.span_scratch);
-        let mut admitted_owners = std::mem::take(&mut self.owner_scratch);
-        let mut present = std::mem::take(&mut self.present_scratch);
-        let mut pages = std::mem::take(&mut self.page_scratch);
-        admitted.clear();
-        admitted_owners.clear();
-        present.clear();
-        present.resize(slots.len(), false);
-        pages.clear();
-        // One routed presence probe for the whole span; sound because the
-        // cache is not mutated until the insert pass below.
-        stage_timing::time(Stage::Cache, || {
-            self.cache.contains_span(slots, &mut present);
-        });
-        for (i, &slot) in slots.iter().enumerate() {
-            // The in-span duplicate guard stands in for the presence check
-            // a per-page loop would have re-done after each insert
-            // (prefetchers outside this crate may emit duplicate
-            // candidates); spans are at most one prefetch window, so the
-            // linear scan is cheaper than hashing.
-            if present[i] || admitted.contains(&slot) {
-                continue;
-            }
-            admitted.push(slot);
-            admitted_owners.push(owners[i]);
-            pages.push(slot.0);
-        }
-        // All the span's reads go out in one data-path call, issued and
-        // submitted to the pipeline in page order.
-        if !pages.is_empty() {
-            let _ = self.read_remote_span(&pages, core);
-        }
-        self.page_scratch = pages;
-        let now = self.clock.now();
-        stage_timing::time(Stage::Cache, || {
-            self.cache.insert_fresh_span(
-                shard,
-                &admitted,
-                &admitted_owners,
-                CacheOrigin::Prefetch,
-                now,
-            );
-        });
-        stage_timing::time(Stage::Eviction, || {
-            self.evictors[shard].on_insert_span(&admitted, CacheOrigin::Prefetch)
-        });
-        let issued = admitted.len() as u32;
-        self.result.cache_stats.record_add(issued as u64);
-        self.result.prefetch_stats.record_prefetched(issued as u64);
-        // One outcome event per admitted page, in span order — the same
-        // fold sequence the careful path (and the per-candidate reference)
-        // produces for these pages.
-        for &slot in &admitted {
-            self.result.prefetch_outcomes.record_prefetched(slot.0);
-        }
-        self.span_scratch = admitted;
-        self.owner_scratch = admitted_owners;
-        self.present_scratch = present;
         issued
     }
 
@@ -616,35 +484,18 @@ impl EngineCore {
         freed
     }
 
-    /// Inserts a prefetched page into its cache shard (the transfer itself
-    /// has already been issued over the data path) and updates every
-    /// counter. Returns `true` if the insert took place. Kept test-only:
-    /// both front-ends admit prefetches through
-    /// [`EngineCore::admit_prefetch_span`] now; the per-candidate reference
-    /// paths the equivalence tests replay still sequence through this.
-    #[cfg(test)]
-    pub fn insert_prefetched(&mut self, slot: SwapSlot, owner: Pid) -> bool {
-        let now = self.clock.now();
-        if stage_timing::time(Stage::Cache, || {
-            self.cache.insert(slot, owner, CacheOrigin::Prefetch, now)
-        }) {
-            self.result.cache_stats.record_add(1);
-            self.result.prefetch_stats.record_prefetched(1);
-            self.result.prefetch_outcomes.record_prefetched(slot.0);
-            let shard = self.cache.shard_of(slot);
-            stage_timing::time(Stage::Eviction, || {
-                self.evictors[shard].on_insert(slot, CacheOrigin::Prefetch)
-            });
-            true
-        } else {
-            false
-        }
-    }
-
     /// Inserts a demand-fetched page into its cache shard, notifying the
     /// shard's eviction policy. Returns `true` if the insert took place.
+    ///
+    /// A buffered write can land on a prefetched page nobody has read yet.
+    /// The written data replaces the prefetched copy, so that prefetch is
+    /// booked wasted here: the demand entry that replaces it carries no
+    /// outcome of its own.
     pub fn insert_demand(&mut self, slot: SwapSlot, owner: Pid) -> bool {
         let now = self.clock.now();
+        if self.cache.get(slot).is_some_and(|e| e.is_unused_prefetch()) {
+            self.result.prefetch_outcomes.record_wasted_evicted(1);
+        }
         if stage_timing::time(Stage::Cache, || {
             self.cache.insert(slot, owner, CacheOrigin::Demand, now)
         }) {
@@ -762,6 +613,20 @@ impl EngineCore {
                 .or_default()
                 .merge(&ledger);
         }
+        // Audit (test builds): admission books every prefetch into both
+        // ledgers at once, and each prefetched page ends with exactly one
+        // outcome.
+        let outcomes = &self.result.prefetch_outcomes;
+        debug_assert_eq!(
+            outcomes.prefetched(),
+            self.result.prefetch_stats.pages_prefetched(),
+            "prefetch ledgers disagree"
+        );
+        debug_assert_eq!(
+            outcomes.covered() + outcomes.wasted_evicted() + outcomes.wasted_unconsumed(),
+            outcomes.prefetched(),
+            "prefetch outcomes do not partition the prefetched pages"
+        );
     }
 
     /// Finishes the run.

@@ -53,11 +53,6 @@ pub struct VfsSimulator {
     /// Owner pids running parallel to `span_slots` (all the reading pid:
     /// the VFS caches file pages for whoever read them).
     span_pids: Vec<Pid>,
-    /// Replays prefetch admission per candidate instead of per span — the
-    /// historical sequencing kept as the reference the span-equivalence
-    /// test pins the new path against.
-    #[cfg(test)]
-    per_candidate_reference: bool,
 }
 
 impl VfsSimulator {
@@ -80,8 +75,6 @@ impl VfsSimulator {
             engine: EngineCore::new(setup, 0xF5),
             span_slots: Vec::new(),
             span_pids: Vec::new(),
-            #[cfg(test)]
-            per_candidate_reference: false,
         }
     }
 
@@ -119,17 +112,11 @@ impl VfsSimulator {
         self.ensure_cache_room(slot);
         self.engine.insert_demand(slot, pid);
 
-        // Prefetch neighbouring file pages, admitted span-at-a-time: the
-        // engine probes presence, makes room (under the file-cache budget —
+        // Prefetch neighbouring file pages: per candidate, the engine
+        // probes presence, makes room (under the file-cache budget —
         // `EngineCore::make_cache_space_at` is budget-aware), issues the
-        // reads, and inserts, batching the bookkeeping whenever the whole
-        // span fits without eviction.
+        // read, and inserts.
         let decision = self.engine.prefetch_decision(pid, PageAddr(page));
-        #[cfg(test)]
-        if self.per_candidate_reference {
-            let issued = self.admit_per_candidate(pid, &decision);
-            return (latency, AccessOutcome::RemoteFetch, issued);
-        }
         self.span_slots.clear();
         self.span_slots
             .extend(decision.iter().map(|c| SwapSlot(c.0)));
@@ -139,42 +126,6 @@ impl VfsSimulator {
             .engine
             .admit_prefetch_span(&self.span_slots, &self.span_pids);
         (latency, AccessOutcome::RemoteFetch, issued)
-    }
-
-    /// The historical per-candidate admission loop (probe, make room, read,
-    /// insert — one page at a time). Kept only as the reference the
-    /// `span_admission_matches_per_candidate_reference` test replays against
-    /// the span-batched path.
-    #[cfg(test)]
-    fn admit_per_candidate(
-        &mut self,
-        pid: Pid,
-        decision: &leap_prefetcher::PrefetchDecision,
-    ) -> u32 {
-        let mut issued = 0u32;
-        // Like the span path, the reference draws one core per non-empty
-        // candidate list and issues every read from it.
-        let mut span_core: Option<usize> = None;
-        for candidate in decision.iter() {
-            let core = match span_core {
-                Some(core) => core,
-                None => {
-                    let core = self.engine.next_core();
-                    span_core = Some(core);
-                    core
-                }
-            };
-            let cslot = SwapSlot(candidate.0);
-            if self.engine.cache.contains(cslot) {
-                continue;
-            }
-            self.ensure_cache_room(cslot);
-            let _ = self.engine.read_remote_span(&[candidate.0], core);
-            if self.engine.insert_prefetched(cslot, pid) {
-                issued += 1;
-            }
-        }
-        issued
     }
 
     /// Frees cache space for `slot` when the local file-cache budget or the
@@ -331,95 +282,6 @@ mod tests {
         let b = VfsSimulator::new(config).run(&trace);
         assert_eq!(a.completion_time, b.completion_time);
         assert_eq!(a.cache_stats, b.cache_stats);
-    }
-
-    /// The span-batched prefetch admission must be observably identical to
-    /// the historical per-candidate loop: every counter, every latency
-    /// distribution, across budgets and eviction pressure.
-    #[test]
-    fn span_admission_matches_per_candidate_reference() {
-        use leap_sim_core::units::KIB;
-        use leap_workloads::{AppKind, AppModel};
-
-        let mut workloads = vec![
-            stride_trace(4 * MIB, 10, 1),
-            sequential_trace(4 * MIB, 2),
-            AppModel::new(AppKind::PowerGraph, 17)
-                .with_working_set(2 * MIB)
-                .with_accesses(3_000)
-                .generate(),
-        ];
-        // A write-heavy mix exercises the buffered-write room-making too.
-        let mut mixed: Vec<Access> = (0..256u64).map(|p| Access::write(p, Nanos::ZERO)).collect();
-        mixed.extend((0..512u64).map(|p| Access::read(p, Nanos::from_nanos(120))));
-        workloads.push(AccessTrace::new("mixed", mixed));
-
-        let configs = vec![
-            SimConfig::leap_defaults(),
-            SimConfig::linux_defaults(),
-            leap_at(0.25),
-            leap_at(1.0),
-            // A tightly bounded prefetch cache forces the careful
-            // (eviction-interleaved) admission path.
-            SimConfig::builder()
-                .memory_fraction(0.5)
-                .prefetch_cache_pages(32)
-                .build()
-                .unwrap(),
-            SimConfig::builder()
-                .eviction(EvictionPolicy::Lazy)
-                .memory_fraction(0.5)
-                .build()
-                .unwrap(),
-            // A tiny working-set fraction keeps the budget, not the shard
-            // capacity, the binding constraint.
-            SimConfig::builder()
-                .memory_fraction(0.5)
-                .prefetch_cache_pages(16 * KIB)
-                .build()
-                .unwrap(),
-        ];
-
-        for trace in &workloads {
-            for config in &configs {
-                let mut span = VfsSimulator::new(*config).run(trace);
-                let mut reference = {
-                    let mut sim = VfsSimulator::new(*config);
-                    sim.per_candidate_reference = true;
-                    sim.run(trace)
-                };
-                assert_eq!(
-                    span.completion_time,
-                    reference.completion_time,
-                    "completion diverged: {} under {}",
-                    trace.name(),
-                    config.label()
-                );
-                assert_eq!(span.total_accesses, reference.total_accesses);
-                assert_eq!(span.remote_accesses, reference.remote_accesses);
-                assert_eq!(span.cache_stats, reference.cache_stats);
-                assert_eq!(
-                    span.prefetch_stats.pages_prefetched(),
-                    reference.prefetch_stats.pages_prefetched()
-                );
-                assert_eq!(
-                    span.prefetch_stats.prefetch_hits(),
-                    reference.prefetch_stats.prefetch_hits()
-                );
-                assert_eq!(
-                    span.access_latency.sorted_samples(),
-                    reference.access_latency.sorted_samples()
-                );
-                assert_eq!(
-                    span.remote_access_latency.sorted_samples(),
-                    reference.remote_access_latency.sorted_samples()
-                );
-                assert_eq!(
-                    span.eviction_wait.sorted_samples(),
-                    reference.eviction_wait.sorted_samples()
-                );
-            }
-        }
     }
 
     #[test]

@@ -73,15 +73,11 @@ pub struct VmmSimulator {
     page_tables: FxHashMap<Pid, PageTable>,
     frames: FramePool,
     swap: ShardedSwap,
-    /// Reusable scratch for span-batched prefetch admission: the span's
-    /// swap slots, their owners (batch-probed), and the kept owners'
-    /// pids. Allocated once; the fault hot path never grows them past the
-    /// first few faults.
+    /// Reusable scratch for prefetch admission: the kept candidates' swap
+    /// slots and their owners' pids. Allocated once; the fault hot path
+    /// never grows them past the first few faults.
     span_slots: Vec<SwapSlot>,
-    span_owners: Vec<Option<(Pid, VirtPage)>>,
     span_pids: Vec<Pid>,
-    span_pages: Vec<VirtPage>,
-    span_states: Vec<PageState>,
     /// Explicit per-tenant budget overrides (`pid.0` → resident pages),
     /// taking precedence over the `memory_fraction`-derived limit when the
     /// process registers. Set by the service layer's admission control.
@@ -120,10 +116,7 @@ impl VmmSimulator {
             frames: FramePool::new(u64::MAX / 2),
             swap: ShardedSwap::new(1, SWAP_CAPACITY),
             span_slots: Vec::new(),
-            span_owners: Vec::new(),
             span_pids: Vec::new(),
-            span_pages: Vec::new(),
-            span_states: Vec::new(),
             tenant_budget_pages: FxHashMap::default(),
             prepopulate_multi: false,
         }
@@ -257,102 +250,29 @@ impl VmmSimulator {
     /// Reads the prefetch candidates into the swap cache (asynchronously
     /// with respect to the faulting access). Returns how many were issued.
     ///
-    /// Span-batched: the candidate span's swap owners are probed in one
-    /// routed pass ([`ShardedSwap::owners_span`]), the resulting keep-list
-    /// is filtered against residency, and the surviving span is admitted
-    /// through [`EngineCore::admit_prefetch_span`] — one shard route (and
-    /// batched eviction/statistics bookkeeping) per span instead of per
-    /// page. All pre-filters are read-only with respect to the state the
-    /// admission loop mutates, so the outcome is identical to the
-    /// historical per-candidate loop.
+    /// Only pages that are swapped out and not resident in their owner's
+    /// page table can be prefetched; the survivors go to
+    /// [`EngineCore::admit_prefetch_span`], which probes the cache, makes
+    /// room (Figure 12's bounded cache) and issues the reads (off the
+    /// critical path: only dispatch-queue occupancy matters).
     fn issue_prefetches(&mut self, candidates: &[PageAddr]) -> u32 {
-        if candidates.is_empty() {
-            return 0;
-        }
         self.span_slots.clear();
-        self.span_slots
-            .extend(candidates.iter().map(|c| SwapSlot(c.0)));
-        self.span_owners.clear();
-        self.span_owners.resize(self.span_slots.len(), None);
-        // Only pages that are actually swapped out can be prefetched; the
-        // batch probe routes the span to its owning swap region once.
-        self.swap
-            .owners_span(&self.span_slots, &mut self.span_owners);
-
-        // Compact the span down to prefetchable candidates: swapped out and
-        // not already resident in their owner's page table.
-        //
-        // Common case first: every owned slot belongs to one process (the
-        // span follows one process's trend through its own swap region), so
-        // the owner's page table answers the whole span in one batched
-        // probe ([`PageTable::lookup_span`]) after a single process-map
-        // lookup. Mixed-owner spans fall back to per-slot probes.
         self.span_pids.clear();
-        let mut kept = 0usize;
-        let mut single_owner: Option<Pid> = None;
-        let mut mixed = false;
-        for (pid, _) in self.span_owners.iter().flatten() {
-            match single_owner {
-                None => single_owner = Some(*pid),
-                Some(p) if p != *pid => {
-                    mixed = true;
-                    break;
-                }
-                _ => {}
+        for candidate in candidates {
+            let slot = SwapSlot(candidate.0);
+            let Some((pid, page)) = self.swap.owner(slot) else {
+                continue;
+            };
+            if self
+                .page_tables
+                .get(&pid)
+                .is_some_and(|table| table.is_resident(page))
+            {
+                continue;
             }
+            self.span_slots.push(slot);
+            self.span_pids.push(pid);
         }
-        match single_owner {
-            Some(pid) if !mixed && self.page_tables.contains_key(&pid) => {
-                self.span_pages.clear();
-                self.span_pages.extend(
-                    self.span_owners
-                        .iter()
-                        .filter_map(|o| o.map(|(_, page)| page)),
-                );
-                self.span_states.clear();
-                self.span_states
-                    .resize(self.span_pages.len(), PageState::Untouched);
-                self.page_tables
-                    .get(&pid)
-                    .expect("checked above")
-                    .lookup_span(&self.span_pages, &mut self.span_states);
-                let mut owned = 0usize;
-                for i in 0..self.span_slots.len() {
-                    if self.span_owners[i].is_none() {
-                        continue;
-                    }
-                    let resident = matches!(self.span_states[owned], PageState::Resident(_));
-                    owned += 1;
-                    if resident {
-                        continue;
-                    }
-                    self.span_slots[kept] = self.span_slots[i];
-                    self.span_pids.push(pid);
-                    kept += 1;
-                }
-            }
-            _ => {
-                for i in 0..self.span_slots.len() {
-                    let Some((owner_pid, owner_page)) = self.span_owners[i] else {
-                        continue;
-                    };
-                    if let Some(table) = self.page_tables.get(&owner_pid) {
-                        if table.is_resident(owner_page) {
-                            continue;
-                        }
-                    }
-                    self.span_slots[kept] = self.span_slots[i];
-                    self.span_pids.push(owner_pid);
-                    kept += 1;
-                }
-            }
-        }
-        self.span_slots.truncate(kept);
-
-        // Presence probes, room-making (Figure 12's bounded cache), the
-        // reads themselves (off the critical path: only dispatch-queue
-        // occupancy matters), and the inserts all happen span-at-a-time in
-        // the engine.
         self.engine
             .admit_prefetch_span(&self.span_slots, &self.span_pids)
     }
@@ -427,10 +347,7 @@ impl VmmSimulator {
                     frames: FramePool::new(u64::MAX / 2),
                     swap: ShardedSwap::region(core, shards, SWAP_CAPACITY),
                     span_slots: Vec::new(),
-                    span_owners: Vec::new(),
                     span_pids: Vec::new(),
-                    span_pages: Vec::new(),
-                    span_states: Vec::new(),
                     tenant_budget_pages: self.tenant_budget_pages.clone(),
                     prepopulate_multi: self.prepopulate_multi,
                 };

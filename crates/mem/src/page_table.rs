@@ -92,19 +92,6 @@ impl PageTable {
         }
     }
 
-    /// The state of every page in `pages`, written into `out` (batch probe:
-    /// one call per prefetch span instead of one virtual-dispatch round trip
-    /// per page).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `pages`.
-    pub fn lookup_span(&self, pages: &[VirtPage], out: &mut [PageState]) {
-        for (i, &page) in pages.iter().enumerate() {
-            out[i] = self.lookup(page);
-        }
-    }
-
     /// Returns the state of a virtual page.
     pub fn lookup(&self, page: VirtPage) -> PageState {
         match self.index.get(&page) {
@@ -386,27 +373,6 @@ mod tests {
     }
 
     proptest! {
-        /// `lookup_span` ≡ a per-page `lookup` loop.
-        #[test]
-        fn prop_lookup_span_matches_loop(
-            ops in proptest::collection::vec((0u64..32, any::<bool>()), 0..100),
-            span in proptest::collection::vec(0u64..48, 0..16),
-        ) {
-            let mut pt = PageTable::with_capacity(32);
-            for (page, map_in) in ops {
-                if map_in {
-                    pt.map(VirtPage(page), FrameId(page));
-                } else {
-                    let _ = pt.swap_out_lru(SwapSlot(page));
-                }
-            }
-            let pages: Vec<VirtPage> = span.iter().copied().map(VirtPage).collect();
-            let mut batched = vec![PageState::Untouched; pages.len()];
-            pt.lookup_span(&pages, &mut batched);
-            let looped: Vec<PageState> = pages.iter().map(|&p| pt.lookup(p)).collect();
-            prop_assert_eq!(batched, looped);
-        }
-
         /// The resident counter always matches the number of pages on the
         /// resident LRU list.
         #[test]

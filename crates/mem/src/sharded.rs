@@ -125,40 +125,6 @@ impl ShardedSwap {
         self.shards[self.shard_of(slot)].owner(slot)
     }
 
-    /// The shard owning *every* slot of `slots`, if they all route to one
-    /// shard (prefetch spans follow one trend from one faulting slot, so in
-    /// the common case the whole span lives in one region). Computed from
-    /// the span's extremes — no per-slot routing. `None` for an empty span
-    /// or one that straddles a region boundary.
-    pub fn span_shard(&self, slots: &[SwapSlot]) -> Option<usize> {
-        span_shard_by(slots, self.span, self.shards.len())
-    }
-
-    /// Batch owner lookup for a prefetch span: routes the span to its shard
-    /// once (falling back to per-slot routing across a region boundary) and
-    /// writes each slot's owner into `out`.
-    ///
-    /// Equivalent to calling [`ShardedSwap::owner`] per slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `slots`.
-    pub fn owners_span(&self, slots: &[SwapSlot], out: &mut [Option<(Pid, VirtPage)>]) {
-        match self.span_shard(slots) {
-            Some(shard) => {
-                let space = &self.shards[shard];
-                for (i, &slot) in slots.iter().enumerate() {
-                    out[i] = space.owner(slot);
-                }
-            }
-            None => {
-                for (i, &slot) in slots.iter().enumerate() {
-                    out[i] = self.owner(slot);
-                }
-            }
-        }
-    }
-
     /// Number of slots currently in use across all shards.
     pub fn used_slots(&self) -> u64 {
         self.shards.iter().map(|s| s.used_slots()).sum()
@@ -245,11 +211,6 @@ impl ShardedSwapCache {
         self.shards.iter().all(|s| s.is_empty())
     }
 
-    /// True if the shard owning `slot` is at capacity.
-    pub fn is_full_for(&self, slot: SwapSlot) -> bool {
-        self.shards[self.shard_of(slot)].is_full()
-    }
-
     /// True if `slot` is cached.
     pub fn contains(&self, slot: SwapSlot) -> bool {
         self.shards[self.shard_of(slot)].contains(slot)
@@ -283,83 +244,11 @@ impl ShardedSwapCache {
     pub fn unused_prefetched(&self) -> u64 {
         self.shards.iter().map(|s| s.unused_prefetched()).sum()
     }
-
-    /// The shard owning *every* slot of `slots`, if they all route to one
-    /// shard — see [`ShardedSwap::span_shard`]. `None` for an empty span or
-    /// one that straddles a region boundary.
-    pub fn span_shard(&self, slots: &[SwapSlot]) -> Option<usize> {
-        span_shard_by(slots, self.span, self.shards.len())
-    }
-
-    /// Batch presence probe for a prefetch span: routes the span to its
-    /// shard once and writes per-slot presence into `out`. Equivalent to
-    /// calling [`ShardedSwapCache::contains`] per slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than `slots`.
-    pub fn contains_span(&self, slots: &[SwapSlot], out: &mut [bool]) {
-        match self.span_shard(slots) {
-            Some(shard) => {
-                let cache = &self.shards[shard];
-                for (i, &slot) in slots.iter().enumerate() {
-                    out[i] = cache.contains(slot);
-                }
-            }
-            None => {
-                for (i, &slot) in slots.iter().enumerate() {
-                    out[i] = self.contains(slot);
-                }
-            }
-        }
-    }
-
-    /// Installs a whole admitted prefetch span into an already-routed
-    /// `shard` in one pass: one [`SwapCache::insert_fresh`] (a single
-    /// hash-table operation) per page, no per-page routing. `pids[i]` owns
-    /// `slots[i]`.
-    ///
-    /// Same caller contract as `insert_fresh`: every slot was just probed
-    /// absent and the shard has room for the whole span (the engine's
-    /// span-admission fast path establishes exactly this before calling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pids` is shorter than `slots` or `shard` is out of range.
-    pub fn insert_fresh_span(
-        &mut self,
-        shard: usize,
-        slots: &[SwapSlot],
-        pids: &[Pid],
-        origin: CacheOrigin,
-        now: Nanos,
-    ) {
-        let cache = &mut self.shards[shard];
-        for (i, &slot) in slots.iter().enumerate() {
-            cache.insert_fresh(slot, pids[i], origin, now);
-        }
-    }
-}
-
-/// Shared span-routing rule: a span belongs to one shard iff its extreme
-/// slots do (regions are contiguous slot ranges, so everything in between
-/// routes identically).
-fn span_shard_by(slots: &[SwapSlot], span: u64, shards: usize) -> Option<usize> {
-    let (first, rest) = slots.split_first()?;
-    let (mut lo, mut hi) = (first.0, first.0);
-    for s in rest {
-        lo = lo.min(s.0);
-        hi = hi.max(s.0);
-    }
-    let shard_lo = ((lo / span) as usize).min(shards - 1);
-    let shard_hi = ((hi / span) as usize).min(shards - 1);
-    (shard_lo == shard_hi).then_some(shard_lo)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn regions_are_disjoint_and_sequential() {
@@ -445,101 +334,11 @@ mod tests {
         let mut cache = ShardedSwapCache::new(2, 1, 100);
         assert!(cache.insert(SwapSlot(0), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO));
         // Shard 0 is full; shard 1 still has room.
-        assert!(cache.is_full_for(SwapSlot(1)));
+        assert!(cache.shard(0).is_full());
         assert!(!cache.insert(SwapSlot(1), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO));
-        assert!(!cache.is_full_for(SwapSlot(150)));
+        assert!(!cache.shard(1).is_full());
         assert!(cache.insert(SwapSlot(150), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO));
         assert_eq!(cache.unused_prefetched(), 2);
-    }
-
-    #[test]
-    fn span_shard_routes_contiguous_spans_once() {
-        let cache = ShardedSwapCache::new(4, 8, 100);
-        // A span inside one region routes once.
-        let inside: Vec<SwapSlot> = (110..118).map(SwapSlot).collect();
-        assert_eq!(cache.span_shard(&inside), Some(1));
-        // Straddling a boundary cannot be routed as one span.
-        let straddle = [SwapSlot(99), SwapSlot(100)];
-        assert_eq!(cache.span_shard(&straddle), None);
-        // Empty spans have no shard.
-        assert_eq!(cache.span_shard(&[]), None);
-        // Alternating (speculative around-the-fault) spans route by their
-        // extremes.
-        let around = [SwapSlot(150), SwapSlot(148), SwapSlot(152)];
-        assert_eq!(cache.span_shard(&around), Some(1));
-    }
-
-    proptest! {
-        /// `contains_span` + `insert_fresh_span` are observably identical
-        /// to per-slot loops, for arbitrary slots (including spans
-        /// straddling region boundaries) and arbitrary pre-populated state.
-        #[test]
-        fn prop_cache_span_ops_match_per_page_loops(
-            prepopulate in proptest::collection::vec(0u64..400, 0..40),
-            span in proptest::collection::vec(0u64..400, 0..16),
-            per_shard in 1u64..12,
-        ) {
-            let build = || {
-                let mut c = ShardedSwapCache::new(4, per_shard, 100);
-                for &s in &prepopulate {
-                    let _ = c.insert(SwapSlot(s), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
-                }
-                c
-            };
-            let slots: Vec<SwapSlot> = span.iter().copied().map(SwapSlot).collect();
-
-            // contains_span ≡ contains loop.
-            let cache = build();
-            let mut batched = vec![false; slots.len()];
-            cache.contains_span(&slots, &mut batched);
-            let looped: Vec<bool> = slots.iter().map(|&s| cache.contains(s)).collect();
-            prop_assert_eq!(&batched, &looped);
-
-            // insert_fresh_span ≡ insert_fresh loop, under the admission
-            // path's precondition (the span's shard, slots probed absent,
-            // room for all of them): same final contents everywhere.
-            if let Some(shard) = cache.span_shard(&slots) {
-                let mut fresh: Vec<SwapSlot> = Vec::new();
-                for (i, &s) in slots.iter().enumerate() {
-                    if !batched[i] && !fresh.contains(&s) {
-                        fresh.push(s);
-                    }
-                }
-                prop_assume!(cache.shard(shard).free_pages() >= fresh.len() as u64);
-                let pids: Vec<Pid> = (0..fresh.len() as u32).map(Pid).collect();
-                let mut span_cache = build();
-                span_cache.insert_fresh_span(
-                    shard, &fresh, &pids, CacheOrigin::Demand, Nanos::from_micros(1),
-                );
-                let mut loop_cache = build();
-                for (i, &s) in fresh.iter().enumerate() {
-                    loop_cache
-                        .shard_mut(shard)
-                        .insert_fresh(s, pids[i], CacheOrigin::Demand, Nanos::from_micros(1));
-                }
-                prop_assert_eq!(span_cache.len(), loop_cache.len());
-                for s in (0u64..400).map(SwapSlot) {
-                    prop_assert_eq!(span_cache.get(s), loop_cache.get(s));
-                }
-            }
-        }
-
-        /// `owners_span` ≡ per-slot `owner` lookups.
-        #[test]
-        fn prop_swap_owners_span_matches_loop(
-            allocs in proptest::collection::vec((0usize..4, 0u64..64), 0..60),
-            span in proptest::collection::vec(0u64..400, 0..16),
-        ) {
-            let mut swap = ShardedSwap::new(4, 400);
-            for (core, page) in allocs {
-                let _ = swap.allocate_on(core, Pid(core as u32 + 1), VirtPage(page));
-            }
-            let slots: Vec<SwapSlot> = span.iter().copied().map(SwapSlot).collect();
-            let mut batched = vec![None; slots.len()];
-            swap.owners_span(&slots, &mut batched);
-            let looped: Vec<_> = slots.iter().map(|&s| swap.owner(s)).collect();
-            prop_assert_eq!(batched, looped);
-        }
     }
 
     #[test]
@@ -553,7 +352,7 @@ mod tests {
             CacheOrigin::Demand,
             Nanos::ZERO
         ));
-        assert!(cache.is_full_for(SwapSlot(7)));
+        assert!(cache.shard(0).is_full());
         assert!(!cache.insert(SwapSlot(7), Pid(1), CacheOrigin::Demand, Nanos::ZERO));
     }
 }

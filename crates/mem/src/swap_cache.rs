@@ -33,6 +33,13 @@ pub struct CacheEntry {
     pub first_hit_at: Option<Nanos>,
 }
 
+impl CacheEntry {
+    /// True for a prefetched page that was never hit (cache pollution).
+    pub fn is_unused_prefetch(&self) -> bool {
+        self.origin == CacheOrigin::Prefetch && self.first_hit_at.is_none()
+    }
+}
+
 /// The swap cache: a bounded map from swap slots to cached pages.
 ///
 /// Capacity is expressed in pages. A capacity of `u64::MAX` effectively means
@@ -153,8 +160,8 @@ impl SwapCache {
     }
 
     /// Inserts a page the caller has already verified to be absent and to
-    /// have room (the span-batched prefetch path probes presence and makes
-    /// space first): one hash-table operation instead of the
+    /// have room (prefetch admission probes presence and makes space
+    /// first): one hash-table operation instead of the
     /// presence-check-plus-insert pair [`SwapCache::insert`] performs.
     ///
     /// Behaviour is identical to `insert` under the stated precondition;
@@ -240,7 +247,7 @@ impl SwapCache {
     pub fn unused_prefetched(&self) -> u64 {
         self.entries
             .values()
-            .filter(|e| e.origin == CacheOrigin::Prefetch && e.first_hit_at.is_none())
+            .filter(|e| e.is_unused_prefetch())
             .count() as u64
     }
 }

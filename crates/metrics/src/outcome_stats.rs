@@ -5,7 +5,8 @@
 //! every prefetched page by what ultimately happened to it:
 //!
 //! - *covered* — the page was demanded (first cache hit) before eviction;
-//! - *wasted (evicted)* — the page was evicted unused;
+//! - *wasted (evicted)* — the page was evicted unused, or a buffered write
+//!   replaced it before anything read it;
 //! - *wasted (unconsumed)* — the page was still sitting unused in the cache
 //!   when the run ended.
 //!
@@ -53,7 +54,8 @@ pub struct PrefetchOutcomes {
     prefetched: u64,
     /// Prefetched pages demanded (first hit) before eviction.
     covered: u64,
-    /// Prefetched pages evicted without ever being hit.
+    /// Prefetched pages evicted (or replaced by a write) without ever being
+    /// hit.
     wasted_evicted: u64,
     /// Prefetched pages still unused in the cache when the run sealed.
     wasted_unconsumed: u64,
@@ -86,9 +88,8 @@ impl PrefetchOutcomes {
 
     /// Books one page admitted to the cache by prefetching. `slot` is the
     /// page's swap-slot word, folded into the checksum so the event stream —
-    /// not just the totals — is pinned. Called once per admitted page by
-    /// every admission path (span-batched, careful, and the per-candidate
-    /// reference), so the paths stay fold-for-fold identical.
+    /// not just the totals — is pinned. The engine's admission path calls
+    /// it once per admitted page, in candidate order.
     pub fn record_prefetched(&mut self, slot: u64) {
         self.prefetched += 1;
         self.fold(TAG_PREFETCHED, slot);
@@ -100,9 +101,9 @@ impl PrefetchOutcomes {
         self.fold(TAG_COVERED, slot);
     }
 
-    /// Books `pages` prefetched pages evicted unused. Zero-page reports are
-    /// not folded, so eviction passes that freed nothing leave quiet shards
-    /// quiet.
+    /// Books `pages` prefetched pages evicted unused (or replaced unread by
+    /// a buffered write). Zero-page reports are not folded, so eviction
+    /// passes that freed nothing leave quiet shards quiet.
     pub fn record_wasted_evicted(&mut self, pages: u64) {
         if pages == 0 {
             return;

@@ -385,8 +385,8 @@ fn eager_fifo_insert_hit_reclaim_cycle_does_not_allocate() {
             next += SPAN;
             for &slot in &span {
                 cache.insert_fresh(slot, Pid(1), CacheOrigin::Prefetch, now);
+                fifo.on_prefetch_insert(slot);
             }
-            fifo.on_prefetch_insert_span(&span);
             // Every slot but the span's last is consumed, out of order.
             for &slot in span[..SPAN as usize - 1].iter().rev() {
                 let (_, taken) = cache

@@ -22,7 +22,7 @@ use crate::components::{KindPrefetcherFactory, PrefetcherFactory};
 use crate::config::SimConfig;
 use leap_mem::Pid;
 use leap_prefetcher::{PageAddr, PrefetchDecision, Prefetcher, PrefetcherKind};
-use std::collections::HashMap;
+use leap_sim_core::hash::FxHashMap;
 use std::sync::Arc;
 
 pub use crate::components::build_prefetcher;
@@ -47,7 +47,7 @@ pub struct PageAccessTracker {
     /// Isolated prefetcher instances, keyed by `(process, core)`. The core
     /// component is always 0 unless [`PageAccessTracker::set_per_core`] has
     /// switched the tracker into per-core mode.
-    per_process: HashMap<(Pid, usize), Box<dyn Prefetcher>>,
+    per_process: FxHashMap<(Pid, usize), Box<dyn Prefetcher>>,
     shared: Box<dyn Prefetcher>,
     per_core: bool,
 }
@@ -64,7 +64,7 @@ impl PageAccessTracker {
             shared: factory.build(config),
             factory,
             config: *config,
-            per_process: HashMap::new(),
+            per_process: FxHashMap::default(),
             per_core: false,
         }
     }

@@ -54,7 +54,8 @@ const FAST_MAP: Nanos = Nanos(400);
 /// unmapping, queueing the write-back, which itself completes asynchronously).
 const SWAP_OUT_OVERHEAD: Nanos = Nanos(1_000);
 /// Total swap-slot capacity; large enough to never be the binding
-/// constraint, halved so per-shard region arithmetic cannot overflow.
+/// constraint even though freed slots are never reused, halved so per-shard
+/// region arithmetic cannot overflow.
 const SWAP_CAPACITY: u64 = u64::MAX / 2;
 
 /// The disaggregated-VMM simulator.
@@ -250,8 +251,8 @@ impl VmmSimulator {
     /// Reads the prefetch candidates into the swap cache (asynchronously
     /// with respect to the faulting access). Returns how many were issued.
     ///
-    /// Only pages that are swapped out and not resident in their owner's
-    /// page table can be prefetched; the survivors go to
+    /// Only pages that are swapped out (their slot has an owner) can be
+    /// prefetched; the survivors go to
     /// [`EngineCore::admit_prefetch_span`], which probes the cache, makes
     /// room (Figure 12's bounded cache) and issues the reads (off the
     /// critical path: only dispatch-queue occupancy matters).
@@ -263,13 +264,16 @@ impl VmmSimulator {
             let Some((pid, page)) = self.swap.owner(slot) else {
                 continue;
             };
-            if self
-                .page_tables
-                .get(&pid)
-                .is_some_and(|table| table.is_resident(page))
-            {
-                continue;
-            }
+            // A slot keeps its owner exactly while the page is swapped out:
+            // `make_room` allocates it as the page leaves its table, and
+            // `remote_access` frees it before mapping the page back in.
+            debug_assert!(
+                !self
+                    .page_tables
+                    .get(&pid)
+                    .is_some_and(|table| table.is_resident(page)),
+                "swap slot {slot:?} owned by resident page {page:?} of {pid}"
+            );
             self.span_slots.push(slot);
             self.span_pids.push(pid);
         }

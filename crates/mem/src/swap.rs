@@ -9,8 +9,17 @@
 //! interleave in the shared offset space.
 
 use crate::types::{Pid, SwapSlot, VirtPage};
+use std::collections::VecDeque;
 
 /// The shared swap area: allocation of slots and slot → page bookkeeping.
+///
+/// Slots are handed out sequentially from the region's base and never
+/// reused: a freed slot stays free, and [`SwapSpace::allocate`] returns
+/// `None` once the region's last slot has been handed out. The simulators
+/// split `u64::MAX / 2` slots among their cores, so no replay gets near
+/// that end. Owners are kept for a sliding window of slots that starts at
+/// the oldest slot still in use, so the bookkeeping follows the pages
+/// currently swapped out, not every swap-out ever made.
 ///
 /// # Examples
 ///
@@ -29,19 +38,17 @@ pub struct SwapSpace {
     /// [`crate::ShardedSwap`], which own disjoint slot regions).
     base: u64,
     capacity: u64,
-    /// Next slot to try for a fresh (never used) allocation; keeps the
-    /// sequential layout the kernel aims for.
+    /// Next slot to hand out; keeps the sequential layout the kernel aims
+    /// for.
     next_fresh: u64,
-    /// Slots that have been freed, reused only once every fresh slot of
-    /// the region has been handed out.
-    free_slots: Vec<SwapSlot>,
-    /// Owner of each slot below the high-water mark `next_fresh`, indexed
-    /// by `slot - base` (`None` once freed). Fresh allocations are
-    /// sequential from `base`, so the vector's length is the number of
-    /// slots ever handed out — bounded by the pages ever swapped out, not
-    /// the region's capacity — and every owner probe on the fault hot path
-    /// is a direct index instead of a hash lookup.
-    owners: Vec<Option<(Pid, VirtPage)>>,
+    /// The slot whose owner is `owners[0]`.
+    front: u64,
+    /// Owner of each slot in `[front, next_fresh)`, indexed by
+    /// `slot - front` (`None` once freed). `front` advances past freed
+    /// slots, so the window starts at the oldest slot still in use (or at
+    /// `next_fresh` when none is), and every owner probe on the fault hot
+    /// path is a direct index instead of a hash lookup.
+    owners: VecDeque<Option<(Pid, VirtPage)>>,
     /// Number of in-use slots (`Some` entries of `owners`).
     used: u64,
 }
@@ -55,7 +62,7 @@ impl SwapSpace {
     /// Creates a swap space owning the slot region
     /// `[base, base + capacity)`.
     ///
-    /// Fresh allocations are handed out sequentially from `base`, so several
+    /// Allocations are handed out sequentially from `base`, so several
     /// spaces with disjoint regions can coexist in one global slot namespace
     /// (the per-core shards of [`crate::ShardedSwap`]).
     pub fn with_base(base: u64, capacity: u64) -> Self {
@@ -63,18 +70,17 @@ impl SwapSpace {
             base,
             capacity,
             next_fresh: base,
-            free_slots: Vec::new(),
-            owners: Vec::new(),
+            front: base,
+            owners: VecDeque::new(),
             used: 0,
         }
     }
 
-    /// The `owners` index of `slot`, if the slot lies inside this space's
-    /// region below the high-water mark.
+    /// The `owners` index of `slot`, if the slot lies inside the window.
     #[inline]
     fn owner_index(&self, slot: SwapSlot) -> Option<usize> {
-        let idx = slot.0.checked_sub(self.base)? as usize;
-        (idx < self.owners.len()).then_some(idx)
+        let idx = slot.0.checked_sub(self.front)?;
+        (idx < self.owners.len() as u64).then_some(idx as usize)
     }
 
     /// First slot offset of this space's region.
@@ -92,43 +98,43 @@ impl SwapSpace {
         self.used
     }
 
-    /// Allocates a slot for `(pid, page)`: the next fresh slot of the
-    /// region while any remain (so a burst of page-outs lands in
-    /// consecutive slots), then a previously freed one.
+    /// Allocates the region's next slot for `(pid, page)`, so a burst of
+    /// page-outs lands in consecutive slots.
     ///
     /// Every call takes a new slot. The caller frees a page's slot when the
     /// page is swapped back in, so a page never owns two slots.
     ///
-    /// Returns `None` when the swap area is full.
+    /// Returns `None` once every slot of the region has been handed out;
+    /// freed slots are not reused.
     pub fn allocate(&mut self, pid: Pid, page: VirtPage) -> Option<SwapSlot> {
-        let slot = if self.next_fresh < self.base.saturating_add(self.capacity) {
-            let s = SwapSlot(self.next_fresh);
-            self.next_fresh += 1;
-            s
-        } else {
-            self.free_slots.pop()?
-        };
-        let idx = (slot.0 - self.base) as usize;
-        if idx >= self.owners.len() {
-            self.owners.resize(idx + 1, None);
+        if self.next_fresh >= self.base.saturating_add(self.capacity) {
+            return None;
         }
-        self.owners[idx] = Some((pid, page));
+        let slot = SwapSlot(self.next_fresh);
+        self.next_fresh += 1;
+        self.owners.push_back(Some((pid, page)));
         self.used += 1;
         Some(slot)
     }
 
-    /// Frees a slot, forgetting its owner.
+    /// Frees a slot, forgetting its owner. Freeing the oldest slot in use
+    /// slides the window's front past every freed slot behind it.
     pub fn free(&mut self, slot: SwapSlot) {
         let Some(idx) = self.owner_index(slot) else {
             return;
         };
-        if self.owners[idx].take().is_some() {
-            self.free_slots.push(slot);
-            self.used -= 1;
+        if self.owners[idx].take().is_none() {
+            return;
+        }
+        self.used -= 1;
+        while let Some(None) = self.owners.front() {
+            self.owners.pop_front();
+            self.front += 1;
         }
     }
 
     /// Returns the process and virtual page stored in a slot, if any.
+    #[inline]
     pub fn owner(&self, slot: SwapSlot) -> Option<(Pid, VirtPage)> {
         self.owner_index(slot).and_then(|idx| self.owners[idx])
     }
@@ -161,16 +167,16 @@ mod tests {
     }
 
     #[test]
-    fn fresh_slots_come_before_freed_ones() {
+    fn freed_slots_are_never_reused() {
         let mut swap = SwapSpace::new(3);
         let first = swap.allocate(Pid(1), VirtPage(42)).unwrap();
         swap.free(first);
-        // A freed slot waits until the region's fresh slots run out.
+        // A freed slot stays free: allocation always moves on.
         assert_eq!(swap.allocate(Pid(1), VirtPage(42)), Some(SwapSlot(1)));
         assert_eq!(swap.allocate(Pid(1), VirtPage(43)), Some(SwapSlot(2)));
-        assert_eq!(swap.allocate(Pid(1), VirtPage(44)), Some(first));
-        assert_eq!(swap.owner(first), Some((Pid(1), VirtPage(44))));
-        assert_eq!(swap.used_slots(), 3);
+        assert_eq!(swap.allocate(Pid(1), VirtPage(44)), None);
+        assert_eq!(swap.owner(first), None);
+        assert_eq!(swap.used_slots(), 2);
     }
 
     #[test]
@@ -179,9 +185,33 @@ mod tests {
         let slot = swap.allocate(Pid(1), VirtPage(0)).unwrap();
         assert!(swap.allocate(Pid(1), VirtPage(1)).is_some());
         assert!(swap.allocate(Pid(1), VirtPage(2)).is_none());
-        // Freeing makes room again.
+        // Freeing does not make room: the region's end is final.
         swap.free(slot);
-        assert!(swap.allocate(Pid(1), VirtPage(2)).is_some());
+        assert!(swap.allocate(Pid(1), VirtPage(2)).is_none());
+        assert_eq!(swap.used_slots(), 1);
+    }
+
+    #[test]
+    fn window_slides_past_freed_slots() {
+        let mut swap = SwapSpace::with_base(100, 10);
+        let slots: Vec<SwapSlot> = (0..4)
+            .map(|p| swap.allocate(Pid(1), VirtPage(p)).unwrap())
+            .collect();
+        // Freeing out of order keeps the window at the oldest slot in use.
+        swap.free(slots[1]);
+        assert_eq!(swap.owners.len(), 4);
+        swap.free(slots[0]);
+        assert_eq!((swap.front, swap.owners.len()), (102, 2));
+        assert_eq!(swap.owner(slots[2]), Some((Pid(1), VirtPage(2))));
+        swap.free(slots[3]);
+        swap.free(slots[2]);
+        assert_eq!((swap.front, swap.owners.len()), (104, 0));
+        // Slots behind the window and beyond the last allocation miss.
+        assert_eq!(swap.owner(SwapSlot(99)), None);
+        assert_eq!(swap.owner(slots[0]), None);
+        assert_eq!(swap.owner(SwapSlot(104)), None);
+        assert_eq!(swap.allocate(Pid(2), VirtPage(0)), Some(SwapSlot(104)));
+        assert_eq!(swap.owner(SwapSlot(104)), Some((Pid(2), VirtPage(0))));
     }
 
     #[test]
@@ -221,16 +251,31 @@ mod tests {
             }
         }
 
-        /// Used slots never exceed capacity.
+        /// Under any mix of allocations and frees, the region hands out
+        /// exactly its `capacity` slots, in order, and then no more.
         #[test]
         fn prop_capacity_never_exceeded(
             capacity in 1u64..64,
-            pages in proptest::collection::vec(0u64..1000, 0..200),
+            ops in proptest::collection::vec((0u64..1000, any::<bool>()), 0..200),
         ) {
             let mut swap = SwapSpace::new(capacity);
-            for p in pages {
-                let _ = swap.allocate(Pid(1), VirtPage(p));
-                prop_assert!(swap.used_slots() <= capacity);
+            let mut held: Vec<SwapSlot> = Vec::new();
+            let mut handed_out = 0u64;
+            for (p, alloc) in ops {
+                if alloc {
+                    match swap.allocate(Pid(1), VirtPage(p)) {
+                        Some(slot) => {
+                            prop_assert_eq!(slot, SwapSlot(handed_out));
+                            handed_out += 1;
+                            held.push(slot);
+                        }
+                        None => prop_assert_eq!(handed_out, capacity),
+                    }
+                } else if !held.is_empty() {
+                    swap.free(held.swap_remove(p as usize % held.len()));
+                }
+                prop_assert!(handed_out <= capacity);
+                prop_assert_eq!(swap.used_slots(), held.len() as u64);
             }
         }
     }

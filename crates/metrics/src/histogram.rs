@@ -8,7 +8,11 @@ use serde::{Deserialize, Serialize};
 ///
 /// Samples are kept exactly (the experiments record at most a few million
 /// samples); queries sort lazily and cache the sorted order until the next
-/// insertion.
+/// insertion. A sample below 2³² ns (~4.3 s) is stored in 4 bytes, the
+/// rare larger one in an 8-byte overflow list. Every overflow sample is
+/// larger than every small one, so once both lists are sorted the sample
+/// of rank `i` is `small[i]`, or `large[i - small.len()]` past the small
+/// list, and every query answers exactly as over one sorted list.
 ///
 /// # Examples
 ///
@@ -26,7 +30,10 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyHistogram {
-    samples: Vec<u64>,
+    /// Samples below 2³² ns.
+    small: Vec<u32>,
+    /// Samples of 2³² ns and above.
+    large: Vec<u64>,
     #[serde(skip)]
     sorted: bool,
 }
@@ -35,66 +42,88 @@ impl LatencyHistogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {
         LatencyHistogram {
-            samples: Vec::new(),
+            small: Vec::new(),
+            large: Vec::new(),
             sorted: true,
         }
     }
 
     /// Records one latency sample.
+    #[inline]
     pub fn record(&mut self, latency: Nanos) {
-        self.samples.push(latency.as_nanos());
+        let ns = latency.as_nanos();
+        match u32::try_from(ns) {
+            Ok(small) => self.small.push(small),
+            Err(_) => self.large.push(ns),
+        }
         self.sorted = false;
     }
 
     /// Merges another histogram's samples into this one.
     pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.samples.extend_from_slice(&other.samples);
+        self.small.extend_from_slice(&other.small);
+        self.large.extend_from_slice(&other.large);
         self.sorted = false;
     }
 
     /// Pre-allocates room for `additional` further samples, so a hot
-    /// recording path never reallocates in steady state.
+    /// recording path never reallocates in steady state (samples of 2³² ns
+    /// and above go to an overflow list this does not reserve).
     pub fn reserve(&mut self, additional: usize) {
-        self.samples.reserve(additional);
+        self.small.reserve(additional);
     }
 
     /// The samples in ascending order (sorting lazily like the percentile
     /// queries). Useful for exact distribution comparisons between runs.
-    pub fn sorted_samples(&mut self) -> &[u64] {
+    pub fn sorted_samples(&mut self) -> Vec<u64> {
         self.ensure_sorted();
-        &self.samples
+        self.small
+            .iter()
+            .map(|&s| u64::from(s))
+            .chain(self.large.iter().copied())
+            .collect()
     }
 
     /// Number of samples recorded.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.small.len() + self.large.len()
     }
 
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.small.is_empty() && self.large.is_empty()
     }
 
     fn ensure_sorted(&mut self) {
         if !self.sorted {
-            self.samples.sort_unstable();
+            self.small.sort_unstable();
+            self.large.sort_unstable();
             self.sorted = true;
+        }
+    }
+
+    /// The sample of rank `index` in ascending order. The lists must be
+    /// sorted and `index < self.len()`.
+    fn ranked(&self, index: usize) -> u64 {
+        match self.small.get(index) {
+            Some(&s) => u64::from(s),
+            None => self.large[index - self.small.len()],
         }
     }
 
     /// Returns the p-th percentile (p in `[0, 100]`). Returns zero for an
     /// empty histogram.
     pub fn percentile(&mut self, p: f64) -> Nanos {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return Nanos::ZERO;
         }
         self.ensure_sorted();
         let p = p.clamp(0.0, 100.0);
+        let len = self.len();
         // Nearest-rank percentile: the smallest sample with at least p % of
         // the distribution at or below it.
-        let rank = ((p / 100.0) * self.samples.len() as f64).ceil() as usize;
-        let index = rank.clamp(1, self.samples.len()) - 1;
-        Nanos::from_nanos(self.samples[index])
+        let rank = ((p / 100.0) * len as f64).ceil() as usize;
+        Nanos::from_nanos(self.ranked(rank.clamp(1, len) - 1))
     }
 
     /// The median (50th percentile).
@@ -104,52 +133,68 @@ impl LatencyHistogram {
 
     /// The arithmetic mean. Returns zero for an empty histogram.
     pub fn mean(&self) -> Nanos {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return Nanos::ZERO;
         }
-        let sum: u128 = self.samples.iter().map(|&s| s as u128).sum();
-        Nanos::from_nanos((sum / self.samples.len() as u128) as u64)
+        Nanos::from_nanos((self.sum() / self.len() as u128) as u64)
     }
 
     /// The maximum sample. Returns zero for an empty histogram.
     pub fn max(&self) -> Nanos {
-        Nanos::from_nanos(self.samples.iter().copied().max().unwrap_or(0))
+        let max = match self.large.iter().max() {
+            Some(&l) => l,
+            None => self.small.iter().max().map_or(0, |&s| u64::from(s)),
+        };
+        Nanos::from_nanos(max)
     }
 
     /// The minimum sample. Returns zero for an empty histogram.
     pub fn min(&self) -> Nanos {
-        Nanos::from_nanos(self.samples.iter().copied().min().unwrap_or(0))
+        let min = match self.small.iter().min() {
+            Some(&s) => u64::from(s),
+            None => self.large.iter().copied().min().unwrap_or(0),
+        };
+        Nanos::from_nanos(min)
     }
 
     /// The sum of all samples.
     pub fn total(&self) -> Nanos {
-        let sum: u128 = self.samples.iter().map(|&s| s as u128).sum();
-        Nanos::from_nanos(sum.min(u64::MAX as u128) as u64)
+        Nanos::from_nanos(self.sum().min(u64::MAX as u128) as u64)
+    }
+
+    fn sum(&self) -> u128 {
+        let small: u128 = self.small.iter().map(|&s| s as u128).sum();
+        let large: u128 = self.large.iter().map(|&s| s as u128).sum();
+        small + large
     }
 
     /// The fraction of samples ≤ `threshold` (the empirical CDF).
     pub fn cdf_at(&mut self, threshold: Nanos) -> f64 {
-        if self.samples.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
         self.ensure_sorted();
         let t = threshold.as_nanos();
-        let count = self.samples.partition_point(|&s| s <= t);
-        count as f64 / self.samples.len() as f64
+        let count = match u32::try_from(t) {
+            Ok(t) => self.small.partition_point(|&s| s <= t),
+            Err(_) => self.small.len() + self.large.partition_point(|&s| s <= t),
+        };
+        count as f64 / self.len() as f64
     }
 
     /// Produces `(latency, cumulative fraction)` points suitable for plotting
     /// a CDF, at the given number of evenly spaced quantiles.
     pub fn cdf_points(&mut self, points: usize) -> Vec<(Nanos, f64)> {
-        if self.samples.is_empty() || points == 0 {
+        if self.is_empty() || points == 0 {
             return Vec::new();
         }
         self.ensure_sorted();
+        let last = self.len() - 1;
         (1..=points)
             .map(|i| {
                 let q = i as f64 / points as f64;
-                let rank = ((q * (self.samples.len() - 1) as f64).round()) as usize;
-                (Nanos::from_nanos(self.samples[rank]), q)
+                let rank = ((q * last as f64).round()) as usize;
+                (Nanos::from_nanos(self.ranked(rank)), q)
             })
             .collect()
     }
@@ -236,7 +281,114 @@ mod tests {
         assert!((points.last().unwrap().1 - 1.0).abs() < 1e-9);
     }
 
+    /// Maps a generated `(selector, value)` pair onto a sample: mostly
+    /// small latencies with many repeats, some at the 2³² ns boundary and
+    /// some far above it. `mix` 0 keeps only samples of 2³² ns and above,
+    /// `mix` 1 only smaller ones, and any other value mixes both.
+    fn sample_from(mix: u8, selector: u8, value: u64) -> u64 {
+        let selector = match mix {
+            0 => selector % 2 * 2,
+            1 => 3 + selector % 5,
+            _ => selector,
+        };
+        match selector % 8 {
+            0 => (1 << 32) + value % (1 << 40),
+            1 => (u64::from(u32::MAX) - 1) + value % 3,
+            2 => u64::MAX - value % 4,
+            3 => value % 16,
+            _ => value % 10_000_000,
+        }
+    }
+
+    /// Reference answers over a plain sorted `Vec<u64>`.
+    fn reference_percentile(sorted: &[u64], p: f64) -> u64 {
+        if sorted.is_empty() {
+            return 0;
+        }
+        let rank = ((p.clamp(0.0, 100.0) / 100.0) * sorted.len() as f64).ceil() as usize;
+        sorted[rank.clamp(1, sorted.len()) - 1]
+    }
+
+    fn reference_cdf_at(sorted: &[u64], t: u64) -> f64 {
+        if sorted.is_empty() {
+            return 0.0;
+        }
+        sorted.partition_point(|&s| s <= t) as f64 / sorted.len() as f64
+    }
+
+    fn reference_cdf_points(sorted: &[u64], points: usize) -> Vec<(Nanos, f64)> {
+        if sorted.is_empty() || points == 0 {
+            return Vec::new();
+        }
+        (1..=points)
+            .map(|i| {
+                let q = i as f64 / points as f64;
+                let rank = ((q * (sorted.len() - 1) as f64).round()) as usize;
+                (Nanos::from_nanos(sorted[rank]), q)
+            })
+            .collect()
+    }
+
     proptest! {
+        /// Every query answers exactly as over one plain sorted
+        /// `Vec<u64>` of the same samples, including samples of 2³² ns
+        /// and above, merged histograms and samples recorded after a
+        /// query has sorted the lists.
+        #[test]
+        fn prop_queries_match_a_sorted_vec(
+            first in proptest::collection::vec((any::<u8>(), any::<u64>()), 0..300),
+            second in proptest::collection::vec((any::<u8>(), any::<u64>()), 0..300),
+            late in proptest::collection::vec((any::<u8>(), any::<u64>()), 0..20),
+            queries in (proptest::collection::vec(0.0f64..100.0, 1..8), 0usize..40, 0u8..4),
+        ) {
+            let (ps, points, mix) = queries;
+            let to_samples = |pairs: &[(u8, u64)]| -> Vec<u64> {
+                pairs.iter().map(|&(sel, v)| sample_from(mix, sel, v)).collect()
+            };
+            let (first, second, late) = (to_samples(&first), to_samples(&second), to_samples(&late));
+            let mut a = LatencyHistogram::new();
+            let mut b = LatencyHistogram::default();
+            for &s in &first {
+                a.record(Nanos::from_nanos(s));
+            }
+            for &s in &second {
+                b.record(Nanos::from_nanos(s));
+            }
+            // Query first, so the merge and the late samples land on
+            // already-sorted lists.
+            let _ = a.median();
+            a.merge(&b);
+            let _ = a.percentile(99.0);
+            for &s in &late {
+                a.record(Nanos::from_nanos(s));
+            }
+
+            let mut sorted: Vec<u64> = first.iter().chain(&second).chain(&late).copied().collect();
+            sorted.sort_unstable();
+            let sum: u128 = sorted.iter().map(|&s| s as u128).sum();
+
+            prop_assert_eq!(a.len(), sorted.len());
+            prop_assert_eq!(a.is_empty(), sorted.is_empty());
+            prop_assert_eq!(a.sorted_samples(), sorted.clone());
+            for &p in ps.iter().chain(&[0.0, 50.0, 99.0, 100.0]) {
+                prop_assert_eq!(a.percentile(p).as_nanos(), reference_percentile(&sorted, p));
+            }
+            prop_assert_eq!(a.median().as_nanos(), reference_percentile(&sorted, 50.0));
+            let mean = if sorted.is_empty() { 0 } else { (sum / sorted.len() as u128) as u64 };
+            prop_assert_eq!(a.mean().as_nanos(), mean);
+            prop_assert_eq!(a.total().as_nanos(), sum.min(u64::MAX as u128) as u64);
+            prop_assert_eq!(a.min().as_nanos(), sorted.first().copied().unwrap_or(0));
+            prop_assert_eq!(a.max().as_nanos(), sorted.last().copied().unwrap_or(0));
+            let mut thresholds = vec![0, u64::from(u32::MAX), 1 << 32, u64::MAX];
+            for &s in sorted.iter().step_by(7) {
+                thresholds.extend([s.saturating_sub(1), s, s.saturating_add(1)]);
+            }
+            for t in thresholds {
+                prop_assert_eq!(a.cdf_at(Nanos::from_nanos(t)), reference_cdf_at(&sorted, t));
+            }
+            prop_assert_eq!(a.cdf_points(points), reference_cdf_points(&sorted, points));
+        }
+
         /// Percentiles are monotone in p and bounded by min/max.
         #[test]
         fn prop_percentiles_monotone(

@@ -267,7 +267,7 @@ impl TableLatency {
         let frac = x - idx as f64;
         let lo = self.knots[idx];
         let hi = self.knots[idx + 1];
-        (lo + (hi - lo) * frac).round() as u64
+        round_to_u64(lo + (hi - lo) * frac)
     }
 }
 
@@ -281,6 +281,15 @@ impl LatencySampler for TableLatency {
     fn nominal(&self) -> Nanos {
         self.nominal
     }
+}
+
+/// `x.round() as u64` (half away from zero, saturating, NaN to zero) in
+/// branchless integer arithmetic: `f64::round` is an out-of-line libm call
+/// on every latency draw. `x - t` is exact for every `t` this produces.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add(u64::from(x - t as f64 >= 0.5))
 }
 
 /// The winsorized quantile for knot `i`: endpoints are pulled in by half an
@@ -715,7 +724,60 @@ mod tests {
         }
     }
 
+    #[test]
+    fn rounding_matches_f64_round_at_the_edges() {
+        let halfway = |v: f64| [v - 0.5, v + 0.5, v.next_down() + 0.5, v.next_up() + 0.5];
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.49999999999999994,
+            0.5,
+            -0.5,
+            -0.7,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            18_446_744_073_709_551_615.0,
+            18_446_744_073_709_549_568.0,
+        ];
+        for v in [1.0, 2.0, 4_503_599_627_370_496.0, 9_007_199_254_740_992.0] {
+            edges.extend(halfway(v));
+        }
+        for x in edges {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
+    }
+
     proptest! {
+        /// The branchless rounding agrees with `f64::round() as u64` over
+        /// every bit pattern, around every half-integer, and on the
+        /// interpolated values the tables actually produce.
+        #[test]
+        fn prop_rounding_matches_f64_round(
+            bits in any::<u64>(),
+            whole in 0u64..(1 << 53),
+            small in 0.0f64..1e7,
+            u in 0.0f64..1.0,
+        ) {
+            for i in 0..256u64 {
+                let x = f64::from_bits(bits.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)));
+                prop_assert_eq!(round_to_u64(x), x.round() as u64);
+            }
+            let half = whole as f64 + 0.5;
+            for y in [half, half.next_down(), half.next_up(), small] {
+                prop_assert_eq!(round_to_u64(y), y.round() as u64);
+            }
+            let table = TableLatency::from_lognormal(
+                Nanos::from_micros(20), 0.4, Nanos::from_micros(8));
+            let pos = u * TABLE_SIZE as f64;
+            let idx = (pos as usize).min(TABLE_SIZE - 1);
+            let (lo, hi) = (table.knots[idx], table.knots[idx + 1]);
+            let exact = (lo + (hi - lo) * (pos - idx as f64)).round() as u64;
+            prop_assert_eq!(table.lerp(u), exact);
+        }
+
         /// Scaled sampling draws first and scales after: the stream advances
         /// identically under any multiplier, and the identity multiplier
         /// changes no bits.

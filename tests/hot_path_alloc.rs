@@ -3,13 +3,14 @@
 //! The fault hot path — access-history update, trend detection, window
 //! sizing, and candidate generation into the `PrefetchDecision` inline
 //! buffer, the eager eviction FIFO, the page table's resident LRU, the
-//! bounded swap cache, and remote I/O — must not touch the heap once per-process
-//! state exists, for any window up to the inline capacity. This test binary
-//! installs a global allocator that counts each thread's allocations and
-//! pins that contract for the Leap prefetcher, the baselines, the tracker
-//! layer the engine calls into, and the memory-management structures. It
-//! also pins the two memoized set-up computations that every generated
-//! access and every replay repeat: a zipf draw, and a trace's working set.
+//! bounded swap cache, the swap space, and remote I/O — must not touch the
+//! heap once per-process state exists, for any window up to the inline
+//! capacity. This test binary installs a global allocator that counts each
+//! thread's allocations and pins that contract for the Leap prefetcher, the
+//! baselines, the tracker layer the engine calls into, and the
+//! memory-management structures. It also pins the two memoized set-up
+//! computations that every generated access and every replay repeat: a zipf
+//! draw, and a trace's working set.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,7 +20,7 @@ use leap_repro::leap::tracker::PageAccessTracker;
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
 use leap_repro::leap_eviction::PrefetchFifoLru;
 use leap_repro::leap_mem::{
-    CacheOrigin, FrameId, PageState, PageTable, Pid, SwapCache, SwapSlot, VirtPage,
+    CacheOrigin, FrameId, PageState, PageTable, Pid, SwapCache, SwapSlot, SwapSpace, VirtPage,
 };
 use leap_repro::leap_prefetcher::{
     IncrementalTrendDetector, LeapConfig, LeapPrefetcher, PageAddr, Prefetcher, PrefetcherKind,
@@ -361,6 +362,45 @@ fn bounded_swap_cache_churn_does_not_allocate() {
         );
         assert_eq!(cache.len(), capacity);
     }
+}
+
+#[test]
+fn sliding_swap_allocate_free_cycle_does_not_allocate() {
+    // A replay's swap traffic: pages are swapped out in bursts and swapped
+    // back in a while later, not in the order they left. Once the window
+    // of slots in use has reached its working size, allocating and freeing
+    // must not touch the heap — however many swap-outs the run has made.
+    const BURST: u64 = 8;
+    const LIVE_BURSTS: usize = 64;
+    let mut swap = SwapSpace::new(u64::MAX / 2);
+    let mut held: VecDeque<[SwapSlot; BURST as usize]> = VecDeque::with_capacity(LIVE_BURSTS + 1);
+    let mut page = 0u64;
+    let mut cycle = |steps: u64| {
+        for _ in 0..steps {
+            let burst = std::array::from_fn(|_| {
+                page += 1;
+                swap.allocate(Pid(1), VirtPage(page))
+                    .expect("the region is far from full")
+            });
+            held.push_back(burst);
+            if held.len() > LIVE_BURSTS {
+                let oldest = held.pop_front().expect("more than LIVE_BURSTS held");
+                // Newest first, so the window's front moves only on the
+                // burst's last free.
+                for &slot in oldest.iter().rev() {
+                    assert!(swap.owner(slot).is_some());
+                    swap.free(slot);
+                }
+            }
+        }
+    };
+    cycle(4_096);
+    let allocs = count_allocs(|| cycle(8_192));
+    assert_eq!(
+        allocs, 0,
+        "sliding swap allocate/free cycle allocated {allocs} times"
+    );
+    assert_eq!(swap.used_slots(), LIVE_BURSTS as u64 * BURST);
 }
 
 #[test]

@@ -31,7 +31,7 @@ pub use clock::SimClock;
 pub use hash::{fx_map_with_capacity, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use latency::{
     scale_nanos_milli, ConstantLatency, LatencySampler, LogNormalLatency, MixtureLatency,
-    TableLatency, MULTIPLIER_IDENTITY_MILLI, TABLE_SIZE,
+    TableLatency, MULTIPLIER_IDENTITY_MILLI,
 };
 pub use rng::DetRng;
 pub use time::Nanos;

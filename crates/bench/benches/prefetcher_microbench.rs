@@ -45,9 +45,11 @@ fn bench_find_trend(c: &mut Criterion) {
 
 /// `find_trend` from scratch vs the incremental detector, per fault
 /// (record + trend query — the full per-fault trend work each way).
-/// The detector's advantage grows with `Hsize` and is largest on
-/// majority-free streams, where `find_trend` must scan the whole history
-/// before giving up while the detector answers from its cached tiers.
+/// Both are O(Hsize): `find_trend` runs Boyer–Moore over doubling windows
+/// until one holds a majority, while a detector record counts at most two
+/// candidates per tier over contiguous slices of the history's ring and
+/// the query reads the cached tiers. On majority-free streams `find_trend`
+/// scans the whole history before giving up.
 fn bench_incremental_trend(c: &mut Criterion) {
     let mut group = c.benchmark_group("incremental_trend");
     for hsize in [32usize, 128] {

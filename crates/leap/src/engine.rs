@@ -27,13 +27,13 @@ use crate::config::SimConfig;
 use crate::pipeline::{AsyncPipeline, IoKind};
 use crate::result::RunResult;
 use crate::session::{AccessOutcome, FaultEvent};
+use crate::slots::{pid_slot, Slots};
 use crate::stage_timing::{self, Stage};
 use crate::tracker::PageAccessTracker;
 use leap_datapath::{DataPath, PathLatency};
 use leap_eviction::{CacheEvictor, EvictionReport};
 use leap_mem::{CacheEntry, CacheOrigin, MemoryLimit, Pid, ShardedSwapCache, SwapSlot};
 use leap_prefetcher::PageAddr;
-use leap_sim_core::hash::FxHashMap;
 use leap_sim_core::{DetRng, Nanos, SimClock};
 use leap_workloads::{Access, AccessTrace};
 
@@ -74,7 +74,10 @@ pub(crate) struct EngineCore {
     /// [`MemoryLimit`] here and charge/uncharge residency through the
     /// engine, so budget enforcement and per-tenant eviction counts live in
     /// one place.
-    tenant_limits: FxHashMap<Pid, MemoryLimit>,
+    tenant_limits: Slots<MemoryLimit>,
+    /// Pages swapped out per tenant, indexed by pid; folded into
+    /// [`RunResult::tenant_evictions`] when the engine seals.
+    tenant_swap_outs: Vec<u64>,
 }
 
 impl EngineCore {
@@ -100,7 +103,8 @@ impl EngineCore {
             cache_budget: None,
             pipeline: AsyncPipeline::new(config.async_depth),
             pending_stall: Nanos::ZERO,
-            tenant_limits: FxHashMap::default(),
+            tenant_limits: Slots::default(),
+            tenant_swap_outs: Vec::new(),
             label: setup.label(),
             config,
         }
@@ -145,7 +149,8 @@ impl EngineCore {
             cache_budget: self.cache_budget,
             pipeline: AsyncPipeline::new(config.async_depth),
             pending_stall: Nanos::ZERO,
-            tenant_limits: FxHashMap::default(),
+            tenant_limits: Slots::default(),
+            tenant_swap_outs: Vec::new(),
             label: self.label.clone(),
             config,
         }
@@ -295,14 +300,14 @@ impl EngineCore {
     /// through [`EngineCore::charge_tenant`] /
     /// [`EngineCore::record_swap_out`] afterwards.
     pub fn set_tenant_limit(&mut self, pid: Pid, limit: MemoryLimit) {
-        self.tenant_limits.insert(pid, limit);
+        self.tenant_limits.insert(pid_slot(pid), limit);
     }
 
     /// Charges one resident page to `pid`'s budget. Returns `false` when the
     /// charge did not fit (the tenant is at its limit and reclaim must make
     /// room); tenants without a registered limit are never blocked.
     pub fn charge_tenant(&mut self, pid: Pid) -> bool {
-        match self.tenant_limits.get_mut(&pid) {
+        match self.tenant_limits.get_mut(pid_slot(pid)) {
             Some(limit) => limit.try_charge(1),
             None => true,
         }
@@ -312,7 +317,7 @@ impl EngineCore {
     /// fits under its budget (0 when the tenant has headroom or no
     /// registered limit).
     pub fn tenant_pages_to_reclaim(&self, pid: Pid) -> u64 {
-        match self.tenant_limits.get(&pid) {
+        match self.tenant_limits.get(pid_slot(pid)) {
             Some(limit) => limit.pages_to_reclaim_for(1),
             None => 0,
         }
@@ -321,11 +326,22 @@ impl EngineCore {
     /// Books one page of `pid` swapped out: uncharges its budget and bumps
     /// both the global and the per-tenant eviction counters.
     pub fn record_swap_out(&mut self, pid: Pid) {
-        if let Some(limit) = self.tenant_limits.get_mut(&pid) {
+        let slot = pid_slot(pid);
+        if let Some(limit) = self.tenant_limits.get_mut(slot) {
             limit.uncharge(1);
         }
         self.result.pages_swapped_out += 1;
-        *self.result.tenant_evictions.entry(pid.0).or_insert(0) += 1;
+        if slot >= self.tenant_swap_outs.len() {
+            self.tenant_swap_outs.resize(slot + 1, 0);
+        }
+        self.tenant_swap_outs[slot] += 1;
+    }
+
+    /// Forgets every swap-out booked so far, globally and per tenant (the
+    /// prepopulation phase's, which do not belong to the measured run).
+    pub fn reset_swap_outs(&mut self) {
+        self.result.pages_swapped_out = 0;
+        self.tenant_swap_outs.fill(0);
     }
 
     /// Books an eviction pass into the run metrics: post-hit waits feed the
@@ -604,6 +620,13 @@ impl EngineCore {
             .prefetch_outcomes
             .record_wasted_unconsumed(self.cache.unused_prefetched());
         self.result.pipeline = *self.pipeline.stats();
+        for (pid, swap_outs) in std::mem::take(&mut self.tenant_swap_outs)
+            .into_iter()
+            .enumerate()
+            .filter(|&(_, swap_outs)| swap_outs > 0)
+        {
+            *self.result.tenant_evictions.entry(pid as u32).or_insert(0) += swap_outs;
+        }
         self.result.fault_stats = self.data_path.fault_stats();
         self.result.recovery_stats = self.data_path.recovery_stats();
         for (tenant, ledger) in self.data_path.tenant_recovery() {

@@ -76,6 +76,7 @@ pub mod recorder;
 pub mod result;
 pub mod sched;
 pub mod session;
+mod slots;
 pub mod stage_timing;
 pub mod tracker;
 pub mod vfs;

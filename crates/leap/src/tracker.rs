@@ -8,10 +8,12 @@
 //! all processes share one.
 //!
 //! For scheduled multi-core replays the tracker additionally shards by core
-//! ([`PageAccessTracker::set_per_core`]): trend state is then keyed by
+//! ([`PageAccessTracker::set_per_core`]): trend state is then kept per
 //! `(process, core)`, matching the per-CPU majority-trend state the kernel
 //! implementation of Leap keeps so cores never contend on one history
-//! buffer.
+//! buffer. Instances sit in a vector indexed by `pid × cores + core`
+//! (processes are numbered densely from `Pid(1)`), so routing a fault is
+//! one index, not a hash probe.
 //!
 //! Prefetcher instances come from a [`PrefetcherFactory`], so any algorithm
 //! — built-in or injected with
@@ -20,9 +22,9 @@
 
 use crate::components::{KindPrefetcherFactory, PrefetcherFactory};
 use crate::config::SimConfig;
+use crate::slots::{pid_slot, Slots};
 use leap_mem::Pid;
 use leap_prefetcher::{PageAddr, PrefetchDecision, Prefetcher, PrefetcherKind};
-use leap_sim_core::hash::FxHashMap;
 use std::sync::Arc;
 
 pub use crate::components::build_prefetcher;
@@ -44,10 +46,12 @@ pub use crate::components::build_prefetcher;
 pub struct PageAccessTracker {
     factory: Arc<dyn PrefetcherFactory>,
     config: SimConfig,
-    /// Isolated prefetcher instances, keyed by `(process, core)`. The core
+    /// Isolated prefetcher instances at `pid × cores + core`. The core
     /// component is always 0 unless [`PageAccessTracker::set_per_core`] has
     /// switched the tracker into per-core mode.
-    per_process: FxHashMap<(Pid, usize), Box<dyn Prefetcher>>,
+    per_process: Slots<Box<dyn Prefetcher>>,
+    /// `config.cores`: the stride between two processes' instances.
+    cores: usize,
     shared: Box<dyn Prefetcher>,
     per_core: bool,
 }
@@ -64,7 +68,8 @@ impl PageAccessTracker {
             shared: factory.build(config),
             factory,
             config: *config,
-            per_process: FxHashMap::default(),
+            per_process: Slots::default(),
+            cores: config.cores.max(1),
             per_core: false,
         }
     }
@@ -86,7 +91,8 @@ impl PageAccessTracker {
     }
 
     /// Name of the prefetching algorithm the tracker instantiates.
-    pub fn prefetcher_name(&self) -> &'static str {
+    #[cfg(test)]
+    fn prefetcher_name(&self) -> &'static str {
         self.factory.name()
     }
 
@@ -104,31 +110,41 @@ impl PageAccessTracker {
     }
 
     /// True if trend state is sharded by core.
-    pub fn is_per_core(&self) -> bool {
+    #[cfg(test)]
+    fn is_per_core(&self) -> bool {
         self.per_core
     }
 
     /// Number of distinct processes with isolated prefetcher state so far.
-    pub fn tracked_processes(&self) -> usize {
-        let mut pids: Vec<Pid> = self.per_process.keys().map(|(pid, _)| *pid).collect();
-        pids.sort_unstable_by_key(|p| p.0);
+    #[cfg(test)]
+    fn tracked_processes(&self) -> usize {
+        let mut pids: Vec<usize> = self
+            .per_process
+            .indices()
+            .map(|slot| slot / self.cores)
+            .collect();
         pids.dedup();
         pids.len()
     }
 
     /// Number of isolated prefetcher instances (one per `(process, core)`
     /// pair in per-core mode, one per process otherwise).
-    pub fn tracked_instances(&self) -> usize {
-        self.per_process.len()
+    #[cfg(test)]
+    fn tracked_instances(&self) -> usize {
+        self.per_process.indices().count()
     }
 
     fn prefetcher_for(&mut self, pid: Pid, core: usize) -> &mut Box<dyn Prefetcher> {
         if self.config.per_process_isolation {
-            let key = (pid, if self.per_core { core } else { 0 });
+            let core = if self.per_core { core } else { 0 };
+            assert!(
+                core < self.cores,
+                "core {core} is outside the configured {} cores",
+                self.cores
+            );
             let (factory, config) = (&self.factory, &self.config);
             self.per_process
-                .entry(key)
-                .or_insert_with(|| factory.build(config))
+                .get_or_insert_with(pid_slot(pid) * self.cores + core, || factory.build(config))
         } else {
             &mut self.shared
         }

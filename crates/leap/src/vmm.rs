@@ -32,6 +32,7 @@ use crate::engine::EngineCore;
 use crate::result::RunResult;
 use crate::sched::CoreScheduler;
 use crate::session::{AccessOutcome, FaultEvent, Simulator};
+use crate::slots::{pid_slot, Slots};
 use leap_mem::{
     FramePool, MemoryLimit, PageState, PageTable, Pid, ShardedSwap, SwapSlot, VirtPage,
 };
@@ -67,11 +68,12 @@ const SWAP_CAPACITY: u64 = u64::MAX / 2;
 #[derive(Debug)]
 pub struct VmmSimulator {
     engine: EngineCore,
-    /// Per-process page tables, each carrying its process's resident LRU.
+    /// Per-process page tables, each carrying its process's resident LRU,
+    /// indexed by pid.
     /// The process's cgroup-style memory budget lives in the engine's
     /// tenant ledger ([`EngineCore::set_tenant_limit`]), not here, so
     /// eviction accounting is enforced where evictions are booked.
-    page_tables: FxHashMap<Pid, PageTable>,
+    page_tables: Slots<PageTable>,
     frames: FramePool,
     swap: ShardedSwap,
     /// Reusable scratch for prefetch admission: the kept candidates' swap
@@ -108,7 +110,7 @@ impl VmmSimulator {
     pub fn from_setup(setup: &SimSetup) -> Self {
         VmmSimulator {
             engine: EngineCore::new(setup, 0),
-            page_tables: FxHashMap::default(),
+            page_tables: Slots::default(),
             // The frame pool is sized lazily per-process via MemoryLimit; the
             // global pool just needs to be large enough to never be the
             // binding constraint. The swap space starts unsharded (one
@@ -182,7 +184,7 @@ impl VmmSimulator {
         let table_hint = working_set_pages.min(1 << 22) as usize;
         self.engine.set_tenant_limit(pid, limit);
         self.page_tables
-            .insert(pid, PageTable::with_capacity(table_hint));
+            .insert(pid_slot(pid), PageTable::with_capacity(table_hint));
     }
 
     /// Handles an access to a swapped-out page (the remote page access
@@ -270,7 +272,7 @@ impl VmmSimulator {
             debug_assert!(
                 !self
                     .page_tables
-                    .get(&pid)
+                    .get(pid_slot(pid))
                     .is_some_and(|table| table.is_resident(page)),
                 "swap slot {slot:?} owned by resident page {page:?} of {pid}"
             );
@@ -304,7 +306,10 @@ impl VmmSimulator {
         let scan_wait = Nanos(80).saturating_add(Nanos(20) * scan_pages.min(64));
         wait = wait.saturating_add(scan_wait);
 
-        let table = self.page_tables.get_mut(&pid).expect("registered process");
+        let table = self
+            .page_tables
+            .get_mut(pid_slot(pid))
+            .expect("registered process");
         for _ in 0..need {
             let Some(victim_page) = table.lru_page() else {
                 break;
@@ -347,7 +352,7 @@ impl VmmSimulator {
             .map(|core| {
                 let mut worker = VmmSimulator {
                     engine: self.engine.shard_worker(core, shards),
-                    page_tables: FxHashMap::default(),
+                    page_tables: Slots::default(),
                     frames: FramePool::new(u64::MAX / 2),
                     swap: ShardedSwap::region(core, shards, SWAP_CAPACITY),
                     span_slots: Vec::new(),
@@ -389,7 +394,7 @@ impl VmmSimulator {
         // fit, the limit saturates and one more page is evicted next time.
         let _ = self.engine.charge_tenant(pid);
         self.page_tables
-            .get_mut(&pid)
+            .get_mut(pid_slot(pid))
             .expect("registered process")
             .map(page, frame);
     }
@@ -455,7 +460,10 @@ impl Simulator for VmmSimulator {
         pages.dedup();
         for page in pages {
             let vp = VirtPage(page);
-            let table = self.page_tables.get(&pid).expect("registered process");
+            let table = self
+                .page_tables
+                .get(pid_slot(pid))
+                .expect("registered process");
             if table.is_resident(vp) {
                 continue;
             }
@@ -466,8 +474,7 @@ impl Simulator for VmmSimulator {
         // write-backs submitted to the pipeline) do not belong in the
         // measured run.
         self.engine.result.allocation_wait = Default::default();
-        self.engine.result.pages_swapped_out = 0;
-        self.engine.result.tenant_evictions.clear();
+        self.engine.reset_swap_outs();
         self.engine.reset_pipeline();
     }
 
@@ -480,7 +487,7 @@ impl Simulator for VmmSimulator {
         // it to the MRU end of the process's LRU.
         let state = self
             .page_tables
-            .get_mut(&pid)
+            .get_mut(pid_slot(pid))
             .unwrap_or_else(|| panic!("process {pid} not registered"))
             .lookup_touch(page);
 

@@ -33,6 +33,9 @@ pub const DEFAULT_HISTORY_SIZE: usize = 32;
 /// ```
 #[derive(Debug, Clone)]
 pub struct AccessHistory {
+    /// The ring, mirrored: slot `i` and slot `i + capacity` hold the same
+    /// delta, so the newest `n` deltas are always one contiguous slice
+    /// ending at `head + capacity` (see [`AccessHistory::newest`]).
     deltas: Vec<Delta>,
     capacity: usize,
     head: usize,
@@ -50,7 +53,7 @@ impl AccessHistory {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "AccessHistory capacity must be non-zero");
         AccessHistory {
-            deltas: vec![Delta::ZERO; capacity],
+            deltas: vec![Delta::ZERO; 2 * capacity],
             capacity,
             head: 0,
             len: 0,
@@ -88,6 +91,7 @@ impl AccessHistory {
             self.head = (self.head + 1) % self.capacity;
         }
         self.deltas[self.head] = delta;
+        self.deltas[self.head + self.capacity] = delta;
         if self.len < self.capacity {
             self.len += 1;
         }
@@ -118,24 +122,18 @@ impl AccessHistory {
         self.last_delta
     }
 
-    /// The delta `offset` positions back from the head (0 = most recent),
-    /// or `None` past the recorded length. O(1); this is what lets the
-    /// incremental trend detector find the element leaving a sliding window
-    /// without walking the ring.
-    pub fn delta_at(&self, offset: usize) -> Option<Delta> {
-        if offset >= self.len {
-            return None;
-        }
-        let idx = (self.head + self.capacity - offset) % self.capacity;
-        Some(self.deltas[idx])
+    /// The newest `min(n, len)` deltas as one contiguous slice, oldest
+    /// first (the most recent delta is the last element). O(1): this is
+    /// what the incremental trend detector scans on every record.
+    pub fn newest(&self, n: usize) -> &[Delta] {
+        let n = n.min(self.len);
+        let end = self.head + self.capacity + 1;
+        &self.deltas[end - n..end]
     }
 
     /// Iterates over stored deltas from the most recent backwards.
-    pub fn iter_recent(&self) -> RecentDeltas<'_> {
-        RecentDeltas {
-            history: self,
-            offset: 0,
-        }
+    pub fn iter_recent(&self) -> impl ExactSizeIterator<Item = Delta> + '_ {
+        self.newest(self.len).iter().rev().copied()
     }
 
     /// Returns up to `n` most recent deltas (most recent first).
@@ -157,33 +155,6 @@ impl Default for AccessHistory {
         AccessHistory::with_default_size()
     }
 }
-
-/// Iterator over the deltas of an [`AccessHistory`], most recent first.
-#[derive(Debug)]
-pub struct RecentDeltas<'a> {
-    history: &'a AccessHistory,
-    offset: usize,
-}
-
-impl Iterator for RecentDeltas<'_> {
-    type Item = Delta;
-
-    fn next(&mut self) -> Option<Delta> {
-        if self.offset >= self.history.len {
-            return None;
-        }
-        let idx = (self.history.head + self.history.capacity - self.offset) % self.history.capacity;
-        self.offset += 1;
-        Some(self.history.deltas[idx])
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.history.len - self.offset;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for RecentDeltas<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -291,6 +262,28 @@ mod tests {
                 h.record(PageAddr(a));
             }
             prop_assert_eq!(h.iter_recent().count(), h.len());
+        }
+
+        /// `newest(n)` is the newest `min(n, len)` deltas, oldest first,
+        /// across wrap-arounds and clears.
+        #[test]
+        fn prop_newest_matches_a_plain_delta_log(
+            cap in 1usize..40,
+            addrs in proptest::collection::vec(0u64..10_000, 0..120),
+            clear_at in 0usize..120,
+            n in 0usize..48,
+        ) {
+            let mut h = AccessHistory::new(cap);
+            let mut plain: Vec<Delta> = Vec::new();
+            for (i, &a) in addrs.iter().enumerate() {
+                if i == clear_at {
+                    h.clear();
+                    plain.clear();
+                }
+                plain.push(h.record(PageAddr(a)));
+                let want = n.min(plain.len()).min(cap);
+                prop_assert_eq!(h.newest(n), &plain[plain.len() - want..]);
+            }
         }
 
         #[test]

@@ -1,34 +1,32 @@
 //! Incremental trend detection: `FindTrend` as a cached-tier lookup.
 //!
 //! [`find_trend`](crate::trend::find_trend) recomputes Algorithm 1 from
-//! scratch on every fault: a doubling-window scan over the delta ring whose
-//! Boyer–Moore verify pass re-reads each window tier. That is `O(Hsize)` per
-//! fault — cheap in absolute terms, but it is the single largest piece of
-//! per-fault prefetcher work and it is pure recomputation: between two
-//! faults the history changes by exactly one delta.
+//! scratch on every fault: a doubling-window Boyer–Moore scan over the
+//! delta ring that stops at the first window holding a strict majority.
+//! Between two faults, though, the history changes by exactly one delta,
+//! so most of that answer carries over.
 //!
-//! [`IncrementalTrendDetector`] turns that around. The detection windows
-//! Algorithm 1 ever inspects form a fixed geometric ladder of *tiers*
-//! (`Hsize/Nsplit`, double that, … up to `Hsize`), each anchored at the head
-//! of the history. When one access is recorded, every tier's head-anchored
-//! window slides by one: the new delta enters, and (once the tier is full)
-//! the delta `w` positions back falls out. The detector maintains, per tier,
-//! an exact multiset of window contents (a small pre-reserved count map) and
-//! the tier's current strict-majority element. A fault's trend query is then
-//! a walk over at most `log₂(Nsplit)+1` cached tiers — no rescan.
+//! [`IncrementalTrendDetector`] keeps it. The detection windows Algorithm 1
+//! ever inspects form a fixed geometric ladder of *tiers* (`Hsize/Nsplit`,
+//! double that, … up to `Hsize`), each anchored at the head of the
+//! history. The detector caches each tier's current strict-majority delta,
+//! so a fault's trend query is a walk over at most `log₂(Nsplit)+1` cached
+//! tiers.
 //!
-//! ## Why the per-record update is O(1)
+//! ## The per-record update
 //!
-//! Per tier, a slide is two count-map updates. The majority can be
-//! re-established from just two candidates: after a slide, an element that
-//! was *not* added can only have lost occurrences (or kept them while the
-//! window grew), so it cannot newly hold a strict majority — the new
-//! majority is either the incoming delta or the tier's previous majority.
-//! Checking both is two map probes. The tier count is a constant for a
-//! given configuration, so the whole update is O(1) amortized, and all maps
-//! are pre-reserved to twice their maximum population (the tier's window
-//! size), so steady-state records perform **zero heap allocations** — the
-//! `hot_path_alloc` contract extends to the detector.
+//! Recording one access slides every tier's head-anchored window by one:
+//! the new delta enters, and (once the tier is full) the oldest falls out.
+//! An element that was *not* added can only have lost occurrences (or kept
+//! them while the window grew), so it cannot newly hold a strict majority:
+//! the new majority is either the incoming delta or the tier's previous
+//! majority. The update counts those two candidates over the tier's window,
+//! which the history's mirrored ring hands out as one contiguous slice
+//! ([`AccessHistory::newest`]). Each record is therefore an O(Hsize)
+//! compare over adjacent words — the paper's own kind of scan, with no
+//! per-tier state beyond the cached majority and no heap allocation. The
+//! incoming delta is counted once across the nested tiers: each tier
+//! extends the count of the tier below over the deltas it adds.
 //!
 //! ## Equivalence
 //!
@@ -41,49 +39,24 @@
 use crate::history::AccessHistory;
 use crate::trend::TrendOutcome;
 use crate::types::{Delta, PageAddr};
-use leap_sim_core::hash::{fx_map_with_capacity, FxHashMap};
 
 /// One detection-window tier: the head-anchored window of (up to)
-/// `raw_size` deltas, with its exact content counts and cached majority.
+/// `raw_size` deltas and its cached majority.
 #[derive(Debug, Clone)]
 struct Tier {
     /// Unclamped tier size from the geometric ladder; the effective window
     /// is `min(raw_size, history length)`.
     raw_size: usize,
-    /// Exact occurrence counts of the deltas inside the effective window.
-    counts: FxHashMap<Delta, u32>,
     /// The window's strict-majority delta, if one exists right now.
     majority: Option<Delta>,
-    /// The delta about to fall out of this tier's window, staged between
-    /// the pre-record probe and the post-record count update.
-    pending_out: Option<Delta>,
-}
-
-impl Tier {
-    fn new(raw_size: usize, capacity: usize) -> Self {
-        // At most `min(raw_size, capacity)` distinct deltas ever live in
-        // the window (+1 while a slide is in flight). The map churns —
-        // every slide can remove one key and insert another — and the
-        // removals leave tombstones; once they use up the free buckets the
-        // table rehashes, in place only while it is at most half full.
-        // Reserving twice the population keeps it there, so inserts never
-        // reallocate.
-        let reserve = 2 * (raw_size.min(capacity) + 1);
-        Tier {
-            raw_size,
-            counts: fx_map_with_capacity(reserve),
-            majority: None,
-            pending_out: None,
-        }
-    }
 }
 
 /// Maintains `FindTrend`'s answer incrementally as accesses are recorded.
 ///
-/// Owns the process's [`AccessHistory`] (the delta ring) plus the per-tier
-/// majority state described in the module docs. [`record`] updates
-/// everything in O(1) amortized; [`trend`] answers Algorithm 1 from the
-/// cached tiers without rescanning the ring.
+/// Owns the process's [`AccessHistory`] (the delta ring) plus each tier's
+/// cached majority, as described in the module docs. [`record`] updates
+/// every tier with one short scan of the ring; [`trend`] answers
+/// Algorithm 1 from the cached tiers without rescanning it.
 ///
 /// [`record`]: IncrementalTrendDetector::record
 /// [`trend`]: IncrementalTrendDetector::trend
@@ -123,7 +96,10 @@ impl IncrementalTrendDetector {
         let mut tiers = Vec::new();
         let mut size = w0;
         loop {
-            tiers.push(Tier::new(size, capacity));
+            tiers.push(Tier {
+                raw_size: size,
+                majority: None,
+            });
             if size >= capacity {
                 break;
             }
@@ -138,47 +114,27 @@ impl IncrementalTrendDetector {
     }
 
     /// Records a faulting access, sliding every tier's window by one, and
-    /// returns the recorded delta. O(tier count) = O(1) for a fixed
-    /// configuration; allocation-free in steady state.
+    /// returns the recorded delta. O(Hsize) compares over contiguous
+    /// slices of the ring; allocation-free.
     pub fn record(&mut self, addr: PageAddr) -> Delta {
-        let capacity = self.history.capacity();
-        let len_before = self.history.len();
-        // Stage each tier's outgoing delta while the ring still holds it.
-        for tier in &mut self.tiers {
-            let eff = tier.raw_size.min(capacity);
-            tier.pending_out = if len_before >= eff {
-                self.history.delta_at(eff - 1)
-            } else {
-                None
-            };
-        }
-
         let delta = self.history.record(addr);
-        let len_after = self.history.len();
-
+        let len = self.history.len();
+        // The incoming delta's occurrences among the newest `counted`
+        // deltas; tier windows only grow up the ladder.
+        let (mut incoming, mut counted) = (0, 0);
         for tier in &mut self.tiers {
-            *tier.counts.entry(delta).or_insert(0) += 1;
-            if let Some(out) = tier.pending_out.take() {
-                if let Some(count) = tier.counts.get_mut(&out) {
-                    *count -= 1;
-                    if *count == 0 {
-                        tier.counts.remove(&out);
-                    }
-                }
-            }
-            // Only the incoming delta or the previous majority can hold a
+            let window = tier.raw_size.min(len);
+            let recent = self.history.newest(window);
+            // Only the previous majority or the incoming delta can hold a
             // strict majority of the slid window (see module docs).
-            let window = tier.raw_size.min(len_after);
-            let prev = tier.majority;
-            tier.majority = None;
-            for candidate in [prev, Some(delta)].into_iter().flatten() {
-                if let Some(&count) = tier.counts.get(&candidate) {
-                    if count as usize > window / 2 {
-                        tier.majority = Some(candidate);
-                        break;
-                    }
+            if let Some(prev) = tier.majority.filter(|&prev| prev != delta) {
+                if occurrences(recent, prev) > window / 2 {
+                    continue;
                 }
             }
+            incoming += occurrences(&recent[..window - counted], delta);
+            counted = window;
+            tier.majority = (incoming > window / 2).then_some(delta);
         }
         delta
     }
@@ -203,15 +159,18 @@ impl IncrementalTrendDetector {
         TrendOutcome::NoTrend
     }
 
-    /// Clears the history and every tier (keeping the maps' reserves).
+    /// Clears the history and every tier.
     pub fn clear(&mut self) {
         self.history.clear();
         for tier in &mut self.tiers {
-            tier.counts.clear();
             tier.majority = None;
-            tier.pending_out = None;
         }
     }
+}
+
+/// How many of `deltas` equal `of`.
+fn occurrences(deltas: &[Delta], of: Delta) -> usize {
+    deltas.iter().filter(|&&d| d == of).count()
 }
 
 #[cfg(test)]
@@ -293,25 +252,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn count_maps_never_outgrow_their_reserve() {
-        // Adversarial stream: every delta distinct, maximizing map
-        // population; the per-tier maps must stay within the pre-reserved
-        // capacity (this is the no-allocation argument made checkable).
-        let mut det = IncrementalTrendDetector::new(32, 4);
-        let caps: Vec<usize> = det.tiers.iter().map(|t| t.counts.capacity()).collect();
-        let mut a = 0u64;
-        for i in 0..1_000u64 {
-            a += i + 1; // strictly growing gaps: all deltas distinct
-            det.record(PageAddr(a));
-        }
-        for (tier, &cap) in det.tiers.iter().zip(&caps) {
-            assert!(cap > 0);
-            assert_eq!(tier.counts.capacity(), cap, "tier map grew");
-            assert!(tier.counts.len() <= tier.raw_size.min(32));
-        }
-    }
-
     proptest! {
         /// The detector agrees with `find_trend` after every record, for
         /// arbitrary access streams, capacities, and split factors.
@@ -352,6 +292,33 @@ mod tests {
                         addr = 10_000 + (x % 1_000_000);
                     }
                     det.record(PageAddr(addr));
+                    prop_assert_eq!(det.trend(), find_trend(det.history(), n_split));
+                }
+            }
+        }
+
+        /// History sizes that are not powers of two, `Nsplit` above the
+        /// capacity (a ladder that starts at one-delta windows) and
+        /// `clear()` mid-stream all stay equivalent stepwise. Addresses
+        /// come from a small range so deltas repeat and majorities form
+        /// and break often.
+        #[test]
+        fn prop_equivalent_on_odd_sizes_large_splits_and_clears(
+            addrs in proptest::collection::vec(0u64..24, 0..200),
+            half in 1usize..48,
+            split in 0usize..40,
+            clear_every in 1usize..90,
+        ) {
+            // 2·half + 1 is odd, so never a power of two above 1.
+            let capacity = 2 * half + 1;
+            for n_split in [capacity + split, split % 6] {
+                let mut det = IncrementalTrendDetector::new(capacity, n_split);
+                for (i, &a) in addrs.iter().enumerate() {
+                    if i % clear_every == clear_every - 1 {
+                        det.clear();
+                        prop_assert_eq!(det.trend(), TrendOutcome::NoTrend);
+                    }
+                    det.record(PageAddr(a));
                     prop_assert_eq!(det.trend(), find_trend(det.history(), n_split));
                 }
             }

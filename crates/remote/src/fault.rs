@@ -421,6 +421,10 @@ pub struct FaultPlan {
     epochs: Vec<FaultEpoch>,
     failures: Vec<MachineFailure>,
     partitions: Vec<PartitionEpoch>,
+    /// The epochs' modifiers as a step function, computed once from
+    /// `epochs`: each entry holds the modifiers in force from its instant
+    /// up to the next entry's. Before the first entry nothing is in force.
+    segments: Vec<(Nanos, FaultModifiers)>,
 }
 
 impl FaultPlan {
@@ -556,6 +560,7 @@ impl FaultPlan {
         partitions.sort_by_key(|p| (p.start, p.machine, p.shard, p.end));
 
         FaultPlan {
+            segments: modifier_segments(spec.reconnect_penalty, &epochs),
             spec: *spec,
             epochs,
             failures,
@@ -578,6 +583,7 @@ impl FaultPlan {
         failures.sort_by_key(|f| (f.at, f.victim));
         partitions.sort_by_key(|p| (p.start, p.machine, p.shard, p.end));
         FaultPlan {
+            segments: modifier_segments(spec.reconnect_penalty, &epochs),
             spec,
             epochs,
             failures,
@@ -585,43 +591,82 @@ impl FaultPlan {
         }
     }
 
-    /// The modifiers a request issued at `now` must pay.
-    ///
-    /// The empty plan returns [`FaultModifiers::IDENTITY`] without touching
-    /// the epoch list, keeping the healthy hot path allocation- and
-    /// branch-cheap.
+    /// The modifiers a request issued at `now` must pay: a binary search
+    /// over the plan's precomputed step function, O(log E) in its E epochs.
     pub fn modifiers_at(&self, now: Nanos) -> FaultModifiers {
-        if self.epochs.is_empty() {
-            return FaultModifiers::IDENTITY;
+        match self.segments.partition_point(|&(from, _)| from <= now) {
+            0 => FaultModifiers::IDENTITY,
+            past => self.segments[past - 1].1,
         }
-        let mut mods = FaultModifiers::IDENTITY;
-        for epoch in &self.epochs {
-            if epoch.start > now {
-                break;
-            }
-            if !epoch.covers(now) {
-                continue;
-            }
-            match epoch.kind {
-                FaultEpochKind::LatencySpike => {
-                    mods.spike_active = true;
-                    mods.multiplier_milli =
-                        compose_multiplier_milli(mods.multiplier_milli, epoch.multiplier_milli);
-                }
-                FaultEpochKind::DegradedBandwidth => {
-                    mods.degraded_active = true;
-                    mods.multiplier_milli =
-                        compose_multiplier_milli(mods.multiplier_milli, epoch.multiplier_milli);
-                }
-                FaultEpochKind::ReconnectStorm => {
-                    mods.reconnect_penalty = mods
-                        .reconnect_penalty
-                        .saturating_add(self.spec.reconnect_penalty);
-                }
-            }
-        }
-        mods
     }
+
+    /// [`FaultPlan::modifiers_at`] by walking every epoch that has started
+    /// by `now`: the reference the step function must agree with.
+    #[cfg(test)]
+    fn modifiers_by_walk(&self, now: Nanos) -> FaultModifiers {
+        let started = self.epochs.iter().take_while(|e| e.start <= now);
+        fold_modifiers(
+            self.spec.reconnect_penalty,
+            started.filter(|e| e.covers(now)),
+        )
+    }
+}
+
+/// The modifiers of `epochs` (the ones covering some instant) in force
+/// together, folded in the plan's `(start, kind, end)` order: multipliers
+/// compose with truncation, so the order is part of the result.
+fn fold_modifiers<'a>(
+    reconnect_penalty: Nanos,
+    epochs: impl IntoIterator<Item = &'a FaultEpoch>,
+) -> FaultModifiers {
+    let mut mods = FaultModifiers::IDENTITY;
+    for epoch in epochs {
+        match epoch.kind {
+            FaultEpochKind::LatencySpike => {
+                mods.spike_active = true;
+                mods.multiplier_milli =
+                    compose_multiplier_milli(mods.multiplier_milli, epoch.multiplier_milli);
+            }
+            FaultEpochKind::DegradedBandwidth => {
+                mods.degraded_active = true;
+                mods.multiplier_milli =
+                    compose_multiplier_milli(mods.multiplier_milli, epoch.multiplier_milli);
+            }
+            FaultEpochKind::ReconnectStorm => {
+                mods.reconnect_penalty = mods.reconnect_penalty.saturating_add(reconnect_penalty);
+            }
+        }
+    }
+    mods
+}
+
+/// The modifiers of `epochs` (sorted by `(start, kind, end)`) as a step
+/// function: one `(from, modifiers)` entry at every distinct epoch start
+/// and end, since the set of covering epochs only changes there.
+fn modifier_segments(
+    reconnect_penalty: Nanos,
+    epochs: &[FaultEpoch],
+) -> Vec<(Nanos, FaultModifiers)> {
+    let mut bounds: Vec<Nanos> = epochs.iter().flat_map(|e| [e.start, e.end]).collect();
+    bounds.sort_unstable();
+    bounds.dedup();
+    // The epochs covering the current bound, kept in plan order.
+    let mut covering: Vec<&FaultEpoch> = Vec::new();
+    let mut started = 0;
+    bounds
+        .into_iter()
+        .map(|from| {
+            while let Some(epoch) = epochs.get(started).filter(|e| e.start <= from) {
+                covering.push(epoch);
+                started += 1;
+            }
+            covering.retain(|e| e.covers(from));
+            (
+                from,
+                fold_modifiers(reconnect_penalty, covering.iter().copied()),
+            )
+        })
+        .collect()
 }
 
 /// Composes two multipliers expressed in thousandths (overlapping epochs
@@ -717,6 +762,7 @@ impl FaultInjectionStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small_spec() -> FaultSpec {
         FaultSpec {
@@ -914,10 +960,14 @@ mod tests {
 
     #[test]
     fn modifiers_compose_multiplicatively() {
-        let mut plan = FaultPlan::empty();
-        assert!(plan.modifiers_at(Nanos::from_micros(5)).is_identity());
-        plan.spec.reconnect_penalty = Nanos::from_micros(10);
-        plan.epochs = vec![
+        assert!(FaultPlan::empty()
+            .modifiers_at(Nanos::from_micros(5))
+            .is_identity());
+        let spec = FaultSpec {
+            reconnect_penalty: Nanos::from_micros(10),
+            ..FaultSpec::none()
+        };
+        let epochs = vec![
             FaultEpoch {
                 kind: FaultEpochKind::LatencySpike,
                 start: Nanos::from_micros(0),
@@ -937,6 +987,7 @@ mod tests {
                 multiplier_milli: 1_000,
             },
         ];
+        let plan = FaultPlan::from_parts(spec, epochs, Vec::new(), Vec::new());
         let early = plan.modifiers_at(Nanos::from_micros(10));
         assert_eq!(early.multiplier_milli, 6_000);
         assert!(early.spike_active && !early.degraded_active);
@@ -946,6 +997,71 @@ mod tests {
         assert_eq!(storm.multiplier_milli, 3_000);
         assert_eq!(storm.reconnect_penalty, Nanos::from_micros(10));
         assert!(plan.modifiers_at(Nanos::from_micros(500)).is_identity());
+    }
+
+    proptest! {
+        /// The step-function lookup agrees with walking the epochs, for
+        /// random plans whose spikes, degraded epochs and reconnect storms
+        /// overlap (zero-length and duplicate epochs included), at random
+        /// instants and at every epoch's `start`, `end` and `end - 1`.
+        #[test]
+        fn prop_step_function_matches_the_epoch_walk(
+            raw in proptest::collection::vec((0u8..3, 0u64..2_000, 0u64..400, 0u64..8_000), 0..40),
+            penalty in 0u64..50_000,
+            probes in proptest::collection::vec(0u64..2_600, 0..64),
+            end_cap in 0u64..3,
+        ) {
+            let kinds = [
+                FaultEpochKind::LatencySpike,
+                FaultEpochKind::DegradedBandwidth,
+                FaultEpochKind::ReconnectStorm,
+            ];
+            let epochs: Vec<FaultEpoch> = raw
+                .iter()
+                .map(|&(kind, start, len, multiplier_milli)| FaultEpoch {
+                    kind: kinds[kind as usize],
+                    start: Nanos::from_nanos(start),
+                    // Some plans run an epoch to the end of time, as a
+                    // saturating `start + epoch` does.
+                    end: if end_cap == 0 && len % 7 == 0 {
+                        Nanos::from_nanos(u64::MAX)
+                    } else {
+                        Nanos::from_nanos(start + len)
+                    },
+                    multiplier_milli,
+                })
+                .collect();
+            let spec = FaultSpec {
+                reconnect_penalty: Nanos::from_nanos(penalty),
+                ..FaultSpec::none()
+            };
+            let plan = FaultPlan::from_parts(spec, epochs, Vec::new(), Vec::new());
+            let mut instants: Vec<u64> = probes;
+            instants.extend([0, u64::MAX]);
+            for epoch in plan.epochs() {
+                let (start, end) = (epoch.start.as_nanos(), epoch.end.as_nanos());
+                instants.extend([start, end, end.saturating_sub(1)]);
+            }
+            for now in instants.into_iter().map(Nanos::from_nanos) {
+                prop_assert_eq!(plan.modifiers_at(now), plan.modifiers_by_walk(now), "at {:?}", now);
+            }
+        }
+    }
+
+    #[test]
+    fn canonical_storms_step_functions_match_the_epoch_walk() {
+        for spec in [
+            FaultSpec::canonical_storm(),
+            FaultSpec::canonical_partition_storm(),
+        ] {
+            let plan = FaultPlan::from_spec(7, &spec, 4);
+            assert!(!plan.epochs().is_empty());
+            for epoch in plan.epochs() {
+                for now in [epoch.start, epoch.end, Nanos(epoch.end.as_nanos() - 1)] {
+                    assert_eq!(plan.modifiers_at(now), plan.modifiers_by_walk(now));
+                }
+            }
+        }
     }
 
     #[test]

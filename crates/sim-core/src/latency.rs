@@ -123,15 +123,24 @@ impl LatencySampler for LogNormalLatency {
 /// endpoints are winsorized to half an interval (`0.5 / TABLE_SIZE` and
 /// `1 - 0.5 / TABLE_SIZE`) so the table never extrapolates into the
 /// unbounded tails of the underlying distribution.
-const TABLE_SIZE: usize = 4096;
+const TABLE_SIZE: usize = 1 << INDEX_BITS;
+
+/// Bits of one draw that pick the knot interval: `log₂ TABLE_SIZE`.
+const INDEX_BITS: u32 = 12;
+
+/// Bits of one draw below the index that give the interpolation fraction:
+/// the rest of the 53 bits [`DetRng::next_f64`] keeps.
+const FRACTION_BITS: u32 = 53 - INDEX_BITS;
 
 /// A latency sampled from a precomputed inverse-CDF quantile table.
 ///
 /// This is the hot-path replacement for [`LogNormalLatency`] and
 /// [`MixtureLatency`]: the quantile function is evaluated once at
 /// construction (4096 intervals, 4097 knots) and a sample is one [`DetRng`]
-/// draw plus a linear interpolation — no `ln`/`exp`/`cos` per sample, and no
-/// rejection, so the sampler consumes exactly **one** `next_u64` per sample.
+/// draw split by shifts into a knot index and an interpolation fraction,
+/// plus a linear interpolation — no `ln`/`exp`/`cos` and no float-to-integer
+/// index conversion per sample, and no rejection, so the sampler consumes
+/// exactly **one** `next_u64` per sample.
 /// That one-draw-per-sample discipline keeps every caller's RNG stream, and
 /// so Serial/Threaded replay, bit-identical.
 ///
@@ -261,8 +270,26 @@ impl TableLatency {
         Nanos::from_nanos(self.lerp(q.clamp(0.0, 1.0)))
     }
 
-    /// Linear interpolation over the knots at position `u ∈ [0, 1)`.
+    /// The sample for one raw draw `r`. The top [`INDEX_BITS`] pick the
+    /// knot interval and the next [`FRACTION_BITS`] the position inside
+    /// it: bit for bit what the float reference `lerp` computes from
+    /// `next_f64`'s `u = (r >> 11)·2⁻⁵³`, because `u · TABLE_SIZE` is
+    /// `(r >> 11)·2⁻⁴¹` exactly, so its floor is `r >> 52` (never
+    /// `TABLE_SIZE`) and its fraction is the low 41 bits of `r >> 11`
+    /// times 2⁻⁴¹, also exact.
     #[inline]
+    fn at_draw(&self, r: u64) -> u64 {
+        let idx = (r >> (64 - INDEX_BITS)) as usize;
+        let fraction_mask = (1u64 << FRACTION_BITS) - 1;
+        let frac = ((r >> 11) & fraction_mask) as f64 * (1.0 / (1u64 << FRACTION_BITS) as f64);
+        let lo = self.knots[idx];
+        let hi = self.knots[idx + 1];
+        round_to_u64(lo + (hi - lo) * frac)
+    }
+
+    /// Linear interpolation over the knots at position `u ∈ [0, 1)`: the
+    /// float reference [`TableLatency::at_draw`] must agree with.
+    #[cfg(test)]
     fn lerp(&self, u: f64) -> u64 {
         let x = u * TABLE_SIZE as f64;
         let idx = (x as usize).min(TABLE_SIZE - 1);
@@ -276,8 +303,7 @@ impl TableLatency {
 impl LatencySampler for TableLatency {
     #[inline]
     fn sample(&self, rng: &mut DetRng) -> Nanos {
-        // Exactly one u64 draw per sample: next_f64 is one next_u64.
-        Nanos::from_nanos(self.lerp(rng.next_f64()))
+        Nanos::from_nanos(self.at_draw(rng.next_u64()))
     }
 
     fn nominal(&self) -> Nanos {
@@ -878,14 +904,14 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn mixture_tables_match_per_knot_bisection_bit_for_bit() {
+    /// The four storage backends' mixtures, as `leap_remote`'s
+    /// `StorageBackend` builds them: RDMA, HDD, SSD read, SSD write.
+    fn backend_mixtures() -> [Vec<(f64, Nanos, f64, Nanos)>; 4] {
         let us = Nanos::from_micros;
         let (stall_median, stall_sigma, stall_floor) = (us(400), 0.50, us(100));
-        // The four storage backends' mixtures: RDMA, HDD, SSD read, SSD write.
-        let mixtures: [&[(f64, Nanos, f64, Nanos)]; 4] = [
-            &rdma_mixture(),
-            &[
+        [
+            rdma_mixture().to_vec(),
+            vec![
                 (0.97, Nanos::from_micros_f64(91.48), 0.35, us(40)),
                 (
                     0.03,
@@ -894,16 +920,45 @@ mod tests {
                     Nanos::from_millis(1),
                 ),
             ],
-            &[
+            vec![
                 (0.995, us(20), 0.25, us(8)),
                 (0.005, stall_median, stall_sigma, stall_floor),
             ],
-            &[
+            vec![
                 (0.99, us(30), 0.30, us(10)),
                 (0.01, stall_median, stall_sigma, stall_floor),
             ],
-        ];
-        for mixture in mixtures {
+        ]
+    }
+
+    /// Every table the workspace builds: the backend mixtures, then the
+    /// software-stage log-normals at `leap_datapath`'s default parameters
+    /// (the lean path's prefetcher and remote-interface stages, the legacy
+    /// path's bio, queueing and dispatch stages), then one table whose
+    /// upper knots pass 2⁶⁴ so that `round_to_u64` saturates.
+    fn workspace_tables() -> Vec<TableLatency> {
+        let ns = Nanos::from_nanos;
+        let mut tables: Vec<TableLatency> = backend_mixtures()
+            .iter()
+            .map(|mixture| TableLatency::from_lognormal_mixture(mixture))
+            .collect();
+        for (median, sigma, floor) in [
+            (ns(350), 0.2, ns(100)),
+            (ns(600), 0.2, ns(200)),
+            (Nanos::from_micros_f64(10.04), 0.6, ns(500)),
+            (Nanos::from_micros_f64(17.5), 0.6, Nanos::from_micros(1)),
+            (Nanos::from_micros_f64(4.38), 0.6, ns(500)),
+            (ns(1 << 62), 3.0, ns(0)),
+        ] {
+            tables.push(TableLatency::from_lognormal(median, sigma, floor));
+        }
+        tables
+    }
+
+    #[test]
+    fn mixture_tables_match_per_knot_bisection_bit_for_bit() {
+        for mixture in &backend_mixtures() {
+            let mixture = &mixture[..];
             let (comps, total_weight) = cdf_params(mixture);
             let table = TableLatency::from_lognormal_mixture(mixture);
             let bits: Vec<u64> = table.knots.iter().map(|k| k.to_bits()).collect();
@@ -1084,5 +1139,39 @@ mod tests {
             prop_assert_eq!(scaled, scale_nanos_milli(plain, mult));
             prop_assert_eq!(plain_rng.next_u64(), scaled_rng.next_u64());
         }
+
+        /// Splitting one draw into index and fraction bits samples exactly
+        /// what interpolating at `next_f64` did, for every table the
+        /// workspace builds and arbitrary streams.
+        #[test]
+        fn prop_integer_split_draws_match_the_float_reference(seed in any::<u64>()) {
+            for table in workspace_tables() {
+                let mut split = DetRng::seed_from(seed);
+                let mut float = split.clone();
+                for _ in 0..256 {
+                    prop_assert_eq!(table.sample(&mut split).as_nanos(), table.lerp(float.next_f64()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn integer_split_draws_match_the_float_reference_at_the_edges() {
+        // `DetRng::next_f64`'s arithmetic on a given raw draw.
+        let uniform = |r: u64| (r >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        // Zero, all ones, and every draw whose fraction bits are all zero
+        // (an exact knot) or all one (just below the next knot).
+        let mut draws = vec![0, u64::MAX];
+        for idx in 0..TABLE_SIZE as u64 {
+            draws.push(idx << 52);
+            draws.push((idx << 52) | ((1 << 52) - 1));
+        }
+        for table in workspace_tables() {
+            for &r in &draws {
+                assert_eq!(table.at_draw(r), table.lerp(uniform(r)), "draw {r:#x}");
+            }
+        }
+        let top = workspace_tables().pop().expect("a saturating table");
+        assert_eq!(top.at_draw(u64::MAX), u64::MAX, "upper knots must saturate");
     }
 }

@@ -97,9 +97,10 @@ fn leap_prefetcher_steady_state_faults_do_not_allocate() {
 
 #[test]
 fn incremental_trend_detector_records_do_not_allocate() {
-    // The detector's per-tier count maps are pre-reserved to their maximum
-    // window population, so steady-state records — even a worst-case stream
-    // of all-distinct deltas churning every tier — stay off the heap.
+    // A record writes the history's mirrored ring and counts two candidates
+    // per tier over a slice of it; the tiers keep nothing but their cached
+    // majority, so records stay off the heap — even through distinct-delta
+    // bursts that slide majorities in and out of every tier.
     let mut det = IncrementalTrendDetector::new(32, 4);
     let mut addr = 0u64;
     for i in 0..256u64 {
@@ -230,7 +231,8 @@ fn baseline_prefetchers_do_not_allocate_in_steady_state() {
 #[test]
 fn tracker_layer_adds_no_allocations_once_instances_exist() {
     // The engine consults the prefetcher through PageAccessTracker (one
-    // instance per (pid, core)); after the instances exist, routing a fault
+    // instance per (pid, core), at index pid × cores + core of a vector);
+    // after the instances exist, routing a fault
     // through the tracker must be as allocation-free as the prefetcher
     // itself.
     let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);

@@ -74,3 +74,72 @@ fn budget_override_takes_precedence_over_memory_fraction() {
     assert_eq!(overridden.pages_swapped_out, 0);
     assert!(overridden.tenant_evictions.is_empty());
 }
+
+/// Swap-outs are counted per tenant and folded into `tenant_evictions` when
+/// each replay worker seals. Both worker layouts — one shard worker per
+/// core (isolation on) and one worker spanning every core (isolation off)
+/// — must attribute every swap-out, to exactly the pids that swapped, with
+/// and without a prepopulated working set (whose own swap-outs do not
+/// count).
+#[test]
+fn tenant_evictions_attribute_every_swap_out_in_both_worker_layouts() {
+    let traces = vec![
+        sequential_trace(MIB, 3),
+        stride_trace(MIB, 10, 3),
+        sequential_trace(MIB / 2, 3),
+        stride_trace(MIB / 2, 7, 3),
+    ];
+    for isolation in [true, false] {
+        for prepopulate in [false, true] {
+            let config = SimConfig::builder()
+                .memory_fraction(0.5)
+                .cores(2)
+                .per_process_isolation(isolation)
+                .seed(11)
+                .build()
+                .expect("valid config");
+            let mut sim = VmmSimulator::new(config);
+            sim.set_prepopulate_multi(prepopulate);
+            // Pid 3's budget covers its working set, so it never swaps;
+            // the others hold half of theirs and sweep it repeatedly.
+            sim.set_tenant_budget_pages(leap_repro::leap_mem::Pid(3), 1_024);
+            let result = sim.run_multi(&traces);
+            let case = format!("isolation {isolation}, prepopulate {prepopulate}");
+            assert!(result.pages_swapped_out > 0, "{case}");
+            let evictions = &result.tenant_evictions;
+            assert_eq!(
+                evictions.values().sum::<u64>(),
+                result.pages_swapped_out,
+                "{case}"
+            );
+            assert_eq!(
+                evictions.keys().copied().collect::<Vec<u32>>(),
+                vec![1, 2, 4],
+                "{case}"
+            );
+            assert!(evictions.values().all(|&pages| pages > 0), "{case}");
+        }
+    }
+}
+
+/// Stepping a process that was never registered fails loudly, whether its
+/// pid is zero, just past the registered ones or far beyond them.
+#[test]
+fn unregistered_pids_still_panic() {
+    use leap_repro::leap_mem::Pid;
+    let trace = sequential_trace(MIB, 1);
+    let access = *trace.iter().next().expect("one access");
+    for pid in [0, 2, 1_000, u32::MAX] {
+        let outcome = std::panic::catch_unwind(|| {
+            let mut session = VmmSimulator::new(config(3)).session();
+            session.prepare(std::slice::from_ref(&trace));
+            session.step(Pid(pid), access);
+        });
+        let payload = outcome.expect_err("an unregistered pid must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(message, format!("process pid{pid} not registered"));
+    }
+}

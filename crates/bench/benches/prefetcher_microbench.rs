@@ -7,8 +7,8 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use leap_prefetcher::{
-    find_trend, AccessHistory, IncrementalTrendDetector, LeapConfig, LeapPrefetcher,
-    NextNLinePrefetcher, PageAddr, Prefetcher, ReadAheadPrefetcher, StridePrefetcher,
+    find_trend, AccessHistory, LeapConfig, LeapPrefetcher, NextNLinePrefetcher, PageAddr,
+    Prefetcher, ReadAheadPrefetcher, StridePrefetcher,
 };
 
 fn history_with_stride(size: usize, stride: u64) -> AccessHistory {
@@ -39,76 +39,6 @@ fn bench_find_trend(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("no_majority", hsize), &history, |b, h| {
             b.iter(|| find_trend(black_box(h), 4))
         });
-    }
-    group.finish();
-}
-
-/// `find_trend` from scratch vs the incremental detector, per fault
-/// (record + trend query — the full per-fault trend work each way).
-/// Both are O(Hsize): `find_trend` runs Boyer–Moore over doubling windows
-/// until one holds a majority, while a detector record counts at most two
-/// candidates per tier over contiguous slices of the history's ring and
-/// the query reads the cached tiers. On majority-free streams `find_trend`
-/// scans the whole history before giving up.
-fn bench_incremental_trend(c: &mut Criterion) {
-    let mut group = c.benchmark_group("incremental_trend");
-    for hsize in [32usize, 128] {
-        group.bench_with_input(
-            BenchmarkId::new("find_trend/steady", hsize),
-            &hsize,
-            |b, &hsize| {
-                let mut h = AccessHistory::new(hsize);
-                let mut addr = 0u64;
-                b.iter(|| {
-                    addr += 7;
-                    h.record(PageAddr(addr));
-                    black_box(find_trend(&h, 4))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("incremental/steady", hsize),
-            &hsize,
-            |b, &hsize| {
-                let mut det = IncrementalTrendDetector::new(hsize, 4);
-                let mut addr = 0u64;
-                b.iter(|| {
-                    addr += 7;
-                    det.record(PageAddr(addr));
-                    black_box(det.trend())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("find_trend/no_majority", hsize),
-            &hsize,
-            |b, &hsize| {
-                let mut h = AccessHistory::new(hsize);
-                let mut gap = 1u64;
-                let mut addr = 0u64;
-                b.iter(|| {
-                    gap += 1;
-                    addr += gap;
-                    h.record(PageAddr(addr));
-                    black_box(find_trend(&h, 4))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("incremental/no_majority", hsize),
-            &hsize,
-            |b, &hsize| {
-                let mut det = IncrementalTrendDetector::new(hsize, 4);
-                let mut gap = 1u64;
-                let mut addr = 0u64;
-                b.iter(|| {
-                    gap += 1;
-                    addr += gap;
-                    det.record(PageAddr(addr));
-                    black_box(det.trend())
-                })
-            },
-        );
     }
     group.finish();
 }
@@ -160,10 +90,5 @@ fn bench_on_fault(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_find_trend,
-    bench_incremental_trend,
-    bench_on_fault
-);
+criterion_group!(benches, bench_find_trend, bench_on_fault);
 criterion_main!(benches);

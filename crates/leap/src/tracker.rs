@@ -152,24 +152,45 @@ impl PageAccessTracker {
 
     /// Records a remote page fault by `pid` at swap offset `addr` and returns
     /// the prefetch decision (single-core replays: core 0).
+    ///
+    /// # Panics
+    ///
+    /// As [`PageAccessTracker::on_fault_at`] on core 0.
     pub fn on_fault(&mut self, pid: Pid, addr: PageAddr) -> PrefetchDecision {
         self.on_fault_at(pid, 0, addr)
     }
 
     /// Records a remote page fault by `pid` running on `core` at swap offset
     /// `addr` and returns the prefetch decision.
+    ///
+    /// # Panics
+    ///
+    /// With per-process isolation, instances sit at `pid × cores + core`
+    /// (`cores` is the configuration's core count), so this panics when
+    /// that index reaches 2^20 — for example `Pid(131072)` with 8 cores —
+    /// and, in per-core mode, when `core` is not below `cores`. Processes
+    /// are numbered densely from `Pid(1)`, so neither happens in a replay.
+    /// A shared (non-isolated) tracker accepts any pid and core.
     pub fn on_fault_at(&mut self, pid: Pid, core: usize, addr: PageAddr) -> PrefetchDecision {
         self.prefetcher_for(pid, core).on_fault(addr)
     }
 
     /// Records a prefetch-cache hit by `pid` at swap offset `addr`
     /// (single-core replays: core 0).
+    ///
+    /// # Panics
+    ///
+    /// As [`PageAccessTracker::on_fault_at`] on core 0.
     pub fn on_prefetch_hit(&mut self, pid: Pid, addr: PageAddr) {
         self.on_prefetch_hit_at(pid, 0, addr);
     }
 
     /// Records a prefetch-cache hit by `pid` running on `core` at swap
     /// offset `addr`.
+    ///
+    /// # Panics
+    ///
+    /// As [`PageAccessTracker::on_fault_at`].
     pub fn on_prefetch_hit_at(&mut self, pid: Pid, core: usize, addr: PageAddr) {
         self.prefetcher_for(pid, core).on_prefetch_hit(addr);
     }
@@ -308,5 +329,35 @@ mod tests {
         let _ = tracker.on_fault(Pid(2), PageAddr(20));
         assert_eq!(tracker.tracked_processes(), 2);
         assert_eq!(tracker.prefetcher_name(), "fixed");
+    }
+
+    #[test]
+    #[should_panic(expected = "past the dense pid range")]
+    fn isolated_tracker_rejects_pids_past_the_dense_range() {
+        // 131072 × 8 cores = 2^20, the first slot past the range.
+        let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);
+        let _ = tracker.on_fault(Pid(131_071), PageAddr(1));
+        let _ = tracker.on_fault(Pid(131_072), PageAddr(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "core 8 is outside the configured 8 cores")]
+    fn per_core_tracker_rejects_cores_past_the_configured_count() {
+        let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);
+        tracker.set_per_core(true);
+        let _ = tracker.on_fault_at(Pid(1), 7, PageAddr(1));
+        let _ = tracker.on_fault_at(Pid(1), 8, PageAddr(1));
+    }
+
+    #[test]
+    fn only_isolated_per_core_routing_checks_pid_and_core() {
+        // Without per-core mode the core is ignored; without isolation the
+        // pid is too.
+        let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);
+        let _ = tracker.on_fault_at(Pid(1), 99, PageAddr(1));
+        let mut shared = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, false);
+        shared.set_per_core(true);
+        let _ = shared.on_fault_at(Pid(u32::MAX), 99, PageAddr(1));
+        shared.on_prefetch_hit_at(Pid(u32::MAX), 99, PageAddr(2));
     }
 }

@@ -124,7 +124,7 @@ impl AccessHistory {
 
     /// The newest `min(n, len)` deltas as one contiguous slice, oldest
     /// first (the most recent delta is the last element). O(1): this is
-    /// what the incremental trend detector scans on every record.
+    /// what `find_trend` scans on every fault.
     pub fn newest(&self, n: usize) -> &[Delta] {
         let n = n.min(self.len);
         let end = self.head + self.capacity + 1;

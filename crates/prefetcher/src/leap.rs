@@ -3,9 +3,8 @@
 //! On every fault the prefetcher:
 //!
 //! 1. Records the fault in the process's [`AccessHistory`].
-//! 2. Queries the majority trend over the history (Algorithm 1) — answered
-//!    from the [`IncrementalTrendDetector`]'s cached per-tier state, which
-//!    is bit-identical to the [`crate::find_trend`] reference.
+//! 2. Queries the majority trend over the history (Algorithm 1,
+//!    [`crate::find_trend`]).
 //! 3. Computes the prefetch window size from prefetch-hit feedback and from
 //!    whether the faulting page follows the currently known trend
 //!    ([`PrefetchWindow`]).
@@ -15,8 +14,7 @@
 //!    so that short-term irregularities do not suspend prefetching outright.
 
 use crate::history::{AccessHistory, DEFAULT_HISTORY_SIZE};
-use crate::incremental::IncrementalTrendDetector;
-use crate::trend::{TrendOutcome, DEFAULT_N_SPLIT};
+use crate::trend::{find_trend, TrendOutcome, DEFAULT_N_SPLIT};
 use crate::types::{Delta, PageAddr, PrefetchDecision, Prefetcher, PrefetcherKind};
 use crate::window::{PrefetchWindow, DEFAULT_MAX_WINDOW};
 use serde::{Deserialize, Serialize};
@@ -63,10 +61,9 @@ impl Default for LeapConfig {
 #[derive(Debug, Clone)]
 pub struct LeapPrefetcher {
     config: LeapConfig,
-    /// Owns the access history and answers Algorithm 1 from cached per-tier
-    /// majority state (`O(1)` amortized per fault; bit-identical to
-    /// [`crate::find_trend`], which remains the reference implementation).
-    detector: IncrementalTrendDetector,
+    /// The process's delta ring; [`crate::find_trend`] scans it on every
+    /// fault, and a prefetch hit only records into it.
+    history: AccessHistory,
     window: PrefetchWindow,
     /// The most recent majority delta ever observed (`latest ∆maj`), used for
     /// speculative prefetching when the current window has no majority and
@@ -85,7 +82,7 @@ impl LeapPrefetcher {
     pub fn new(config: LeapConfig) -> Self {
         LeapPrefetcher {
             config,
-            detector: IncrementalTrendDetector::new(config.history_size, config.n_split),
+            history: AccessHistory::new(config.history_size),
             window: PrefetchWindow::new(config.max_prefetch_window),
             last_known_trend: None,
             faults: 0,
@@ -122,7 +119,7 @@ impl LeapPrefetcher {
 
     /// Read-only view of the access history (used by tests and reports).
     pub fn history(&self) -> &AccessHistory {
-        self.detector.history()
+        &self.history
     }
 
     /// Generates candidate pages following `delta` starting *after* `from`.
@@ -198,11 +195,10 @@ impl Default for LeapPrefetcher {
 impl Prefetcher for LeapPrefetcher {
     fn on_fault(&mut self, addr: PageAddr) -> PrefetchDecision {
         self.faults += 1;
-        let delta = self.detector.record(addr);
+        let delta = self.history.record(addr);
 
-        // Algorithm 1: the majority trend over the recent history, answered
-        // from the detector's cached tiers instead of an O(Hsize) rescan.
-        let trend = self.detector.trend();
+        // Algorithm 1: the majority trend over the recent history.
+        let trend = find_trend(&self.history, self.config.n_split);
 
         // "Pt follows the current trend" (Algorithm 2 line 6): the delta that
         // brought us to Pt matches the majority delta currently in effect —
@@ -242,7 +238,7 @@ impl Prefetcher for LeapPrefetcher {
         // (the PTE is not present; `do_swap_page()` finds the page in the
         // swap cache), so it is logged in the access history exactly like a
         // miss. It additionally counts towards `Chit` for window sizing.
-        self.detector.record(addr);
+        self.history.record(addr);
         self.window.record_hit();
     }
 
@@ -251,7 +247,7 @@ impl Prefetcher for LeapPrefetcher {
     }
 
     fn reset(&mut self) {
-        self.detector.clear();
+        self.history.clear();
         self.window.reset();
         self.last_known_trend = None;
         self.faults = 0;

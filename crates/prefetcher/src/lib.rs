@@ -13,12 +13,10 @@
 //! - [`history::AccessHistory`]: the fixed-size circular buffer of page-offset
 //!   deltas (§4.1 of the paper).
 //! - [`majority`]: the Boyer–Moore majority vote algorithm (linear time,
-//!   constant space) used by trend detection.
+//!   constant space) over one window; trend detection runs the same vote
+//!   inline over its doubling windows.
 //! - [`trend`]: `FindTrend` (Algorithm 1) — grows the detection window until a
-//!   majority delta emerges (the from-scratch reference implementation).
-//! - [`incremental`]: [`IncrementalTrendDetector`] — the same algorithm as
-//!   cached per-tier state updated per access, so the per-fault trend query
-//!   is O(1) amortized instead of an O(Hsize) rescan.
+//!   majority delta emerges.
 //! - [`window`]: the adaptive prefetch-window controller (Algorithm 2,
 //!   `GetPrefetchWindowSize`).
 //! - [`leap`]: [`LeapPrefetcher`], the full majority-trend prefetcher
@@ -48,7 +46,6 @@
 
 pub mod baselines;
 pub mod history;
-pub mod incremental;
 pub mod leap;
 pub mod majority;
 pub mod markov;
@@ -59,7 +56,6 @@ pub mod window;
 
 pub use baselines::{NextNLinePrefetcher, NoPrefetcher, ReadAheadPrefetcher, StridePrefetcher};
 pub use history::AccessHistory;
-pub use incremental::IncrementalTrendDetector;
 pub use leap::{LeapConfig, LeapPrefetcher};
 pub use markov::{FrozenModel, MarkovOrder, MarkovPrefetcher};
 pub use programmed::{ProgrammedPrefetcher, DEFAULT_PROGRAM_LOOKAHEAD};

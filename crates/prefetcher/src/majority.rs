@@ -93,90 +93,6 @@ where
     }
 }
 
-/// Streaming majority-vote state, used by `FindTrend` to extend a window
-/// without rescanning elements it has already consumed (the paper's
-/// "searching in a new window does not need to start from the beginning").
-#[derive(Debug, Clone, Default)]
-pub struct StreamingVote<T> {
-    candidate: Option<T>,
-    vote: usize,
-    seen: usize,
-    candidate_count: usize,
-}
-
-impl<T: PartialEq + Copy> StreamingVote<T> {
-    /// Creates an empty voting state.
-    pub fn new() -> Self {
-        StreamingVote {
-            candidate: None,
-            vote: 0,
-            seen: 0,
-            candidate_count: 0,
-        }
-    }
-
-    /// Feeds one more element into the vote.
-    pub fn push(&mut self, item: T) {
-        self.seen += 1;
-        match self.candidate {
-            Some(c) if self.vote > 0 => {
-                if c == item {
-                    self.vote += 1;
-                    self.candidate_count += 1;
-                } else {
-                    self.vote -= 1;
-                }
-            }
-            _ => {
-                self.candidate = Some(item);
-                self.vote = 1;
-                self.candidate_count = 1;
-            }
-        }
-    }
-
-    /// Number of elements consumed so far.
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Returns the current candidate without verification.
-    pub fn candidate(&self) -> Option<T> {
-        self.candidate
-    }
-
-    /// Verifies the candidate against an iterator over the *same* window that
-    /// was fed into [`StreamingVote::push`], returning the majority outcome.
-    ///
-    /// The caller provides the window again because the streaming state keeps
-    /// no copy of the elements (O(1) space, as the paper requires).
-    pub fn verify<I>(&self, window: I) -> MajorityOutcome<T>
-    where
-        I: IntoIterator<Item = T>,
-    {
-        let candidate = match self.candidate {
-            Some(c) => c,
-            None => return MajorityOutcome::NoMajority,
-        };
-        let mut occurrences = 0usize;
-        let mut total = 0usize;
-        for item in window {
-            total += 1;
-            if item == candidate {
-                occurrences += 1;
-            }
-        }
-        if total == 0 {
-            return MajorityOutcome::NoMajority;
-        }
-        if occurrences > total / 2 {
-            MajorityOutcome::Majority(candidate)
-        } else {
-            MajorityOutcome::NoMajority
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,27 +151,6 @@ mod tests {
         assert!(MajorityOutcome::Majority(3).is_majority());
     }
 
-    #[test]
-    fn streaming_vote_matches_batch() {
-        let window = [-3i64, -3, 72, -3, -3, 5, -3];
-        let mut sv = StreamingVote::new();
-        for &x in &window {
-            sv.push(x);
-        }
-        assert_eq!(sv.seen(), window.len());
-        assert_eq!(
-            sv.verify(window.iter().copied()),
-            MajorityOutcome::Majority(-3)
-        );
-        assert_eq!(majority_vote(&window), MajorityOutcome::Majority(-3));
-    }
-
-    #[test]
-    fn streaming_vote_empty() {
-        let sv: StreamingVote<i64> = StreamingVote::new();
-        assert_eq!(sv.verify(std::iter::empty()), MajorityOutcome::NoMajority);
-    }
-
     proptest! {
         /// If any element truly holds a strict majority, Boyer–Moore must find it.
         #[test]
@@ -289,18 +184,6 @@ mod tests {
                 let occurrences = window.iter().filter(|&&x| x == m).count();
                 prop_assert!(occurrences > window.len() / 2);
             }
-        }
-
-        /// Streaming and batch implementations agree on every input.
-        #[test]
-        fn prop_streaming_equals_batch(
-            window in proptest::collection::vec(-10i64..10, 0..64),
-        ) {
-            let mut sv = StreamingVote::new();
-            for &x in &window {
-                sv.push(x);
-            }
-            prop_assert_eq!(sv.verify(window.iter().copied()), majority_vote(&window));
         }
     }
 }

@@ -12,7 +12,6 @@
 //! `⌊w/2⌋ − 1` interleaved outliers.
 
 use crate::history::AccessHistory;
-use crate::majority::{MajorityOutcome, StreamingVote};
 use crate::types::Delta;
 use serde::{Deserialize, Serialize};
 
@@ -80,35 +79,37 @@ pub fn find_trend(history: &AccessHistory, n_split: usize) -> TrendOutcome {
     // of recorded entries.
     let mut window = (history.capacity() / n_split).max(1).min(h_len);
 
-    // The streaming vote consumes each delta exactly once even as the window
-    // doubles; verification re-reads only the current window, which is the
-    // cheap second pass of Boyer–Moore.
-    let mut vote: StreamingVote<Delta> = StreamingVote::new();
-    let mut iter = history.iter_recent();
-
+    // The newest deltas, oldest first: a window of `w` deltas is the last
+    // `w` of them. The Boyer–Moore vote consumes each delta exactly once even
+    // as the window doubles ("searching in a new window does not need to
+    // start from the beginning"); verification re-counts only the current
+    // window, which is the cheap second pass of Boyer–Moore.
+    let recent = history.newest(h_len);
+    let (mut candidate, mut votes, mut voted) = (Delta::ZERO, 0usize, 0usize);
     loop {
-        // Feed the deltas that extend the previous window to the new size.
-        while vote.seen() < window {
-            match iter.next() {
-                Some(delta) => vote.push(delta),
-                None => break,
+        // Feed the deltas that extend the previous window, newest first.
+        for &delta in recent[h_len - window..h_len - voted].iter().rev() {
+            if votes == 0 {
+                candidate = delta;
+                votes = 1;
+            } else if delta == candidate {
+                votes += 1;
+            } else {
+                votes -= 1;
             }
         }
-
-        match vote.verify(history.iter_recent().take(vote.seen())) {
-            MajorityOutcome::Majority(delta) => {
-                return TrendOutcome::Trend {
-                    delta,
-                    window: vote.seen(),
-                };
-            }
-            MajorityOutcome::NoMajority => {
-                if window >= h_len {
-                    return TrendOutcome::NoTrend;
-                }
-                window = (window * 2).min(h_len);
-            }
+        voted = window;
+        let window_deltas = &recent[h_len - window..];
+        if window_deltas.iter().filter(|&&d| d == candidate).count() > window / 2 {
+            return TrendOutcome::Trend {
+                delta: candidate,
+                window,
+            };
         }
+        if window >= h_len {
+            return TrendOutcome::NoTrend;
+        }
+        window = (window * 2).min(h_len);
     }
 }
 
@@ -124,6 +125,30 @@ mod tests {
             h.record(PageAddr(a));
         }
         h
+    }
+
+    /// Algorithm 1 by brute force: every window of the doubling ladder, in
+    /// order, checked by counting each of its deltas over the whole window.
+    fn brute_force_trend(history: &AccessHistory, n_split: usize) -> TrendOutcome {
+        let recent: Vec<Delta> = history.iter_recent().collect();
+        if recent.is_empty() {
+            return TrendOutcome::NoTrend;
+        }
+        let mut window = (history.capacity() / n_split.max(1)).max(1);
+        loop {
+            let w = window.min(recent.len());
+            let slice = &recent[..w];
+            if let Some(&delta) = slice
+                .iter()
+                .find(|&&d| slice.iter().filter(|&&x| x == d).count() > w / 2)
+            {
+                return TrendOutcome::Trend { delta, window: w };
+            }
+            if w == recent.len() {
+                return TrendOutcome::NoTrend;
+            }
+            window *= 2;
+        }
     }
 
     #[test]
@@ -268,6 +293,62 @@ mod tests {
             let addrs: Vec<u64> = (0..len as u64).map(|i| start + stride * i).collect();
             let h = history_from_addrs(32, &addrs);
             prop_assert_eq!(find_trend(&h, n_split).delta(), Some(Delta(stride as i64)));
+        }
+
+        /// `find_trend` matches the brute-force ladder after every record,
+        /// for history sizes that are not powers of two, `Nsplit` above the
+        /// capacity (a ladder that starts at one-delta windows) and
+        /// `clear()` mid-stream. Addresses come from a small range so
+        /// deltas repeat and majorities form and break often.
+        #[test]
+        fn prop_matches_brute_force_stepwise(
+            addrs in proptest::collection::vec(0u64..24, 0..200),
+            half in 1usize..48,
+            split in 0usize..40,
+            clear_every in 1usize..90,
+        ) {
+            // 2·half + 1 is odd, so never a power of two above 1.
+            let capacity = 2 * half + 1;
+            for n_split in [capacity + split, split % 6, 4] {
+                let mut h = AccessHistory::new(capacity);
+                for (i, &a) in addrs.iter().enumerate() {
+                    if i % clear_every == clear_every - 1 {
+                        h.clear();
+                        prop_assert_eq!(find_trend(&h, n_split), TrendOutcome::NoTrend);
+                    }
+                    h.record(PageAddr(a));
+                    prop_assert_eq!(find_trend(&h, n_split), brute_force_trend(&h, n_split));
+                }
+            }
+        }
+
+        /// The same on power-of-two histories fed mixed stride and random
+        /// phases, the shape of a real fault stream.
+        #[test]
+        fn prop_matches_brute_force_on_phased_streams(
+            seed in 0u64..64_000,
+            phase_len in 1usize..40,
+            log_capacity in 0u32..7,
+            n_split in 0usize..9,
+        ) {
+            let stride = seed % 63 + 1;
+            let mut h = AccessHistory::new(1 << log_capacity);
+            let mut addr = 10_000u64;
+            let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+            for phase in 0..4 {
+                for _ in 0..phase_len {
+                    if phase % 2 == 0 {
+                        addr += stride;
+                    } else {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        addr = 10_000 + (x % 1_000_000);
+                    }
+                    h.record(PageAddr(addr));
+                    prop_assert_eq!(find_trend(&h, n_split), brute_force_trend(&h, n_split));
+                }
+            }
         }
 
         /// FindTrend never panics on arbitrary inputs.

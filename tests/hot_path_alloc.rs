@@ -23,8 +23,7 @@ use leap_repro::leap_mem::{
     CacheOrigin, FrameId, PageState, PageTable, Pid, SwapCache, SwapSlot, SwapSpace, VirtPage,
 };
 use leap_repro::leap_prefetcher::{
-    IncrementalTrendDetector, LeapConfig, LeapPrefetcher, PageAddr, Prefetcher, PrefetcherKind,
-    INLINE_DECISION_PAGES,
+    LeapConfig, LeapPrefetcher, PageAddr, Prefetcher, PrefetcherKind, INLINE_DECISION_PAGES,
 };
 use leap_repro::leap_remote::{
     FaultPlan, FaultSpec, HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind,
@@ -92,39 +91,6 @@ fn leap_prefetcher_steady_state_faults_do_not_allocate() {
     assert_eq!(
         allocs, 0,
         "Leap fault hot path performed {allocs} heap allocations over 8192 faults"
-    );
-}
-
-#[test]
-fn incremental_trend_detector_records_do_not_allocate() {
-    // A record writes the history's mirrored ring and counts two candidates
-    // per tier over a slice of it; the tiers keep nothing but their cached
-    // majority, so records stay off the heap — even through distinct-delta
-    // bursts that slide majorities in and out of every tier.
-    let mut det = IncrementalTrendDetector::new(32, 4);
-    let mut addr = 0u64;
-    for i in 0..256u64 {
-        addr += i % 7 + 1;
-        det.record(PageAddr(addr));
-    }
-    let allocs = count_allocs(|| {
-        let mut gap = 1u64;
-        for i in 0..8_192u64 {
-            // Alternate a steady stride with distinct-delta bursts to slide
-            // majorities in and out of every tier.
-            if i % 64 < 48 {
-                addr += 3;
-            } else {
-                gap += i % 13 + 2;
-                addr += gap;
-            }
-            det.record(PageAddr(addr));
-            let _ = det.trend();
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "incremental detector performed {allocs} heap allocations over 8192 records"
     );
 }
 

@@ -23,6 +23,7 @@ the code's speed), 2 when a run gave no result, and 0 otherwise.
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -39,19 +40,27 @@ def git(root: Path, *args: str) -> str:
 
 
 def unpack(root: Path, rev: str, work: Path) -> Path:
-    """REV's committed files under `work`, unpacked once per commit."""
+    """REV's committed files under `work`, unpacked once per commit.
+
+    The files are unpacked beside the tree's `src/` and renamed to it only
+    once the whole archive is in, so an interrupted unpack is redone rather
+    than reused.
+    """
     commit = git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
     tree = work / f"base-{commit[:12]}"
     src = tree / "src"
-    if not (src / "perfbench" / "run.py").exists():
-        src.mkdir(parents=True, exist_ok=True)
+    if not src.is_dir():
+        partial = tree / "src.partial"
+        shutil.rmtree(partial, ignore_errors=True)
+        partial.mkdir(parents=True)
         archive = subprocess.Popen(
             ["git", "archive", "--format=tar", commit], cwd=root, stdout=subprocess.PIPE
         )
         with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
-            tar.extractall(src, filter="data")
+            tar.extractall(partial, filter="data")
         if archive.wait() != 0:
             sys.exit(f"ab_compare: git archive {rev} failed")
+        partial.rename(src)
     return tree
 
 

@@ -176,9 +176,9 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Selects how multi-process replays execute: serially on one OS thread
-    /// (the reference) or with one OS thread per core shard
-    /// ([`ReplayMode::Threaded`]). Simulated results are bit-identical in
+    /// Selects how multi-process replays execute: the core shards one after
+    /// another on the calling thread ([`ReplayMode::Serial`], the default)
+    /// or one OS thread per core shard ([`ReplayMode::Threaded`]). Simulated results are bit-identical in
     /// both modes; only wall-clock time differs.
     pub fn replay_mode(mut self, mode: ReplayMode) -> Self {
         self.config.replay_mode = mode;

@@ -44,23 +44,24 @@ impl DataPathKind {
 
 /// How a multi-process replay ([`crate::Simulator::run_multi`]) is executed.
 ///
-/// Both modes run the *same* deterministic schedule over the same per-core
-/// shard state and produce bit-identical [`crate::RunResult`]s for a given
-/// seed; they differ only in what drives the shards:
+/// Both modes run the *same* per-core code: each core shard replays its
+/// core's slice of the time-sliced schedule in [`crate::sched`] to
+/// completion, and the per-core event buffers are merged by `(core, seq)`
+/// afterwards. They produce bit-identical [`crate::RunResult`]s for a given
+/// seed and differ only in where the shards run:
 ///
-/// - [`ReplayMode::Serial`] steps every core shard on one OS thread,
-///   interleaved by the time-sliced scheduler in [`crate::sched`]. This is
-///   the reference implementation.
+/// - [`ReplayMode::Serial`] runs the core shards one after another, in core
+///   order, on the calling thread. This is the default.
 /// - [`ReplayMode::Threaded`] runs one OS thread per core shard (the shards
-///   share no mutable state), then deterministically merges the per-core
-///   event buffers by `(core, seq)` after the join. Wall-clock time scales
-///   with host cores; simulated results do not change.
+///   share no mutable state). Wall-clock time scales with host cores;
+///   simulated results do not change.
 ///
-/// Front-ends without per-core shard state (the VFS simulator) replay
-/// serially regardless of the configured mode.
+/// Front-ends without per-core shard state (the VFS simulator, the VMM
+/// without per-process isolation) replay as one worker stepped in the
+/// scheduler's global interleaving, regardless of the configured mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ReplayMode {
-    /// One OS thread steps all core shards, interleaved (the reference).
+    /// The calling thread runs the core shards one after another.
     Serial,
     /// One OS thread per core shard, merged deterministically after the join.
     Threaded,
@@ -155,10 +156,10 @@ pub struct SimConfig {
     /// scheduler's own bookkeeping), charged whenever a core's run queue
     /// rotates. Defaults to [`crate::sched::CONTEXT_SWITCH`] (2 µs).
     pub context_switch_cost: Nanos,
-    /// How multi-process replays execute: one thread interleaving all core
-    /// shards ([`ReplayMode::Serial`], the reference) or one OS thread per
-    /// core shard ([`ReplayMode::Threaded`]). Simulated results are
-    /// bit-identical either way.
+    /// How multi-process replays execute: the core shards one after another
+    /// on the calling thread ([`ReplayMode::Serial`], the default) or one OS
+    /// thread per core shard ([`ReplayMode::Threaded`]). Simulated results
+    /// are bit-identical either way.
     pub replay_mode: ReplayMode,
     /// When several processes run, whether each gets its own isolated
     /// prefetcher state (Leap) or they share one (Linux's shared swap path).

@@ -118,8 +118,8 @@ impl EngineCore {
     /// deterministic per-core [`DetRng`] stream.
     ///
     /// Worker engines are what both replay modes
-    /// ([`crate::config::ReplayMode`]) execute, so the serial reference and
-    /// the thread-parallel replay step literally the same state.
+    /// ([`crate::config::ReplayMode`]) execute, so the serial and the
+    /// thread-parallel replay step literally the same state.
     pub fn shard_worker(&self, core: usize, shards: usize) -> EngineCore {
         let config = self.config;
         let per_shard = if config.prefetch_cache_pages == u64::MAX {

@@ -12,20 +12,26 @@
 //!   (the VMM without isolation, whose processes share one read-ahead
 //!   stream; the VFS, whose file cache is one cache).
 //!
-//! The configured [`ReplayMode`] then decides what drives them:
+//! Shard workers run **by core**: each steps [`CoreScheduler::isolate`] of
+//! its core — that core's slice of the global schedule — to completion.
+//! The configured [`ReplayMode`] decides only where:
 //!
-//! - [`ReplayMode::Serial`]: one thread steps the workers in the global
-//!   time-sliced scheduler's interleaving (the reference implementation).
-//!   A worker spanning every core serves every slot.
-//! - [`ReplayMode::Threaded`]: one OS thread per shard worker, each driving
-//!   the scheduler restricted to its own core ([`CoreScheduler::isolate`]).
-//!   A single worker has nothing to run in parallel with, so it is always
-//!   stepped serially.
+//! - [`ReplayMode::Serial`]: one after another in core order on the calling
+//!   thread. Each shard's page tables, swap window, cache and latency
+//!   tables stay hot in the host's caches for its whole run, and a finished
+//!   shard's state is freed before the next one starts.
+//! - [`ReplayMode::Threaded`]: one scoped OS thread per shard worker.
+//!
+//! Both then merge the per-core outcomes the same way, so the two modes run
+//! the same per-core code. A single worker spanning every core has nothing
+//! to split: it is stepped in the global scheduler's interleaving (always
+//! the core whose local clock is furthest behind) in either mode.
 //!
 //! # Determinism
 //!
-//! The two modes are bit-identical for a seed because nothing a shard
-//! worker computes depends on any other worker:
+//! Running shards by core is bit-identical to stepping every shard worker
+//! in the global interleaving, and the two modes to each other, because
+//! nothing a shard worker computes depends on any other worker:
 //!
 //! 1. **Schedules are per-core independent.** A core's run queue is dealt
 //!    once up front from the seed; rotations depend only on that core's
@@ -44,9 +50,12 @@
 //!    [`FaultEvent::seq`] with its index in its core's buffer; the buffers
 //!    are delivered in `(core, seq)` order and partial [`RunResult`]s are
 //!    folded in worker order, so observers and aggregates see one
-//!    canonical order in both modes.
+//!    canonical order however the shards were run.
 //!
-//! `tests/parallel_equivalence.rs` pins all three properties.
+//! The interleaved driver stays the oracle: this module's unit tests step
+//! every shard worker through the global scheduler and compare the
+//! partials, makespan and event buffers with both modes, and
+//! `tests/parallel_equivalence.rs` pins the modes' results and streams.
 
 use crate::result::RunResult;
 use crate::sched::CoreScheduler;
@@ -73,6 +82,12 @@ pub(crate) struct ShardOutcome {
 /// handed out yet). `record_events` gates the per-core event buffers: with
 /// no observers attached there is no reader, so buffering millions of
 /// events would only inflate peak RSS.
+///
+/// Shard workers run by core, each over [`CoreScheduler::isolate`] of its
+/// core to completion: in core order on the calling thread
+/// ([`ReplayMode::Serial`]) or on one scoped thread each
+/// ([`ReplayMode::Threaded`]). A single worker spanning every core is
+/// stepped in the global interleaving.
 pub(crate) fn replay<S: Simulator>(
     mode: ReplayMode,
     workers: Vec<S>,
@@ -84,19 +99,39 @@ pub(crate) fn replay<S: Simulator>(
         workers.len() == 1 || workers.len() == sched.cores(),
         "one worker per core, or one spanning every core"
     );
-    match mode {
-        ReplayMode::Threaded if workers.len() > 1 => {
-            replay_threaded(workers, traces, &sched, record_events)
-        }
-        _ => replay_serial(workers, traces, sched, record_events),
+    if workers.len() == 1 {
+        return replay_interleaved(workers, traces, sched, record_events);
     }
+    // Each run clones its isolated scheduler itself, so on a thread the
+    // clone's per-core clocks and cursors, written on every access, come
+    // from that thread's allocator arena instead of sitting beside a
+    // sibling shard's and sharing its cache lines.
+    let run_core = |(core, worker): (usize, S)| {
+        replay_interleaved(vec![worker], traces, sched.isolate(core), record_events)
+    };
+    let per_core: Vec<ShardOutcome> = match mode {
+        ReplayMode::Serial => workers.into_iter().enumerate().map(run_core).collect(),
+        ReplayMode::Threaded => std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .into_iter()
+                .enumerate()
+                .map(|shard| scope.spawn(move || run_core(shard)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|handle| handle.join().expect("shard worker thread panicked"))
+                .collect()
+        }),
+    };
+    merge_by_core(per_core)
 }
 
-/// The serial reference: one thread steps all workers, interleaved by the
-/// global scheduler (always the core whose local clock is furthest behind).
-/// Given one worker and an isolated scheduler, it is also what each thread
-/// of a threaded replay runs.
-fn replay_serial<S: Simulator>(
+/// The single-thread driver: steps `workers` in the scheduler's global
+/// interleaving (always the core whose local clock is furthest behind).
+/// Worker `c` serves core `c`; a single worker serves every core. Handed
+/// one shard worker and [`CoreScheduler::isolate`] of its core, it runs
+/// that shard alone, which is how [`replay`] drives shard workers.
+fn replay_interleaved<S: Simulator>(
     mut workers: Vec<S>,
     traces: &[AccessTrace],
     mut sched: CoreScheduler,
@@ -110,7 +145,6 @@ fn replay_serial<S: Simulator>(
             Vec::with_capacity(if record_events { len } else { 0 })
         })
         .collect();
-    // Worker `c` serves core `c`; a single worker serves every core.
     let last = workers.len() - 1;
     while let Some(slot) = sched.next_slot() {
         let worker = &mut workers[slot.core.min(last)];
@@ -134,29 +168,10 @@ fn replay_serial<S: Simulator>(
     }
 }
 
-/// The thread-parallel replay: one scoped OS thread per shard worker, each
-/// running the serial driver over [`CoreScheduler::isolate`] of its core to
-/// completion; joined in core order.
-fn replay_threaded<S: Simulator>(
-    workers: Vec<S>,
-    traces: &[AccessTrace],
-    sched: &CoreScheduler,
-    record_events: bool,
-) -> ShardOutcome {
-    let per_core = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(core, worker)| {
-                let local = sched.isolate(core);
-                scope.spawn(move || replay_serial(vec![worker], traces, local, record_events))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("shard worker thread panicked"))
-            .collect::<Vec<_>>()
-    });
+/// Merges the by-core runs of the shard workers, given in core order: core
+/// `c`'s event buffer from run `c`, the partials in core order, and the
+/// latest core's completion as the makespan.
+fn merge_by_core(per_core: Vec<ShardOutcome>) -> ShardOutcome {
     let mut outcome = ShardOutcome {
         events: Vec::with_capacity(per_core.len()),
         partials: Vec::with_capacity(per_core.len()),
@@ -208,4 +223,152 @@ pub(crate) fn finish_sharded(
         }
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::vmm::VmmSimulator;
+    use leap_remote::{FaultSpec, RecoveryPolicy};
+    use leap_sim_core::units::MIB;
+    use leap_workloads::{sequential_trace, stride_trace, AppKind, AppModel};
+
+    fn traces(processes: usize) -> Vec<AccessTrace> {
+        let mut traces = vec![sequential_trace(MIB, 3), stride_trace(MIB, 10, 3)];
+        traces.extend((0..processes.saturating_sub(2)).map(|i| {
+            AppModel::new(AppKind::ALL[i % AppKind::ALL.len()], 40 + i as u64)
+                .with_working_set(MIB)
+                .with_accesses(2_000)
+                .generate()
+        }));
+        traces.truncate(processes);
+        traces
+    }
+
+    fn config(cores: usize) -> crate::builder::SimConfigBuilder {
+        SimConfig::builder()
+            .memory_fraction(0.5)
+            .cores(cores)
+            .sched_quantum(Nanos::from_micros(100))
+            .seed(23)
+    }
+
+    /// Splits a fresh simulator into its replay workers under the scheduler
+    /// `run_multi` would build.
+    fn split(
+        config: SimConfig,
+        traces: &[AccessTrace],
+        tune: &dyn Fn(&mut VmmSimulator),
+    ) -> (Vec<VmmSimulator>, CoreScheduler) {
+        let lens: Vec<usize> = traces.iter().map(AccessTrace::len).collect();
+        let sched = CoreScheduler::with_context_switch(
+            &lens,
+            config.cores,
+            config.sched_quantum,
+            config.seed,
+            config.context_switch_cost,
+        );
+        let mut sim = VmmSimulator::new(config);
+        tune(&mut sim);
+        (sim.into_workers(traces, &sched), sched)
+    }
+
+    /// Steps every shard worker through the global scheduler's interleaving
+    /// and checks that both modes' by-core runs produce the same partials
+    /// (every field, latency samples in recorded order), makespan and
+    /// `(core, seq)` event buffers.
+    fn assert_by_core_matches_interleaving(
+        config: SimConfig,
+        traces: &[AccessTrace],
+        tune: &dyn Fn(&mut VmmSimulator),
+    ) -> RunResult {
+        let (workers, sched) = split(config, traces, tune);
+        assert_eq!(workers.len(), config.cores, "one shard worker per core");
+        let oracle = replay_interleaved(workers, traces, sched, true);
+        for mode in [ReplayMode::Serial, ReplayMode::Threaded] {
+            let (workers, sched) = split(config, traces, tune);
+            let by_core = replay(mode, workers, traces, sched, true);
+            let case = format!("{} cores, {mode:?}", config.cores);
+            assert_eq!(by_core.completion, oracle.completion, "{case}: makespan");
+            assert_eq!(by_core.events, oracle.events, "{case}: event buffers");
+            assert_eq!(
+                format!("{:?}", by_core.partials),
+                format!("{:?}", oracle.partials),
+                "{case}: partial results"
+            );
+        }
+        let total = oracle.events.iter().map(Vec::len).sum::<usize>();
+        assert_eq!(total, traces.iter().map(AccessTrace::len).sum::<usize>());
+        finish_sharded(oracle, &mut [])
+    }
+
+    #[test]
+    fn by_core_replay_matches_the_interleaving_across_core_counts() {
+        for cores in 1..=4 {
+            let config = config(cores).build().expect("valid config");
+            let result = assert_by_core_matches_interleaving(config, &traces(5), &|_| {});
+            assert!(
+                result.pages_swapped_out > 0,
+                "{cores} cores swapped nothing"
+            );
+        }
+    }
+
+    #[test]
+    fn idle_shards_match_the_interleaving() {
+        // Fewer processes than cores: some shard workers get no run queue.
+        for (cores, processes) in [(2, 1), (4, 2), (4, 3)] {
+            let config = config(cores).build().expect("valid config");
+            assert_by_core_matches_interleaving(config, &traces(processes), &|_| {});
+        }
+    }
+
+    #[test]
+    fn prepopulated_shards_match_the_interleaving() {
+        for cores in [2, 3] {
+            let config = config(cores).build().expect("valid config");
+            let result = assert_by_core_matches_interleaving(config, &traces(4), &|sim| {
+                sim.set_prepopulate_multi(true)
+            });
+            assert!(
+                result.remote_accesses > 0,
+                "{cores} cores: no remote access"
+            );
+        }
+    }
+
+    #[test]
+    fn tenant_budgets_match_the_interleaving() {
+        let config = config(2).build().expect("valid config");
+        let result = assert_by_core_matches_interleaving(config, &traces(4), &|sim| {
+            sim.set_tenant_budget_pages(Pid(1), 64);
+            sim.set_tenant_budget_pages(Pid(3), 1_024);
+        });
+        assert!(result.tenant_evictions.contains_key(&1));
+        assert!(!result.tenant_evictions.contains_key(&3));
+    }
+
+    #[test]
+    fn faults_with_tail_tolerant_recovery_match_the_interleaving() {
+        for cores in [2, 3] {
+            let config = config(cores)
+                .fault_plan(FaultSpec::canonical_storm())
+                .recovery_policy(RecoveryPolicy::tail_tolerant())
+                .build()
+                .expect("valid config");
+            let result = assert_by_core_matches_interleaving(config, &traces(4), &|sim| {
+                sim.set_prepopulate_multi(true)
+            });
+            assert!(
+                !result.fault_stats.is_quiet(),
+                "{cores} cores: no fault hit"
+            );
+            let recovery = result.recovery_stats;
+            assert!(
+                recovery.retries + recovery.hedges_issued > 0,
+                "{cores} cores: recovery never acted"
+            );
+        }
+    }
 }

@@ -25,8 +25,8 @@
 //!
 //! Each per-core shard worker owns one pipeline (its submission queue), so
 //! the scheme is share-nothing and bit-reproducible across
-//! [`ReplayMode`](crate::ReplayMode)s: the serial reference and the
-//! thread-parallel replay step literally the same pipeline state.
+//! [`ReplayMode`](crate::ReplayMode)s: the serial and the thread-parallel
+//! replay step literally the same pipeline state.
 //!
 //! The two interesting depth settings:
 //!

@@ -24,7 +24,8 @@
 //! [`crate::Simulator::run_multi`] and [`crate::Session::run_multi`]) asks
 //! for the next slot, moves the worker serving that core onto it
 //! ([`crate::Simulator::enter_core`]), steps one access, and reports the
-//! core's new local time back.
+//! core's new local time back. A share-nothing shard worker drives
+//! [`CoreScheduler::isolate`] of its own core that way.
 //!
 //! [`SimConfig::sched_quantum`]: crate::SimConfig::sched_quantum
 
@@ -133,7 +134,7 @@ impl CoreScheduler {
     }
 
     /// The run queue dealt to `core`, front (running) first. Stable once the
-    /// scheduler is built; a thread-parallel replay uses it to decide which
+    /// scheduler is built; a sharded replay uses it to decide which
     /// processes each shard worker owns.
     pub fn run_queue(&self, core: usize) -> Vec<usize> {
         self.queues[core].iter().copied().collect()
@@ -148,8 +149,9 @@ impl CoreScheduler {
     /// own slots; other cores influence nothing but the global interleaving
     /// order. Driving each `isolate(core)` independently therefore yields
     /// exactly the per-core slot sequences of the full scheduler, which is
-    /// what lets one OS thread per core replay its shard without
-    /// synchronisation ([`crate::parallel`]).
+    /// what lets each shard worker replay its core alone — one after another
+    /// or one OS thread per core — without synchronisation
+    /// ([`crate::parallel`]).
     pub fn isolate(&self, core: usize) -> CoreScheduler {
         let mut isolated = self.clone();
         for (c, queue) in isolated.queues.iter_mut().enumerate() {

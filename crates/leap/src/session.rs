@@ -13,10 +13,11 @@
 //! Multi-process replays ([`Simulator::run_multi`]) have one driver: the
 //! front-end splits itself into replay workers
 //! ([`Simulator::into_workers`]), which [`crate::parallel`] steps under the
-//! time-sliced per-core scheduler in [`crate::sched`]. Every
-//! [`FaultEvent`] carries the core it ran on and a per-core dense `seq`, so
-//! per-core streams (and Figure 13-style scale-up curves) fall out of the
-//! same observer machinery — see [`CoreActivity`] and [`EventLog`].
+//! time-sliced per-core scheduler in [`crate::sched`], one core at a time
+//! or one thread per core. Every [`FaultEvent`] carries the core it ran on
+//! and a per-core dense `seq`, so per-core streams (and Figure 13-style
+//! scale-up curves) fall out of the same observer machinery — see
+//! [`CoreActivity`] and [`EventLog`].
 
 use crate::config::SimConfig;
 use crate::parallel;
@@ -236,6 +237,11 @@ pub trait Simulator: Sized + Send {
     /// core. Either way the workers come back prepared (and prepopulated,
     /// where the front-end does that), with the run's label and workload
     /// name stamped on their results. See [`crate::parallel`].
+    ///
+    /// Several workers must share no mutable state: both replay modes run
+    /// each one over its own core's schedule to completion, one after
+    /// another or on parallel threads, never interleaved with the others.
+    /// Returning a single worker keeps the global interleaving.
     fn into_workers(self, traces: &[AccessTrace], sched: &CoreScheduler) -> Vec<Self>;
 
     /// Moves the worker onto `core` at that core's local time `now`. The

@@ -1,10 +1,9 @@
-//! Latency histograms with percentile and CDF queries.
+//! Latency histograms with percentile queries.
 
 use leap_sim_core::Nanos;
 use serde::{Deserialize, Serialize};
 
-/// A collection of latency samples supporting percentile, mean, and CDF
-/// queries.
+/// A collection of latency samples supporting percentile and mean queries.
 ///
 /// Samples are kept exactly (the experiments record at most a few million
 /// samples); queries sort lazily and cache the sorted order until the next
@@ -169,6 +168,7 @@ impl LatencyHistogram {
     }
 
     /// The fraction of samples ≤ `threshold` (the empirical CDF).
+    #[cfg(test)]
     pub fn cdf_at(&mut self, threshold: Nanos) -> f64 {
         if self.is_empty() {
             return 0.0;
@@ -184,6 +184,7 @@ impl LatencyHistogram {
 
     /// Produces `(latency, cumulative fraction)` points suitable for plotting
     /// a CDF, at the given number of evenly spaced quantiles.
+    #[cfg(test)]
     pub fn cdf_points(&mut self, points: usize) -> Vec<(Nanos, f64)> {
         if self.is_empty() || points == 0 {
             return Vec::new();

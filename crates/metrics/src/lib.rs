@@ -6,7 +6,7 @@
 //! (accuracy, coverage, timeliness — §3.1), and application-level completion
 //! time or throughput. This crate collects them:
 //!
-//! - [`histogram::LatencyHistogram`]: percentile and CDF queries over latency
+//! - [`histogram::LatencyHistogram`]: percentile queries over latency
 //!   samples.
 //! - [`cache_stats::CacheStats`]: cache adds/hits/misses/evictions and
 //!   pollution accounting.

@@ -31,8 +31,6 @@ use leap_sim_core::Nanos;
 pub struct DispatchQueues {
     /// Completion time of the last request staged on each queue.
     busy_until: Vec<Nanos>,
-    /// Total requests dispatched per queue (for load reports).
-    dispatched: Vec<u64>,
 }
 
 /// The outcome of staging one request on a dispatch queue.
@@ -54,7 +52,6 @@ impl DispatchQueues {
         assert!(cores > 0, "DispatchQueues needs at least one core");
         DispatchQueues {
             busy_until: vec![Nanos::ZERO; cores],
-            dispatched: vec![0; cores],
         }
     }
 
@@ -74,42 +71,23 @@ impl DispatchQueues {
         let queueing_delay = start.saturating_sub(now);
         let completes_at = start.saturating_add(service_time);
         self.busy_until[idx] = completes_at;
-        self.dispatched[idx] += 1;
         DispatchOutcome {
             queueing_delay,
             completes_at,
         }
     }
 
-    /// Total requests dispatched on queue `core` so far.
-    pub fn dispatched_on(&self, core: usize) -> u64 {
-        self.dispatched[core % self.dispatched.len()]
-    }
-
-    /// Total requests dispatched across all queues.
-    pub fn total_dispatched(&self) -> u64 {
-        self.dispatched.iter().sum()
-    }
-
-    /// The instant at which queue `core` becomes idle.
-    pub fn idle_at(&self, core: usize) -> Nanos {
-        self.busy_until[core % self.busy_until.len()]
-    }
-
     /// Cancels the in-flight tail of every queue at time `now`, as happens
     /// when the machine serving those requests fails mid-run.
     ///
     /// Each queue that was busy past `now` becomes idle at exactly `now` —
-    /// never earlier. Clamping to `now` instead of calling [`reset`] keeps
+    /// never earlier. Clamping to `now` instead of rewinding to zero keeps
     /// the per-core clock monotonic: a request dispatched after the
     /// cancellation can never start (or complete) before a previously
     /// observed completion that already elapsed, and queues that were
-    /// already idle are left untouched. Dispatch counters are preserved;
-    /// cancelled work still happened, it just never completed.
+    /// already idle are left untouched.
     ///
     /// Returns the number of queues whose in-flight tail was cancelled.
-    ///
-    /// [`reset`]: DispatchQueues::reset
     pub fn cancel_in_flight(&mut self, now: Nanos) -> u64 {
         let mut cancelled = 0;
         for busy in &mut self.busy_until {
@@ -131,8 +109,7 @@ impl DispatchQueues {
     /// request's start time, so the same monotonicity argument as
     /// [`cancel_in_flight`] holds: the queue clock only ever moves down to
     /// an instant that is still in the queue's own future relative to every
-    /// previously observed completion that actually elapsed. Dispatch
-    /// counters are preserved — cancelled work still happened.
+    /// previously observed completion that actually elapsed.
     ///
     /// [`cancel_in_flight`]: DispatchQueues::cancel_in_flight
     pub fn cancel_request(&mut self, core: usize, at: Nanos) -> bool {
@@ -144,22 +121,21 @@ impl DispatchQueues {
             false
         }
     }
-
-    /// Clears all queue state.
-    pub fn reset(&mut self) {
-        for b in &mut self.busy_until {
-            *b = Nanos::ZERO;
-        }
-        for d in &mut self.dispatched {
-            *d = 0;
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The instant queue `core` becomes idle, read off a zero-length request
+    /// issued at time zero: it starts when the queue frees up, completes at
+    /// once, and leaves the queue's clock where it was.
+    fn idle_at(q: &mut DispatchQueues, core: usize) -> Nanos {
+        let probe = q.dispatch(core, Nanos::ZERO, Nanos::ZERO);
+        assert_eq!(probe.queueing_delay, probe.completes_at);
+        probe.completes_at
+    }
 
     #[test]
     fn back_to_back_requests_queue_up() {
@@ -192,9 +168,11 @@ mod tests {
         }
         let other = q.dispatch(3, Nanos::ZERO, Nanos::from_micros(7));
         assert_eq!(other.queueing_delay, Nanos::ZERO);
-        assert_eq!(q.dispatched_on(2), 10);
-        assert_eq!(q.dispatched_on(3), 1);
-        assert_eq!(q.total_dispatched(), 11);
+        // Queue 2 carries all ten requests back to back; the others only
+        // their own.
+        assert_eq!(idle_at(&mut q, 2), Nanos::from_micros(70));
+        assert_eq!(idle_at(&mut q, 3), Nanos::from_micros(7));
+        assert_eq!(idle_at(&mut q, 0), Nanos::ZERO);
     }
 
     #[test]
@@ -204,17 +182,6 @@ mod tests {
         // Core 2 maps onto queue 0 and therefore queues behind it.
         let wrapped = q.dispatch(2, Nanos::ZERO, Nanos::from_micros(3));
         assert_eq!(wrapped.queueing_delay, Nanos::from_micros(3));
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut q = DispatchQueues::new(1);
-        let _ = q.dispatch(0, Nanos::ZERO, Nanos::from_micros(3));
-        q.reset();
-        assert_eq!(q.total_dispatched(), 0);
-        assert_eq!(q.idle_at(0), Nanos::ZERO);
-        let a = q.dispatch(0, Nanos::ZERO, Nanos::from_micros(3));
-        assert_eq!(a.queueing_delay, Nanos::ZERO);
     }
 
     #[test]
@@ -231,9 +198,12 @@ mod tests {
         // Queue 1 is already idle; only queue 0 has an in-flight tail.
         let now = Nanos::from_micros(4);
         assert_eq!(q.cancel_in_flight(now), 1);
-        assert_eq!(q.idle_at(0), now, "cancelled queue becomes idle *now*");
-        assert_eq!(q.idle_at(1), Nanos::ZERO, "idle queue untouched");
-        assert_eq!(q.total_dispatched(), 1, "counters survive cancellation");
+        assert_eq!(
+            idle_at(&mut q, 0),
+            now,
+            "cancelled queue becomes idle *now*"
+        );
+        assert_eq!(idle_at(&mut q, 1), Nanos::ZERO, "idle queue untouched");
     }
 
     #[test]
@@ -244,7 +214,7 @@ mod tests {
         // rewind the queue clock below the failure time.
         let now = Nanos::from_micros(8);
         assert_eq!(q.cancel_in_flight(now), 0);
-        assert_eq!(q.idle_at(0), first.completes_at);
+        assert_eq!(idle_at(&mut q, 0), first.completes_at);
         let after = q.dispatch(0, now, Nanos::from_micros(1));
         assert!(after.completes_at >= first.completes_at);
     }
@@ -264,19 +234,20 @@ mod tests {
                 if action == 0 {
                     // A failure cancels the in-flight tails at `now`: each
                     // queue clock may only drop to `now`, never below it
-                    // (the reset()-style bug would rewind it to zero).
-                    let before = [q.idle_at(0), q.idle_at(1)];
+                    // (a reset would rewind it to zero).
+                    let before = [idle_at(&mut q, 0), idle_at(&mut q, 1)];
                     let _ = q.cancel_in_flight(now);
                     for (core, &was) in before.iter().enumerate() {
-                        prop_assert!(q.idle_at(core) <= was);
+                        let idle = idle_at(&mut q, core);
+                        prop_assert!(idle <= was);
                         prop_assert!(
-                            q.idle_at(core) >= was.min(now),
+                            idle >= was.min(now),
                             "queue clock rewound below the cancellation time"
                         );
                     }
                 } else {
                     let core = action % 2;
-                    let idle_before = q.idle_at(core);
+                    let idle_before = idle_at(&mut q, core);
                     let out = q.dispatch(core, now, Nanos::from_nanos(service));
                     prop_assert!(out.completes_at >= now);
                     prop_assert!(
@@ -295,12 +266,11 @@ mod tests {
         let b = q.dispatch(1, Nanos::ZERO, Nanos::from_micros(10));
         // A deadline expires at 6 µs on core 0; core 1 keeps its tail.
         assert!(q.cancel_request(0, Nanos::from_micros(6)));
-        assert_eq!(q.idle_at(0), Nanos::from_micros(6));
-        assert_eq!(q.idle_at(1), b.completes_at);
+        assert_eq!(idle_at(&mut q, 0), Nanos::from_micros(6));
+        assert_eq!(idle_at(&mut q, 1), b.completes_at);
         // Cancelling at or after the completion time is a no-op.
         assert!(!q.cancel_request(0, Nanos::from_micros(6)));
         assert!(!q.cancel_request(1, b.completes_at));
-        assert_eq!(q.total_dispatched(), 2, "counters survive cancellation");
         let _ = a;
     }
 
@@ -319,15 +289,16 @@ mod tests {
                 now = now.saturating_add(Nanos::from_nanos(gap));
                 let core = action % 2;
                 if action < 2 {
-                    let was = q.idle_at(core);
+                    let was = idle_at(&mut q, core);
                     let _ = q.cancel_request(core, now);
-                    prop_assert!(q.idle_at(core) <= was);
+                    let idle = idle_at(&mut q, core);
+                    prop_assert!(idle <= was);
                     prop_assert!(
-                        q.idle_at(core) >= was.min(now),
+                        idle >= was.min(now),
                         "queue clock rewound below the cancellation time"
                     );
                 } else {
-                    let idle_before = q.idle_at(core);
+                    let idle_before = idle_at(&mut q, core);
                     let out = q.dispatch(core, now, Nanos::from_nanos(service));
                     prop_assert!(out.completes_at >= now);
                     prop_assert!(out.completes_at >= idle_before);

@@ -101,7 +101,11 @@ impl TenantRegistry {
     }
 
     /// Registers a tenant; its [`TenantId`] is its submission index.
+    ///
+    /// Computes the trace's working set here, once, so every wave's clone
+    /// of the trace carries the count instead of sorting the trace again.
     pub fn register(&mut self, spec: TenantSpec) -> TenantId {
+        spec.trace.working_set_pages();
         let id = TenantId(self.specs.len() as u32);
         self.specs.push(spec);
         id

@@ -3,6 +3,13 @@
 //! `FaultEvent` stream as `ReplayMode::Serial` for the same seed and
 //! quantum, across core counts — plus exactly-once delivery through the
 //! batched event ring.
+//!
+//! Both modes run the same per-core code (each shard worker over its own
+//! core's schedule, then one `(core, seq)` merge); they differ only in
+//! running the shards one after another or on parallel threads. That the
+//! by-core runs equal stepping every shard worker in the global
+//! scheduler's interleaving is checked by `leap::parallel`'s unit tests,
+//! which can reach the interleaving driver.
 
 use leap_repro::leap_sim_core::units::MIB;
 use leap_repro::leap_sim_core::Nanos;

@@ -80,6 +80,9 @@ pub struct LegacyDataPath {
     /// remote cluster, so only the epoch faults — latency spikes, degraded
     /// bandwidth, reconnect storms — apply; machine failures do not.
     fault_plan: FaultPlan,
+    /// The plan's step-function segments started by the previous request's
+    /// time ([`FaultPlan::modifiers_from`]).
+    segment_cursor: usize,
     fault_stats: FaultInjectionStats,
 }
 
@@ -121,6 +124,7 @@ impl LegacyDataPath {
             reads: 0,
             writes: 0,
             fault_plan: FaultPlan::empty(),
+            segment_cursor: 0,
             fault_stats: FaultInjectionStats::default(),
         }
     }
@@ -136,12 +140,15 @@ impl LegacyDataPath {
     /// D-VMM and Leap face the same latency churn in comparisons.
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.fault_plan = plan;
+        self.segment_cursor = 0;
     }
 
     /// Applies the fault modifiers in force at `now` to a sampled device
     /// transfer, counting affected requests.
     fn apply_faults(&mut self, transfer: Nanos, now: Nanos) -> Nanos {
-        let mods = self.fault_plan.modifiers_at(now);
+        let mods = self
+            .fault_plan
+            .modifiers_from(&mut self.segment_cursor, now);
         if mods.is_identity() {
             return transfer;
         }

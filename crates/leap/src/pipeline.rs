@@ -38,8 +38,7 @@
 
 use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
 use leap_sim_core::Nanos;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 /// The kind of asynchronous remote I/O a pipeline request models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,12 +103,18 @@ impl PipelineStats {
 /// One shard's submission queue and virtual-time completion reactor.
 ///
 /// See the [module docs](self) for the model. The pipeline is deliberately
-/// tiny: a min-heap of in-flight completion instants plus counters — no
-/// allocation past the heap, no wall-clock, no randomness.
+/// tiny: a ring of in-flight completion instants plus counters — no
+/// allocation once the ring has grown to the peak in-flight count, no
+/// wall-clock, no randomness.
+///
+/// The ring is kept sorted, earliest completion at the front. Completions
+/// arrive within a few µs of sorted order (a shard's dispatch queues hand
+/// out monotone completions per core), so a submit inserts by scanning a
+/// few entries from the back, and every reap takes the front.
 #[derive(Debug)]
 pub struct AsyncPipeline {
     depth: usize,
-    in_flight: BinaryHeap<Reverse<Nanos>>,
+    in_flight: VecDeque<Nanos>,
     stats: PipelineStats,
 }
 
@@ -124,7 +129,7 @@ impl AsyncPipeline {
         assert!(depth > 0, "async depth must be nonzero");
         AsyncPipeline {
             depth,
-            in_flight: BinaryHeap::new(),
+            in_flight: VecDeque::new(),
             stats: PipelineStats {
                 completion_checksum: CHECKSUM_SEED,
                 ..PipelineStats::default()
@@ -133,12 +138,14 @@ impl AsyncPipeline {
     }
 
     /// The configured in-flight budget.
-    pub fn depth(&self) -> usize {
+    #[cfg(test)]
+    fn depth(&self) -> usize {
         self.depth
     }
 
     /// Requests currently in flight.
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.in_flight.len()
     }
 
@@ -158,11 +165,26 @@ impl AsyncPipeline {
             IoKind::WriteBack => self.stats.write_backs += 1,
         }
         let completes_at = now.saturating_add(service);
-        self.in_flight.push(Reverse(completes_at));
+        // After the last entry not later than this one: equal instants fold
+        // identically, so their relative order is unobservable.
+        if self
+            .in_flight
+            .back()
+            .is_none_or(|&last| last <= completes_at)
+        {
+            self.in_flight.push_back(completes_at);
+        } else {
+            let at = self
+                .in_flight
+                .iter()
+                .rposition(|&t| t <= completes_at)
+                .map_or(0, |last| last + 1);
+            self.in_flight.insert(at, completes_at);
+        }
         let budget = self.depth - 1;
         let mut virtual_now = now;
         while self.in_flight.len() > budget {
-            let Reverse(t) = self.in_flight.pop().expect("len checked above");
+            let t = self.in_flight.pop_front().expect("len checked above");
             self.note_completion(t);
             virtual_now = virtual_now.max(t);
         }
@@ -178,11 +200,11 @@ impl AsyncPipeline {
     /// before `now` — the lazy half of the virtual-time reactor, called as
     /// the shard's clock advances past completions.
     pub fn retire(&mut self, now: Nanos) {
-        while let Some(&Reverse(t)) = self.in_flight.peek() {
+        while let Some(&t) = self.in_flight.front() {
             if t > now {
                 break;
             }
-            self.in_flight.pop();
+            self.in_flight.pop_front();
             self.note_completion(t);
         }
     }
@@ -190,7 +212,7 @@ impl AsyncPipeline {
     /// Drains every outstanding request (end of run): completions are
     /// reaped in completion-time order regardless of the final clock.
     pub fn drain(&mut self) {
-        while let Some(Reverse(t)) = self.in_flight.pop() {
+        while let Some(t) = self.in_flight.pop_front() {
             self.note_completion(t);
         }
     }
@@ -213,6 +235,80 @@ impl AsyncPipeline {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The reactor as a binary min-heap of completion instants: the
+    /// reference the sorted ring must agree with, submit for submit.
+    struct HeapPipeline {
+        depth: usize,
+        in_flight: BinaryHeap<Reverse<Nanos>>,
+        stats: PipelineStats,
+    }
+
+    impl HeapPipeline {
+        fn new(depth: usize) -> Self {
+            HeapPipeline {
+                depth,
+                in_flight: BinaryHeap::new(),
+                stats: PipelineStats {
+                    completion_checksum: CHECKSUM_SEED,
+                    ..PipelineStats::default()
+                },
+            }
+        }
+
+        fn submit(&mut self, now: Nanos, service: Nanos, kind: IoKind) -> SubmitOutcome {
+            self.retire(now);
+            match kind {
+                IoKind::PrefetchRead => self.stats.prefetch_reads += 1,
+                IoKind::WriteBack => self.stats.write_backs += 1,
+            }
+            let completes_at = now.saturating_add(service);
+            self.in_flight.push(Reverse(completes_at));
+            let mut virtual_now = now;
+            while self.in_flight.len() > self.depth - 1 {
+                let Reverse(t) = self.in_flight.pop().expect("len checked above");
+                self.note_completion(t);
+                virtual_now = virtual_now.max(t);
+            }
+            let stall = virtual_now.saturating_sub(now);
+            self.stats.total_stall = self.stats.total_stall.saturating_add(stall);
+            SubmitOutcome {
+                stall,
+                completes_at,
+            }
+        }
+
+        fn retire(&mut self, now: Nanos) {
+            while let Some(&Reverse(t)) = self.in_flight.peek() {
+                if t > now {
+                    break;
+                }
+                self.in_flight.pop();
+                self.note_completion(t);
+            }
+        }
+
+        fn drain(&mut self) {
+            while let Some(Reverse(t)) = self.in_flight.pop() {
+                self.note_completion(t);
+            }
+        }
+
+        fn note_completion(&mut self, at: Nanos) {
+            self.stats.completed += 1;
+            self.stats.completion_checksum = checksum_fold(
+                self.stats.completion_checksum,
+                at.as_nanos() ^ self.stats.completed,
+            );
+        }
+    }
+
+    /// Service times for the ring-versus-heap property: repeated values and
+    /// a zero make equal completion instants common, and the spread (0 to
+    /// 40 µs) makes later submits complete earlier than pending ones.
+    const SERVICES: [u64; 8] = [0, 250, 250, 700, 1_000, 3_000, 3_000, 40_000];
 
     #[test]
     fn unbounded_depth_never_stalls() {
@@ -291,6 +387,53 @@ mod tests {
     }
 
     proptest! {
+        /// The sorted ring reaps exactly what the heap reactor reaps: every
+        /// `SubmitOutcome`, the in-flight count and the `PipelineStats`
+        /// agree after each operation of a random submit/retire/drain
+        /// sequence, at depths 1, 2, 8 and unbounded.
+        #[test]
+        fn prop_ring_matches_the_heap_reference(
+            ops in proptest::collection::vec((0u8..10, 0u64..5, 0usize..SERVICES.len()), 1..96),
+        ) {
+            for depth in [1, 2, 8, usize::MAX] {
+                let mut ring = AsyncPipeline::new(depth);
+                let mut heap = HeapPipeline::new(depth);
+                prop_assert_eq!(ring.depth(), depth);
+                let mut now = Nanos::ZERO;
+                for &(op, gap, service) in &ops {
+                    now = now.saturating_add(Nanos(gap * 250));
+                    match op {
+                        0..=6 => {
+                            let kind = if op % 2 == 0 {
+                                IoKind::PrefetchRead
+                            } else {
+                                IoKind::WriteBack
+                            };
+                            let service = Nanos(SERVICES[service]);
+                            prop_assert_eq!(
+                                ring.submit(now, service, kind),
+                                heap.submit(now, service, kind),
+                                "depth {} submit at {:?}", depth, now
+                            );
+                        }
+                        7 | 8 => {
+                            ring.retire(now);
+                            heap.retire(now);
+                        }
+                        _ => {
+                            ring.drain();
+                            heap.drain();
+                        }
+                    }
+                    prop_assert_eq!(ring.in_flight(), heap.in_flight.len());
+                    prop_assert_eq!(*ring.stats(), heap.stats);
+                }
+                ring.drain();
+                heap.drain();
+                prop_assert_eq!(*ring.stats(), heap.stats);
+            }
+        }
+
         /// In-flight budget 1 degenerates to fully synchronous billing: the
         /// pipeline's completion instants and stalls match an independently
         /// computed serial reference (each request starts no earlier than

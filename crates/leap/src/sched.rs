@@ -177,6 +177,12 @@ impl CoreScheduler {
     /// Picks the next access to run: the head process of the run queue on
     /// the core whose local clock is furthest behind. Returns `None` when
     /// every process has been fully replayed.
+    ///
+    /// This and [`CoreScheduler::completed`] are `#[inline]`: the replay
+    /// loop in [`crate::parallel`] is generic, so it is compiled in the
+    /// crate that names the simulator, where an opaque call would hand the
+    /// slot back through memory on every access.
+    #[inline]
     pub fn next_slot(&mut self) -> Option<ScheduledSlot> {
         let core = (0..self.queues.len())
             .filter(|&c| !self.queues[c].is_empty())
@@ -194,6 +200,7 @@ impl CoreScheduler {
     /// advances the core's clock to `now_after`, charges the elapsed time to
     /// the running process's slice, and context-switches when the quantum is
     /// used up or the process finished.
+    #[inline]
     pub fn completed(&mut self, slot: &ScheduledSlot, now_after: Nanos) {
         let core = slot.core;
         let elapsed = now_after.saturating_sub(slot.now);
@@ -215,6 +222,7 @@ impl CoreScheduler {
         }
     }
 
+    #[inline]
     fn context_switch(&mut self, core: usize) {
         self.core_now[core] = self.core_now[core].saturating_add(self.context_switch);
         self.switches += 1;

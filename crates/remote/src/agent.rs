@@ -66,6 +66,23 @@ impl Default for HostAgentConfig {
     }
 }
 
+/// The last slab [`HostAgent::ensure_mapped`] resolved.
+///
+/// Its placement referenced only alive machines when it was resolved, and
+/// a slab's placement changes only when a failure hits one of its machines,
+/// so the primary stays valid while the cluster's failure count is
+/// unchanged. Consecutive remote I/Os mostly hit the same slab; the memo
+/// answers them with a compare instead of a division, a hash probe and a
+/// liveness check per replica.
+#[derive(Debug, Clone, Copy)]
+struct PlacementMemo {
+    /// The slab's first page offset; it holds `pages_per_slab` pages.
+    first_page: u64,
+    primary: MachineId,
+    /// [`RemoteCluster::failures`] when the placement was resolved.
+    failures: u64,
+}
+
 /// The host-side remote memory agent.
 ///
 /// # Examples
@@ -96,6 +113,12 @@ pub struct HostAgent {
     /// Cursor into `plan.failures()`: failures at or before the current
     /// request time have been applied.
     next_failure: usize,
+    /// The plan's step-function segments started by the previous request's
+    /// time ([`FaultPlan::modifiers_from`]).
+    segment_cursor: usize,
+    /// The slab [`HostAgent::ensure_mapped`] resolved last, while no machine
+    /// has failed since.
+    placement_memo: Option<PlacementMemo>,
     /// Accounting for every fault the agent observed.
     fault_stats: FaultInjectionStats,
     /// Reconstruction cost accrued by slab repairs, charged to the transport
@@ -141,6 +164,8 @@ impl HostAgent {
             writes: 0,
             plan: FaultPlan::empty(),
             next_failure: 0,
+            segment_cursor: 0,
+            placement_memo: None,
             fault_stats: FaultInjectionStats::default(),
             pending_reconstruction: Nanos::ZERO,
             recovery: RecoveryPolicy::none(),
@@ -163,6 +188,7 @@ impl HostAgent {
     pub fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
         self.next_failure = 0;
+        self.segment_cursor = 0;
     }
 
     /// The installed fault schedule.
@@ -238,14 +264,30 @@ impl HostAgent {
     ///
     /// Returns the primary machine, or `None` if the cluster is out of slab
     /// capacity.
+    #[inline]
     pub fn ensure_mapped(&mut self, page_offset: u64) -> Option<MachineId> {
+        if let Some(memo) = self.placement_memo {
+            if memo.failures == self.cluster.failures()
+                && page_offset.wrapping_sub(memo.first_page) < self.slab_map.pages_per_slab()
+            {
+                return Some(memo.primary);
+            }
+        }
+        self.resolve_placement(page_offset)
+    }
+
+    /// [`HostAgent::ensure_mapped`] past the memo: looks the slab up, maps
+    /// or repairs it, and memoizes the result.
+    fn resolve_placement(&mut self, page_offset: u64) -> Option<MachineId> {
+        let pages_per_slab = self.slab_map.pages_per_slab();
         let slab = self.slab_map.slab_of_page(page_offset);
-        match self.slab_map.machines_of(slab) {
+        let primary = match self.slab_map.machines_of(slab) {
             Some(machines) => {
                 if machines.iter().all(|&m| !self.cluster.is_failed(m)) {
-                    return machines.first().copied();
+                    machines.first().copied()
+                } else {
+                    self.repair_slab(slab)
                 }
-                self.repair_slab(slab)
             }
             None => {
                 let placements = self.place_slab()?;
@@ -253,7 +295,15 @@ impl HostAgent {
                 self.slab_map.place(slab, placements);
                 primary
             }
-        }
+        }?;
+        // Placement, failover and re-placement all leave the slab on alive
+        // machines only.
+        self.placement_memo = Some(PlacementMemo {
+            first_page: slab.0 * pages_per_slab,
+            primary,
+            failures: self.cluster.failures(),
+        });
+        Some(primary)
     }
 
     /// Repairs a slab whose placement references at least one failed
@@ -439,8 +489,8 @@ impl HostAgent {
     /// active access belongs to someone else. The always-resolve discipline
     /// (resolve, then maybe discard) keeps the code path shape identical for
     /// targeted and untargeted traffic.
-    fn effective_modifiers(&self, now: Nanos) -> FaultModifiers {
-        let mods = self.plan.modifiers_at(now);
+    fn effective_modifiers(&mut self, now: Nanos) -> FaultModifiers {
+        let mods = self.plan.modifiers_from(&mut self.segment_cursor, now);
         if self.plan.applies_to_tenant(self.active_tenant) {
             mods
         } else {
@@ -889,6 +939,54 @@ mod tests {
             Nanos::from_micros(4),
             "reconstruction is charged once, not per request"
         );
+    }
+
+    #[test]
+    fn failure_between_requests_to_one_slab_repairs_it() {
+        // Two requests resolve the slab, a machine holding one of its copies
+        // fails, and the next requests to the same slab must repair it
+        // exactly once, whichever copy was lost.
+        for lose_primary in [true, false] {
+            let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
+            agent.set_backend(StorageBackend::constant(
+                BackendKind::Rdma,
+                Nanos::from_micros(4),
+            ));
+            let read = |agent: &mut HostAgent, page: u64| {
+                agent
+                    .remote_io(RemoteIoKind::Read, page, 0, Nanos::ZERO)
+                    .expect("cluster has capacity")
+            };
+            let primary = read(&mut agent, 0).machine;
+            assert_eq!(read(&mut agent, 1).machine, primary);
+            let replicas = agent
+                .slab_map
+                .machines_of(SlabId(0))
+                .expect("mapped")
+                .to_vec();
+            let victim = if lose_primary { primary } else { replicas[1] };
+            assert!(agent.cluster.fail_machine(victim.0 as usize).is_some());
+
+            let repaired = read(&mut agent, 2);
+            let stats = agent.fault_stats();
+            assert_eq!(stats.slabs_rereplicated, 1, "lose primary: {lose_primary}");
+            assert_eq!(stats.slabs_lost, 0);
+            assert!(repaired.transport_latency > Nanos::from_micros(4));
+            let expected = if lose_primary { replicas[1] } else { primary };
+            assert_eq!(repaired.machine, expected);
+            let placement = agent.slab_map.machines_of(SlabId(0)).expect("mapped");
+            assert_eq!(placement.len(), 2, "the lost copy is rebuilt");
+            assert!(!placement.contains(&victim));
+
+            let after = read(&mut agent, 3);
+            assert_eq!(after.machine, expected);
+            assert_eq!(after.transport_latency, Nanos::from_micros(4));
+            assert_eq!(
+                agent.fault_stats().slabs_rereplicated,
+                1,
+                "repair is exactly-once"
+            );
+        }
     }
 
     #[test]

@@ -591,9 +591,38 @@ impl FaultPlan {
         }
     }
 
+    /// The modifiers a request issued at `now` must pay, looked up in the
+    /// plan's precomputed step function from `cursor`, the caller's count
+    /// of segments started by its previous request (start at 0).
+    ///
+    /// A request's time is usually at or just after the previous one's, so
+    /// the lookup checks the cursor's segment and the next one; on any
+    /// other jump, backwards included, it falls back to a binary search,
+    /// O(log E) in the plan's E epochs. Either way `cursor` ends as the
+    /// number of segments started by `now`.
+    #[inline]
+    pub fn modifiers_from(&self, cursor: &mut usize, now: Nanos) -> FaultModifiers {
+        let segments = &self.segments;
+        let started = |past: usize| past < segments.len() && segments[past].0 <= now;
+        let mut past = (*cursor).min(segments.len());
+        if started(past) {
+            past += 1;
+        }
+        if started(past) || (past > 0 && segments[past - 1].0 > now) {
+            past = segments.partition_point(|&(from, _)| from <= now);
+        }
+        *cursor = past;
+        match past {
+            0 => FaultModifiers::IDENTITY,
+            past => segments[past - 1].1,
+        }
+    }
+
     /// The modifiers a request issued at `now` must pay: a binary search
-    /// over the plan's precomputed step function, O(log E) in its E epochs.
-    pub fn modifiers_at(&self, now: Nanos) -> FaultModifiers {
+    /// over the plan's precomputed step function, the reference
+    /// [`FaultPlan::modifiers_from`] must agree with.
+    #[cfg(test)]
+    fn modifiers_at(&self, now: Nanos) -> FaultModifiers {
         match self.segments.partition_point(|&(from, _)| from <= now) {
             0 => FaultModifiers::IDENTITY,
             past => self.segments[past - 1].1,
@@ -999,11 +1028,40 @@ mod tests {
         assert!(plan.modifiers_at(Nanos::from_micros(500)).is_identity());
     }
 
+    /// A plan of `(kind, start, len, multiplier)` epochs whose spikes,
+    /// degraded epochs and reconnect storms overlap (zero-length and
+    /// duplicate epochs included). With `end_cap == 0`, some epochs run to
+    /// the end of time, as a saturating `start + epoch` does.
+    fn random_plan(raw: &[(u8, u64, u64, u64)], penalty: u64, end_cap: u64) -> FaultPlan {
+        let kinds = [
+            FaultEpochKind::LatencySpike,
+            FaultEpochKind::DegradedBandwidth,
+            FaultEpochKind::ReconnectStorm,
+        ];
+        let epochs: Vec<FaultEpoch> = raw
+            .iter()
+            .map(|&(kind, start, len, multiplier_milli)| FaultEpoch {
+                kind: kinds[kind as usize],
+                start: Nanos::from_nanos(start),
+                end: if end_cap == 0 && len % 7 == 0 {
+                    Nanos::from_nanos(u64::MAX)
+                } else {
+                    Nanos::from_nanos(start + len)
+                },
+                multiplier_milli,
+            })
+            .collect();
+        let spec = FaultSpec {
+            reconnect_penalty: Nanos::from_nanos(penalty),
+            ..FaultSpec::none()
+        };
+        FaultPlan::from_parts(spec, epochs, Vec::new(), Vec::new())
+    }
+
     proptest! {
         /// The step-function lookup agrees with walking the epochs, for
-        /// random plans whose spikes, degraded epochs and reconnect storms
-        /// overlap (zero-length and duplicate epochs included), at random
-        /// instants and at every epoch's `start`, `end` and `end - 1`.
+        /// random plans, at random instants and at every epoch's `start`,
+        /// `end` and `end - 1`.
         #[test]
         fn prop_step_function_matches_the_epoch_walk(
             raw in proptest::collection::vec((0u8..3, 0u64..2_000, 0u64..400, 0u64..8_000), 0..40),
@@ -1011,31 +1069,7 @@ mod tests {
             probes in proptest::collection::vec(0u64..2_600, 0..64),
             end_cap in 0u64..3,
         ) {
-            let kinds = [
-                FaultEpochKind::LatencySpike,
-                FaultEpochKind::DegradedBandwidth,
-                FaultEpochKind::ReconnectStorm,
-            ];
-            let epochs: Vec<FaultEpoch> = raw
-                .iter()
-                .map(|&(kind, start, len, multiplier_milli)| FaultEpoch {
-                    kind: kinds[kind as usize],
-                    start: Nanos::from_nanos(start),
-                    // Some plans run an epoch to the end of time, as a
-                    // saturating `start + epoch` does.
-                    end: if end_cap == 0 && len % 7 == 0 {
-                        Nanos::from_nanos(u64::MAX)
-                    } else {
-                        Nanos::from_nanos(start + len)
-                    },
-                    multiplier_milli,
-                })
-                .collect();
-            let spec = FaultSpec {
-                reconnect_penalty: Nanos::from_nanos(penalty),
-                ..FaultSpec::none()
-            };
-            let plan = FaultPlan::from_parts(spec, epochs, Vec::new(), Vec::new());
+            let plan = random_plan(&raw, penalty, end_cap);
             let mut instants: Vec<u64> = probes;
             instants.extend([0, u64::MAX]);
             for epoch in plan.epochs() {
@@ -1044,6 +1078,37 @@ mod tests {
             }
             for now in instants.into_iter().map(Nanos::from_nanos) {
                 prop_assert_eq!(plan.modifiers_at(now), plan.modifiers_by_walk(now), "at {:?}", now);
+            }
+        }
+
+        /// The cursor lookup agrees with the binary search over any query
+        /// sequence: forward runs of small steps, jumps backwards and far
+        /// forwards, repeats, and instants exactly at a segment's start or
+        /// just before it. The cursor always ends as the number of segments
+        /// started by the queried instant.
+        #[test]
+        fn prop_cursor_lookup_matches_the_binary_search(
+            raw in proptest::collection::vec((0u8..3, 0u64..2_000, 0u64..400, 0u64..8_000), 0..40),
+            penalty in 0u64..50_000,
+            queries in proptest::collection::vec((0u8..5, 0u64..2_600), 1..96),
+            end_cap in 0u64..3,
+        ) {
+            let plan = random_plan(&raw, penalty, end_cap);
+            let starts: Vec<u64> = plan.segments.iter().map(|&(from, _)| from.as_nanos()).collect();
+            let mut cursor = 0;
+            let mut now = 0u64;
+            for &(how, value) in &queries {
+                now = match how {
+                    0 => now.saturating_add(value % 300),
+                    1 => value,
+                    2 => now,
+                    _ if starts.is_empty() => value,
+                    3 => starts[value as usize % starts.len()],
+                    _ => starts[value as usize % starts.len()].saturating_sub(1),
+                };
+                let now = Nanos::from_nanos(now);
+                prop_assert_eq!(plan.modifiers_from(&mut cursor, now), plan.modifiers_at(now), "at {:?}", now);
+                prop_assert_eq!(cursor, plan.segments.partition_point(|&(from, _)| from <= now));
             }
         }
     }

@@ -87,6 +87,9 @@ impl RemoteMachine {
 #[derive(Debug, Clone, Default)]
 pub struct RemoteCluster {
     machines: Vec<RemoteMachine>,
+    /// Machine failures applied so far. A placement found all-alive stays
+    /// all-alive until this moves, which is what lets the agent memoize it.
+    failures: u64,
 }
 
 impl RemoteCluster {
@@ -101,7 +104,10 @@ impl RemoteCluster {
         let machines = (0..n)
             .map(|i| RemoteMachine::new(MachineId(i), slabs_per_machine))
             .collect();
-        RemoteCluster { machines }
+        RemoteCluster {
+            machines,
+            failures: 0,
+        }
     }
 
     /// Number of machines in the cluster.
@@ -147,7 +153,14 @@ impl RemoteCluster {
             return None;
         }
         machine.fail();
+        self.failures += 1;
         Some(machine.id())
+    }
+
+    /// Machine failures applied so far (each [`RemoteCluster::fail_machine`]
+    /// that took effect counts once).
+    pub fn failures(&self) -> u64 {
+        self.failures
     }
 
     /// True if the machine with the given id has failed. Unknown ids count
@@ -186,11 +199,13 @@ impl RemoteCluster {
 }
 
 /// The mapping from a host's slabs to the remote machines hosting them.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SlabMap {
-    slab_bytes: u64,
-    /// Slab placements, probed once per remote I/O — hashed with the
-    /// hot-path [`FxHashMap`] (slab ids are simulator-generated integers).
+    /// The slab size in pages, fixed at construction.
+    pages_per_slab: u64,
+    /// Slab placements, probed when a remote I/O misses the agent's
+    /// placement memo — hashed with the hot-path [`FxHashMap`] (slab ids
+    /// are simulator-generated integers).
     placements: FxHashMap<SlabId, Vec<MachineId>>,
 }
 
@@ -203,24 +218,19 @@ impl SlabMap {
     pub fn new(slab_bytes: u64) -> Self {
         assert!(slab_bytes >= PAGE_SIZE, "slab must hold at least one page");
         SlabMap {
-            slab_bytes,
+            pages_per_slab: slab_bytes / PAGE_SIZE,
             placements: FxHashMap::default(),
         }
     }
 
-    /// The slab size in bytes.
-    pub fn slab_bytes(&self) -> u64 {
-        self.slab_bytes
-    }
-
     /// Number of pages per slab.
     pub fn pages_per_slab(&self) -> u64 {
-        self.slab_bytes / PAGE_SIZE
+        self.pages_per_slab
     }
 
     /// The slab that holds the given page offset (in pages).
     pub fn slab_of_page(&self, page_offset: u64) -> SlabId {
-        SlabId(page_offset / self.pages_per_slab())
+        SlabId(page_offset / self.pages_per_slab)
     }
 
     /// Records the placement (primary + replicas) of a slab.
@@ -307,11 +317,13 @@ mod tests {
         let mut cluster = RemoteCluster::homogeneous(3, 4);
         assert_eq!(cluster.alive(), 3);
         assert!(!cluster.is_failed(MachineId(1)));
+        assert_eq!(cluster.failures(), 0);
         assert_eq!(cluster.fail_machine(1), Some(MachineId(1)));
         assert!(cluster.is_failed(MachineId(1)));
         assert_eq!(cluster.alive(), 2);
-        // Failure is applied exactly once.
+        // Failure is applied exactly once, and counted once.
         assert_eq!(cluster.fail_machine(1), None);
+        assert_eq!(cluster.failures(), 1);
         // A failed machine is full and donates no free capacity.
         assert!(cluster.machine(1).unwrap().is_full());
         assert_eq!(cluster.machine(1).unwrap().free_slabs(), 0);
@@ -320,6 +332,7 @@ mod tests {
         // Unknown machines count as failed.
         assert!(cluster.is_failed(MachineId(99)));
         assert_eq!(cluster.fail_machine(99), None);
+        assert_eq!(cluster.failures(), 1);
     }
 
     proptest! {

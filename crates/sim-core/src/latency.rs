@@ -15,9 +15,11 @@ use crate::time::Nanos;
 pub const MULTIPLIER_IDENTITY_MILLI: u64 = 1000;
 
 /// Scales a latency by a multiplier expressed in thousandths, in exact
-/// integer arithmetic (`base * multiplier / 1000` over `u128`, saturated to
-/// `u64`). The identity multiplier short-circuits, so a healthy epoch costs
-/// one comparison and changes no bits.
+/// integer arithmetic (`base * multiplier / 1000`, saturated to `u64`). The
+/// identity multiplier short-circuits, so a healthy epoch costs one
+/// comparison and changes no bits. The product is formed in `u64` whenever
+/// it fits, which is exact and avoids a 128-bit division per request; only
+/// a product past `u64::MAX` is formed in `u128`.
 ///
 /// This is the single scaling primitive for fault-epoch multipliers: samplers
 /// always draw first and scale after, so the RNG stream advances identically
@@ -27,7 +29,18 @@ pub fn scale_nanos_milli(base: Nanos, multiplier_milli: u64) -> Nanos {
     if multiplier_milli == MULTIPLIER_IDENTITY_MILLI {
         return base;
     }
-    let scaled = (u128::from(base.as_nanos()) * u128::from(multiplier_milli)) / 1000;
+    match base.as_nanos().checked_mul(multiplier_milli) {
+        Some(product) => Nanos::from_nanos(product / MULTIPLIER_IDENTITY_MILLI),
+        None => scale_nanos_milli_wide(base, multiplier_milli),
+    }
+}
+
+/// [`scale_nanos_milli`] over `u128`: the overflow case, and the reference
+/// the `u64` path must agree with.
+#[cold]
+fn scale_nanos_milli_wide(base: Nanos, multiplier_milli: u64) -> Nanos {
+    let scaled = (u128::from(base.as_nanos()) * u128::from(multiplier_milli))
+        / u128::from(MULTIPLIER_IDENTITY_MILLI);
     Nanos::from_nanos(scaled.min(u128::from(u64::MAX)) as u64)
 }
 
@@ -746,6 +759,38 @@ mod tests {
             u64::MAX
         );
         assert_eq!(scale_nanos_milli(base, 0), Nanos::ZERO);
+    }
+
+    proptest! {
+        /// The `u64` path equals the `u128` formula over the full range:
+        /// small products, products just past `u64::MAX` (where the wide
+        /// path takes over) and saturating ones.
+        #[test]
+        fn prop_scale_nanos_milli_matches_the_wide_formula(
+            base in any::<u64>(),
+            small in 0u64..1_000_000,
+            multiplier_milli in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            // At least 2, so `u64::MAX / m + 1` exists and overflows when
+            // multiplied by m.
+            let multiplier_small = (multiplier_milli % 100_000).max(2);
+            for (base, multiplier_milli) in [
+                (base, multiplier_milli),
+                (base, multiplier_small),
+                (small, multiplier_small),
+                (base >> shift, multiplier_milli >> (63 - shift)),
+                (u64::MAX / multiplier_small, multiplier_small),
+                (u64::MAX / multiplier_small + 1, multiplier_small),
+            ] {
+                let base = Nanos::from_nanos(base);
+                prop_assert_eq!(
+                    scale_nanos_milli(base, multiplier_milli),
+                    scale_nanos_milli_wide(base, multiplier_milli),
+                    "{:?} x {}", base, multiplier_milli
+                );
+            }
+        }
     }
 
     #[test]

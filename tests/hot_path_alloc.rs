@@ -3,9 +3,9 @@
 //! The fault hot path — access-history update, trend detection, window
 //! sizing, and candidate generation into the `PrefetchDecision` inline
 //! buffer, the eager eviction FIFO, the page table's resident LRU, the
-//! bounded swap cache, the swap space, and remote I/O — must not touch the
-//! heap once per-process state exists, for any window up to the inline
-//! capacity. This test binary installs a global allocator that counts each
+//! bounded swap cache, the swap space, remote I/O, and the async pipeline's
+//! completion ring — must not touch the heap once per-process state exists,
+//! for any window up to the inline capacity. This test binary installs a global allocator that counts each
 //! thread's allocations and pins that contract for the Leap prefetcher, the
 //! baselines, the tracker layer the engine calls into, and the
 //! memory-management structures. It also pins the two memoized set-up
@@ -17,6 +17,7 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 
 use leap_repro::leap::tracker::PageAccessTracker;
+use leap_repro::leap::{AsyncPipeline, IoKind};
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
 use leap_repro::leap_eviction::PrefetchFifoLru;
 use leap_repro::leap_mem::{
@@ -369,6 +370,40 @@ fn sliding_swap_allocate_free_cycle_does_not_allocate() {
         "sliding swap allocate/free cycle allocated {allocs} times"
     );
     assert_eq!(swap.used_slots(), LIVE_BURSTS as u64 * BURST);
+}
+
+#[test]
+fn async_pipeline_submit_retire_cycle_does_not_allocate() {
+    // A shard's asynchronous traffic: a submit per step with service times
+    // out of order, retired as the clock passes them. Once the completion
+    // ring has grown to the peak in-flight count, submits and retires must
+    // not touch the heap, stalling (depths 2 and 8) or not (unbounded).
+    const SERVICES: [u64; 5] = [300, 2_000, 700, 5_000, 700];
+    for depth in [2, 8, usize::MAX] {
+        let mut pipeline = AsyncPipeline::new(depth);
+        let mut now = Nanos::ZERO;
+        let mut cycle = |steps: usize| {
+            for step in 0..steps {
+                now = now.saturating_add(Nanos(100));
+                let kind = if step % 3 == 0 {
+                    IoKind::WriteBack
+                } else {
+                    IoKind::PrefetchRead
+                };
+                let out = pipeline.submit(now, Nanos(SERVICES[step % SERVICES.len()]), kind);
+                now = now.saturating_add(out.stall);
+                pipeline.retire(now);
+            }
+        };
+        cycle(1_000);
+        let allocs = count_allocs(|| cycle(10_000));
+        assert_eq!(
+            allocs, 0,
+            "depth {depth}: submit/retire cycle allocated {allocs} times"
+        );
+        pipeline.drain();
+        assert_eq!(pipeline.stats().completed, 11_000);
+    }
 }
 
 #[test]

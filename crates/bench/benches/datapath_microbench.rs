@@ -3,8 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use leap_datapath::{DataPath, LeanDataPath, LegacyDataPath};
-use leap_eviction::{LazyReclaimer, PrefetchFifoLru};
-use leap_mem::{CacheOrigin, Pid, SwapCache, SwapSlot};
+use leap_mem::{CacheOrigin, EvictionPolicy, Pid, SwapCache, SwapSlot};
 use leap_remote::BackendKind;
 use leap_sim_core::{DetRng, Nanos};
 
@@ -34,18 +33,15 @@ fn bench_eviction(c: &mut Criterion) {
     group.bench_function("eager/hit_and_free", |b| {
         b.iter_with_setup(
             || {
-                let mut cache = SwapCache::unbounded();
-                let mut fifo = PrefetchFifoLru::new();
+                let mut cache = SwapCache::unbounded(EvictionPolicy::Eager);
                 for i in 0..256u64 {
-                    cache.insert(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
-                    fifo.on_prefetch_insert(SwapSlot(i));
+                    cache.insert_fresh(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
                 }
-                (cache, fifo)
+                cache
             },
-            |(mut cache, mut fifo)| {
+            |mut cache| {
                 for i in 0..256u64 {
-                    cache.record_hit(SwapSlot(i), Nanos::from_micros(i));
-                    black_box(fifo.on_hit(SwapSlot(i), &mut cache));
+                    black_box(cache.record_hit(SwapSlot(i), Nanos::from_micros(i)));
                 }
             },
         )
@@ -53,16 +49,18 @@ fn bench_eviction(c: &mut Criterion) {
     group.bench_function("lazy/reclaim_256_of_1024", |b| {
         b.iter_with_setup(
             || {
-                let mut cache = SwapCache::unbounded();
-                let mut reclaimer = LazyReclaimer::with_defaults();
+                let mut cache = SwapCache::unbounded(EvictionPolicy::Lazy);
                 for i in 0..1024u64 {
                     cache.insert(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
-                    reclaimer.on_insert(SwapSlot(i));
                 }
-                (cache, reclaimer)
+                cache
             },
-            |(mut cache, mut reclaimer)| {
-                black_box(reclaimer.reclaim(&mut cache, 256, Nanos::from_millis(1)));
+            |mut cache| {
+                black_box(leap_eviction::make_space(
+                    &mut cache,
+                    256,
+                    Nanos::from_millis(1),
+                ));
             },
         )
     });

@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use leap_mem::{FrameId, PageTable, VirtPage};
+use leap_mem::{PageTable, VirtPage};
 use leap_sim_core::hash::FxHashMap;
 
 const TABLE_PAGES: u64 = 4_096; // a 16 MiB working set, the harness's shape
@@ -22,11 +22,11 @@ const TABLE_PAGES: u64 = 4_096; // a 16 MiB working set, the harness's shape
 fn bench_map_probes(c: &mut Criterion) {
     let mut group = c.benchmark_group("hashing");
 
-    let mut sip: HashMap<VirtPage, FrameId> = HashMap::new();
-    let mut fx: FxHashMap<VirtPage, FrameId> = FxHashMap::default();
+    let mut sip: HashMap<VirtPage, u64> = HashMap::new();
+    let mut fx: FxHashMap<VirtPage, u64> = FxHashMap::default();
     for p in 0..TABLE_PAGES {
-        sip.insert(VirtPage(p), FrameId(p));
-        fx.insert(VirtPage(p), FrameId(p));
+        sip.insert(VirtPage(p), p);
+        fx.insert(VirtPage(p), p);
     }
 
     for (name, stride) in [("sequential", 1u64), ("stride10", 10u64)] {
@@ -54,7 +54,7 @@ fn bench_page_table_probe(c: &mut Criterion) {
     let mut group = c.benchmark_group("page_table");
     let mut pt = PageTable::with_capacity(TABLE_PAGES as usize);
     for p in 0..TABLE_PAGES {
-        pt.map(VirtPage(p), FrameId(p));
+        pt.map(VirtPage(p));
     }
     group.bench_function("lookup/sequential", |b| {
         let mut p = 0u64;

@@ -3,7 +3,9 @@
 //! The paper's claim is that Leap is a *composition* of three separable
 //! mechanisms — the majority-trend prefetcher, the lean data path, and eager
 //! eviction. The data path and the eviction policy are closed choices, one
-//! enum each ([`DataPathKind::build`], [`EvictionPolicy::build`]). The
+//! enum each ([`DataPathKind::build`], and the
+//! [`EvictionPolicy`](crate::EvictionPolicy) each swap
+//! cache shard follows). The
 //! prefetcher is the one open role: a [`PrefetcherFactory`] defined outside
 //! this crate — an oracle or 3PO-style programmed prefetch policy, a Markov
 //! delta model — is injected with
@@ -16,9 +18,8 @@
 //! window sizes for prefetchers, core count and backend (including the
 //! constant-latency overrides) for data paths.
 
-use crate::config::{DataPathKind, EvictionPolicy, SimConfig};
+use crate::config::{DataPathKind, SimConfig};
 use leap_datapath::{DataPath, LeanDataPath, LegacyDataPath};
-use leap_eviction::{CacheEvictor, EagerEvictor, LazyEvictor};
 use leap_prefetcher::{
     LeapConfig, LeapPrefetcher, NextNLinePrefetcher, NoPrefetcher, Prefetcher, PrefetcherKind,
     ReadAheadPrefetcher, StridePrefetcher,
@@ -141,16 +142,6 @@ impl DataPathKind {
     }
 }
 
-impl EvictionPolicy {
-    /// Builds the prefetch-cache evictor of this policy.
-    pub fn build(self) -> Box<dyn CacheEvictor> {
-        match self {
-            EvictionPolicy::Lazy => Box::new(LazyEvictor::new()),
-            EvictionPolicy::Eager => Box::new(EagerEvictor::new()),
-        }
-    }
-}
-
 /// The components a simulator run uses: the prefetcher factory (a built-in
 /// or a [`crate::SimConfigBuilder::custom_prefetcher`] injection) and the
 /// data path. Produced by [`crate::SimConfigBuilder::build_setup`]; plain
@@ -196,8 +187,6 @@ mod tests {
             .prefetcher
             .build(&config);
         assert_eq!(prefetcher.name(), "Leap");
-        assert!(EvictionPolicy::Eager.build().frees_on_hit());
-        assert!(!EvictionPolicy::Lazy.build().frees_on_hit());
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::builder::SimConfigBuilder;
 use crate::error::ConfigError;
+pub use leap_eviction::EvictionPolicy;
 use leap_prefetcher::PrefetcherKind;
 use leap_remote::{BackendKind, FaultSpec, RecoveryPolicy};
 use leap_sim_core::Nanos;
@@ -80,34 +81,6 @@ impl ReplayMode {
     /// configurations.
     pub fn from_label(label: &str) -> Option<Self> {
         [ReplayMode::Serial, ReplayMode::Threaded]
-            .into_iter()
-            .find(|k| k.label() == label)
-    }
-}
-
-/// Which prefetch-cache eviction policy is active.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EvictionPolicy {
-    /// Kernel-style lazy background LRU reclaim (§2.3).
-    Lazy,
-    /// Leap's eager free-on-hit plus FIFO reclaim of unconsumed prefetches
-    /// (§4.3).
-    Eager,
-}
-
-impl EvictionPolicy {
-    /// Human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            EvictionPolicy::Lazy => "lazy",
-            EvictionPolicy::Eager => "eager",
-        }
-    }
-
-    /// The inverse of [`EvictionPolicy::label`], used when parsing serialized
-    /// configurations.
-    pub fn from_label(label: &str) -> Option<Self> {
-        [EvictionPolicy::Lazy, EvictionPolicy::Eager]
             .into_iter()
             .find(|k| k.label() == label)
     }

@@ -3,22 +3,22 @@
 //! Everything the two front-ends ([`crate::VmmSimulator`],
 //! [`crate::VfsSimulator`]) have in common lives here: the simulation clock,
 //! the (possibly per-core sharded) swap/prefetch cache, the per-process
-//! prefetcher tracker, the data path, the per-shard eviction policies,
-//! result accumulation, and the core bookkeeping. The front-ends keep only
-//! what genuinely differs — page tables, swap space and cgroup limits for
-//! the VMM; the cache budget for the VFS — and drive the core through the
-//! helpers below, so hit/miss accounting and eviction bookkeeping are
-//! implemented exactly once.
+//! prefetcher tracker, the data path, the eviction rules each cache shard's
+//! policy selects, result accumulation, and the core bookkeeping. The
+//! front-ends keep only what genuinely differs — page tables, swap space
+//! and cgroup limits for the VMM; the cache budget for the VFS — and drive
+//! the core through the helpers below, so hit/miss accounting and eviction
+//! bookkeeping are implemented exactly once.
 //!
 //! Single-process replays run the core in its legacy layout: one cache
-//! shard, one evictor, one monotonic clock. Scheduled multi-process replays
+//! shard, one monotonic clock. Scheduled multi-process replays
 //! ([`crate::Simulator::run_multi`]) run replay workers built from it: a
 //! per-core slice ([`EngineCore::shard_worker`]) for each core, or — when
 //! the front-end cannot be split per core — the core itself after
 //! [`EngineCore::enter_scheduled_mode`], which reshapes the cache into
-//! per-core shards, builds one eviction-policy instance per shard, and
-//! switches the tracker to per-core trend state. Either way the driver
-//! moves the worker onto a core's timeline before every access via
+//! per-core shards, each keeping its own eviction lists, and switches the
+//! tracker to per-core trend state. Either way the driver moves the worker
+//! onto a core's timeline before every access via
 //! [`EngineCore::enter_core`].
 
 use crate::builder::SimSetup;
@@ -31,8 +31,10 @@ use crate::slots::{pid_slot, Slots};
 use crate::stage_timing::{self, Stage};
 use crate::tracker::PageAccessTracker;
 use leap_datapath::{DataPath, PathLatency};
-use leap_eviction::{CacheEvictor, EvictionReport};
-use leap_mem::{CacheEntry, CacheOrigin, MemoryLimit, Pid, ShardedSwapCache, SwapSlot};
+use leap_eviction::EvictionReport;
+use leap_mem::{
+    CacheEntry, CacheOrigin, EvictionPolicy, MemoryLimit, Pid, ShardedSwapCache, SwapSlot,
+};
 use leap_prefetcher::PageAddr;
 use leap_sim_core::{DetRng, Nanos, SimClock};
 use leap_workloads::{Access, AccessTrace};
@@ -46,7 +48,6 @@ pub(crate) struct EngineCore {
     pub cache: ShardedSwapCache,
     pub tracker: PageAccessTracker,
     pub data_path: Box<dyn DataPath>,
-    pub evictors: Vec<Box<dyn CacheEvictor>>,
     pub result: RunResult,
     /// The resolved components, kept so scheduled replays can build fresh
     /// per-core shard workers (one data path and tracker per worker).
@@ -90,10 +91,9 @@ impl EngineCore {
         let components = setup.components().clone();
         EngineCore {
             clock: SimClock::new(),
-            cache: ShardedSwapCache::single(config.prefetch_cache_pages),
+            cache: ShardedSwapCache::single(config.prefetch_cache_pages, config.eviction),
             tracker: PageAccessTracker::new(components.prefetcher.clone(), &config),
             data_path: components.data_path.build(&config, &mut rng),
-            evictors: vec![config.eviction.build()],
             result: RunResult::default(),
             components,
             rng_salt,
@@ -112,10 +112,10 @@ impl EngineCore {
 
     /// Builds the engine slice a per-core shard worker owns in a scheduled
     /// replay of `shards` cores: one cache shard (the bounded capacity split
-    /// evenly, never below one full prefetch window), one eviction-policy
-    /// instance, per-core prefetcher trend state pinned to `core`, a fresh
-    /// per-core clock, and this worker's own data path fed from a
-    /// deterministic per-core [`DetRng`] stream.
+    /// evenly, never below one full prefetch window), per-core prefetcher
+    /// trend state pinned to `core`, a fresh per-core clock, and this
+    /// worker's own data path fed from a deterministic per-core [`DetRng`]
+    /// stream.
     ///
     /// Worker engines are what both replay modes
     /// ([`crate::config::ReplayMode`]) execute, so the serial and the
@@ -136,10 +136,9 @@ impl EngineCore {
         tracker.set_per_core(true);
         EngineCore {
             clock: SimClock::new(),
-            cache: ShardedSwapCache::single(per_shard),
+            cache: ShardedSwapCache::single(per_shard, config.eviction),
             tracker,
             data_path: self.components.data_path.build(&config, &mut rng),
-            evictors: vec![config.eviction.build()],
             result: RunResult::default(),
             components: self.components.clone(),
             rng_salt: self.rng_salt,
@@ -164,9 +163,8 @@ impl EngineCore {
     }
 
     /// Reshapes the engine for a scheduled multi-core replay: `cache_shards`
-    /// cache shards routed by slot-region width `span`, one eviction-policy
-    /// instance per shard, per-core prefetcher trend state, and
-    /// scheduler-driven per-core clocks.
+    /// cache shards routed by slot-region width `span`, per-core prefetcher
+    /// trend state, and scheduler-driven per-core clocks.
     ///
     /// A bounded prefetch-cache capacity is split evenly over the shards
     /// (never below one full prefetch window per shard, so a single batch
@@ -178,10 +176,7 @@ impl EngineCore {
             (self.config.prefetch_cache_pages / cache_shards as u64)
                 .max(self.config.max_prefetch_window as u64)
         };
-        self.cache = ShardedSwapCache::new(cache_shards, per_shard, span);
-        self.evictors = (0..cache_shards)
-            .map(|_| self.config.eviction.build())
-            .collect();
+        self.cache = ShardedSwapCache::new(cache_shards, per_shard, span, self.config.eviction);
         self.tracker.set_per_core(true);
         self.scheduled = true;
     }
@@ -362,21 +357,14 @@ impl EngineCore {
     }
 
     /// Looks up `slot` in its cache shard and, on a hit, does the whole
-    /// hit side in one pass: the hit is recorded — and, under a policy
-    /// that [frees on hit](CacheEvictor::frees_on_hit), the
-    /// prefetch-origin entry is taken out — in a single cache map
-    /// operation ([`leap_mem::SwapCache::record_hit_take`]), then cache/prefetch
-    /// statistics, prefetcher feedback, and the owning shard's eviction
-    /// policy react. Returns the hit entry, or `None` on a miss.
+    /// hit side in one pass: the shard records the hit — and, under the
+    /// eager policy, frees the prefetch-origin entry — in a single cache
+    /// map operation ([`leap_mem::SwapCache::record_hit`]), then
+    /// cache/prefetch statistics and prefetcher feedback react. Returns the
+    /// hit entry, or `None` on a miss.
     pub fn cache_hit(&mut self, pid: Pid, slot: SwapSlot) -> Option<CacheEntry> {
         let now = self.clock.now();
-        let shard = self.cache.shard_of(slot);
-        let free_prefetched = self.evictors[shard].frees_on_hit();
-        let (entry, taken) = stage_timing::time(Stage::Cache, || {
-            self.cache
-                .shard_mut(shard)
-                .record_hit_take(slot, now, free_prefetched)
-        })?;
+        let entry = stage_timing::time(Stage::Cache, || self.cache.record_hit(slot, now))?;
         match entry.origin {
             CacheOrigin::Prefetch => {
                 self.result.cache_stats.record_prefetch_hit();
@@ -384,8 +372,8 @@ impl EngineCore {
                     .prefetch_stats
                     .record_prefetch_hit(now.saturating_sub(entry.inserted_at));
                 // Covered counts each prefetched page once, at its *first*
-                // demand. `record_hit_take` only stamps `first_hit_at` when
-                // it was unset, and per-shard clocks are strictly monotonic
+                // demand. `record_hit` only stamps `first_hit_at` when it
+                // was unset, and per-shard clocks are strictly monotonic
                 // across accesses (every hit charges a nonzero latency), so
                 // `first_hit_at == now` identifies exactly the first hit —
                 // repeat hits under a lazy policy carry an earlier stamp.
@@ -401,14 +389,6 @@ impl EngineCore {
                 self.result.cache_stats.record_demand_hit();
             }
         }
-        stage_timing::time(Stage::Eviction, || {
-            if taken {
-                self.evictors[shard].on_hit_freed(slot);
-            } else {
-                let _ =
-                    self.evictors[shard].on_hit(slot, entry.origin, self.cache.shard_mut(shard));
-            }
-        });
         Some(entry)
     }
 
@@ -448,9 +428,9 @@ impl EngineCore {
     }
 
     /// Admits a prefetch span into the cache, one candidate at a time:
-    /// probe presence, make room, issue the read, insert, count, and tell
-    /// the shard's eviction policy — so the policy sees every insert before
-    /// the next make-space call. `owners[i]` is the process whose page
+    /// probe presence, make room, issue the read, insert (onto the shard's
+    /// eviction list) and count — so every insert is in place before the
+    /// next make-space call. `owners[i]` is the process whose page
     /// lives in `slots[i]`. A duplicate candidate finds its first copy
     /// present and is skipped. Returns how many prefetches were issued.
     pub fn admit_prefetch_span(&mut self, slots: &[SwapSlot], owners: &[Pid]) -> u32 {
@@ -480,9 +460,6 @@ impl EngineCore {
             self.result.cache_stats.record_add(1);
             self.result.prefetch_stats.record_prefetched(1);
             self.result.prefetch_outcomes.record_prefetched(slot.0);
-            stage_timing::time(Stage::Eviction, || {
-                self.evictors[shard].on_insert(slot, CacheOrigin::Prefetch)
-            });
             issued += 1;
         }
         issued
@@ -493,43 +470,40 @@ impl EngineCore {
     pub fn force_evict(&mut self, shard: usize) -> bool {
         let now = self.clock.now();
         let report = stage_timing::time(Stage::Eviction, || {
-            self.evictors[shard].make_space(self.cache.shard_mut(shard), 1, now)
+            leap_eviction::make_space(self.cache.shard_mut(shard), 1, now)
         });
         let freed = !report.is_empty();
         self.record_eviction_report(&report);
         freed
     }
 
-    /// Inserts a demand-fetched page into its cache shard, notifying the
-    /// shard's eviction policy. Returns `true` if the insert took place.
+    /// Inserts a demand-fetched page into its cache shard. Returns `true`
+    /// if the insert took place.
     ///
     /// A buffered write can land on a prefetched page nobody has read yet.
     /// The written data replaces the prefetched copy, so that prefetch is
-    /// booked wasted here: the demand entry that replaces it carries no
-    /// outcome of its own.
+    /// booked wasted here: the demand entry that replaces it (keeping the
+    /// prefetch's place on the eager FIFO) carries no outcome of its own,
+    /// and its eventual reclaim counts as `freed_other`.
     pub fn insert_demand(&mut self, slot: SwapSlot, owner: Pid) -> bool {
         let now = self.clock.now();
         if self.cache.get(slot).is_some_and(|e| e.is_unused_prefetch()) {
             self.result.prefetch_outcomes.record_wasted_evicted(1);
         }
-        if stage_timing::time(Stage::Cache, || {
+        stage_timing::time(Stage::Cache, || {
             self.cache.insert(slot, owner, CacheOrigin::Demand, now)
-        }) {
-            let shard = self.cache.shard_of(slot);
-            stage_timing::time(Stage::Eviction, || {
-                self.evictors[shard].on_insert(slot, CacheOrigin::Demand)
-            });
-            true
-        } else {
-            false
-        }
+        })
+    }
+
+    /// The cache shard the active core's reclaimer works on.
+    fn active_shard(&self) -> usize {
+        self.active_core.min(self.cache.shards() - 1)
     }
 
     /// Pages the active shard's reclaimer currently tracks (what a direct
     /// reclaim on the faulting core would have to scan).
     pub fn reclaim_scan_pages(&self) -> u64 {
-        let shard = self.active_core.min(self.evictors.len() - 1);
-        self.evictors[shard].tracked_pages()
+        leap_eviction::tracked_pages(self.cache.shard(self.active_shard()))
     }
 
     /// Runs the active core's shard's background reclaimer (a no-op for
@@ -541,16 +515,15 @@ impl EngineCore {
     /// cross-timeline deltas. (Legacy single-shard runs are unaffected —
     /// there is exactly one shard and one clock.)
     pub fn background_reclaim(&mut self) {
-        let shard = self.active_core.min(self.evictors.len() - 1);
-        // The eager policy has no background scanner; skip the virtual call
-        // (and its timing probe) on every access rather than dispatching
-        // into a guaranteed no-op.
-        if !self.evictors[shard].has_background_reclaimer() {
+        let shard = self.active_shard();
+        // The eager policy has no background scanner; skip the timing probe
+        // on every access rather than timing a guaranteed no-op.
+        if self.cache.shard(shard).policy() == EvictionPolicy::Eager {
             return;
         }
         let now = self.clock.now();
         let report = stage_timing::time(Stage::Eviction, || {
-            self.evictors[shard].background_reclaim(self.cache.shard_mut(shard), now)
+            leap_eviction::background_reclaim(self.cache.shard_mut(shard), now)
         });
         if let Some(report) = report {
             self.record_eviction_report(&report);
@@ -637,8 +610,9 @@ impl EngineCore {
                 .merge(&ledger);
         }
         // Audit (test builds): admission books every prefetch into both
-        // ledgers at once, and each prefetched page ends with exactly one
-        // outcome.
+        // ledgers at once, each prefetched page ends with exactly one
+        // outcome, and each cache shard's FIFO and LRU partition its
+        // entries.
         let outcomes = &self.result.prefetch_outcomes;
         debug_assert_eq!(
             outcomes.prefetched(),
@@ -649,6 +623,10 @@ impl EngineCore {
             outcomes.covered() + outcomes.wasted_evicted() + outcomes.wasted_unconsumed(),
             outcomes.prefetched(),
             "prefetch outcomes do not partition the prefetched pages"
+        );
+        debug_assert!(
+            (0..self.cache.shards()).all(|i| self.cache.shard(i).lists_partition_entries()),
+            "a cache shard's eviction lists do not partition its entries"
         );
     }
 

@@ -14,7 +14,8 @@
 //! 1. The process "computes" for the access's compute cost.
 //! 2. If the page is resident, the access costs a local DRAM reference.
 //! 3. If the page has never been touched, it is a demand-zero minor fault:
-//!    allocate a frame (evicting under memory pressure) and map it.
+//!    charge a page to the process's budget (evicting under memory
+//!    pressure) and map it.
 //! 4. Otherwise the page is swapped out — a *remote page access*:
 //!    - a swap-cache hit costs the cache lookup plus the MMU update; under
 //!      Leap's eager policy the cache entry is freed immediately;
@@ -34,7 +35,7 @@ use crate::sched::CoreScheduler;
 use crate::session::{AccessOutcome, FaultEvent, Simulator};
 use crate::slots::{pid_slot, Slots};
 use leap_mem::{
-    FramePool, MemoryLimit, PageState, PageTable, Pid, ShardedSwap, SwapSlot, VirtPage,
+    EvictionPolicy, MemoryLimit, PageState, PageTable, Pid, ShardedSwap, SwapSlot, VirtPage,
 };
 use leap_prefetcher::PageAddr;
 use leap_sim_core::hash::FxHashMap;
@@ -74,7 +75,6 @@ pub struct VmmSimulator {
     /// tenant ledger ([`EngineCore::set_tenant_limit`]), not here, so
     /// eviction accounting is enforced where evictions are booked.
     page_tables: Slots<PageTable>,
-    frames: FramePool,
     swap: ShardedSwap,
     /// Reusable scratch for prefetch admission: the kept candidates' swap
     /// slots and their owners' pids. Allocated once; the fault hot path
@@ -111,12 +111,8 @@ impl VmmSimulator {
         VmmSimulator {
             engine: EngineCore::new(setup, 0),
             page_tables: Slots::default(),
-            // The frame pool is sized lazily per-process via MemoryLimit; the
-            // global pool just needs to be large enough to never be the
-            // binding constraint. The swap space starts unsharded (one
-            // region); a scheduled multi-core replay reshards it in
-            // `into_workers`.
-            frames: FramePool::new(u64::MAX / 2),
+            // The swap space starts unsharded (one region); a scheduled
+            // multi-core replay reshards it in `into_workers`.
             swap: ShardedSwap::new(1, SWAP_CAPACITY),
             span_slots: Vec::new(),
             span_pids: Vec::new(),
@@ -283,7 +279,7 @@ impl VmmSimulator {
             .admit_prefetch_span(&self.span_slots, &self.span_pids)
     }
 
-    /// Ensures one more frame can be charged to `pid`, swapping out its least
+    /// Ensures one more page can be charged to `pid`, swapping out its least
     /// recently used resident page if needed. Returns the allocation wait
     /// charged to the faulting access.
     fn make_room(&mut self, pid: Pid) -> Nanos {
@@ -353,7 +349,6 @@ impl VmmSimulator {
                 let mut worker = VmmSimulator {
                     engine: self.engine.shard_worker(core, shards),
                     page_tables: Slots::default(),
-                    frames: FramePool::new(u64::MAX / 2),
                     swap: ShardedSwap::region(core, shards, SWAP_CAPACITY),
                     span_slots: Vec::new(),
                     span_pids: Vec::new(),
@@ -386,17 +381,13 @@ impl VmmSimulator {
 
     /// Maps `page` into `pid`'s address space as resident.
     fn map_in(&mut self, pid: Pid, page: VirtPage, _dirty: bool) {
-        let frame = self
-            .frames
-            .allocate()
-            .expect("global frame pool is effectively unbounded");
         // make_room should have freed space; if the charge still does not
         // fit, the limit saturates and one more page is evicted next time.
         let _ = self.engine.charge_tenant(pid);
         self.page_tables
             .get_mut(pid_slot(pid))
             .expect("registered process")
-            .map(page, frame);
+            .map(page);
     }
 }
 
@@ -492,7 +483,7 @@ impl Simulator for VmmSimulator {
             .lookup_touch(page);
 
         let (latency, outcome, prefetches_issued) = match state {
-            PageState::Resident(_) => (LOCAL_ACCESS, AccessOutcome::LocalHit, 0),
+            PageState::Resident => (LOCAL_ACCESS, AccessOutcome::LocalHit, 0),
             PageState::Untouched => {
                 self.engine.result.first_touch_faults += 1;
                 let alloc_wait = self.make_room(pid);
@@ -511,6 +502,21 @@ impl Simulator for VmmSimulator {
     }
 
     fn into_result(self) -> RunResult {
+        // Audit (test builds): under the eager policy every cached slot is
+        // a swapped-out page, so it still has its swap owner. (The lazy
+        // policy frees the slot at map-in and leaves the cache entry for
+        // kswapd.)
+        debug_assert!(
+            self.engine.config.eviction == EvictionPolicy::Lazy
+                || (0..self.engine.cache.shards()).all(|i| {
+                    self.engine
+                        .cache
+                        .shard(i)
+                        .iter()
+                        .all(|(slot, _)| self.swap.owner(slot).is_some())
+                }),
+            "a cached slot has no swap owner under the eager policy"
+        );
         self.engine.into_result()
     }
 }

@@ -5,7 +5,7 @@
 //! accounting: a charge is taken when a page becomes resident and released
 //! when it is reclaimed; charges beyond the limit must trigger reclaim first.
 
-use leap_sim_core::units::{bytes_to_pages, PAGE_SIZE};
+use leap_sim_core::units::bytes_to_pages;
 use serde::{Deserialize, Serialize};
 
 /// A memory limit expressed in pages, with current usage accounting.
@@ -26,8 +26,6 @@ use serde::{Deserialize, Serialize};
 pub struct MemoryLimit {
     limit_pages: u64,
     used_pages: u64,
-    /// High-water mark of usage, for reports.
-    peak_pages: u64,
 }
 
 impl MemoryLimit {
@@ -36,14 +34,7 @@ impl MemoryLimit {
         MemoryLimit {
             limit_pages,
             used_pages: 0,
-            peak_pages: 0,
         }
-    }
-
-    /// Creates a limit from a byte budget (rounded down to whole pages, but
-    /// never below one page).
-    pub fn from_bytes(bytes: u64) -> Self {
-        MemoryLimit::from_pages((bytes / PAGE_SIZE).max(1))
     }
 
     /// Creates a limit as a fraction of a working set given in bytes.
@@ -66,16 +57,6 @@ impl MemoryLimit {
         self.used_pages
     }
 
-    /// The high-water mark of charged pages.
-    pub fn peak_pages(&self) -> u64 {
-        self.peak_pages
-    }
-
-    /// Pages that can still be charged before hitting the limit.
-    pub fn available_pages(&self) -> u64 {
-        self.limit_pages.saturating_sub(self.used_pages)
-    }
-
     /// Number of pages that must be reclaimed before `extra` pages can be
     /// charged (zero if they already fit).
     pub fn pages_to_reclaim_for(&self, extra: u64) -> u64 {
@@ -89,7 +70,6 @@ impl MemoryLimit {
             return false;
         }
         self.used_pages += pages;
-        self.peak_pages = self.peak_pages.max(self.used_pages);
         true
     }
 
@@ -110,18 +90,11 @@ mod tests {
         let mut limit = MemoryLimit::from_pages(10);
         assert!(limit.try_charge(7));
         assert_eq!(limit.used_pages(), 7);
-        assert_eq!(limit.available_pages(), 3);
         assert!(!limit.try_charge(4));
         assert_eq!(limit.used_pages(), 7, "failed charge must not change usage");
         limit.uncharge(5);
         assert!(limit.try_charge(4));
-        assert_eq!(limit.peak_pages(), 7);
-    }
-
-    #[test]
-    fn from_bytes_rounds_down_but_not_to_zero() {
-        assert_eq!(MemoryLimit::from_bytes(GIB).limit_pages(), GIB / 4096);
-        assert_eq!(MemoryLimit::from_bytes(100).limit_pages(), 1);
+        assert_eq!(limit.used_pages(), 6);
     }
 
     #[test]
@@ -170,7 +143,6 @@ mod tests {
                     limit.uncharge(pages);
                 }
                 prop_assert!(limit.used_pages() <= limit.limit_pages());
-                prop_assert!(limit.peak_pages() <= limit.limit_pages());
             }
         }
     }

@@ -1,10 +1,7 @@
-//! An LRU list with O(1) touch/evict, used for swap-cache reclamation.
-//!
-//! The kernel keeps cached pages on active/inactive LRU lists that the
-//! background reclaimer (`kswapd`) scans when memory pressure builds. This
-//! module provides the ordered structure those policies need; the scan-cost
-//! and eviction *policies* live in the `leap-eviction` crate. (A process's
-//! resident pages are ordered by its [`crate::PageTable`] itself.)
+//! An LRU list with O(1) touch/evict: the reference model the fused
+//! [`crate::PageTable`] is checked against in tests. (A process's resident
+//! pages are ordered by its page table, and cached pages by the
+//! [`crate::SwapCache`]'s own lists.)
 
 use leap_sim_core::hash::FxHashMap;
 use std::hash::Hash;
@@ -14,20 +11,6 @@ use std::hash::Hash;
 /// Implemented as a doubly linked list over a slab of nodes plus a hash map
 /// for O(1) lookup, giving O(1) `touch`, `push`, `pop_lru`, and `remove`.
 ///
-/// # Examples
-///
-/// ```
-/// use leap_mem::LruList;
-///
-/// let mut lru: LruList<u64> = LruList::new();
-/// lru.push(1);
-/// lru.push(2);
-/// lru.push(3);
-/// lru.touch(&1); // 1 becomes most recently used
-/// assert_eq!(lru.pop_lru(), Some(2));
-/// assert_eq!(lru.pop_lru(), Some(3));
-/// assert_eq!(lru.pop_lru(), Some(1));
-/// ```
 #[derive(Debug, Clone)]
 pub struct LruList<K: Eq + Hash + Clone> {
     nodes: Vec<Node<K>>,
@@ -65,16 +48,6 @@ impl<K: Eq + Hash + Clone> LruList<K> {
     /// Number of keys on the list.
     pub fn len(&self) -> usize {
         self.index.len()
-    }
-
-    /// True if the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// True if `key` is on the list.
-    pub fn contains(&self, key: &K) -> bool {
-        self.index.contains_key(key)
     }
 
     /// Inserts `key` as the most recently used entry.

@@ -1,6 +1,6 @@
 //! Per-process page tables, fused with the resident-page LRU.
 
-use crate::types::{FrameId, SwapSlot, VirtPage};
+use crate::types::{SwapSlot, VirtPage};
 use leap_sim_core::hash::{fx_map_with_capacity, FxHashMap};
 
 /// The state of one virtual page in a process's address space.
@@ -8,8 +8,9 @@ use leap_sim_core::hash::{fx_map_with_capacity, FxHashMap};
 pub enum PageState {
     /// The page has never been touched (no backing storage yet).
     Untouched,
-    /// The page is resident in local DRAM in the given frame.
-    Resident(FrameId),
+    /// The page is resident in local DRAM (the process's
+    /// [`crate::MemoryLimit`] budgets how many may be).
+    Resident,
     /// The page has been swapped out to the given swap slot.
     Swapped(SwapSlot),
 }
@@ -42,18 +43,18 @@ struct Entry {
 /// # Examples
 ///
 /// ```
-/// use leap_mem::{FrameId, PageState, PageTable, SwapSlot, VirtPage};
+/// use leap_mem::{PageState, PageTable, SwapSlot, VirtPage};
 ///
 /// let mut pt = PageTable::new();
 /// assert_eq!(pt.lookup(VirtPage(5)), PageState::Untouched);
-/// pt.map(VirtPage(5), FrameId(1));
-/// pt.map(VirtPage(6), FrameId(2));
-/// assert_eq!(pt.lookup(VirtPage(5)), PageState::Resident(FrameId(1)));
+/// pt.map(VirtPage(5));
+/// pt.map(VirtPage(6));
+/// assert_eq!(pt.lookup(VirtPage(5)), PageState::Resident);
 ///
 /// // Touching page 5 makes page 6 the least recently used.
 /// pt.lookup_touch(VirtPage(5));
 /// assert_eq!(pt.lru_page(), Some(VirtPage(6)));
-/// assert_eq!(pt.swap_out_lru(SwapSlot(99)), Some((VirtPage(6), FrameId(2))));
+/// assert_eq!(pt.swap_out_lru(SwapSlot(99)), Some(VirtPage(6)));
 /// assert_eq!(pt.lookup(VirtPage(6)), PageState::Swapped(SwapSlot(99)));
 /// ```
 #[derive(Debug, Clone)]
@@ -107,7 +108,7 @@ impl PageTable {
             return PageState::Untouched;
         };
         let state = self.entries[idx as usize].state;
-        if matches!(state, PageState::Resident(_)) && self.head != idx {
+        if matches!(state, PageState::Resident) && self.head != idx {
             self.unlink(idx);
             self.link_head(idx);
         }
@@ -116,7 +117,7 @@ impl PageTable {
 
     /// True if the page is currently resident.
     pub fn is_resident(&self, page: VirtPage) -> bool {
-        matches!(self.lookup(page), PageState::Resident(_))
+        matches!(self.lookup(page), PageState::Resident)
     }
 
     /// Number of resident pages.
@@ -129,17 +130,17 @@ impl PageTable {
         self.entries.len() as u64
     }
 
-    /// Maps a virtual page to a frame (page-in or first touch), making it
-    /// the most recently used resident page.
-    pub fn map(&mut self, page: VirtPage, frame: FrameId) {
+    /// Makes a virtual page resident (page-in or first touch) and the most
+    /// recently used one.
+    pub fn map(&mut self, page: VirtPage) {
         let idx = match self.index.get(&page) {
             Some(&idx) => {
-                if matches!(self.entries[idx as usize].state, PageState::Resident(_)) {
+                if matches!(self.entries[idx as usize].state, PageState::Resident) {
                     self.unlink(idx);
                 } else {
                     self.resident += 1;
                 }
-                self.entries[idx as usize].state = PageState::Resident(frame);
+                self.entries[idx as usize].state = PageState::Resident;
                 idx
             }
             None => {
@@ -149,7 +150,7 @@ impl PageTable {
                     .expect("page table holds fewer than u32::MAX pages");
                 self.entries.push(Entry {
                     page,
-                    state: PageState::Resident(frame),
+                    state: PageState::Resident,
                     prev: NIL,
                     next: NIL,
                 });
@@ -167,21 +168,23 @@ impl PageTable {
     }
 
     /// Swaps out the least recently used resident page to `slot`, returning
-    /// the page and the frame that was backing it (`None` if no page is
-    /// resident). Follows the tail link: no map probe.
-    pub fn swap_out_lru(&mut self, slot: SwapSlot) -> Option<(VirtPage, FrameId)> {
+    /// it (`None` if no page is resident). Follows the tail link: no map
+    /// probe.
+    pub fn swap_out_lru(&mut self, slot: SwapSlot) -> Option<VirtPage> {
         let idx = self.tail;
         if idx == NIL {
             return None;
         }
         self.unlink(idx);
         let entry = &mut self.entries[idx as usize];
-        let PageState::Resident(frame) = entry.state else {
-            unreachable!("only resident pages are linked");
-        };
+        debug_assert_eq!(
+            entry.state,
+            PageState::Resident,
+            "only resident pages are linked"
+        );
         entry.state = PageState::Swapped(slot);
         self.resident -= 1;
-        Some((entry.page, frame))
+        Some(entry.page)
     }
 
     fn unlink(&mut self, idx: u32) {
@@ -224,7 +227,7 @@ mod tests {
         let mut cursor = pt.tail;
         while cursor != NIL {
             let entry = &pt.entries[cursor as usize];
-            assert!(matches!(entry.state, PageState::Resident(_)));
+            assert!(matches!(entry.state, PageState::Resident));
             order.push(entry.page);
             cursor = entry.prev;
         }
@@ -243,20 +246,20 @@ mod tests {
     #[test]
     fn map_and_swap_cycle() {
         let mut pt = PageTable::new();
-        pt.map(VirtPage(1), FrameId(10));
+        pt.map(VirtPage(1));
         assert!(pt.is_resident(VirtPage(1)));
         assert_eq!(pt.resident_pages(), 1);
 
         let evicted = pt.swap_out_lru(SwapSlot(7));
-        assert_eq!(evicted, Some((VirtPage(1), FrameId(10))));
+        assert_eq!(evicted, Some(VirtPage(1)));
         assert_eq!(pt.lookup(VirtPage(1)), PageState::Swapped(SwapSlot(7)));
         assert_eq!(pt.resident_pages(), 0);
         assert_eq!(pt.touched_pages(), 1);
         assert_eq!(pt.lru_page(), None);
 
         // Page back in.
-        pt.map(VirtPage(1), FrameId(3));
-        assert_eq!(pt.lookup(VirtPage(1)), PageState::Resident(FrameId(3)));
+        pt.map(VirtPage(1));
+        assert_eq!(pt.lookup(VirtPage(1)), PageState::Resident);
         assert_eq!(pt.resident_pages(), 1);
         assert_eq!(pt.lru_page(), Some(VirtPage(1)));
     }
@@ -265,7 +268,7 @@ mod tests {
     fn swap_out_without_resident_pages_is_noop() {
         let mut pt = PageTable::new();
         assert_eq!(pt.swap_out_lru(SwapSlot(1)), None);
-        pt.map(VirtPage(4), FrameId(0));
+        pt.map(VirtPage(4));
         pt.swap_out_lru(SwapSlot(1));
         // Nothing left to evict: the table is unchanged.
         assert_eq!(pt.swap_out_lru(SwapSlot(2)), None);
@@ -276,10 +279,10 @@ mod tests {
     #[test]
     fn remap_of_resident_page_does_not_double_count() {
         let mut pt = PageTable::new();
-        pt.map(VirtPage(9), FrameId(0));
-        pt.map(VirtPage(9), FrameId(1));
+        pt.map(VirtPage(9));
+        pt.map(VirtPage(9));
         assert_eq!(pt.resident_pages(), 1);
-        assert_eq!(pt.lookup(VirtPage(9)), PageState::Resident(FrameId(1)));
+        assert_eq!(pt.lookup(VirtPage(9)), PageState::Resident);
         assert_eq!(lru_order(&pt), vec![VirtPage(9)]);
     }
 
@@ -287,27 +290,19 @@ mod tests {
     fn eviction_follows_lru_order() {
         let mut pt = PageTable::new();
         for p in 0..4u64 {
-            pt.map(VirtPage(p), FrameId(p));
+            pt.map(VirtPage(p));
         }
         // Touch 0 and re-map 1: both move to the MRU end.
-        assert_eq!(
-            pt.lookup_touch(VirtPage(0)),
-            PageState::Resident(FrameId(0))
-        );
-        pt.map(VirtPage(1), FrameId(11));
+        assert_eq!(pt.lookup_touch(VirtPage(0)), PageState::Resident);
+        pt.map(VirtPage(1));
         let order: Vec<u64> = lru_order(&pt).iter().map(|p| p.0).collect();
         assert_eq!(order, vec![2, 3, 0, 1]);
-        let evicted: Vec<(VirtPage, FrameId)> = (0..5)
+        let evicted: Vec<VirtPage> = (0..5)
             .filter_map(|i| pt.swap_out_lru(SwapSlot(100 + i)))
             .collect();
         assert_eq!(
             evicted,
-            vec![
-                (VirtPage(2), FrameId(2)),
-                (VirtPage(3), FrameId(3)),
-                (VirtPage(0), FrameId(0)),
-                (VirtPage(1), FrameId(11)),
-            ]
+            vec![VirtPage(2), VirtPage(3), VirtPage(0), VirtPage(1)]
         );
         assert_eq!(pt.lookup(VirtPage(0)), PageState::Swapped(SwapSlot(102)));
         assert_eq!(pt.resident_pages(), 0);
@@ -317,8 +312,8 @@ mod tests {
     #[test]
     fn touching_a_swapped_page_does_not_relink_it() {
         let mut pt = PageTable::new();
-        pt.map(VirtPage(1), FrameId(1));
-        pt.map(VirtPage(2), FrameId(2));
+        pt.map(VirtPage(1));
+        pt.map(VirtPage(2));
         pt.swap_out_lru(SwapSlot(5));
         assert_eq!(
             pt.lookup_touch(VirtPage(1)),
@@ -347,28 +342,30 @@ mod tests {
 
         fn lookup_touch(&mut self, page: VirtPage) -> PageState {
             let state = self.lookup(page);
-            if matches!(state, PageState::Resident(_)) {
+            if matches!(state, PageState::Resident) {
                 self.lru.touch(&page);
             }
             state
         }
 
-        fn map(&mut self, page: VirtPage, frame: FrameId) {
-            let prev = self.entries.insert(page, PageState::Resident(frame));
-            if !matches!(prev, Some(PageState::Resident(_))) {
+        fn map(&mut self, page: VirtPage) {
+            let prev = self.entries.insert(page, PageState::Resident);
+            if prev != Some(PageState::Resident) {
                 self.resident += 1;
             }
             self.lru.push(page);
         }
 
-        fn swap_out_lru(&mut self, slot: SwapSlot) -> Option<(VirtPage, FrameId)> {
+        fn swap_out_lru(&mut self, slot: SwapSlot) -> Option<VirtPage> {
             let page = self.lru.pop_lru()?;
-            let frame = match self.entries.insert(page, PageState::Swapped(slot)) {
-                Some(PageState::Resident(frame)) => frame,
-                other => panic!("LRU held a non-resident page: {other:?}"),
-            };
+            let prev = self.entries.insert(page, PageState::Swapped(slot));
+            assert_eq!(
+                prev,
+                Some(PageState::Resident),
+                "LRU held a non-resident page"
+            );
             self.resident -= 1;
-            Some((page, frame))
+            Some(page)
         }
     }
 
@@ -382,7 +379,7 @@ mod tests {
             let mut pt = PageTable::new();
             for (page, map_in) in ops {
                 if map_in {
-                    pt.map(VirtPage(page), FrameId(page));
+                    pt.map(VirtPage(page));
                 } else {
                     let _ = pt.swap_out_lru(SwapSlot(page));
                 }
@@ -406,8 +403,8 @@ mod tests {
                 let page = VirtPage(page);
                 match op {
                     0 => {
-                        pt.map(page, FrameId(n));
-                        reference.map(page, FrameId(n));
+                        pt.map(page);
+                        reference.map(page);
                     }
                     1 => {
                         prop_assert_eq!(pt.lookup_touch(page), reference.lookup_touch(page));

@@ -19,7 +19,7 @@
 //! is how single-process replays keep their historical numerics bit-for-bit.
 
 use crate::swap::SwapSpace;
-use crate::swap_cache::{CacheEntry, CacheOrigin, SwapCache};
+use crate::swap_cache::{CacheEntry, CacheOrigin, EvictionPolicy, SwapCache};
 use crate::types::{Pid, SwapSlot, VirtPage};
 use leap_sim_core::Nanos;
 
@@ -136,17 +136,16 @@ impl ShardedSwap {
 /// Slots are routed to shards by the same region mapping as
 /// [`ShardedSwap`] (`slot / span`), so the cache entry for a page is always
 /// found in one deterministic shard no matter which core looks. Each shard
-/// has its own capacity, and the engine drives one eviction-policy instance
-/// per shard against it.
+/// has its own capacity and keeps its own eviction lists.
 ///
 /// # Examples
 ///
 /// ```
-/// use leap_mem::{CacheOrigin, Pid, ShardedSwapCache, SwapSlot};
+/// use leap_mem::{CacheOrigin, EvictionPolicy, Pid, ShardedSwapCache, SwapSlot};
 /// use leap_sim_core::Nanos;
 ///
 /// // Two shards over regions [0, 100) and [100, 200), 8 pages each.
-/// let mut cache = ShardedSwapCache::new(2, 8, 100);
+/// let mut cache = ShardedSwapCache::new(2, 8, 100, EvictionPolicy::Eager);
 /// cache.insert(SwapSlot(150), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
 /// assert_eq!(cache.shard_of(SwapSlot(150)), 1);
 /// assert!(cache.contains(SwapSlot(150)));
@@ -159,26 +158,26 @@ pub struct ShardedSwapCache {
 
 impl ShardedSwapCache {
     /// Creates `shards` cache shards of `per_shard_pages` capacity each,
-    /// routing slots by region width `span`.
+    /// following `policy` and routing slots by region width `span`.
     ///
     /// # Panics
     ///
     /// Panics if `shards` or `span` is zero.
-    pub fn new(shards: usize, per_shard_pages: u64, span: u64) -> Self {
+    pub fn new(shards: usize, per_shard_pages: u64, span: u64, policy: EvictionPolicy) -> Self {
         assert!(shards > 0, "at least one cache shard is required");
         assert!(span > 0, "slot region span must be nonzero");
         ShardedSwapCache {
             span,
             shards: (0..shards)
-                .map(|_| SwapCache::new(per_shard_pages))
+                .map(|_| SwapCache::new(per_shard_pages, policy))
                 .collect(),
         }
     }
 
     /// A single unsharded cache of `capacity_pages` (the legacy layout every
     /// single-process replay uses).
-    pub fn single(capacity_pages: u64) -> Self {
-        ShardedSwapCache::new(1, capacity_pages, u64::MAX)
+    pub fn single(capacity_pages: u64, policy: EvictionPolicy) -> Self {
+        ShardedSwapCache::new(1, capacity_pages, u64::MAX, policy)
     }
 
     /// Number of shards.
@@ -196,7 +195,7 @@ impl ShardedSwapCache {
         &self.shards[i]
     }
 
-    /// Mutable view of shard `i` (what the per-shard eviction policy scans).
+    /// Mutable view of shard `i` (what the eviction rules drain).
     pub fn shard_mut(&mut self, i: usize) -> &mut SwapCache {
         &mut self.shards[i]
     }
@@ -312,7 +311,7 @@ mod tests {
 
     #[test]
     fn cache_routes_by_slot_region() {
-        let mut cache = ShardedSwapCache::new(2, 4, 100);
+        let mut cache = ShardedSwapCache::new(2, 4, 100, EvictionPolicy::Lazy);
         assert!(cache.insert(SwapSlot(10), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO));
         assert!(cache.insert(SwapSlot(110), Pid(2), CacheOrigin::Demand, Nanos::ZERO));
         assert_eq!(cache.shard_of(SwapSlot(10)), 0);
@@ -331,7 +330,7 @@ mod tests {
 
     #[test]
     fn per_shard_capacity_is_independent() {
-        let mut cache = ShardedSwapCache::new(2, 1, 100);
+        let mut cache = ShardedSwapCache::new(2, 1, 100, EvictionPolicy::Eager);
         assert!(cache.insert(SwapSlot(0), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO));
         // Shard 0 is full; shard 1 still has room.
         assert!(cache.shard(0).is_full());
@@ -343,7 +342,7 @@ mod tests {
 
     #[test]
     fn single_cache_shard_behaves_like_swap_cache() {
-        let mut cache = ShardedSwapCache::single(2);
+        let mut cache = ShardedSwapCache::single(2, EvictionPolicy::Lazy);
         assert_eq!(cache.shards(), 1);
         assert!(cache.insert(SwapSlot(5), Pid(1), CacheOrigin::Demand, Nanos::ZERO));
         assert!(cache.insert(

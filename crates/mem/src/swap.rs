@@ -65,7 +65,7 @@ impl SwapSpace {
     /// Allocations are handed out sequentially from `base`, so several
     /// spaces with disjoint regions can coexist in one global slot namespace
     /// (the per-core shards of [`crate::ShardedSwap`]).
-    pub fn with_base(base: u64, capacity: u64) -> Self {
+    pub(crate) fn with_base(base: u64, capacity: u64) -> Self {
         SwapSpace {
             base,
             capacity,

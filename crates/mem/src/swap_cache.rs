@@ -1,4 +1,4 @@
-//! The swap/prefetch cache.
+//! The swap/prefetch cache, with its eviction order built in.
 //!
 //! Pages read from the slower tier (disk or remote memory) land in the swap
 //! cache before being mapped into the faulting process. Prefetched pages sit
@@ -6,10 +6,18 @@
 //! The cache records, per entry, whether it was demand-fetched or prefetched,
 //! when it was inserted, and when (if ever) it was first hit — exactly the
 //! bookkeeping needed to compute accuracy, coverage, and timeliness (§3.1).
+//!
+//! Each entry also sits on exactly one of the cache's two eviction lists:
+//! Leap's prefetch FIFO (`PrefetchFifoLruList`, §4.3) or the kernel's LRU
+//! (§2.3). Which list an entry joins, and what a hit does to it, is the
+//! cache's [`EvictionPolicy`]; the victim rules that drain the lists live in
+//! the `leap-eviction` crate.
 
 use crate::types::{Pid, SwapSlot};
 use leap_sim_core::hash::{fx_map_with_capacity, FxHashMap};
 use leap_sim_core::Nanos;
+use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 
 /// How a page entered the swap cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +26,45 @@ pub enum CacheOrigin {
     Demand,
     /// The page was read ahead of demand by a prefetcher.
     Prefetch,
+}
+
+/// Which prefetch-cache eviction policy a cache follows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum EvictionPolicy {
+    /// Kernel-style lazy background LRU reclaim (§2.3): every entry is on
+    /// the LRU, and a hit only moves it to the most recently used end.
+    Lazy,
+    /// Leap's eager free-on-hit plus FIFO reclaim of unconsumed prefetches
+    /// (§4.3): prefetched entries are on the FIFO and leave the cache on
+    /// their first hit; demand entries are on the LRU.
+    Eager,
+}
+
+impl EvictionPolicy {
+    /// Human-readable label.
+    pub fn label(self) -> &'static str {
+        match self {
+            EvictionPolicy::Lazy => "lazy",
+            EvictionPolicy::Eager => "eager",
+        }
+    }
+
+    /// The inverse of [`EvictionPolicy::label`], used when parsing serialized
+    /// configurations.
+    pub fn from_label(label: &str) -> Option<Self> {
+        [EvictionPolicy::Lazy, EvictionPolicy::Eager]
+            .into_iter()
+            .find(|k| k.label() == label)
+    }
+}
+
+/// One of a cache's two eviction lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheList {
+    /// Leap's prefetch FIFO: unconsumed prefetched pages in arrival order.
+    Fifo,
+    /// The LRU list, least recently used first.
+    Lru,
 }
 
 /// Metadata for one cached page.
@@ -34,33 +81,100 @@ pub struct CacheEntry {
 }
 
 impl CacheEntry {
+    fn unhit(pid: Pid, origin: CacheOrigin, inserted_at: Nanos) -> Self {
+        CacheEntry {
+            pid,
+            origin,
+            inserted_at,
+            first_hit_at: None,
+        }
+    }
+
     /// True for a prefetched page that was never hit (cache pollution).
     pub fn is_unused_prefetch(&self) -> bool {
         self.origin == CacheOrigin::Prefetch && self.first_hit_at.is_none()
     }
 }
 
-/// The swap cache: a bounded map from swap slots to cached pages.
+/// End-of-list marker for the slab links.
+const NIL: u32 = u32::MAX;
+
+/// One slab node: a cached page and its links on the list it is on (`list`
+/// is `None` while the node is on the free list, chained through `next`).
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    slot: SwapSlot,
+    entry: CacheEntry,
+    list: Option<CacheList>,
+    /// Towards the list's front (its oldest entry).
+    prev: u32,
+    /// Towards the list's back (its newest entry).
+    next: u32,
+}
+
+/// The two ends and the length of one eviction list.
+#[derive(Debug, Clone, Copy)]
+struct Ends {
+    front: u32,
+    back: u32,
+    len: u64,
+}
+
+impl Ends {
+    const EMPTY: Ends = Ends {
+        front: NIL,
+        back: NIL,
+        len: 0,
+    };
+}
+
+/// The swap cache: a bounded set of cached pages, each on one eviction list.
 ///
 /// Capacity is expressed in pages. A capacity of `u64::MAX` effectively means
 /// "unlimited" (the paper's default); Figure 12 constrains it to a few MBs.
 ///
+/// Entries live in a slab behind one slot → index map; each slab node
+/// carries the links of the list it is on, so moving an entry to the back
+/// of its list, unlinking a hit, or taking the oldest victim is O(1) and
+/// never touches a second map. Freed nodes are reused through a free list.
+///
+/// Placement follows the cache's [`EvictionPolicy`]:
+/// - under [`EvictionPolicy::Lazy`] every entry joins the LRU, and a hit or
+///   a re-insert moves it to the most recently used end;
+/// - under [`EvictionPolicy::Eager`] a prefetched entry joins the FIFO and
+///   a hit frees it; a demand entry joins the LRU, where hits and
+///   re-inserts move it like the lazy policy does. A buffered write over an
+///   unread prefetch turns the entry into a demand one but keeps its FIFO
+///   position.
+///
 /// # Examples
 ///
 /// ```
-/// use leap_mem::{CacheOrigin, Pid, SwapCache, SwapSlot};
+/// use leap_mem::{CacheOrigin, EvictionPolicy, Pid, SwapCache, SwapSlot};
 /// use leap_sim_core::Nanos;
 ///
-/// let mut cache = SwapCache::new(1024);
+/// let mut cache = SwapCache::new(1024, EvictionPolicy::Lazy);
 /// cache.insert(SwapSlot(7), Pid(1), CacheOrigin::Prefetch, Nanos::from_micros(1));
 /// assert!(cache.contains(SwapSlot(7)));
 /// let entry = cache.record_hit(SwapSlot(7), Nanos::from_micros(5)).unwrap();
 /// assert_eq!(entry.first_hit_at, Some(Nanos::from_micros(5)));
+///
+/// // Leap's eager policy frees a prefetched page on its first hit.
+/// let mut eager = SwapCache::new(1024, EvictionPolicy::Eager);
+/// eager.insert(SwapSlot(7), Pid(1), CacheOrigin::Prefetch, Nanos::from_micros(1));
+/// eager.record_hit(SwapSlot(7), Nanos::from_micros(5)).unwrap();
+/// assert!(!eager.contains(SwapSlot(7)));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SwapCache {
     capacity_pages: u64,
-    entries: FxHashMap<SwapSlot, CacheEntry>,
+    policy: EvictionPolicy,
+    index: FxHashMap<SwapSlot, u32>,
+    nodes: Vec<Node>,
+    /// Head of the free-node chain.
+    free: u32,
+    fifo: Ends,
+    lru: Ends,
 }
 
 /// Entries pre-reserved for caches of more pages than this (unbounded ones
@@ -69,37 +183,35 @@ pub struct SwapCache {
 const DEFAULT_RESERVE_PAGES: usize = 1_024;
 
 impl SwapCache {
-    /// Creates a cache bounded to `capacity_pages` pages.
+    /// Creates a cache bounded to `capacity_pages` pages, following
+    /// `policy`.
     ///
-    /// A cache of up to 1024 pages reserves entries for twice its capacity,
-    /// so it never grows: evictions leave tombstones in the map, and a map
-    /// reserved for exactly its peak population still grows once they use
-    /// up its free buckets, while one at most half full rehashes in place.
-    /// Larger (or unbounded) caches reserve 1024 entries and grow past
-    /// them. Callers that know the real expected population use
-    /// [`SwapCache::with_capacity_hint`].
-    pub fn new(capacity_pages: u64) -> Self {
-        let reserve = if capacity_pages <= DEFAULT_RESERVE_PAGES as u64 {
-            2 * capacity_pages as usize
+    /// A cache of up to 1024 pages reserves index entries for twice its
+    /// capacity, so it never grows: evictions leave tombstones in the map,
+    /// and a map reserved for exactly its peak population still grows once
+    /// they use up its free buckets, while one at most half full rehashes in
+    /// place. Its slab holds exactly the capacity. Larger (or unbounded)
+    /// caches reserve 1024 entries and grow past them.
+    pub fn new(capacity_pages: u64, policy: EvictionPolicy) -> Self {
+        let (index, nodes) = if capacity_pages <= DEFAULT_RESERVE_PAGES as u64 {
+            (2 * capacity_pages as usize, capacity_pages as usize)
         } else {
-            DEFAULT_RESERVE_PAGES
+            (DEFAULT_RESERVE_PAGES, DEFAULT_RESERVE_PAGES)
         };
-        SwapCache::with_capacity_hint(capacity_pages, reserve)
-    }
-
-    /// Creates a cache bounded to `capacity_pages` pages with the entry map
-    /// pre-sized for `expected_pages` entries (e.g. the configured prefetch
-    /// cache capacity, known at build time).
-    pub fn with_capacity_hint(capacity_pages: u64, expected_pages: usize) -> Self {
         SwapCache {
             capacity_pages,
-            entries: fx_map_with_capacity(expected_pages),
+            policy,
+            index: fx_map_with_capacity(index),
+            nodes: Vec::with_capacity(nodes),
+            free: NIL,
+            fifo: Ends::EMPTY,
+            lru: Ends::EMPTY,
         }
     }
 
     /// Creates an effectively unbounded cache.
-    pub fn unbounded() -> Self {
-        SwapCache::new(u64::MAX)
+    pub fn unbounded(policy: EvictionPolicy) -> Self {
+        SwapCache::new(u64::MAX, policy)
     }
 
     /// The configured capacity in pages.
@@ -107,14 +219,19 @@ impl SwapCache {
         self.capacity_pages
     }
 
+    /// The eviction policy the cache follows.
+    pub fn policy(&self) -> EvictionPolicy {
+        self.policy
+    }
+
     /// Number of pages currently cached.
     pub fn len(&self) -> u64 {
-        self.entries.len() as u64
+        self.index.len() as u64
     }
 
     /// True if the cache holds no pages.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// True if the cache is at (or beyond) its capacity.
@@ -122,19 +239,21 @@ impl SwapCache {
         self.len() >= self.capacity_pages
     }
 
-    /// Number of free page slots remaining.
-    pub fn free_pages(&self) -> u64 {
-        self.capacity_pages.saturating_sub(self.len())
-    }
-
     /// True if `slot` is cached.
     pub fn contains(&self, slot: SwapSlot) -> bool {
-        self.entries.contains_key(&slot)
+        self.index.contains_key(&slot)
     }
 
     /// Returns the entry for `slot`, if cached.
     pub fn get(&self, slot: SwapSlot) -> Option<&CacheEntry> {
-        self.entries.get(&slot)
+        self.index
+            .get(&slot)
+            .map(|&idx| &self.nodes[idx as usize].entry)
+    }
+
+    /// Number of entries on `list`.
+    pub fn list_len(&self, list: CacheList) -> u64 {
+        self.ends(list).len
     }
 
     /// Inserts a page.
@@ -142,20 +261,19 @@ impl SwapCache {
     /// Returns `false` (without inserting) if the cache is full and the slot
     /// is not already present; the caller is responsible for making room
     /// first via its eviction policy. Re-inserting an existing slot refreshes
-    /// its metadata.
+    /// its metadata and moves it to the back of its list — except on the
+    /// FIFO, where the entry keeps its position.
     pub fn insert(&mut self, slot: SwapSlot, pid: Pid, origin: CacheOrigin, now: Nanos) -> bool {
-        if !self.entries.contains_key(&slot) && self.is_full() {
+        let entry = CacheEntry::unhit(pid, origin, now);
+        if let Some(&idx) = self.index.get(&slot) {
+            self.refresh(idx, entry);
+            return true;
+        }
+        if self.is_full() {
             return false;
         }
-        self.entries.insert(
-            slot,
-            CacheEntry {
-                pid,
-                origin,
-                inserted_at: now,
-                first_hit_at: None,
-            },
-        );
+        let idx = self.alloc(slot, entry);
+        self.index.insert(slot, idx);
         true
     }
 
@@ -164,91 +282,210 @@ impl SwapCache {
     /// first): one hash-table operation instead of the
     /// presence-check-plus-insert pair [`SwapCache::insert`] performs.
     ///
-    /// Behaviour is identical to `insert` under the stated precondition;
-    /// violating it (slot present, or cache full) is caught by a debug
-    /// assertion and in release builds degrades to `insert`'s semantics of
-    /// refreshing the entry.
+    /// Violating the precondition (slot present, or cache full) is caught
+    /// by a debug assertion; in release builds the new entry replaces the
+    /// cached one at the back of its list.
     pub fn insert_fresh(&mut self, slot: SwapSlot, pid: Pid, origin: CacheOrigin, now: Nanos) {
         debug_assert!(
-            !self.is_full() || self.entries.contains_key(&slot),
+            !self.is_full() || self.index.contains_key(&slot),
             "insert_fresh on a full cache"
         );
-        let prev = self.entries.insert(
-            slot,
-            CacheEntry {
-                pid,
-                origin,
-                inserted_at: now,
-                first_hit_at: None,
-            },
-        );
-        debug_assert!(prev.is_none(), "insert_fresh on a cached slot");
+        let idx = self.alloc(slot, CacheEntry::unhit(pid, origin, now));
+        if let Some(stale) = self.index.insert(slot, idx) {
+            debug_assert!(false, "insert_fresh on a cached slot");
+            self.release(stale);
+        }
     }
 
-    /// Records a hit on `slot` at time `now`, returning the updated entry.
+    /// Records a hit on `slot` at time `now`, returning the updated entry
+    /// (`None` if the slot is not cached).
     ///
     /// Only the first hit timestamp is retained (that is what timeliness
-    /// measures). Returns `None` if the slot is not cached.
+    /// measures). Under [`EvictionPolicy::Eager`] a prefetched entry is
+    /// freed in the same map operation; any other LRU entry moves to the
+    /// most recently used end, and a FIFO entry keeps its position.
     pub fn record_hit(&mut self, slot: SwapSlot, now: Nanos) -> Option<CacheEntry> {
-        let entry = self.entries.get_mut(&slot)?;
-        if entry.first_hit_at.is_none() {
-            entry.first_hit_at = Some(now);
+        let Entry::Occupied(occupied) = self.index.entry(slot) else {
+            return None;
+        };
+        let idx = *occupied.get();
+        let node = &mut self.nodes[idx as usize];
+        node.entry.first_hit_at.get_or_insert(now);
+        let entry = node.entry;
+        if self.policy == EvictionPolicy::Eager && entry.origin == CacheOrigin::Prefetch {
+            occupied.remove();
+            self.release(idx);
+        } else if node.list == Some(CacheList::Lru) {
+            self.unlink(idx);
+            self.link_back(idx, CacheList::Lru);
         }
-        Some(*entry)
-    }
-
-    /// Records a hit on `slot` at time `now` and, when `free_prefetched` is
-    /// set and the entry is prefetch-origin, removes it in the same hash
-    /// operation (Leap's eager free-on-hit without a separate
-    /// [`SwapCache::remove`] lookup). The flag in the result is `true` when
-    /// the entry was taken out.
-    ///
-    /// Equivalent to `record_hit` followed by `remove` under that
-    /// condition; the returned entry carries the hit timestamp either way.
-    pub fn record_hit_take(
-        &mut self,
-        slot: SwapSlot,
-        now: Nanos,
-        free_prefetched: bool,
-    ) -> Option<(CacheEntry, bool)> {
-        use std::collections::hash_map::Entry;
-        match self.entries.entry(slot) {
-            Entry::Occupied(mut occupied) => {
-                if free_prefetched && occupied.get().origin == CacheOrigin::Prefetch {
-                    let mut entry = occupied.remove();
-                    if entry.first_hit_at.is_none() {
-                        entry.first_hit_at = Some(now);
-                    }
-                    Some((entry, true))
-                } else {
-                    let entry = occupied.get_mut();
-                    if entry.first_hit_at.is_none() {
-                        entry.first_hit_at = Some(now);
-                    }
-                    Some((*entry, false))
-                }
-            }
-            Entry::Vacant(_) => None,
-        }
+        Some(entry)
     }
 
     /// Removes a page from the cache, returning its entry.
     pub fn remove(&mut self, slot: SwapSlot) -> Option<CacheEntry> {
-        self.entries.remove(&slot)
+        let idx = self.index.remove(&slot)?;
+        let entry = self.nodes[idx as usize].entry;
+        self.release(idx);
+        Some(entry)
+    }
+
+    /// Removes the oldest entry of `list` (the FIFO's front, the LRU's least
+    /// recently used end), returning its slot and entry.
+    pub fn pop_oldest(&mut self, list: CacheList) -> Option<(SwapSlot, CacheEntry)> {
+        let idx = self.ends(list).front;
+        if idx == NIL {
+            return None;
+        }
+        let Node { slot, entry, .. } = self.nodes[idx as usize];
+        self.index.remove(&slot);
+        self.release(idx);
+        Some((slot, entry))
     }
 
     /// Iterates over all cached entries.
     pub fn iter(&self) -> impl Iterator<Item = (SwapSlot, &CacheEntry)> + '_ {
-        self.entries.iter().map(|(&slot, entry)| (slot, entry))
+        self.nodes
+            .iter()
+            .filter(|node| node.list.is_some())
+            .map(|node| (node.slot, &node.entry))
     }
 
     /// Number of cached pages that were prefetched and never hit (current
     /// cache pollution).
     pub fn unused_prefetched(&self) -> u64 {
-        self.entries
-            .values()
-            .filter(|e| e.is_unused_prefetch())
-            .count() as u64
+        self.iter().filter(|(_, e)| e.is_unused_prefetch()).count() as u64
+    }
+
+    /// Audit: the two lists partition the cached entries. Their lengths sum
+    /// to [`SwapCache::len`], every indexed entry is linked exactly once
+    /// with consistent links, and a lazy cache leaves the FIFO empty.
+    /// O(len); meant for end-of-run checks in test builds.
+    pub fn lists_partition_entries(&self) -> bool {
+        let mut linked = vec![false; self.nodes.len()];
+        for list in [CacheList::Fifo, CacheList::Lru] {
+            let ends = self.ends(list);
+            let (mut prev, mut cursor, mut walked) = (NIL, ends.front, 0u64);
+            while cursor != NIL {
+                let node = &self.nodes[cursor as usize];
+                if linked[cursor as usize] || node.list != Some(list) || node.prev != prev {
+                    return false;
+                }
+                linked[cursor as usize] = true;
+                walked += 1;
+                (prev, cursor) = (cursor, node.next);
+            }
+            if walked != ends.len || ends.back != prev {
+                return false;
+            }
+        }
+        self.fifo.len + self.lru.len == self.len()
+            && self
+                .index
+                .iter()
+                .all(|(&slot, &idx)| linked[idx as usize] && self.nodes[idx as usize].slot == slot)
+            && (self.policy == EvictionPolicy::Eager || self.fifo.len == 0)
+    }
+
+    fn ends(&self, list: CacheList) -> &Ends {
+        match list {
+            CacheList::Fifo => &self.fifo,
+            CacheList::Lru => &self.lru,
+        }
+    }
+
+    /// Takes a node (a freed one first) for a new entry and links it at
+    /// the back of its list.
+    fn alloc(&mut self, slot: SwapSlot, entry: CacheEntry) -> u32 {
+        let node = Node {
+            slot,
+            entry,
+            list: None,
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = match self.free {
+            NIL => {
+                let idx = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&idx| idx != NIL)
+                    .expect("swap cache holds fewer than u32::MAX pages");
+                self.nodes.push(node);
+                idx
+            }
+            idx => {
+                self.free = self.nodes[idx as usize].next;
+                self.nodes[idx as usize] = node;
+                idx
+            }
+        };
+        self.link_back(idx, list_for(self.policy, entry.origin));
+        idx
+    }
+
+    /// Overwrites a cached entry's metadata (a re-insert) and moves it to
+    /// the back of its list, unless it is on the FIFO.
+    fn refresh(&mut self, idx: u32, entry: CacheEntry) {
+        self.nodes[idx as usize].entry = entry;
+        if self.nodes[idx as usize].list != Some(CacheList::Fifo) {
+            self.unlink(idx);
+            self.link_back(idx, list_for(self.policy, entry.origin));
+        }
+    }
+
+    /// Unlinks a node whose index entry is already gone and puts it on the
+    /// free list.
+    fn release(&mut self, idx: u32) {
+        self.unlink(idx);
+        let node = &mut self.nodes[idx as usize];
+        node.list = None;
+        node.next = self.free;
+        self.free = idx;
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let Node {
+            list, prev, next, ..
+        } = self.nodes[idx as usize];
+        let ends = match list.expect("only linked nodes are unlinked") {
+            CacheList::Fifo => &mut self.fifo,
+            CacheList::Lru => &mut self.lru,
+        };
+        match prev {
+            NIL => ends.front = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => ends.back = prev,
+            n => self.nodes[n as usize].prev = prev,
+        }
+        ends.len -= 1;
+    }
+
+    fn link_back(&mut self, idx: u32, list: CacheList) {
+        let ends = match list {
+            CacheList::Fifo => &mut self.fifo,
+            CacheList::Lru => &mut self.lru,
+        };
+        let old_back = ends.back;
+        match old_back {
+            NIL => ends.front = idx,
+            b => self.nodes[b as usize].next = idx,
+        }
+        ends.back = idx;
+        ends.len += 1;
+        let node = &mut self.nodes[idx as usize];
+        node.list = Some(list);
+        node.prev = old_back;
+        node.next = NIL;
+    }
+}
+
+/// The list a new entry of `origin` joins under `policy`.
+fn list_for(policy: EvictionPolicy, origin: CacheOrigin) -> CacheList {
+    match (policy, origin) {
+        (EvictionPolicy::Eager, CacheOrigin::Prefetch) => CacheList::Fifo,
+        _ => CacheList::Lru,
     }
 }
 
@@ -261,9 +498,20 @@ mod tests {
         Nanos::from_micros(us)
     }
 
+    /// The slots on `list`, oldest first, read off the links.
+    fn order(cache: &SwapCache, list: CacheList) -> Vec<u64> {
+        let mut slots = Vec::new();
+        let mut cursor = cache.ends(list).front;
+        while cursor != NIL {
+            slots.push(cache.nodes[cursor as usize].slot.0);
+            cursor = cache.nodes[cursor as usize].next;
+        }
+        slots
+    }
+
     #[test]
     fn insert_get_remove_cycle() {
-        let mut cache = SwapCache::new(4);
+        let mut cache = SwapCache::new(4, EvictionPolicy::Lazy);
         assert!(cache.insert(SwapSlot(1), Pid(1), CacheOrigin::Demand, t(1)));
         assert!(cache.contains(SwapSlot(1)));
         let entry = cache.get(SwapSlot(1)).unwrap();
@@ -272,16 +520,16 @@ mod tests {
         let removed = cache.remove(SwapSlot(1)).unwrap();
         assert_eq!(removed.pid, Pid(1));
         assert!(cache.is_empty());
+        assert!(cache.lists_partition_entries());
     }
 
     #[test]
     fn capacity_is_enforced() {
-        let mut cache = SwapCache::new(2);
+        let mut cache = SwapCache::new(2, EvictionPolicy::Lazy);
         assert!(cache.insert(SwapSlot(1), Pid(1), CacheOrigin::Prefetch, t(0)));
         assert!(cache.insert(SwapSlot(2), Pid(1), CacheOrigin::Prefetch, t(0)));
         assert!(!cache.insert(SwapSlot(3), Pid(1), CacheOrigin::Prefetch, t(0)));
         assert!(cache.is_full());
-        assert_eq!(cache.free_pages(), 0);
         // Re-inserting an existing slot is allowed even when full.
         assert!(cache.insert(SwapSlot(2), Pid(2), CacheOrigin::Demand, t(5)));
         assert_eq!(cache.get(SwapSlot(2)).unwrap().pid, Pid(2));
@@ -289,7 +537,7 @@ mod tests {
 
     #[test]
     fn first_hit_time_is_sticky() {
-        let mut cache = SwapCache::new(4);
+        let mut cache = SwapCache::new(4, EvictionPolicy::Lazy);
         cache.insert(SwapSlot(9), Pid(1), CacheOrigin::Prefetch, t(10));
         let first = cache.record_hit(SwapSlot(9), t(15)).unwrap();
         assert_eq!(first.first_hit_at, Some(t(15)));
@@ -299,13 +547,13 @@ mod tests {
 
     #[test]
     fn hit_on_missing_slot_is_none() {
-        let mut cache = SwapCache::new(4);
+        let mut cache = SwapCache::new(4, EvictionPolicy::Eager);
         assert!(cache.record_hit(SwapSlot(5), t(1)).is_none());
     }
 
     #[test]
     fn unused_prefetched_counts_pollution() {
-        let mut cache = SwapCache::new(8);
+        let mut cache = SwapCache::new(8, EvictionPolicy::Lazy);
         cache.insert(SwapSlot(1), Pid(1), CacheOrigin::Prefetch, t(0));
         cache.insert(SwapSlot(2), Pid(1), CacheOrigin::Prefetch, t(0));
         cache.insert(SwapSlot(3), Pid(1), CacheOrigin::Demand, t(0));
@@ -316,11 +564,77 @@ mod tests {
 
     #[test]
     fn unbounded_cache_never_fills() {
-        let mut cache = SwapCache::unbounded();
+        let mut cache = SwapCache::unbounded(EvictionPolicy::Eager);
         for i in 0..10_000u64 {
             assert!(cache.insert(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, t(0)));
         }
         assert!(!cache.is_full());
+        assert_eq!(cache.list_len(CacheList::Fifo), 10_000);
+    }
+
+    #[test]
+    fn lazy_hits_and_reinserts_move_entries_to_the_mru_end() {
+        let mut cache = SwapCache::unbounded(EvictionPolicy::Lazy);
+        for i in 0..4 {
+            cache.insert(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, t(i));
+        }
+        cache.record_hit(SwapSlot(0), t(9));
+        cache.insert(SwapSlot(1), Pid(1), CacheOrigin::Demand, t(10));
+        assert_eq!(order(&cache, CacheList::Lru), vec![2, 3, 0, 1]);
+        assert_eq!(cache.list_len(CacheList::Fifo), 0);
+        assert_eq!(
+            cache.pop_oldest(CacheList::Lru).map(|(s, _)| s),
+            Some(SwapSlot(2))
+        );
+        assert!(cache.lists_partition_entries());
+    }
+
+    #[test]
+    fn eager_keeps_prefetches_on_the_fifo_and_frees_them_on_hit() {
+        let mut cache = SwapCache::unbounded(EvictionPolicy::Eager);
+        cache.insert(SwapSlot(10), Pid(1), CacheOrigin::Demand, t(0));
+        for i in 0..4 {
+            cache.insert_fresh(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, t(i));
+        }
+        let hit = cache.record_hit(SwapSlot(2), t(7)).unwrap();
+        assert_eq!(hit.first_hit_at, Some(t(7)));
+        assert!(!cache.contains(SwapSlot(2)));
+        assert_eq!(order(&cache, CacheList::Fifo), vec![0, 1, 3]);
+        assert_eq!(order(&cache, CacheList::Lru), vec![10]);
+        // A demand hit stays cached.
+        assert!(cache.record_hit(SwapSlot(10), t(8)).is_some());
+        assert!(cache.contains(SwapSlot(10)));
+        assert!(cache.lists_partition_entries());
+    }
+
+    #[test]
+    fn buffered_write_over_an_unread_prefetch_keeps_its_fifo_position() {
+        let mut cache = SwapCache::unbounded(EvictionPolicy::Eager);
+        for i in 0..3 {
+            cache.insert_fresh(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, t(i));
+        }
+        cache.insert(SwapSlot(0), Pid(1), CacheOrigin::Demand, t(5));
+        assert_eq!(order(&cache, CacheList::Fifo), vec![0, 1, 2]);
+        assert_eq!(cache.list_len(CacheList::Lru), 0);
+        // Now a demand entry, it survives a hit and keeps its place.
+        cache.record_hit(SwapSlot(0), t(6));
+        assert_eq!(order(&cache, CacheList::Fifo), vec![0, 1, 2]);
+        let (slot, entry) = cache.pop_oldest(CacheList::Fifo).unwrap();
+        assert_eq!(slot, SwapSlot(0));
+        assert!(!entry.is_unused_prefetch());
+    }
+
+    #[test]
+    fn freed_nodes_are_reused() {
+        let mut cache = SwapCache::new(2, EvictionPolicy::Eager);
+        for round in 0..100u64 {
+            cache.insert_fresh(SwapSlot(round), Pid(1), CacheOrigin::Prefetch, t(round));
+            if cache.is_full() {
+                cache.pop_oldest(CacheList::Fifo).unwrap();
+            }
+        }
+        assert_eq!(cache.nodes.len(), 2);
+        assert!(cache.lists_partition_entries());
     }
 
     proptest! {
@@ -330,7 +644,7 @@ mod tests {
             capacity in 1u64..32,
             ops in proptest::collection::vec((0u64..64, any::<bool>()), 0..300),
         ) {
-            let mut cache = SwapCache::new(capacity);
+            let mut cache = SwapCache::new(capacity, EvictionPolicy::Lazy);
             for (slot, insert) in ops {
                 if insert {
                     let _ = cache.insert(SwapSlot(slot), Pid(0), CacheOrigin::Prefetch, t(0));
@@ -344,10 +658,34 @@ mod tests {
         /// An inserted entry is always retrievable until removed.
         #[test]
         fn prop_insert_then_get(slots in proptest::collection::vec(0u64..100, 1..50)) {
-            let mut cache = SwapCache::unbounded();
+            let mut cache = SwapCache::unbounded(EvictionPolicy::Lazy);
             for &s in &slots {
                 cache.insert(SwapSlot(s), Pid(1), CacheOrigin::Demand, t(s));
                 prop_assert!(cache.get(SwapSlot(s)).is_some());
+            }
+        }
+
+        /// Under any mix of inserts, hits, removals and victim pops, under
+        /// either policy, the two lists partition the cached entries.
+        #[test]
+        fn prop_lists_partition_entries(
+            eager in any::<bool>(),
+            ops in proptest::collection::vec((0u8..6, 0u64..24), 0..300),
+        ) {
+            let policy = if eager { EvictionPolicy::Eager } else { EvictionPolicy::Lazy };
+            let mut cache = SwapCache::new(16, policy);
+            for (step, (op, slot)) in ops.into_iter().enumerate() {
+                let (slot, now) = (SwapSlot(slot), t(step as u64));
+                match op {
+                    0 => { cache.insert(slot, Pid(1), CacheOrigin::Prefetch, now); }
+                    1 => { cache.insert(slot, Pid(1), CacheOrigin::Demand, now); }
+                    2 => { cache.record_hit(slot, now); }
+                    3 => { cache.remove(slot); }
+                    4 => { cache.pop_oldest(CacheList::Fifo); }
+                    _ => { cache.pop_oldest(CacheList::Lru); }
+                }
+                prop_assert!(cache.lists_partition_entries());
+                prop_assert_eq!(cache.iter().count() as u64, cache.len());
             }
         }
     }

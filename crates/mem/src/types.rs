@@ -53,18 +53,6 @@ impl fmt::Display for SwapSlot {
     }
 }
 
-/// A physical frame identifier in the local DRAM pool.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct FrameId(pub u64);
-
-impl fmt::Display for FrameId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "f{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,7 +62,6 @@ mod tests {
         assert_eq!(format!("{}", Pid(3)), "pid3");
         assert_eq!(format!("{}", VirtPage(255)), "v0xff");
         assert_eq!(format!("{}", SwapSlot(16)), "s0x10");
-        assert_eq!(format!("{}", FrameId(7)), "f7");
     }
 
     #[test]

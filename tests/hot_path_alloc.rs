@@ -2,8 +2,8 @@
 //!
 //! The fault hot path — access-history update, trend detection, window
 //! sizing, and candidate generation into the `PrefetchDecision` inline
-//! buffer, the eager eviction FIFO, the page table's resident LRU, the
-//! bounded swap cache, the swap space, remote I/O, and the async pipeline's
+//! buffer, the swap cache's eviction lists, the page table's resident LRU,
+//! the bounded swap cache, the swap space, remote I/O, and the async pipeline's
 //! completion ring — must not touch the heap once per-process state exists,
 //! for any window up to the inline capacity. This test binary installs a global allocator that counts each
 //! thread's allocations and pins that contract for the Leap prefetcher, the
@@ -19,9 +19,10 @@ use std::collections::VecDeque;
 use leap_repro::leap::tracker::PageAccessTracker;
 use leap_repro::leap::{AsyncPipeline, IoKind};
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
-use leap_repro::leap_eviction::PrefetchFifoLru;
+use leap_repro::leap_eviction::make_space;
 use leap_repro::leap_mem::{
-    CacheOrigin, FrameId, PageState, PageTable, Pid, SwapCache, SwapSlot, SwapSpace, VirtPage,
+    CacheList, CacheOrigin, EvictionPolicy, PageState, PageTable, Pid, SwapCache, SwapSlot,
+    SwapSpace, VirtPage,
 };
 use leap_repro::leap_prefetcher::{
     LeapConfig, LeapPrefetcher, PageAddr, Prefetcher, PrefetcherKind, INLINE_DECISION_PAGES,
@@ -308,7 +309,7 @@ fn bounded_swap_cache_churn_does_not_allocate() {
     // can still grow into a larger table. Slots are scattered, as a
     // prefetch window's are across processes and swap regions.
     for capacity in [64u64, 256, 1_000, 1_024] {
-        let mut cache = SwapCache::new(capacity);
+        let mut cache = SwapCache::new(capacity, EvictionPolicy::Lazy);
         let mut fifo = VecDeque::with_capacity(capacity as usize);
         let mut x = 88_172_645_463_325_252u64 ^ capacity;
         let allocs = count_allocs(|| {
@@ -409,39 +410,33 @@ fn async_pipeline_submit_retire_cycle_does_not_allocate() {
 #[test]
 fn eager_fifo_insert_hit_reclaim_cycle_does_not_allocate() {
     // The eager policy's steady state: every fault admits a span of fresh
-    // prefetched slots, most of them are hit (freed on hit), and the rest
-    // are reclaimed in FIFO order to keep the cache at its budget. Once
-    // the queue, the count map and the cache have grown to that working
-    // size, none of it may touch the heap — compaction included.
+    // prefetched slots onto the cache's FIFO, most of them are hit (freed
+    // on hit, unlinked in place), and the rest are reclaimed in FIFO order
+    // to keep the cache at its budget. Once the slab and the index have
+    // grown to that working size, none of it may touch the heap.
     const SPAN: u64 = 8;
     const BUDGET: u64 = 256;
-    let mut cache = SwapCache::unbounded();
-    let mut fifo = PrefetchFifoLru::new();
-    let mut span: Vec<SwapSlot> = Vec::with_capacity(SPAN as usize);
-    let mut freed: Vec<SwapSlot> = Vec::with_capacity(BUDGET as usize);
+    let mut cache = SwapCache::unbounded(EvictionPolicy::Eager);
     let mut next = 0u64;
     let mut cycle = |steps: u64| {
         for step in 0..steps {
             let now = Nanos::from_micros(step);
-            span.clear();
-            span.extend((next..next + SPAN).map(SwapSlot));
+            let span = next..next + SPAN;
             next += SPAN;
-            for &slot in &span {
+            for slot in span.clone().map(SwapSlot) {
                 cache.insert_fresh(slot, Pid(1), CacheOrigin::Prefetch, now);
-                fifo.on_prefetch_insert(slot);
             }
             // Every slot but the span's last is consumed, out of order.
-            for &slot in span[..SPAN as usize - 1].iter().rev() {
-                let (_, taken) = cache
-                    .record_hit_take(slot, now, true)
+            for slot in span.rev().skip(1).map(SwapSlot) {
+                cache
+                    .record_hit(slot, now)
                     .expect("prefetched slot is cached");
-                assert!(taken);
-                assert!(fifo.on_hit_freed(slot));
+                assert!(!cache.contains(slot), "a hit frees the prefetch");
             }
             if cache.len() > BUDGET {
-                freed.clear();
                 let over = cache.len() - BUDGET;
-                assert_eq!(fifo.reclaim_fifo(&mut cache, over, &mut freed), over);
+                let report = make_space(&mut cache, over, now);
+                assert_eq!(report.freed_unused_prefetches, over);
             }
         }
     };
@@ -451,7 +446,7 @@ fn eager_fifo_insert_hit_reclaim_cycle_does_not_allocate() {
         allocs, 0,
         "eager FIFO insert/hit/reclaim cycle allocated {allocs} times"
     );
-    assert_eq!(fifo.len() as u64, cache.len());
+    assert_eq!(cache.list_len(CacheList::Fifo), cache.len());
 }
 
 #[test]
@@ -465,17 +460,15 @@ fn page_table_touch_evict_map_cycle_does_not_allocate() {
     let mut table = PageTable::with_capacity(PAGES as usize);
     let mut slot = 0u64;
     let mut access = |table: &mut PageTable, page: VirtPage| match table.lookup_touch(page) {
-        PageState::Resident(_) => {}
+        PageState::Resident => {}
         PageState::Untouched | PageState::Swapped(_) => {
             if table.resident_pages() >= RESIDENT {
                 slot += 1;
-                let (_, frame) = table
+                table
                     .swap_out_lru(SwapSlot(slot))
                     .expect("a resident page to evict");
-                table.map(page, frame);
-            } else {
-                table.map(page, FrameId(page.0));
             }
+            table.map(page);
         }
     };
     for p in 0..PAGES {

@@ -19,6 +19,7 @@
 //!    slots and admitted only if currently owned (swapped out) and not
 //!    resident.
 
+use leap_repro::leap_mem::Pid;
 use leap_repro::leap_metrics::PrefetchOutcomes;
 use leap_repro::leap_prefetcher::{PageAddr, PrefetchDecision, Prefetcher};
 use leap_repro::leap_sim_core::Nanos;
@@ -185,6 +186,86 @@ fn cache_pressure_turns_unconsumed_into_evicted_waste() {
     assert_eq!(outcomes.wasted_unconsumed(), 1);
     assert_eq!(outcomes.wasted(), 2);
     assert_eq!(outcomes.wasted_ratio(), 1.0);
+}
+
+/// A VFS replay with a three-page cache and the plus-one prefetcher, one
+/// outcome per access.
+fn run_vfs_stepped(policy: EvictionPolicy, accesses: &[Access]) -> (Vec<AccessOutcome>, RunResult) {
+    let sim = SimConfig::builder()
+        .eviction(policy)
+        .memory_fraction(1.0)
+        .cores(1)
+        .seed(7)
+        .prefetch_cache_pages(3)
+        .max_prefetch_window(1)
+        .custom_prefetcher(PlusOneFactory)
+        .build_setup()
+        .expect("valid config")
+        .vfs();
+    let trace = AccessTrace::new("vfs-hand-built", accesses.to_vec());
+    let mut session = Session::new(sim);
+    session.prepare(std::slice::from_ref(&trace));
+    let outcomes = trace
+        .iter()
+        .map(|&access| session.step(Pid(1), access).outcome)
+        .collect();
+    (outcomes, session.finish())
+}
+
+#[test]
+fn buffered_write_over_an_unread_prefetch_is_wasted_once_under_both_policies() {
+    // The VFS keys its cache by file page, so a buffered write can land on
+    // a page the prefetcher read ahead and nobody has read yet. Three-page
+    // cache, plus-one prefetcher (the file-cache budget, the whole working
+    // set of 4 pages, never binds):
+    //   r0   miss → demand 0, admit 1                   prefetched=1
+    //   w1   lands on unread prefetch 1: booked wasted  wasted_evicted=1,
+    //        the entry turns demand
+    //   r10  miss → demand 10; admitting 11 evicts one page
+    //   r20  miss → evicts for demand 20 and for prefetch 21
+    //   r1   miss: page 1 left the cache as a demand page
+    //        → evicts for demand 1 and for prefetch 2   prefetched=4
+    // Eager frees 1 (FIFO front, kept there by the write), 11 (unused),
+    // 0 (FIFO empty: demand LRU), 21 (unused), 10. Lazy frees 0, 1, 10,
+    // 11 (unused), 20 from the LRU end, and seals 21 and 2 unconsumed.
+    let accesses = [
+        Access::read(0, Nanos::ZERO),
+        Access::write(1, Nanos::ZERO),
+        Access::read(10, Nanos::ZERO),
+        Access::read(20, Nanos::ZERO),
+        Access::read(1, Nanos::ZERO),
+    ];
+    for (policy, unused_evictions, unconsumed) in
+        [(EvictionPolicy::Eager, 2, 1), (EvictionPolicy::Lazy, 1, 2)]
+    {
+        let (outcomes, result) = run_vfs_stepped(policy, &accesses);
+        let case = policy.label();
+        assert_eq!(outcomes[1], AccessOutcome::BufferedWrite, "{case}");
+        assert_eq!(
+            outcomes[4],
+            AccessOutcome::RemoteFetch,
+            "{case}: page 1 evicted"
+        );
+        let ledger = result.prefetch_outcomes;
+        let stats = result.cache_stats;
+        assert_eq!(ledger.prefetched(), 4, "{case}");
+        assert_eq!(ledger.covered(), 0, "{case}");
+        assert_eq!(stats.evictions(), 5, "{case}");
+        assert_eq!(
+            stats.evicted_unused_prefetches(),
+            unused_evictions,
+            "{case}"
+        );
+        // The write books its prefetch wasted exactly once: the entry it
+        // leaves behind is reclaimed as a demand page, not as pollution.
+        assert_eq!(ledger.wasted_evicted(), unused_evictions + 1, "{case}");
+        assert_eq!(ledger.wasted_unconsumed(), unconsumed, "{case}");
+        assert_eq!(
+            ledger.covered() + ledger.wasted_evicted() + ledger.wasted_unconsumed(),
+            ledger.prefetched(),
+            "{case}: outcome identity"
+        );
+    }
 }
 
 #[test]

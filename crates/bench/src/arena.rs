@@ -641,24 +641,6 @@ impl ArenaReport {
     }
 }
 
-/// Bit-identity of two replays over every aggregate the arena reports,
-/// including the prefetch-outcome ledger and the exact latency samples.
-pub fn results_identical(a: &mut RunResult, b: &mut RunResult) -> bool {
-    a.completion_time == b.completion_time
-        && a.total_accesses == b.total_accesses
-        && a.remote_accesses == b.remote_accesses
-        && a.first_touch_faults == b.first_touch_faults
-        && a.pages_swapped_out == b.pages_swapped_out
-        && a.cache_stats == b.cache_stats
-        && a.prefetch_stats.pages_prefetched() == b.prefetch_stats.pages_prefetched()
-        && a.prefetch_stats.prefetch_hits() == b.prefetch_stats.prefetch_hits()
-        && a.prefetch_outcomes == b.prefetch_outcomes
-        && a.access_latency.sorted_samples() == b.access_latency.sorted_samples()
-        && a.remote_access_latency.sorted_samples() == b.remote_access_latency.sorted_samples()
-        && a.fault_stats == b.fault_stats
-        && a.recovery_stats == b.recovery_stats
-}
-
 fn cell_builder(cores: usize, mode: ReplayMode) -> SimConfigBuilder {
     SimConfig::builder()
         .memory_fraction(0.5)
@@ -717,8 +699,7 @@ pub fn run_cell(
         Ok(sim.run_multi(&entry.traces))
     };
     let mut serial = run(ReplayMode::Serial)?;
-    let mut threaded = run(ReplayMode::Threaded)?;
-    let modes_identical = results_identical(&mut serial, &mut threaded);
+    let modes_identical = serial == run(ReplayMode::Threaded)?;
     let outcomes = serial.prefetch_outcomes;
     Ok(ArenaCell {
         trace: entry.name.clone(),

@@ -152,25 +152,8 @@ impl LegacyDataPath {
         if mods.is_identity() {
             return transfer;
         }
-        let mut transfer = scale_nanos_milli(transfer, mods.multiplier_milli);
-        if mods.spike_active {
-            self.fault_stats.spiked_requests += 1;
-            self.fault_stats.record(0x5b1c_e000u64 ^ now.as_nanos());
-        }
-        if mods.degraded_active {
-            self.fault_stats.degraded_requests += 1;
-            self.fault_stats.record(0xde64_ade0u64 ^ now.as_nanos());
-        }
-        if !mods.reconnect_penalty.is_zero() {
-            transfer = transfer.saturating_add(mods.reconnect_penalty);
-            self.fault_stats.reconnect_requests += 1;
-            self.fault_stats.reconnect_penalty_total = self
-                .fault_stats
-                .reconnect_penalty_total
-                .saturating_add(mods.reconnect_penalty);
-            self.fault_stats.record(0x4ec0_44ecu64 ^ now.as_nanos());
-        }
-        transfer
+        let transfer = scale_nanos_milli(transfer, mods.multiplier_milli);
+        self.fault_stats.charge_modifiers(&mods, transfer, now)
     }
 
     /// The stage parameters in use.

@@ -132,12 +132,10 @@ impl EngineCore {
         let mut rng = DetRng::seed_from(
             config.seed ^ self.rng_salt ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(core as u64 + 1),
         );
-        let mut tracker = PageAccessTracker::new(self.components.prefetcher.clone(), &config);
-        tracker.set_per_core(true);
         EngineCore {
             clock: SimClock::new(),
             cache: ShardedSwapCache::single(per_shard, config.eviction),
-            tracker,
+            tracker: PageAccessTracker::new(self.components.prefetcher.clone(), &config),
             data_path: self.components.data_path.build(&config, &mut rng),
             result: RunResult::default(),
             components: self.components.clone(),
@@ -163,8 +161,8 @@ impl EngineCore {
     }
 
     /// Reshapes the engine for a scheduled multi-core replay: `cache_shards`
-    /// cache shards routed by slot-region width `span`, per-core prefetcher
-    /// trend state, and scheduler-driven per-core clocks.
+    /// cache shards routed by slot-region width `span` and scheduler-driven
+    /// per-core clocks.
     ///
     /// A bounded prefetch-cache capacity is split evenly over the shards
     /// (never below one full prefetch window per shard, so a single batch
@@ -177,7 +175,6 @@ impl EngineCore {
                 .max(self.config.max_prefetch_window as u64)
         };
         self.cache = ShardedSwapCache::new(cache_shards, per_shard, span, self.config.eviction);
-        self.tracker.set_per_core(true);
         self.scheduled = true;
     }
 

@@ -54,7 +54,8 @@
 //!
 //! The interleaved driver stays the oracle: this module's unit tests step
 //! every shard worker through the global scheduler and compare the
-//! partials, makespan and event buffers with both modes, and
+//! partials (with `RunResult`'s derived equality, every field), makespan
+//! and event buffers with both modes over generated schedules, and
 //! `tests/parallel_equivalence.rs` pins the modes' results and streams.
 
 use crate::result::RunResult;
@@ -230,16 +231,24 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::vmm::VmmSimulator;
+    use leap_eviction::EvictionPolicy;
     use leap_remote::{FaultSpec, RecoveryPolicy};
     use leap_sim_core::units::MIB;
     use leap_workloads::{sequential_trace, stride_trace, AppKind, AppModel};
+    use proptest::prelude::*;
 
     fn traces(processes: usize) -> Vec<AccessTrace> {
-        let mut traces = vec![sequential_trace(MIB, 3), stride_trace(MIB, 10, 3)];
+        traces_of(processes, MIB, 2_000)
+    }
+
+    /// Sequential and stride-10 passes over `bytes`, then application
+    /// models of `accesses` accesses each, `processes` traces in all.
+    fn traces_of(processes: usize, bytes: u64, accesses: usize) -> Vec<AccessTrace> {
+        let mut traces = vec![sequential_trace(bytes, 3), stride_trace(bytes, 10, 3)];
         traces.extend((0..processes.saturating_sub(2)).map(|i| {
             AppModel::new(AppKind::ALL[i % AppKind::ALL.len()], 40 + i as u64)
-                .with_working_set(MIB)
-                .with_accesses(2_000)
+                .with_working_set(bytes)
+                .with_accesses(accesses)
                 .generate()
         }));
         traces.truncate(processes);
@@ -275,9 +284,8 @@ mod tests {
     }
 
     /// Steps every shard worker through the global scheduler's interleaving
-    /// and checks that both modes' by-core runs produce the same partials
-    /// (every field, latency samples in recorded order), makespan and
-    /// `(core, seq)` event buffers.
+    /// and checks that both modes' by-core runs produce equal partials
+    /// (every field), makespan and `(core, seq)` event buffers.
     fn assert_by_core_matches_interleaving(
         config: SimConfig,
         traces: &[AccessTrace],
@@ -292,11 +300,7 @@ mod tests {
             let case = format!("{} cores, {mode:?}", config.cores);
             assert_eq!(by_core.completion, oracle.completion, "{case}: makespan");
             assert_eq!(by_core.events, oracle.events, "{case}: event buffers");
-            assert_eq!(
-                format!("{:?}", by_core.partials),
-                format!("{:?}", oracle.partials),
-                "{case}: partial results"
-            );
+            assert_eq!(by_core.partials, oracle.partials, "{case}: partials");
         }
         let total = oracle.events.iter().map(Vec::len).sum::<usize>();
         assert_eq!(total, traces.iter().map(AccessTrace::len).sum::<usize>());
@@ -369,6 +373,132 @@ mod tests {
                 recovery.retries + recovery.hedges_issued > 0,
                 "{cores} cores: recovery never acted"
             );
+        }
+    }
+
+    proptest! {
+        /// Generated schedules: every core count from 1 to 4 over 1 to 6
+        /// processes, a quantum from 50 µs to run-to-completion, and each of
+        /// the canonical storm, tail-tolerant recovery, a tenant budget and
+        /// prepopulation on or off. The four flags are packed into one
+        /// integer: the vendored proptest shim's tuples stop at four
+        /// strategies.
+        #[test]
+        fn prop_generated_schedules_match_the_interleaving(
+            cores in 1usize..5,
+            processes in 1usize..7,
+            quantum in 0usize..4,
+            flags in 0u8..16,
+        ) {
+            let quanta = [50, 100, 400, 3_600_000_000].map(Nanos::from_micros);
+            let mut builder = config(cores).sched_quantum(quanta[quantum]);
+            if flags & 1 != 0 {
+                builder = builder.fault_plan(FaultSpec::canonical_storm());
+            }
+            if flags & 2 != 0 {
+                builder = builder.recovery_policy(RecoveryPolicy::tail_tolerant());
+            }
+            let config = builder.build().expect("valid config");
+            let (budget, prepopulate) = (flags & 4 != 0, flags & 8 != 0);
+            let traces = traces_of(processes, MIB / 4, 500);
+            assert_by_core_matches_interleaving(config, &traces, &|sim| {
+                if budget {
+                    sim.set_tenant_budget_pages(Pid(1), 64);
+                }
+                sim.set_prepopulate_multi(prepopulate);
+            });
+        }
+    }
+
+    /// Partials of real shard workers with every merged field populated:
+    /// lazy eviction over a bounded cache (post-hit waits), a storm with
+    /// tail-tolerant recovery (fault and recovery ledgers), a tenant budget
+    /// (per-tenant evictions) and prepopulation (remote accesses).
+    fn populated_partials(cores: usize) -> Vec<RunResult> {
+        let config = config(cores)
+            .eviction(EvictionPolicy::Lazy)
+            .prefetch_cache_pages(64)
+            .fault_plan(FaultSpec::canonical_storm())
+            .recovery_policy(RecoveryPolicy::tail_tolerant())
+            .build()
+            .expect("valid config");
+        let traces = traces(cores + 2);
+        let (workers, sched) = split(config, &traces, &|sim| {
+            sim.set_prepopulate_multi(true);
+            sim.set_tenant_budget_pages(Pid(1), 64);
+        });
+        let partials = replay(ReplayMode::Serial, workers, &traces, sched, false).partials;
+        // Checked on the partials themselves, not on a fold, so a broken
+        // fold fails the laws below rather than this guard.
+        let populated = |field: fn(&RunResult) -> bool| partials.iter().any(field);
+        assert!(populated(|r| !r.remote_access_latency.is_empty()));
+        assert!(populated(|r| !r.eviction_wait.is_empty()), "eviction waits");
+        assert!(
+            populated(|r| !r.allocation_wait.is_empty()),
+            "allocation waits"
+        );
+        assert!(populated(|r| !r.prefetch_stats.timeliness_ref().is_empty()));
+        assert!(populated(|r| !r.prefetch_outcomes.is_quiet()));
+        assert!(populated(|r| !r.fault_stats.is_quiet()), "faults");
+        assert!(populated(|r| !r.recovery_stats.is_quiet()), "recovery");
+        assert!(populated(|r| !r.tenant_evictions.is_empty()));
+        assert!(populated(|r| !r.tenant_recovery.is_empty()));
+        partials
+    }
+
+    /// Every ordering of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        permutations(n - 1)
+            .into_iter()
+            .flat_map(|order| {
+                (0..n).map(move |at| {
+                    let mut order = order.clone();
+                    order.insert(at, n - 1);
+                    order
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn absorbing_an_empty_result_changes_nothing() {
+        for cores in 2..=4 {
+            for partial in populated_partials(cores) {
+                let mut right = partial.clone();
+                right.absorb_shard(RunResult::default());
+                assert_eq!(right, partial, "{cores} cores: partial + empty");
+                // Folded into an empty result, a partial comes back whole
+                // apart from the fields the fold leaves to its caller.
+                let mut left = RunResult {
+                    config_label: partial.config_label.clone(),
+                    workload: partial.workload.clone(),
+                    completion_time: partial.completion_time,
+                    ..RunResult::default()
+                };
+                left.absorb_shard(partial.clone());
+                assert_eq!(left, partial, "{cores} cores: empty + partial");
+            }
+        }
+    }
+
+    #[test]
+    fn absorbing_shards_in_any_order_gives_equal_results() {
+        for cores in 2..=4 {
+            let partials = populated_partials(cores);
+            let fold = |order: &[usize]| {
+                let mut result = RunResult::default();
+                for &i in order {
+                    result.absorb_shard(partials[i].clone());
+                }
+                result
+            };
+            let in_core_order = fold(&(0..cores).collect::<Vec<_>>());
+            for order in permutations(cores) {
+                assert_eq!(fold(&order), in_core_order, "{cores} cores, {order:?}");
+            }
         }
     }
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 /// Figure 10 reads accuracy/coverage/timeliness, Figures 11–13 read
 /// completion time and throughput, and Figure 4 reads the lazy-eviction wait
 /// distribution.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunResult {
     /// Label of the configuration that produced the result.
     pub config_label: String,

@@ -7,13 +7,13 @@
 //! with isolation every process gets its own prefetcher instance; without it
 //! all processes share one.
 //!
-//! For scheduled multi-core replays the tracker additionally shards by core
-//! ([`PageAccessTracker::set_per_core`]): trend state is then kept per
-//! `(process, core)`, matching the per-CPU majority-trend state the kernel
-//! implementation of Leap keeps so cores never contend on one history
-//! buffer. Instances sit in a vector indexed by `pid × cores + core`
-//! (processes are numbered densely from `Pid(1)`), so routing a fault is
-//! one index, not a hash probe.
+//! Isolated trend state is kept per `(process, core)`, matching the per-CPU
+//! majority-trend state the kernel implementation of Leap keeps so cores
+//! never contend on one history buffer. The scheduler pins every process
+//! to one core for its lifetime, so a process meets exactly one instance
+//! in a replay (core 0 in single-process replays). Instances sit in a
+//! vector indexed by `pid × cores + core` (processes are numbered densely
+//! from `Pid(1)`), so routing a fault is one index, not a hash probe.
 //!
 //! Prefetcher instances come from a [`PrefetcherFactory`], so any algorithm
 //! — built-in or injected with
@@ -46,14 +46,11 @@ pub use crate::components::build_prefetcher;
 pub struct PageAccessTracker {
     factory: Arc<dyn PrefetcherFactory>,
     config: SimConfig,
-    /// Isolated prefetcher instances at `pid × cores + core`. The core
-    /// component is always 0 unless [`PageAccessTracker::set_per_core`] has
-    /// switched the tracker into per-core mode.
+    /// Isolated prefetcher instances at `pid × cores + core`.
     per_process: Slots<Box<dyn Prefetcher>>,
     /// `config.cores`: the stride between two processes' instances.
     cores: usize,
     shared: Box<dyn Prefetcher>,
-    per_core: bool,
 }
 
 impl PageAccessTracker {
@@ -70,7 +67,6 @@ impl PageAccessTracker {
             config: *config,
             per_process: Slots::default(),
             cores: config.cores.max(1),
-            per_core: false,
         }
     }
 
@@ -101,20 +97,6 @@ impl PageAccessTracker {
         self.config.per_process_isolation
     }
 
-    /// Switches per-core sharding of the trend state on or off. In per-core
-    /// mode every `(process, core)` pair gets its own prefetcher instance
-    /// (the kernel's per-CPU majority-trend state); otherwise the core a
-    /// fault arrives on is ignored.
-    pub fn set_per_core(&mut self, per_core: bool) {
-        self.per_core = per_core;
-    }
-
-    /// True if trend state is sharded by core.
-    #[cfg(test)]
-    fn is_per_core(&self) -> bool {
-        self.per_core
-    }
-
     /// Number of distinct processes with isolated prefetcher state so far.
     #[cfg(test)]
     fn tracked_processes(&self) -> usize {
@@ -128,7 +110,7 @@ impl PageAccessTracker {
     }
 
     /// Number of isolated prefetcher instances (one per `(process, core)`
-    /// pair in per-core mode, one per process otherwise).
+    /// pair).
     #[cfg(test)]
     fn tracked_instances(&self) -> usize {
         self.per_process.indices().count()
@@ -136,7 +118,6 @@ impl PageAccessTracker {
 
     fn prefetcher_for(&mut self, pid: Pid, core: usize) -> &mut Box<dyn Prefetcher> {
         if self.config.per_process_isolation {
-            let core = if self.per_core { core } else { 0 };
             assert!(
                 core < self.cores,
                 "core {core} is outside the configured {} cores",
@@ -168,8 +149,8 @@ impl PageAccessTracker {
     /// With per-process isolation, instances sit at `pid × cores + core`
     /// (`cores` is the configuration's core count), so this panics when
     /// that index reaches 2^20 — for example `Pid(131072)` with 8 cores —
-    /// and, in per-core mode, when `core` is not below `cores`. Processes
-    /// are numbered densely from `Pid(1)`, so neither happens in a replay.
+    /// and when `core` is not below `cores`. Processes are numbered densely
+    /// from `Pid(1)`, so neither happens in a replay.
     /// A shared (non-isolated) tracker accepts any pid and core.
     pub fn on_fault_at(&mut self, pid: Pid, core: usize, addr: PageAddr) -> PrefetchDecision {
         self.prefetcher_for(pid, core).on_fault(addr)
@@ -262,8 +243,6 @@ mod tests {
     #[test]
     fn per_core_mode_keeps_cores_apart() {
         let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);
-        tracker.set_per_core(true);
-        assert!(tracker.is_per_core());
         // The same process faults sequentially on core 0 while core 1 sees a
         // scrambled stream; per-core state keeps core 0's trend intact.
         let mut last = PrefetchDecision::none();
@@ -344,19 +323,14 @@ mod tests {
     #[should_panic(expected = "core 8 is outside the configured 8 cores")]
     fn per_core_tracker_rejects_cores_past_the_configured_count() {
         let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);
-        tracker.set_per_core(true);
         let _ = tracker.on_fault_at(Pid(1), 7, PageAddr(1));
         let _ = tracker.on_fault_at(Pid(1), 8, PageAddr(1));
     }
 
     #[test]
     fn only_isolated_per_core_routing_checks_pid_and_core() {
-        // Without per-core mode the core is ignored; without isolation the
-        // pid is too.
-        let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);
-        let _ = tracker.on_fault_at(Pid(1), 99, PageAddr(1));
+        // Without isolation one shared instance serves every pid and core.
         let mut shared = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, false);
-        shared.set_per_core(true);
         let _ = shared.on_fault_at(Pid(u32::MAX), 99, PageAddr(1));
         shared.on_prefetch_hit_at(Pid(u32::MAX), 99, PageAddr(2));
     }

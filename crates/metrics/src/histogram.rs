@@ -27,6 +27,10 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.percentile(99.0), Nanos::from_micros(100));
 /// assert!(h.mean() > Nanos::from_micros(20));
 /// ```
+///
+/// Two histograms are equal when they hold the same multiset of samples,
+/// whatever order the samples were recorded or merged in and whether or
+/// not a query has sorted either side.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct LatencyHistogram {
     /// Samples below 2³² ns.
@@ -73,7 +77,9 @@ impl LatencyHistogram {
     }
 
     /// The samples in ascending order (sorting lazily like the percentile
-    /// queries). Useful for exact distribution comparisons between runs.
+    /// queries): the plain view the query tests compare against. Runs
+    /// compare whole distributions with `==`.
+    #[cfg(test)]
     pub fn sorted_samples(&mut self) -> Vec<u64> {
         self.ensure_sorted();
         self.small
@@ -201,6 +207,23 @@ impl LatencyHistogram {
     }
 }
 
+impl PartialEq for LatencyHistogram {
+    /// Multiset equality. A sample's value alone picks its list, so the two
+    /// histograms are equal exactly when each list holds the same samples;
+    /// sorting copies leaves both sides (and their `sorted` flags) as they
+    /// were. Nothing on the replay path compares histograms.
+    fn eq(&self, other: &Self) -> bool {
+        fn sorted<T: Ord + Copy>(samples: &[T]) -> Vec<T> {
+            let mut samples = samples.to_vec();
+            samples.sort_unstable();
+            samples
+        }
+        sorted(&self.small) == sorted(&other.small) && sorted(&self.large) == sorted(&other.large)
+    }
+}
+
+impl Eq for LatencyHistogram {}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +303,55 @@ mod tests {
             assert!(pair[1].1 >= pair[0].1);
         }
         assert!((points.last().unwrap().1 - 1.0).abs() < 1e-9);
+    }
+
+    fn histogram(samples: &[u64]) -> LatencyHistogram {
+        let mut h = LatencyHistogram::new();
+        for &s in samples {
+            h.record(Nanos::from_nanos(s));
+        }
+        h
+    }
+
+    #[test]
+    fn equality_ignores_insertion_order() {
+        let a = histogram(&[5, 1, 9, 1, 3]);
+        let b = histogram(&[1, 3, 9, 5, 1]);
+        assert_eq!(a, b);
+        let mut merged = histogram(&[9, 1]);
+        merged.merge(&histogram(&[3, 5, 1]));
+        assert_eq!(merged, a);
+    }
+
+    #[test]
+    fn equality_ignores_a_query_having_sorted_one_side() {
+        let mut a = histogram(&[7, 2, 8, 2]);
+        let b = histogram(&[2, 8, 7, 2]);
+        let _ = a.percentile(99.0);
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+    }
+
+    #[test]
+    fn equality_covers_samples_of_2_32_ns_and_above() {
+        let big = 1u64 << 32;
+        let a = histogram(&[u64::MAX, 3, big, big + 1]);
+        let mut b = histogram(&[big + 1, big, 3, u64::MAX]);
+        let _ = b.median();
+        assert_eq!(a, b);
+        assert_ne!(a, histogram(&[u64::MAX, 3, big, big + 2]));
+        // u32::MAX stays in the small list, 2³² moves to the large one.
+        assert_ne!(histogram(&[u64::from(u32::MAX)]), histogram(&[big]));
+    }
+
+    #[test]
+    fn a_one_sample_difference_is_unequal() {
+        let a = histogram(&[1, 2, 3]);
+        assert_ne!(a, histogram(&[1, 2, 3, 3]));
+        assert_ne!(a, histogram(&[1, 2, 4]));
+        assert_ne!(a, histogram(&[1, 2]));
+        assert_ne!(LatencyHistogram::new(), histogram(&[0]));
+        assert_eq!(LatencyHistogram::new(), LatencyHistogram::default());
     }
 
     /// Maps a generated `(selector, value)` pair onto a sample: mostly

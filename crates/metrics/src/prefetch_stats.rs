@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.accuracy(), 0.25);
 /// assert_eq!(stats.coverage(), 0.5);
 /// ```
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PrefetchStats {
     pages_prefetched: u64,
     prefetch_hits: u64,

@@ -721,7 +721,7 @@ impl HostAgent {
         let machine = self.ensure_mapped(page_offset)?;
         let machine = self.route_reachable(kind, page_offset, machine, core, now)?;
         let mods = self.effective_modifiers(now);
-        let mut transport = match kind {
+        let transport = match kind {
             RemoteIoKind::Read => {
                 self.reads += 1;
                 self.backend
@@ -733,23 +733,7 @@ impl HostAgent {
                     .write_latency_scaled(&mut self.rng, mods.multiplier_milli)
             }
         };
-        if mods.spike_active {
-            self.fault_stats.spiked_requests += 1;
-            self.fault_stats.record(0x5b1c_e000u64 ^ now.as_nanos());
-        }
-        if mods.degraded_active {
-            self.fault_stats.degraded_requests += 1;
-            self.fault_stats.record(0xde64_ade0u64 ^ now.as_nanos());
-        }
-        if !mods.reconnect_penalty.is_zero() {
-            transport = transport.saturating_add(mods.reconnect_penalty);
-            self.fault_stats.reconnect_requests += 1;
-            self.fault_stats.reconnect_penalty_total = self
-                .fault_stats
-                .reconnect_penalty_total
-                .saturating_add(mods.reconnect_penalty);
-            self.fault_stats.record(0x4ec0_44ecu64 ^ now.as_nanos());
-        }
+        let transport = self.fault_stats.charge_modifiers(&mods, transport, now);
         // The request that triggered (or immediately follows) a slab repair
         // pays the reconstruction stall, before the attempt itself runs.
         let repair = if self.pending_reconstruction.is_zero() {

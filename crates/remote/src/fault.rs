@@ -762,6 +762,33 @@ impl FaultInjectionStats {
         self.checksum = checksum_fold(self.checksum, word);
     }
 
+    /// Charges one request issued at `now` for the epoch modifiers `mods`
+    /// in force: counts it against an active latency spike, degraded epoch
+    /// and reconnect storm, folds one tagged word per modifier into the
+    /// checksum, and returns `latency` (already scaled by
+    /// `mods.multiplier_milli`) plus the reconnect penalty it owes. The
+    /// remote agent and the legacy block path both charge through here.
+    #[inline]
+    pub fn charge_modifiers(&mut self, mods: &FaultModifiers, latency: Nanos, now: Nanos) -> Nanos {
+        if mods.spike_active {
+            self.spiked_requests += 1;
+            self.record(0x5b1c_e000u64 ^ now.as_nanos());
+        }
+        if mods.degraded_active {
+            self.degraded_requests += 1;
+            self.record(0xde64_ade0u64 ^ now.as_nanos());
+        }
+        if mods.reconnect_penalty.is_zero() {
+            return latency;
+        }
+        self.reconnect_requests += 1;
+        self.reconnect_penalty_total = self
+            .reconnect_penalty_total
+            .saturating_add(mods.reconnect_penalty);
+        self.record(0x4ec0_44ecu64 ^ now.as_nanos());
+        latency.saturating_add(mods.reconnect_penalty)
+    }
+
     /// Merges another shard's stats into this one. Counter fields add;
     /// checksums combine by adding the other shard's *drift* from the FNV
     /// offset basis — commutative, so the merge order (and therefore

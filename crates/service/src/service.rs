@@ -10,7 +10,7 @@ use leap_workloads::{AccessTrace, IngestedLog};
 
 /// One executed wave: the co-scheduled tenants' QoS numbers plus the wave's
 /// aggregate replay result.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WaveReport {
     /// Per-tenant QoS, paired with the tenant each pid mapped to, in pid
     /// order (pid `j + 1` is the wave's `j`-th admitted tenant).
@@ -26,7 +26,7 @@ pub struct WaveReport {
 }
 
 /// Everything one service run produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// The admission plan the run executed.
     pub admission: AdmissionReport,

@@ -52,37 +52,6 @@ fn replay_config(seed: u64, cores: usize, mode: ReplayMode, fault: FaultSpec) ->
         .expect("valid replay config")
 }
 
-/// Every aggregate of two results, including the exact latency
-/// distributions and the fault accounting.
-fn assert_results_identical(mut a: RunResult, mut b: RunResult) {
-    assert_eq!(a.completion_time, b.completion_time, "completion_time");
-    assert_eq!(a.total_accesses, b.total_accesses, "total_accesses");
-    assert_eq!(a.remote_accesses, b.remote_accesses, "remote_accesses");
-    assert_eq!(a.first_touch_faults, b.first_touch_faults);
-    assert_eq!(a.pages_swapped_out, b.pages_swapped_out);
-    assert_eq!(a.cache_stats, b.cache_stats, "cache_stats");
-    assert_eq!(
-        a.prefetch_stats.pages_prefetched(),
-        b.prefetch_stats.pages_prefetched()
-    );
-    assert_eq!(
-        a.prefetch_stats.prefetch_hits(),
-        b.prefetch_stats.prefetch_hits()
-    );
-    assert_eq!(
-        a.access_latency.sorted_samples(),
-        b.access_latency.sorted_samples()
-    );
-    assert_eq!(
-        a.remote_access_latency.sorted_samples(),
-        b.remote_access_latency.sorted_samples()
-    );
-    assert_eq!(a.pipeline, b.pipeline, "async pipeline counters");
-    assert_eq!(a.fault_stats, b.fault_stats, "fault accounting");
-    assert_eq!(a.recovery_stats, b.recovery_stats, "recovery accounting");
-    assert_eq!(a.tenant_recovery, b.tenant_recovery, "per-tenant recovery");
-}
-
 // ---------------------------------------------------------------------------
 // (a) Property: arbitrary plans round-trip through JSON and replay
 // bit-identically Serial vs Threaded across core counts.
@@ -133,18 +102,12 @@ proptest! {
         // The replay is bit-identical across modes for every core count.
         let traces = perf_traces();
         for cores in [1usize, 2, 4] {
-            let mut serial =
-                VmmSimulator::new(replay_config(seed, cores, ReplayMode::Serial, spec))
-                    .run_multi(&traces);
-            let mut threaded =
+            let serial = VmmSimulator::new(replay_config(seed, cores, ReplayMode::Serial, spec))
+                .run_multi(&traces);
+            let threaded =
                 VmmSimulator::new(replay_config(seed, cores, ReplayMode::Threaded, spec))
                     .run_multi(&traces);
-            prop_assert_eq!(serial.completion_time, threaded.completion_time);
-            prop_assert_eq!(serial.fault_stats, threaded.fault_stats);
-            prop_assert_eq!(
-                serial.remote_access_latency.sorted_samples(),
-                threaded.remote_access_latency.sorted_samples()
-            );
+            prop_assert_eq!(serial, threaded);
         }
     }
 }
@@ -169,7 +132,7 @@ fn empty_plan_is_byte_identical_to_a_healthy_run() {
         let empty =
             VmmSimulator::new(replay_config(2020, 2, mode, FaultSpec::none())).run_multi(&traces);
         assert!(empty.fault_stats.is_quiet(), "empty plan recorded faults");
-        assert_results_identical(healthy, empty);
+        assert_eq!(healthy, empty);
     }
 }
 
@@ -218,7 +181,7 @@ fn canonical_storm_over_perf_fixture_is_pinned() {
     );
     assert_eq!(serial.fault_stats.checksum, 4_255_149_869_353_675_325);
 
-    assert_results_identical(serial, threaded);
+    assert_eq!(serial, threaded);
 }
 
 // ---------------------------------------------------------------------------
@@ -235,7 +198,7 @@ fn canonical_storm_replays_identically_across_five_seeds() {
             VmmSimulator::new(replay_config(seed, 2, ReplayMode::Serial, storm)).run_multi(&traces);
         let threaded = VmmSimulator::new(replay_config(seed, 2, ReplayMode::Threaded, storm))
             .run_multi(&traces);
-        assert_results_identical(serial, threaded);
+        assert_eq!(serial, threaded);
     }
 }
 

@@ -38,33 +38,6 @@ fn replay_config(seed: u64, mode: ReplayMode) -> SimConfig {
         .expect("valid replay config")
 }
 
-/// Every aggregate of two results, including the exact latency
-/// distributions.
-fn assert_results_identical(mut a: RunResult, mut b: RunResult) {
-    assert_eq!(a.completion_time, b.completion_time, "completion_time");
-    assert_eq!(a.total_accesses, b.total_accesses, "total_accesses");
-    assert_eq!(a.remote_accesses, b.remote_accesses, "remote_accesses");
-    assert_eq!(a.first_touch_faults, b.first_touch_faults);
-    assert_eq!(a.pages_swapped_out, b.pages_swapped_out);
-    assert_eq!(a.cache_stats, b.cache_stats, "cache_stats");
-    assert_eq!(
-        a.prefetch_stats.pages_prefetched(),
-        b.prefetch_stats.pages_prefetched()
-    );
-    assert_eq!(
-        a.prefetch_stats.prefetch_hits(),
-        b.prefetch_stats.prefetch_hits()
-    );
-    assert_eq!(
-        a.access_latency.sorted_samples(),
-        b.access_latency.sorted_samples()
-    );
-    assert_eq!(
-        a.remote_access_latency.sorted_samples(),
-        b.remote_access_latency.sorted_samples()
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Pinned parse: the perf fixture.
 // ---------------------------------------------------------------------------
@@ -186,7 +159,7 @@ fn perf_fixture_replay_is_pinned_and_mode_identical() {
     assert_eq!(serial.cache_stats.hits(), 47);
     assert_eq!(serial.cache_stats.misses(), 20);
     assert_eq!(serial.prefetch_stats.pages_prefetched(), 55);
-    assert_results_identical(serial, threaded);
+    assert_eq!(serial, threaded);
 }
 
 #[test]
@@ -195,7 +168,7 @@ fn damon_fixture_replay_is_pinned_and_mode_identical() {
     let serial = VmmSimulator::new(replay_config(2020, ReplayMode::Serial)).run_multi(&traces);
     let threaded = VmmSimulator::new(replay_config(2020, ReplayMode::Threaded)).run_multi(&traces);
     assert_eq!(serial.total_accesses, 22);
-    assert_results_identical(serial, threaded);
+    assert_eq!(serial, threaded);
 }
 
 // ---------------------------------------------------------------------------

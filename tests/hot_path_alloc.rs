@@ -204,7 +204,6 @@ fn tracker_layer_adds_no_allocations_once_instances_exist() {
     // through the tracker must be as allocation-free as the prefetcher
     // itself.
     let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);
-    tracker.set_per_core(true);
     for core in 0..2 {
         for i in 0..128u64 {
             let _ = tracker.on_fault_at(Pid(1), core, PageAddr(i));

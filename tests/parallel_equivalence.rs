@@ -48,57 +48,6 @@ fn run_logged(config: SimConfig, traces: &[AccessTrace]) -> (EventLog, RunResult
     (log, result)
 }
 
-/// Compares every aggregate of two results, including the exact latency
-/// distributions.
-fn assert_results_identical(mut a: RunResult, mut b: RunResult) {
-    assert_eq!(a.completion_time, b.completion_time, "completion_time");
-    assert_eq!(a.total_accesses, b.total_accesses, "total_accesses");
-    assert_eq!(a.remote_accesses, b.remote_accesses, "remote_accesses");
-    assert_eq!(
-        a.first_touch_faults, b.first_touch_faults,
-        "first_touch_faults"
-    );
-    assert_eq!(
-        a.pages_swapped_out, b.pages_swapped_out,
-        "pages_swapped_out"
-    );
-    assert_eq!(a.cache_stats, b.cache_stats, "cache_stats");
-    assert_eq!(
-        a.prefetch_stats.pages_prefetched(),
-        b.prefetch_stats.pages_prefetched()
-    );
-    assert_eq!(
-        a.prefetch_stats.prefetch_hits(),
-        b.prefetch_stats.prefetch_hits()
-    );
-    assert_eq!(
-        a.access_latency.sorted_samples(),
-        b.access_latency.sorted_samples(),
-        "access latency distribution"
-    );
-    assert_eq!(
-        a.remote_access_latency.sorted_samples(),
-        b.remote_access_latency.sorted_samples(),
-        "remote latency distribution"
-    );
-    assert_eq!(
-        a.allocation_wait.sorted_samples(),
-        b.allocation_wait.sorted_samples(),
-        "allocation wait distribution"
-    );
-    assert_eq!(
-        a.eviction_wait.sorted_samples(),
-        b.eviction_wait.sorted_samples(),
-        "eviction wait distribution"
-    );
-    assert_eq!(a.pipeline, b.pipeline, "async pipeline counters");
-    assert_eq!(a.fault_stats, b.fault_stats, "fault-injection accounting");
-    assert_eq!(
-        a.tenant_evictions, b.tenant_evictions,
-        "per-tenant eviction counts"
-    );
-}
-
 #[test]
 fn threaded_replay_is_bit_identical_to_serial_across_core_counts() {
     let traces = app_traces(4, 40);
@@ -112,7 +61,7 @@ fn threaded_replay_is_bit_identical_to_serial_across_core_counts() {
                 log_threaded.events(),
                 "merged event stream diverged at cores={cores} seed={seed}"
             );
-            assert_results_identical(serial, threaded);
+            assert_eq!(serial, threaded);
         }
     }
 }
@@ -171,7 +120,7 @@ fn threaded_replay_is_deterministic_run_to_run() {
     let (log_a, result_a) = run_logged(cfg, &traces);
     let (log_b, result_b) = run_logged(cfg, &traces);
     assert_eq!(log_a.events(), log_b.events());
-    assert_results_identical(result_a, result_b);
+    assert_eq!(result_a, result_b);
 }
 
 #[test]
@@ -182,7 +131,7 @@ fn modes_agree_on_single_core_degenerate_case() {
     let (log_serial, serial) = run_logged(config(1, 9, ReplayMode::Serial), &traces);
     let (log_threaded, threaded) = run_logged(config(1, 9, ReplayMode::Threaded), &traces);
     assert_eq!(log_serial.events(), log_threaded.events());
-    assert_results_identical(serial, threaded);
+    assert_eq!(serial, threaded);
 }
 
 #[test]
@@ -191,7 +140,7 @@ fn more_workers_than_processes_leave_idle_shards_harmless() {
     let (log_serial, serial) = run_logged(config(4, 13, ReplayMode::Serial), &traces);
     let (log_threaded, threaded) = run_logged(config(4, 13, ReplayMode::Threaded), &traces);
     assert_eq!(log_serial.events(), log_threaded.events());
-    assert_results_identical(serial, threaded);
+    assert_eq!(serial, threaded);
 }
 
 /// Ingested fault logs are first-class workloads: the serial/threaded
@@ -216,7 +165,7 @@ fn ingested_fault_logs_replay_identically_in_both_modes() {
                 log_threaded.events(),
                 "{fixture}: merged stream diverged at cores={cores}"
             );
-            assert_results_identical(serial, threaded);
+            assert_eq!(serial, threaded);
         }
     }
 }
@@ -316,7 +265,7 @@ fn shared_prefetcher_configs_replay_as_one_worker_spanning_every_core() {
     let (log_serial, serial) = run(ReplayMode::Serial);
     let (log_threaded, threaded) = run(ReplayMode::Threaded);
     assert_eq!(log_serial.events(), log_threaded.events());
-    assert_results_identical(serial, threaded);
+    assert_eq!(serial, threaded);
     // The shared stream really is shared: coverage for the noisy mix stays
     // below what isolated trend state achieves.
     let isolated_cfg = SimConfig::builder()

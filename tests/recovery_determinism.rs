@@ -55,27 +55,6 @@ fn run_logged(config: SimConfig, traces: &[AccessTrace]) -> (EventLog, RunResult
     (log, result)
 }
 
-/// Every aggregate of two results, including the latency distributions and
-/// the fault/recovery accounting.
-fn assert_results_identical(mut a: RunResult, mut b: RunResult) {
-    assert_eq!(a.completion_time, b.completion_time, "completion_time");
-    assert_eq!(a.total_accesses, b.total_accesses, "total_accesses");
-    assert_eq!(a.remote_accesses, b.remote_accesses, "remote_accesses");
-    assert_eq!(a.cache_stats, b.cache_stats, "cache_stats");
-    assert_eq!(
-        a.access_latency.sorted_samples(),
-        b.access_latency.sorted_samples()
-    );
-    assert_eq!(
-        a.remote_access_latency.sorted_samples(),
-        b.remote_access_latency.sorted_samples()
-    );
-    assert_eq!(a.pipeline, b.pipeline, "async pipeline counters");
-    assert_eq!(a.fault_stats, b.fault_stats, "fault accounting");
-    assert_eq!(a.recovery_stats, b.recovery_stats, "recovery accounting");
-    assert_eq!(a.tenant_recovery, b.tenant_recovery, "per-tenant recovery");
-}
-
 // ---------------------------------------------------------------------------
 // (a) The disabled policy is byte-identical to a build without the layer.
 // ---------------------------------------------------------------------------
@@ -109,7 +88,7 @@ fn none_policy_is_byte_identical_to_no_policy_at_all() {
                 none_log.events(),
                 "event streams diverged under the disabled policy"
             );
-            assert_results_identical(base, none);
+            assert_eq!(base, none);
         }
     }
 }
@@ -141,7 +120,7 @@ fn recovery_stats_are_bit_identical_across_modes_and_cores() {
                 serial.recovery_stats.checksum, threaded.recovery_stats.checksum,
                 "recovery checksum diverged on {cores} cores"
             );
-            assert_results_identical(serial, threaded);
+            assert_eq!(serial, threaded);
         }
     }
 }

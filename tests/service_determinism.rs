@@ -58,24 +58,6 @@ fn run_service_with_quantum(
     service.run()
 }
 
-fn assert_service_reports_identical(a: &ServiceReport, b: &ServiceReport) {
-    assert_eq!(a.admission, b.admission);
-    assert_eq!(a.waves.len(), b.waves.len());
-    for (wa, wb) in a.waves.iter().zip(&b.waves) {
-        assert_eq!(wa.makespan, wb.makespan, "wave makespan");
-        assert_eq!(wa.result.pipeline, wb.result.pipeline, "pipeline stats");
-        assert_eq!(
-            wa.result.tenant_evictions, wb.result.tenant_evictions,
-            "tenant evictions"
-        );
-        assert_eq!(wa.tenants.len(), wb.tenants.len());
-        for ((ia, ra), (ib, rb)) in wa.tenants.iter().zip(&wb.tenants) {
-            assert_eq!(ia, ib, "tenant order");
-            assert_eq!(ra, rb, "per-tenant QoS for {ia}");
-        }
-    }
-}
-
 /// Serial and threaded replays of the same service run are bit-identical —
 /// per-tenant counters, latency percentiles, and the full timing checksums
 /// over every tenant's event stream — at the default (unbounded) depth.
@@ -84,7 +66,7 @@ fn qos_is_bit_identical_across_replay_modes() {
     for seed in [3, 41] {
         let serial = run_service(ReplayMode::Serial, usize::MAX, seed);
         let threaded = run_service(ReplayMode::Threaded, usize::MAX, seed);
-        assert_service_reports_identical(&serial, &threaded);
+        assert_eq!(serial, threaded);
     }
 }
 
@@ -96,7 +78,7 @@ fn bounded_depth_is_bit_identical_across_replay_modes() {
     for depth in [1, 4] {
         let serial = run_service(ReplayMode::Serial, depth, 17);
         let threaded = run_service(ReplayMode::Threaded, depth, 17);
-        assert_service_reports_identical(&serial, &threaded);
+        assert_eq!(serial, threaded);
     }
 }
 

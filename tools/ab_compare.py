@@ -18,9 +18,17 @@ better direction `BENCHMARK.json` declares). It also prints the failed
 replays of each side. The exit status is 1 when any `sim_*` metric differs
 between any two runs of a workload (simulated results must not depend on
 the code's speed), 2 when a run gave no result, and 0 otherwise.
+
+Every change-side run rebuilds from the checkout, so an edit made while the
+comparison runs would mix two trees into one side's medians. The script
+therefore stamps the checkout before the first run (a hash of HEAD, the
+tracked changes against it and every untracked, non-ignored file) and
+checks the stamp before each change-side run; if it moved, the script stops
+with exit status 3.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -62,6 +70,26 @@ def unpack(root: Path, rev: str, work: Path) -> Path:
             sys.exit(f"ab_compare: git archive {rev} failed")
         partial.rename(src)
     return tree
+
+
+def tree_stamp(root: Path, skip: list) -> str:
+    """A hash of the checkout as the change side builds it: HEAD, the
+    tracked changes against it, and every untracked, non-ignored file
+    outside the `skip` directories (the builds' own output)."""
+    def output(*args: str) -> bytes:
+        return subprocess.run(["git", *args], cwd=root, check=True,
+                              stdout=subprocess.PIPE).stdout
+
+    top = root.resolve()
+    excludes = [f":(exclude){p.resolve().relative_to(top)}"
+                for p in skip if p.resolve().is_relative_to(top)]
+    stamp = hashlib.sha256(output("rev-parse", "HEAD"))
+    stamp.update(output("diff", "--binary", "HEAD"))
+    untracked = output("ls-files", "-z", "--others", "--exclude-standard", "--", ".", *excludes)
+    for name in filter(None, untracked.decode().split("\0")):
+        stamp.update(name.encode() + b"\0")
+        stamp.update((root / name).read_bytes())
+    return stamp.hexdigest()
 
 
 def run_once(tree: Path, target: Path, workload: str, args) -> dict:
@@ -161,12 +189,19 @@ def main() -> int:
         "head": (root, root / os.environ.get("CARGO_TARGET_DIR", ".bench_build")),
     }
     better = directions(root)
+    skip = [work, sides["head"][1]]
+    stamp = tree_stamp(root, skip)
     identical, complete = True, True
     for workload in workloads:
         runs = {"base": [], "head": []}
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
+                if side == "head" and tree_stamp(root, skip) != stamp:
+                    print(f"\nab_compare: the checkout changed during the comparison "
+                          f"({workload}, pair {pair + 1}); the change side would mix two "
+                          "trees, so no result is reported", file=sys.stderr)
+                    return 3
                 tree, target = sides[side]
                 result = run_once(tree, target, workload, args)
                 complete &= "metrics" in result

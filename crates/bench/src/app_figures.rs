@@ -24,7 +24,7 @@ fn powergraph_trace() -> AccessTrace {
 /// Figure 3: fraction of sequential / stride / other page-fault windows of
 /// length 2, 4, and 8 for the four applications, under strict matching and
 /// (for window 8) majority matching.
-pub fn fig03_pattern_windows() -> String {
+pub(crate) fn fig03_pattern_windows() -> String {
     let mut table = TextTable::new(vec![
         "application",
         "window",
@@ -65,7 +65,7 @@ pub fn fig03_pattern_windows() -> String {
 }
 
 /// Table 1: qualitative comparison of prefetching techniques.
-pub fn table1_prefetcher_comparison() -> String {
+pub(crate) fn table1_prefetcher_comparison() -> String {
     let mut table = TextTable::new(vec![
         "technique",
         "low compute",
@@ -120,7 +120,7 @@ pub fn table1_prefetcher_comparison() -> String {
 
 /// Figure 8b: the Leap prefetcher plugged into the default data path while
 /// paging to slow local storage (SSD and HDD), versus Linux Read-Ahead.
-pub fn fig08b_slow_storage() -> String {
+pub(crate) fn fig08b_slow_storage() -> String {
     let trace = powergraph_trace();
     let mut table = TextTable::new(vec!["configuration", "completion time (s)"])
         .with_title("Figure 8b: prefetcher benefit when paging to slow storage (PowerGraph, 50%)");
@@ -195,7 +195,7 @@ pub fn fig09_prefetcher_cache() -> String {
 
 /// Figures 10a and 10b: accuracy, coverage, and timeliness of the four
 /// prefetching algorithms on the PowerGraph trace.
-pub fn fig10_prefetch_effectiveness() -> String {
+pub(crate) fn fig10_prefetch_effectiveness() -> String {
     let trace = powergraph_trace();
     let mut table = TextTable::new(vec![
         "prefetcher",
@@ -232,7 +232,7 @@ pub fn fig10_prefetch_effectiveness() -> String {
 /// Figure 11: application-level performance (completion time for PowerGraph
 /// and NumPy, throughput for VoltDB and Memcached) for Disk, D-VMM, and
 /// D-VMM+Leap at 100 %, 50 %, and 25 % local memory.
-pub fn fig11_applications() -> String {
+pub(crate) fn fig11_applications() -> String {
     let mut out = String::new();
     for kind in AppKind::ALL {
         let trace = app_trace(kind);
@@ -279,7 +279,7 @@ pub fn fig11_applications() -> String {
 
 /// Figure 12: Leap performance with constrained prefetch-cache sizes
 /// (unlimited, 320 MB, 32 MB, 3.2 MB) at 50 % memory.
-pub fn fig12_constrained_cache() -> String {
+pub(crate) fn fig12_constrained_cache() -> String {
     let mut out = String::new();
     let sizes = [
         ("No limit", u64::MAX),
@@ -320,7 +320,7 @@ pub fn fig12_constrained_cache() -> String {
 
 /// Figure 13: all four applications running concurrently on 4 cores under
 /// the time-sliced scheduler, D-VMM vs D-VMM+Leap.
-pub fn fig13_multi_app() -> String {
+pub(crate) fn fig13_multi_app() -> String {
     let traces: Vec<AccessTrace> = AppKind::ALL.iter().map(|&k| app_trace(k)).collect();
 
     let mut table = TextTable::new(vec![
@@ -361,7 +361,7 @@ pub fn fig13_multi_app() -> String {
 /// [`FaultEvent`] streams (a [`CoreActivity`] observer, not the batch
 /// result): per-core completion instants give the makespan, event counts
 /// give the volume.
-pub fn fig13_scaleup() -> String {
+pub(crate) fn fig13_scaleup() -> String {
     const CORES: usize = 4;
     let mut table = TextTable::new(vec![
         "processes",

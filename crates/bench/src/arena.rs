@@ -60,9 +60,9 @@ pub const COMPETITORS: [&str; 5] = [
 ];
 
 /// Synthetic-corpus accesses per process in `--quick` mode.
-pub const QUICK_ACCESSES: usize = 4_000;
+pub(crate) const QUICK_ACCESSES: usize = 4_000;
 /// Synthetic-corpus accesses per process in a full run.
-pub const FULL_ACCESSES: usize = 24_000;
+pub(crate) const FULL_ACCESSES: usize = 24_000;
 
 /// Working set of the stride/sequential synthetic corpus entries.
 const SYNTH_WORKING_SET: u64 = 4 * MIB;
@@ -194,7 +194,7 @@ impl Default for ArenaOptions {
 
 impl ArenaOptions {
     /// Synthetic accesses per process after resolving `--quick`/`--accesses`.
-    pub fn synthetic_accesses(&self) -> usize {
+    pub(crate) fn synthetic_accesses(&self) -> usize {
         self.accesses.unwrap_or(if self.quick {
             QUICK_ACCESSES
         } else {
@@ -203,7 +203,7 @@ impl ArenaOptions {
     }
 
     /// The competitor names this run evaluates, in [`COMPETITORS`] order.
-    pub fn competitor_names(&self) -> Result<Vec<&'static str>, ArenaError> {
+    pub(crate) fn competitor_names(&self) -> Result<Vec<&'static str>, ArenaError> {
         if self.prefetchers.is_empty() {
             return Ok(COMPETITORS.to_vec());
         }
@@ -295,7 +295,7 @@ pub struct ArenaTrace {
     /// Entry name as it appears in the matrix.
     pub name: String,
     /// Per-process access traces, canonicalised to rank space (see
-    /// [`normalize_trace`]).
+    /// `normalize_trace`).
     pub traces: Vec<AccessTrace>,
 }
 
@@ -310,7 +310,7 @@ pub struct ArenaTrace {
 /// The arena compares *pattern structure*, which rank space preserves — a
 /// stride stays a stride, a pointer-chase loop stays a loop — while the
 /// arbitrary virtual base addresses of recorded logs drop out.
-pub fn normalize_trace(trace: &AccessTrace) -> AccessTrace {
+pub(crate) fn normalize_trace(trace: &AccessTrace) -> AccessTrace {
     let mut pages: Vec<u64> = trace.iter().map(|a| a.page).collect();
     pages.sort_unstable();
     pages.dedup();
@@ -380,7 +380,7 @@ pub fn build_corpus(opts: &ArenaOptions) -> Result<Vec<ArenaTrace>, ArenaError> 
 /// models and the compiled 3PO program. Preparation is pure (no RNG), so the
 /// same entry always yields byte-identical models.
 #[derive(Debug, Clone)]
-pub struct PreparedModels {
+pub(crate) struct PreparedModels {
     /// First-order Markov delta model trained on the entry's traces.
     pub markov1: Arc<FrozenModel>,
     /// Second-order model (with first-order backoff) on the same corpus.
@@ -392,7 +392,7 @@ pub struct PreparedModels {
 
 impl PreparedModels {
     /// Trains and compiles the entry's competitors.
-    pub fn prepare(entry: &ArenaTrace) -> Self {
+    pub(crate) fn prepare(entry: &ArenaTrace) -> Self {
         let mut program = Vec::new();
         for trace in &entry.traces {
             for page in trace.page_sequence() {
@@ -414,7 +414,7 @@ impl PreparedModels {
 /// read-ahead (Table 1's "Default" prefetcher row) under the arena's
 /// uniform data path, so cells differ only in prefetching policy.
 #[derive(Debug, Clone, Copy)]
-pub struct DvmmReadAheadFactory;
+pub(crate) struct DvmmReadAheadFactory;
 
 impl PrefetcherFactory for DvmmReadAheadFactory {
     fn name(&self) -> &'static str {
@@ -459,7 +459,7 @@ impl PrefetcherFactory for FrozenMarkovFactory {
 /// program; a process whose accesses are not in the program degrades
 /// gracefully to no prefetching (see `ProgrammedPrefetcher`).
 #[derive(Debug, Clone)]
-pub struct CompiledProgramFactory {
+pub(crate) struct CompiledProgramFactory {
     program: Arc<Vec<PageAddr>>,
     lead: usize,
 }
@@ -687,7 +687,7 @@ fn competitor_setup(
 /// order, so the slot-addressed fault stream the prefetchers see carries
 /// the same delta structure as the rank-space corpus traces the learned and
 /// programmed competitors were prepared on.
-pub fn run_cell(
+pub(crate) fn run_cell(
     entry: &ArenaTrace,
     models: &PreparedModels,
     name: &str,

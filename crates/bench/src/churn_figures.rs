@@ -41,7 +41,7 @@ fn churn_config(preset: SimConfig, spec: FaultSpec) -> SimConfig {
 /// The fault window used by every intensity: the middle 80% of the healthy
 /// D-VMM run, so both configurations spend the bulk of their replay inside
 /// the churn regardless of how fast they finish.
-pub fn churn_window() -> (Nanos, Nanos) {
+pub(crate) fn churn_window() -> (Nanos, Nanos) {
     let result = VmmSimulator::new(churn_config(SimConfig::linux_defaults(), FaultSpec::none()))
         .session()
         .run(&churn_trace());
@@ -50,7 +50,7 @@ pub fn churn_window() -> (Nanos, Nanos) {
 }
 
 /// The three fault intensities (plus the healthy baseline) over a window.
-pub fn churn_intensities(start: Nanos, horizon: Nanos) -> Vec<(&'static str, FaultSpec)> {
+pub(crate) fn churn_intensities(start: Nanos, horizon: Nanos) -> Vec<(&'static str, FaultSpec)> {
     let epoch = Nanos::from_nanos((horizon.as_nanos().saturating_sub(start.as_nanos()) / 4).max(1));
     vec![
         ("steady state", FaultSpec::none()),
@@ -87,7 +87,7 @@ pub fn churn_intensities(start: Nanos, horizon: Nanos) -> Vec<(&'static str, Fau
 }
 
 /// Replays the churn trace once under `(preset, spec)`.
-pub fn run_churn(preset: SimConfig, spec: FaultSpec) -> RunResult {
+pub(crate) fn run_churn(preset: SimConfig, spec: FaultSpec) -> RunResult {
     VmmSimulator::new(churn_config(preset, spec))
         .session()
         .run(&churn_trace())

@@ -27,7 +27,7 @@ const READS: u64 = 2_000;
 const CORES: usize = 4;
 
 /// The fault intensities the figure sweeps.
-pub fn hedging_intensities() -> Vec<(&'static str, FaultSpec)> {
+pub(crate) fn hedging_intensities() -> Vec<(&'static str, FaultSpec)> {
     vec![
         ("steady state", FaultSpec::none()),
         ("canonical storm", FaultSpec::canonical_storm()),
@@ -37,7 +37,10 @@ pub fn hedging_intensities() -> Vec<(&'static str, FaultSpec)> {
 
 /// Replays the read stream through the lean data path under `(spec,
 /// policy)`, returning the latency distribution and the recovery counters.
-pub fn run_hedged(spec: &FaultSpec, policy: RecoveryPolicy) -> (LatencyHistogram, RecoveryStats) {
+pub(crate) fn run_hedged(
+    spec: &FaultSpec,
+    policy: RecoveryPolicy,
+) -> (LatencyHistogram, RecoveryStats) {
     let mut path = LeanDataPath::with_default_cluster(DetRng::seed_from(EXPERIMENT_SEED));
     if spec.is_active() {
         let machines = path.agent().cluster().len() as u32;
@@ -68,7 +71,7 @@ pub fn run_hedged(spec: &FaultSpec, policy: RecoveryPolicy) -> (LatencyHistogram
 
 /// The hedging figure: p50/p99 read latency and recovery counters vs fault
 /// intensity, recovery off against the tail-tolerant policy.
-pub fn fig_hedging() -> String {
+pub(crate) fn fig_hedging() -> String {
     let mut table = TextTable::new(vec![
         "intensity",
         "recovery",

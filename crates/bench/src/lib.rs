@@ -14,38 +14,38 @@
 //! seconds; `EXPERIMENTS.md` at the repository root records the
 //! paper-vs-measured comparison.
 
-pub mod app_figures;
+pub(crate) mod app_figures;
 pub mod arena;
-pub mod churn_figures;
-pub mod hedging_figures;
-pub mod micro_figures;
+pub(crate) mod churn_figures;
+pub(crate) mod hedging_figures;
+pub(crate) mod micro_figures;
 pub mod tenant_figures;
-pub mod trace_source;
+pub(crate) mod trace_source;
 
+pub use app_figures::fig09_prefetcher_cache;
 pub use churn_figures::fig_churn;
-pub use hedging_figures::fig_hedging;
 pub use tenant_figures::fig_tenants;
-pub use trace_source::TraceSource;
 
-pub use app_figures::{
-    fig03_pattern_windows, fig08b_slow_storage, fig09_prefetcher_cache,
-    fig10_prefetch_effectiveness, fig11_applications, fig12_constrained_cache, fig13_multi_app,
-    fig13_scaleup, table1_prefetcher_comparison,
+use app_figures::{
+    fig03_pattern_windows, fig08b_slow_storage, fig10_prefetch_effectiveness, fig11_applications,
+    fig12_constrained_cache, fig13_multi_app, fig13_scaleup, table1_prefetcher_comparison,
 };
-pub use micro_figures::{
+use hedging_figures::fig_hedging;
+use micro_figures::{
     fig01_datapath_breakdown, fig02_default_datapath_cdf, fig04_lazy_eviction_wait,
     fig07_leap_datapath_cdf, fig08a_benefit_breakdown,
 };
+use trace_source::TraceSource;
 
 /// Standard working-set size used by the microbenchmark figures (16 MiB keeps
 /// each run to a few seconds).
-pub const MICRO_WORKING_SET: u64 = 16 * leap_sim_core::units::MIB;
+pub(crate) const MICRO_WORKING_SET: u64 = 16 * leap_sim_core::units::MIB;
 
 /// Standard number of accesses per application trace in the app figures.
-pub const APP_ACCESSES: usize = 80_000;
+pub(crate) const APP_ACCESSES: usize = 80_000;
 
 /// Seed shared by all experiments so every figure is reproducible.
-pub const EXPERIMENT_SEED: u64 = 2020;
+pub(crate) const EXPERIMENT_SEED: u64 = 2020;
 
 /// One experiment of the `all_figures` binary.
 #[derive(Debug, Clone, Copy)]

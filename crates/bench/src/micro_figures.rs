@@ -29,7 +29,7 @@ fn percentile_row(label: &str, hist: &mut LatencyHistogram) -> Vec<String> {
 /// Figure 1: average time spent in each stage of the page-request life cycle
 /// on the default Linux data path versus Leap's path, over an RDMA backend
 /// (plus the raw device numbers for HDD/SSD/RDMA).
-pub fn fig01_datapath_breakdown() -> String {
+pub(crate) fn fig01_datapath_breakdown() -> String {
     let samples = 20_000u64;
     let mut rng = DetRng::seed_from(EXPERIMENT_SEED);
 
@@ -98,7 +98,7 @@ pub fn fig01_datapath_breakdown() -> String {
 /// by construction (the stream and the batch histogram record the same
 /// samples); `stream_matches_batch_histogram` in this module's tests pins
 /// that equivalence.
-pub fn fig02_default_datapath_cdf() -> String {
+pub(crate) fn fig02_default_datapath_cdf() -> String {
     let mut out = String::new();
     for (name, trace) in micro_traces() {
         let mut table = TextTable::new(vec![
@@ -154,7 +154,7 @@ pub fn fig02_default_datapath_cdf() -> String {
 /// Figure 4: how long consumed prefetched pages sit in the cache before the
 /// lazy background reclaimer frees them (CDF summary), contrasted with eager
 /// eviction where the wait is zero by construction.
-pub fn fig04_lazy_eviction_wait() -> String {
+pub(crate) fn fig04_lazy_eviction_wait() -> String {
     let trace = stride_trace(MICRO_WORKING_SET, 10, 2);
     // Constrain the prefetch cache so the background reclaimer actually runs.
     let lazy_config = SimConfig::linux_defaults()
@@ -195,7 +195,7 @@ pub fn fig04_lazy_eviction_wait() -> String {
 
 /// Figure 7: 4 KB access-latency distributions with and without Leap, for the
 /// disaggregated VMM and VFS front-ends under Sequential and Stride-10.
-pub fn fig07_leap_datapath_cdf() -> String {
+pub(crate) fn fig07_leap_datapath_cdf() -> String {
     let mut out = String::new();
     for (name, trace) in micro_traces() {
         let mut table = TextTable::new(vec![
@@ -262,7 +262,7 @@ pub fn fig07_leap_datapath_cdf() -> String {
 
 /// Figure 8a: benefit breakdown on the Stride-10 microbenchmark — the lean
 /// data path alone, plus the prefetcher, plus eager eviction.
-pub fn fig08a_benefit_breakdown() -> String {
+pub(crate) fn fig08a_benefit_breakdown() -> String {
     let trace = stride_trace(MICRO_WORKING_SET, 10, 1);
     let configs = [
         (

@@ -45,7 +45,7 @@ pub const TENANT_BUDGET_PAGES: u64 = 128;
 /// `n` tenants drawn round-robin from the paper's application mix, each
 /// with a distinct seed, a 2 MiB working set, `accesses` accesses, and a
 /// half-working-set budget.
-pub fn tenant_specs(n: usize, accesses: usize) -> Vec<TenantSpec> {
+pub(crate) fn tenant_specs(n: usize, accesses: usize) -> Vec<TenantSpec> {
     (0..n)
         .map(|i| {
             let kind = AppKind::ALL[i % AppKind::ALL.len()];
@@ -78,7 +78,12 @@ pub fn service_config(cores: usize, depth: usize, mode: ReplayMode) -> SimConfig
 
 /// Runs `n` tenants through the service at `depth`, admitting them all in
 /// one wave (capacity = sum of budgets).
-pub fn run_tenants(n: usize, accesses: usize, depth: usize, mode: ReplayMode) -> ServiceReport {
+pub(crate) fn run_tenants(
+    n: usize,
+    accesses: usize,
+    depth: usize,
+    mode: ReplayMode,
+) -> ServiceReport {
     let specs = tenant_specs(n, accesses);
     let capacity: u64 = specs.iter().map(|s| s.budget_pages).sum();
     let mut service = FarMemoryService::new(

@@ -14,7 +14,7 @@ use crate::EXPERIMENT_SEED;
 
 /// A named source of multi-process benchmark traces.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceSource {
+pub(crate) enum TraceSource {
     /// The Figure 11 application mix: all four paper applications side by
     /// side, `accesses` accesses each over 8 MiB working sets.
     Fig11Mix {
@@ -31,7 +31,7 @@ pub enum TraceSource {
 
 impl TraceSource {
     /// The workload-row label this source reports under.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             TraceSource::Fig11Mix { .. } => "fig11-app-mix".to_string(),
             TraceSource::FaultLog { path } => {
@@ -46,7 +46,7 @@ impl TraceSource {
 
     /// Materializes the source's traces. Only [`TraceSource::FaultLog`] can
     /// fail (I/O or a malformed log).
-    pub fn load(&self) -> Result<Vec<AccessTrace>, IngestError> {
+    pub(crate) fn load(&self) -> Result<Vec<AccessTrace>, IngestError> {
         match self {
             TraceSource::Fig11Mix { accesses } => Ok(AppKind::ALL
                 .iter()

@@ -14,7 +14,7 @@ use leap_sim_core::{DetRng, LatencySampler, Nanos, TableLatency};
 
 /// Latency parameters for the lean path's software stages.
 #[derive(Debug, Clone, Copy)]
-pub struct LeanPathParams {
+pub(crate) struct LeanPathParams {
     /// Median cache (swap cache) lookup cost.
     pub cache_lookup: Nanos,
     /// Median cost of the prefetcher (trend detection + candidate generation).
@@ -62,8 +62,6 @@ pub struct LeanDataPath {
     prefetcher_sampler: TableLatency,
     interface_sampler: TableLatency,
     rng: DetRng,
-    reads: u64,
-    writes: u64,
 }
 
 impl LeanDataPath {
@@ -85,7 +83,7 @@ impl LeanDataPath {
     }
 
     /// Creates a lean path with explicit software-stage parameters.
-    pub fn with_params(agent: HostAgent, params: LeanPathParams, mut rng: DetRng) -> Self {
+    pub(crate) fn with_params(agent: HostAgent, params: LeanPathParams, mut rng: DetRng) -> Self {
         let local_rng = rng.fork();
         // The software-stage log-normals are folded into quantile tables at
         // construction: one RNG draw + a linear interpolation per sample on
@@ -104,14 +102,7 @@ impl LeanDataPath {
             params,
             agent,
             rng: local_rng,
-            reads: 0,
-            writes: 0,
         }
-    }
-
-    /// The stage parameters in use.
-    pub fn params(&self) -> &LeanPathParams {
-        &self.params
     }
 
     /// Access to the underlying host agent (for inventory reports).
@@ -123,11 +114,6 @@ impl LeanDataPath {
     /// tests or ablations).
     pub fn agent_mut(&mut self) -> &mut HostAgent {
         &mut self.agent
-    }
-
-    /// Total (reads, writes) served.
-    pub fn io_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 
     fn serve(
@@ -170,12 +156,10 @@ impl LeanDataPath {
 
 impl DataPath for LeanDataPath {
     fn read_page(&mut self, page_offset: u64, core: usize, now: Nanos) -> PathLatency {
-        self.reads += 1;
         self.serve(RemoteIoKind::Read, page_offset, core, now)
     }
 
     fn write_page(&mut self, page_offset: u64, core: usize, now: Nanos) -> PathLatency {
-        self.writes += 1;
         self.serve(RemoteIoKind::Write, page_offset, core, now)
     }
 
@@ -253,11 +237,10 @@ mod tests {
     }
 
     #[test]
-    fn writes_are_counted_and_skip_mmu() {
+    fn writes_skip_the_mmu_update() {
         let mut path = LeanDataPath::with_default_cluster(DetRng::seed_from(4));
         let b = path.write_page(7, 0, Nanos::ZERO);
         assert!(b.stage_total(Stage::MmuUpdate).is_zero());
-        assert_eq!(path.io_counts(), (0, 1));
     }
 
     #[test]
@@ -324,7 +307,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(span_path.io_counts(), loop_path.io_counts());
         assert_eq!(
             span_path.recovery_stats(),
             loop_path.recovery_stats(),

@@ -16,7 +16,7 @@ use leap_sim_core::{scale_nanos_milli, DetRng, LatencySampler, Nanos, TableLaten
 
 /// Latency parameters for the legacy path's software stages.
 #[derive(Debug, Clone, Copy)]
-pub struct LegacyPathParams {
+pub(crate) struct LegacyPathParams {
     /// Median cache (swap cache / VFS cache) lookup cost.
     pub cache_lookup: Nanos,
     /// Median bio construction / request preparation cost.
@@ -74,8 +74,6 @@ pub struct LegacyDataPath {
     /// aggressive prefetching pays for its I/O bandwidth here.
     device_queues: DispatchQueues,
     rng: DetRng,
-    reads: u64,
-    writes: u64,
     /// Installed fault schedule (empty by default). The legacy path has no
     /// remote cluster, so only the epoch faults — latency spikes, degraded
     /// bandwidth, reconnect storms — apply; machine failures do not.
@@ -93,7 +91,7 @@ impl LegacyDataPath {
     }
 
     /// Creates a legacy path with explicit stage parameters.
-    pub fn with_params(backend: BackendKind, params: LegacyPathParams, rng: DetRng) -> Self {
+    pub(crate) fn with_params(backend: BackendKind, params: LegacyPathParams, rng: DetRng) -> Self {
         let device_queues = match backend {
             // One request stream for block devices, multi-queue for RDMA.
             BackendKind::Hdd | BackendKind::Ssd => DispatchQueues::new(1),
@@ -121,8 +119,6 @@ impl LegacyDataPath {
             params,
             backend: StorageBackend::new(backend),
             rng,
-            reads: 0,
-            writes: 0,
             fault_plan: FaultPlan::empty(),
             segment_cursor: 0,
             fault_stats: FaultInjectionStats::default(),
@@ -154,16 +150,6 @@ impl LegacyDataPath {
         }
         let transfer = scale_nanos_milli(transfer, mods.multiplier_milli);
         self.fault_stats.charge_modifiers(&mods, transfer, now)
-    }
-
-    /// The stage parameters in use.
-    pub fn params(&self) -> &LegacyPathParams {
-        &self.params
-    }
-
-    /// Total (reads, writes) served.
-    pub fn io_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 
     /// One request through the block layer and the device. Reads and writes
@@ -198,12 +184,10 @@ impl LegacyDataPath {
 
 impl DataPath for LegacyDataPath {
     fn read_page(&mut self, _page_offset: u64, core: usize, now: Nanos) -> PathLatency {
-        self.reads += 1;
         self.serve(RemoteIoKind::Read, core, now)
     }
 
     fn write_page(&mut self, _page_offset: u64, core: usize, now: Nanos) -> PathLatency {
-        self.writes += 1;
         self.serve(RemoteIoKind::Write, core, now)
     }
 
@@ -299,7 +283,6 @@ mod tests {
         let b = path.write_page(0, 0, Nanos::ZERO);
         assert!(b.stage_total(Stage::MmuUpdate).is_zero());
         assert!(!b.stage_total(Stage::DeviceTransfer).is_zero());
-        assert_eq!(path.io_counts(), (0, 1));
     }
 
     #[test]

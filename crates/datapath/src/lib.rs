@@ -22,4 +22,4 @@ pub mod stages;
 
 pub use lean::LeanDataPath;
 pub use legacy::LegacyDataPath;
-pub use stages::{DataPath, PathLatency, Stage, StageLatency};
+pub use stages::{DataPath, PathLatency, Stage};

@@ -39,7 +39,7 @@ pub struct EvictionReport {
 
 impl EvictionReport {
     /// Total pages freed by the pass.
-    pub fn freed_total(&self) -> u64 {
+    pub(crate) fn freed_total(&self) -> u64 {
         self.freed_unused_prefetches + self.freed_other
     }
 
@@ -51,7 +51,7 @@ impl EvictionReport {
 
 /// Cache size (pages) past which the lazy policy's background reclaimer
 /// kicks in, a stand-in for the kernel's watermarks.
-pub const LAZY_CACHE_HIGH_WATERMARK: u64 = 4_096;
+pub(crate) const LAZY_CACHE_HIGH_WATERMARK: u64 = 4_096;
 
 /// Frees up to `target` pages from `cache` at time `now`, by its policy.
 ///
@@ -77,7 +77,7 @@ pub fn make_space(cache: &mut SwapCache, target: u64, now: Nanos) -> EvictionRep
 }
 
 /// Runs the lazy policy's background reclaimer: past
-/// [`LAZY_CACHE_HIGH_WATERMARK`] cached pages it frees down to half the
+/// `LAZY_CACHE_HIGH_WATERMARK` cached pages it frees down to half the
 /// watermark. Returns `None` when nothing needed doing, and always under
 /// the eager policy, which has no background scanner.
 pub fn background_reclaim(cache: &mut SwapCache, now: Nanos) -> Option<EvictionReport> {

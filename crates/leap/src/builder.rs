@@ -55,7 +55,7 @@ impl Default for SimConfigBuilder {
 
 impl SimConfigBuilder {
     /// Starts from an existing configuration.
-    pub fn from_config(config: SimConfig) -> Self {
+    pub(crate) fn from_config(config: SimConfig) -> Self {
         SimConfigBuilder {
             config,
             prefetcher_override: None,
@@ -148,9 +148,9 @@ impl SimConfigBuilder {
     }
 
     /// Sets the simulated cost charged for one scheduler context switch in a
-    /// multi-process replay. Defaults to [`crate::sched::CONTEXT_SWITCH`]
+    /// multi-process replay. Defaults to `crate::sched::CONTEXT_SWITCH`
     /// (2 µs); validated against
-    /// [`MAX_CONTEXT_SWITCH`](crate::config::MAX_CONTEXT_SWITCH) so a unit
+    /// `MAX_CONTEXT_SWITCH` so a unit
     /// mistake (e.g. milliseconds passed as nanoseconds) fails at build time.
     ///
     /// # Examples
@@ -275,8 +275,8 @@ impl SimConfigBuilder {
     /// A custom prefetcher is *not* carried by [`SimConfig`] (it stays
     /// `Copy` serializable data), so calling `build` while one is pending
     /// returns [`ConfigError::ComponentsRequireSetup`] instead of silently
-    /// dropping it; use [`SimConfigBuilder::build_setup`] (or `build_vmm` /
-    /// `build_vfs`) when a custom prefetcher is in play.
+    /// dropping it; use [`SimConfigBuilder::build_setup`] (or
+    /// [`SimConfigBuilder::build_vmm`]) when a custom prefetcher is in play.
     pub fn build(self) -> Result<SimConfig, ConfigError> {
         self.config.validate()?;
         if self.prefetcher_override.is_some() {
@@ -303,11 +303,6 @@ impl SimConfigBuilder {
     pub fn build_vmm(self) -> Result<VmmSimulator, ConfigError> {
         Ok(self.build_setup()?.vmm())
     }
-
-    /// Shorthand for `build_setup()?.vfs()`.
-    pub fn build_vfs(self) -> Result<VfsSimulator, ConfigError> {
-        Ok(self.build_setup()?.vfs())
-    }
 }
 
 /// A validated configuration plus its resolved components, ready to
@@ -327,7 +322,7 @@ impl SimSetup {
     ///
     /// Fails only if `config` itself is invalid — enum-selected components
     /// always resolve.
-    pub fn from_config(config: SimConfig) -> Result<Self, ConfigError> {
+    pub(crate) fn from_config(config: SimConfig) -> Result<Self, ConfigError> {
         config.validate()?;
         Ok(SimSetup {
             components: ResolvedComponents::builtin_for(&config),
@@ -336,7 +331,7 @@ impl SimSetup {
     }
 
     /// The resolved components.
-    pub fn components(&self) -> &ResolvedComponents {
+    pub(crate) fn components(&self) -> &ResolvedComponents {
         &self.components
     }
 

@@ -11,7 +11,7 @@
 //! delta model — is injected with
 //! [`crate::SimConfigBuilder::custom_prefetcher`]. A factory (rather than an
 //! instance) is what plugs in because per-process isolation (§4.1) needs one
-//! fresh prefetcher per process; [`KindPrefetcherFactory`] wraps the
+//! fresh prefetcher per process; `KindPrefetcherFactory` wraps the
 //! built-in [`PrefetcherKind`]s.
 //!
 //! The built-ins honour every relevant [`SimConfig`] knob: history and
@@ -43,7 +43,7 @@ pub trait PrefetcherFactory: fmt::Debug + Send + Sync {
 
 /// Built-in prefetcher factory wrapping a [`PrefetcherKind`].
 #[derive(Debug, Clone, Copy)]
-pub struct KindPrefetcherFactory(pub PrefetcherKind);
+pub(crate) struct KindPrefetcherFactory(pub PrefetcherKind);
 
 impl PrefetcherFactory for KindPrefetcherFactory {
     fn name(&self) -> &'static str {

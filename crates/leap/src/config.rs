@@ -13,6 +13,7 @@ use crate::error::ConfigError;
 pub use leap_eviction::EvictionPolicy;
 use leap_prefetcher::PrefetcherKind;
 use leap_remote::{BackendKind, FaultSpec, RecoveryPolicy};
+use leap_sim_core::json::{flat_json_pairs, FlatJsonError};
 use leap_sim_core::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -36,7 +37,7 @@ impl DataPathKind {
 
     /// The inverse of [`DataPathKind::label`], used when parsing serialized
     /// configurations.
-    pub fn from_label(label: &str) -> Option<Self> {
+    pub(crate) fn from_label(label: &str) -> Option<Self> {
         [DataPathKind::LinuxDefault, DataPathKind::Leap]
             .into_iter()
             .find(|k| k.label() == label)
@@ -79,7 +80,7 @@ impl ReplayMode {
 
     /// The inverse of [`ReplayMode::label`], used when parsing serialized
     /// configurations.
-    pub fn from_label(label: &str) -> Option<Self> {
+    pub(crate) fn from_label(label: &str) -> Option<Self> {
         [ReplayMode::Serial, ReplayMode::Threaded]
             .into_iter()
             .find(|k| k.label() == label)
@@ -127,7 +128,7 @@ pub struct SimConfig {
     pub sched_quantum: Nanos,
     /// Simulated cost of one context switch (register/TLB state plus the
     /// scheduler's own bookkeeping), charged whenever a core's run queue
-    /// rotates. Defaults to [`crate::sched::CONTEXT_SWITCH`] (2 µs).
+    /// rotates. Defaults to `crate::sched::CONTEXT_SWITCH` (2 µs).
     pub context_switch_cost: Nanos,
     /// How multi-process replays execute: the core shards one after another
     /// on the calling thread ([`ReplayMode::Serial`], the default) or one OS
@@ -170,7 +171,7 @@ pub struct SimConfig {
 /// Upper bound accepted for [`SimConfig::context_switch_cost`]. Real context
 /// switches cost single-digit microseconds; anything beyond 100 ms is almost
 /// certainly a unit mistake (ns vs ms), so validation rejects it.
-pub const MAX_CONTEXT_SWITCH: Nanos = Nanos::from_millis(100);
+pub(crate) const MAX_CONTEXT_SWITCH: Nanos = Nanos::from_millis(100);
 
 impl SimConfig {
     /// Starts a validated builder from [`SimConfig::default`]
@@ -233,7 +234,7 @@ impl SimConfig {
 
     /// Validates this configuration (the same checks
     /// [`SimConfigBuilder::build`] runs).
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if !(self.memory_fraction > 0.0 && self.memory_fraction <= 1.0) {
             return Err(ConfigError::MemoryFractionOutOfRange(self.memory_fraction));
         }
@@ -362,22 +363,14 @@ impl SimConfig {
     /// breaking stored configs.
     pub fn from_json(text: &str) -> Result<Self, ConfigError> {
         let mut config = SimConfig::linux_defaults();
-        let body = text.trim();
-        let body = body
-            .strip_prefix('{')
-            .and_then(|b| b.strip_suffix('}'))
-            .ok_or_else(|| ConfigError::Parse("expected a JSON object".into()))?;
-
-        for pair in split_top_level_pairs(body) {
-            let (key, value) = pair
-                .split_once(':')
-                .ok_or_else(|| ConfigError::Parse(format!("expected key:value, got {pair:?}")))?;
-            let key = key
-                .trim()
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| ConfigError::Parse(format!("unquoted key {key:?}")))?;
-            let value = value.trim();
+        let pairs = flat_json_pairs(text).map_err(|e| {
+            ConfigError::Parse(match e {
+                FlatJsonError::NotAnObject => "expected a JSON object".into(),
+                FlatJsonError::MalformedPair(pair) => format!("expected key:value, got {pair:?}"),
+                FlatJsonError::UnquotedKey(key) => format!("unquoted key {key:?}"),
+            })
+        })?;
+        for (key, value) in pairs {
             match key {
                 "prefetcher" => {
                     config.prefetcher =
@@ -467,28 +460,6 @@ impl SimConfig {
     }
 }
 
-/// Splits the body of a flat JSON object on top-level commas (no nested
-/// objects/arrays exist in this format, but strings may contain commas).
-fn split_top_level_pairs(body: &str) -> Vec<&str> {
-    let mut pairs = Vec::new();
-    let mut start = 0;
-    let mut in_string = false;
-    for (i, c) in body.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            ',' if !in_string => {
-                pairs.push(&body[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if !body[start..].trim().is_empty() {
-        pairs.push(&body[start..]);
-    }
-    pairs
-}
-
 fn parse_str(value: &str) -> Result<&str, ConfigError> {
     value
         .strip_prefix('"')
@@ -572,6 +543,35 @@ mod tests {
                 mutated[i] = byte;
                 parse_both(&mutated);
                 parse_both(&json.as_bytes()[..i]);
+            }
+        }
+
+        /// Both parsers read one grammar: a key that is unquoted or quoted
+        /// on one side only is a typed error from each, whichever key it is.
+        #[test]
+        fn both_parsers_reject_unquoted_and_half_quoted_keys(
+            at in any::<usize>(),
+            quoting in 0usize..3,
+        ) {
+            for json in storm_jsons() {
+                let pairs = flat_json_pairs(&json).unwrap();
+                let target = at % pairs.len();
+                let body: Vec<String> = pairs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (key, value))| match (i == target, quoting) {
+                        (false, _) => format!("\"{key}\":{value}"),
+                        (true, 0) => format!("{key}:{value}"),
+                        (true, 1) => format!("\"{key}:{value}"),
+                        (true, _) => format!("{key}\":{value}"),
+                    })
+                    .collect();
+                let text = format!("{{{}}}", body.join(","));
+                prop_assert!(matches!(SimConfig::from_json(&text), Err(ConfigError::Parse(_))));
+                prop_assert!(matches!(
+                    FaultSpec::from_json(&text),
+                    Err(leap_remote::FaultJsonError::MalformedPair(_))
+                ));
             }
         }
     }

@@ -120,7 +120,7 @@ impl EngineCore {
     /// Worker engines are what both replay modes
     /// ([`crate::config::ReplayMode`]) execute, so the serial and the
     /// thread-parallel replay step literally the same state.
-    pub fn shard_worker(&self, core: usize, shards: usize) -> EngineCore {
+    pub(crate) fn shard_worker(&self, core: usize, shards: usize) -> EngineCore {
         let config = self.config;
         let per_shard = if config.prefetch_cache_pages == u64::MAX {
             u64::MAX
@@ -155,7 +155,7 @@ impl EngineCore {
 
     /// Pre-sizes the per-access histograms for `accesses` samples so the
     /// fault hot path never reallocates in steady state.
-    pub fn reserve_accesses(&mut self, accesses: usize) {
+    pub(crate) fn reserve_accesses(&mut self, accesses: usize) {
         self.result.access_latency.reserve(accesses);
         self.result.remote_access_latency.reserve(accesses);
     }
@@ -167,7 +167,7 @@ impl EngineCore {
     /// A bounded prefetch-cache capacity is split evenly over the shards
     /// (never below one full prefetch window per shard, so a single batch
     /// cannot evict itself).
-    pub fn enter_scheduled_mode(&mut self, cache_shards: usize, span: u64) {
+    pub(crate) fn enter_scheduled_mode(&mut self, cache_shards: usize, span: u64) {
         let per_shard = if self.config.prefetch_cache_pages == u64::MAX {
             u64::MAX
         } else {
@@ -180,7 +180,7 @@ impl EngineCore {
 
     /// The core the in-flight access is attributed to (always 0 outside
     /// scheduled mode).
-    pub fn active_core(&self) -> usize {
+    pub(crate) fn active_core(&self) -> usize {
         self.active_core
     }
 
@@ -188,7 +188,7 @@ impl EngineCore {
     /// driver before every access of a scheduled replay; a worker spanning
     /// every core may jump backwards across cores (each core has its own
     /// timeline), while a per-core shard worker only ever moves forward.
-    pub fn enter_core(&mut self, core: usize, now: Nanos) {
+    pub(crate) fn enter_core(&mut self, core: usize, now: Nanos) {
         self.active_core = core;
         self.clock = SimClock::starting_at(now);
     }
@@ -197,12 +197,12 @@ impl EngineCore {
     /// tenant-targeted fault plans and per-tenant recovery ledgers know who
     /// is on-CPU. Called by the front-end at every access (the pid is known
     /// per access, not per core); a plain field store on the data path.
-    pub fn set_active_tenant(&mut self, tenant: u32) {
+    pub(crate) fn set_active_tenant(&mut self, tenant: u32) {
         self.data_path.set_active_tenant(tenant);
     }
 
     /// Stamps the result metadata from the traces about to be replayed.
-    pub fn stamp_run(&mut self, workload: String) {
+    pub(crate) fn stamp_run(&mut self, workload: String) {
         self.result.workload = workload;
         self.result.config_label = self.label.clone();
     }
@@ -210,7 +210,7 @@ impl EngineCore {
     /// Joined workload name for `traces` (matches the historical "+" join
     /// for multi-process runs). Built in one pass without intermediate
     /// per-trace `String`s.
-    pub fn workload_name(traces: &[AccessTrace]) -> String {
+    pub(crate) fn workload_name(traces: &[AccessTrace]) -> String {
         let mut name =
             String::with_capacity(traces.iter().map(|t| t.name().len() + 1).sum::<usize>());
         for (i, trace) in traces.iter().enumerate() {
@@ -226,7 +226,7 @@ impl EngineCore {
     /// this is the core the scheduler placed the access on; otherwise a
     /// round-robin cursor stands in for the kernel spreading threads over
     /// cores.
-    pub fn next_core(&mut self) -> usize {
+    pub(crate) fn next_core(&mut self) -> usize {
         if self.scheduled {
             return self.active_core;
         }
@@ -235,7 +235,7 @@ impl EngineCore {
     }
 
     /// Serves one page read over the data path from the next core.
-    pub fn read_remote(&mut self, page_offset: u64) -> PathLatency {
+    pub(crate) fn read_remote(&mut self, page_offset: u64) -> PathLatency {
         let core = self.next_core();
         let now = self.clock.now();
         stage_timing::time(Stage::DataPath, || {
@@ -244,7 +244,7 @@ impl EngineCore {
     }
 
     /// Issues one page write-back over the data path from the next core.
-    pub fn write_remote(&mut self, page_offset: u64) -> PathLatency {
+    pub(crate) fn write_remote(&mut self, page_offset: u64) -> PathLatency {
         let core = self.next_core();
         let now = self.clock.now();
         stage_timing::time(Stage::DataPath, || {
@@ -266,7 +266,7 @@ impl EngineCore {
 
     /// Issues one write-back like [`EngineCore::write_remote`], then submits
     /// it to the async pipeline (see [`EngineCore::read_prefetch`]).
-    pub fn write_remote_async(&mut self, page_offset: u64) -> PathLatency {
+    pub(crate) fn write_remote_async(&mut self, page_offset: u64) -> PathLatency {
         let breakdown = self.write_remote(page_offset);
         self.submit_async(breakdown.total(), IoKind::WriteBack);
         breakdown
@@ -283,7 +283,7 @@ impl EngineCore {
     /// call, resetting the accumulator. The caller folds it into whichever
     /// latency the blocked submitter is charged to (fault latency for
     /// prefetch reads, allocation wait for eviction write-backs).
-    pub fn take_pending_stall(&mut self) -> Nanos {
+    pub(crate) fn take_pending_stall(&mut self) -> Nanos {
         std::mem::replace(&mut self.pending_stall, Nanos::ZERO)
     }
 
@@ -291,14 +291,14 @@ impl EngineCore {
     /// ledger. Residency charging and eviction accounting for the tenant go
     /// through [`EngineCore::charge_tenant`] /
     /// [`EngineCore::record_swap_out`] afterwards.
-    pub fn set_tenant_limit(&mut self, pid: Pid, limit: MemoryLimit) {
+    pub(crate) fn set_tenant_limit(&mut self, pid: Pid, limit: MemoryLimit) {
         self.tenant_limits.insert(pid_slot(pid), limit);
     }
 
     /// Charges one resident page to `pid`'s budget. Returns `false` when the
     /// charge did not fit (the tenant is at its limit and reclaim must make
     /// room); tenants without a registered limit are never blocked.
-    pub fn charge_tenant(&mut self, pid: Pid) -> bool {
+    pub(crate) fn charge_tenant(&mut self, pid: Pid) -> bool {
         match self.tenant_limits.get_mut(pid_slot(pid)) {
             Some(limit) => limit.try_charge(1),
             None => true,
@@ -308,7 +308,7 @@ impl EngineCore {
     /// How many of `pid`'s resident pages must be reclaimed before one more
     /// fits under its budget (0 when the tenant has headroom or no
     /// registered limit).
-    pub fn tenant_pages_to_reclaim(&self, pid: Pid) -> u64 {
+    pub(crate) fn tenant_pages_to_reclaim(&self, pid: Pid) -> u64 {
         match self.tenant_limits.get(pid_slot(pid)) {
             Some(limit) => limit.pages_to_reclaim_for(1),
             None => 0,
@@ -317,7 +317,7 @@ impl EngineCore {
 
     /// Books one page of `pid` swapped out: uncharges its budget and bumps
     /// both the global and the per-tenant eviction counters.
-    pub fn record_swap_out(&mut self, pid: Pid) {
+    pub(crate) fn record_swap_out(&mut self, pid: Pid) {
         let slot = pid_slot(pid);
         if let Some(limit) = self.tenant_limits.get_mut(slot) {
             limit.uncharge(1);
@@ -331,14 +331,14 @@ impl EngineCore {
 
     /// Forgets every swap-out booked so far, globally and per tenant (the
     /// prepopulation phase's, which do not belong to the measured run).
-    pub fn reset_swap_outs(&mut self) {
+    pub(crate) fn reset_swap_outs(&mut self) {
         self.result.pages_swapped_out = 0;
         self.tenant_swap_outs.fill(0);
     }
 
     /// Books an eviction pass into the run metrics: post-hit waits feed the
     /// Figure 4 distribution, freed pages feed the cache counters.
-    pub fn record_eviction_report(&mut self, report: &EvictionReport) {
+    pub(crate) fn record_eviction_report(&mut self, report: &EvictionReport) {
         for wait in &report.post_hit_wait {
             self.result.eviction_wait.record(*wait);
         }
@@ -359,7 +359,7 @@ impl EngineCore {
     /// map operation ([`leap_mem::SwapCache::record_hit`]), then
     /// cache/prefetch statistics and prefetcher feedback react. Returns the
     /// hit entry, or `None` on a miss.
-    pub fn cache_hit(&mut self, pid: Pid, slot: SwapSlot) -> Option<CacheEntry> {
+    pub(crate) fn cache_hit(&mut self, pid: Pid, slot: SwapSlot) -> Option<CacheEntry> {
         let now = self.clock.now();
         let entry = stage_timing::time(Stage::Cache, || self.cache.record_hit(slot, now))?;
         match entry.origin {
@@ -391,7 +391,7 @@ impl EngineCore {
 
     /// Consults the prefetcher for `pid`'s fault at `addr` on the active
     /// core.
-    pub fn prefetch_decision(
+    pub(crate) fn prefetch_decision(
         &mut self,
         pid: Pid,
         addr: PageAddr,
@@ -403,7 +403,7 @@ impl EngineCore {
 
     /// Caps the whole cache at `pages` on top of the per-shard capacities
     /// (the VFS front-end's file-cache budget; `u64::MAX` lifts the cap).
-    pub fn set_cache_budget(&mut self, pages: u64) {
+    pub(crate) fn set_cache_budget(&mut self, pages: u64) {
         self.cache_budget = (pages != u64::MAX).then_some(pages);
     }
 
@@ -417,7 +417,7 @@ impl EngineCore {
 
     /// Makes room in cache shard `shard`, honouring both the shard's
     /// capacity and the whole-cache budget.
-    pub fn make_cache_space_at(&mut self, shard: usize) -> bool {
+    pub(crate) fn make_cache_space_at(&mut self, shard: usize) -> bool {
         if !self.cache.shard(shard).is_full() && !self.over_budget() {
             return true;
         }
@@ -430,7 +430,7 @@ impl EngineCore {
     /// next make-space call. `owners[i]` is the process whose page
     /// lives in `slots[i]`. A duplicate candidate finds its first copy
     /// present and is skipped. Returns how many prefetches were issued.
-    pub fn admit_prefetch_span(&mut self, slots: &[SwapSlot], owners: &[Pid]) -> u32 {
+    pub(crate) fn admit_prefetch_span(&mut self, slots: &[SwapSlot], owners: &[Pid]) -> u32 {
         debug_assert_eq!(slots.len(), owners.len());
         if slots.is_empty() {
             return 0;
@@ -464,7 +464,7 @@ impl EngineCore {
 
     /// Runs one eviction pass of `shard`'s policy and books its effects.
     /// Returns `true` if anything was freed.
-    pub fn force_evict(&mut self, shard: usize) -> bool {
+    pub(crate) fn force_evict(&mut self, shard: usize) -> bool {
         let now = self.clock.now();
         let report = stage_timing::time(Stage::Eviction, || {
             leap_eviction::make_space(self.cache.shard_mut(shard), 1, now)
@@ -482,7 +482,7 @@ impl EngineCore {
     /// booked wasted here: the demand entry that replaces it (keeping the
     /// prefetch's place on the eager FIFO) carries no outcome of its own,
     /// and its eventual reclaim counts as `freed_other`.
-    pub fn insert_demand(&mut self, slot: SwapSlot, owner: Pid) -> bool {
+    pub(crate) fn insert_demand(&mut self, slot: SwapSlot, owner: Pid) -> bool {
         let now = self.clock.now();
         if self.cache.get(slot).is_some_and(|e| e.is_unused_prefetch()) {
             self.result.prefetch_outcomes.record_wasted_evicted(1);
@@ -499,7 +499,7 @@ impl EngineCore {
 
     /// Pages the active shard's reclaimer currently tracks (what a direct
     /// reclaim on the faulting core would have to scan).
-    pub fn reclaim_scan_pages(&self) -> u64 {
+    pub(crate) fn reclaim_scan_pages(&self) -> u64 {
         leap_eviction::tracked_pages(self.cache.shard(self.active_shard()))
     }
 
@@ -511,7 +511,7 @@ impl EngineCore {
     /// this core's local time would pollute the wait statistics with
     /// cross-timeline deltas. (Legacy single-shard runs are unaffected —
     /// there is exactly one shard and one clock.)
-    pub fn background_reclaim(&mut self) {
+    pub(crate) fn background_reclaim(&mut self) {
         let shard = self.active_shard();
         // The eager policy has no background scanner; skip the timing probe
         // on every access rather than timing a guaranteed no-op.
@@ -533,7 +533,7 @@ impl EngineCore {
     ///
     /// Must be called exactly once per access, after the outcome-specific
     /// work (the compute advance happens in [`EngineCore::begin_access`]).
-    pub fn complete_access(
+    pub(crate) fn complete_access(
         &mut self,
         pid: Pid,
         access: Access,
@@ -563,7 +563,7 @@ impl EngineCore {
 
     /// Starts one access: advances the clock over its compute cost and
     /// counts it.
-    pub fn begin_access(&mut self, access: &Access) {
+    pub(crate) fn begin_access(&mut self, access: &Access) {
         self.clock.advance(access.compute);
         self.result.total_accesses += 1;
     }
@@ -571,7 +571,7 @@ impl EngineCore {
     /// Resets the async pipeline, forgetting traffic submitted so far (the
     /// prepopulation phase issues write-backs that do not belong to the
     /// measured run) so the pipeline counters start clean.
-    pub fn reset_pipeline(&mut self) {
+    pub(crate) fn reset_pipeline(&mut self) {
         self.pipeline = AsyncPipeline::new(self.config.async_depth);
         self.pending_stall = Nanos::ZERO;
     }
@@ -580,7 +580,7 @@ impl EngineCore {
     /// completions (the run waits for its in-flight I/O) and snapshots the
     /// counters. Shard workers call this before their partial results are
     /// merged.
-    pub fn seal_pipeline(&mut self) {
+    pub(crate) fn seal_pipeline(&mut self) {
         self.pipeline.drain();
         // Prefetched pages still sitting unused in this engine's cache never
         // got demanded: classify them wasted-unconsumed so every prefetch
@@ -628,7 +628,7 @@ impl EngineCore {
     }
 
     /// Finishes the run.
-    pub fn into_result(mut self) -> RunResult {
+    pub(crate) fn into_result(mut self) -> RunResult {
         self.seal_pipeline();
         self.result.completion_time = self.clock.now();
         self.result

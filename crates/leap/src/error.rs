@@ -30,7 +30,7 @@ pub enum ConfigError {
     /// `usize::MAX` (the default) is unbounded asynchrony.
     ZeroAsyncDepth,
     /// `context_switch_cost` is implausibly large (more than
-    /// [`crate::config::MAX_CONTEXT_SWITCH`]); almost certainly a unit
+    /// `crate::config::MAX_CONTEXT_SWITCH`); almost certainly a unit
     /// mistake.
     ContextSwitchTooLarge {
         /// The configured cost.
@@ -62,8 +62,9 @@ pub enum ConfigError {
     },
     /// [`crate::SimConfigBuilder::build`] was called while a custom
     /// prefetcher is pending. Plain [`crate::SimConfig`] cannot carry it; use
-    /// [`crate::SimConfigBuilder::build_setup`] (or `build_vmm` /
-    /// `build_vfs`) so the prefetcher is honoured instead of dropped.
+    /// [`crate::SimConfigBuilder::build_setup`] (or
+    /// [`crate::SimConfigBuilder::build_vmm`]) so the prefetcher is honoured
+    /// instead of dropped.
     ComponentsRequireSetup,
     /// The fault-injection spec is inconsistent (see
     /// [`leap_remote::FaultSpec::validate`]).
@@ -115,7 +116,7 @@ impl fmt::Display for ConfigError {
             ConfigError::ComponentsRequireSetup => write!(
                 f,
                 "a custom prefetcher is pending; build_setup() \
-                 (or build_vmm()/build_vfs()) must be used so it is not dropped"
+                 (or build_vmm()) must be used so it is not dropped"
             ),
             ConfigError::InvalidFaultSpec { reason } => {
                 write!(f, "invalid fault spec: {reason}")

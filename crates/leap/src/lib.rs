@@ -86,13 +86,13 @@ pub use builder::{SimConfigBuilder, SimSetup};
 pub use components::{PrefetcherFactory, ResolvedComponents};
 pub use config::{DataPathKind, EvictionPolicy, ReplayMode, SimConfig};
 pub use error::ConfigError;
-pub use pipeline::{AsyncPipeline, IoKind, PipelineStats, SubmitOutcome};
+pub use pipeline::{AsyncPipeline, IoKind};
 pub use recorder::TraceRecorder;
 pub use result::RunResult;
-pub use sched::{CoreScheduler, ScheduledSlot};
+pub use sched::CoreScheduler;
 pub use session::{
-    AccessOutcome, CoreActivity, CoreStats, EventLog, EventRing, FaultEvent, HistogramObserver,
-    Observer, OutcomeCounts, Session, Simulator,
+    AccessOutcome, CoreActivity, EventLog, FaultEvent, HistogramObserver, Observer, OutcomeCounts,
+    Session, Simulator,
 };
 pub use tracker::PageAccessTracker;
 pub use vfs::VfsSimulator;
@@ -109,13 +109,13 @@ pub mod prelude {
     pub use crate::components::PrefetcherFactory;
     pub use crate::config::{DataPathKind, EvictionPolicy, ReplayMode, SimConfig};
     pub use crate::error::ConfigError;
-    pub use crate::pipeline::{AsyncPipeline, IoKind, PipelineStats, SubmitOutcome};
+    pub use crate::pipeline::{AsyncPipeline, IoKind};
     pub use crate::recorder::TraceRecorder;
     pub use crate::result::RunResult;
     pub use crate::sched::CoreScheduler;
     pub use crate::session::{
-        AccessOutcome, CoreActivity, CoreStats, EventLog, EventRing, FaultEvent, HistogramObserver,
-        Observer, OutcomeCounts, Session, Simulator,
+        AccessOutcome, CoreActivity, EventLog, FaultEvent, HistogramObserver, Observer,
+        OutcomeCounts, Session, Simulator,
     };
     pub use crate::tracker::PageAccessTracker;
     pub use crate::vfs::VfsSimulator;

@@ -12,7 +12,7 @@
 //!   (the VMM without isolation, whose processes share one read-ahead
 //!   stream; the VFS, whose file cache is one cache).
 //!
-//! Shard workers run **by core**: each steps [`CoreScheduler::isolate`] of
+//! Shard workers run **by core**: each steps `CoreScheduler::isolate` of
 //! its core — that core's slice of the global schedule — to completion.
 //! The configured [`ReplayMode`] decides only where:
 //!
@@ -37,7 +37,7 @@
 //!    once up front from the seed; rotations depend only on that core's
 //!    quantum accounting and its own access completion times. The global
 //!    scheduler's min-clock scan only chooses the *interleaving order* of
-//!    cores, never what any core does (see [`CoreScheduler::isolate`]).
+//!    cores, never what any core does (see `CoreScheduler::isolate`).
 //! 2. **Worker state is share-nothing.** Processes are pinned to one core
 //!    for their lifetime, so page tables, swap slots (allocated from the
 //!    core's own region), cache entries, and trend state are only ever
@@ -65,7 +65,7 @@ use leap_mem::Pid;
 use leap_sim_core::Nanos;
 use leap_workloads::AccessTrace;
 
-pub use crate::config::ReplayMode;
+use crate::config::ReplayMode;
 
 /// Everything a replay produces before aggregation: the per-core event
 /// buffers, the per-worker partial results, and the makespan.

@@ -89,7 +89,7 @@ impl PipelineStats {
     /// commutatively so the merge is independent of fold order *given* the
     /// per-shard values; callers still fold shards in ascending core order
     /// like every other aggregate.
-    pub fn merge(&mut self, other: &PipelineStats) {
+    pub(crate) fn merge(&mut self, other: &PipelineStats) {
         self.prefetch_reads += other.prefetch_reads;
         self.write_backs += other.write_backs;
         self.completed += other.completed;

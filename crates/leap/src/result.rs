@@ -118,7 +118,7 @@ impl RunResult {
     /// shards in ascending core order so aggregation is deterministic
     /// regardless of replay mode. `completion_time` is *not* touched — the
     /// makespan comes from the scheduler, not from any single shard.
-    pub fn absorb_shard(&mut self, shard: RunResult) {
+    pub(crate) fn absorb_shard(&mut self, shard: RunResult) {
         self.total_accesses += shard.total_accesses;
         self.remote_accesses += shard.remote_accesses;
         self.first_touch_faults += shard.first_touch_faults;

@@ -25,7 +25,7 @@
 //! for the next slot, moves the worker serving that core onto it
 //! ([`crate::Simulator::enter_core`]), steps one access, and reports the
 //! core's new local time back. A share-nothing shard worker drives
-//! [`CoreScheduler::isolate`] of its own core that way.
+//! `CoreScheduler::isolate` of its own core that way.
 //!
 //! [`SimConfig::sched_quantum`]: crate::SimConfig::sched_quantum
 
@@ -35,11 +35,11 @@ use std::collections::VecDeque;
 /// Default cost of switching a core between processes (register/TLB state
 /// plus the scheduler's own bookkeeping; a couple of µs on real hardware).
 /// Overridable per run via [`crate::SimConfigBuilder::context_switch_cost`].
-pub const CONTEXT_SWITCH: Nanos = Nanos(2_000);
+pub(crate) const CONTEXT_SWITCH: Nanos = Nanos(2_000);
 
 /// One scheduling decision: which process runs its next access, where, when.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScheduledSlot {
+pub(crate) struct ScheduledSlot {
     /// The core the access runs on.
     pub core: usize,
     /// Index of the process (position in the input trace slice).
@@ -58,17 +58,11 @@ pub struct ScheduledSlot {
 /// use leap::sched::CoreScheduler;
 /// use leap_sim_core::Nanos;
 ///
-/// // Two processes of 3 accesses each on one core, 1 µs quantum.
-/// let mut sched = CoreScheduler::new(&[3, 3], 1, Nanos::from_micros(1), 7);
-/// let mut served = 0;
-/// while let Some(slot) = sched.next_slot() {
-///     // Pretend every access takes 600 ns.
-///     sched.completed(&slot, slot.now + Nanos(600));
-///     served += 1;
-/// }
-/// assert_eq!(served, 6);
-/// // The makespan covers all six accesses plus the context switches.
-/// assert!(sched.completion_time() >= Nanos(3_600));
+/// // Four processes of 3 accesses each on two cores, 1 µs quantum: the seed
+/// // deals each process to one core, two per core.
+/// let sched = CoreScheduler::new(&[3, 3, 3, 3], 2, Nanos::from_micros(1), 7);
+/// let cores: Vec<usize> = (0..4).map(|p| sched.core_of(p).unwrap()).collect();
+/// assert_eq!(cores.iter().filter(|&&c| c == 0).count(), 2);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CoreScheduler {
@@ -85,8 +79,6 @@ pub struct CoreScheduler {
     core_now: Vec<Nanos>,
     /// Simulated time the running process has consumed of its slice.
     slice_used: Vec<Nanos>,
-    /// Total context switches performed (for reporting).
-    switches: u64,
 }
 
 impl CoreScheduler {
@@ -101,7 +93,7 @@ impl CoreScheduler {
 
     /// Like [`CoreScheduler::new`] with an explicit per-switch cost
     /// ([`crate::SimConfig::context_switch_cost`]).
-    pub fn with_context_switch(
+    pub(crate) fn with_context_switch(
         lens: &[usize],
         cores: usize,
         quantum: Nanos,
@@ -129,14 +121,13 @@ impl CoreScheduler {
             lens: lens.to_vec(),
             core_now: vec![Nanos::ZERO; cores],
             slice_used: vec![Nanos::ZERO; cores],
-            switches: 0,
         }
     }
 
     /// The run queue dealt to `core`, front (running) first. Stable once the
     /// scheduler is built; a sharded replay uses it to decide which
     /// processes each shard worker owns.
-    pub fn run_queue(&self, core: usize) -> Vec<usize> {
+    pub(crate) fn run_queue(&self, core: usize) -> Vec<usize> {
         self.queues[core].iter().copied().collect()
     }
 
@@ -152,7 +143,7 @@ impl CoreScheduler {
     /// what lets each shard worker replay its core alone — one after another
     /// or one OS thread per core — without synchronisation
     /// ([`crate::parallel`]).
-    pub fn isolate(&self, core: usize) -> CoreScheduler {
+    pub(crate) fn isolate(&self, core: usize) -> CoreScheduler {
         let mut isolated = self.clone();
         for (c, queue) in isolated.queues.iter_mut().enumerate() {
             if c != core {
@@ -183,7 +174,7 @@ impl CoreScheduler {
     /// crate that names the simulator, where an opaque call would hand the
     /// slot back through memory on every access.
     #[inline]
-    pub fn next_slot(&mut self) -> Option<ScheduledSlot> {
+    pub(crate) fn next_slot(&mut self) -> Option<ScheduledSlot> {
         let core = (0..self.queues.len())
             .filter(|&c| !self.queues[c].is_empty())
             .min_by_key(|&c| (self.core_now[c], c))?;
@@ -201,7 +192,7 @@ impl CoreScheduler {
     /// the running process's slice, and context-switches when the quantum is
     /// used up or the process finished.
     #[inline]
-    pub fn completed(&mut self, slot: &ScheduledSlot, now_after: Nanos) {
+    pub(crate) fn completed(&mut self, slot: &ScheduledSlot, now_after: Nanos) {
         let core = slot.core;
         let elapsed = now_after.saturating_sub(slot.now);
         self.core_now[core] = self.core_now[core].max(now_after);
@@ -225,22 +216,11 @@ impl CoreScheduler {
     #[inline]
     fn context_switch(&mut self, core: usize) {
         self.core_now[core] = self.core_now[core].saturating_add(self.context_switch);
-        self.switches += 1;
-    }
-
-    /// Number of context switches performed so far.
-    pub fn context_switches(&self) -> u64 {
-        self.switches
     }
 
     /// The replay's makespan: the latest local time over all cores.
-    pub fn completion_time(&self) -> Nanos {
+    pub(crate) fn completion_time(&self) -> Nanos {
         self.core_now.iter().copied().max().unwrap_or(Nanos::ZERO)
-    }
-
-    /// Each core's current local time.
-    pub fn core_times(&self) -> &[Nanos] {
-        &self.core_now
     }
 }
 
@@ -255,6 +235,15 @@ mod tests {
             slots.push(slot);
         }
         slots
+    }
+
+    /// Context switches in a drained one-core schedule: every switch hands
+    /// the core to a different process.
+    fn switches(slots: &[ScheduledSlot]) -> usize {
+        slots
+            .windows(2)
+            .filter(|w| w[0].process != w[1].process)
+            .count()
     }
 
     #[test]
@@ -296,12 +285,8 @@ mod tests {
         // schedule must alternate in pairs rather than run a whole trace.
         let mut sched = CoreScheduler::new(&[8, 8], 1, Nanos(1_000), 3);
         let slots = drain(&mut sched, Nanos(600));
-        let switches = slots
-            .windows(2)
-            .filter(|w| w[0].process != w[1].process)
-            .count();
+        let switches = switches(&slots);
         assert!(switches >= 6, "only {switches} alternations: {slots:?}");
-        assert!(sched.context_switches() >= 6);
     }
 
     #[test]
@@ -309,8 +294,14 @@ mod tests {
         // One long and one short process on two cores: the short core goes
         // idle and the makespan equals the long core's time, not the sum.
         let mut sched = CoreScheduler::new(&[100, 10], 2, Nanos::from_micros(50), 5);
-        drain(&mut sched, Nanos(1_000));
-        let times = sched.core_times().to_vec();
+        let slots = drain(&mut sched, Nanos(1_000));
+        // Each core's clock ends after its last access.
+        let times: Vec<Nanos> = (0..2)
+            .map(|core| {
+                let last = slots.iter().rev().find(|s| s.core == core).unwrap();
+                last.now + Nanos(1_000)
+            })
+            .collect();
         assert_eq!(
             sched.completion_time(),
             times.iter().copied().max().unwrap()
@@ -380,8 +371,8 @@ mod tests {
     fn context_switch_cost_is_configurable() {
         let run = |cost| {
             let mut sched = CoreScheduler::with_context_switch(&[10, 10], 1, Nanos(1_000), 3, cost);
-            drain(&mut sched, Nanos(600));
-            (sched.context_switches(), sched.completion_time())
+            let slots = drain(&mut sched, Nanos(600));
+            (switches(&slots) as u64, sched.completion_time())
         };
         let (switches_free, time_free) = run(Nanos::ZERO);
         let (switches_costly, time_costly) = run(Nanos::from_micros(50));

@@ -94,7 +94,7 @@ pub struct FaultEvent {
 
 /// A hook receiving the event stream of a [`Session`] run.
 ///
-/// Events are delivered in batches through an [`EventRing`]: the driving
+/// Events are delivered in batches through an `EventRing`: the driving
 /// loop buffers events and flushes a full slice at a time, so one virtual
 /// call amortises over many events. Implement [`Observer::on_batch`] to
 /// consume whole slices zero-copy; the default forwards each event to
@@ -124,10 +124,9 @@ pub trait Observer {
 /// one call. With no observers attached, pushes are dropped without
 /// buffering, so unobserved runs pay nothing.
 #[derive(Debug)]
-pub struct EventRing {
+pub(crate) struct EventRing {
     buf: Vec<FaultEvent>,
     capacity: usize,
-    delivered: u64,
 }
 
 impl Default for EventRing {
@@ -139,7 +138,7 @@ impl Default for EventRing {
 impl EventRing {
     /// Default batch size: large enough to amortise observer dispatch, small
     /// enough to stay in cache.
-    pub const DEFAULT_BATCH: usize = 256;
+    pub(crate) const DEFAULT_BATCH: usize = 256;
 
     /// Creates a ring flushing every `capacity` events.
     ///
@@ -151,13 +150,12 @@ impl EventRing {
         EventRing {
             buf: Vec::with_capacity(capacity),
             capacity,
-            delivered: 0,
         }
     }
 
     /// Buffers one event, flushing to `observers` when the batch is full.
     /// With no observers the event is dropped immediately.
-    pub fn push(&mut self, event: FaultEvent, observers: &mut [&mut dyn Observer]) {
+    pub(crate) fn push(&mut self, event: FaultEvent, observers: &mut [&mut dyn Observer]) {
         if observers.is_empty() {
             return;
         }
@@ -168,25 +166,14 @@ impl EventRing {
     }
 
     /// Delivers any buffered events to every observer and clears the buffer.
-    pub fn flush(&mut self, observers: &mut [&mut dyn Observer]) {
+    pub(crate) fn flush(&mut self, observers: &mut [&mut dyn Observer]) {
         if self.buf.is_empty() {
             return;
         }
         for observer in observers.iter_mut() {
             observer.on_batch(&self.buf);
         }
-        self.delivered += self.buf.len() as u64;
         self.buf.clear();
-    }
-
-    /// Events delivered (flushed) so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Events currently buffered, awaiting the next flush.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
     }
 }
 
@@ -355,11 +342,6 @@ impl<'obs, S: Simulator> Session<'obs, S> {
         self
     }
 
-    /// The wrapped simulator.
-    pub fn simulator(&self) -> &S {
-        &self.sim
-    }
-
     /// Sizes per-process state for the given traces (see
     /// [`Simulator::prepare`]).
     pub fn prepare(&mut self, traces: &[AccessTrace]) {
@@ -369,7 +351,7 @@ impl<'obs, S: Simulator> Session<'obs, S> {
     /// Executes one access, stamps its `seq` (dense from zero over the
     /// session), and queues its event for the observers.
     ///
-    /// Events are delivered in batches (see [`EventRing`]); any still-queued
+    /// Events are delivered in batches (see `EventRing`); any still-queued
     /// events are flushed by [`Session::finish`], so by the time the result
     /// is returned observers have seen the complete stream.
     pub fn step(&mut self, pid: Pid, access: Access) -> FaultEvent {

@@ -32,22 +32,22 @@ impl<T> Default for Slots<T> {
 
 impl<T> Slots<T> {
     /// The value at `index`, if one was inserted.
-    pub fn get(&self, index: usize) -> Option<&T> {
+    pub(crate) fn get(&self, index: usize) -> Option<&T> {
         self.slots.get(index)?.as_ref()
     }
 
     /// The value at `index`, mutably, if one was inserted.
-    pub fn get_mut(&mut self, index: usize) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, index: usize) -> Option<&mut T> {
         self.slots.get_mut(index)?.as_mut()
     }
 
     /// Stores `value` at `index`, replacing any previous value.
-    pub fn insert(&mut self, index: usize, value: T) {
+    pub(crate) fn insert(&mut self, index: usize, value: T) {
         *self.slot(index) = Some(value);
     }
 
     /// The value at `index`, inserting `make()` first if there is none.
-    pub fn get_or_insert_with(&mut self, index: usize, make: impl FnOnce() -> T) -> &mut T {
+    pub(crate) fn get_or_insert_with(&mut self, index: usize, make: impl FnOnce() -> T) -> &mut T {
         if self.get(index).is_none() {
             self.insert(index, make());
         }
@@ -55,7 +55,7 @@ impl<T> Slots<T> {
     }
 
     /// Every stored value, in index order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.slots.iter_mut().flatten()
     }
 

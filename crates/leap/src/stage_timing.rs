@@ -123,7 +123,7 @@ mod imp {
         use std::time::Instant;
 
         #[inline]
-        pub fn now() -> u64 {
+        pub(crate) fn now() -> u64 {
             unsafe { core::arch::x86_64::_rdtsc() }
         }
 
@@ -145,7 +145,7 @@ mod imp {
             })
         }
 
-        pub fn to_ns(ticks: u64) -> u64 {
+        pub(crate) fn to_ns(ticks: u64) -> u64 {
             (ticks as f64 / ticks_per_ns()) as u64
         }
     }
@@ -158,11 +158,11 @@ mod imp {
         static EPOCH: OnceLock<Instant> = OnceLock::new();
 
         #[inline]
-        pub fn now() -> u64 {
+        pub(crate) fn now() -> u64 {
             EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
         }
 
-        pub fn to_ns(ticks: u64) -> u64 {
+        pub(crate) fn to_ns(ticks: u64) -> u64 {
             ticks
         }
     }

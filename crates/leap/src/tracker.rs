@@ -92,11 +92,6 @@ impl PageAccessTracker {
         self.factory.name()
     }
 
-    /// True if per-process isolation is active.
-    pub fn is_isolated(&self) -> bool {
-        self.config.per_process_isolation
-    }
-
     /// Number of distinct processes with isolated prefetcher state so far.
     #[cfg(test)]
     fn tracked_processes(&self) -> usize {
@@ -154,16 +149,6 @@ impl PageAccessTracker {
     /// A shared (non-isolated) tracker accepts any pid and core.
     pub fn on_fault_at(&mut self, pid: Pid, core: usize, addr: PageAddr) -> PrefetchDecision {
         self.prefetcher_for(pid, core).on_fault(addr)
-    }
-
-    /// Records a prefetch-cache hit by `pid` at swap offset `addr`
-    /// (single-core replays: core 0).
-    ///
-    /// # Panics
-    ///
-    /// As [`PageAccessTracker::on_fault_at`] on core 0.
-    pub fn on_prefetch_hit(&mut self, pid: Pid, addr: PageAddr) {
-        self.on_prefetch_hit_at(pid, 0, addr);
     }
 
     /// Records a prefetch-cache hit by `pid` running on `core` at swap
@@ -263,9 +248,9 @@ mod tests {
     fn hits_are_routed_to_the_right_process() {
         let mut tracker = PageAccessTracker::from_kind(PrefetcherKind::Leap, 32, 8, true);
         let _ = tracker.on_fault(Pid(1), PageAddr(10));
-        tracker.on_prefetch_hit(Pid(1), PageAddr(11));
+        tracker.on_prefetch_hit_at(Pid(1), 0, PageAddr(11));
         // Hitting for an unknown process lazily creates its prefetcher.
-        tracker.on_prefetch_hit(Pid(9), PageAddr(5));
+        tracker.on_prefetch_hit_at(Pid(9), 0, PageAddr(5));
         assert_eq!(tracker.tracked_processes(), 2);
     }
 
@@ -286,7 +271,6 @@ mod tests {
     fn accessors_report_configuration() {
         let tracker = PageAccessTracker::from_kind(PrefetcherKind::Stride, 32, 4, false);
         assert_eq!(tracker.prefetcher_name(), PrefetcherKind::Stride.label());
-        assert!(!tracker.is_isolated());
     }
 
     #[test]

@@ -61,7 +61,7 @@ impl VfsSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid (see [`SimConfig::validate`]); use
+    /// Panics if `config` is invalid (see `SimConfig::validate`); use
     /// [`SimConfig::builder`] to surface the error instead.
     pub fn new(config: SimConfig) -> Self {
         let setup = SimSetup::from_config(config).expect("invalid SimConfig");
@@ -70,7 +70,7 @@ impl VfsSimulator {
 
     /// Creates a simulator from a resolved setup (possibly carrying a custom
     /// prefetcher).
-    pub fn from_setup(setup: &SimSetup) -> Self {
+    pub(crate) fn from_setup(setup: &SimSetup) -> Self {
         VfsSimulator {
             engine: EngineCore::new(setup, 0xF5),
             span_slots: Vec::new(),

@@ -98,7 +98,7 @@ impl VmmSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if `config` is invalid (see [`SimConfig::validate`]); use
+    /// Panics if `config` is invalid (see `SimConfig::validate`); use
     /// [`SimConfig::builder`] to surface the error instead.
     pub fn new(config: SimConfig) -> Self {
         let setup = SimSetup::from_config(config).expect("invalid SimConfig");
@@ -107,7 +107,7 @@ impl VmmSimulator {
 
     /// Creates a simulator from a resolved setup (possibly carrying a custom
     /// prefetcher).
-    pub fn from_setup(setup: &SimSetup) -> Self {
+    pub(crate) fn from_setup(setup: &SimSetup) -> Self {
         VmmSimulator {
             engine: EngineCore::new(setup, 0),
             page_tables: Slots::default(),

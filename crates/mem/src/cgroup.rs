@@ -53,7 +53,8 @@ impl MemoryLimit {
     }
 
     /// Pages currently charged.
-    pub fn used_pages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn used_pages(&self) -> u64 {
         self.used_pages
     }
 

@@ -10,7 +10,7 @@
 //! - [`swap`]: the shared, sequentially laid-out swap space
 //!   ([`SwapSpace`]) — all processes allocate slots from the same area, which
 //!   is why consecutive slots can belong to different processes (§2.3).
-//! - [`swap_cache`]: the swap/prefetch cache ([`SwapCache`]) holding pages
+//! - `swap_cache`: the swap/prefetch cache ([`SwapCache`]) holding pages
 //!   brought in from the slower tier before they are mapped, each on the
 //!   eviction list its [`EvictionPolicy`] puts it on.
 //! - [`sharded`]: per-core shards of both ([`ShardedSwap`],
@@ -23,7 +23,7 @@ mod lru;
 pub mod page_table;
 pub mod sharded;
 pub mod swap;
-pub mod swap_cache;
+pub(crate) mod swap_cache;
 pub mod types;
 
 pub use cgroup::MemoryLimit;

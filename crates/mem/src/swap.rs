@@ -83,16 +83,6 @@ impl SwapSpace {
         (idx < self.owners.len() as u64).then_some(idx as usize)
     }
 
-    /// First slot offset of this space's region.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Total slot capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Number of slots currently in use.
     pub fn used_slots(&self) -> u64 {
         self.used

@@ -214,11 +214,6 @@ impl SwapCache {
         SwapCache::new(u64::MAX, policy)
     }
 
-    /// The configured capacity in pages.
-    pub fn capacity_pages(&self) -> u64 {
-        self.capacity_pages
-    }
-
     /// The eviction policy the cache follows.
     pub fn policy(&self) -> EvictionPolicy {
         self.policy

@@ -24,13 +24,6 @@ impl fmt::Display for Pid {
 )]
 pub struct VirtPage(pub u64);
 
-impl VirtPage {
-    /// Returns the next virtual page.
-    pub fn next(self) -> VirtPage {
-        VirtPage(self.0 + 1)
-    }
-}
-
 impl fmt::Display for VirtPage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "v{:#x}", self.0)
@@ -62,11 +55,6 @@ mod tests {
         assert_eq!(format!("{}", Pid(3)), "pid3");
         assert_eq!(format!("{}", VirtPage(255)), "v0xff");
         assert_eq!(format!("{}", SwapSlot(16)), "s0x10");
-    }
-
-    #[test]
-    fn virt_page_next() {
-        assert_eq!(VirtPage(9).next(), VirtPage(10));
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl CacheStats {
     }
 
     /// Total slow-tier accesses observed (hits + misses).
-    pub fn total_accesses(&self) -> u64 {
+    pub(crate) fn total_accesses(&self) -> u64 {
         self.hits() + self.misses
     }
 

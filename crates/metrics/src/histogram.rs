@@ -154,7 +154,8 @@ impl LatencyHistogram {
     }
 
     /// The minimum sample. Returns zero for an empty histogram.
-    pub fn min(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> Nanos {
         let min = match self.small.iter().min() {
             Some(&s) => u64::from(s),
             None => self.large.iter().copied().min().unwrap_or(0),
@@ -163,7 +164,8 @@ impl LatencyHistogram {
     }
 
     /// The sum of all samples.
-    pub fn total(&self) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn total(&self) -> Nanos {
         Nanos::from_nanos(self.sum().min(u64::MAX as u128) as u64)
     }
 

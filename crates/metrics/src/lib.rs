@@ -17,7 +17,7 @@
 
 pub mod cache_stats;
 pub mod histogram;
-pub mod outcome_stats;
+pub(crate) mod outcome_stats;
 pub mod prefetch_stats;
 pub mod report;
 

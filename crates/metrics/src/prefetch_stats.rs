@@ -65,11 +65,6 @@ impl PrefetchStats {
         self.prefetch_hits
     }
 
-    /// Total requests observed.
-    pub fn total_requests(&self) -> u64 {
-        self.total_requests
-    }
-
     /// Prefetch accuracy in `[0, 1]`. Zero if nothing was prefetched.
     pub fn accuracy(&self) -> f64 {
         if self.pages_prefetched == 0 {
@@ -154,8 +149,8 @@ mod tests {
         b.record_request();
         a.merge(&b);
         assert_eq!(a.pages_prefetched(), 5);
-        assert_eq!(a.total_requests(), 2);
         assert_eq!(a.prefetch_hits(), 1);
+        assert_eq!(a.coverage(), 0.5, "one hit over the two merged requests");
     }
 
     #[test]

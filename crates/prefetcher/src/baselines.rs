@@ -4,9 +4,9 @@
 use crate::types::{Delta, PageAddr, PrefetchDecision, Prefetcher, PrefetcherKind};
 
 /// Default aggressiveness of the Next-N-Line baseline (pages per fault).
-pub const DEFAULT_NEXT_N: usize = 8;
+pub(crate) const DEFAULT_NEXT_N: usize = 8;
 /// Default maximum window of the Stride and Read-Ahead baselines.
-pub const DEFAULT_BASELINE_MAX_WINDOW: usize = 8;
+pub(crate) const DEFAULT_BASELINE_MAX_WINDOW: usize = 8;
 
 /// A prefetcher that never prefetches anything.
 ///
@@ -49,11 +49,6 @@ impl NextNLinePrefetcher {
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "NextNLinePrefetcher needs n > 0");
         NextNLinePrefetcher { n, faults: 0 }
-    }
-
-    /// Number of pages prefetched per fault.
-    pub fn n(&self) -> usize {
-        self.n
     }
 }
 
@@ -114,11 +109,6 @@ impl StridePrefetcher {
             hits_since_last: 0,
             current_window: 1,
         }
-    }
-
-    /// The stride currently believed to be in effect, if any.
-    pub fn current_stride(&self) -> Option<Delta> {
-        self.last_stride
     }
 }
 
@@ -232,7 +222,8 @@ impl ReadAheadPrefetcher {
     }
 
     /// The current readahead window size.
-    pub fn window(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn window(&self) -> usize {
         self.window
     }
 }
@@ -343,7 +334,6 @@ mod tests {
         }
         assert!(!last.is_empty());
         assert_eq!(last.pages()[0], PageAddr(1000 + 7 * 9 + 7));
-        assert_eq!(p.current_stride(), Some(Delta(7)));
     }
 
     #[test]
@@ -456,7 +446,8 @@ mod tests {
         }
         stride.reset();
         ra.reset();
-        assert_eq!(stride.current_stride(), None);
+        // The stride is forgotten: a first fault has nothing to follow.
+        assert!(stride.on_fault(PageAddr(100)).is_empty());
         assert_eq!(ra.window(), 0);
     }
 

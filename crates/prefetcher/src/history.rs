@@ -8,14 +8,13 @@
 use crate::types::{Delta, PageAddr};
 
 /// Default history size used throughout the paper's evaluation (§5).
-pub const DEFAULT_HISTORY_SIZE: usize = 32;
+pub(crate) const DEFAULT_HISTORY_SIZE: usize = 32;
 
 /// A fixed-size circular buffer of page-offset deltas for one process.
 ///
 /// The buffer stores up to `capacity` deltas. Once full, new entries overwrite
-/// the oldest ones. Iteration via [`AccessHistory::iter_recent`] yields deltas
-/// from the most recent backwards, which is the order `FindTrend` consumes
-/// them in.
+/// the oldest ones. [`AccessHistory::newest`] returns the most recent deltas
+/// as one slice, which is what `FindTrend` scans.
 ///
 /// # Examples
 ///
@@ -28,8 +27,7 @@ pub const DEFAULT_HISTORY_SIZE: usize = 32;
 /// }
 /// // Three deltas of -3 were recorded (the first access has no predecessor,
 /// // so it contributes a delta of 0 like the kernel implementation does).
-/// let recent: Vec<Delta> = h.iter_recent().take(3).collect();
-/// assert_eq!(recent, vec![Delta(-3), Delta(-3), Delta(-3)]);
+/// assert_eq!(h.newest(3), &[Delta(-3), Delta(-3), Delta(-3)]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct AccessHistory {
@@ -41,7 +39,6 @@ pub struct AccessHistory {
     head: usize,
     len: usize,
     last_addr: Option<PageAddr>,
-    last_delta: Delta,
 }
 
 impl AccessHistory {
@@ -58,12 +55,11 @@ impl AccessHistory {
             head: 0,
             len: 0,
             last_addr: None,
-            last_delta: Delta::ZERO,
         }
     }
 
     /// Creates a history with the paper's default size of 32 entries.
-    pub fn with_default_size() -> Self {
+    pub(crate) fn with_default_size() -> Self {
         AccessHistory::new(DEFAULT_HISTORY_SIZE)
     }
 
@@ -80,7 +76,6 @@ impl AccessHistory {
         };
         self.push_delta(delta);
         self.last_addr = Some(addr);
-        self.last_delta = delta;
         delta
     }
 
@@ -108,18 +103,8 @@ impl AccessHistory {
     }
 
     /// The configured capacity (`Hsize` in the paper).
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// The address of the most recent access, if any.
-    pub fn last_addr(&self) -> Option<PageAddr> {
-        self.last_addr
-    }
-
-    /// The delta recorded for the most recent access.
-    pub fn last_delta(&self) -> Delta {
-        self.last_delta
     }
 
     /// The newest `min(n, len)` deltas as one contiguous slice, oldest
@@ -131,22 +116,11 @@ impl AccessHistory {
         &self.deltas[end - n..end]
     }
 
-    /// Iterates over stored deltas from the most recent backwards.
-    pub fn iter_recent(&self) -> impl ExactSizeIterator<Item = Delta> + '_ {
-        self.newest(self.len).iter().rev().copied()
-    }
-
-    /// Returns up to `n` most recent deltas (most recent first).
-    pub fn recent(&self, n: usize) -> Vec<Delta> {
-        self.iter_recent().take(n).collect()
-    }
-
     /// Clears the history and forgets the last address.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.len = 0;
         self.head = 0;
         self.last_addr = None;
-        self.last_delta = Delta::ZERO;
     }
 }
 
@@ -166,7 +140,7 @@ mod tests {
         let mut h = AccessHistory::new(4);
         assert_eq!(h.record(PageAddr(100)), Delta(0));
         assert_eq!(h.len(), 1);
-        assert_eq!(h.last_addr(), Some(PageAddr(100)));
+        assert_eq!(h.record(PageAddr(103)), Delta(3));
     }
 
     #[test]
@@ -177,8 +151,8 @@ mod tests {
         for addr in [0x2u64, 0x5, 0x4, 0x6, 0x1, 0x9] {
             h.record(PageAddr(addr));
         }
-        let stored: Vec<i64> = h.iter_recent().map(|d| d.0).collect();
-        assert_eq!(stored, vec![8, -5, 2, -1, 3, 0]);
+        let stored: Vec<i64> = h.newest(8).iter().map(|d| d.0).collect();
+        assert_eq!(stored, vec![0, 3, -1, 2, -5, 8]);
     }
 
     #[test]
@@ -189,17 +163,7 @@ mod tests {
         }
         assert_eq!(h.len(), 4);
         // All surviving deltas are +2 (the first zero delta was overwritten).
-        assert!(h.iter_recent().all(|d| d == Delta(2)));
-    }
-
-    #[test]
-    fn recent_returns_most_recent_first() {
-        let mut h = AccessHistory::new(8);
-        for addr in [10u64, 20, 21, 22] {
-            h.record(PageAddr(addr));
-        }
-        assert_eq!(h.recent(2), vec![Delta(1), Delta(1)]);
-        assert_eq!(h.recent(3), vec![Delta(1), Delta(1), Delta(10)]);
+        assert!(h.newest(4).iter().all(|&d| d == Delta(2)));
     }
 
     #[test]
@@ -209,8 +173,9 @@ mod tests {
         h.record(PageAddr(2));
         h.clear();
         assert!(h.is_empty());
-        assert_eq!(h.last_addr(), None);
-        assert_eq!(h.last_delta(), Delta::ZERO);
+        // The last address is forgotten too: the next access has no
+        // predecessor.
+        assert_eq!(h.record(PageAddr(7)), Delta::ZERO);
     }
 
     #[test]
@@ -226,11 +191,8 @@ mod tests {
         }
         // After all 16 accesses the 8-entry window holds the deltas for
         // t8..t15: +2, +2, +2, +4, +41(0x39-0x10), -39(0x12-0x39), +2, +2.
-        let stored: Vec<i64> = h.iter_recent().collect::<Vec<_>>()[..8]
-            .iter()
-            .map(|d| d.0)
-            .collect();
-        assert_eq!(stored, vec![2, 2, -39, 41, 4, 2, 2, 2]);
+        let stored: Vec<i64> = h.newest(8).iter().map(|d| d.0).collect();
+        assert_eq!(stored, vec![2, 2, 2, 4, 41, -39, 2, 2]);
     }
 
     #[test]
@@ -250,18 +212,6 @@ mod tests {
                 h.record(PageAddr(a));
             }
             prop_assert!(h.len() <= cap);
-        }
-
-        #[test]
-        fn prop_iter_len_matches_len(
-            cap in 1usize..64,
-            addrs in proptest::collection::vec(0u64..10_000, 0..200),
-        ) {
-            let mut h = AccessHistory::new(cap);
-            for a in addrs {
-                h.record(PageAddr(a));
-            }
-            prop_assert_eq!(h.iter_recent().count(), h.len());
         }
 
         /// `newest(n)` is the newest `min(n, len)` deltas, oldest first,
@@ -296,8 +246,7 @@ mod tests {
                 h.record(PageAddr(a));
             }
             let expected = PageAddr(addrs[addrs.len() - 1]).delta_from(PageAddr(addrs[addrs.len() - 2]));
-            prop_assert_eq!(h.iter_recent().next(), Some(expected));
-            prop_assert_eq!(h.last_delta(), expected);
+            prop_assert_eq!(h.newest(1), &[expected]);
         }
     }
 }

@@ -7,7 +7,7 @@
 //!    [`crate::find_trend`]).
 //! 3. Computes the prefetch window size from prefetch-hit feedback and from
 //!    whether the faulting page follows the currently known trend
-//!    ([`PrefetchWindow`]).
+//!    (`PrefetchWindow`).
 //! 4. If the window is non-zero, it prefetches `PWsize` pages along the
 //!    majority trend; without a current majority it *speculatively*
 //!    prefetches around the faulting page using the most recent known trend
@@ -69,12 +69,6 @@ pub struct LeapPrefetcher {
     /// speculative prefetching when the current window has no majority and
     /// for the "does Pt follow the current trend" test.
     last_known_trend: Option<Delta>,
-    /// Statistics: number of faults processed.
-    faults: u64,
-    /// Statistics: number of speculative (no current trend) prefetch decisions.
-    speculative_decisions: u64,
-    /// Statistics: number of decisions where prefetching was suspended.
-    suspended_decisions: u64,
 }
 
 impl LeapPrefetcher {
@@ -85,15 +79,7 @@ impl LeapPrefetcher {
             history: AccessHistory::new(config.history_size),
             window: PrefetchWindow::new(config.max_prefetch_window),
             last_known_trend: None,
-            faults: 0,
-            speculative_decisions: 0,
-            suspended_decisions: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &LeapConfig {
-        &self.config
     }
 
     /// The most recent majority trend observed, if any.
@@ -101,24 +87,9 @@ impl LeapPrefetcher {
         self.last_known_trend
     }
 
-    /// Total faults processed since creation or the last reset.
-    pub fn fault_count(&self) -> u64 {
-        self.faults
-    }
-
-    /// Number of speculative decisions (no current majority; previous trend
-    /// reused).
-    pub fn speculative_count(&self) -> u64 {
-        self.speculative_decisions
-    }
-
-    /// Number of faults where prefetching was suspended entirely.
-    pub fn suspended_count(&self) -> u64 {
-        self.suspended_decisions
-    }
-
-    /// Read-only view of the access history (used by tests and reports).
-    pub fn history(&self) -> &AccessHistory {
+    /// Read-only view of the access history.
+    #[cfg(test)]
+    pub(crate) fn history(&self) -> &AccessHistory {
         &self.history
     }
 
@@ -194,7 +165,6 @@ impl Default for LeapPrefetcher {
 
 impl Prefetcher for LeapPrefetcher {
     fn on_fault(&mut self, addr: PageAddr) -> PrefetchDecision {
-        self.faults += 1;
         let delta = self.history.record(addr);
 
         // Algorithm 1: the majority trend over the recent history.
@@ -208,7 +178,6 @@ impl Prefetcher for LeapPrefetcher {
 
         let pw_size = self.window.update(follows_trend);
         if pw_size == 0 {
-            self.suspended_decisions += 1;
             if let TrendOutcome::Trend { delta: d, .. } = trend {
                 self.last_known_trend = Some(d);
             }
@@ -224,7 +193,6 @@ impl Prefetcher for LeapPrefetcher {
             }
             TrendOutcome::NoTrend => {
                 // Speculative prefetch around Pt with the latest known trend.
-                self.speculative_decisions += 1;
                 let latest = self.last_known_trend.unwrap_or(Delta(1));
                 let mut decision = Self::candidates_around(addr, latest, pw_size);
                 decision.speculative = true;
@@ -250,9 +218,6 @@ impl Prefetcher for LeapPrefetcher {
         self.history.clear();
         self.window.reset();
         self.last_known_trend = None;
-        self.faults = 0;
-        self.speculative_decisions = 0;
-        self.suspended_decisions = 0;
     }
 }
 
@@ -335,7 +300,6 @@ mod tests {
             "prefetched {prefetched} pages on a random trace of {}",
             trace.len()
         );
-        assert!(p.suspended_count() > (trace.len() as u64) / 2);
     }
 
     #[test]
@@ -383,7 +347,6 @@ mod tests {
             saw_speculative,
             "expected at least one speculative decision"
         );
-        assert!(p.speculative_count() >= 1);
     }
 
     #[test]
@@ -435,7 +398,6 @@ mod tests {
             let _ = p.on_fault(PageAddr(i));
         }
         p.reset();
-        assert_eq!(p.fault_count(), 0);
         assert_eq!(p.last_known_trend(), None);
         assert!(p.history().is_empty());
     }

@@ -12,9 +12,6 @@
 //!
 //! - [`history::AccessHistory`]: the fixed-size circular buffer of page-offset
 //!   deltas (§4.1 of the paper).
-//! - [`majority`]: the Boyer–Moore majority vote algorithm (linear time,
-//!   constant space) over one window; trend detection runs the same vote
-//!   inline over its doubling windows.
 //! - [`trend`]: `FindTrend` (Algorithm 1) — grows the detection window until a
 //!   majority delta emerges.
 //! - [`window`]: the adaptive prefetch-window controller (Algorithm 2,
@@ -47,7 +44,6 @@
 pub mod baselines;
 pub mod history;
 pub mod leap;
-pub mod majority;
 pub mod markov;
 pub mod programmed;
 pub mod trend;
@@ -59,8 +55,7 @@ pub use history::AccessHistory;
 pub use leap::{LeapConfig, LeapPrefetcher};
 pub use markov::{FrozenModel, MarkovOrder, MarkovPrefetcher};
 pub use programmed::{ProgrammedPrefetcher, DEFAULT_PROGRAM_LOOKAHEAD};
-pub use trend::{find_trend, TrendOutcome};
+pub use trend::find_trend;
 pub use types::{
     Delta, PageAddr, PrefetchDecision, Prefetcher, PrefetcherKind, INLINE_DECISION_PAGES,
 };
-pub use window::PrefetchWindow;

@@ -7,7 +7,7 @@
 //! loops) become high-probability transitions. This module implements the
 //! classical table-driven version of that idea:
 //!
-//! - **Training** ([`train`] / [`train_with`]) runs once, offline, over a
+//! - **Training** ([`train`] / `train_with`) runs once, offline, over a
 //!   corpus of recorded [`AccessTrace`]s and counts first-order
 //!   (`delta → next delta`) and second-order
 //!   (`(delta, delta) → next delta`) transitions. The counts are then
@@ -51,12 +51,12 @@ use std::sync::Arc;
 
 /// Default chain depth of the greedy prediction walk (pages prefetched per
 /// fault), matching the paper's default maximum prefetch window.
-pub const DEFAULT_MARKOV_LOOKAHEAD: usize = 8;
+pub(crate) const DEFAULT_MARKOV_LOOKAHEAD: usize = 8;
 
 /// Default number of ranked candidate deltas kept per context at freeze
 /// time. The top candidate drives the greedy chain; the alternatives widen
 /// the first prediction step for contexts with competing continuations.
-pub const DEFAULT_MARKOV_FANOUT: usize = 2;
+pub(crate) const DEFAULT_MARKOV_FANOUT: usize = 2;
 
 /// Which transition order the model predicts with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -80,7 +80,7 @@ impl MarkovOrder {
 /// One ranked continuation of a context: the next delta and how often the
 /// corpus took it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct RankedDelta {
+pub(crate) struct RankedDelta {
     /// The continuation delta.
     pub delta: i64,
     /// Occurrences in the training corpus.
@@ -89,7 +89,7 @@ pub struct RankedDelta {
 
 /// A trained, immutable Markov delta model.
 ///
-/// Built once by [`train`] / [`train_with`]; replay only reads it. Equality
+/// Built once by [`train`] / `train_with`; replay only reads it. Equality
 /// is structural over the full ranked tables, so two training runs over the
 /// same corpus compare equal however the corpus was ordered.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,28 +111,18 @@ impl FrozenModel {
         self.order
     }
 
-    /// The greedy-walk depth used at prediction time.
-    pub fn lookahead(&self) -> usize {
-        self.lookahead
-    }
-
-    /// Distinct first-order contexts the model knows.
-    pub fn first_order_contexts(&self) -> usize {
-        self.first.len()
-    }
-
     /// Total transitions observed during training (both orders).
     pub fn trained_transitions(&self) -> u64 {
         self.trained_transitions
     }
 
     /// The ranked continuations of a first-order context.
-    pub fn first_order(&self, last_delta: i64) -> &[RankedDelta] {
+    pub(crate) fn first_order(&self, last_delta: i64) -> &[RankedDelta] {
         self.first.get(&last_delta).map_or(&[], Vec::as_slice)
     }
 
     /// The ranked continuations of a second-order context.
-    pub fn second_order(&self, prev_delta: i64, last_delta: i64) -> &[RankedDelta] {
+    pub(crate) fn second_order(&self, prev_delta: i64, last_delta: i64) -> &[RankedDelta] {
         self.second
             .get(&(prev_delta, last_delta))
             .map_or(&[], Vec::as_slice)
@@ -169,7 +159,7 @@ pub fn train(traces: &[AccessTrace], order: MarkovOrder) -> FrozenModel {
 
 /// Trains a model over `traces`, keeping the top `fanout` continuations per
 /// context and predicting `lookahead` pages ahead per fault.
-pub fn train_with(
+pub(crate) fn train_with(
     traces: &[AccessTrace],
     order: MarkovOrder,
     lookahead: usize,
@@ -259,7 +249,8 @@ impl MarkovPrefetcher {
     }
 
     /// The model this prefetcher predicts with.
-    pub fn model(&self) -> &FrozenModel {
+    #[cfg(test)]
+    pub(crate) fn model(&self) -> &FrozenModel {
         &self.model
     }
 
@@ -479,12 +470,10 @@ mod tests {
     }
 
     #[test]
-    fn model_exposes_context_counts() {
+    fn model_reports_its_order() {
         let pages: Vec<u64> = (0..100u64).map(|i| i * 3).collect();
         let profile = trace_of("pure-stride", &pages);
         let model = train(std::slice::from_ref(&profile), MarkovOrder::First);
-        assert_eq!(model.first_order_contexts(), 1);
         assert_eq!(model.order(), MarkovOrder::First);
-        assert_eq!(model.lookahead(), DEFAULT_MARKOV_LOOKAHEAD);
     }
 }

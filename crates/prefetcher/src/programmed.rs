@@ -18,7 +18,6 @@
 //! `SimConfigBuilder::custom_prefetcher` without touching the `leap` crate.
 
 use crate::types::{PageAddr, PrefetchDecision, Prefetcher};
-use leap_workloads::AccessTrace;
 use std::collections::HashMap;
 
 /// Default lookahead of the programmed prefetcher (pages per fault).
@@ -45,8 +44,6 @@ pub struct ProgrammedPrefetcher {
     first_occurrence: HashMap<PageAddr, usize>,
     cursor: usize,
     lookahead: usize,
-    faults: u64,
-    resyncs: u64,
 }
 
 impl ProgrammedPrefetcher {
@@ -62,62 +59,12 @@ impl ProgrammedPrefetcher {
             first_occurrence,
             cursor: 0,
             lookahead: lookahead.max(1),
-            faults: 0,
-            resyncs: 0,
         }
     }
 
     /// Creates a programmed prefetcher from a raw page sequence.
     pub fn from_pages(pages: &[u64], lookahead: usize) -> Self {
         ProgrammedPrefetcher::new(pages.iter().map(|&p| PageAddr(p)).collect(), lookahead)
-    }
-
-    /// Compiles a recorded run into a 3PO-style prefetch-ahead schedule.
-    ///
-    /// This is the offline half of the record → compile → replay loop: a
-    /// profiling replay records an [`AccessTrace`] (e.g. through
-    /// `TraceRecorder` or log ingestion), and this constructor turns it into
-    /// the prefetch program a later run follows, issuing the next `lead`
-    /// distinct pages ahead of each fault. Compilation collapses consecutive
-    /// repeat accesses — a re-touch of the page the program just reached is
-    /// resident by construction and can never fault, so keeping it would
-    /// only burn lookahead slots.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use leap_prefetcher::{PageAddr, Prefetcher, ProgrammedPrefetcher};
-    /// use leap_sim_core::Nanos;
-    /// use leap_workloads::{Access, AccessTrace};
-    ///
-    /// let recorded = AccessTrace::new(
-    ///     "profile",
-    ///     [9, 9, 5, 17, 2].map(|p| Access::read(p, Nanos::ZERO)).to_vec(),
-    /// );
-    /// let mut compiled = ProgrammedPrefetcher::compile_from_trace(&recorded, 3);
-    /// let d = compiled.on_fault(PageAddr(9));
-    /// assert_eq!(d.pages(), &[PageAddr(5), PageAddr(17), PageAddr(2)]);
-    /// ```
-    pub fn compile_from_trace(trace: &AccessTrace, lead: usize) -> Self {
-        let mut program: Vec<PageAddr> = Vec::with_capacity(trace.len());
-        for access in trace.iter() {
-            let page = PageAddr(access.page);
-            if program.last() != Some(&page) {
-                program.push(page);
-            }
-        }
-        ProgrammedPrefetcher::new(program, lead)
-    }
-
-    /// The configured lookahead.
-    pub fn lookahead(&self) -> usize {
-        self.lookahead
-    }
-
-    /// `(faults seen, faults that needed a resync)` — a resync means the
-    /// execution diverged from the program (an imperfect profile).
-    pub fn divergence(&self) -> (u64, u64) {
-        (self.faults, self.resyncs)
     }
 
     /// Positions the cursor just past the program entry matching `addr`,
@@ -138,7 +85,6 @@ impl ProgrammedPrefetcher {
             self.cursor += offset + 1;
             return true;
         }
-        self.resyncs += 1;
         match self.first_occurrence.get(&addr) {
             Some(&i) => {
                 self.cursor = i + 1;
@@ -151,7 +97,6 @@ impl ProgrammedPrefetcher {
 
 impl Prefetcher for ProgrammedPrefetcher {
     fn on_fault(&mut self, addr: PageAddr) -> PrefetchDecision {
-        self.faults += 1;
         if !self.sync_to(addr) {
             // The page is not in the program at all: the profile missed it.
             return PrefetchDecision::none();
@@ -177,8 +122,6 @@ impl Prefetcher for ProgrammedPrefetcher {
 
     fn reset(&mut self) {
         self.cursor = 0;
-        self.faults = 0;
-        self.resyncs = 0;
     }
 }
 
@@ -199,7 +142,6 @@ mod tests {
         // Pages 2–4 were prefetched, so the next fault is 5.
         let d = p.on_fault(PageAddr(5));
         assert_eq!(d.pages(), program(&[6]).as_slice());
-        assert_eq!(p.divergence(), (2, 0));
     }
 
     #[test]
@@ -218,7 +160,6 @@ mod tests {
         // The execution jumps far from the program position.
         let d = p.on_fault(PageAddr(150));
         assert_eq!(d.pages(), program(&[151, 152]).as_slice());
-        assert_eq!(p.divergence(), (2, 1));
     }
 
     #[test]
@@ -241,60 +182,6 @@ mod tests {
         p.reset();
         let d = p.on_fault(PageAddr(1));
         assert_eq!(d.pages(), program(&[2, 3]).as_slice());
-    }
-
-    #[test]
-    fn compile_collapses_consecutive_repeats_only() {
-        use leap_sim_core::Nanos;
-        use leap_workloads::{Access, AccessTrace};
-        let recorded = AccessTrace::new(
-            "profile",
-            [1, 1, 1, 2, 3, 2, 2, 1]
-                .map(|p| Access::read(p, Nanos::ZERO))
-                .to_vec(),
-        );
-        let mut compiled = ProgrammedPrefetcher::compile_from_trace(&recorded, 4);
-        // Non-adjacent revisits survive compilation (they can fault again
-        // after an eviction); back-to-back repeats are collapsed and the
-        // faulting page itself is never a candidate.
-        let d = compiled.on_fault(PageAddr(1));
-        assert_eq!(d.pages(), program(&[2, 3]).as_slice());
-        // The surviving revisit of page 2 leads the next fault there.
-        let d = compiled.on_fault(PageAddr(3));
-        assert_eq!(d.pages(), program(&[2, 1]).as_slice());
-    }
-
-    #[test]
-    fn compiled_schedule_covers_its_own_source_trace() {
-        use leap_sim_core::Nanos;
-        use leap_workloads::{Access, AccessTrace};
-        // An irregular but repeatable sequence: the compiled program must
-        // lead every fault after the first.
-        let pages: Vec<u64> = (0..500u64).map(|i| (i * 37) % 251).collect();
-        let recorded = AccessTrace::new(
-            "profile",
-            pages
-                .iter()
-                .map(|&p| Access::read(p, Nanos::ZERO))
-                .collect(),
-        );
-        let mut compiled = ProgrammedPrefetcher::compile_from_trace(&recorded, 4);
-        let mut predicted: std::collections::HashSet<PageAddr> = std::collections::HashSet::new();
-        let mut led = 0usize;
-        for &page in &pages {
-            let addr = PageAddr(page);
-            if predicted.contains(&addr) {
-                led += 1;
-            }
-            for &p in compiled.on_fault(addr).pages() {
-                predicted.insert(p);
-            }
-        }
-        assert!(
-            led as f64 / pages.len() as f64 > 0.9,
-            "compiled program led only {led}/{} accesses",
-            pages.len()
-        );
     }
 
     #[test]

@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 
 /// Default number of splits of the history used to size the initial
 /// detection window (`Nsplit` in Algorithm 1).
-pub const DEFAULT_N_SPLIT: usize = 4;
+pub(crate) const DEFAULT_N_SPLIT: usize = 4;
 
 /// The outcome of a trend-detection attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -40,11 +40,6 @@ impl TrendOutcome {
             TrendOutcome::Trend { delta, .. } => Some(delta),
             TrendOutcome::NoTrend => None,
         }
-    }
-
-    /// True if a trend was detected.
-    pub fn is_trend(self) -> bool {
-        matches!(self, TrendOutcome::Trend { .. })
     }
 }
 
@@ -130,7 +125,12 @@ mod tests {
     /// Algorithm 1 by brute force: every window of the doubling ladder, in
     /// order, checked by counting each of its deltas over the whole window.
     fn brute_force_trend(history: &AccessHistory, n_split: usize) -> TrendOutcome {
-        let recent: Vec<Delta> = history.iter_recent().collect();
+        let recent: Vec<Delta> = history
+            .newest(history.len())
+            .iter()
+            .rev()
+            .copied()
+            .collect();
         if recent.is_empty() {
             return TrendOutcome::NoTrend;
         }
@@ -272,7 +272,7 @@ mod tests {
                 // window length together, without materialising a Vec per
                 // proptest case.
                 let (mut occurrences, mut total) = (0usize, 0usize);
-                for d in h.iter_recent().take(window) {
+                for &d in h.newest(window) {
                     total += 1;
                     if d == delta {
                         occurrences += 1;

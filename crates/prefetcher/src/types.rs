@@ -37,7 +37,7 @@ impl PageAddr {
     /// Differences that do not fit in an `i64` are clamped; such jumps are far
     /// larger than any physically meaningful stride and are treated as
     /// irregular accesses anyway.
-    pub fn delta_from(self, earlier: PageAddr) -> Delta {
+    pub(crate) fn delta_from(self, earlier: PageAddr) -> Delta {
         if self.0 >= earlier.0 {
             Delta((self.0 - earlier.0).min(i64::MAX as u64) as i64)
         } else {
@@ -63,10 +63,10 @@ pub struct Delta(pub i64);
 
 impl Delta {
     /// The zero delta (repeated access to the same page).
-    pub const ZERO: Delta = Delta(0);
+    pub(crate) const ZERO: Delta = Delta(0);
 
     /// Returns true if this delta represents a forward or backward unit step.
-    pub fn is_sequential(self) -> bool {
+    pub(crate) fn is_sequential(self) -> bool {
         self.0 == 1 || self.0 == -1
     }
 }
@@ -195,7 +195,7 @@ impl PrefetchDecision {
     }
 
     /// Builds a non-speculative decision from candidate pages.
-    pub fn pages_from(prefetch: impl IntoIterator<Item = PageAddr>) -> Self {
+    pub(crate) fn pages_from(prefetch: impl IntoIterator<Item = PageAddr>) -> Self {
         let mut decision = PrefetchDecision::default();
         for page in prefetch {
             decision.push(page);

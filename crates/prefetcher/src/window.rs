@@ -11,27 +11,11 @@
 use serde::{Deserialize, Serialize};
 
 /// Default maximum prefetch window used in the paper's evaluation (§5).
-pub const DEFAULT_MAX_WINDOW: usize = 8;
+pub(crate) const DEFAULT_MAX_WINDOW: usize = 8;
 
 /// State for Algorithm 2's prefetch-window computation.
-///
-/// # Examples
-///
-/// ```
-/// use leap_prefetcher::PrefetchWindow;
-///
-/// let mut w = PrefetchWindow::new(8);
-/// // First fault on a fresh window, page follows the trend: start with 1.
-/// assert_eq!(w.update(true), 1);
-/// // Three prefetched pages were hit before the next fault: grow to
-/// // round_up_pow2(3 + 1) = 4.
-/// w.record_hit();
-/// w.record_hit();
-/// w.record_hit();
-/// assert_eq!(w.update(true), 4);
-/// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct PrefetchWindow {
+pub(crate) struct PrefetchWindow {
     /// Maximum window size (`PWsize_max`).
     max_size: usize,
     /// Window size computed at the previous prefetch (`PWsize_{t-1}`).
@@ -56,28 +40,25 @@ impl PrefetchWindow {
     }
 
     /// Creates a controller with the paper's default `PWsize_max` of 8.
-    pub fn with_default_max() -> Self {
+    pub(crate) fn with_default_max() -> Self {
         PrefetchWindow::new(DEFAULT_MAX_WINDOW)
     }
 
     /// Records one prefetched-cache hit (increments `Chit`).
-    pub fn record_hit(&mut self) {
+    pub(crate) fn record_hit(&mut self) {
         self.hits_since_last = self.hits_since_last.saturating_add(1);
     }
 
     /// Number of hits accumulated since the last prefetch decision.
-    pub fn pending_hits(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending_hits(&self) -> usize {
         self.hits_since_last
     }
 
     /// The window size chosen by the previous [`PrefetchWindow::update`] call.
-    pub fn last_size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn last_size(&self) -> usize {
         self.last_size
-    }
-
-    /// The configured maximum window size.
-    pub fn max_size(&self) -> usize {
-        self.max_size
     }
 
     /// Computes the prefetch window size for the current fault
@@ -88,7 +69,7 @@ impl PrefetchWindow {
     /// were no prefetch hits since the last prefetch (Algorithm 2, lines
     /// 5–9). The call consumes the accumulated hit count (`Chit ← 0`) and
     /// remembers the returned size as `PWsize_{t-1}` for the next call.
-    pub fn update(&mut self, follows_trend: bool) -> usize {
+    pub(crate) fn update(&mut self, follows_trend: bool) -> usize {
         let new_size = if self.hits_since_last == 0 {
             // No prefetched page was consumed since the last prefetch.
             if follows_trend {
@@ -117,7 +98,7 @@ impl PrefetchWindow {
     }
 
     /// Resets the controller to its initial state.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.last_size = 0;
         self.hits_since_last = 0;
     }

@@ -106,8 +106,6 @@ pub struct HostAgent {
     backend: StorageBackend,
     queues: DispatchQueues,
     rng: DetRng,
-    reads: u64,
-    writes: u64,
     /// The installed fault schedule; empty by default (healthy fabric).
     plan: FaultPlan,
     /// Cursor into `plan.failures()`: failures at or before the current
@@ -160,8 +158,6 @@ impl HostAgent {
             config,
             cluster,
             rng,
-            reads: 0,
-            writes: 0,
             plan: FaultPlan::empty(),
             next_failure: 0,
             segment_cursor: 0,
@@ -191,11 +187,6 @@ impl HostAgent {
         self.segment_cursor = 0;
     }
 
-    /// The installed fault schedule.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Fault-injection accounting for this agent.
     pub fn fault_stats(&self) -> FaultInjectionStats {
         self.fault_stats
@@ -211,11 +202,6 @@ impl HostAgent {
         self.recovery_requests = 0;
     }
 
-    /// The installed recovery policy.
-    pub fn recovery_policy(&self) -> RecoveryPolicy {
-        self.recovery
-    }
-
     /// Recovery accounting for this agent.
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.recovery_stats
@@ -229,6 +215,13 @@ impl HostAgent {
             .collect()
     }
 
+    /// The recovery ledger of the tenant tagged on the current access, or
+    /// `None` when the access is untagged (tenant `0`).
+    fn active_tenant_ledger(&mut self) -> Option<&mut TenantRecovery> {
+        (self.active_tenant != 0)
+            .then(|| self.tenant_recovery.entry(self.active_tenant).or_default())
+    }
+
     /// Tags subsequent accesses with the tenant that issued them (`0` clears
     /// the tag). The engine calls this before every access so
     /// tenant-targeted fault plans and per-tenant recovery ledgers attribute
@@ -237,24 +230,9 @@ impl HostAgent {
         self.active_tenant = tenant;
     }
 
-    /// The agent configuration.
-    pub fn config(&self) -> &HostAgentConfig {
-        &self.config
-    }
-
     /// The cluster state (for balance/inventory reports).
     pub fn cluster(&self) -> &RemoteCluster {
         &self.cluster
-    }
-
-    /// Number of slabs the agent has mapped so far.
-    pub fn mapped_slabs(&self) -> usize {
-        self.slab_map.mapped_slabs()
-    }
-
-    /// Total reads and writes served.
-    pub fn io_counts(&self) -> (u64, u64) {
-        (self.reads, self.writes)
     }
 
     /// Ensures the slab containing `page_offset` is mapped, placing it with
@@ -541,11 +519,8 @@ impl HostAgent {
                 // fall back the same way, modeling a local spill.
                 if kind == RemoteIoKind::Read {
                     self.recovery_stats.degraded_reads += 1;
-                    if self.active_tenant != 0 {
-                        self.tenant_recovery
-                            .entry(self.active_tenant)
-                            .or_default()
-                            .degraded_reads += 1;
+                    if let Some(ledger) = self.active_tenant_ledger() {
+                        ledger.degraded_reads += 1;
                     }
                 }
                 self.recovery_stats.record(0xd15c_fa11u64 ^ now.as_nanos());
@@ -620,11 +595,8 @@ impl HostAgent {
                 self.recovery_stats.hedges_won += 1;
                 self.recovery_stats
                     .record(0x4ed6_ed4eu64 ^ now.as_nanos() ^ ordinal.rotate_left(7));
-                if self.active_tenant != 0 {
-                    self.tenant_recovery
-                        .entry(self.active_tenant)
-                        .or_default()
-                        .hedges_won += 1;
+                if let Some(ledger) = self.active_tenant_ledger() {
+                    ledger.hedges_won += 1;
                 }
                 attempt = hedge_total;
             } else {
@@ -669,11 +641,8 @@ impl HostAgent {
                 self.recovery_stats.record(
                     0x4e74_4e74u64 ^ now.as_nanos() ^ u64::from(retries) ^ ordinal.rotate_left(13),
                 );
-                if self.active_tenant != 0 {
-                    self.tenant_recovery
-                        .entry(self.active_tenant)
-                        .or_default()
-                        .retries += 1;
+                if let Some(ledger) = self.active_tenant_ledger() {
+                    ledger.retries += 1;
                 }
                 // Retry against the next-best replica over the same (still
                 // congested) fabric: resample scaled by the active epochs.
@@ -722,16 +691,12 @@ impl HostAgent {
         let machine = self.route_reachable(kind, page_offset, machine, core, now)?;
         let mods = self.effective_modifiers(now);
         let transport = match kind {
-            RemoteIoKind::Read => {
-                self.reads += 1;
-                self.backend
-                    .read_latency_scaled(&mut self.rng, mods.multiplier_milli)
-            }
-            RemoteIoKind::Write => {
-                self.writes += 1;
-                self.backend
-                    .write_latency_scaled(&mut self.rng, mods.multiplier_milli)
-            }
+            RemoteIoKind::Read => self
+                .backend
+                .read_latency_scaled(&mut self.rng, mods.multiplier_milli),
+            RemoteIoKind::Write => self
+                .backend
+                .write_latency_scaled(&mut self.rng, mods.multiplier_milli),
         };
         let transport = self.fault_stats.charge_modifiers(&mods, transport, now);
         // The request that triggered (or immediately follows) a slab repair
@@ -792,11 +757,11 @@ mod tests {
         let first = agent.ensure_mapped(0).unwrap();
         let again = agent.ensure_mapped(1).unwrap();
         assert_eq!(first, again, "pages in the same slab share a placement");
-        assert_eq!(agent.mapped_slabs(), 1);
+        assert_eq!(agent.slab_map.mapped_slabs(), 1);
         // A page far away lands in a different slab.
         let pages_per_slab = DEFAULT_SLAB_BYTES / PAGE_SIZE;
         let _ = agent.ensure_mapped(pages_per_slab + 3).unwrap();
-        assert_eq!(agent.mapped_slabs(), 2);
+        assert_eq!(agent.slab_map.mapped_slabs(), 2);
     }
 
     #[test]
@@ -841,10 +806,7 @@ mod tests {
     #[test]
     fn io_counts_and_latency_composition() {
         let mut agent = agent_with(RemoteCluster::homogeneous(2, 8), 1);
-        agent.set_backend(StorageBackend::constant(
-            BackendKind::Rdma,
-            Nanos::from_micros(4),
-        ));
+        agent.set_backend(StorageBackend::constant(Nanos::from_micros(4)));
         let r = agent
             .remote_io(RemoteIoKind::Read, 0, 0, Nanos::ZERO)
             .unwrap();
@@ -854,16 +816,12 @@ mod tests {
             .remote_io(RemoteIoKind::Write, 0, 0, Nanos::ZERO)
             .unwrap();
         assert_eq!(w.transport_latency, Nanos::from_micros(4));
-        assert_eq!(agent.io_counts(), (1, 1));
     }
 
     #[test]
     fn back_to_back_reads_on_one_core_queue_up() {
         let mut agent = agent_with(RemoteCluster::homogeneous(2, 8), 1);
-        agent.set_backend(StorageBackend::constant(
-            BackendKind::Rdma,
-            Nanos::from_micros(4),
-        ));
+        agent.set_backend(StorageBackend::constant(Nanos::from_micros(4)));
         let first = agent
             .remote_io(RemoteIoKind::Read, 0, 3, Nanos::ZERO)
             .unwrap();
@@ -886,10 +844,7 @@ mod tests {
     #[test]
     fn failed_machine_triggers_failover_to_survivor() {
         let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-        agent.set_backend(StorageBackend::constant(
-            BackendKind::Rdma,
-            Nanos::from_micros(4),
-        ));
+        agent.set_backend(StorageBackend::constant(Nanos::from_micros(4)));
         let primary = agent.ensure_mapped(0).unwrap();
         // Kill the primary; the slab must fail over to the surviving replica
         // and re-replicate exactly once.
@@ -932,10 +887,7 @@ mod tests {
         // exactly once, whichever copy was lost.
         for lose_primary in [true, false] {
             let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-            agent.set_backend(StorageBackend::constant(
-                BackendKind::Rdma,
-                Nanos::from_micros(4),
-            ));
+            agent.set_backend(StorageBackend::constant(Nanos::from_micros(4)));
             let read = |agent: &mut HostAgent, page: u64| {
                 agent
                     .remote_io(RemoteIoKind::Read, page, 0, Nanos::ZERO)
@@ -1045,12 +997,9 @@ mod tests {
             target_tenant: 0,
         };
         let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-        agent.set_backend(StorageBackend::constant(
-            BackendKind::Rdma,
-            Nanos::from_micros(40),
-        ));
+        agent.set_backend(StorageBackend::constant(Nanos::from_micros(40)));
         agent.install_fault_plan(FaultPlan::from_spec(7, &spec, 4));
-        assert_eq!(agent.fault_plan().failures().len(), 1);
+        assert_eq!(agent.plan.failures().len(), 1);
         // Before the failure time: healthy, and queue 0 goes busy until 40 µs.
         let _ = agent
             .remote_io(RemoteIoKind::Read, 0, 0, Nanos::ZERO)

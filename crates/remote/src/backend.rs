@@ -81,7 +81,6 @@ impl ConstLatencyOverride {
 /// A backing store with separate read and write latency distributions.
 #[derive(Debug)]
 pub struct StorageBackend {
-    kind: BackendKind,
     read: Box<dyn LatencySampler>,
     write: Box<dyn LatencySampler>,
 }
@@ -104,7 +103,7 @@ impl StorageBackend {
     /// table per direction ([`TableLatency::from_lognormal_mixture`]): one
     /// RNG draw and a linear interpolation per sample instead of a mixture
     /// pick plus per-component log-normal math.
-    pub fn hdd() -> Self {
+    pub(crate) fn hdd() -> Self {
         let mixture = [
             (
                 0.97,
@@ -120,7 +119,6 @@ impl StorageBackend {
             ),
         ];
         StorageBackend {
-            kind: BackendKind::Hdd,
             read: Box::new(TableLatency::from_lognormal_mixture(&mixture)),
             write: Box::new(TableLatency::from_lognormal_mixture(&mixture)),
         }
@@ -128,10 +126,9 @@ impl StorageBackend {
 
     /// An SSD backend: ~20 µs median reads, slower writes, and rare
     /// garbage-collection stalls.
-    pub fn ssd() -> Self {
+    pub(crate) fn ssd() -> Self {
         let gc_stall = (Nanos::from_micros_f64(400.0), 0.50, Nanos::from_micros(100));
         StorageBackend {
-            kind: BackendKind::Ssd,
             read: Box::new(TableLatency::from_lognormal_mixture(&[
                 (
                     0.995,
@@ -156,7 +153,7 @@ impl StorageBackend {
     /// A remote-DRAM-over-RDMA backend: ~4.3 µs median one-sided 4 KB reads
     /// with a long congestion tail (the paper's §2.2 observation that single
     /// µs latency is "often wishful thinking").
-    pub fn rdma() -> Self {
+    pub(crate) fn rdma() -> Self {
         let mixture = [
             (
                 0.99,
@@ -172,7 +169,6 @@ impl StorageBackend {
             ),
         ];
         StorageBackend {
-            kind: BackendKind::Rdma,
             read: Box::new(TableLatency::from_lognormal_mixture(&mixture)),
             write: Box::new(TableLatency::from_lognormal_mixture(&mixture)),
         }
@@ -180,17 +176,12 @@ impl StorageBackend {
 
     /// A backend with deterministic, constant latency — useful for tests and
     /// ablations that need exact arithmetic.
-    pub fn constant(kind: BackendKind, latency: Nanos) -> Self {
+    #[cfg(test)]
+    pub(crate) fn constant(latency: Nanos) -> Self {
         StorageBackend {
-            kind,
             read: Box::new(ConstantLatency::new(latency)),
             write: Box::new(ConstantLatency::new(latency)),
         }
-    }
-
-    /// Which kind of device this is.
-    pub fn kind(&self) -> BackendKind {
-        self.kind
     }
 
     /// Samples the latency of a 4 KB read.
@@ -209,18 +200,18 @@ impl StorageBackend {
     /// The sample is always drawn, so the RNG stream advances identically
     /// whether or not a fault epoch is active — the determinism contract for
     /// empty fault plans depends on this.
-    pub fn read_latency_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
+    pub(crate) fn read_latency_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
         self.read.sample_scaled(rng, multiplier_milli)
     }
 
     /// Samples a write latency and scales it by a fault-epoch multiplier in
     /// thousandths; see [`StorageBackend::read_latency_scaled`].
-    pub fn write_latency_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
+    pub(crate) fn write_latency_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
         self.write.sample_scaled(rng, multiplier_milli)
     }
 
     /// The nominal (median) read latency of this backend.
-    pub fn nominal_read_latency(&self) -> Nanos {
+    pub(crate) fn nominal_read_latency(&self) -> Nanos {
         self.read.nominal()
     }
 }
@@ -288,7 +279,7 @@ mod tests {
 
     #[test]
     fn constant_backend_is_deterministic() {
-        let backend = StorageBackend::constant(BackendKind::Rdma, Nanos::from_micros(5));
+        let backend = StorageBackend::constant(Nanos::from_micros(5));
         let mut rng = DetRng::seed_from(1);
         for _ in 0..10 {
             assert_eq!(backend.read_latency(&mut rng), Nanos::from_micros(5));
@@ -315,22 +306,6 @@ mod tests {
         assert_eq!(
             backend.read_latency(&mut healthy_rng),
             backend.read_latency(&mut faulty_rng)
-        );
-    }
-
-    #[test]
-    fn new_dispatches_on_kind() {
-        assert_eq!(
-            StorageBackend::new(BackendKind::Hdd).kind(),
-            BackendKind::Hdd
-        );
-        assert_eq!(
-            StorageBackend::new(BackendKind::Ssd).kind(),
-            BackendKind::Ssd
-        );
-        assert_eq!(
-            StorageBackend::new(BackendKind::Rdma).kind(),
-            BackendKind::Rdma
         );
     }
 }

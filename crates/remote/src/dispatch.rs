@@ -55,11 +55,6 @@ impl DispatchQueues {
         }
     }
 
-    /// Number of queues (cores).
-    pub fn cores(&self) -> usize {
-        self.busy_until.len()
-    }
-
     /// Stages a request issued by `core` at time `now` whose service
     /// (transport + remote side) takes `service_time`.
     ///
@@ -88,7 +83,7 @@ impl DispatchQueues {
     /// already idle are left untouched.
     ///
     /// Returns the number of queues whose in-flight tail was cancelled.
-    pub fn cancel_in_flight(&mut self, now: Nanos) -> u64 {
+    pub(crate) fn cancel_in_flight(&mut self, now: Nanos) -> u64 {
         let mut cancelled = 0;
         for busy in &mut self.busy_until {
             if *busy > now {
@@ -112,7 +107,7 @@ impl DispatchQueues {
     /// previously observed completion that actually elapsed.
     ///
     /// [`cancel_in_flight`]: DispatchQueues::cancel_in_flight
-    pub fn cancel_request(&mut self, core: usize, at: Nanos) -> bool {
+    pub(crate) fn cancel_request(&mut self, core: usize, at: Nanos) -> bool {
         let idx = core % self.busy_until.len();
         if self.busy_until[idx] > at {
             self.busy_until[idx] = at;

@@ -20,6 +20,7 @@
 //!   pipeline-stats discipline.
 
 use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
+use leap_sim_core::json::{flat_json_pairs, FlatJsonError};
 use leap_sim_core::{DetRng, Nanos, MULTIPLIER_IDENTITY_MILLI};
 use serde::{Deserialize, Serialize};
 
@@ -244,21 +245,14 @@ impl FaultSpec {
     /// [`FaultJsonError::UnknownKey`] error rather than being skipped, so a
     /// typo'd chaos plan cannot silently run as a healthy baseline.
     pub fn from_json(text: &str) -> Result<Self, FaultJsonError> {
-        let body = text
-            .trim()
-            .strip_prefix('{')
-            .and_then(|rest| rest.strip_suffix('}'))
-            .ok_or(FaultJsonError::NotAnObject)?;
-        let mut spec = FaultSpec::none();
-        for pair in body.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
+        let pairs = flat_json_pairs(text).map_err(|e| match e {
+            FlatJsonError::NotAnObject => FaultJsonError::NotAnObject,
+            FlatJsonError::MalformedPair(pair) | FlatJsonError::UnquotedKey(pair) => {
+                FaultJsonError::MalformedPair(pair)
             }
-            let (raw_key, value) = pair
-                .split_once(':')
-                .ok_or_else(|| FaultJsonError::MalformedPair(pair.to_string()))?;
-            let key = raw_key.trim().trim_matches('"');
+        })?;
+        let mut spec = FaultSpec::none();
+        for (key, value) in pairs {
             if !spec.apply_json_field(key, value)? {
                 return Err(FaultJsonError::UnknownKey(key.to_string()));
             }
@@ -274,7 +268,7 @@ impl FaultSpec {
 pub enum FaultJsonError {
     /// The document is not a braced JSON object.
     NotAnObject,
-    /// A `key:value` pair could not be split.
+    /// A pair is not a double-quoted key, a `:` and a value.
     MalformedPair(String),
     /// A key that is neither a known `fault_*` field nor otherwise consumed.
     UnknownKey(String),
@@ -313,7 +307,7 @@ impl Default for FaultSpec {
 
 /// The kind of fault epoch, ordered for deterministic schedule sorting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FaultEpochKind {
+pub(crate) enum FaultEpochKind {
     /// Remote latency multiplied by the epoch multiplier.
     LatencySpike,
     /// Degraded fabric bandwidth, modeled as a (smaller) latency multiplier.
@@ -324,7 +318,7 @@ pub enum FaultEpochKind {
 
 /// One scheduled epoch during which a fault modifier is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FaultEpoch {
+pub(crate) struct FaultEpoch {
     /// What happens during the epoch.
     pub kind: FaultEpochKind,
     /// Inclusive epoch start (virtual time).
@@ -338,14 +332,14 @@ pub struct FaultEpoch {
 
 impl FaultEpoch {
     /// True if the epoch covers the given instant.
-    pub fn covers(&self, now: Nanos) -> bool {
+    pub(crate) fn covers(&self, now: Nanos) -> bool {
         self.start <= now && now < self.end
     }
 }
 
 /// One scheduled machine failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MachineFailure {
+pub(crate) struct MachineFailure {
     /// Virtual time at which the machine dies.
     pub at: Nanos,
     /// Index of the victim machine within the agent's cluster.
@@ -355,13 +349,13 @@ pub struct MachineFailure {
 /// Number of core-shard slots link partitions are keyed over. A core `c`
 /// belongs to link shard `c % PARTITION_LINK_SHARDS`, so a partition severs
 /// one machine from a quarter of the cores while the rest reach it normally.
-pub const PARTITION_LINK_SHARDS: u32 = 4;
+pub(crate) const PARTITION_LINK_SHARDS: u32 = 4;
 
 /// One scheduled link-level partial partition: for the epoch's duration the
 /// (core-shard → machine) link is down, while every other link to the same
 /// machine stays healthy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PartitionEpoch {
+pub(crate) struct PartitionEpoch {
     /// Inclusive partition start (virtual time).
     pub start: Nanos,
     /// Exclusive partition end (virtual time).
@@ -374,7 +368,7 @@ pub struct PartitionEpoch {
 
 impl PartitionEpoch {
     /// True if the partition severs the `(core, machine)` link at `now`.
-    pub fn severs(&self, core: usize, machine: u32, now: Nanos) -> bool {
+    pub(crate) fn severs(&self, core: usize, machine: u32, now: Nanos) -> bool {
         self.machine == machine
             && (core as u32) % PARTITION_LINK_SHARDS == self.shard
             && self.start <= now
@@ -397,7 +391,7 @@ pub struct FaultModifiers {
 
 impl FaultModifiers {
     /// The identity modifiers: nothing is slowed down or penalized.
-    pub const IDENTITY: FaultModifiers = FaultModifiers {
+    pub(crate) const IDENTITY: FaultModifiers = FaultModifiers {
         multiplier_milli: MULTIPLIER_IDENTITY_MILLI,
         reconnect_penalty: Nanos::ZERO,
         spike_active: false,
@@ -434,45 +428,42 @@ impl FaultPlan {
     }
 
     /// True if the plan schedules no faults at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.epochs.is_empty() && self.failures.is_empty() && self.partitions.is_empty()
     }
 
-    /// The spec the plan was expanded from.
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
     /// The scheduled epochs, sorted by `(start, kind, end)`.
-    pub fn epochs(&self) -> &[FaultEpoch] {
+    #[cfg(test)]
+    pub(crate) fn epochs(&self) -> &[FaultEpoch] {
         &self.epochs
     }
 
     /// The scheduled machine failures, sorted by failure time.
-    pub fn failures(&self) -> &[MachineFailure] {
+    pub(crate) fn failures(&self) -> &[MachineFailure] {
         &self.failures
     }
 
     /// The scheduled link partitions, sorted by `(start, machine, shard)`.
-    pub fn partitions(&self) -> &[PartitionEpoch] {
+    #[cfg(test)]
+    pub(crate) fn partitions(&self) -> &[PartitionEpoch] {
         &self.partitions
     }
 
     /// True if the plan schedules at least one link partition. The agent's
     /// hot path checks this before doing any per-request reachability work.
-    pub fn has_partitions(&self) -> bool {
+    pub(crate) fn has_partitions(&self) -> bool {
         !self.partitions.is_empty()
     }
 
     /// True if the `(core, machine)` link is severed by an active partition.
-    pub fn link_partitioned(&self, core: usize, machine: u32, now: Nanos) -> bool {
+    pub(crate) fn link_partitioned(&self, core: usize, machine: u32, now: Nanos) -> bool {
         self.partitions.iter().any(|p| p.severs(core, machine, now))
     }
 
     /// True if the plan's epochs and partitions apply to accesses issued by
     /// `tenant`. A `target_tenant` of zero targets everyone; tenant zero
     /// (untagged traffic) is only hit by untargeted plans.
-    pub fn applies_to_tenant(&self, tenant: u32) -> bool {
+    pub(crate) fn applies_to_tenant(&self, tenant: u32) -> bool {
         self.spec.target_tenant == 0 || tenant == self.spec.target_tenant
     }
 
@@ -573,7 +564,8 @@ impl FaultPlan {
     /// precise schedule; [`from_spec`] is the normal constructor.
     ///
     /// [`from_spec`]: FaultPlan::from_spec
-    pub fn from_parts(
+    #[cfg(test)]
+    pub(crate) fn from_parts(
         spec: FaultSpec,
         mut epochs: Vec<FaultEpoch>,
         mut failures: Vec<MachineFailure>,
@@ -758,7 +750,7 @@ impl FaultInjectionStats {
     }
 
     /// Folds one event word into the checksum (order-sensitive per shard).
-    pub fn record(&mut self, word: u64) {
+    pub(crate) fn record(&mut self, word: u64) {
         self.checksum = checksum_fold(self.checksum, word);
     }
 

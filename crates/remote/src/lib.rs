@@ -29,14 +29,11 @@ pub mod fault;
 pub mod recovery;
 pub mod slab;
 
-pub use agent::{HostAgent, HostAgentConfig, RemoteIoKind, RemoteIoResult};
+pub use agent::{HostAgent, HostAgentConfig, RemoteIoKind};
 pub use backend::{BackendKind, ConstLatencyOverride, StorageBackend};
 pub use dispatch::DispatchQueues;
-pub use fault::{
-    FaultEpoch, FaultEpochKind, FaultInjectionStats, FaultJsonError, FaultModifiers, FaultPlan,
-    FaultSpec, MachineFailure, PartitionEpoch, PARTITION_LINK_SHARDS,
-};
+pub use fault::{FaultInjectionStats, FaultJsonError, FaultPlan, FaultSpec};
 pub use recovery::{
     recovery_stream_seed, RecoveryPolicy, RecoveryStats, TenantRecovery, RECOVERY_SALT,
 };
-pub use slab::{RemoteCluster, RemoteMachine, SlabId, SlabMap, DEFAULT_SLAB_BYTES};
+pub use slab::{RemoteCluster, DEFAULT_SLAB_BYTES};

@@ -38,7 +38,7 @@ pub fn recovery_stream_seed(run_seed: u64) -> u64 {
 /// of recovery-considered requests; mixing it multiplicatively keeps adjacent
 /// ordinals' streams uncorrelated.
 #[must_use]
-pub fn request_stream(recovery_seed: u64, ordinal: u64) -> DetRng {
+pub(crate) fn request_stream(recovery_seed: u64, ordinal: u64) -> DetRng {
     DetRng::seed_from(recovery_seed ^ ordinal.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
@@ -192,7 +192,7 @@ pub struct RecoveryStats {
 
 impl RecoveryStats {
     /// Folds one event word into the drift checksum.
-    pub fn record(&mut self, word: u64) {
+    pub(crate) fn record(&mut self, word: u64) {
         self.checksum = self
             .checksum
             .wrapping_add((word ^ CHECKSUM_SEED).wrapping_mul(CHECKSUM_PRIME));
@@ -303,9 +303,8 @@ mod tests {
         let policy = RecoveryPolicy::tail_tolerant();
         let fields = policy.to_json_fields();
         let mut rebuilt = RecoveryPolicy::none();
-        for pair in fields.split(',') {
-            let (key, value) = pair.split_once(':').expect("key:value pair");
-            let key = key.trim().trim_matches('"');
+        let object = format!("{{{fields}}}");
+        for (key, value) in leap_sim_core::json::flat_json_pairs(&object).expect("flat JSON") {
             assert!(
                 rebuilt.apply_json_field(key, value).expect("parses"),
                 "key {key:?} must be consumed"

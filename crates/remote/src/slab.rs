@@ -13,7 +13,7 @@ pub const DEFAULT_SLAB_BYTES: u64 = GIB;
 
 /// Identifier of a slab within one host's remote address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SlabId(pub u64);
+pub(crate) struct SlabId(pub u64);
 
 /// Identifier of a remote machine in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -21,7 +21,7 @@ pub struct MachineId(pub u32);
 
 /// A remote machine donating memory to the cluster pool.
 #[derive(Debug, Clone)]
-pub struct RemoteMachine {
+pub(crate) struct RemoteMachine {
     id: MachineId,
     capacity_slabs: u64,
     hosted_slabs: u64,
@@ -40,22 +40,18 @@ impl RemoteMachine {
     }
 
     /// The machine's identifier.
-    pub fn id(&self) -> MachineId {
+    pub(crate) fn id(&self) -> MachineId {
         self.id
     }
 
-    /// Number of slabs this machine can host in total.
-    pub fn capacity_slabs(&self) -> u64 {
-        self.capacity_slabs
-    }
-
     /// Number of slabs currently hosted.
-    pub fn hosted_slabs(&self) -> u64 {
+    pub(crate) fn hosted_slabs(&self) -> u64 {
         self.hosted_slabs
     }
 
     /// Remaining slab capacity (zero once the machine has failed).
-    pub fn free_slabs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn free_slabs(&self) -> u64 {
         if self.failed {
             return 0;
         }
@@ -64,7 +60,7 @@ impl RemoteMachine {
 
     /// True if the machine cannot take another slab. A failed machine never
     /// accepts placements.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.failed || self.hosted_slabs >= self.capacity_slabs
     }
 
@@ -121,12 +117,13 @@ impl RemoteCluster {
     }
 
     /// Total free slab capacity across all machines.
-    pub fn total_free_slabs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_free_slabs(&self) -> u64 {
         self.machines.iter().map(|m| m.free_slabs()).sum()
     }
 
     /// Returns the machine with the given index (not id).
-    pub fn machine(&self, index: usize) -> Option<&RemoteMachine> {
+    pub(crate) fn machine(&self, index: usize) -> Option<&RemoteMachine> {
         self.machines.get(index)
     }
 
@@ -134,7 +131,7 @@ impl RemoteCluster {
     ///
     /// Returns the machine's id, or `None` if the index is out of range or
     /// the machine is full.
-    pub fn host_slab_on(&mut self, index: usize) -> Option<MachineId> {
+    pub(crate) fn host_slab_on(&mut self, index: usize) -> Option<MachineId> {
         let machine = self.machines.get_mut(index)?;
         if machine.is_full() {
             return None;
@@ -147,7 +144,7 @@ impl RemoteCluster {
     ///
     /// Returns the machine's id, or `None` if the index is out of range or
     /// the machine already failed (a failure event is applied exactly once).
-    pub fn fail_machine(&mut self, index: usize) -> Option<MachineId> {
+    pub(crate) fn fail_machine(&mut self, index: usize) -> Option<MachineId> {
         let machine = self.machines.get_mut(index)?;
         if machine.is_failed() {
             return None;
@@ -159,7 +156,7 @@ impl RemoteCluster {
 
     /// Machine failures applied so far (each [`RemoteCluster::fail_machine`]
     /// that took effect counts once).
-    pub fn failures(&self) -> u64 {
+    pub(crate) fn failures(&self) -> u64 {
         self.failures
     }
 
@@ -175,13 +172,15 @@ impl RemoteCluster {
     }
 
     /// Number of machines still alive.
-    pub fn alive(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn alive(&self) -> usize {
         self.machines.iter().filter(|m| !m.is_failed()).count()
     }
 
     /// The maximum difference in hosted slabs between any two machines —
     /// the imbalance metric the power of two choices keeps small.
-    pub fn slab_imbalance(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn slab_imbalance(&self) -> u64 {
         let max = self
             .machines
             .iter()
@@ -200,7 +199,7 @@ impl RemoteCluster {
 
 /// The mapping from a host's slabs to the remote machines hosting them.
 #[derive(Debug, Clone)]
-pub struct SlabMap {
+pub(crate) struct SlabMap {
     /// The slab size in pages, fixed at construction.
     pages_per_slab: u64,
     /// Slab placements, probed when a remote I/O misses the agent's
@@ -224,32 +223,28 @@ impl SlabMap {
     }
 
     /// Number of pages per slab.
-    pub fn pages_per_slab(&self) -> u64 {
+    pub(crate) fn pages_per_slab(&self) -> u64 {
         self.pages_per_slab
     }
 
     /// The slab that holds the given page offset (in pages).
-    pub fn slab_of_page(&self, page_offset: u64) -> SlabId {
+    pub(crate) fn slab_of_page(&self, page_offset: u64) -> SlabId {
         SlabId(page_offset / self.pages_per_slab)
     }
 
     /// Records the placement (primary + replicas) of a slab.
-    pub fn place(&mut self, slab: SlabId, machines: Vec<MachineId>) {
+    pub(crate) fn place(&mut self, slab: SlabId, machines: Vec<MachineId>) {
         self.placements.insert(slab, machines);
     }
 
     /// Returns the machines hosting a slab (primary first), if mapped.
-    pub fn machines_of(&self, slab: SlabId) -> Option<&[MachineId]> {
+    pub(crate) fn machines_of(&self, slab: SlabId) -> Option<&[MachineId]> {
         self.placements.get(&slab).map(|v| v.as_slice())
     }
 
-    /// True if the slab has been mapped already.
-    pub fn is_mapped(&self, slab: SlabId) -> bool {
-        self.placements.contains_key(&slab)
-    }
-
     /// Number of mapped slabs.
-    pub fn mapped_slabs(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn mapped_slabs(&self) -> usize {
         self.placements.len()
     }
 }
@@ -296,9 +291,8 @@ mod tests {
     #[test]
     fn placements_round_trip() {
         let mut map = SlabMap::new(DEFAULT_SLAB_BYTES);
-        assert!(!map.is_mapped(SlabId(3)));
+        assert_eq!(map.machines_of(SlabId(3)), None);
         map.place(SlabId(3), vec![MachineId(1), MachineId(2)]);
-        assert!(map.is_mapped(SlabId(3)));
         assert_eq!(
             map.machines_of(SlabId(3)),
             Some(&[MachineId(1), MachineId(2)][..])

@@ -7,7 +7,7 @@
 //! in waves, and replayed through [`leap::VmmSimulator`] with their budgets
 //! enforced by the engine's cgroup-style tenant ledger.
 //!
-//! The service reports per-tenant QoS ([`TenantQosReport`]): paging
+//! The service reports per-tenant QoS ([`qos::TenantQosReport`]): paging
 //! throughput, p50/p99 fault latency, cache hit ratio, and two checksums
 //! pinning determinism — a latency-blind *behavior* checksum (invariant
 //! across [`leap::SimConfigBuilder::async_depth`] settings when the engine
@@ -34,6 +34,6 @@ pub mod qos;
 pub mod service;
 pub mod tenant;
 
-pub use qos::{TenantQos, TenantQosReport};
-pub use service::{FarMemoryService, ServiceReport, WaveReport};
-pub use tenant::{AdmissionPolicy, AdmissionReport, TenantId, TenantRegistry, TenantSpec};
+pub use qos::TenantQos;
+pub use service::{FarMemoryService, ServiceReport};
+pub use tenant::{AdmissionPolicy, TenantSpec};

@@ -94,7 +94,7 @@ impl TenantQos {
 
     /// The wave's makespan as reported by the finished run (zero until
     /// [`Observer::on_complete`] fires).
-    pub fn makespan(&self) -> Nanos {
+    pub(crate) fn makespan(&self) -> Nanos {
         self.makespan
     }
 

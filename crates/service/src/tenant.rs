@@ -69,11 +69,6 @@ pub struct AdmissionReport {
 }
 
 impl AdmissionReport {
-    /// Every admitted tenant, in execution order.
-    pub fn admitted(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.waves.iter().flatten().copied()
-    }
-
     /// Number of admitted tenants across all waves.
     pub fn admitted_count(&self) -> usize {
         self.waves.iter().map(|w| w.len()).sum()
@@ -114,26 +109,6 @@ impl TenantRegistry {
     /// The registered spec for `id`.
     pub fn spec(&self, id: TenantId) -> &TenantSpec {
         &self.specs[id.0 as usize]
-    }
-
-    /// Registered tenants, in submission order.
-    pub fn specs(&self) -> &[TenantSpec] {
-        &self.specs
-    }
-
-    /// Number of registered tenants.
-    pub fn len(&self) -> usize {
-        self.specs.len()
-    }
-
-    /// True when no tenant has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
-
-    /// The service capacity admission budgets are drawn from.
-    pub fn capacity_pages(&self) -> u64 {
-        self.capacity_pages
     }
 
     /// Plans admission: first-fit in submission order against the service

@@ -43,25 +43,6 @@ impl SimClock {
         self.now = self.now.saturating_add(delta);
         self.now
     }
-
-    /// Moves the clock to `instant` if it is in the future; otherwise leaves
-    /// the clock untouched. Returns the (possibly unchanged) current instant.
-    ///
-    /// This is used when a caller has computed an absolute completion time
-    /// (e.g. an asynchronous RDMA read finishing) and wants the clock to
-    /// reflect it without ever going backwards.
-    pub fn advance_to(&mut self, instant: Nanos) -> Nanos {
-        if instant > self.now {
-            self.now = instant;
-        }
-        self.now
-    }
-
-    /// Returns the elapsed time since `earlier`, saturating at zero if
-    /// `earlier` is in the future.
-    pub fn since(&self, earlier: Nanos) -> Nanos {
-        self.now.saturating_sub(earlier)
-    }
 }
 
 #[cfg(test)]
@@ -80,21 +61,5 @@ mod tests {
         clock.advance(Nanos::from_micros(3));
         clock.advance(Nanos::from_micros(7));
         assert_eq!(clock.now(), Nanos::from_micros(10));
-    }
-
-    #[test]
-    fn advance_to_never_goes_backwards() {
-        let mut clock = SimClock::starting_at(Nanos::from_micros(100));
-        clock.advance_to(Nanos::from_micros(50));
-        assert_eq!(clock.now(), Nanos::from_micros(100));
-        clock.advance_to(Nanos::from_micros(150));
-        assert_eq!(clock.now(), Nanos::from_micros(150));
-    }
-
-    #[test]
-    fn since_saturates() {
-        let clock = SimClock::starting_at(Nanos::from_micros(10));
-        assert_eq!(clock.since(Nanos::from_micros(4)), Nanos::from_micros(6));
-        assert_eq!(clock.since(Nanos::from_micros(40)), Nanos::ZERO);
     }
 }

@@ -61,7 +61,7 @@ pub fn checksum_fold(checksum: u64, word: u64) -> u64 {
 
 /// The FxHash streaming hasher: one rotate + xor + multiply per 8-byte word.
 ///
-/// Use through [`FxBuildHasher`] / [`FxHashMap`] / [`FxHashSet`] rather than
+/// Use through `FxBuildHasher` / [`FxHashMap`] rather than
 /// directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
@@ -127,14 +127,11 @@ impl Hasher for FxHasher {
 
 /// A [`std::hash::BuildHasher`] producing [`FxHasher`]s; stateless, so every
 /// map built from it hashes identically (deterministic across runs).
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`] — drop-in for the std map on hot
 /// paths whose keys the simulator itself generates.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` hashed with [`FxHasher`].
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// An [`FxHashMap`] pre-sized for `capacity` entries, so maps whose maximum
 /// population is known from configuration never rehash on the hot path.
@@ -189,7 +186,7 @@ mod tests {
     }
 
     #[test]
-    fn map_and_set_aliases_work() {
+    fn map_alias_presizes() {
         let mut m: FxHashMap<u64, u64> = fx_map_with_capacity(16);
         let cap = m.capacity();
         for i in 0..16u64 {
@@ -197,9 +194,5 @@ mod tests {
         }
         assert_eq!(m.capacity(), cap, "pre-sized map must not grow");
         assert_eq!(m.get(&7), Some(&14));
-
-        let mut s: FxHashSet<u64> = FxHashSet::default();
-        assert!(s.insert(3));
-        assert!(!s.insert(3));
     }
 }

@@ -147,8 +147,8 @@ const FRACTION_BITS: u32 = 53 - INDEX_BITS;
 
 /// A latency sampled from a precomputed inverse-CDF quantile table.
 ///
-/// This is the hot-path replacement for [`LogNormalLatency`] and
-/// [`MixtureLatency`]: the quantile function is evaluated once at
+/// This is the hot-path replacement for [`LogNormalLatency`] and its
+/// weighted mixtures: the quantile function is evaluated once at
 /// construction (4096 intervals, 4097 knots) and a sample is one [`DetRng`]
 /// draw split by shifts into a knot index and an interpolation fraction,
 /// plus a linear interpolation — no `ln`/`exp`/`cos` and no float-to-integer
@@ -208,7 +208,7 @@ impl TableLatency {
 
     /// Builds one combined quantile table for a weighted mixture of clamped
     /// log-normals, given as `(weight, median, sigma, floor)` components —
-    /// the table twin of a [`MixtureLatency`] of [`LogNormalLatency`]s.
+    /// the table twin of a weighted mixture of [`LogNormalLatency`]s.
     ///
     /// The mixture CDF `F(x) = Σ wᵢ·Φ(ln(x/mᵢ)/σᵢ)` (with each component
     /// contributing zero below its floor — clamping is a point mass at the
@@ -218,8 +218,8 @@ impl TableLatency {
     /// exactly once.
     ///
     /// The nominal is the weighted average of component medians, matching
-    /// [`MixtureLatency::nominal`] bit-for-bit so report/recovery arithmetic
-    /// is unchanged by the switch.
+    /// the analytic mixture's nominal bit-for-bit so report/recovery
+    /// arithmetic is unchanged by the switch.
     ///
     /// # Panics
     ///
@@ -637,23 +637,23 @@ impl<'a> KnotLane<'a> {
     }
 }
 
-/// A mixture of samplers with associated weights.
-///
-/// Used, for example, to model an SSD with a fast read path plus occasional
-/// garbage-collection stalls, or a network with rare congestion events.
+/// A mixture of samplers with associated weights: the analytic reference
+/// that [`TableLatency::from_lognormal_mixture`] is checked against.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct MixtureLatency {
+struct MixtureLatency {
     components: Vec<(f64, Box<dyn LatencySampler>)>,
     total_weight: f64,
 }
 
+#[cfg(test)]
 impl MixtureLatency {
     /// Creates a mixture from `(weight, sampler)` pairs.
     ///
     /// # Panics
     ///
     /// Panics if `components` is empty or all weights are non-positive.
-    pub fn new(components: Vec<(f64, Box<dyn LatencySampler>)>) -> Self {
+    fn new(components: Vec<(f64, Box<dyn LatencySampler>)>) -> Self {
         assert!(!components.is_empty(), "MixtureLatency needs components");
         let total_weight: f64 = components.iter().map(|(w, _)| w.max(0.0)).sum();
         assert!(total_weight > 0.0, "MixtureLatency needs positive weight");
@@ -664,6 +664,7 @@ impl MixtureLatency {
     }
 }
 
+#[cfg(test)]
 impl LatencySampler for MixtureLatency {
     fn sample(&self, rng: &mut DetRng) -> Nanos {
         let mut pick = rng.next_f64() * self.total_weight;

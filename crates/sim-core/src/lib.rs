@@ -16,23 +16,26 @@
 //!   hot maps every fault probes — deterministic and ~an order of magnitude
 //!   cheaper than SipHash on the small integer keys used here — plus the
 //!   FNV fold ([`hash::checksum_fold`]) every event-stream checksum uses.
+//! - [`json`]: the one reader ([`json::flat_json_pairs`]) of the flat JSON
+//!   objects the configuration formats are stored in.
 //!
 //! Everything is `std`-only and allocation-light; the hot paths (sampling a
 //! latency, advancing the clock, hashing a key) are O(1).
 
 pub mod clock;
 pub mod hash;
+pub mod json;
 pub mod latency;
 pub mod rng;
 pub mod time;
 pub mod units;
 
 pub use clock::SimClock;
-pub use hash::{fx_map_with_capacity, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hash::{fx_map_with_capacity, FxHashMap};
 pub use latency::{
-    scale_nanos_milli, ConstantLatency, LatencySampler, LogNormalLatency, MixtureLatency,
-    TableLatency, MULTIPLIER_IDENTITY_MILLI,
+    scale_nanos_milli, ConstantLatency, LatencySampler, LogNormalLatency, TableLatency,
+    MULTIPLIER_IDENTITY_MILLI,
 };
 pub use rng::DetRng;
 pub use time::Nanos;
-pub use units::{GIB, KIB, MIB, PAGE_SHIFT, PAGE_SIZE};
+pub use units::{GIB, MIB, PAGE_SHIFT, PAGE_SIZE};

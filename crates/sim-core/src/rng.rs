@@ -55,11 +55,6 @@ impl DetRng {
         }
     }
 
-    /// Returns the seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Creates an independent sub-stream.
     ///
     /// Each fork gets a seed derived from the parent seed and a fork counter,
@@ -140,7 +135,7 @@ impl DetRng {
     }
 
     /// Samples a standard normal variate via the Box–Muller transform.
-    pub fn standard_normal(&mut self) -> f64 {
+    pub(crate) fn standard_normal(&mut self) -> f64 {
         // Box–Muller needs u1 in (0, 1]; avoid ln(0).
         let mut u1 = self.next_f64();
         if u1 <= f64::MIN_POSITIVE {
@@ -148,15 +143,6 @@ impl DetRng {
         }
         let u2 = self.next_f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-    }
-
-    /// Samples from an exponential distribution with the given mean.
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let mut u = self.next_f64();
-        if u <= f64::MIN_POSITIVE {
-            u = f64::MIN_POSITIVE;
-        }
-        -mean * u.ln()
     }
 
     /// Samples a Zipfian-distributed rank in `[0, n)` with skew `theta`.
@@ -298,14 +284,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean} too far from 0");
         assert!((var - 1.0).abs() < 0.1, "variance {var} too far from 1");
-    }
-
-    #[test]
-    fn exponential_mean_is_close() {
-        let mut rng = DetRng::seed_from(11);
-        let n = 20_000;
-        let mean = (0..n).map(|_| rng.exponential(5.0)).sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.3, "mean {mean} too far from 5");
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct Nanos(pub u64);
 impl Nanos {
     /// The zero duration.
     pub const ZERO: Nanos = Nanos(0);
-    /// The largest representable duration.
-    pub const MAX: Nanos = Nanos(u64::MAX);
 
     /// Creates a duration from raw nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
@@ -105,38 +103,6 @@ impl Nanos {
     /// Saturating subtraction (clamps at zero).
     pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked subtraction; `None` if `rhs > self`.
-    pub fn checked_sub(self, rhs: Nanos) -> Option<Nanos> {
-        self.0.checked_sub(rhs.0).map(Nanos)
-    }
-
-    /// Multiplies the duration by a float factor, saturating at zero for
-    /// negative results.
-    pub fn mul_f64(self, factor: f64) -> Nanos {
-        if factor <= 0.0 {
-            return Nanos::ZERO;
-        }
-        Nanos((self.0 as f64 * factor).round() as u64)
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: Nanos) -> Nanos {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: Nanos) -> Nanos {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
     }
 
     /// Returns true if the duration is zero.
@@ -223,7 +189,6 @@ mod tests {
     fn negative_float_inputs_saturate_to_zero() {
         assert_eq!(Nanos::from_micros_f64(-1.0), Nanos::ZERO);
         assert_eq!(Nanos::from_millis_f64(-0.5), Nanos::ZERO);
-        assert_eq!(Nanos::from_micros(10).mul_f64(-2.0), Nanos::ZERO);
     }
 
     #[test]
@@ -235,8 +200,6 @@ mod tests {
         assert_eq!((a * 3).as_nanos(), 30_000);
         assert_eq!((a / 2).as_nanos(), 5_000);
         assert_eq!(b.saturating_sub(a), Nanos::ZERO);
-        assert_eq!(a.checked_sub(b), Some(Nanos::from_micros(6)));
-        assert_eq!(b.checked_sub(a), None);
     }
 
     #[test]
@@ -259,8 +222,10 @@ mod tests {
 
     #[test]
     fn sum_is_saturating() {
-        let total: Nanos = vec![Nanos::MAX, Nanos::from_nanos(10)].into_iter().sum();
-        assert_eq!(total, Nanos::MAX);
+        let total: Nanos = vec![Nanos(u64::MAX), Nanos::from_nanos(10)]
+            .into_iter()
+            .sum();
+        assert_eq!(total, Nanos(u64::MAX));
     }
 
     proptest! {
@@ -274,15 +239,6 @@ mod tests {
         fn prop_saturating_sub_never_underflows(a in any::<u64>(), b in any::<u64>()) {
             let r = Nanos(a).saturating_sub(Nanos(b));
             prop_assert!(r.as_nanos() <= a);
-        }
-
-        #[test]
-        fn prop_mul_f64_monotone(ns in 0u64..1_000_000_000u64, f in 0.0f64..100.0) {
-            let base = Nanos(ns);
-            let scaled = base.mul_f64(f);
-            if f >= 1.0 {
-                prop_assert!(scaled >= base.mul_f64(1.0));
-            }
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Byte-size constants and page geometry shared across the workspace.
 
 /// One kibibyte.
-pub const KIB: u64 = 1024;
+pub(crate) const KIB: u64 = 1024;
 /// One mebibyte.
 pub const MIB: u64 = 1024 * KIB;
 /// One gibibyte.
@@ -28,11 +28,6 @@ pub const fn bytes_to_pages(bytes: u64) -> u64 {
     bytes.div_ceil(PAGE_SIZE)
 }
 
-/// Converts a page count into bytes.
-pub const fn pages_to_bytes(pages: u64) -> u64 {
-    pages * PAGE_SIZE
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,12 +45,5 @@ mod tests {
         assert_eq!(bytes_to_pages(PAGE_SIZE - 1), 1);
         assert_eq!(bytes_to_pages(PAGE_SIZE), 1);
         assert_eq!(bytes_to_pages(10 * PAGE_SIZE + 5), 11);
-    }
-
-    #[test]
-    fn pages_to_bytes_round_trip() {
-        for pages in [0u64, 1, 7, 4096] {
-            assert_eq!(bytes_to_pages(pages_to_bytes(pages)), pages);
-        }
     }
 }

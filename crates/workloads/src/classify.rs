@@ -31,7 +31,7 @@ pub struct PatternBreakdown {
 
 impl PatternBreakdown {
     /// Total windows classified.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.sequential + self.stride + self.other
     }
 

@@ -92,13 +92,6 @@ impl LogFormat {
             LogFormat::PerfScript => "perf-script",
         }
     }
-
-    /// The inverse of [`LogFormat::label`].
-    pub fn from_label(label: &str) -> Option<Self> {
-        [LogFormat::DamonRegions, LogFormat::PerfScript]
-            .into_iter()
-            .find(|f| f.label() == label)
-    }
 }
 
 /// Guesses the format of one event line (the first non-blank, non-comment
@@ -109,7 +102,7 @@ impl LogFormat {
 /// its third token; a perf line's third token is the bracketed cpu. The
 /// full grammar is still enforced by the parser afterwards — detection only
 /// routes.
-pub fn detect_format(line: &str) -> Option<LogFormat> {
+pub(crate) fn detect_format(line: &str) -> Option<LogFormat> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     let starts_with_digit = |t: &str| t.bytes().next().is_some_and(|b| b.is_ascii_digit());
     if tokens.len() >= 4 && tokens[2].contains('-') && starts_with_digit(tokens[0]) {
@@ -404,12 +397,15 @@ fn drive_reader<R: BufRead>(
 }
 
 /// Streams `reader` line by line through the parser for `format`.
-pub fn ingest_reader<R: BufRead>(reader: R, format: LogFormat) -> Result<IngestedLog, IngestError> {
+pub(crate) fn ingest_reader<R: BufRead>(
+    reader: R,
+    format: LogFormat,
+) -> Result<IngestedLog, IngestError> {
     drive_reader(reader, Some(format))
 }
 
 /// Streams `reader`, auto-detecting the format from the first event line.
-pub fn ingest_reader_auto<R: BufRead>(reader: R) -> Result<IngestedLog, IngestError> {
+pub(crate) fn ingest_reader_auto<R: BufRead>(reader: R) -> Result<IngestedLog, IngestError> {
     drive_reader(reader, None)
 }
 
@@ -569,14 +565,6 @@ mod tests {
         );
         assert_eq!(detect_format("hello world"), None);
         assert_eq!(detect_format("not a-log line here"), None);
-    }
-
-    #[test]
-    fn format_labels_round_trip() {
-        for fmt in [LogFormat::DamonRegions, LogFormat::PerfScript] {
-            assert_eq!(LogFormat::from_label(fmt.label()), Some(fmt));
-        }
-        assert_eq!(LogFormat::from_label("nope"), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub mod multi;
 pub mod trace;
 
 pub use apps::{AppKind, AppModel};
-pub use classify::{classify_windows, PatternBreakdown, PatternMode};
+pub use classify::{classify_windows, PatternMode};
 pub use ingest::{IngestError, IngestedLog, LogFormat};
 pub use micro::{sequential_trace, stride_trace};
 pub use multi::interleave;

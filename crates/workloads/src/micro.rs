@@ -11,7 +11,7 @@ use leap_sim_core::Nanos;
 
 /// Per-access compute cost used by the microbenchmarks (they are memory
 /// bound, so the cost is tiny but non-zero).
-pub const MICRO_COMPUTE: Nanos = Nanos(200);
+pub(crate) const MICRO_COMPUTE: Nanos = Nanos(200);
 
 /// Generates a sequential access trace over a working set of
 /// `working_set_bytes`, visiting each page once per pass for `passes` passes.

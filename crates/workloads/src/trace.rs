@@ -132,15 +132,6 @@ impl AccessTrace {
     pub fn page_sequence(&self) -> Vec<u64> {
         self.accesses.iter().map(|a| a.page).collect()
     }
-
-    /// Truncates the trace to at most `n` accesses (cheap way to produce
-    /// scaled-down experiment variants).
-    pub fn truncated(&self, n: usize) -> AccessTrace {
-        AccessTrace::new(
-            self.name.clone(),
-            self.accesses.iter().take(n).copied().collect(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -192,15 +183,6 @@ mod tests {
     }
 
     #[test]
-    fn truncated_keeps_prefix() {
-        let t = AccessTrace::new("t", (0..10).map(|i| Access::read(i, Nanos::ZERO)).collect());
-        let short = t.truncated(3);
-        assert_eq!(short.len(), 3);
-        assert_eq!(short.page_sequence(), vec![0, 1, 2]);
-        assert_eq!(short.name(), "t");
-    }
-
-    #[test]
     fn read_write_constructors() {
         assert!(!Access::read(5, Nanos::ZERO).is_write);
         assert!(Access::write(5, Nanos::ZERO).is_write);
@@ -218,12 +200,10 @@ mod tests {
 
     proptest! {
         /// The stored working set is the sort-and-dedup count, on the
-        /// trace, on a clone taken before or after the first query, and on
-        /// a truncated copy (which counts its own prefix).
+        /// trace and on a clone taken before or after the first query.
         #[test]
         fn prop_working_set_cache_matches_a_fresh_count(
             pages in proptest::collection::vec(0u64..64, 0..200),
-            keep in 0usize..240,
         ) {
             let trace = trace_of(&pages);
             let early_clone = trace.clone();
@@ -232,11 +212,6 @@ mod tests {
             prop_assert_eq!(trace.working_set_pages(), expected);
             prop_assert_eq!(trace.clone().working_set_pages(), expected);
             prop_assert_eq!(early_clone.working_set_pages(), expected);
-            let short = trace.truncated(keep);
-            prop_assert_eq!(
-                short.working_set_pages(),
-                distinct_pages(&trace.accesses()[..keep.min(pages.len())])
-            );
         }
     }
 }

@@ -1,18 +1,23 @@
 //! Golden fingerprints of scheduled multi-process replays.
 //!
-//! Three fixed-seed `run_multi` replays over the four application traces on
+//! Four fixed-seed `run_multi` replays over the four application traces on
 //! 2 cores are pinned to `tests/fixtures/multi_replay_golden.txt`:
 //!
 //! - a `linux_defaults` VMM (shared read-ahead state across processes, so
 //!   one replay worker spans every core);
 //! - a `VfsSimulator` (one file cache shared by every core);
 //! - a `leap_defaults` VMM (per-process isolation, one shard worker per
-//!   core).
+//!   core);
+//! - the `linux_defaults` VMM with a 256-page prefetch cache, the one run
+//!   whose lazy reclaimer evicts, so its eviction-wait histogram is not
+//!   empty.
 //!
 //! The fingerprint covers completion time, accesses, `CacheStats`, the
-//! prefetch-outcome, fault, recovery and pipeline checksums, and the mean
-//! and p99 remote-access latency. Both replay modes must reproduce the
-//! committed values exactly.
+//! prefetch-outcome, fault, recovery and pipeline checksums, the mean and
+//! p99 remote-access latency, and the sample count, p50, p99 and max of the
+//! eviction-wait, allocation-wait and prefetch-timeliness histograms (so a
+//! shard merge that drops one of them cannot go unnoticed). Both replay
+//! modes must reproduce the committed values exactly.
 //!
 //! Regenerate after an *intentional* behaviour change:
 //!
@@ -89,6 +94,21 @@ fn fingerprint(name: &str, mut result: RunResult) -> String {
         "remote_p99_ns",
         result.p99_remote_latency().as_nanos().to_string(),
     );
+    for (hist_name, hist) in [
+        ("eviction_wait", &mut result.eviction_wait),
+        ("allocation_wait", &mut result.allocation_wait),
+        ("timeliness", result.prefetch_stats.timeliness()),
+    ] {
+        line(&format!("{hist_name}_len"), hist.len().to_string());
+        for (label, p) in [("p50", 50.0), ("p99", 99.0)] {
+            let ns = hist.percentile(p).as_nanos();
+            line(&format!("{hist_name}_{label}_ns"), ns.to_string());
+        }
+        line(
+            &format!("{hist_name}_max_ns"),
+            hist.max().as_nanos().to_string(),
+        );
+    }
     out
 }
 
@@ -97,10 +117,17 @@ fn render(mode: ReplayMode) -> String {
     let dvmm = VmmSimulator::new(configure(SimConfig::linux_defaults(), mode)).run_multi(&traces);
     let vfs = VfsSimulator::new(configure(SimConfig::leap_defaults(), mode)).run_multi(&traces);
     let leap = VmmSimulator::new(configure(SimConfig::leap_defaults(), mode)).run_multi(&traces);
+    let small_cache = SimConfig::linux_defaults()
+        .to_builder()
+        .prefetch_cache_pages(256)
+        .build()
+        .expect("valid config");
+    let reclaimed = VmmSimulator::new(configure(small_cache, mode)).run_multi(&traces);
     [
         fingerprint("linux_vmm", dvmm),
         fingerprint("vfs", vfs),
         fingerprint("leap_vmm", leap),
+        fingerprint("linux_vmm_small_cache", reclaimed),
     ]
     .concat()
 }

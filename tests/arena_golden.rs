@@ -11,14 +11,9 @@
 //! REGEN_GOLDEN=1 cargo test --test arena_golden -- arena_matrix_is_fresh
 //! ```
 
-use leap_bench::arena::{run_arena, workspace_fixture, ArenaOptions, ARENA_SCHEMA};
-use std::path::PathBuf;
+mod common;
 
-fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
+use leap_bench::arena::{run_arena, workspace_fixture, ArenaOptions, ARENA_SCHEMA};
 
 /// The committed-fixture corpus: no synthetic entries, just the two recorded
 /// logs, so the matrix is small enough to pin byte-exactly and cheap enough
@@ -41,19 +36,7 @@ fn arena_matrix_is_fresh() {
     let report = run_arena(&fixture_options(2)).expect("fixture corpus must run");
     let rendered = report.to_json();
     assert!(rendered.starts_with(&format!("{{\"schema\":\"{ARENA_SCHEMA}\"")));
-
-    let golden = fixture("arena_matrix.json");
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(&golden, &rendered).expect("write golden arena matrix");
-        return;
-    }
-    let pinned = std::fs::read_to_string(&golden)
-        .expect("tests/fixtures/arena_matrix.json must exist (REGEN_GOLDEN=1 to create)");
-    assert_eq!(
-        rendered, pinned,
-        "arena matrix drifted from the committed golden; regenerate with \
-         REGEN_GOLDEN=1 if the change is intentional"
-    );
+    common::assert_fixture_fresh("arena_matrix.json", &rendered);
 }
 
 #[test]

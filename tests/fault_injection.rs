@@ -16,6 +16,9 @@
 //! REGEN_GOLDEN=1 cargo test --test fault_injection -- storm_plan_fixture_is_fresh
 //! ```
 
+mod common;
+
+use common::fixture;
 use leap_repro::leap_remote::{
     HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind, DEFAULT_SLAB_BYTES,
 };
@@ -26,13 +29,6 @@ use leap_repro::leap_workloads::ingest::ingest_path;
 use leap_repro::leap_workloads::{Access, AccessTrace};
 use leap_repro::prelude::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
-
-fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
 
 fn perf_traces() -> Vec<AccessTrace> {
     ingest_path(fixture("perf_faults.log"))
@@ -469,23 +465,10 @@ fn non_object_fault_json_is_a_typed_error() {
 #[test]
 fn storm_plan_fixture_is_fresh() {
     let rendered = FaultSpec::canonical_storm().to_json();
-    let path = fixture("storm_plan.json");
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, format!("{rendered}\n")).expect("write storm plan");
-        return;
-    }
-    let committed = std::fs::read_to_string(&path).expect(
-        "tests/fixtures/storm_plan.json missing — regenerate with \
-         REGEN_GOLDEN=1 cargo test --test fault_injection",
-    );
-    assert_eq!(
-        committed.trim_end(),
-        rendered,
-        "committed storm plan drifted from FaultSpec::canonical_storm(); if \
-         the change is intentional, regenerate with REGEN_GOLDEN=1"
-    );
+    common::assert_fixture_fresh("storm_plan.json", &format!("{rendered}\n"));
     // And the committed bytes parse back to the canonical spec, so the file
     // stays a plan `FaultSpec::from_json` loads as-is.
+    let committed = std::fs::read_to_string(fixture("storm_plan.json")).expect("storm plan");
     let parsed = FaultSpec::from_json(committed.trim_end()).expect("fixture parses");
     assert_eq!(parsed, FaultSpec::canonical_storm());
 }
@@ -493,22 +476,9 @@ fn storm_plan_fixture_is_fresh() {
 #[test]
 fn partition_plan_fixture_is_fresh() {
     let rendered = FaultSpec::canonical_partition_storm().to_json();
-    let path = fixture("partition_plan.json");
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, format!("{rendered}\n")).expect("write partition plan");
-        return;
-    }
-    let committed = std::fs::read_to_string(&path).expect(
-        "tests/fixtures/partition_plan.json missing — regenerate with \
-         REGEN_GOLDEN=1 cargo test --test fault_injection",
-    );
-    assert_eq!(
-        committed.trim_end(),
-        rendered,
-        "committed partition plan drifted from \
-         FaultSpec::canonical_partition_storm(); if the change is \
-         intentional, regenerate with REGEN_GOLDEN=1"
-    );
+    common::assert_fixture_fresh("partition_plan.json", &format!("{rendered}\n"));
+    let committed =
+        std::fs::read_to_string(fixture("partition_plan.json")).expect("partition plan");
     let parsed = FaultSpec::from_json(committed.trim_end()).expect("fixture parses");
     assert_eq!(parsed, FaultSpec::canonical_partition_storm());
 }

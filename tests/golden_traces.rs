@@ -10,18 +10,14 @@
 //! REGEN_GOLDEN=1 cargo test --test golden_traces -- golden_recorder_log_is_fresh
 //! ```
 
+mod common;
+
+use common::fixture;
 use leap_repro::leap_sim_core::units::MIB;
 use leap_repro::leap_sim_core::Nanos;
 use leap_repro::leap_workloads::ingest::{ingest_path, ingest_str, IngestedLog, LogFormat};
 use leap_repro::leap_workloads::{sequential_trace, stride_trace, AccessTrace};
 use leap_repro::prelude::*;
-use std::path::PathBuf;
-
-fn fixture(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join(name)
-}
 
 fn ingest_fixture(name: &str) -> IngestedLog {
     ingest_path(fixture(name)).unwrap_or_else(|e| panic!("{name} must ingest: {e}"))
@@ -198,21 +194,8 @@ fn golden_run() -> (Vec<AccessTrace>, TraceRecorder) {
 fn golden_recorder_log_is_fresh() {
     let (_, recorder) = golden_run();
     let rendered = recorder.to_log();
-    let path = fixture("golden_recorded.log");
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &rendered).expect("write golden");
-        return;
-    }
-    let committed = std::fs::read_to_string(&path).expect(
-        "tests/fixtures/golden_recorded.log missing — regenerate with \
-         REGEN_GOLDEN=1 cargo test --test golden_traces",
-    );
-    assert_eq!(
-        rendered, committed,
-        "TraceRecorder output drifted from the committed golden log; if the \
-         format change is intentional, regenerate with REGEN_GOLDEN=1 and \
-         update ARCHITECTURE.md's grammar"
-    );
+    // An intentional format change also updates ARCHITECTURE.md's grammar.
+    common::assert_fixture_fresh("golden_recorded.log", &rendered);
 }
 
 #[test]

@@ -25,11 +25,12 @@
 //! REGEN_GOLDEN=1 cargo test --test multi_replay_golden
 //! ```
 
+mod common;
+
 use leap_repro::leap_sim_core::units::MIB;
 use leap_repro::leap_workloads::AccessTrace;
 use leap_repro::prelude::*;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 fn app_traces() -> Vec<AccessTrace> {
     AppKind::ALL
@@ -134,21 +135,11 @@ fn render(mode: ReplayMode) -> String {
 
 #[test]
 fn multi_process_replays_match_the_committed_fingerprints() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/fixtures")
-        .join("multi_replay_golden.txt");
     let serial = render(ReplayMode::Serial);
-    if std::env::var_os("REGEN_GOLDEN").is_some() {
-        std::fs::write(&path, &serial).expect("write golden");
-    }
-    let committed = std::fs::read_to_string(&path).expect(
-        "tests/fixtures/multi_replay_golden.txt missing — regenerate with \
-         REGEN_GOLDEN=1 cargo test --test multi_replay_golden",
-    );
-    assert_eq!(serial, committed, "serial replay drifted from the golden");
+    common::assert_fixture_fresh("multi_replay_golden.txt", &serial);
     assert_eq!(
         render(ReplayMode::Threaded),
-        committed,
-        "threaded replay drifted from the golden"
+        serial,
+        "threaded replay differs from the serial one"
     );
 }

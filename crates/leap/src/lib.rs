@@ -17,19 +17,21 @@
 //! Both are driven by [`leap_workloads::AccessTrace`]s and produce a
 //! [`result::RunResult`] with the latency distributions, cache statistics,
 //! prefetch effectiveness, and completion time / throughput numbers the
-//! paper's figures report. For streaming consumers, a [`session::Session`]
-//! drives either simulator access by access, emitting a
-//! [`session::FaultEvent`] per access to [`session::Observer`] hooks.
+//! paper's figures report. Every replay goes through one driver
+//! ([`parallel`]) under the deterministic scheduler in [`sched`], and a
+//! [`session::Session`] runs the same replays with [`session::Observer`]
+//! hooks attached, handing them one [`session::FaultEvent`] per access.
 //!
-//! Multi-process replays ([`session::Simulator::run_multi`]) time-share the
-//! processes over [`SimConfig::cores`] cores with the deterministic
-//! scheduler in [`sched`], through one driver ([`parallel`]): the front-end
-//! splits into per-core shard workers where its state allows (the VMM with
-//! per-process isolation shards its swap space, prefetch cache, eviction
-//! state, and prefetcher trends per core) or into one worker spanning every
-//! core where it does not. Every [`session::FaultEvent`] carries the core it
-//! ran on and a per-core dense `seq`, so per-core streams (Figure 13
-//! scale-up curves) come straight out of the observer API.
+//! A single-process replay ([`session::Simulator::run`]) is the unsplit
+//! simulator on a one-core schedule. Multi-process replays
+//! ([`session::Simulator::run_multi`]) time-share the processes over
+//! [`SimConfig::cores`] cores: the front-end splits into per-core shard
+//! workers where its state allows (the VMM with per-process isolation
+//! shards its swap space, prefetch cache, eviction state, and prefetcher
+//! trends per core) or into one worker spanning every core where it does
+//! not. Every [`session::FaultEvent`] carries the core it ran on and a
+//! per-core dense `seq`, so per-core streams (Figure 13 scale-up curves)
+//! come straight out of the observer API.
 //!
 //! # Quick start
 //!

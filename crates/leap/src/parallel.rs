@@ -1,8 +1,10 @@
-//! The multi-process replay driver.
+//! The replay driver.
 //!
-//! Every scheduled multi-process replay ([`Simulator::run_multi`]) runs
-//! here. The front-end first splits itself into **replay workers**
-//! ([`Simulator::into_workers`]):
+//! Every replay runs here. A single-process replay ([`Simulator::run`],
+//! [`Simulator::run_prepopulated`]) hands the unsplit simulator over as the
+//! one worker of a one-core schedule. A scheduled multi-process replay
+//! ([`Simulator::run_multi`]) first splits the front-end into **replay
+//! workers** ([`Simulator::into_workers`]):
 //!
 //! - one share-nothing **shard worker** per core when its state can be
 //!   split per core (the VMM with per-process isolation). Each owns its
@@ -60,12 +62,16 @@
 
 use crate::result::RunResult;
 use crate::sched::CoreScheduler;
-use crate::session::{EventRing, FaultEvent, Observer, Simulator};
+use crate::session::{FaultEvent, Observer, Simulator};
 use leap_mem::Pid;
 use leap_sim_core::Nanos;
 use leap_workloads::AccessTrace;
 
 use crate::config::ReplayMode;
+
+/// How many events each [`Observer::on_batch`] call delivers: large enough
+/// to amortise observer dispatch, small enough to stay in cache.
+const EVENT_BATCH: usize = 256;
 
 /// Everything a replay produces before aggregation: the per-core event
 /// buffers, the per-worker partial results, and the makespan.
@@ -189,8 +195,8 @@ fn merge_by_core(per_core: Vec<ShardOutcome>) -> ShardOutcome {
 /// Aggregates a replay: folds the partial results in worker order into a
 /// fresh result carrying the run's label and workload name (stamped on
 /// every partial), stamps the makespan, and delivers the merged
-/// `(core, seq)` event stream to `observers` in
-/// [`EventRing::DEFAULT_BATCH`]-sized batches.
+/// `(core, seq)` event stream to `observers` in [`EVENT_BATCH`]-sized
+/// batches.
 ///
 /// Folding into a fresh result rather than onto the first partial sizes the
 /// aggregate histograms to their samples; a worker's histograms keep the
@@ -212,11 +218,10 @@ pub(crate) fn finish_sharded(
 
     if !observers.is_empty() {
         // The per-core buffers are already contiguous and in (core, seq)
-        // order, so batches are delivered by slicing them directly — the
-        // same batched-`on_batch` contract as the [`EventRing`], with zero
-        // additional copies.
+        // order, so batches are delivered by slicing them directly, with
+        // zero additional copies.
         for core_events in &outcome.events {
-            for chunk in core_events.chunks(EventRing::DEFAULT_BATCH) {
+            for chunk in core_events.chunks(EVENT_BATCH) {
                 for observer in observers.iter_mut() {
                     observer.on_batch(chunk);
                 }

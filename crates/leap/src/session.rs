@@ -1,25 +1,27 @@
-//! The unified [`Simulator`] trait and the stepwise [`Session`] API.
+//! The unified [`Simulator`] trait and the observable [`Session`] API.
 //!
-//! Historically `VmmSimulator` and `VfsSimulator` were two unrelated structs
-//! exposing only batch `run(trace) -> RunResult`. This module puts both
-//! behind one trait and adds a streaming mode: a [`Session`] drives a
-//! simulator access by access and hands every resulting [`FaultEvent`] to
-//! [`Observer`] hooks *while the run executes*. The batch result is
-//! unchanged — `Session::run` and `Simulator::run` replay the exact same
-//! step sequence — so figures can be computed from the stream with
-//! numerically identical output (see `leap-bench`'s Figure 2/7 percentile
-//! rows).
+//! Both front-ends (`VmmSimulator`, `VfsSimulator`) sit behind one trait,
+//! and every replay — single-process ([`Simulator::run`],
+//! [`Simulator::run_prepopulated`]) or multi-process
+//! ([`Simulator::run_multi`]) — goes through one driver,
+//! [`crate::parallel`], under the time-sliced per-core scheduler in
+//! [`crate::sched`]. A single-process replay is the unsplit simulator as
+//! the one worker of a one-core schedule; a multi-process replay first
+//! splits the front-end into replay workers
+//! ([`Simulator::into_workers`]), stepped one core at a time or one thread
+//! per core.
 //!
-//! Multi-process replays ([`Simulator::run_multi`]) have one driver: the
-//! front-end splits itself into replay workers
-//! ([`Simulator::into_workers`]), which [`crate::parallel`] steps under the
-//! time-sliced per-core scheduler in [`crate::sched`], one core at a time
-//! or one thread per core. Every [`FaultEvent`] carries the core it ran on
-//! and a per-core dense `seq`, so per-core streams (and Figure 13-style
-//! scale-up curves) fall out of the same observer machinery — see
+//! A [`Session`] runs the same replays with [`Observer`]s attached: the
+//! driver buffers each core's [`FaultEvent`]s and, once the replay
+//! finishes, hands them to the observers in batches. Observed and
+//! unobserved runs take the same path, so their results are identical and
+//! figures computed from the stream match the batch numbers (see
+//! `leap-bench`'s Figure 2/7 percentile rows). Every event carries the core
+//! it ran on and a per-core dense `seq`, so per-core streams (and Figure
+//! 13-style scale-up curves) fall out of the same observer machinery — see
 //! [`CoreActivity`] and [`EventLog`].
 
-use crate::config::SimConfig;
+use crate::config::{ReplayMode, SimConfig};
 use crate::parallel;
 use crate::result::RunResult;
 use crate::sched::CoreScheduler;
@@ -58,11 +60,9 @@ impl AccessOutcome {
 /// One access's journey through the fault engine, as emitted to observers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// 0-based index of the access in its core's stream, stamped by
-    /// whatever delivers the event: a [`Session`] numbers the accesses it
-    /// steps densely from zero, and a multi-process replay
-    /// ([`Simulator::run_multi`]) numbers each core's accesses densely from
-    /// zero and delivers the merged stream in `(core, seq)` order. Events
+    /// 0-based index of the access in its core's stream, stamped by the
+    /// replay driver ([`crate::parallel`]) as it buffers each core's events:
+    /// dense from zero per core, delivered in `(core, seq)` order. Events
     /// returned straight from [`Simulator::step_access`] carry 0.
     pub seq: u64,
     /// The accessing process.
@@ -94,11 +94,11 @@ pub struct FaultEvent {
 
 /// A hook receiving the event stream of a [`Session`] run.
 ///
-/// Events are delivered in batches through an `EventRing`: the driving
-/// loop buffers events and flushes a full slice at a time, so one virtual
-/// call amortises over many events. Implement [`Observer::on_batch`] to
-/// consume whole slices zero-copy; the default forwards each event to
-/// [`Observer::on_event`], so per-event observers keep working unchanged.
+/// Events are delivered in batches once the replay finishes: the driver
+/// slices its per-core event buffers, so one virtual call amortises over
+/// many events. Implement [`Observer::on_batch`] to consume whole slices
+/// zero-copy; the default forwards each event to [`Observer::on_event`], so
+/// per-event observers keep working unchanged.
 pub trait Observer {
     /// Called for every access, in replay order.
     fn on_event(&mut self, event: &FaultEvent);
@@ -116,75 +116,15 @@ pub trait Observer {
     fn on_complete(&mut self, _result: &RunResult) {}
 }
 
-/// A bounded buffer batching [`FaultEvent`] delivery to [`Observer`]s.
-///
-/// The driving loops push events into the ring; once
-/// [`EventRing::DEFAULT_BATCH`] events accumulate (or the run finishes) the
-/// buffered slice is handed to every observer's [`Observer::on_batch`] in
-/// one call. With no observers attached, pushes are dropped without
-/// buffering, so unobserved runs pay nothing.
-#[derive(Debug)]
-pub(crate) struct EventRing {
-    buf: Vec<FaultEvent>,
-    capacity: usize,
-}
-
-impl Default for EventRing {
-    fn default() -> Self {
-        EventRing::new(EventRing::DEFAULT_BATCH)
-    }
-}
-
-impl EventRing {
-    /// Default batch size: large enough to amortise observer dispatch, small
-    /// enough to stay in cache.
-    pub(crate) const DEFAULT_BATCH: usize = 256;
-
-    /// Creates a ring flushing every `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "event ring capacity must be nonzero");
-        EventRing {
-            buf: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Buffers one event, flushing to `observers` when the batch is full.
-    /// With no observers the event is dropped immediately.
-    pub(crate) fn push(&mut self, event: FaultEvent, observers: &mut [&mut dyn Observer]) {
-        if observers.is_empty() {
-            return;
-        }
-        self.buf.push(event);
-        if self.buf.len() >= self.capacity {
-            self.flush(observers);
-        }
-    }
-
-    /// Delivers any buffered events to every observer and clears the buffer.
-    pub(crate) fn flush(&mut self, observers: &mut [&mut dyn Observer]) {
-        if self.buf.is_empty() {
-            return;
-        }
-        for observer in observers.iter_mut() {
-            observer.on_batch(&self.buf);
-        }
-        self.buf.clear();
-    }
-}
-
 /// A paging/file front-end that replays access traces.
 ///
-/// The required methods are the stepwise core ([`Simulator::prepare`], then
-/// [`Simulator::step_access`] per access, then [`Simulator::into_result`])
-/// and the two hooks of the multi-process driver
-/// ([`Simulator::into_workers`], [`Simulator::enter_core`]); the batch entry
-/// points [`Simulator::run`] and [`Simulator::run_multi`] are provided on
-/// top of them, as is the observable [`Session`] wrapper.
+/// The required methods are what the replay driver ([`crate::parallel`])
+/// calls: [`Simulator::prepare`], then [`Simulator::enter_core`] and
+/// [`Simulator::step_access`] per access, then [`Simulator::into_result`],
+/// plus [`Simulator::into_workers`] to split a multi-process replay. The
+/// entry points [`Simulator::run`], [`Simulator::run_prepopulated`] and
+/// [`Simulator::run_multi`] are provided on top of them; each is the
+/// matching [`Session`] method with no observer attached.
 ///
 /// Simulators are `Send` so a thread-parallel replay can move shard workers
 /// onto their own OS threads.
@@ -205,7 +145,7 @@ pub trait Simulator: Sized + Send {
     fn prepopulate(&mut self, _pid: Pid, _trace: &AccessTrace) {}
 
     /// Executes one access for `pid`, charging its latency, and describes it.
-    /// The event's `seq` is left 0 for the caller to stamp.
+    /// The event's `seq` is left 0 for the driver to stamp.
     fn step_access(&mut self, pid: Pid, access: Access) -> FaultEvent;
 
     /// The current simulated instant (the active core's local clock).
@@ -232,17 +172,25 @@ pub trait Simulator: Sized + Send {
     fn into_workers(self, traces: &[AccessTrace], sched: &CoreScheduler) -> Vec<Self>;
 
     /// Moves the worker onto `core` at that core's local time `now`. The
-    /// driver calls it before every access of a scheduled replay; `now`
-    /// never runs behind the worker's own clock for that core.
+    /// driver calls it before every access; `now` never runs behind the
+    /// worker's own clock for that core.
     fn enter_core(&mut self, core: usize, now: Nanos);
 
     /// Replays a single-process trace to completion.
-    fn run(mut self, trace: &AccessTrace) -> RunResult {
-        self.prepare(std::slice::from_ref(trace));
-        for access in trace.iter() {
-            self.step_access(Pid(1), *access);
-        }
-        self.into_result()
+    fn run(self, trace: &AccessTrace) -> RunResult {
+        self.session().run(trace)
+    }
+
+    /// Like [`Simulator::run`], but first touches the trace's working set
+    /// once in address order without recording any metrics (see
+    /// [`Simulator::prepopulate`]).
+    ///
+    /// This models the paper's microbenchmark methodology: the application
+    /// allocates and initialises its working set (a sequential sweep, which
+    /// also fixes the swap-slot layout to follow the address order), and
+    /// only the subsequent pattern accesses are measured.
+    fn run_prepopulated(self, trace: &AccessTrace) -> RunResult {
+        self.session().run_prepopulated(trace)
     }
 
     /// Replays `traces` as N concurrent processes time-shared over
@@ -258,36 +206,7 @@ pub trait Simulator: Sized + Send {
     /// aggregate statistic exactly, in either
     /// [`SimConfig::replay_mode`](crate::SimConfig::replay_mode).
     fn run_multi(self, traces: &[AccessTrace]) -> RunResult {
-        self.run_multi_observed(traces, &mut [])
-    }
-
-    /// Like [`Simulator::run_multi`], additionally delivering every
-    /// [`FaultEvent`] to `observers` in `(core, seq)` order, in batches
-    /// (this is what [`Session::run_multi`] calls; `on_complete` is the
-    /// session's job).
-    ///
-    /// Builds the scheduler, splits the front-end with
-    /// [`Simulator::into_workers`], steps the workers in the configured
-    /// [`crate::config::ReplayMode`], and folds their partial results (see
-    /// [`crate::parallel`]).
-    fn run_multi_observed(
-        self,
-        traces: &[AccessTrace],
-        observers: &mut [&mut dyn Observer],
-    ) -> RunResult {
-        let config = self.config();
-        let mode = config.replay_mode;
-        let lens: Vec<usize> = traces.iter().map(AccessTrace::len).collect();
-        let sched = CoreScheduler::with_context_switch(
-            &lens,
-            config.cores,
-            config.sched_quantum,
-            config.seed,
-            config.context_switch_cost,
-        );
-        let workers = self.into_workers(traces, &sched);
-        let outcome = parallel::replay(mode, workers, traces, sched, !observers.is_empty());
-        parallel::finish_sharded(outcome, observers)
+        self.session().run_multi(traces)
     }
 
     /// Wraps this simulator in an observable [`Session`].
@@ -296,8 +215,8 @@ pub trait Simulator: Sized + Send {
     }
 }
 
-/// Drives a [`Simulator`] step by step, fanning every [`FaultEvent`] out to
-/// the attached [`Observer`]s.
+/// Runs a [`Simulator`]'s replays with [`Observer`]s attached, fanning
+/// every [`FaultEvent`] out to them.
 ///
 /// # Examples
 ///
@@ -321,8 +240,6 @@ pub trait Simulator: Sized + Send {
 pub struct Session<'obs, S> {
     sim: S,
     observers: Vec<&'obs mut dyn Observer>,
-    ring: EventRing,
-    seq: u64,
 }
 
 impl<'obs, S: Simulator> Session<'obs, S> {
@@ -331,8 +248,6 @@ impl<'obs, S: Simulator> Session<'obs, S> {
         Session {
             sim,
             observers: Vec::new(),
-            ring: EventRing::default(),
-            seq: 0,
         }
     }
 
@@ -342,72 +257,75 @@ impl<'obs, S: Simulator> Session<'obs, S> {
         self
     }
 
-    /// Sizes per-process state for the given traces (see
-    /// [`Simulator::prepare`]).
-    pub fn prepare(&mut self, traces: &[AccessTrace]) {
-        self.sim.prepare(traces);
+    /// Observed [`Simulator::run`]: the identical replay, with every access
+    /// also fanned out to the observers.
+    pub fn run(self, trace: &AccessTrace) -> RunResult {
+        self.run_single(trace, false)
     }
 
-    /// Executes one access, stamps its `seq` (dense from zero over the
-    /// session), and queues its event for the observers.
-    ///
-    /// Events are delivered in batches (see `EventRing`); any still-queued
-    /// events are flushed by [`Session::finish`], so by the time the result
-    /// is returned observers have seen the complete stream.
-    pub fn step(&mut self, pid: Pid, access: Access) -> FaultEvent {
-        let mut event = self.sim.step_access(pid, access);
-        event.seq = self.seq;
-        self.seq += 1;
-        self.ring.push(event, &mut self.observers);
-        event
+    /// Observed [`Simulator::run_prepopulated`]. The population pass is not
+    /// observed, matching how it is excluded from the metrics.
+    pub fn run_prepopulated(self, trace: &AccessTrace) -> RunResult {
+        self.run_single(trace, true)
     }
 
-    /// Finishes the run, flushes any batched events, notifies the observers,
-    /// and returns the result.
-    pub fn finish(self) -> RunResult {
-        let mut observers = self.observers;
-        let mut ring = self.ring;
-        ring.flush(&mut observers);
-        let result = self.sim.into_result();
-        for observer in &mut observers {
-            observer.on_complete(&result);
-        }
-        result
-    }
-
-    /// Streamed equivalent of [`Simulator::run`]: numerically identical
-    /// result, with every access also fanned out to the observers.
-    pub fn run(mut self, trace: &AccessTrace) -> RunResult {
-        self.prepare(std::slice::from_ref(trace));
-        for access in trace.iter() {
-            self.step(Pid(1), *access);
-        }
-        self.finish()
-    }
-
-    /// Streamed equivalent of `run` preceded by an unmetered population pass
-    /// (see [`Simulator::prepopulate`]); the population phase is not
-    /// observed, matching how the batch API excludes it from metrics.
-    pub fn run_prepopulated(mut self, trace: &AccessTrace) -> RunResult {
-        self.prepare(std::slice::from_ref(trace));
-        self.sim.prepopulate(Pid(1), trace);
-        for access in trace.iter() {
-            self.step(Pid(1), *access);
-        }
-        self.finish()
-    }
-
-    /// Streamed equivalent of [`Simulator::run_multi`]: the identical
-    /// replay (same scheduler, same seed, same [`crate::config::ReplayMode`]),
-    /// with the merged per-core [`FaultEvent`] stream also fanned out to the
+    /// Observed [`Simulator::run_multi`]: the identical replay (same
+    /// scheduler, same seed, same [`crate::config::ReplayMode`]), with the
+    /// merged per-core [`FaultEvent`] stream also fanned out to the
     /// observers in `(core, seq)` order.
-    pub fn run_multi(mut self, traces: &[AccessTrace]) -> RunResult {
-        let result = self.sim.run_multi_observed(traces, &mut self.observers);
-        for observer in &mut self.observers {
-            observer.on_complete(&result);
-        }
-        result
+    pub fn run_multi(self, traces: &[AccessTrace]) -> RunResult {
+        let config = *self.sim.config();
+        let lens: Vec<usize> = traces.iter().map(AccessTrace::len).collect();
+        let sched = CoreScheduler::with_context_switch(
+            &lens,
+            config.cores,
+            config.sched_quantum,
+            config.seed,
+            config.context_switch_cost,
+        );
+        let workers = self.sim.into_workers(traces, &sched);
+        drive(config.replay_mode, workers, traces, sched, self.observers)
     }
+
+    /// Replays `trace` as process 1 with the unsplit simulator as the one
+    /// worker of a one-core schedule. With a single process the scheduler
+    /// never rotates or charges a context switch, so every slot starts at
+    /// the worker's own clock.
+    fn run_single(mut self, trace: &AccessTrace, prepopulate: bool) -> RunResult {
+        let config = *self.sim.config();
+        let sched = CoreScheduler::new(&[trace.len()], 1, config.sched_quantum, config.seed);
+        let traces = std::slice::from_ref(trace);
+        self.sim.prepare(traces);
+        if prepopulate {
+            self.sim.prepopulate(Pid(1), trace);
+        }
+        drive(
+            config.replay_mode,
+            vec![self.sim],
+            traces,
+            sched,
+            self.observers,
+        )
+    }
+}
+
+/// Replays `traces` over `workers` under `sched` in `mode`, folds the
+/// partial results, delivers the event stream to `observers` and notifies
+/// them of the result.
+fn drive<S: Simulator>(
+    mode: ReplayMode,
+    workers: Vec<S>,
+    traces: &[AccessTrace],
+    sched: CoreScheduler,
+    mut observers: Vec<&mut dyn Observer>,
+) -> RunResult {
+    let record_events = !observers.is_empty();
+    let outcome = parallel::replay(mode, workers, traces, sched, record_events);
+    let result = parallel::finish_sharded(outcome, &mut observers);
+    for observer in &mut observers {
+        observer.on_complete(&result);
+    }
+    result
 }
 
 /// An [`Observer`] that accumulates event latencies into a

@@ -63,9 +63,8 @@ const SWAP_CAPACITY: u64 = u64::MAX / 2;
 /// The disaggregated-VMM simulator.
 ///
 /// See the crate-level example for typical usage; drive it through the
-/// [`Simulator`] trait (`run`, `run_multi`), the inherent
-/// [`VmmSimulator::run_prepopulated`], or stepwise through a
-/// [`crate::Session`].
+/// [`Simulator`] trait (`run`, `run_prepopulated`, `run_multi`), or with
+/// observers attached through a [`crate::Session`].
 #[derive(Debug)]
 pub struct VmmSimulator {
     engine: EngineCore,
@@ -87,8 +86,7 @@ pub struct VmmSimulator {
     tenant_budget_pages: FxHashMap<u32, u64>,
     /// When set, scheduled multi-process replays prepopulate each process's
     /// working set (address order, metrics discarded) before the measured
-    /// run, like [`crate::session::Session::run_prepopulated`] does for single
-    /// traces. See [`VmmSimulator::set_prepopulate_multi`].
+    /// run, like [`Simulator::run_prepopulated`] does for single traces. See [`VmmSimulator::set_prepopulate_multi`].
     prepopulate_multi: bool,
 }
 
@@ -129,8 +127,7 @@ impl VmmSimulator {
     /// Prepopulation fixes the swap-slot layout to the address order — cold
     /// pages spill to swap in sorted page order, so a process's slot numbers
     /// follow its page ranks. That is the paper's microbenchmark methodology
-    /// ([`Session::run_prepopulated`](crate::session::Session::run_prepopulated))
-    /// extended to scheduled
+    /// ([`Simulator::run_prepopulated`]) extended to scheduled
     /// multi-process runs, and it is what lets offline-trained prefetchers
     /// (whose models are learned in page space) see the same delta structure
     /// in the slot-addressed fault stream they are consulted with.
@@ -148,22 +145,6 @@ impl VmmSimulator {
     /// layer's admission control gives each tenant its admitted budget.
     pub fn set_tenant_budget_pages(&mut self, pid: Pid, pages: u64) {
         self.tenant_budget_pages.insert(pid.0, pages);
-    }
-
-    /// Like [`Simulator::run`], but first touches the trace's working set
-    /// once in virtual-address order without recording any metrics.
-    ///
-    /// This models the paper's microbenchmark methodology: the application
-    /// allocates and initialises its working set (a sequential sweep, which
-    /// also fixes the swap-slot layout to follow the address order), and only
-    /// the subsequent pattern accesses are measured.
-    pub fn run_prepopulated(mut self, trace: &AccessTrace) -> RunResult {
-        self.prepare(std::slice::from_ref(trace));
-        self.prepopulate(Pid(1), trace);
-        for access in trace.iter() {
-            self.step_access(Pid(1), *access);
-        }
-        Simulator::into_result(self)
     }
 
     fn register_process(&mut self, pid: Pid, working_set_pages: u64) {

@@ -3,7 +3,7 @@
 
 use leap_repro::leap_sim_core::units::MIB;
 use leap_repro::leap_sim_core::Nanos;
-use leap_repro::leap_workloads::stride_trace;
+use leap_repro::leap_workloads::{sequential_trace, stride_trace, AccessTrace};
 use leap_repro::prelude::*;
 
 #[test]
@@ -169,18 +169,115 @@ fn session_stream_sees_every_access_in_order() {
     assert_eq!(counts.remote_fetches, result.cache_stats.misses());
 }
 
+/// Runs `entry` (`run`, `run_prepopulated` or `run_multi`) on `session`.
+fn observed<S: Simulator>(
+    entry: &str,
+    session: Session<'_, S>,
+    single: &AccessTrace,
+    multi: &[AccessTrace],
+) -> RunResult {
+    match entry {
+        "run" => session.run(single),
+        "run_prepopulated" => session.run_prepopulated(single),
+        _ => session.run_multi(multi),
+    }
+}
+
+/// Runs `entry` through the `Simulator` trait, with no observer.
+fn unobserved<S: Simulator>(
+    entry: &str,
+    sim: S,
+    single: &AccessTrace,
+    multi: &[AccessTrace],
+) -> RunResult {
+    match entry {
+        "run" => sim.run(single),
+        "run_prepopulated" => sim.run_prepopulated(single),
+        _ => sim.run_multi(multi),
+    }
+}
+
+/// Every entry point gives the same whole `RunResult` with and without an
+/// `EventLog` attached, and the log holds one event per access, numbered
+/// densely from zero on each core.
+fn assert_observing_changes_nothing<S: Simulator>(
+    case: &str,
+    new: impl Fn() -> S,
+    single: &AccessTrace,
+    multi: &[AccessTrace],
+) {
+    for entry in ["run", "run_prepopulated", "run_multi"] {
+        let case = format!("{case}, {entry}");
+        let batch = unobserved(entry, new(), single, multi);
+        let mut log = EventLog::default();
+        let streamed = observed(entry, new().session().observe(&mut log), single, multi);
+        assert!(batch.remote_accesses > 0, "{case}: no remote access");
+        assert_eq!(batch, streamed, "{case}: observing changed the result");
+        assert_eq!(
+            log.events().len() as u64,
+            streamed.total_accesses,
+            "{case}: one event per access"
+        );
+        let mut next_seq = vec![0u64; log.cores_seen()];
+        for event in log.events() {
+            assert_eq!(event.seq, next_seq[event.core], "{case}: seq not dense");
+            next_seq[event.core] += 1;
+        }
+        if entry != "run_multi" {
+            assert_eq!(
+                log.cores_seen(),
+                1,
+                "{case}: a single process ran on core 0"
+            );
+        }
+    }
+}
+
 #[test]
 fn session_run_is_numerically_identical_to_batch_run() {
-    let trace = stride_trace(4 * MIB, 10, 1);
-    let config = SimConfig::builder()
-        .memory_fraction(0.5)
-        .seed(21)
-        .build()
-        .unwrap();
-    let batch = VmmSimulator::new(config).run_prepopulated(&trace);
-    let streamed = VmmSimulator::new(config).session().run_prepopulated(&trace);
-    assert_eq!(batch.completion_time, streamed.completion_time);
-    assert_eq!(batch.remote_accesses, streamed.remote_accesses);
-    assert_eq!(batch.cache_stats, streamed.cache_stats);
-    assert_eq!(batch.pages_swapped_out, streamed.pages_swapped_out);
+    let single = stride_trace(2 * MIB, 10, 2);
+    let multi = vec![
+        sequential_trace(MIB, 2),
+        stride_trace(MIB, 10, 2),
+        AppModel::new(AppKind::Memcached, 21)
+            .with_working_set(MIB)
+            .with_accesses(1_000)
+            .generate(),
+    ];
+    for mode in [ReplayMode::Serial, ReplayMode::Threaded] {
+        let configure = |builder: SimConfigBuilder| {
+            builder
+                .memory_fraction(0.5)
+                .cores(2)
+                .seed(21)
+                .replay_mode(mode)
+                .build()
+                .unwrap()
+        };
+        // Leap's defaults isolate each process (one shard worker per core);
+        // Linux's share one read-ahead stream (one worker spanning every
+        // core).
+        let isolated = configure(SimConfig::builder());
+        let shared = configure(SimConfig::linux_defaults().to_builder());
+        assert!(isolated.per_process_isolation && !shared.per_process_isolation);
+        let vmm = |config| move || VmmSimulator::new(config);
+        assert_observing_changes_nothing(
+            &format!("isolated vmm ({mode:?})"),
+            vmm(isolated),
+            &single,
+            &multi,
+        );
+        assert_observing_changes_nothing(
+            &format!("shared-readahead vmm ({mode:?})"),
+            vmm(shared),
+            &single,
+            &multi,
+        );
+        assert_observing_changes_nothing(
+            &format!("vfs ({mode:?})"),
+            || VfsSimulator::new(isolated),
+            &single,
+            &multi,
+        );
+    }
 }

@@ -1,8 +1,8 @@
 //! Serial/threaded replay equivalence: `ReplayMode::Threaded` must produce
 //! bit-identical `RunResult` aggregates and the identical merged
 //! `FaultEvent` stream as `ReplayMode::Serial` for the same seed and
-//! quantum, across core counts — plus exactly-once delivery through the
-//! batched event ring.
+//! quantum, across core counts — plus exactly-once batched delivery of the
+//! event stream to observers.
 //!
 //! Both modes run the same per-core code (each shard worker over its own
 //! core's schedule, then one `(core, seq)` merge); they differ only in
@@ -171,7 +171,7 @@ fn ingested_fault_logs_replay_identically_in_both_modes() {
 }
 
 /// An observer that records both per-event and per-batch delivery so the
-/// exactly-once contract of the event ring can be checked.
+/// exactly-once contract of batched delivery can be checked.
 #[derive(Default)]
 struct BatchAudit {
     batches: usize,
@@ -194,7 +194,7 @@ impl Observer for BatchAudit {
 }
 
 #[test]
-fn event_ring_delivers_every_event_exactly_once_under_batching() {
+fn batched_delivery_hands_over_every_event_exactly_once() {
     let traces = app_traces(3, 17);
     let total: usize = traces.iter().map(|t| t.len()).sum();
     for mode in [ReplayMode::Serial, ReplayMode::Threaded] {
@@ -225,7 +225,7 @@ fn event_ring_delivers_every_event_exactly_once_under_batching() {
 }
 
 #[test]
-fn event_ring_batches_single_process_streams_too() {
+fn single_process_streams_are_delivered_in_batches_too() {
     let trace = stride_trace(4 * MIB, 10, 1);
     let mut audit = BatchAudit::default();
     let result = SimConfig::builder()

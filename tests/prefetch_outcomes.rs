@@ -19,7 +19,6 @@
 //!    slots and admitted only if currently owned (swapped out) and not
 //!    resident.
 
-use leap_repro::leap_mem::Pid;
 use leap_repro::leap_metrics::PrefetchOutcomes;
 use leap_repro::leap_prefetcher::{PageAddr, PrefetchDecision, Prefetcher};
 use leap_repro::leap_sim_core::Nanos;
@@ -190,7 +189,10 @@ fn cache_pressure_turns_unconsumed_into_evicted_waste() {
 
 /// A VFS replay with a three-page cache and the plus-one prefetcher, one
 /// outcome per access.
-fn run_vfs_stepped(policy: EvictionPolicy, accesses: &[Access]) -> (Vec<AccessOutcome>, RunResult) {
+fn run_vfs_observed(
+    policy: EvictionPolicy,
+    accesses: &[Access],
+) -> (Vec<AccessOutcome>, RunResult) {
     let sim = SimConfig::builder()
         .eviction(policy)
         .memory_fraction(1.0)
@@ -203,13 +205,10 @@ fn run_vfs_stepped(policy: EvictionPolicy, accesses: &[Access]) -> (Vec<AccessOu
         .expect("valid config")
         .vfs();
     let trace = AccessTrace::new("vfs-hand-built", accesses.to_vec());
-    let mut session = Session::new(sim);
-    session.prepare(std::slice::from_ref(&trace));
-    let outcomes = trace
-        .iter()
-        .map(|&access| session.step(Pid(1), access).outcome)
-        .collect();
-    (outcomes, session.finish())
+    let mut log = EventLog::default();
+    let result = sim.session().observe(&mut log).run(&trace);
+    let outcomes = log.events().iter().map(|event| event.outcome).collect();
+    (outcomes, result)
 }
 
 #[test]
@@ -238,7 +237,7 @@ fn buffered_write_over_an_unread_prefetch_is_wasted_once_under_both_policies() {
     for (policy, unused_evictions, unconsumed) in
         [(EvictionPolicy::Eager, 2, 1), (EvictionPolicy::Lazy, 1, 2)]
     {
-        let (outcomes, result) = run_vfs_stepped(policy, &accesses);
+        let (outcomes, result) = run_vfs_observed(policy, &accesses);
         let case = policy.label();
         assert_eq!(outcomes[1], AccessOutcome::BufferedWrite, "{case}");
         assert_eq!(

@@ -131,9 +131,9 @@ fn unregistered_pids_still_panic() {
     let access = *trace.iter().next().expect("one access");
     for pid in [0, 2, 1_000, u32::MAX] {
         let outcome = std::panic::catch_unwind(|| {
-            let mut session = VmmSimulator::new(config(3)).session();
-            session.prepare(std::slice::from_ref(&trace));
-            session.step(Pid(pid), access);
+            let mut sim = VmmSimulator::new(config(3));
+            sim.prepare(std::slice::from_ref(&trace));
+            sim.step_access(Pid(pid), access);
         });
         let payload = outcome.expect_err("an unregistered pid must panic");
         let message = payload

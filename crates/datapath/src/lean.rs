@@ -12,35 +12,19 @@ use crate::stages::{DataPath, PathLatency, Stage};
 use leap_remote::{HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind};
 use leap_sim_core::{DetRng, LatencySampler, Nanos, TableLatency};
 
-/// Latency parameters for the lean path's software stages.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LeanPathParams {
-    /// Median cache (swap cache) lookup cost.
-    pub cache_lookup: Nanos,
-    /// Median cost of the prefetcher (trend detection + candidate generation).
-    pub prefetcher: Nanos,
-    /// Median cost of the remote I/O interface (slot lookup + RDMA post).
-    pub remote_interface: Nanos,
-    /// Median MMU/page-table update cost.
-    pub mmu_update: Nanos,
-    /// Log-space sigma for the software stages (small: these are short,
-    /// predictable code paths).
-    pub software_sigma: f64,
-}
-
-impl Default for LeanPathParams {
-    fn default() -> Self {
-        LeanPathParams {
-            cache_lookup: Nanos::from_nanos(270),
-            // The paper's ~400-line kernel prefetcher costs well under a µs
-            // per fault even at Hsize = 32 (§3.3).
-            prefetcher: Nanos::from_nanos(350),
-            remote_interface: Nanos::from_nanos(600),
-            mmu_update: Nanos::from_micros_f64(2.1),
-            software_sigma: 0.2,
-        }
-    }
-}
+/// Median cache (swap cache) lookup cost.
+const CACHE_LOOKUP: Nanos = Nanos(270);
+/// Median cost of the prefetcher (trend detection + candidate generation).
+/// The paper's ~400-line kernel prefetcher costs well under a µs per fault
+/// even at Hsize = 32 (§3.3).
+const PREFETCHER: Nanos = Nanos(350);
+/// Median cost of the remote I/O interface (slot lookup + RDMA post).
+const REMOTE_INTERFACE: Nanos = Nanos(600);
+/// Median MMU/page-table update cost (2.1 µs).
+const MMU_UPDATE: Nanos = Nanos(2_100);
+/// Log-space sigma for the software stages (small: these are short,
+/// predictable code paths).
+const SOFTWARE_SIGMA: f64 = 0.2;
 
 /// Leap's lean data path over a remote-memory [`HostAgent`].
 ///
@@ -57,7 +41,6 @@ impl Default for LeanPathParams {
 /// ```
 #[derive(Debug)]
 pub struct LeanDataPath {
-    params: LeanPathParams,
     agent: HostAgent,
     prefetcher_sampler: TableLatency,
     interface_sampler: TableLatency,
@@ -66,8 +49,25 @@ pub struct LeanDataPath {
 
 impl LeanDataPath {
     /// Creates a lean path over an existing host agent.
-    pub fn new(agent: HostAgent, rng: DetRng) -> Self {
-        LeanDataPath::with_params(agent, LeanPathParams::default(), rng)
+    pub fn new(agent: HostAgent, mut rng: DetRng) -> Self {
+        let local_rng = rng.fork();
+        // The software-stage log-normals are folded into quantile tables at
+        // construction: one RNG draw + a linear interpolation per sample on
+        // the hot path instead of Box–Muller + exp.
+        LeanDataPath {
+            prefetcher_sampler: TableLatency::from_lognormal(
+                PREFETCHER,
+                SOFTWARE_SIGMA,
+                Nanos::from_nanos(100),
+            ),
+            interface_sampler: TableLatency::from_lognormal(
+                REMOTE_INTERFACE,
+                SOFTWARE_SIGMA,
+                Nanos::from_nanos(200),
+            ),
+            agent,
+            rng: local_rng,
+        }
     }
 
     /// Creates a lean path over a small default cluster (4 machines × 64
@@ -80,29 +80,6 @@ impl LeanDataPath {
             agent_rng,
         );
         LeanDataPath::new(agent, rng)
-    }
-
-    /// Creates a lean path with explicit software-stage parameters.
-    pub(crate) fn with_params(agent: HostAgent, params: LeanPathParams, mut rng: DetRng) -> Self {
-        let local_rng = rng.fork();
-        // The software-stage log-normals are folded into quantile tables at
-        // construction: one RNG draw + a linear interpolation per sample on
-        // the hot path instead of Box–Muller + exp.
-        LeanDataPath {
-            prefetcher_sampler: TableLatency::from_lognormal(
-                params.prefetcher,
-                params.software_sigma,
-                Nanos::from_nanos(100),
-            ),
-            interface_sampler: TableLatency::from_lognormal(
-                params.remote_interface,
-                params.software_sigma,
-                Nanos::from_nanos(200),
-            ),
-            params,
-            agent,
-            rng: local_rng,
-        }
     }
 
     /// Access to the underlying host agent (for inventory reports).
@@ -124,7 +101,7 @@ impl LeanDataPath {
         now: Nanos,
     ) -> PathLatency {
         let mut breakdown = PathLatency::new();
-        breakdown.push(Stage::CacheLookup, self.params.cache_lookup);
+        breakdown.push(Stage::CacheLookup, CACHE_LOOKUP);
         breakdown.push(
             Stage::Prefetcher,
             self.prefetcher_sampler.sample(&mut self.rng),
@@ -148,7 +125,7 @@ impl LeanDataPath {
             }
         }
         if kind == RemoteIoKind::Read {
-            breakdown.push(Stage::MmuUpdate, self.params.mmu_update);
+            breakdown.push(Stage::MmuUpdate, MMU_UPDATE);
         }
         breakdown
     }

@@ -14,38 +14,21 @@ use leap_remote::{
 };
 use leap_sim_core::{scale_nanos_milli, DetRng, LatencySampler, Nanos, TableLatency};
 
-/// Latency parameters for the legacy path's software stages.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LegacyPathParams {
-    /// Median cache (swap cache / VFS cache) lookup cost.
-    pub cache_lookup: Nanos,
-    /// Median bio construction / request preparation cost.
-    pub bio_preparation: Nanos,
-    /// Median plugging + merging + sorting + staging cost.
-    pub queueing_batching: Nanos,
-    /// Median I/O scheduler dispatch cost.
-    pub dispatch: Nanos,
-    /// Median MMU/page-table update cost.
-    pub mmu_update: Nanos,
-    /// Log-space sigma applied to the block-layer stages (they are the
-    /// variable ones).
-    pub block_layer_sigma: f64,
-}
-
-impl Default for LegacyPathParams {
-    fn default() -> Self {
-        LegacyPathParams {
-            cache_lookup: Nanos::from_nanos(270),
-            bio_preparation: Nanos::from_micros_f64(10.04),
-            // Figure 1 folds queueing, merging, sorting, staging and dispatch
-            // into ~21.88 µs; we split it 80/20 between the two stages.
-            queueing_batching: Nanos::from_micros_f64(17.5),
-            dispatch: Nanos::from_micros_f64(4.38),
-            mmu_update: Nanos::from_micros_f64(2.1),
-            block_layer_sigma: 0.6,
-        }
-    }
-}
+/// Median cache (swap cache / VFS cache) lookup cost.
+const CACHE_LOOKUP: Nanos = Nanos(270);
+/// Median bio construction / request preparation cost (10.04 µs).
+const BIO_PREPARATION: Nanos = Nanos(10_040);
+/// Median plugging + merging + sorting + staging cost. Figure 1 folds
+/// queueing, merging, sorting, staging and dispatch into ~21.88 µs; we split
+/// it 80/20 between this stage and [`DISPATCH`].
+const QUEUEING_BATCHING: Nanos = Nanos(17_500);
+/// Median I/O scheduler dispatch cost (4.38 µs).
+const DISPATCH: Nanos = Nanos(4_380);
+/// Median MMU/page-table update cost (2.1 µs).
+const MMU_UPDATE: Nanos = Nanos(2_100);
+/// Log-space sigma applied to the block-layer stages (they are the variable
+/// ones).
+const BLOCK_LAYER_SIGMA: f64 = 0.6;
 
 /// The default Linux-style data path over a given backing device.
 ///
@@ -63,7 +46,6 @@ impl Default for LegacyPathParams {
 /// ```
 #[derive(Debug)]
 pub struct LegacyDataPath {
-    params: LegacyPathParams,
     backend: StorageBackend,
     bio_sampler: TableLatency,
     queue_sampler: TableLatency,
@@ -85,13 +67,8 @@ pub struct LegacyDataPath {
 }
 
 impl LegacyDataPath {
-    /// Creates a legacy path over the given backend with default parameters.
+    /// Creates a legacy path over the given backend.
     pub fn new(backend: BackendKind, rng: DetRng) -> Self {
-        Self::with_params(backend, LegacyPathParams::default(), rng)
-    }
-
-    /// Creates a legacy path with explicit stage parameters.
-    pub(crate) fn with_params(backend: BackendKind, params: LegacyPathParams, rng: DetRng) -> Self {
         let device_queues = match backend {
             // One request stream for block devices, multi-queue for RDMA.
             BackendKind::Hdd | BackendKind::Ssd => DispatchQueues::new(1),
@@ -101,22 +78,21 @@ impl LegacyDataPath {
         // construction: one RNG draw + a linear interpolation per sample.
         LegacyDataPath {
             bio_sampler: TableLatency::from_lognormal(
-                params.bio_preparation,
-                params.block_layer_sigma,
+                BIO_PREPARATION,
+                BLOCK_LAYER_SIGMA,
                 Nanos::from_nanos(500),
             ),
             queue_sampler: TableLatency::from_lognormal(
-                params.queueing_batching,
-                params.block_layer_sigma,
+                QUEUEING_BATCHING,
+                BLOCK_LAYER_SIGMA,
                 Nanos::from_micros(1),
             ),
             dispatch_sampler: TableLatency::from_lognormal(
-                params.dispatch,
-                params.block_layer_sigma,
+                DISPATCH,
+                BLOCK_LAYER_SIGMA,
                 Nanos::from_nanos(500),
             ),
             device_queues,
-            params,
             backend: StorageBackend::new(backend),
             rng,
             fault_plan: FaultPlan::empty(),
@@ -157,7 +133,7 @@ impl LegacyDataPath {
     /// transfer); only a read pays the MMU update that maps the page.
     fn serve(&mut self, kind: RemoteIoKind, core: usize, now: Nanos) -> PathLatency {
         let mut breakdown = PathLatency::new();
-        breakdown.push(Stage::CacheLookup, self.params.cache_lookup);
+        breakdown.push(Stage::CacheLookup, CACHE_LOOKUP);
         breakdown.push(
             Stage::BioPreparation,
             self.bio_sampler.sample(&mut self.rng),
@@ -176,7 +152,7 @@ impl LegacyDataPath {
         breakdown.push(Stage::QueueingAndBatching, outcome.queueing_delay);
         breakdown.push(Stage::DeviceTransfer, transfer);
         if kind == RemoteIoKind::Read {
-            breakdown.push(Stage::MmuUpdate, self.params.mmu_update);
+            breakdown.push(Stage::MmuUpdate, MMU_UPDATE);
         }
         breakdown
     }

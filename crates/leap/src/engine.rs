@@ -39,6 +39,17 @@ use leap_prefetcher::PageAddr;
 use leap_sim_core::{DetRng, Nanos, SimClock};
 use leap_workloads::{Access, AccessTrace};
 
+/// The page capacity of one of `shards` cache shards: a bounded
+/// prefetch-cache capacity split evenly, never below one full prefetch
+/// window (so a single batch cannot evict itself); an unbounded cache stays
+/// unbounded.
+fn shard_capacity(config: &SimConfig, shards: usize) -> u64 {
+    if config.prefetch_cache_pages == u64::MAX {
+        return u64::MAX;
+    }
+    (config.prefetch_cache_pages / shards as u64).max(config.max_prefetch_window as u64)
+}
+
 /// Shared state and bookkeeping of one simulation run.
 #[derive(Debug)]
 pub(crate) struct EngineCore {
@@ -87,11 +98,60 @@ impl EngineCore {
     /// historically salts with `0xF5`).
     pub fn new(setup: &SimSetup, rng_salt: u64) -> Self {
         let config = setup.config;
-        let mut rng = DetRng::seed_from(config.seed ^ rng_salt);
-        let components = setup.components().clone();
+        EngineCore::assemble(
+            config,
+            setup.label(),
+            setup.components().clone(),
+            rng_salt,
+            config.seed ^ rng_salt,
+            config.prefetch_cache_pages,
+        )
+    }
+
+    /// Builds the engine slice a per-core shard worker owns in a scheduled
+    /// replay of `shards` cores: one cache shard of
+    /// [`shard_capacity`], per-core prefetcher trend state pinned to `core`,
+    /// a fresh per-core clock, and this worker's own data path fed from a
+    /// deterministic per-core [`DetRng`] stream.
+    ///
+    /// Worker engines are what both replay modes
+    /// ([`crate::config::ReplayMode`]) execute, so the serial and the
+    /// thread-parallel replay step literally the same state.
+    pub(crate) fn shard_worker(&self, core: usize, shards: usize) -> EngineCore {
+        let config = self.config;
+        // One independent random stream per core: golden-ratio stride keeps
+        // the per-core seeds far apart for any (seed, salt) pair.
+        let seed =
+            config.seed ^ self.rng_salt ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(core as u64 + 1);
+        let mut worker = EngineCore::assemble(
+            config,
+            self.label.clone(),
+            self.components.clone(),
+            self.rng_salt,
+            seed,
+            shard_capacity(&config, shards),
+        );
+        worker.active_core = core;
+        worker.scheduled = true;
+        worker.cache_budget = self.cache_budget;
+        worker
+    }
+
+    /// An unscheduled engine on core 0 with a fresh clock, one cache shard
+    /// of `cache_pages`, and a data path fed from a [`DetRng`] seeded with
+    /// `rng_seed`.
+    fn assemble(
+        config: SimConfig,
+        label: String,
+        components: ResolvedComponents,
+        rng_salt: u64,
+        rng_seed: u64,
+        cache_pages: u64,
+    ) -> EngineCore {
+        let mut rng = DetRng::seed_from(rng_seed);
         EngineCore {
             clock: SimClock::new(),
-            cache: ShardedSwapCache::single(config.prefetch_cache_pages, config.eviction),
+            cache: ShardedSwapCache::single(cache_pages, config.eviction),
             tracker: PageAccessTracker::new(components.prefetcher.clone(), &config),
             data_path: components.data_path.build(&config, &mut rng),
             result: RunResult::default(),
@@ -105,50 +165,7 @@ impl EngineCore {
             pending_stall: Nanos::ZERO,
             tenant_limits: Slots::default(),
             tenant_swap_outs: Vec::new(),
-            label: setup.label(),
-            config,
-        }
-    }
-
-    /// Builds the engine slice a per-core shard worker owns in a scheduled
-    /// replay of `shards` cores: one cache shard (the bounded capacity split
-    /// evenly, never below one full prefetch window), per-core prefetcher
-    /// trend state pinned to `core`, a fresh per-core clock, and this
-    /// worker's own data path fed from a deterministic per-core [`DetRng`]
-    /// stream.
-    ///
-    /// Worker engines are what both replay modes
-    /// ([`crate::config::ReplayMode`]) execute, so the serial and the
-    /// thread-parallel replay step literally the same state.
-    pub(crate) fn shard_worker(&self, core: usize, shards: usize) -> EngineCore {
-        let config = self.config;
-        let per_shard = if config.prefetch_cache_pages == u64::MAX {
-            u64::MAX
-        } else {
-            (config.prefetch_cache_pages / shards as u64).max(config.max_prefetch_window as u64)
-        };
-        // One independent random stream per core: golden-ratio stride keeps
-        // the per-core seeds far apart for any (seed, salt) pair.
-        let mut rng = DetRng::seed_from(
-            config.seed ^ self.rng_salt ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(core as u64 + 1),
-        );
-        EngineCore {
-            clock: SimClock::new(),
-            cache: ShardedSwapCache::single(per_shard, config.eviction),
-            tracker: PageAccessTracker::new(self.components.prefetcher.clone(), &config),
-            data_path: self.components.data_path.build(&config, &mut rng),
-            result: RunResult::default(),
-            components: self.components.clone(),
-            rng_salt: self.rng_salt,
-            core_cursor: 0,
-            active_core: core,
-            scheduled: true,
-            cache_budget: self.cache_budget,
-            pipeline: AsyncPipeline::new(config.async_depth),
-            pending_stall: Nanos::ZERO,
-            tenant_limits: Slots::default(),
-            tenant_swap_outs: Vec::new(),
-            label: self.label.clone(),
+            label,
             config,
         }
     }
@@ -161,19 +178,10 @@ impl EngineCore {
     }
 
     /// Reshapes the engine for a scheduled multi-core replay: `cache_shards`
-    /// cache shards routed by slot-region width `span` and scheduler-driven
-    /// per-core clocks.
-    ///
-    /// A bounded prefetch-cache capacity is split evenly over the shards
-    /// (never below one full prefetch window per shard, so a single batch
-    /// cannot evict itself).
+    /// cache shards of [`shard_capacity`] each, routed by slot-region width
+    /// `span`, and scheduler-driven per-core clocks.
     pub(crate) fn enter_scheduled_mode(&mut self, cache_shards: usize, span: u64) {
-        let per_shard = if self.config.prefetch_cache_pages == u64::MAX {
-            u64::MAX
-        } else {
-            (self.config.prefetch_cache_pages / cache_shards as u64)
-                .max(self.config.max_prefetch_window as u64)
-        };
+        let per_shard = shard_capacity(&self.config, cache_shards);
         self.cache = ShardedSwapCache::new(cache_shards, per_shard, span, self.config.eviction);
         self.scheduled = true;
     }

@@ -106,16 +106,31 @@ impl VmmSimulator {
     /// Creates a simulator from a resolved setup (possibly carrying a custom
     /// prefetcher).
     pub(crate) fn from_setup(setup: &SimSetup) -> Self {
+        // The swap space starts unsharded (one region); a scheduled
+        // multi-core replay reshards it in `into_workers`.
+        VmmSimulator::with_parts(
+            EngineCore::new(setup, 0),
+            ShardedSwap::new(1, SWAP_CAPACITY),
+            FxHashMap::default(),
+            false,
+        )
+    }
+
+    /// A simulator over `engine` and `swap` with no process registered yet.
+    fn with_parts(
+        engine: EngineCore,
+        swap: ShardedSwap,
+        tenant_budget_pages: FxHashMap<u32, u64>,
+        prepopulate_multi: bool,
+    ) -> Self {
         VmmSimulator {
-            engine: EngineCore::new(setup, 0),
+            engine,
             page_tables: Slots::default(),
-            // The swap space starts unsharded (one region); a scheduled
-            // multi-core replay reshards it in `into_workers`.
-            swap: ShardedSwap::new(1, SWAP_CAPACITY),
+            swap,
             span_slots: Vec::new(),
             span_pids: Vec::new(),
-            tenant_budget_pages: FxHashMap::default(),
-            prepopulate_multi: false,
+            tenant_budget_pages,
+            prepopulate_multi,
         }
     }
 
@@ -327,15 +342,12 @@ impl VmmSimulator {
         let workload = EngineCore::workload_name(traces);
         (0..shards)
             .map(|core| {
-                let mut worker = VmmSimulator {
-                    engine: self.engine.shard_worker(core, shards),
-                    page_tables: Slots::default(),
-                    swap: ShardedSwap::region(core, shards, SWAP_CAPACITY),
-                    span_slots: Vec::new(),
-                    span_pids: Vec::new(),
-                    tenant_budget_pages: self.tenant_budget_pages.clone(),
-                    prepopulate_multi: self.prepopulate_multi,
-                };
+                let mut worker = VmmSimulator::with_parts(
+                    self.engine.shard_worker(core, shards),
+                    ShardedSwap::region(core, shards, SWAP_CAPACITY),
+                    self.tenant_budget_pages.clone(),
+                    self.prepopulate_multi,
+                );
                 let mut accesses = 0usize;
                 for process in sched.run_queue(core) {
                     worker.register_process(

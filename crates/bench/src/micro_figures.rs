@@ -92,8 +92,8 @@ pub(crate) fn fig01_datapath_breakdown() -> String {
 /// Stride-10 access patterns.
 ///
 /// This figure is computed from the streaming [`Session`]/[`Observer`] API:
-/// a [`HistogramObserver`] accumulates the remote-access latencies access by
-/// access as the run executes, instead of reading the batch
+/// a [`HistogramObserver`] accumulates the remote-access latencies from the
+/// replay's event stream, instead of reading the batch
 /// `RunResult::remote_access_latency` afterwards. The numbers are identical
 /// by construction (the stream and the batch histogram record the same
 /// samples); `stream_matches_batch_histogram` in this module's tests pins

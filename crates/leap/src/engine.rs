@@ -11,7 +11,9 @@
 //! bookkeeping are implemented exactly once.
 //!
 //! Single-process replays run the core in its legacy layout: one cache
-//! shard, one monotonic clock. Scheduled multi-process replays
+//! shard, one monotonic clock, and a round-robin dispatch core per request;
+//! the driver's [`EngineCore::enter_core`] only ever puts it on core 0 at
+//! its own clock. Scheduled multi-process replays
 //! ([`crate::Simulator::run_multi`]) run replay workers built from it: a
 //! per-core slice ([`EngineCore::shard_worker`]) for each core, or — when
 //! the front-end cannot be split per core — the core itself after

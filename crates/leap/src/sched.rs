@@ -20,9 +20,9 @@
 //!   fixed merge order.
 //!
 //! The scheduler is pure bookkeeping — it never touches engine state. The
-//! one replay driver ([`crate::parallel`], behind
-//! [`crate::Simulator::run_multi`] and [`crate::Session::run_multi`]) asks
-//! for the next slot, moves the worker serving that core onto it
+//! one replay driver ([`crate::parallel`], behind every
+//! [`crate::Simulator`] and [`crate::Session`] entry point; a
+//! single-process replay is a one-core schedule) asks for the next slot, moves the worker serving that core onto it
 //! ([`crate::Simulator::enter_core`]), steps one access, and reports the
 //! core's new local time back. A share-nothing shard worker drives
 //! `CoreScheduler::isolate` of its own core that way.

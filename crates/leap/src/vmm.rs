@@ -86,7 +86,8 @@ pub struct VmmSimulator {
     tenant_budget_pages: FxHashMap<u32, u64>,
     /// When set, scheduled multi-process replays prepopulate each process's
     /// working set (address order, metrics discarded) before the measured
-    /// run, like [`Simulator::run_prepopulated`] does for single traces. See [`VmmSimulator::set_prepopulate_multi`].
+    /// run, like [`Simulator::run_prepopulated`] does for single traces.
+    /// See [`VmmSimulator::set_prepopulate_multi`].
     prepopulate_multi: bool,
 }
 

@@ -90,14 +90,6 @@ pub(crate) fn fig01_datapath_breakdown() -> String {
 /// Figure 2: 4 KB access-latency distributions on the *default* data path for
 /// Disk, disaggregated VMM, and disaggregated VFS, under Sequential and
 /// Stride-10 access patterns.
-///
-/// This figure is computed from the streaming [`Session`]/[`Observer`] API:
-/// a [`HistogramObserver`] accumulates the remote-access latencies from the
-/// replay's event stream, instead of reading the batch
-/// `RunResult::remote_access_latency` afterwards. The numbers are identical
-/// by construction (the stream and the batch histogram record the same
-/// samples); `stream_matches_batch_histogram` in this module's tests pins
-/// that equivalence.
 pub(crate) fn fig02_default_datapath_cdf() -> String {
     let mut out = String::new();
     for (name, trace) in micro_traces() {
@@ -118,12 +110,11 @@ pub(crate) fn fig02_default_datapath_cdf() -> String {
             .seed(EXPERIMENT_SEED)
             .build()
             .expect("valid config");
-        let mut disk = HistogramObserver::remote_accesses();
-        VmmSimulator::new(disk_config)
-            .session()
-            .observe(&mut disk)
-            .run_prepopulated(&trace);
-        table.add_row(percentile_row("Disk (HDD)", disk.histogram()));
+        let mut disk = VmmSimulator::new(disk_config).run_prepopulated(&trace);
+        table.add_row(percentile_row(
+            "Disk (HDD)",
+            &mut disk.remote_access_latency,
+        ));
 
         let linux_config = SimConfig::linux_defaults()
             .to_builder()
@@ -131,19 +122,17 @@ pub(crate) fn fig02_default_datapath_cdf() -> String {
             .seed(EXPERIMENT_SEED)
             .build()
             .expect("valid config");
-        let mut dvmm = HistogramObserver::remote_accesses();
-        VmmSimulator::new(linux_config)
-            .session()
-            .observe(&mut dvmm)
-            .run_prepopulated(&trace);
-        table.add_row(percentile_row("Disaggregated VMM", dvmm.histogram()));
+        let mut dvmm = VmmSimulator::new(linux_config).run_prepopulated(&trace);
+        table.add_row(percentile_row(
+            "Disaggregated VMM",
+            &mut dvmm.remote_access_latency,
+        ));
 
-        let mut dvfs = HistogramObserver::remote_accesses();
-        VfsSimulator::new(linux_config)
-            .session()
-            .observe(&mut dvfs)
-            .run(&trace);
-        table.add_row(percentile_row("Disaggregated VFS", dvfs.histogram()));
+        let mut dvfs = VfsSimulator::new(linux_config).run(&trace);
+        table.add_row(percentile_row(
+            "Disaggregated VFS",
+            &mut dvfs.remote_access_latency,
+        ));
 
         out.push_str(&table.render());
         out.push('\n');
@@ -316,9 +305,18 @@ mod tests {
         assert!(report.contains("+ prefetcher + eager eviction"));
     }
 
-    /// Figure 2 is computed from the Session/Observer stream; this pins that
-    /// the stream reproduces the batch `remote_access_latency` histogram
-    /// sample for sample (identical percentiles, so identical figure rows).
+    /// The remote-access latencies of an observed event stream.
+    fn remote_histogram(log: &EventLog) -> LatencyHistogram {
+        let mut histogram = LatencyHistogram::new();
+        for event in log.events().iter().filter(|e| e.outcome.is_remote()) {
+            histogram.record(event.latency);
+        }
+        histogram
+    }
+
+    /// The Session/Observer stream carries the same remote-access samples
+    /// the batch `remote_access_latency` histogram records (identical
+    /// percentiles, so a figure built from either prints the same rows).
     #[test]
     fn stream_matches_batch_histogram() {
         let trace = stride_trace(2 * leap_sim_core::units::MIB, 10, 1);
@@ -329,46 +327,42 @@ mod tests {
             .build()
             .expect("valid config");
 
-        let mut streamed = HistogramObserver::remote_accesses();
+        let mut log = EventLog::default();
         let mut from_stream = VmmSimulator::new(config)
             .session()
-            .observe(&mut streamed)
+            .observe(&mut log)
             .run_prepopulated(&trace);
+        let mut streamed = remote_histogram(&log);
         let mut batch = VmmSimulator::new(config).run_prepopulated(&trace);
 
         // Stream vs the result of its own run...
-        assert_eq!(
-            streamed.histogram().len(),
-            from_stream.remote_access_latency.len()
-        );
+        assert_eq!(streamed.len(), from_stream.remote_access_latency.len());
         // ...and vs an independent batch run (sessions do not perturb the
         // simulation).
         for q in [10.0, 50.0, 90.0, 99.0] {
             assert_eq!(
-                streamed.histogram().percentile(q),
+                streamed.percentile(q),
                 batch.remote_access_latency.percentile(q),
                 "p{q} diverged between stream and batch"
             );
             assert_eq!(
-                streamed.histogram().percentile(q),
+                streamed.percentile(q),
                 from_stream.remote_access_latency.percentile(q),
             );
         }
-        assert_eq!(batch.remote_accesses, streamed.events());
+        assert_eq!(batch.remote_accesses, streamed.len() as u64);
 
         // The VFS front-end streams identically too.
-        let mut vfs_streamed = HistogramObserver::remote_accesses();
+        let mut vfs_log = EventLog::default();
         VfsSimulator::new(config)
             .session()
-            .observe(&mut vfs_streamed)
+            .observe(&mut vfs_log)
             .run(&trace);
+        let mut vfs_streamed = remote_histogram(&vfs_log);
         let mut vfs_batch = VfsSimulator::new(config).run(&trace);
+        assert_eq!(vfs_streamed.len(), vfs_batch.remote_access_latency.len());
         assert_eq!(
-            vfs_streamed.histogram().len(),
-            vfs_batch.remote_access_latency.len()
-        );
-        assert_eq!(
-            vfs_streamed.histogram().median(),
+            vfs_streamed.median(),
             vfs_batch.remote_access_latency.median()
         );
     }

@@ -64,6 +64,9 @@ pub struct LegacyDataPath {
     /// time ([`FaultPlan::modifiers_from`]).
     segment_cursor: usize,
     fault_stats: FaultInjectionStats,
+    /// The tenant that issued the current access (`0` = untagged); a plan
+    /// aimed at one tenant slows only that tenant's requests.
+    active_tenant: u32,
 }
 
 impl LegacyDataPath {
@@ -98,6 +101,7 @@ impl LegacyDataPath {
             fault_plan: FaultPlan::empty(),
             segment_cursor: 0,
             fault_stats: FaultInjectionStats::default(),
+            active_tenant: 0,
         }
     }
 
@@ -116,12 +120,14 @@ impl LegacyDataPath {
     }
 
     /// Applies the fault modifiers in force at `now` to a sampled device
-    /// transfer, counting affected requests.
+    /// transfer, counting affected requests. The modifiers are resolved for
+    /// every request, so the segment cursor advances the same way whichever
+    /// tenant the plan targets.
     fn apply_faults(&mut self, transfer: Nanos, now: Nanos) -> Nanos {
         let mods = self
             .fault_plan
             .modifiers_from(&mut self.segment_cursor, now);
-        if mods.is_identity() {
+        if mods.is_identity() || !self.fault_plan.applies_to_tenant(self.active_tenant) {
             return transfer;
         }
         let transfer = scale_nanos_milli(transfer, mods.multiplier_milli);
@@ -173,6 +179,10 @@ impl DataPath for LegacyDataPath {
 
     fn fault_stats(&self) -> FaultInjectionStats {
         self.fault_stats
+    }
+
+    fn set_active_tenant(&mut self, tenant: u32) {
+        self.active_tenant = tenant;
     }
 }
 

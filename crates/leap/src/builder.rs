@@ -273,7 +273,7 @@ impl SimConfigBuilder {
     /// Validates and returns the plain-data configuration.
     ///
     /// A custom prefetcher is *not* carried by [`SimConfig`] (it stays
-    /// `Copy` serializable data), so calling `build` while one is pending
+    /// plain `Copy` data), so calling `build` while one is pending
     /// returns [`ConfigError::ComponentsRequireSetup`] instead of silently
     /// dropping it; use [`SimConfigBuilder::build_setup`] (or
     /// [`SimConfigBuilder::build_vmm`]) when a custom prefetcher is in play.

@@ -13,7 +13,6 @@ use crate::error::ConfigError;
 pub use leap_eviction::EvictionPolicy;
 use leap_prefetcher::PrefetcherKind;
 use leap_remote::{BackendKind, FaultSpec, RecoveryPolicy};
-use leap_sim_core::json::{flat_json_pairs, FlatJsonError};
 use leap_sim_core::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -33,14 +32,6 @@ impl DataPathKind {
             DataPathKind::LinuxDefault => "linux-default",
             DataPathKind::Leap => "leap",
         }
-    }
-
-    /// The inverse of [`DataPathKind::label`], used when parsing serialized
-    /// configurations.
-    pub(crate) fn from_label(label: &str) -> Option<Self> {
-        [DataPathKind::LinuxDefault, DataPathKind::Leap]
-            .into_iter()
-            .find(|k| k.label() == label)
     }
 }
 
@@ -76,14 +67,6 @@ impl ReplayMode {
             ReplayMode::Serial => "serial",
             ReplayMode::Threaded => "threaded",
         }
-    }
-
-    /// The inverse of [`ReplayMode::label`], used when parsing serialized
-    /// configurations.
-    pub(crate) fn from_label(label: &str) -> Option<Self> {
-        [ReplayMode::Serial, ReplayMode::Threaded]
-            .into_iter()
-            .find(|k| k.label() == label)
     }
 }
 
@@ -296,197 +279,6 @@ impl SimConfig {
             self.memory_fraction * 100.0
         )
     }
-
-    /// Serializes the configuration to a flat JSON object.
-    ///
-    /// The format is stable and explicit (no serde involvement — see
-    /// `vendor/README.md`): enum fields use their `label()` strings, latency
-    /// overrides serialize as nanoseconds or `null`.
-    pub fn to_json(&self) -> String {
-        fn opt_nanos(v: Option<Nanos>) -> String {
-            match v {
-                Some(n) => n.as_nanos().to_string(),
-                None => "null".to_string(),
-            }
-        }
-        format!(
-            concat!(
-                "{{",
-                "\"prefetcher\":\"{}\",",
-                "\"data_path\":\"{}\",",
-                "\"backend\":\"{}\",",
-                "\"eviction\":\"{}\",",
-                "\"memory_fraction\":{},",
-                "\"prefetch_cache_pages\":{},",
-                "\"history_size\":{},",
-                "\"max_prefetch_window\":{},",
-                "\"cores\":{},",
-                "\"sched_quantum_ns\":{},",
-                "\"context_switch_ns\":{},",
-                "\"replay_mode\":\"{}\",",
-                "\"per_process_isolation\":{},",
-                "\"async_depth\":{},",
-                "\"seed\":{},",
-                "\"backend_read_latency_ns\":{},",
-                "\"backend_write_latency_ns\":{},",
-                "{},",
-                "{}",
-                "}}"
-            ),
-            self.prefetcher.label(),
-            self.data_path.label(),
-            self.backend.label(),
-            self.eviction.label(),
-            self.memory_fraction,
-            self.prefetch_cache_pages,
-            self.history_size,
-            self.max_prefetch_window,
-            self.cores,
-            self.sched_quantum.as_nanos(),
-            self.context_switch_cost.as_nanos(),
-            self.replay_mode.label(),
-            self.per_process_isolation,
-            self.async_depth,
-            self.seed,
-            opt_nanos(self.backend_read_latency),
-            opt_nanos(self.backend_write_latency),
-            self.fault.to_json_fields(),
-            self.recovery.to_json_fields(),
-        )
-    }
-
-    /// Parses a configuration previously produced by [`SimConfig::to_json`]
-    /// and validates it.
-    ///
-    /// Unknown keys are rejected; missing keys fall back to
-    /// [`SimConfig::linux_defaults`] so the format can grow fields without
-    /// breaking stored configs.
-    pub fn from_json(text: &str) -> Result<Self, ConfigError> {
-        let mut config = SimConfig::linux_defaults();
-        let pairs = flat_json_pairs(text).map_err(|e| {
-            ConfigError::Parse(match e {
-                FlatJsonError::NotAnObject => "expected a JSON object".into(),
-                FlatJsonError::MalformedPair(pair) => format!("expected key:value, got {pair:?}"),
-                FlatJsonError::UnquotedKey(key) => format!("unquoted key {key:?}"),
-            })
-        })?;
-        for (key, value) in pairs {
-            match key {
-                "prefetcher" => {
-                    config.prefetcher =
-                        PrefetcherKind::from_label(parse_str(value)?).ok_or_else(|| {
-                            ConfigError::UnknownComponent {
-                                role: "prefetcher",
-                                name: value.trim_matches('"').to_string(),
-                            }
-                        })?
-                }
-                "data_path" => {
-                    config.data_path =
-                        DataPathKind::from_label(parse_str(value)?).ok_or_else(|| {
-                            ConfigError::UnknownComponent {
-                                role: "data-path",
-                                name: value.trim_matches('"').to_string(),
-                            }
-                        })?
-                }
-                "backend" => {
-                    config.backend =
-                        BackendKind::from_label(parse_str(value)?).ok_or_else(|| {
-                            ConfigError::UnknownComponent {
-                                role: "backend",
-                                name: value.trim_matches('"').to_string(),
-                            }
-                        })?
-                }
-                "eviction" => {
-                    config.eviction =
-                        EvictionPolicy::from_label(parse_str(value)?).ok_or_else(|| {
-                            ConfigError::UnknownComponent {
-                                role: "eviction",
-                                name: value.trim_matches('"').to_string(),
-                            }
-                        })?
-                }
-                "memory_fraction" => config.memory_fraction = parse_num::<f64>(value)?,
-                "prefetch_cache_pages" => config.prefetch_cache_pages = parse_num::<u64>(value)?,
-                "history_size" => config.history_size = parse_num::<usize>(value)?,
-                "max_prefetch_window" => config.max_prefetch_window = parse_num::<usize>(value)?,
-                "cores" => config.cores = parse_num::<usize>(value)?,
-                "sched_quantum_ns" => {
-                    config.sched_quantum = Nanos::from_nanos(parse_num::<u64>(value)?)
-                }
-                "context_switch_ns" => {
-                    config.context_switch_cost = Nanos::from_nanos(parse_num::<u64>(value)?)
-                }
-                "replay_mode" => {
-                    config.replay_mode =
-                        ReplayMode::from_label(parse_str(value)?).ok_or_else(|| {
-                            ConfigError::UnknownComponent {
-                                role: "replay-mode",
-                                name: value.trim_matches('"').to_string(),
-                            }
-                        })?
-                }
-                "per_process_isolation" => config.per_process_isolation = parse_bool(value)?,
-                "async_depth" => config.async_depth = parse_num::<usize>(value)?,
-                "seed" => config.seed = parse_num::<u64>(value)?,
-                "backend_read_latency_ns" => {
-                    config.backend_read_latency = parse_opt_nanos(value)?;
-                }
-                "backend_write_latency_ns" => {
-                    config.backend_write_latency = parse_opt_nanos(value)?;
-                }
-                other => {
-                    // `fault_*` / `recovery_*` keys are parsed by their
-                    // specs, so each schema lives in one place
-                    // (crates/remote).
-                    let consumed = config
-                        .fault
-                        .apply_json_field(other, value)
-                        .map_err(|e| ConfigError::Parse(e.to_string()))?
-                        || config
-                            .recovery
-                            .apply_json_field(other, value)
-                            .map_err(ConfigError::Parse)?;
-                    if !consumed {
-                        return Err(ConfigError::Parse(format!("unknown key {other:?}")));
-                    }
-                }
-            }
-        }
-        config.validate()?;
-        Ok(config)
-    }
-}
-
-fn parse_str(value: &str) -> Result<&str, ConfigError> {
-    value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| ConfigError::Parse(format!("expected a string, got {value}")))
-}
-
-fn parse_num<T: std::str::FromStr>(value: &str) -> Result<T, ConfigError> {
-    value
-        .parse::<T>()
-        .map_err(|_| ConfigError::Parse(format!("expected a number, got {value}")))
-}
-
-fn parse_bool(value: &str) -> Result<bool, ConfigError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        other => Err(ConfigError::Parse(format!("expected a bool, got {other}"))),
-    }
-}
-
-fn parse_opt_nanos(value: &str) -> Result<Option<Nanos>, ConfigError> {
-    if value == "null" {
-        Ok(None)
-    } else {
-        Ok(Some(Nanos::from_nanos(parse_num::<u64>(value)?)))
-    }
 }
 
 impl Default for SimConfig {
@@ -498,83 +290,6 @@ impl Default for SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-
-    /// Valid JSON with every fault and recovery key active: the text the
-    /// mutation property corrupts.
-    fn storm_jsons() -> [String; 2] {
-        let config = SimConfig::leap_defaults()
-            .to_builder()
-            .fault_plan(FaultSpec::canonical_partition_storm())
-            .recovery_policy(RecoveryPolicy::tail_tolerant())
-            .build()
-            .unwrap();
-        let jsons = [config.to_json(), config.fault.to_json()];
-        assert_eq!(SimConfig::from_json(&jsons[0]), Ok(config));
-        assert_eq!(FaultSpec::from_json(&jsons[1]), Ok(config.fault));
-        jsons
-    }
-
-    /// Both parsers must return `Ok` or a typed error, never panic.
-    fn parse_both(bytes: &[u8]) {
-        let text = String::from_utf8_lossy(bytes);
-        let _ = SimConfig::from_json(&text);
-        let _ = FaultSpec::from_json(&text);
-    }
-
-    proptest! {
-        #[test]
-        fn from_json_never_panics_on_arbitrary_bytes(
-            bytes in collection::vec(any::<u8>(), 0..256),
-        ) {
-            parse_both(&bytes);
-            // Inside braces the bytes get past the object check.
-            parse_both(&[b"{".as_slice(), &bytes, b"}"].concat());
-        }
-
-        #[test]
-        fn from_json_never_panics_on_mutated_or_truncated_json(
-            at in any::<usize>(),
-            byte in any::<u8>(),
-        ) {
-            for json in storm_jsons() {
-                let mut mutated = json.clone().into_bytes();
-                let i = at % mutated.len();
-                mutated[i] = byte;
-                parse_both(&mutated);
-                parse_both(&json.as_bytes()[..i]);
-            }
-        }
-
-        /// Both parsers read one grammar: a key that is unquoted or quoted
-        /// on one side only is a typed error from each, whichever key it is.
-        #[test]
-        fn both_parsers_reject_unquoted_and_half_quoted_keys(
-            at in any::<usize>(),
-            quoting in 0usize..3,
-        ) {
-            for json in storm_jsons() {
-                let pairs = flat_json_pairs(&json).unwrap();
-                let target = at % pairs.len();
-                let body: Vec<String> = pairs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (key, value))| match (i == target, quoting) {
-                        (false, _) => format!("\"{key}\":{value}"),
-                        (true, 0) => format!("{key}:{value}"),
-                        (true, 1) => format!("\"{key}:{value}"),
-                        (true, _) => format!("{key}\":{value}"),
-                    })
-                    .collect();
-                let text = format!("{{{}}}", body.join(","));
-                prop_assert!(matches!(SimConfig::from_json(&text), Err(ConfigError::Parse(_))));
-                prop_assert!(matches!(
-                    FaultSpec::from_json(&text),
-                    Err(leap_remote::FaultJsonError::MalformedPair(_))
-                ));
-            }
-        }
-    }
 
     #[test]
     fn canonical_configs_differ_where_expected() {
@@ -614,83 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn label_round_trips() {
-        for kind in [DataPathKind::LinuxDefault, DataPathKind::Leap] {
-            assert_eq!(DataPathKind::from_label(kind.label()), Some(kind));
-        }
-        for policy in [EvictionPolicy::Lazy, EvictionPolicy::Eager] {
-            assert_eq!(EvictionPolicy::from_label(policy.label()), Some(policy));
-        }
-        assert_eq!(DataPathKind::from_label("bogus"), None);
-    }
-
-    #[test]
-    fn json_round_trip_preserves_every_field() {
-        let config = SimConfig::builder()
-            .prefetcher(PrefetcherKind::Stride)
-            .data_path(DataPathKind::LinuxDefault)
-            .backend(BackendKind::Ssd)
-            .eviction(EvictionPolicy::Lazy)
-            .memory_fraction(0.25)
-            .prefetch_cache_pages(512)
-            .history_size(16)
-            .max_prefetch_window(4)
-            .cores(12)
-            .sched_quantum(Nanos::from_micros(333))
-            .context_switch_cost(Nanos::from_micros(5))
-            .replay_mode(ReplayMode::Threaded)
-            .per_process_isolation(true)
-            .async_depth(6)
-            .seed(1234)
-            .backend_read_latency(Nanos::from_micros(7))
-            .build()
-            .unwrap();
-        let json = config.to_json();
-        let parsed = SimConfig::from_json(&json).unwrap();
-        assert_eq!(parsed, config);
-    }
-
-    #[test]
-    fn json_round_trip_of_defaults() {
-        for config in [SimConfig::linux_defaults(), SimConfig::leap_defaults()] {
-            let parsed = SimConfig::from_json(&config.to_json()).unwrap();
-            assert_eq!(parsed, config);
-        }
-    }
-
-    #[test]
-    fn fault_spec_rides_the_config_json() {
-        let config = SimConfig::leap_defaults()
-            .to_builder()
-            .fault_plan(FaultSpec::canonical_storm())
-            .build()
-            .unwrap();
-        assert!(config.fault.is_active());
-        let parsed = SimConfig::from_json(&config.to_json()).unwrap();
-        assert_eq!(parsed, config);
-        assert_eq!(parsed.fault, FaultSpec::canonical_storm());
-        // Old configs without fault keys still parse, defaulting to healthy.
-        let healthy = SimConfig::from_json(&SimConfig::linux_defaults().to_json()).unwrap();
-        assert_eq!(healthy.fault, FaultSpec::none());
-    }
-
-    #[test]
-    fn recovery_policy_rides_the_config_json() {
-        let config = SimConfig::leap_defaults()
-            .to_builder()
-            .recovery_policy(RecoveryPolicy::tail_tolerant())
-            .build()
-            .unwrap();
-        assert!(config.recovery.is_active());
-        let parsed = SimConfig::from_json(&config.to_json()).unwrap();
-        assert_eq!(parsed, config);
-        assert_eq!(parsed.recovery, RecoveryPolicy::tail_tolerant());
-        // Old configs without recovery keys still parse, defaulting to off.
-        let quiet = SimConfig::from_json(&SimConfig::linux_defaults().to_json()).unwrap();
-        assert_eq!(quiet.recovery, RecoveryPolicy::none());
-    }
-
-    #[test]
     fn invalid_recovery_policy_is_rejected_at_validation() {
         let mut bad = RecoveryPolicy::none();
         bad.max_retries = 3; // retries without a deadline can never trigger
@@ -704,25 +342,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_fault_keys_surface_the_typed_error_text() {
-        let err = SimConfig::from_json("{\"fault_warp_drive\":1}").unwrap_err();
-        let ConfigError::Parse(msg) = &err else {
-            panic!("expected a parse error, got {err:?}");
-        };
-        assert!(msg.contains("fault_warp_drive"), "got {msg:?}");
-        // A bad value on a known fault key is also a parse error, carrying
-        // the key and the offending value from the typed remote-tier error.
-        let err = SimConfig::from_json("{\"fault_latency_spikes\":\"lots\"}").unwrap_err();
-        let ConfigError::Parse(msg) = &err else {
-            panic!("expected a parse error, got {err:?}");
-        };
-        assert!(
-            msg.contains("fault_latency_spikes") && msg.contains("lots"),
-            "got {msg:?}"
-        );
-    }
-
-    #[test]
     fn invalid_fault_spec_is_rejected_at_validation() {
         let mut bad = FaultSpec::canonical_storm();
         bad.horizon = bad.start;
@@ -733,49 +352,5 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ConfigError::InvalidFaultSpec { .. }));
         assert!(err.to_string().contains("fault"));
-    }
-
-    #[test]
-    fn from_json_rejects_garbage() {
-        assert!(matches!(
-            SimConfig::from_json("not json"),
-            Err(ConfigError::Parse(_))
-        ));
-        assert!(matches!(
-            SimConfig::from_json("{\"bogus_key\":1}"),
-            Err(ConfigError::Parse(_))
-        ));
-        // Every label-valued key names its role and echoes the bad label.
-        for (key, role) in [
-            ("prefetcher", "prefetcher"),
-            ("data_path", "data-path"),
-            ("backend", "backend"),
-            ("eviction", "eviction"),
-            ("replay_mode", "replay-mode"),
-        ] {
-            let err = SimConfig::from_json(&format!("{{\"{key}\":\"Quantum\"}}")).unwrap_err();
-            assert_eq!(
-                err,
-                ConfigError::UnknownComponent {
-                    role,
-                    name: "Quantum".into()
-                },
-                "{key}"
-            );
-            assert_eq!(err.to_string(), format!("unknown {role} \"Quantum\""));
-        }
-        // Parsed configs are validated like built ones.
-        assert!(matches!(
-            SimConfig::from_json("{\"cores\":0}"),
-            Err(ConfigError::ZeroCores)
-        ));
-        assert!(matches!(
-            SimConfig::from_json("{\"sched_quantum_ns\":0}"),
-            Err(ConfigError::ZeroQuantum)
-        ));
-        assert!(matches!(
-            SimConfig::from_json("{\"async_depth\":0}"),
-            Err(ConfigError::ZeroAsyncDepth)
-        ));
     }
 }

@@ -4,10 +4,9 @@ use std::fmt;
 
 /// Why a [`crate::SimConfig`] failed to validate.
 ///
-/// Produced by [`crate::SimConfigBuilder::build`] and by
-/// [`crate::SimConfig::from_json`]. Each variant names the offending knob so
-/// experiment scripts can report actionable errors instead of panicking deep
-/// inside a run.
+/// Produced by [`crate::SimConfigBuilder::build`]. Each variant names the
+/// offending knob so experiment scripts can report actionable errors instead
+/// of panicking deep inside a run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// `memory_fraction` must lie in `(0, 1]`.
@@ -52,14 +51,6 @@ pub enum ConfigError {
         /// Which override was zero: `"read"` or `"write"`.
         which: &'static str,
     },
-    /// A serialized config names a component label that no variant has.
-    UnknownComponent {
-        /// Which field held the label: `"prefetcher"`, `"data-path"`,
-        /// `"backend"`, `"eviction"`, or `"replay-mode"`.
-        role: &'static str,
-        /// The unrecognised label.
-        name: String,
-    },
     /// [`crate::SimConfigBuilder::build`] was called while a custom
     /// prefetcher is pending. Plain [`crate::SimConfig`] cannot carry it; use
     /// [`crate::SimConfigBuilder::build_setup`] (or
@@ -78,8 +69,6 @@ pub enum ConfigError {
         /// What the recovery policy got wrong.
         reason: &'static str,
     },
-    /// A serialized config could not be parsed.
-    Parse(String),
 }
 
 impl fmt::Display for ConfigError {
@@ -110,9 +99,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroBackendLatency { which } => {
                 write!(f, "backend {which} latency override must be nonzero")
             }
-            ConfigError::UnknownComponent { role, name } => {
-                write!(f, "unknown {role} {name:?}")
-            }
             ConfigError::ComponentsRequireSetup => write!(
                 f,
                 "a custom prefetcher is pending; build_setup() \
@@ -124,7 +110,6 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidRecoveryPolicy { reason } => {
                 write!(f, "invalid recovery policy: {reason}")
             }
-            ConfigError::Parse(msg) => write!(f, "config parse error: {msg}"),
         }
     }
 }

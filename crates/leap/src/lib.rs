@@ -93,16 +93,14 @@ pub use recorder::TraceRecorder;
 pub use result::RunResult;
 pub use sched::CoreScheduler;
 pub use session::{
-    AccessOutcome, CoreActivity, EventLog, FaultEvent, HistogramObserver, Observer, OutcomeCounts,
-    Session, Simulator,
+    AccessOutcome, CoreActivity, EventLog, FaultEvent, Observer, OutcomeCounts, Session, Simulator,
 };
 pub use tracker::PageAccessTracker;
 pub use vfs::VfsSimulator;
 pub use vmm::VmmSimulator;
 
 pub use leap_remote::{
-    FaultInjectionStats, FaultJsonError, FaultPlan, FaultSpec, RecoveryPolicy, RecoveryStats,
-    TenantRecovery,
+    FaultInjectionStats, FaultPlan, FaultSpec, RecoveryPolicy, RecoveryStats, TenantRecovery,
 };
 
 /// Commonly used items, re-exported for examples and experiment binaries.
@@ -116,16 +114,16 @@ pub mod prelude {
     pub use crate::result::RunResult;
     pub use crate::sched::CoreScheduler;
     pub use crate::session::{
-        AccessOutcome, CoreActivity, EventLog, FaultEvent, HistogramObserver, Observer,
-        OutcomeCounts, Session, Simulator,
+        AccessOutcome, CoreActivity, EventLog, FaultEvent, Observer, OutcomeCounts, Session,
+        Simulator,
     };
     pub use crate::tracker::PageAccessTracker;
     pub use crate::vfs::VfsSimulator;
     pub use crate::vmm::VmmSimulator;
     pub use leap_prefetcher::PrefetcherKind;
     pub use leap_remote::{
-        BackendKind, FaultInjectionStats, FaultJsonError, FaultPlan, FaultSpec, RecoveryPolicy,
-        RecoveryStats, TenantRecovery,
+        BackendKind, FaultInjectionStats, FaultPlan, FaultSpec, RecoveryPolicy, RecoveryStats,
+        TenantRecovery,
     };
     pub use leap_sim_core::Nanos;
     pub use leap_workloads::{AppKind, AppModel};

@@ -26,7 +26,6 @@ use crate::parallel;
 use crate::result::RunResult;
 use crate::sched::CoreScheduler;
 use leap_mem::{CacheOrigin, Pid};
-use leap_metrics::LatencyHistogram;
 use leap_sim_core::Nanos;
 use leap_workloads::{Access, AccessTrace};
 
@@ -226,15 +225,12 @@ pub trait Simulator: Sized + Send {
 ///
 /// let trace = leap_workloads::stride_trace(4 * MIB, 10, 1);
 /// let sim = SimConfig::builder().seed(7).build_vmm().unwrap();
-/// let mut remote = HistogramObserver::remote_accesses();
-/// let result = sim
-///     .session()
-///     .observe(&mut remote)
-///     .run(&trace);
-/// // The stream reproduces the batch histogram exactly.
+/// let mut counts = OutcomeCounts::default();
+/// let result = sim.session().observe(&mut counts).run(&trace);
+/// // The stream carries every remote access the result counts.
 /// assert_eq!(
-///     remote.histogram().len(),
-///     result.remote_access_latency.len()
+///     counts.cache_hits + counts.remote_fetches + counts.buffered_writes,
+///     result.remote_accesses()
 /// );
 /// ```
 pub struct Session<'obs, S> {
@@ -326,47 +322,6 @@ fn drive<S: Simulator>(
         observer.on_complete(&result);
     }
     result
-}
-
-/// An [`Observer`] that accumulates event latencies into a
-/// [`LatencyHistogram`], filtered by outcome.
-#[derive(Debug, Default)]
-pub struct HistogramObserver {
-    histogram: LatencyHistogram,
-    remote_only: bool,
-    events: u64,
-}
-
-impl HistogramObserver {
-    /// Collects remote page accesses only (cache hits, remote fetches, and
-    /// VFS buffered writes — exactly what `RunResult::remote_access_latency`
-    /// records).
-    pub fn remote_accesses() -> Self {
-        HistogramObserver {
-            remote_only: true,
-            ..HistogramObserver::default()
-        }
-    }
-
-    /// The accumulated histogram.
-    pub fn histogram(&mut self) -> &mut LatencyHistogram {
-        &mut self.histogram
-    }
-
-    /// Number of events that matched the filter.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-}
-
-impl Observer for HistogramObserver {
-    fn on_event(&mut self, event: &FaultEvent) {
-        if self.remote_only && !event.outcome.is_remote() {
-            return;
-        }
-        self.events += 1;
-        self.histogram.record(event.latency);
-    }
 }
 
 /// An [`Observer`] counting outcomes, for quick stream-level sanity checks.

@@ -48,14 +48,6 @@ impl EvictionPolicy {
             EvictionPolicy::Eager => "eager",
         }
     }
-
-    /// The inverse of [`EvictionPolicy::label`], used when parsing serialized
-    /// configurations.
-    pub fn from_label(label: &str) -> Option<Self> {
-        [EvictionPolicy::Lazy, EvictionPolicy::Eager]
-            .into_iter()
-            .find(|k| k.label() == label)
-    }
 }
 
 /// One of a cache's two eviction lists.

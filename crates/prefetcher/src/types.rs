@@ -117,20 +117,6 @@ impl PrefetcherKind {
             PrefetcherKind::Leap => "Leap",
         }
     }
-
-    /// The inverse of [`PrefetcherKind::label`], used when parsing serialized
-    /// configurations.
-    pub fn from_label(label: &str) -> Option<Self> {
-        [
-            PrefetcherKind::None,
-            PrefetcherKind::NextNLine,
-            PrefetcherKind::Stride,
-            PrefetcherKind::ReadAhead,
-            PrefetcherKind::Leap,
-        ]
-        .into_iter()
-        .find(|k| k.label() == label)
-    }
 }
 
 impl fmt::Display for PrefetcherKind {

@@ -32,14 +32,6 @@ impl BackendKind {
         }
     }
 
-    /// The inverse of [`BackendKind::label`], used when parsing serialized
-    /// configurations.
-    pub fn from_label(label: &str) -> Option<Self> {
-        [BackendKind::Hdd, BackendKind::Ssd, BackendKind::Rdma]
-            .into_iter()
-            .find(|k| k.label() == label)
-    }
-
     /// The nominal (median) 4 KB access latency from the paper's Figure 1.
     pub fn nominal_latency(self) -> Nanos {
         match self {

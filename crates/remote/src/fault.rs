@@ -20,7 +20,6 @@
 //!   pipeline-stats discipline.
 
 use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
-use leap_sim_core::json::{flat_json_pairs, FlatJsonError};
 use leap_sim_core::{DetRng, Nanos, MULTIPLIER_IDENTITY_MILLI};
 use serde::{Deserialize, Serialize};
 
@@ -125,8 +124,8 @@ impl FaultSpec {
         Self::storm_over(Nanos::from_micros(50), Nanos::from_micros(800))
     }
 
-    /// The canonical storm plus link partitions: the input the partition
-    /// fixture, the recovery suite, and the chaos CI lane all share. Keeping
+    /// The canonical storm plus link partitions: the input the recovery
+    /// suite and the chaos CI lane share. Keeping
     /// [`FaultSpec::canonical_storm`] partition-free preserves the existing
     /// golden chaos pins.
     pub fn canonical_partition_storm() -> Self {
@@ -166,138 +165,7 @@ impl FaultSpec {
         }
         Ok(())
     }
-
-    /// Serializes the spec as the inner `"key":value` pairs (no braces), so
-    /// it can be embedded flat inside a larger JSON object.
-    pub fn to_json_fields(&self) -> String {
-        format!(
-            concat!(
-                "\"fault_latency_spikes\":{},",
-                "\"fault_spike_multiplier_milli\":{},",
-                "\"fault_degraded_epochs\":{},",
-                "\"fault_degraded_multiplier_milli\":{},",
-                "\"fault_machine_failures\":{},",
-                "\"fault_reconnect_storms\":{},",
-                "\"fault_reconnect_penalty_ns\":{},",
-                "\"fault_epoch_ns\":{},",
-                "\"fault_start_ns\":{},",
-                "\"fault_horizon_ns\":{},",
-                "\"fault_partition_epochs\":{},",
-                "\"fault_target_tenant\":{}"
-            ),
-            self.latency_spikes,
-            self.spike_multiplier_milli,
-            self.degraded_epochs,
-            self.degraded_multiplier_milli,
-            self.machine_failures,
-            self.reconnect_storms,
-            self.reconnect_penalty.as_nanos(),
-            self.epoch.as_nanos(),
-            self.start.as_nanos(),
-            self.horizon.as_nanos(),
-            self.partition_epochs,
-            self.target_tenant,
-        )
-    }
-
-    /// Serializes the spec as a standalone JSON object.
-    pub fn to_json(&self) -> String {
-        format!("{{{}}}", self.to_json_fields())
-    }
-
-    /// Applies one parsed `"fault_*"` key to the spec.
-    ///
-    /// Returns `Ok(false)` if the key is not a fault key (so callers merging
-    /// fault fields into a larger object can fall through), `Ok(true)` if it
-    /// was consumed, and `Err` on a malformed value.
-    pub fn apply_json_field(&mut self, key: &str, value: &str) -> Result<bool, FaultJsonError> {
-        fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, FaultJsonError> {
-            value.trim().parse().map_err(|_| FaultJsonError::BadValue {
-                key: key.to_string(),
-                value: value.trim().to_string(),
-            })
-        }
-        match key {
-            "fault_latency_spikes" => self.latency_spikes = num(key, value)?,
-            "fault_spike_multiplier_milli" => self.spike_multiplier_milli = num(key, value)?,
-            "fault_degraded_epochs" => self.degraded_epochs = num(key, value)?,
-            "fault_degraded_multiplier_milli" => self.degraded_multiplier_milli = num(key, value)?,
-            "fault_machine_failures" => self.machine_failures = num(key, value)?,
-            "fault_reconnect_storms" => self.reconnect_storms = num(key, value)?,
-            "fault_reconnect_penalty_ns" => {
-                self.reconnect_penalty = Nanos::from_nanos(num(key, value)?)
-            }
-            "fault_epoch_ns" => self.epoch = Nanos::from_nanos(num(key, value)?),
-            "fault_start_ns" => self.start = Nanos::from_nanos(num(key, value)?),
-            "fault_horizon_ns" => self.horizon = Nanos::from_nanos(num(key, value)?),
-            "fault_partition_epochs" => self.partition_epochs = num(key, value)?,
-            "fault_target_tenant" => self.target_tenant = num(key, value)?,
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Parses a standalone JSON object produced by [`FaultSpec::to_json`]
-    /// (missing keys keep their [`FaultSpec::none`] defaults). The parsed
-    /// spec is validated before being returned.
-    ///
-    /// Unknown `fault_*` keys (and any other unrecognized key) are a typed
-    /// [`FaultJsonError::UnknownKey`] error rather than being skipped, so a
-    /// typo'd chaos plan cannot silently run as a healthy baseline.
-    pub fn from_json(text: &str) -> Result<Self, FaultJsonError> {
-        let pairs = flat_json_pairs(text).map_err(|e| match e {
-            FlatJsonError::NotAnObject => FaultJsonError::NotAnObject,
-            FlatJsonError::MalformedPair(pair) | FlatJsonError::UnquotedKey(pair) => {
-                FaultJsonError::MalformedPair(pair)
-            }
-        })?;
-        let mut spec = FaultSpec::none();
-        for (key, value) in pairs {
-            if !spec.apply_json_field(key, value)? {
-                return Err(FaultJsonError::UnknownKey(key.to_string()));
-            }
-        }
-        spec.validate().map_err(FaultJsonError::InvalidSpec)?;
-        Ok(spec)
-    }
 }
-
-/// Typed parse error for fault-spec JSON, so callers can tell a typo'd key
-/// apart from a malformed document or a structurally invalid spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultJsonError {
-    /// The document is not a braced JSON object.
-    NotAnObject,
-    /// A pair is not a double-quoted key, a `:` and a value.
-    MalformedPair(String),
-    /// A key that is neither a known `fault_*` field nor otherwise consumed.
-    UnknownKey(String),
-    /// A known key carried an unparseable value.
-    BadValue {
-        /// The offending key.
-        key: String,
-        /// The raw value text that failed to parse.
-        value: String,
-    },
-    /// The parsed spec failed [`FaultSpec::validate`].
-    InvalidSpec(&'static str),
-}
-
-impl std::fmt::Display for FaultJsonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FaultJsonError::NotAnObject => write!(f, "fault spec JSON must be an object"),
-            FaultJsonError::MalformedPair(pair) => write!(f, "malformed pair {pair:?}"),
-            FaultJsonError::UnknownKey(key) => write!(f, "unknown fault key {key:?}"),
-            FaultJsonError::BadValue { key, value } => {
-                write!(f, "bad value {value:?} for {key:?}")
-            }
-            FaultJsonError::InvalidSpec(reason) => write!(f, "invalid fault spec: {reason}"),
-        }
-    }
-}
-
-impl std::error::Error for FaultJsonError {}
 
 impl Default for FaultSpec {
     fn default() -> Self {
@@ -463,7 +331,7 @@ impl FaultPlan {
     /// True if the plan's epochs and partitions apply to accesses issued by
     /// `tenant`. A `target_tenant` of zero targets everyone; tenant zero
     /// (untagged traffic) is only hit by untargeted plans.
-    pub(crate) fn applies_to_tenant(&self, tenant: u32) -> bool {
+    pub fn applies_to_tenant(&self, tenant: u32) -> bool {
         self.spec.target_tenant == 0 || tenant == self.spec.target_tenant
     }
 
@@ -860,18 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_preserves_every_field() {
-        let spec = small_spec();
-        let parsed = FaultSpec::from_json(&spec.to_json()).expect("round trip");
-        assert_eq!(spec, parsed);
-        // Missing keys default; unknown keys error.
-        let empty = FaultSpec::from_json("{}").expect("empty object");
-        assert_eq!(empty, FaultSpec::none());
-        assert!(FaultSpec::from_json("{\"fault_bogus\":1}").is_err());
-        assert!(FaultSpec::from_json("not json").is_err());
-    }
-
-    #[test]
     fn plan_expansion_is_deterministic() {
         let spec = small_spec();
         let a = FaultPlan::from_spec(42, &spec, 4);
@@ -966,35 +822,6 @@ mod tests {
             !plan.applies_to_tenant(0),
             "untagged traffic escapes a targeted plan"
         );
-    }
-
-    #[test]
-    fn from_json_errors_are_typed() {
-        assert_eq!(
-            FaultSpec::from_json("not json"),
-            Err(FaultJsonError::NotAnObject)
-        );
-        assert_eq!(
-            FaultSpec::from_json("{\"fault_bogus\":1}"),
-            Err(FaultJsonError::UnknownKey("fault_bogus".to_string()))
-        );
-        assert_eq!(
-            FaultSpec::from_json("{\"fault_latency_spikes\" 3}"),
-            Err(FaultJsonError::MalformedPair(
-                "\"fault_latency_spikes\" 3".to_string()
-            ))
-        );
-        assert_eq!(
-            FaultSpec::from_json("{\"fault_latency_spikes\":\"many\"}"),
-            Err(FaultJsonError::BadValue {
-                key: "fault_latency_spikes".to_string(),
-                value: "\"many\"".to_string(),
-            })
-        );
-        assert!(matches!(
-            FaultSpec::from_json("{\"fault_latency_spikes\":1}"),
-            Err(FaultJsonError::InvalidSpec(_)),
-        ));
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod slab;
 pub use agent::{HostAgent, HostAgentConfig, RemoteIoKind};
 pub use backend::{BackendKind, ConstLatencyOverride, StorageBackend};
 pub use dispatch::DispatchQueues;
-pub use fault::{FaultInjectionStats, FaultJsonError, FaultPlan, FaultSpec};
+pub use fault::{FaultInjectionStats, FaultPlan, FaultSpec};
 pub use recovery::{
     recovery_stream_seed, RecoveryPolicy, RecoveryStats, TenantRecovery, RECOVERY_SALT,
 };

@@ -101,58 +101,18 @@ impl RecoveryPolicy {
     /// Structural validation; mirrors `FaultSpec::validate`.
     pub fn validate(&self) -> Result<(), &'static str> {
         if !self.timeout.is_zero() && self.max_retries == 0 {
-            return Err("recovery_timeout_ns requires recovery_max_retries > 0");
+            return Err("a recovery timeout requires max_retries > 0");
         }
         if self.timeout.is_zero() && self.max_retries > 0 {
-            return Err("recovery_max_retries requires recovery_timeout_ns > 0");
+            return Err("recovery max_retries requires a non-zero timeout");
         }
         if self.timeout.is_zero() && !self.backoff_base.is_zero() {
-            return Err("recovery_backoff_base_ns requires recovery_timeout_ns > 0");
+            return Err("recovery backoff_base requires a non-zero timeout");
         }
         if self.timeout.is_zero() && !self.backoff_jitter.is_zero() {
-            return Err("recovery_backoff_jitter_ns requires recovery_timeout_ns > 0");
+            return Err("recovery backoff_jitter requires a non-zero timeout");
         }
         Ok(())
-    }
-
-    /// Renders the policy as the `recovery_*` JSON fields that ride
-    /// `SimConfig::to_json` (no surrounding braces, no trailing comma).
-    #[must_use]
-    pub fn to_json_fields(&self) -> String {
-        format!(
-            "\"recovery_timeout_ns\":{},\"recovery_max_retries\":{},\
-             \"recovery_backoff_base_ns\":{},\"recovery_backoff_jitter_ns\":{},\
-             \"recovery_hedge_delay_ns\":{}",
-            self.timeout.as_nanos(),
-            self.max_retries,
-            self.backoff_base.as_nanos(),
-            self.backoff_jitter.as_nanos(),
-            self.hedge_delay.as_nanos(),
-        )
-    }
-
-    /// Applies one `key: value` pair from a config JSON object. Returns
-    /// `Ok(true)` when the key belonged to the recovery policy, `Ok(false)`
-    /// when it is not a recovery key, and `Err` on a malformed value.
-    pub fn apply_json_field(&mut self, key: &str, value: &str) -> Result<bool, String> {
-        let parse = |value: &str| -> Result<u64, String> {
-            value
-                .trim()
-                .parse::<u64>()
-                .map_err(|_| format!("bad value {value:?} for recovery key"))
-        };
-        match key {
-            "recovery_timeout_ns" => self.timeout = Nanos::from_nanos(parse(value)?),
-            "recovery_max_retries" => {
-                self.max_retries = u32::try_from(parse(value)?)
-                    .map_err(|_| format!("recovery_max_retries {value:?} out of range"))?;
-            }
-            "recovery_backoff_base_ns" => self.backoff_base = Nanos::from_nanos(parse(value)?),
-            "recovery_backoff_jitter_ns" => self.backoff_jitter = Nanos::from_nanos(parse(value)?),
-            "recovery_hedge_delay_ns" => self.hedge_delay = Nanos::from_nanos(parse(value)?),
-            _ => return Ok(false),
-        }
-        Ok(true)
     }
 }
 
@@ -296,33 +256,6 @@ mod tests {
         let mut policy = RecoveryPolicy::none();
         policy.backoff_jitter = Nanos::from_nanos(100);
         assert!(policy.validate().is_err(), "jitter without timeout");
-    }
-
-    #[test]
-    fn json_fields_round_trip() {
-        let policy = RecoveryPolicy::tail_tolerant();
-        let fields = policy.to_json_fields();
-        let mut rebuilt = RecoveryPolicy::none();
-        let object = format!("{{{fields}}}");
-        for (key, value) in leap_sim_core::json::flat_json_pairs(&object).expect("flat JSON") {
-            assert!(
-                rebuilt.apply_json_field(key, value).expect("parses"),
-                "key {key:?} must be consumed"
-            );
-        }
-        assert_eq!(rebuilt, policy);
-    }
-
-    #[test]
-    fn apply_json_field_ignores_foreign_keys_and_rejects_bad_values() {
-        let mut policy = RecoveryPolicy::none();
-        assert!(!policy
-            .apply_json_field("fault_seedless", "1")
-            .expect("foreign key passes"));
-        assert!(policy
-            .apply_json_field("recovery_timeout_ns", "\"soon\"")
-            .is_err());
-        assert_eq!(policy, RecoveryPolicy::none());
     }
 
     #[test]

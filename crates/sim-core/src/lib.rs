@@ -16,15 +16,12 @@
 //!   hot maps every fault probes — deterministic and ~an order of magnitude
 //!   cheaper than SipHash on the small integer keys used here — plus the
 //!   FNV fold ([`hash::checksum_fold`]) every event-stream checksum uses.
-//! - [`json`]: the one reader ([`json::flat_json_pairs`]) of the flat JSON
-//!   objects the configuration formats are stored in.
 //!
 //! Everything is `std`-only and allocation-light; the hot paths (sampling a
 //! latency, advancing the clock, hashing a key) are O(1).
 
 pub mod clock;
 pub mod hash;
-pub mod json;
 pub mod latency;
 pub mod rng;
 pub mod time;

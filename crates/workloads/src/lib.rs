@@ -13,8 +13,6 @@
 //! - [`micro`]: Sequential and Stride-K microbenchmark generators.
 //! - [`apps`]: the four application models.
 //! - [`classify`]: the window-pattern classifier used to regenerate Figure 3.
-//! - [`multi`]: interleaving of several processes' traces for the
-//!   multi-tenant experiment (Figure 13).
 //! - [`ingest`]: trace ingestion from recorded fault logs (DAMON region
 //!   samples and perf-script page faults) — real applications as a workload
 //!   source, without porting them.
@@ -23,12 +21,10 @@ pub mod apps;
 pub mod classify;
 pub mod ingest;
 pub mod micro;
-pub mod multi;
 pub mod trace;
 
 pub use apps::{AppKind, AppModel};
 pub use classify::{classify_windows, PatternMode};
 pub use ingest::{IngestError, IngestedLog, LogFormat};
 pub use micro::{sequential_trace, stride_trace};
-pub use multi::interleave;
 pub use trace::{Access, AccessTrace};

@@ -1,8 +1,8 @@
 //! The data path and the eviction policy are plain enum choices
 //! ([`DataPathKind`], [`EvictionPolicy`]): every built-in choice must run
 //! end-to-end through `VmmSimulator`, really act under memory pressure, keep
-//! the replay-mode bit-identity contract, and be selectable from config JSON
-//! exactly as from the builder.
+//! the replay-mode bit-identity contract, and be selectable from the
+//! builder.
 
 use leap_repro::leap_sim_core::units::MIB;
 use leap_repro::leap_sim_core::Nanos;
@@ -106,11 +106,10 @@ fn each_data_path_and_eviction_is_bit_identical_across_replay_modes() {
     }
 }
 
-/// Config JSON is the serialized way to pick components: for every built-in
-/// prefetcher × data path × eviction combination, a config parsed back from
-/// its own JSON runs exactly like the builder-built one.
+/// The builder selects every built-in prefetcher × data path × eviction
+/// combination, and the run reports the combination it was built with.
 #[test]
-fn config_json_selects_every_builtin_combination() {
+fn builder_selects_every_builtin_combination() {
     let trace = stride_trace(MIB, 3, 1);
     for prefetcher in PREFETCHERS {
         for data_path in DATA_PATHS {
@@ -123,17 +122,9 @@ fn config_json_selects_every_builtin_combination() {
                     .seed(3)
                     .build()
                     .expect("valid config");
-                let parsed = SimConfig::from_json(&built.to_json()).expect("own JSON parses");
-                assert_eq!(parsed, built);
-
-                let a = VmmSimulator::new(built).run_prepopulated(&trace);
-                let b = VmmSimulator::new(parsed).run_prepopulated(&trace);
-                let what = built.label();
-                assert_eq!(a.config_label, what);
-                assert_eq!(b.config_label, what);
-                assert_eq!(a.completion_time, b.completion_time, "{what}");
-                assert_eq!(a.remote_accesses, b.remote_accesses, "{what}");
-                assert_eq!(a.cache_stats, b.cache_stats, "{what}");
+                let result = VmmSimulator::new(built).run_prepopulated(&trace);
+                assert_eq!(result.config_label, built.label());
+                assert_eq!(result.total_accesses, trace.len() as u64);
             }
         }
     }

@@ -75,26 +75,6 @@ fn builder_knobs_reach_the_simulation() {
 }
 
 #[test]
-fn config_json_round_trip_through_files() {
-    let config = SimConfig::builder()
-        .prefetcher(PrefetcherKind::Leap)
-        .backend(BackendKind::Ssd)
-        .memory_fraction(0.25)
-        .prefetch_cache_pages(4096)
-        .seed(77)
-        .backend_write_latency(Nanos::from_micros(12))
-        .build()
-        .expect("valid config");
-    let parsed = SimConfig::from_json(&config.to_json()).expect("round trip");
-    assert_eq!(parsed, config);
-    // A parsed config drives a simulator exactly like the original.
-    let trace = stride_trace(2 * MIB, 10, 1);
-    let a = VmmSimulator::new(config).run(&trace);
-    let b = VmmSimulator::new(parsed).run(&trace);
-    assert_eq!(a.completion_time, b.completion_time);
-}
-
-#[test]
 fn simulator_trait_is_front_end_agnostic() {
     fn drive<S: Simulator>(sim: S, trace: &leap_repro::leap_workloads::AccessTrace) -> RunResult {
         sim.run(trace)

@@ -9,16 +9,7 @@
 //! bit-identical between `ReplayMode::Serial` and `ReplayMode::Threaded`
 //! for any plan. The empty plan reproduces healthy runs byte for byte, and
 //! the canonical storm over the ingested perf fixture is golden-pinned.
-//!
-//! Regenerate the committed storm plan after an *intentional* spec change:
-//!
-//! ```text
-//! REGEN_GOLDEN=1 cargo test --test fault_injection -- storm_plan_fixture_is_fresh
-//! ```
 
-mod common;
-
-use common::fixture;
 use leap_repro::leap_remote::{
     HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind, DEFAULT_SLAB_BYTES,
 };
@@ -31,9 +22,12 @@ use leap_repro::prelude::*;
 use proptest::prelude::*;
 
 fn perf_traces() -> Vec<AccessTrace> {
-    ingest_path(fixture("perf_faults.log"))
-        .expect("perf fixture must ingest")
-        .into_traces()
+    ingest_path(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/perf_faults.log"
+    ))
+    .expect("perf fixture must ingest")
+    .into_traces()
 }
 
 fn replay_config(seed: u64, cores: usize, mode: ReplayMode, fault: FaultSpec) -> SimConfig {
@@ -49,13 +43,13 @@ fn replay_config(seed: u64, cores: usize, mode: ReplayMode, fault: FaultSpec) ->
 }
 
 // ---------------------------------------------------------------------------
-// (a) Property: arbitrary plans round-trip through JSON and replay
-// bit-identically Serial vs Threaded across core counts.
+// (a) Property: arbitrary plans replay bit-identically Serial vs Threaded
+// across core counts.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #[test]
-    fn arbitrary_plans_round_trip_and_replay_identically(
+    fn arbitrary_plans_replay_identically(
         spikes in 0u32..3,
         degraded in 0u32..3,
         chaos in 0u32..6,
@@ -81,13 +75,6 @@ proptest! {
             target_tenant: 0,
         };
         prop_assert!(spec.validate().is_ok());
-
-        // JSON round trip, standalone and riding the SimConfig.
-        let parsed = FaultSpec::from_json(&spec.to_json()).expect("round trip");
-        prop_assert_eq!(parsed, spec);
-        let config = replay_config(seed, 2, ReplayMode::Serial, spec);
-        let rode = SimConfig::from_json(&config.to_json()).expect("config round trip");
-        prop_assert_eq!(rode.fault, spec);
 
         // Plan expansion is a pure function of (seed, spec, machines).
         prop_assert_eq!(
@@ -338,11 +325,24 @@ fn mid_run_faults_degrade_only_overlapping_tenants() {
 
 // ---------------------------------------------------------------------------
 // (f) Tenant targeting: a plan with `target_tenant` set degrades only that
-// tenant; every other tenant's QoS checksums match the healthy run exactly.
+// tenant; every other tenant's QoS checksums match the healthy run exactly,
+// on the lean path and on the legacy block path (D-VMM) alike.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn targeted_faults_leave_other_tenants_byte_identical() {
+    assert_targeted_faults_spare_other_tenants(DataPathKind::Leap);
+}
+
+/// The legacy path keeps per-process isolation here, so the two tenants
+/// share no prefetcher or cache state and only the fault plan could couple
+/// their timing.
+#[test]
+fn targeted_faults_leave_other_tenants_byte_identical_on_the_legacy_path() {
+    assert_targeted_faults_spare_other_tenants(DataPathKind::LinuxDefault);
+}
+
+fn assert_targeted_faults_spare_other_tenants(data_path: DataPathKind) {
     // Two long tenants, one per core, both spanning the fault window.
     let trace = |name: &str| {
         AccessTrace::new(
@@ -362,6 +362,7 @@ fn targeted_faults_leave_other_tenants_byte_identical() {
             .cores(2)
             .sched_quantum(Nanos::from_micros(250))
             .seed(2020)
+            .data_path(data_path)
             .fault_plan(fault)
             .build()
             .expect("valid config");
@@ -410,75 +411,4 @@ fn targeted_faults_leave_other_tenants_byte_identical() {
         beta_healthy.timing_checksum, beta_targeted.timing_checksum,
         "the targeted tenant kept its healthy timing"
     );
-}
-
-// ---------------------------------------------------------------------------
-// (g) Unknown or malformed `fault_*` JSON surfaces the typed error, not a
-// silent default.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn unknown_fault_keys_are_a_typed_error() {
-    let json = FaultSpec::canonical_storm().to_json().replacen(
-        "fault_latency_spikes",
-        "fault_warp_drive",
-        1,
-    );
-    match FaultSpec::from_json(&json) {
-        Err(FaultJsonError::UnknownKey(key)) => assert_eq!(key, "fault_warp_drive"),
-        other => panic!("expected UnknownKey, got {other:?}"),
-    }
-}
-
-#[test]
-fn unparseable_fault_values_are_a_typed_error() {
-    let json = FaultSpec::canonical_storm().to_json().replacen(
-        "\"fault_machine_failures\":1",
-        "\"fault_machine_failures\":\"lots\"",
-        1,
-    );
-    match FaultSpec::from_json(&json) {
-        Err(FaultJsonError::BadValue { key, value }) => {
-            assert_eq!(key, "fault_machine_failures");
-            assert_eq!(value, "\"lots\"");
-        }
-        other => panic!("expected BadValue, got {other:?}"),
-    }
-}
-
-#[test]
-fn non_object_fault_json_is_a_typed_error() {
-    assert!(matches!(
-        FaultSpec::from_json("[1,2,3]"),
-        Err(FaultJsonError::NotAnObject)
-    ));
-    assert!(matches!(
-        FaultSpec::from_json("{\"fault_latency_spikes\"}"),
-        Err(FaultJsonError::MalformedPair(_))
-    ));
-}
-
-// ---------------------------------------------------------------------------
-// Fixture freshness: the committed storm plan is the canonical storm.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn storm_plan_fixture_is_fresh() {
-    let rendered = FaultSpec::canonical_storm().to_json();
-    common::assert_fixture_fresh("storm_plan.json", &format!("{rendered}\n"));
-    // And the committed bytes parse back to the canonical spec, so the file
-    // stays a plan `FaultSpec::from_json` loads as-is.
-    let committed = std::fs::read_to_string(fixture("storm_plan.json")).expect("storm plan");
-    let parsed = FaultSpec::from_json(committed.trim_end()).expect("fixture parses");
-    assert_eq!(parsed, FaultSpec::canonical_storm());
-}
-
-#[test]
-fn partition_plan_fixture_is_fresh() {
-    let rendered = FaultSpec::canonical_partition_storm().to_json();
-    common::assert_fixture_fresh("partition_plan.json", &format!("{rendered}\n"));
-    let committed =
-        std::fs::read_to_string(fixture("partition_plan.json")).expect("partition plan");
-    let parsed = FaultSpec::from_json(committed.trim_end()).expect("fixture parses");
-    assert_eq!(parsed, FaultSpec::canonical_partition_storm());
 }

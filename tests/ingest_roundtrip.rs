@@ -1,15 +1,14 @@
 //! Property tests for the record/ingest round trip: any generated
 //! `AccessTrace` set, exported through `TraceRecorder` (either fed directly
-//! from an interleaved multi-pid event stream — the inverse of
-//! `multi::interleave` — or recorded off a real simulated run), must ingest
-//! back bit-identically: pages, read/write flags, compute costs, names, and
-//! per-process order.
+//! from a multi-pid event stream in any generated global order, or recorded
+//! off a real simulated run), must ingest back bit-identically: pages,
+//! read/write flags, compute costs, names, and per-process order.
 
 use leap_repro::leap_mem::Pid;
 use leap_repro::leap_sim_core::units::MIB;
 use leap_repro::leap_sim_core::Nanos;
 use leap_repro::leap_workloads::ingest::{ingest_str, LogFormat};
-use leap_repro::leap_workloads::{interleave, Access, AccessTrace};
+use leap_repro::leap_workloads::{Access, AccessTrace};
 use leap_repro::prelude::*;
 use proptest::prelude::*;
 
@@ -36,19 +35,34 @@ fn traces_from(specs: &[Vec<(u64, bool, u64)>]) -> Vec<AccessTrace> {
         .collect()
 }
 
-/// Feeds the recorder the traces' accesses in an externally-chosen global
-/// order (a `multi::interleave` schedule) by synthesizing the fault events
-/// a replay would emit — the recorder only reads pid/page/write/compute.
-fn record_interleaved(traces: &[AccessTrace], seed: u64) -> TraceRecorder {
+/// Most accesses a generated trace set holds (3 processes of under 30), so
+/// a pick vector this long chooses every step of any interleaving.
+const MAX_STEPS: usize = 90;
+
+/// Feeds the recorder the traces' accesses in the global order `picks`
+/// chooses, by synthesizing the fault events a replay would emit (the
+/// recorder only reads pid/page/write/compute). Step `seq` takes the next
+/// access of the `picks[seq] % live`-th of the `live` processes that still
+/// have one, so every interleaving of the traces has a pick vector.
+fn record_interleaved(traces: &[AccessTrace], picks: &[usize]) -> TraceRecorder {
     let mut recorder = TraceRecorder::for_traces(traces);
-    for (seq, step) in interleave(traces, seed).iter().enumerate() {
+    let mut next = vec![0usize; traces.len()];
+    let steps: usize = traces.iter().map(AccessTrace::len).sum();
+    assert!(picks.len() >= steps, "one pick per step");
+    for (seq, &pick) in picks.iter().take(steps).enumerate() {
+        let live: Vec<usize> = (0..traces.len())
+            .filter(|&p| next[p] < traces[p].len())
+            .collect();
+        let process = live[pick % live.len()];
+        let access = traces[process].accesses()[next[process]];
+        next[process] += 1;
         let event = FaultEvent {
             seq: seq as u64,
-            pid: Pid(step.process as u32 + 1),
-            core: step.process % 4,
-            page: step.access.page,
-            is_write: step.access.is_write,
-            compute: step.access.compute,
+            pid: Pid(process as u32 + 1),
+            core: process % 4,
+            page: access.page,
+            is_write: access.is_write,
+            compute: access.compute,
             outcome: AccessOutcome::RemoteFetch,
             latency: Nanos::ZERO,
             completed_at: Nanos::ZERO,
@@ -61,12 +75,11 @@ fn record_interleaved(traces: &[AccessTrace], seed: u64) -> TraceRecorder {
 
 proptest! {
     /// Interleave → record → ingest is the identity on the traces: the
-    /// demultiplexer inverts `multi::interleave` exactly, whatever the
-    /// interleaving seed.
+    /// demultiplexer inverts any global order of the processes' accesses.
     #[test]
     fn interleaved_export_reingests_bit_identical(
         lens in proptest::collection::vec(1usize..30, 1..4),
-        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<usize>(), MAX_STEPS..MAX_STEPS + 1),
         page_scale in 1u64..1_000_000,
     ) {
         let specs: Vec<Vec<(u64, bool, u64)>> = lens
@@ -84,7 +97,7 @@ proptest! {
             })
             .collect();
         let traces = traces_from(&specs);
-        let recorder = record_interleaved(&traces, seed);
+        let recorder = record_interleaved(&traces, &picks);
         let log = recorder.to_log();
         let reingested = ingest_str(&log, LogFormat::PerfScript).expect("export ingests");
         prop_assert_eq!(reingested.traces(), &traces[..]);
@@ -95,7 +108,7 @@ proptest! {
     #[test]
     fn all_zero_compute_round_trips(
         lens in proptest::collection::vec(1usize..20, 1..4),
-        seed in any::<u64>(),
+        picks in proptest::collection::vec(any::<usize>(), MAX_STEPS..MAX_STEPS + 1),
     ) {
         let specs: Vec<Vec<(u64, bool, u64)>> = lens
             .iter()
@@ -106,7 +119,7 @@ proptest! {
             })
             .collect();
         let traces = traces_from(&specs);
-        let recorder = record_interleaved(&traces, seed);
+        let recorder = record_interleaved(&traces, &picks);
         let reingested = ingest_str(&recorder.to_log(), LogFormat::PerfScript)
             .expect("export ingests");
         prop_assert_eq!(reingested.traces(), &traces[..]);
@@ -226,7 +239,7 @@ fn export_shape_is_the_canonical_grammar() {
             Access::write(0x7f8a2c001, Nanos::from_micros(3)),
         ],
     );
-    let recorder = record_interleaved(std::slice::from_ref(&trace), 1);
+    let recorder = record_interleaved(std::slice::from_ref(&trace), &[0, 0]);
     let log = recorder.to_log();
     let expected = "\
 # t0: 0.000000000

@@ -46,13 +46,13 @@ REASONS = {
     "ArenaCell": "element of `ArenaReport::cells`, which the `arena` binary reads",
     "ArenaReport": "returned by `arena::run_arena`, which the `arena` binary calls",
     "ArenaTrace": "returned by `arena::build_corpus`, which tests/arena_errors.rs calls",
+    "backend_write_latency": "builder setter of a `SimConfig` field: the configuration schema",
     "context_switch_cost": "builder setter of a `SimConfig` field: the configuration schema",
     "CoreStats": "element of `CoreActivity::per_core`, which examples/multi_tenant.rs reads",
     "DispatchOutcome": "returned by `DispatchQueues::dispatch`, which leap-datapath calls",
     "FaultModifiers": "returned by `FaultPlan::modifiers_from`, which leap-datapath calls",
     "FigureArgs": "returned by `parse_figure_args`, which the `all_figures` binary calls",
     "FxHasher": "named by the public `FxHashMap` alias",
-    "InterleavedStep": "element of `interleave`'s result, which tests/ingest_roundtrip.rs reads",
     "MachineId": "returned by `HostAgent::ensure_mapped`, which tests/fault_injection.rs calls",
     "PatternBreakdown": "returned by `classify_windows`, which leap-bench calls",
     "PipelineStats": "type of the public `RunResult::pipeline` field",

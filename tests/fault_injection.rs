@@ -343,35 +343,6 @@ fn targeted_faults_leave_other_tenants_byte_identical_on_the_legacy_path() {
 }
 
 fn assert_targeted_faults_spare_other_tenants(data_path: DataPathKind) {
-    // Two long tenants, one per core, both spanning the fault window.
-    let trace = |name: &str| {
-        AccessTrace::new(
-            name.to_string(),
-            (0..4_000u64)
-                .map(|i| Access {
-                    page: i % 512,
-                    is_write: false,
-                    compute: Nanos::from_micros(2),
-                })
-                .collect(),
-        )
-    };
-    let run = |fault: FaultSpec| {
-        let config = SimConfig::builder()
-            .memory_fraction(0.5)
-            .cores(2)
-            .sched_quantum(Nanos::from_micros(250))
-            .seed(2020)
-            .data_path(data_path)
-            .fault_plan(fault)
-            .build()
-            .expect("valid config");
-        let mut svc = FarMemoryService::new(config, 10_000, AdmissionPolicy::Reject);
-        svc.register(TenantSpec::new(trace("alpha"), 128));
-        svc.register(TenantSpec::new(trace("beta"), 128));
-        svc.run()
-    };
-
     // A modifier-only storm aimed at pid 2 (the wave's second tenant).
     // Machine failures stay global by design, so the targeted plan keeps
     // them at zero — only per-request modifiers are tenant-scoped.
@@ -381,8 +352,8 @@ fn assert_targeted_faults_spare_other_tenants(data_path: DataPathKind) {
         ..FaultSpec::storm_over(Nanos::from_millis(1), Nanos::from_millis(40))
     };
     assert!(spec.validate().is_ok());
-    let healthy = run(FaultSpec::none());
-    let targeted = run(spec);
+    let healthy = run_two_tenants(data_path, FaultSpec::none());
+    let targeted = run_two_tenants(data_path, spec);
 
     assert!(
         !targeted.waves[0].result.fault_stats.is_quiet(),
@@ -411,4 +382,179 @@ fn assert_targeted_faults_spare_other_tenants(data_path: DataPathKind) {
         beta_healthy.timing_checksum, beta_targeted.timing_checksum,
         "the targeted tenant kept its healthy timing"
     );
+}
+
+/// Two long tenants (pids 1 and 2), one per core, both spanning the fault
+/// windows of (f) and (g), served as one wave on `data_path`.
+fn run_two_tenants(
+    data_path: DataPathKind,
+    fault: FaultSpec,
+) -> leap_repro::leap_service::ServiceReport {
+    let trace = |name: &str| {
+        AccessTrace::new(
+            name.to_string(),
+            (0..4_000u64)
+                .map(|i| Access {
+                    page: i % 512,
+                    is_write: false,
+                    compute: Nanos::from_micros(2),
+                })
+                .collect(),
+        )
+    };
+    let config = SimConfig::builder()
+        .memory_fraction(0.5)
+        .cores(2)
+        .sched_quantum(Nanos::from_micros(250))
+        .seed(2020)
+        .data_path(data_path)
+        .fault_plan(fault)
+        .build()
+        .expect("valid config");
+    let mut svc = FarMemoryService::new(config, 10_000, AdmissionPolicy::Reject);
+    svc.register(TenantSpec::new(trace("alpha"), 128));
+    svc.register(TenantSpec::new(trace("beta"), 128));
+    svc.run()
+}
+
+// ---------------------------------------------------------------------------
+// (g) An untargeted plan (`target_tenant == 0`) still slows every tenant, so
+// scoping modifiers to one tenant never silences a plan aimed at all traffic.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn untargeted_faults_slow_every_tenant() {
+    assert_untargeted_faults_slow_every_tenant(DataPathKind::Leap);
+}
+
+#[test]
+fn untargeted_faults_slow_every_tenant_on_the_legacy_path() {
+    assert_untargeted_faults_slow_every_tenant(DataPathKind::LinuxDefault);
+}
+
+fn assert_untargeted_faults_slow_every_tenant(data_path: DataPathKind) {
+    let spec = FaultSpec {
+        machine_failures: 0,
+        ..FaultSpec::storm_over(Nanos::from_millis(1), Nanos::from_millis(40))
+    };
+    assert_eq!(spec.target_tenant, 0);
+    let healthy = run_two_tenants(data_path, FaultSpec::none());
+    let stormy = run_two_tenants(data_path, spec);
+    assert!(
+        !stormy.waves[0].result.fault_stats.is_quiet(),
+        "the storm missed the wave entirely"
+    );
+    for (i, (_, churned)) in stormy.waves[0].tenants.iter().enumerate() {
+        let calm = &healthy.waves[0].tenants[i].1;
+        let pid = i + 1;
+        assert_eq!(
+            calm.behavior_checksum, churned.behavior_checksum,
+            "faults must not change what pid {pid} replayed, only when"
+        );
+        assert_ne!(
+            calm.timing_checksum, churned.timing_checksum,
+            "an untargeted plan left pid {pid} at its healthy timing"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// (h) An inconsistent plan is a typed build error, not a silent default: the
+// builder reports each `FaultSpec::validate` rule under `InvalidFaultSpec`.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn invalid_fault_specs_are_a_typed_build_error() {
+    let storm = FaultSpec::canonical_storm();
+    let cases = [
+        (
+            FaultSpec {
+                horizon: storm.start,
+                ..storm
+            },
+            "fault horizon must lie strictly after fault start",
+        ),
+        (
+            FaultSpec {
+                epoch: Nanos::ZERO,
+                ..storm
+            },
+            "fault epoch duration must be non-zero",
+        ),
+        (
+            FaultSpec {
+                spike_multiplier_milli: 999,
+                ..storm
+            },
+            "spike multiplier must be at least 1000 (1x)",
+        ),
+        (
+            FaultSpec {
+                degraded_multiplier_milli: 0,
+                ..storm
+            },
+            "degraded multiplier must be at least 1000 (1x)",
+        ),
+        (
+            FaultSpec {
+                reconnect_penalty: Nanos::ZERO,
+                ..storm
+            },
+            "reconnect storms need a non-zero reconnect penalty",
+        ),
+    ];
+    for (spec, expected) in cases {
+        let err = SimConfig::builder()
+            .fault_plan(spec)
+            .build()
+            .expect_err("an inconsistent plan must not build");
+        assert_eq!(err, ConfigError::InvalidFaultSpec { reason: expected });
+        assert_eq!(err.to_string(), format!("invalid fault spec: {expected}"));
+    }
+    // An inactive spec is valid whatever its unused knobs hold.
+    let inactive = FaultSpec {
+        epoch: Nanos::ZERO,
+        horizon: Nanos::ZERO,
+        ..FaultSpec::none()
+    };
+    assert!(SimConfig::builder().fault_plan(inactive).build().is_ok());
+}
+
+// ---------------------------------------------------------------------------
+// (i) The two canonical plans are pinned field by field, so a drift in the
+// chaos inputs shows here before it shows as a moved replay pin.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn canonical_storm_spec_is_pinned() {
+    assert_eq!(
+        FaultSpec::canonical_storm(),
+        FaultSpec {
+            latency_spikes: 2,
+            spike_multiplier_milli: 6_000,
+            degraded_epochs: 1,
+            degraded_multiplier_milli: 3_000,
+            machine_failures: 1,
+            reconnect_storms: 1,
+            reconnect_penalty: Nanos::from_nanos(25_000),
+            epoch: Nanos::from_nanos(187_500),
+            start: Nanos::from_nanos(50_000),
+            horizon: Nanos::from_nanos(800_000),
+            partition_epochs: 0,
+            target_tenant: 0,
+        }
+    );
+    assert!(FaultSpec::canonical_storm().validate().is_ok());
+}
+
+#[test]
+fn canonical_partition_storm_is_the_canonical_storm_plus_partitions() {
+    assert_eq!(
+        FaultSpec::canonical_partition_storm(),
+        FaultSpec {
+            partition_epochs: 3,
+            ..FaultSpec::canonical_storm()
+        }
+    );
+    assert!(FaultSpec::canonical_partition_storm().validate().is_ok());
 }

@@ -11,6 +11,9 @@
 //! 3. Retries are pointwise monotone in deadline tightness: recovery
 //!    decisions ride per-request streams derived from the request ordinal,
 //!    so tightening the timeout can only add retries, never reshuffle them.
+//!
+//! An inconsistent policy never reaches a run: the builder reports each
+//! `RecoveryPolicy::validate` rule as a typed `InvalidRecoveryPolicy`.
 
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
 use leap_repro::leap_remote::{recovery_stream_seed, FaultPlan};
@@ -172,5 +175,68 @@ proptest! {
             "tightening the deadline lost retries: {} at {} us vs {} at {} us",
             tight, tight_us, loose, tight_us + slack_us,
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Inconsistent policies are a typed build error, not a silent default.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn invalid_recovery_policies_are_a_typed_build_error() {
+    let tail = RecoveryPolicy::tail_tolerant();
+    let no_deadline = RecoveryPolicy {
+        timeout: Nanos::ZERO,
+        max_retries: 0,
+        ..tail
+    };
+    let cases = [
+        (
+            RecoveryPolicy {
+                max_retries: 0,
+                ..tail
+            },
+            "a recovery timeout requires max_retries > 0",
+        ),
+        (
+            RecoveryPolicy {
+                timeout: Nanos::ZERO,
+                ..tail
+            },
+            "recovery max_retries requires a non-zero timeout",
+        ),
+        (
+            RecoveryPolicy {
+                backoff_jitter: Nanos::ZERO,
+                ..no_deadline
+            },
+            "recovery backoff_base requires a non-zero timeout",
+        ),
+        (
+            RecoveryPolicy {
+                backoff_base: Nanos::ZERO,
+                ..no_deadline
+            },
+            "recovery backoff_jitter requires a non-zero timeout",
+        ),
+    ];
+    for (policy, expected) in cases {
+        let err = SimConfig::builder()
+            .recovery_policy(policy)
+            .build()
+            .expect_err("an inconsistent policy must not build");
+        assert_eq!(err, ConfigError::InvalidRecoveryPolicy { reason: expected });
+        assert_eq!(
+            err.to_string(),
+            format!("invalid recovery policy: {expected}")
+        );
+    }
+    // Hedging alone needs no deadline, and the presets are consistent.
+    let hedge_only = RecoveryPolicy {
+        hedge_delay: tail.hedge_delay,
+        ..RecoveryPolicy::none()
+    };
+    for policy in [RecoveryPolicy::none(), tail, hedge_only] {
+        assert!(SimConfig::builder().recovery_policy(policy).build().is_ok());
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::stages::{DataPath, PathLatency, Stage};
 use leap_remote::{HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind};
-use leap_sim_core::{DetRng, LatencySampler, Nanos, TableLatency};
+use leap_sim_core::{DetRng, Nanos, TableLatency};
 
 /// Median cache (swap cache) lookup cost.
 const CACHE_LOOKUP: Nanos = Nanos(270);

@@ -12,7 +12,7 @@ use crate::stages::{DataPath, PathLatency, Stage};
 use leap_remote::{
     BackendKind, DispatchQueues, FaultInjectionStats, FaultPlan, RemoteIoKind, StorageBackend,
 };
-use leap_sim_core::{scale_nanos_milli, DetRng, LatencySampler, Nanos, TableLatency};
+use leap_sim_core::{scale_nanos_milli, DetRng, Nanos, TableLatency};
 
 /// Median cache (swap cache / VFS cache) lookup cost.
 const CACHE_LOOKUP: Nanos = Nanos(270);
@@ -103,11 +103,6 @@ impl LegacyDataPath {
             fault_stats: FaultInjectionStats::default(),
             active_tenant: 0,
         }
-    }
-
-    /// Replaces the device model (useful for deterministic tests).
-    pub fn set_backend(&mut self, backend: StorageBackend) {
-        self.backend = backend;
     }
 
     /// Installs a fault schedule; the empty plan (the default) reproduces

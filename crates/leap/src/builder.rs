@@ -147,35 +147,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the simulated cost charged for one scheduler context switch in a
-    /// multi-process replay. Defaults to `crate::sched::CONTEXT_SWITCH`
-    /// (2 µs); validated against
-    /// `MAX_CONTEXT_SWITCH` so a unit
-    /// mistake (e.g. milliseconds passed as nanoseconds) fails at build time.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use leap::prelude::*;
-    /// use leap_sim_core::Nanos;
-    ///
-    /// // Context-switch sensitivity ablation: a free switch vs a 20 µs one.
-    /// let free = SimConfig::builder()
-    ///     .context_switch_cost(Nanos::ZERO)
-    ///     .build()?;
-    /// assert_eq!(free.context_switch_cost, Nanos::ZERO);
-    /// let err = SimConfig::builder()
-    ///     .context_switch_cost(Nanos::from_secs(1))
-    ///     .build()
-    ///     .unwrap_err();
-    /// assert!(matches!(err, ConfigError::ContextSwitchTooLarge { .. }));
-    /// # Ok::<(), leap::ConfigError>(())
-    /// ```
-    pub fn context_switch_cost(mut self, cost: Nanos) -> Self {
-        self.config.context_switch_cost = cost;
-        self
-    }
-
     /// Selects how multi-process replays execute: the core shards one after
     /// another on the calling thread ([`ReplayMode::Serial`], the default)
     /// or one OS thread per core shard ([`ReplayMode::Threaded`]). Simulated results are bit-identical in
@@ -218,20 +189,6 @@ impl SimConfigBuilder {
     /// Sets the RNG seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.config.seed = seed;
-        self
-    }
-
-    /// Overrides the backend's 4 KB read latency with a constant. Validated
-    /// nonzero.
-    pub fn backend_read_latency(mut self, latency: Nanos) -> Self {
-        self.config.backend_read_latency = Some(latency);
-        self
-    }
-
-    /// Overrides the backend's 4 KB write latency with a constant. Validated
-    /// nonzero.
-    pub fn backend_write_latency(mut self, latency: Nanos) -> Self {
-        self.config.backend_write_latency = Some(latency);
         self
     }
 
@@ -371,8 +328,6 @@ mod tests {
             .per_process_isolation(false)
             .async_depth(16)
             .seed(99)
-            .backend_read_latency(Nanos::from_micros(3))
-            .backend_write_latency(Nanos::from_micros(5))
             .build()
             .unwrap();
         assert_eq!(config.prefetcher, PrefetcherKind::Stride);
@@ -388,8 +343,6 @@ mod tests {
         assert!(!config.per_process_isolation);
         assert_eq!(config.async_depth, 16);
         assert_eq!(config.seed, 99);
-        assert_eq!(config.backend_read_latency, Some(Nanos::from_micros(3)));
-        assert_eq!(config.backend_write_latency, Some(Nanos::from_micros(5)));
     }
 
     #[test]
@@ -435,18 +388,6 @@ mod tests {
                 cache_pages: 4,
                 window: 8
             })
-        ));
-        assert!(matches!(
-            SimConfig::builder()
-                .backend_read_latency(Nanos::ZERO)
-                .build(),
-            Err(ConfigError::ZeroBackendLatency { which: "read" })
-        ));
-        assert!(matches!(
-            SimConfig::builder()
-                .backend_write_latency(Nanos::ZERO)
-                .build(),
-            Err(ConfigError::ZeroBackendLatency { which: "write" })
         ));
     }
 

@@ -15,8 +15,7 @@
 //! built-in [`PrefetcherKind`]s.
 //!
 //! The built-ins honour every relevant [`SimConfig`] knob: history and
-//! window sizes for prefetchers, core count and backend (including the
-//! constant-latency overrides) for data paths.
+//! window sizes for prefetchers, core count and backend for data paths.
 
 use crate::config::{DataPathKind, SimConfig};
 use leap_datapath::{DataPath, LeanDataPath, LegacyDataPath};
@@ -24,7 +23,7 @@ use leap_prefetcher::{
     LeapConfig, LeapPrefetcher, NextNLinePrefetcher, NoPrefetcher, Prefetcher, PrefetcherKind,
     ReadAheadPrefetcher, StridePrefetcher,
 };
-use leap_remote::{ConstLatencyOverride, FaultPlan, HostAgent, HostAgentConfig, RemoteCluster};
+use leap_remote::{FaultPlan, HostAgent, HostAgentConfig, RemoteCluster};
 use leap_sim_core::DetRng;
 use std::fmt;
 use std::sync::Arc;
@@ -77,18 +76,6 @@ pub fn build_prefetcher(
     }
 }
 
-/// The configuration's constant-latency backend overrides, if any. A
-/// direction left unset keeps the paper-calibrated distribution.
-fn backend_override(config: &SimConfig) -> Option<ConstLatencyOverride> {
-    if config.backend_read_latency.is_none() && config.backend_write_latency.is_none() {
-        return None;
-    }
-    Some(ConstLatencyOverride {
-        read: config.backend_read_latency,
-        write: config.backend_write_latency,
-    })
-}
-
 impl DataPathKind {
     /// Builds the data path serving cache misses for `config`. Randomness
     /// comes only from `rng`, so runs stay deterministic for a seed.
@@ -96,9 +83,6 @@ impl DataPathKind {
         match self {
             DataPathKind::LinuxDefault => {
                 let mut path = LegacyDataPath::new(config.backend, rng.fork());
-                if let Some(overrides) = backend_override(config) {
-                    path.set_backend(overrides.into_backend(config.backend));
-                }
                 if config.fault.is_active() {
                     // machine_count 0: the block-layer path has no remote
                     // cluster, so it sees the epoch faults but never machine
@@ -118,10 +102,6 @@ impl DataPathKind {
                     rng.fork(),
                 );
                 let mut path = LeanDataPath::new(agent, rng.fork());
-                if let Some(overrides) = backend_override(config) {
-                    path.agent_mut()
-                        .set_backend(overrides.into_backend(config.backend));
-                }
                 if config.fault.is_active() {
                     let machines = path.agent().cluster().len() as u32;
                     path.agent_mut().install_fault_plan(FaultPlan::from_spec(
@@ -187,20 +167,5 @@ mod tests {
             .prefetcher
             .build(&config);
         assert_eq!(prefetcher.name(), "Leap");
-    }
-
-    #[test]
-    fn data_paths_honour_latency_overrides() {
-        use leap_sim_core::Nanos;
-        let mut config = SimConfig::linux_defaults();
-        config.backend_read_latency = Some(Nanos::from_micros(1));
-        config.backend_write_latency = Some(Nanos::from_micros(2));
-        let mut rng = DetRng::seed_from(7);
-        // Builds succeed and stay deterministic; the latency effect itself is
-        // asserted end-to-end in the builder tests.
-        let _legacy = DataPathKind::LinuxDefault.build(&config, &mut rng);
-        let mut config = SimConfig::leap_defaults();
-        config.backend_read_latency = Some(Nanos::from_micros(1));
-        let _lean = DataPathKind::Leap.build(&config, &mut rng);
     }
 }

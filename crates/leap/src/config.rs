@@ -109,10 +109,6 @@ pub struct SimConfig {
     /// quantum of simulated time before the next process in that core's run
     /// queue is switched in.
     pub sched_quantum: Nanos,
-    /// Simulated cost of one context switch (register/TLB state plus the
-    /// scheduler's own bookkeeping), charged whenever a core's run queue
-    /// rotates. Defaults to `crate::sched::CONTEXT_SWITCH` (2 µs).
-    pub context_switch_cost: Nanos,
     /// How multi-process replays execute: the core shards one after another
     /// on the calling thread ([`ReplayMode::Serial`], the default) or one OS
     /// thread per core shard ([`ReplayMode::Threaded`]). Simulated results
@@ -130,13 +126,6 @@ pub struct SimConfig {
     pub async_depth: usize,
     /// RNG seed; equal seeds reproduce runs exactly.
     pub seed: u64,
-    /// Overrides the backend's 4 KB read latency with a constant (for
-    /// what-if studies against hypothetical devices); `None` keeps the
-    /// paper-calibrated distribution.
-    pub backend_read_latency: Option<Nanos>,
-    /// Overrides the backend's 4 KB write latency with a constant; `None`
-    /// keeps the paper-calibrated distribution.
-    pub backend_write_latency: Option<Nanos>,
     /// Fault-injection spec for the remote tier
     /// ([`FaultSpec::none`] by default, a healthy fabric). Expanded into a
     /// concrete [`leap_remote::FaultPlan`] from `(seed, fault)` when the
@@ -150,11 +139,6 @@ pub struct SimConfig {
     /// [`recovery_policy`](crate::SimConfigBuilder::recovery_policy).
     pub recovery: RecoveryPolicy,
 }
-
-/// Upper bound accepted for [`SimConfig::context_switch_cost`]. Real context
-/// switches cost single-digit microseconds; anything beyond 100 ms is almost
-/// certainly a unit mistake (ns vs ms), so validation rejects it.
-pub(crate) const MAX_CONTEXT_SWITCH: Nanos = Nanos::from_millis(100);
 
 impl SimConfig {
     /// Starts a validated builder from [`SimConfig::default`]
@@ -182,13 +166,10 @@ impl SimConfig {
             max_prefetch_window: 8,
             cores: 8,
             sched_quantum: Nanos::from_millis(1),
-            context_switch_cost: crate::sched::CONTEXT_SWITCH,
             replay_mode: ReplayMode::Serial,
             per_process_isolation: false,
             async_depth: usize::MAX,
             seed: 42,
-            backend_read_latency: None,
-            backend_write_latency: None,
             fault: FaultSpec::none(),
             recovery: RecoveryPolicy::none(),
         }
@@ -233,12 +214,6 @@ impl SimConfig {
         if self.sched_quantum == Nanos::ZERO {
             return Err(ConfigError::ZeroQuantum);
         }
-        if self.context_switch_cost > MAX_CONTEXT_SWITCH {
-            return Err(ConfigError::ContextSwitchTooLarge {
-                cost: self.context_switch_cost,
-                max: MAX_CONTEXT_SWITCH,
-            });
-        }
         if self.prefetch_cache_pages == 0 {
             return Err(ConfigError::ZeroPrefetchCache);
         }
@@ -252,12 +227,6 @@ impl SimConfig {
                 cache_pages: self.prefetch_cache_pages,
                 window: self.max_prefetch_window,
             });
-        }
-        if self.backend_read_latency == Some(Nanos::ZERO) {
-            return Err(ConfigError::ZeroBackendLatency { which: "read" });
-        }
-        if self.backend_write_latency == Some(Nanos::ZERO) {
-            return Err(ConfigError::ZeroBackendLatency { which: "write" });
         }
         self.fault
             .validate()

@@ -203,14 +203,6 @@ impl EngineCore {
         self.clock = SimClock::starting_at(now);
     }
 
-    /// Tags subsequent data-path traffic with the issuing tenant so
-    /// tenant-targeted fault plans and per-tenant recovery ledgers know who
-    /// is on-CPU. Called by the front-end at every access (the pid is known
-    /// per access, not per core); a plain field store on the data path.
-    pub(crate) fn set_active_tenant(&mut self, tenant: u32) {
-        self.data_path.set_active_tenant(tenant);
-    }
-
     /// Stamps the result metadata from the traces about to be replayed.
     pub(crate) fn stamp_run(&mut self, workload: String) {
         self.result.workload = workload;
@@ -571,9 +563,13 @@ impl EngineCore {
         }
     }
 
-    /// Starts one access: advances the clock over its compute cost and
-    /// counts it.
-    pub(crate) fn begin_access(&mut self, access: &Access) {
+    /// Starts one access of process `pid`: tags the data-path traffic that
+    /// follows with `pid` as its tenant (so tenant-targeted fault plans and
+    /// per-tenant recovery ledgers know who is on-CPU; the pid is known per
+    /// access, not per core), advances the clock over the access's compute
+    /// cost and counts it. Every front-end calls this first in each access.
+    pub(crate) fn begin_access(&mut self, pid: Pid, access: &Access) {
+        self.data_path.set_active_tenant(pid.0);
         self.clock.advance(access.compute);
         self.result.total_accesses += 1;
     }

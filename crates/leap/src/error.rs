@@ -28,15 +28,6 @@ pub enum ConfigError {
     /// admit a request. Depth 1 is the synchronous-billing degenerate case;
     /// `usize::MAX` (the default) is unbounded asynchrony.
     ZeroAsyncDepth,
-    /// `context_switch_cost` is implausibly large (more than
-    /// `crate::config::MAX_CONTEXT_SWITCH`); almost certainly a unit
-    /// mistake.
-    ContextSwitchTooLarge {
-        /// The configured cost.
-        cost: leap_sim_core::Nanos,
-        /// The accepted maximum.
-        max: leap_sim_core::Nanos,
-    },
     /// A bounded prefetch cache must hold at least one full prefetch window,
     /// otherwise every prefetch batch evicts its own earlier pages before
     /// they can be consumed and the eviction policy degenerates to thrash.
@@ -45,11 +36,6 @@ pub enum ConfigError {
         cache_pages: u64,
         /// Configured maximum prefetch window.
         window: usize,
-    },
-    /// A backend latency override must be nonzero.
-    ZeroBackendLatency {
-        /// Which override was zero: `"read"` or `"write"`.
-        which: &'static str,
     },
     /// [`crate::SimConfigBuilder::build`] was called while a custom
     /// prefetcher is pending. Plain [`crate::SimConfig`] cannot carry it; use
@@ -83,11 +69,6 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroQuantum => write!(f, "sched_quantum must be nonzero"),
             ConfigError::ZeroPrefetchCache => write!(f, "prefetch_cache_pages must be nonzero"),
             ConfigError::ZeroAsyncDepth => write!(f, "async_depth must be nonzero"),
-            ConfigError::ContextSwitchTooLarge { cost, max } => write!(
-                f,
-                "context_switch_cost of {cost} exceeds the plausible maximum of {max} \
-                 (check the unit: the knob is in nanoseconds)"
-            ),
             ConfigError::CacheSmallerThanWindow {
                 cache_pages,
                 window,
@@ -96,9 +77,6 @@ impl fmt::Display for ConfigError {
                 "prefetch cache of {cache_pages} pages cannot hold one \
                  max_prefetch_window of {window} pages"
             ),
-            ConfigError::ZeroBackendLatency { which } => {
-                write!(f, "backend {which} latency override must be nonzero")
-            }
             ConfigError::ComponentsRequireSetup => write!(
                 f,
                 "a custom prefetcher is pending; build_setup() \

@@ -276,13 +276,7 @@ mod tests {
         tune: &dyn Fn(&mut VmmSimulator),
     ) -> (Vec<VmmSimulator>, CoreScheduler) {
         let lens: Vec<usize> = traces.iter().map(AccessTrace::len).collect();
-        let sched = CoreScheduler::with_context_switch(
-            &lens,
-            config.cores,
-            config.sched_quantum,
-            config.seed,
-            config.context_switch_cost,
-        );
+        let sched = CoreScheduler::new(&lens, config.cores, config.sched_quantum, config.seed);
         let mut sim = VmmSimulator::new(config);
         tune(&mut sim);
         (sim.into_workers(traces, &sched), sched)

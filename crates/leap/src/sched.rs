@@ -32,9 +32,9 @@
 use leap_sim_core::{DetRng, Nanos};
 use std::collections::VecDeque;
 
-/// Default cost of switching a core between processes (register/TLB state
-/// plus the scheduler's own bookkeeping; a couple of µs on real hardware).
-/// Overridable per run via [`crate::SimConfigBuilder::context_switch_cost`].
+/// Cost of switching a core between processes (register/TLB state plus
+/// the scheduler's own bookkeeping; a couple of µs on real hardware),
+/// charged whenever a core's run queue rotates.
 pub(crate) const CONTEXT_SWITCH: Nanos = Nanos(2_000);
 
 /// One scheduling decision: which process runs its next access, where, when.
@@ -67,8 +67,6 @@ pub(crate) struct ScheduledSlot {
 #[derive(Debug, Clone)]
 pub struct CoreScheduler {
     quantum: Nanos,
-    /// Simulated cost charged per context switch.
-    context_switch: Nanos,
     /// Per-core run queues of process indices; the front entry is running.
     queues: Vec<VecDeque<usize>>,
     /// Next access index per process.
@@ -88,18 +86,6 @@ impl CoreScheduler {
     /// shuffled by a [`DetRng`] seeded from `seed`, so runs are reproducible
     /// per seed while placement is not biased towards trace order.
     pub fn new(lens: &[usize], cores: usize, quantum: Nanos, seed: u64) -> Self {
-        CoreScheduler::with_context_switch(lens, cores, quantum, seed, CONTEXT_SWITCH)
-    }
-
-    /// Like [`CoreScheduler::new`] with an explicit per-switch cost
-    /// ([`crate::SimConfig::context_switch_cost`]).
-    pub(crate) fn with_context_switch(
-        lens: &[usize],
-        cores: usize,
-        quantum: Nanos,
-        seed: u64,
-        context_switch: Nanos,
-    ) -> Self {
         let cores = cores.max(1);
         let mut order: Vec<usize> = (0..lens.len()).collect();
         let mut rng = DetRng::seed_from(seed ^ 0x5C4E_D01E);
@@ -115,7 +101,6 @@ impl CoreScheduler {
         }
         CoreScheduler {
             quantum,
-            context_switch,
             queues,
             cursors: vec![0; lens.len()],
             lens: lens.to_vec(),
@@ -215,7 +200,7 @@ impl CoreScheduler {
 
     #[inline]
     fn context_switch(&mut self, core: usize) {
-        self.core_now[core] = self.core_now[core].saturating_add(self.context_switch);
+        self.core_now[core] = self.core_now[core].saturating_add(CONTEXT_SWITCH);
     }
 
     /// The replay's makespan: the latest local time over all cores.
@@ -287,6 +272,16 @@ mod tests {
         let slots = drain(&mut sched, Nanos(600));
         let switches = switches(&slots);
         assert!(switches >= 6, "only {switches} alternations: {slots:?}");
+        // Each rotation charges exactly one context switch on top of the
+        // access before it.
+        for w in slots.windows(2) {
+            let switch = if w[0].process != w[1].process {
+                CONTEXT_SWITCH
+            } else {
+                Nanos::ZERO
+            };
+            assert_eq!(w[1].now, w[0].now + Nanos(600) + switch, "{w:?}");
+        }
     }
 
     #[test]
@@ -365,24 +360,6 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(global.completion_time(), isolated_max);
-    }
-
-    #[test]
-    fn context_switch_cost_is_configurable() {
-        let run = |cost| {
-            let mut sched = CoreScheduler::with_context_switch(&[10, 10], 1, Nanos(1_000), 3, cost);
-            let slots = drain(&mut sched, Nanos(600));
-            (switches(&slots) as u64, sched.completion_time())
-        };
-        let (switches_free, time_free) = run(Nanos::ZERO);
-        let (switches_costly, time_costly) = run(Nanos::from_micros(50));
-        // Same schedule shape, but each switch now costs 50 µs of makespan.
-        assert_eq!(switches_free, switches_costly);
-        assert!(switches_free > 0);
-        assert_eq!(
-            time_costly,
-            time_free + Nanos::from_micros(50) * switches_free,
-        );
     }
 
     #[test]

@@ -272,13 +272,7 @@ impl<'obs, S: Simulator> Session<'obs, S> {
     pub fn run_multi(self, traces: &[AccessTrace]) -> RunResult {
         let config = *self.sim.config();
         let lens: Vec<usize> = traces.iter().map(AccessTrace::len).collect();
-        let sched = CoreScheduler::with_context_switch(
-            &lens,
-            config.cores,
-            config.sched_quantum,
-            config.seed,
-            config.context_switch_cost,
-        );
+        let sched = CoreScheduler::new(&lens, config.cores, config.sched_quantum, config.seed);
         let workers = self.sim.into_workers(traces, &sched);
         drive(config.replay_mode, workers, traces, sched, self.observers)
     }

@@ -176,7 +176,7 @@ impl Simulator for VfsSimulator {
     }
 
     fn step_access(&mut self, pid: Pid, access: Access) -> FaultEvent {
-        self.engine.begin_access(&access);
+        self.engine.begin_access(pid, &access);
         let (latency, outcome, prefetches_issued) = if access.is_write {
             (
                 self.buffered_write(pid, access.page),

@@ -44,8 +44,6 @@ pub struct RemoteIoResult {
 /// Configuration for a [`HostAgent`].
 #[derive(Debug, Clone, Copy)]
 pub struct HostAgentConfig {
-    /// Slab size in bytes (default 1 GB).
-    pub slab_bytes: u64,
     /// Number of per-core dispatch queues (default 8).
     pub cores: usize,
     /// Number of replicas per slab, including the primary (default 2:
@@ -58,7 +56,6 @@ pub struct HostAgentConfig {
 impl Default for HostAgentConfig {
     fn default() -> Self {
         HostAgentConfig {
-            slab_bytes: DEFAULT_SLAB_BYTES,
             cores: 8,
             replication: 2,
             backend: BackendKind::Rdma,
@@ -152,7 +149,7 @@ impl HostAgent {
     pub fn new(config: HostAgentConfig, cluster: RemoteCluster, rng: DetRng) -> Self {
         assert!(config.replication >= 1, "replication must be at least 1");
         HostAgent {
-            slab_map: SlabMap::new(config.slab_bytes),
+            slab_map: SlabMap::new(DEFAULT_SLAB_BYTES),
             backend: StorageBackend::new(config.backend),
             queues: DispatchQueues::new(config.cores),
             config,
@@ -171,11 +168,6 @@ impl HostAgent {
             active_tenant: 0,
             tenant_recovery: BTreeMap::new(),
         }
-    }
-
-    /// Replaces the backend latency model (useful for tests and ablations).
-    pub fn set_backend(&mut self, backend: StorageBackend) {
-        self.backend = backend;
     }
 
     /// Installs a fault schedule. The empty plan (the default) reproduces
@@ -806,7 +798,7 @@ mod tests {
     #[test]
     fn io_counts_and_latency_composition() {
         let mut agent = agent_with(RemoteCluster::homogeneous(2, 8), 1);
-        agent.set_backend(StorageBackend::constant(Nanos::from_micros(4)));
+        agent.backend = StorageBackend::constant(Nanos::from_micros(4));
         let r = agent
             .remote_io(RemoteIoKind::Read, 0, 0, Nanos::ZERO)
             .unwrap();
@@ -821,7 +813,7 @@ mod tests {
     #[test]
     fn back_to_back_reads_on_one_core_queue_up() {
         let mut agent = agent_with(RemoteCluster::homogeneous(2, 8), 1);
-        agent.set_backend(StorageBackend::constant(Nanos::from_micros(4)));
+        agent.backend = StorageBackend::constant(Nanos::from_micros(4));
         let first = agent
             .remote_io(RemoteIoKind::Read, 0, 3, Nanos::ZERO)
             .unwrap();
@@ -844,7 +836,7 @@ mod tests {
     #[test]
     fn failed_machine_triggers_failover_to_survivor() {
         let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-        agent.set_backend(StorageBackend::constant(Nanos::from_micros(4)));
+        agent.backend = StorageBackend::constant(Nanos::from_micros(4));
         let primary = agent.ensure_mapped(0).unwrap();
         // Kill the primary; the slab must fail over to the surviving replica
         // and re-replicate exactly once.
@@ -887,7 +879,7 @@ mod tests {
         // exactly once, whichever copy was lost.
         for lose_primary in [true, false] {
             let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-            agent.set_backend(StorageBackend::constant(Nanos::from_micros(4)));
+            agent.backend = StorageBackend::constant(Nanos::from_micros(4));
             let read = |agent: &mut HostAgent, page: u64| {
                 agent
                     .remote_io(RemoteIoKind::Read, page, 0, Nanos::ZERO)
@@ -997,7 +989,7 @@ mod tests {
             target_tenant: 0,
         };
         let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-        agent.set_backend(StorageBackend::constant(Nanos::from_micros(40)));
+        agent.backend = StorageBackend::constant(Nanos::from_micros(40));
         agent.install_fault_plan(FaultPlan::from_spec(7, &spec, 4));
         assert_eq!(agent.plan.failures().len(), 1);
         // Before the failure time: healthy, and queue 0 goes busy until 40 µs.

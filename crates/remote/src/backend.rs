@@ -8,7 +8,7 @@
 //! network congestion) so the tail behaviour in the latency CDFs is
 //! meaningful.
 
-use leap_sim_core::{ConstantLatency, DetRng, LatencySampler, Nanos, TableLatency};
+use leap_sim_core::{DetRng, Nanos, TableLatency};
 use serde::{Deserialize, Serialize};
 
 /// The kind of slower-tier backing store a page lives on.
@@ -42,39 +42,11 @@ impl BackendKind {
     }
 }
 
-/// Constant read/write latency overrides for what-if studies against
-/// hypothetical devices (e.g. "what if the interconnect were 2 µs flat?").
-///
-/// Each direction is independent: a direction left as `None` keeps the
-/// paper-calibrated latency distribution for the backend kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ConstLatencyOverride {
-    /// Constant 4 KB read latency; `None` keeps the calibrated read model.
-    pub read: Option<Nanos>,
-    /// Constant 4 KB write latency; `None` keeps the calibrated write model.
-    pub write: Option<Nanos>,
-}
-
-impl ConstLatencyOverride {
-    /// Builds a [`StorageBackend`] of the given kind, replacing only the
-    /// overridden direction(s) with a constant latency.
-    pub fn into_backend(self, kind: BackendKind) -> StorageBackend {
-        let mut backend = StorageBackend::new(kind);
-        if let Some(read) = self.read {
-            backend.read = Box::new(ConstantLatency::new(read));
-        }
-        if let Some(write) = self.write {
-            backend.write = Box::new(ConstantLatency::new(write));
-        }
-        backend
-    }
-}
-
 /// A backing store with separate read and write latency distributions.
 #[derive(Debug)]
 pub struct StorageBackend {
-    read: Box<dyn LatencySampler>,
-    write: Box<dyn LatencySampler>,
+    read: TableLatency,
+    write: TableLatency,
 }
 
 impl StorageBackend {
@@ -111,8 +83,8 @@ impl StorageBackend {
             ),
         ];
         StorageBackend {
-            read: Box::new(TableLatency::from_lognormal_mixture(&mixture)),
-            write: Box::new(TableLatency::from_lognormal_mixture(&mixture)),
+            read: TableLatency::from_lognormal_mixture(&mixture),
+            write: TableLatency::from_lognormal_mixture(&mixture),
         }
     }
 
@@ -121,7 +93,7 @@ impl StorageBackend {
     pub(crate) fn ssd() -> Self {
         let gc_stall = (Nanos::from_micros_f64(400.0), 0.50, Nanos::from_micros(100));
         StorageBackend {
-            read: Box::new(TableLatency::from_lognormal_mixture(&[
+            read: TableLatency::from_lognormal_mixture(&[
                 (
                     0.995,
                     Nanos::from_micros_f64(20.0),
@@ -129,8 +101,8 @@ impl StorageBackend {
                     Nanos::from_micros(8),
                 ),
                 (0.005, gc_stall.0, gc_stall.1, gc_stall.2),
-            ])),
-            write: Box::new(TableLatency::from_lognormal_mixture(&[
+            ]),
+            write: TableLatency::from_lognormal_mixture(&[
                 (
                     0.99,
                     Nanos::from_micros_f64(30.0),
@@ -138,7 +110,7 @@ impl StorageBackend {
                     Nanos::from_micros(10),
                 ),
                 (0.01, gc_stall.0, gc_stall.1, gc_stall.2),
-            ])),
+            ]),
         }
     }
 
@@ -161,18 +133,21 @@ impl StorageBackend {
             ),
         ];
         StorageBackend {
-            read: Box::new(TableLatency::from_lognormal_mixture(&mixture)),
-            write: Box::new(TableLatency::from_lognormal_mixture(&mixture)),
+            read: TableLatency::from_lognormal_mixture(&mixture),
+            write: TableLatency::from_lognormal_mixture(&mixture),
         }
     }
 
-    /// A backend with deterministic, constant latency — useful for tests and
-    /// ablations that need exact arithmetic.
+    /// A backend whose every sample is `latency`, for tests that need exact
+    /// arithmetic: a log-normal table whose floor is its median and whose
+    /// sigma is too small to move any knot above it. Each sample still
+    /// draws once from the RNG stream, like every table.
     #[cfg(test)]
     pub(crate) fn constant(latency: Nanos) -> Self {
+        let table = TableLatency::from_lognormal(latency, f64::MIN_POSITIVE, latency);
         StorageBackend {
-            read: Box::new(ConstantLatency::new(latency)),
-            write: Box::new(ConstantLatency::new(latency)),
+            read: table.clone(),
+            write: table,
         }
     }
 

@@ -30,7 +30,7 @@ pub mod recovery;
 pub mod slab;
 
 pub use agent::{HostAgent, HostAgentConfig, RemoteIoKind};
-pub use backend::{BackendKind, ConstLatencyOverride, StorageBackend};
+pub use backend::{BackendKind, StorageBackend};
 pub use dispatch::DispatchQueues;
 pub use fault::{FaultInjectionStats, FaultPlan, FaultSpec};
 pub use recovery::{

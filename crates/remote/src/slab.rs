@@ -8,7 +8,7 @@
 use leap_sim_core::hash::FxHashMap;
 use leap_sim_core::units::{GIB, PAGE_SIZE};
 
-/// Default slab size (1 GB, as used by Infiniswap-style systems).
+/// The host agent's slab size (1 GB, as used by Infiniswap-style systems).
 pub const DEFAULT_SLAB_BYTES: u64 = GIB;
 
 /// Identifier of a slab within one host's remote address space.

@@ -2,7 +2,7 @@
 //!
 //! Every stage in the simulated data path (page-cache lookup, block-layer
 //! batching, RDMA read, SSD access, ...) is parameterised by a
-//! [`LatencySampler`]. Samplers are deterministic given a [`DetRng`] stream,
+//! [`TableLatency`]. Samples are deterministic given a [`DetRng`] stream,
 //! so whole experiments replay identically across runs.
 
 use std::sync::{Arc, Mutex, OnceLock};
@@ -44,92 +44,6 @@ fn scale_nanos_milli_wide(base: Nanos, multiplier_milli: u64) -> Nanos {
     Nanos::from_nanos(scaled.min(u128::from(u64::MAX)) as u64)
 }
 
-/// A source of latency samples.
-///
-/// Implementations must be cheap (O(1)) and must only draw randomness from
-/// the provided [`DetRng`] so that the simulation stays deterministic.
-pub trait LatencySampler: Send + Sync + std::fmt::Debug {
-    /// Draws one latency sample.
-    fn sample(&self, rng: &mut DetRng) -> Nanos;
-
-    /// Returns the nominal (median/typical) latency of this sampler, used by
-    /// reports and sanity checks.
-    fn nominal(&self) -> Nanos;
-
-    /// Draws one sample and scales it by a fault-epoch multiplier expressed
-    /// in thousandths. The sample is always drawn first (the RNG stream moves
-    /// identically under any multiplier), then scaled by exact integer
-    /// arithmetic via [`scale_nanos_milli`].
-    #[inline]
-    fn sample_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
-        scale_nanos_milli(self.sample(rng), multiplier_milli)
-    }
-}
-
-/// A latency that is always the same value.
-#[derive(Debug, Clone, Copy)]
-pub struct ConstantLatency {
-    value: Nanos,
-}
-
-impl ConstantLatency {
-    /// Creates a constant sampler.
-    pub fn new(value: Nanos) -> Self {
-        ConstantLatency { value }
-    }
-}
-
-impl LatencySampler for ConstantLatency {
-    fn sample(&self, _rng: &mut DetRng) -> Nanos {
-        self.value
-    }
-
-    fn nominal(&self) -> Nanos {
-        self.value
-    }
-}
-
-/// A latency sampled from a log-normal distribution.
-///
-/// Log-normal captures the long right tail of RDMA operations and software
-/// queueing observed in the paper (medians of a few µs with rare 10–100×
-/// outliers). The sampler is parameterised by the *median* and a multiplicative
-/// spread `sigma` (the standard deviation of the underlying normal in log
-/// space).
-#[derive(Debug, Clone, Copy)]
-pub struct LogNormalLatency {
-    median: Nanos,
-    sigma: f64,
-    floor: Nanos,
-}
-
-impl LogNormalLatency {
-    /// Creates a log-normal sampler with the given median, log-space sigma,
-    /// and lower clamp.
-    pub fn new(median: Nanos, sigma: f64, floor: Nanos) -> Self {
-        LogNormalLatency {
-            median,
-            sigma,
-            floor,
-        }
-    }
-}
-
-impl LatencySampler for LogNormalLatency {
-    fn sample(&self, rng: &mut DetRng) -> Nanos {
-        let z = rng.standard_normal();
-        let v = self.median.as_nanos() as f64 * (self.sigma * z).exp();
-        let v = v.max(self.floor.as_nanos() as f64);
-        // Clamp the astronomically unlikely overflow case.
-        let v = v.min(u64::MAX as f64 / 2.0);
-        Nanos::from_nanos(v.round() as u64)
-    }
-
-    fn nominal(&self) -> Nanos {
-        self.median
-    }
-}
-
 /// Number of interpolation intervals in a [`TableLatency`] quantile table.
 ///
 /// The table stores `TABLE_SIZE + 1` knots at evenly spaced quantiles; the
@@ -147,8 +61,8 @@ const FRACTION_BITS: u32 = 53 - INDEX_BITS;
 
 /// A latency sampled from a precomputed inverse-CDF quantile table.
 ///
-/// This is the hot-path replacement for [`LogNormalLatency`] and its
-/// weighted mixtures: the quantile function is evaluated once at
+/// It replaces sampling an analytic log-normal or a weighted mixture of
+/// them: the quantile function is evaluated once at
 /// construction (4096 intervals, 4097 knots) and a sample is one [`DetRng`]
 /// draw split by shifts into a knot index and an interpolation fraction,
 /// plus a linear interpolation — no `ln`/`exp`/`cos` and no float-to-integer
@@ -176,8 +90,8 @@ pub struct TableLatency {
 
 impl TableLatency {
     /// Builds a quantile table for a log-normal with the given median,
-    /// log-space sigma, and lower clamp — the table twin of
-    /// [`LogNormalLatency::new`].
+    /// log-space sigma, and lower clamp: median · exp(sigma · z) for a
+    /// standard normal z, raised to `floor`.
     ///
     /// # Panics
     ///
@@ -208,7 +122,7 @@ impl TableLatency {
 
     /// Builds one combined quantile table for a weighted mixture of clamped
     /// log-normals, given as `(weight, median, sigma, floor)` components —
-    /// the table twin of a weighted mixture of [`LogNormalLatency`]s.
+    /// the table twin of a weighted mixture of clamped log-normals.
     ///
     /// The mixture CDF `F(x) = Σ wᵢ·Φ(ln(x/mᵢ)/σᵢ)` (with each component
     /// contributing zero below its floor — clamping is a point mass at the
@@ -266,13 +180,34 @@ impl TableLatency {
             mixture_knots(slots, &comps, total_weight);
             knots
         });
-        // Same arithmetic as MixtureLatency::nominal over LogNormal
+        // Same arithmetic as the analytic mixture's nominal over log-normal
         // components (whose nominal is the median).
         let weighted: f64 = comps.iter().map(|&(w, m, ..)| w * m).sum();
         TableLatency {
             knots,
             nominal: Nanos::from_nanos((weighted / total_weight).round() as u64),
         }
+    }
+
+    /// Draws one latency sample: exactly one `next_u64` from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut DetRng) -> Nanos {
+        Nanos::from_nanos(self.at_draw(rng.next_u64()))
+    }
+
+    /// Draws one sample and scales it by a fault-epoch multiplier expressed
+    /// in thousandths. The sample is always drawn first (the RNG stream moves
+    /// identically under any multiplier), then scaled by exact integer
+    /// arithmetic via [`scale_nanos_milli`].
+    #[inline]
+    pub fn sample_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
+        scale_nanos_milli(self.sample(rng), multiplier_milli)
+    }
+
+    /// The nominal (median/typical) latency, used by reports and recovery
+    /// deadlines.
+    pub fn nominal(&self) -> Nanos {
+        self.nominal
     }
 
     /// The interpolated quantile function: latency at cumulative probability
@@ -310,17 +245,6 @@ impl TableLatency {
         let lo = self.knots[idx];
         let hi = self.knots[idx + 1];
         round_to_u64(lo + (hi - lo) * frac)
-    }
-}
-
-impl LatencySampler for TableLatency {
-    #[inline]
-    fn sample(&self, rng: &mut DetRng) -> Nanos {
-        Nanos::from_nanos(self.at_draw(rng.next_u64()))
-    }
-
-    fn nominal(&self) -> Nanos {
-        self.nominal
     }
 }
 
@@ -637,80 +561,96 @@ impl<'a> KnotLane<'a> {
     }
 }
 
-/// A mixture of samplers with associated weights: the analytic reference
-/// that [`TableLatency::from_lognormal_mixture`] is checked against.
-#[cfg(test)]
-#[derive(Debug)]
-struct MixtureLatency {
-    components: Vec<(f64, Box<dyn LatencySampler>)>,
-    total_weight: f64,
-}
-
-#[cfg(test)]
-impl MixtureLatency {
-    /// Creates a mixture from `(weight, sampler)` pairs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty or all weights are non-positive.
-    fn new(components: Vec<(f64, Box<dyn LatencySampler>)>) -> Self {
-        assert!(!components.is_empty(), "MixtureLatency needs components");
-        let total_weight: f64 = components.iter().map(|(w, _)| w.max(0.0)).sum();
-        assert!(total_weight > 0.0, "MixtureLatency needs positive weight");
-        MixtureLatency {
-            components,
-            total_weight,
-        }
-    }
-}
-
-#[cfg(test)]
-impl LatencySampler for MixtureLatency {
-    fn sample(&self, rng: &mut DetRng) -> Nanos {
-        let mut pick = rng.next_f64() * self.total_weight;
-        for (w, sampler) in &self.components {
-            let w = w.max(0.0);
-            if pick < w {
-                return sampler.sample(rng);
-            }
-            pick -= w;
-        }
-        // Floating point slack: fall back to the last component.
-        self.components
-            .last()
-            .expect("mixture has at least one component")
-            .1
-            .sample(rng)
-    }
-
-    fn nominal(&self) -> Nanos {
-        // Weighted average of component nominals.
-        let weighted: f64 = self
-            .components
-            .iter()
-            .map(|(w, s)| w.max(0.0) * s.nominal().as_nanos() as f64)
-            .sum();
-        Nanos::from_nanos((weighted / self.total_weight).round() as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn rng() -> DetRng {
-        DetRng::seed_from(0xC0FFEE)
+    /// A latency sampled from a log-normal distribution: the analytic
+    /// reference for [`TableLatency::from_lognormal`].
+    ///
+    /// Parameterised by the *median* and a multiplicative spread `sigma`
+    /// (the standard deviation of the underlying normal in log space),
+    /// clamped below at `floor`.
+    #[derive(Debug, Clone, Copy)]
+    struct LogNormalLatency {
+        median: Nanos,
+        sigma: f64,
+        floor: Nanos,
     }
 
-    #[test]
-    fn constant_always_returns_value() {
-        let s = ConstantLatency::new(Nanos::from_micros(5));
-        let mut r = rng();
-        for _ in 0..10 {
-            assert_eq!(s.sample(&mut r), Nanos::from_micros(5));
+    impl LogNormalLatency {
+        fn new(median: Nanos, sigma: f64, floor: Nanos) -> Self {
+            LogNormalLatency {
+                median,
+                sigma,
+                floor,
+            }
         }
-        assert_eq!(s.nominal(), Nanos::from_micros(5));
+
+        fn sample(&self, rng: &mut DetRng) -> Nanos {
+            let z = rng.standard_normal();
+            let v = self.median.as_nanos() as f64 * (self.sigma * z).exp();
+            let v = v.max(self.floor.as_nanos() as f64);
+            // Clamp the astronomically unlikely overflow case.
+            let v = v.min(u64::MAX as f64 / 2.0);
+            Nanos::from_nanos(v.round() as u64)
+        }
+
+        fn nominal(&self) -> Nanos {
+            self.median
+        }
+    }
+
+    /// A weighted mixture of log-normals: the analytic reference for
+    /// [`TableLatency::from_lognormal_mixture`].
+    #[derive(Debug)]
+    struct MixtureLatency {
+        components: Vec<(f64, LogNormalLatency)>,
+        total_weight: f64,
+    }
+
+    impl MixtureLatency {
+        fn new(components: Vec<(f64, LogNormalLatency)>) -> Self {
+            let total_weight: f64 = components.iter().map(|(w, _)| w.max(0.0)).sum();
+            assert!(total_weight > 0.0, "MixtureLatency needs positive weight");
+            MixtureLatency {
+                components,
+                total_weight,
+            }
+        }
+
+        /// Picks a component with one draw, then samples it.
+        fn sample(&self, rng: &mut DetRng) -> Nanos {
+            let mut pick = rng.next_f64() * self.total_weight;
+            for (w, sampler) in &self.components {
+                let w = w.max(0.0);
+                if pick < w {
+                    return sampler.sample(rng);
+                }
+                pick -= w;
+            }
+            // Floating point slack: fall back to the last component.
+            self.components
+                .last()
+                .expect("mixture has at least one component")
+                .1
+                .sample(rng)
+        }
+
+        /// The weighted average of component medians.
+        fn nominal(&self) -> Nanos {
+            let weighted: f64 = self
+                .components
+                .iter()
+                .map(|(w, s)| w.max(0.0) * s.nominal().as_nanos() as f64)
+                .sum();
+            Nanos::from_nanos((weighted / self.total_weight).round() as u64)
+        }
+    }
+
+    fn rng() -> DetRng {
+        DetRng::seed_from(0xC0FFEE)
     }
 
     #[test]
@@ -731,17 +671,15 @@ mod tests {
 
     #[test]
     fn mixture_samples_all_components() {
-        let s = MixtureLatency::new(vec![
-            (0.5, Box::new(ConstantLatency::new(Nanos::from_nanos(10)))),
-            (0.5, Box::new(ConstantLatency::new(Nanos::from_nanos(1000)))),
-        ]);
+        let narrow = |median| LogNormalLatency::new(Nanos::from_nanos(median), 0.01, Nanos::ZERO);
+        let s = MixtureLatency::new(vec![(0.5, narrow(10)), (0.5, narrow(1000))]);
         let mut r = rng();
         let mut saw_fast = false;
         let mut saw_slow = false;
         for _ in 0..1000 {
             match s.sample(&mut r).as_nanos() {
-                10 => saw_fast = true,
-                1000 => saw_slow = true,
+                9..=11 => saw_fast = true,
+                900..=1100 => saw_slow = true,
                 other => panic!("unexpected sample {other}"),
             }
         }
@@ -796,16 +734,26 @@ mod tests {
 
     #[test]
     fn table_sample_consumes_exactly_one_draw() {
-        let s =
+        let lognormal =
             TableLatency::from_lognormal(Nanos::from_micros_f64(4.3), 0.25, Nanos::from_micros(2));
-        let mut a = rng();
-        let mut b = rng();
-        for _ in 0..100 {
-            let _ = s.sample(&mut a);
-            let _ = b.next_u64();
+        // A floor at the median and a sigma too small to move any knot
+        // above it: every knot is 5 µs, yet a sample still draws once.
+        let constant = TableLatency::from_lognormal(
+            Nanos::from_micros(5),
+            f64::MIN_POSITIVE,
+            Nanos::from_micros(5),
+        );
+        assert!(constant.knots.iter().all(|&k| k == 5_000.0));
+        for s in [lognormal, constant] {
+            let mut a = rng();
+            let mut b = rng();
+            for _ in 0..100 {
+                let _ = s.sample(&mut a);
+                let _ = b.next_u64();
+            }
+            // Both streams must now be in the same state.
+            assert_eq!(a.next_u64(), b.next_u64());
         }
-        // Both streams must now be in the same state.
-        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]
@@ -889,19 +837,11 @@ mod tests {
         let analytic = MixtureLatency::new(vec![
             (
                 0.99,
-                Box::new(LogNormalLatency::new(
-                    Nanos::from_micros_f64(4.3),
-                    0.25,
-                    Nanos::from_micros(2),
-                )),
+                LogNormalLatency::new(Nanos::from_micros_f64(4.3), 0.25, Nanos::from_micros(2)),
             ),
             (
                 0.01,
-                Box::new(LogNormalLatency::new(
-                    Nanos::from_micros(40),
-                    0.40,
-                    Nanos::from_micros(10),
-                )),
+                LogNormalLatency::new(Nanos::from_micros(40), 0.40, Nanos::from_micros(10)),
             ),
         ]);
         let table = TableLatency::from_lognormal_mixture(&[

@@ -8,9 +8,9 @@
 //! - [`clock`]: a monotonically advancing simulation clock ([`SimClock`]).
 //! - [`rng`]: a small, seedable, deterministic random number generator
 //!   ([`DetRng`]) so that every experiment is reproducible bit-for-bit.
-//! - [`latency`]: latency samplers ([`LatencySampler`]) used to model device
-//!   and software-stage costs (constant, log-normal, mixtures with heavy
-//!   tails, and the precomputed quantile tables the backends sample).
+//! - [`latency`]: the precomputed quantile tables ([`TableLatency`]) that
+//!   model device and software-stage costs: clamped log-normals and their
+//!   heavy-tailed mixtures, sampled with one RNG draw each.
 //! - [`units`]: byte-size constants and page geometry shared by all crates.
 //! - [`hash`]: a dependency-free FxHash-style hasher ([`FxHashMap`]) for the
 //!   hot maps every fault probes — deterministic and ~an order of magnitude
@@ -29,10 +29,7 @@ pub mod units;
 
 pub use clock::SimClock;
 pub use hash::{fx_map_with_capacity, FxHashMap};
-pub use latency::{
-    scale_nanos_milli, ConstantLatency, LatencySampler, LogNormalLatency, TableLatency,
-    MULTIPLIER_IDENTITY_MILLI,
-};
+pub use latency::{scale_nanos_milli, TableLatency, MULTIPLIER_IDENTITY_MILLI};
 pub use rng::DetRng;
 pub use time::Nanos;
 pub use units::{GIB, MIB, PAGE_SHIFT, PAGE_SIZE};

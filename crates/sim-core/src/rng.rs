@@ -134,7 +134,9 @@ impl DetRng {
         self.next_f64() < p
     }
 
-    /// Samples a standard normal variate via the Box–Muller transform.
+    /// Samples a standard normal variate via the Box–Muller transform, for
+    /// the analytic log-normal the latency tables are tested against.
+    #[cfg(test)]
     pub(crate) fn standard_normal(&mut self) -> f64 {
         // Box–Muller needs u1 in (0, 1]; avoid ln(0).
         let mut u1 = self.next_f64();

@@ -459,6 +459,58 @@ fn assert_untargeted_faults_slow_every_tenant(data_path: DataPathKind) {
 }
 
 // ---------------------------------------------------------------------------
+// (g') The VFS front-end tags every access with its process too, so a plan
+// aimed at one pid reaches that pid's file reads, and a plan aimed at a pid
+// that does not run changes nothing.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn targeted_faults_reach_vfs_traffic() {
+    let trace = |name: &str, base: u64| {
+        AccessTrace::new(
+            name.to_string(),
+            (0..2_000u64)
+                .map(|i| Access::read(base + i % 256, Nanos::from_micros(1)))
+                .collect(),
+        )
+    };
+    let traces = [trace("alpha", 0), trace("beta", 1 << 20)];
+    let run = |fault| {
+        let config = SimConfig::builder()
+            .memory_fraction(0.5)
+            .cores(2)
+            .seed(7)
+            .fault_plan(fault)
+            .build()
+            .expect("valid config");
+        VfsSimulator::new(config).run_multi(&traces)
+    };
+    let storm = FaultSpec {
+        machine_failures: 0,
+        target_tenant: 1,
+        ..FaultSpec::storm_over(Nanos::from_micros(50), Nanos::from_millis(3))
+    };
+    let healthy = run(FaultSpec::none());
+    let targeted = run(storm);
+    assert!(
+        !targeted.fault_stats.is_quiet(),
+        "the storm aimed at pid 1 missed its file reads"
+    );
+    assert_ne!(
+        healthy.completion_time, targeted.completion_time,
+        "the storm aimed at pid 1 left the VFS run at its healthy timing"
+    );
+    let absent = run(FaultSpec {
+        target_tenant: 3,
+        ..storm
+    });
+    assert_eq!(
+        absent, healthy,
+        "a plan aimed at no running pid changed the run"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // (h) An inconsistent plan is a typed build error, not a silent default: the
 // builder reports each `FaultSpec::validate` rule under `InvalidFaultSpec`.
 // ---------------------------------------------------------------------------

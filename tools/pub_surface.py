@@ -46,8 +46,6 @@ REASONS = {
     "ArenaCell": "element of `ArenaReport::cells`, which the `arena` binary reads",
     "ArenaReport": "returned by `arena::run_arena`, which the `arena` binary calls",
     "ArenaTrace": "returned by `arena::build_corpus`, which tests/arena_errors.rs calls",
-    "backend_write_latency": "builder setter of a `SimConfig` field: the configuration schema",
-    "context_switch_cost": "builder setter of a `SimConfig` field: the configuration schema",
     "CoreStats": "element of `CoreActivity::per_core`, which examples/multi_tenant.rs reads",
     "DispatchOutcome": "returned by `DispatchQueues::dispatch`, which leap-datapath calls",
     "FaultModifiers": "returned by `FaultPlan::modifiers_from`, which leap-datapath calls",

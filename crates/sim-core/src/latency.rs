@@ -204,8 +204,8 @@ impl TableLatency {
         scale_nanos_milli(self.sample(rng), multiplier_milli)
     }
 
-    /// The nominal (median/typical) latency, used by reports and recovery
-    /// deadlines.
+    /// The nominal (median/typical) latency; the host agent prices slab
+    /// reconstruction with it.
     pub fn nominal(&self) -> Nanos {
         self.nominal
     }

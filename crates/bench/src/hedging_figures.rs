@@ -17,7 +17,7 @@
 use crate::EXPERIMENT_SEED;
 use leap_datapath::{DataPath, LeanDataPath};
 use leap_metrics::{LatencyHistogram, TextTable};
-use leap_remote::{recovery_stream_seed, FaultPlan, FaultSpec, RecoveryPolicy, RecoveryStats};
+use leap_remote::{FaultSpec, RecoveryPolicy, RecoveryStats};
 use leap_sim_core::{DetRng, Nanos};
 
 /// Reads per run; spread uniformly over the canonical storm window so every
@@ -42,15 +42,7 @@ pub(crate) fn run_hedged(
     policy: RecoveryPolicy,
 ) -> (LatencyHistogram, RecoveryStats) {
     let mut path = LeanDataPath::with_default_cluster(DetRng::seed_from(EXPERIMENT_SEED));
-    if spec.is_active() {
-        let machines = path.agent().cluster().len() as u32;
-        path.agent_mut()
-            .install_fault_plan(FaultPlan::from_spec(EXPERIMENT_SEED, spec, machines));
-    }
-    if policy.is_active() {
-        path.agent_mut()
-            .install_recovery(policy, recovery_stream_seed(EXPERIMENT_SEED));
-    }
+    path.install_faults(EXPERIMENT_SEED, spec, policy);
     // Issue every read inside the canonical storm window (also used for the
     // steady-state baseline, where the instants are inert) so the tail of
     // the distribution is shaped by the faults, not by healthy padding.

@@ -9,7 +9,10 @@
 //! (Figure 6).
 
 use crate::stages::{DataPath, PathLatency, Stage};
-use leap_remote::{HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind};
+use leap_remote::{
+    FaultInjectionStats, FaultSpec, HostAgent, HostAgentConfig, RecoveryPolicy, RemoteCluster,
+    RemoteIoKind,
+};
 use leap_sim_core::{DetRng, Nanos, TableLatency};
 
 /// Median cache (swap cache) lookup cost.
@@ -82,17 +85,6 @@ impl LeanDataPath {
         LeanDataPath::new(agent, rng)
     }
 
-    /// Access to the underlying host agent (for inventory reports).
-    pub fn agent(&self) -> &HostAgent {
-        &self.agent
-    }
-
-    /// Mutable access to the underlying host agent (to swap backends in
-    /// tests or ablations).
-    pub fn agent_mut(&mut self) -> &mut HostAgent {
-        &mut self.agent
-    }
-
     fn serve(
         &mut self,
         kind: RemoteIoKind,
@@ -144,7 +136,11 @@ impl DataPath for LeanDataPath {
         "leap"
     }
 
-    fn fault_stats(&self) -> leap_remote::FaultInjectionStats {
+    fn install_faults(&mut self, seed: u64, spec: &FaultSpec, recovery: RecoveryPolicy) {
+        self.agent.install_faults(seed, spec, recovery);
+    }
+
+    fn fault_stats(&self) -> FaultInjectionStats {
         self.agent.fault_stats()
     }
 
@@ -245,18 +241,17 @@ mod tests {
 
     #[test]
     fn read_span_matches_per_read_loop_stage_by_stage() {
-        use leap_remote::{recovery_stream_seed, FaultPlan, FaultSpec, RecoveryPolicy};
         // Under a partition storm with tail-tolerant recovery every request
         // can fail over, retry or hedge. The span's per-read totals and its
         // per-stage aggregate (what Figure 1/7 style reports read) must
         // equal the per-read loop's, stage by stage.
         let build = || {
             let mut path = LeanDataPath::with_default_cluster(DetRng::seed_from(31));
-            let spec = FaultSpec::canonical_partition_storm();
-            path.agent_mut()
-                .install_fault_plan(FaultPlan::from_spec(31, &spec, 4));
-            path.agent_mut()
-                .install_recovery(RecoveryPolicy::tail_tolerant(), recovery_stream_seed(31));
+            path.install_faults(
+                31,
+                &FaultSpec::canonical_partition_storm(),
+                RecoveryPolicy::tail_tolerant(),
+            );
             path
         };
         let mut span_path = build();

@@ -10,9 +10,9 @@
 
 use crate::stages::{DataPath, PathLatency, Stage};
 use leap_remote::{
-    BackendKind, DispatchQueues, FaultInjectionStats, FaultPlan, RemoteIoKind, StorageBackend,
+    BackendKind, Device, FaultInjectionStats, FaultSpec, RecoveryPolicy, RemoteIoKind,
 };
-use leap_sim_core::{scale_nanos_milli, DetRng, Nanos, TableLatency};
+use leap_sim_core::{DetRng, Nanos, TableLatency};
 
 /// Median cache (swap cache / VFS cache) lookup cost.
 const CACHE_LOOKUP: Nanos = Nanos(270);
@@ -46,36 +46,27 @@ const BLOCK_LAYER_SIGMA: f64 = 0.6;
 /// ```
 #[derive(Debug)]
 pub struct LegacyDataPath {
-    backend: StorageBackend,
     bio_sampler: TableLatency,
     queue_sampler: TableLatency,
     dispatch_sampler: TableLatency,
-    /// Device/service queues: a spinning disk or SSD serialises requests on a
-    /// single queue, while RDMA NICs expose per-core queues. Demand misses,
-    /// prefetch reads, and write-backs all occupy the same device, so
-    /// aggressive prefetching pays for its I/O bandwidth here.
-    device_queues: DispatchQueues,
-    rng: DetRng,
-    /// Installed fault schedule (empty by default). The legacy path has no
-    /// remote cluster, so only the epoch faults — latency spikes, degraded
+    /// The backing device and its service queues: a spinning disk or SSD
+    /// serialises requests on a single queue, while RDMA NICs expose
+    /// per-core queues. Demand misses, prefetch reads, and write-backs all
+    /// occupy the same device, so aggressive prefetching pays for its I/O
+    /// bandwidth here. The legacy path has no remote cluster, so of an
+    /// installed fault plan only the epoch faults — latency spikes, degraded
     /// bandwidth, reconnect storms — apply; machine failures do not.
-    fault_plan: FaultPlan,
-    /// The plan's step-function segments started by the previous request's
-    /// time ([`FaultPlan::modifiers_from`]).
-    segment_cursor: usize,
-    fault_stats: FaultInjectionStats,
-    /// The tenant that issued the current access (`0` = untagged); a plan
-    /// aimed at one tenant slows only that tenant's requests.
-    active_tenant: u32,
+    device: Device,
+    rng: DetRng,
 }
 
 impl LegacyDataPath {
     /// Creates a legacy path over the given backend.
     pub fn new(backend: BackendKind, rng: DetRng) -> Self {
-        let device_queues = match backend {
-            // One request stream for block devices, multi-queue for RDMA.
-            BackendKind::Hdd | BackendKind::Ssd => DispatchQueues::new(1),
-            BackendKind::Rdma => DispatchQueues::new(8),
+        // One request stream for block devices, multi-queue for RDMA.
+        let queues = match backend {
+            BackendKind::Hdd | BackendKind::Ssd => 1,
+            BackendKind::Rdma => 8,
         };
         // The block-layer log-normals are folded into quantile tables at
         // construction: one RNG draw + a linear interpolation per sample.
@@ -95,38 +86,9 @@ impl LegacyDataPath {
                 BLOCK_LAYER_SIGMA,
                 Nanos::from_nanos(500),
             ),
-            device_queues,
-            backend: StorageBackend::new(backend),
+            device: Device::new(backend, queues),
             rng,
-            fault_plan: FaultPlan::empty(),
-            segment_cursor: 0,
-            fault_stats: FaultInjectionStats::default(),
-            active_tenant: 0,
         }
-    }
-
-    /// Installs a fault schedule; the empty plan (the default) reproduces
-    /// healthy runs bit-for-bit. Only epoch faults apply here — the legacy
-    /// path models a local block device, not a failing remote cluster — so
-    /// D-VMM and Leap face the same latency churn in comparisons.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.fault_plan = plan;
-        self.segment_cursor = 0;
-    }
-
-    /// Applies the fault modifiers in force at `now` to a sampled device
-    /// transfer, counting affected requests. The modifiers are resolved for
-    /// every request, so the segment cursor advances the same way whichever
-    /// tenant the plan targets.
-    fn apply_faults(&mut self, transfer: Nanos, now: Nanos) -> Nanos {
-        let mods = self
-            .fault_plan
-            .modifiers_from(&mut self.segment_cursor, now);
-        if mods.is_identity() || !self.fault_plan.applies_to_tenant(self.active_tenant) {
-            return transfer;
-        }
-        let transfer = scale_nanos_milli(transfer, mods.multiplier_milli);
-        self.fault_stats.charge_modifiers(&mods, transfer, now)
     }
 
     /// One request through the block layer and the device. Reads and writes
@@ -144,13 +106,9 @@ impl LegacyDataPath {
             self.queue_sampler.sample(&mut self.rng),
         );
         breakdown.push(Stage::Dispatch, self.dispatch_sampler.sample(&mut self.rng));
-        let transfer = match kind {
-            RemoteIoKind::Read => self.backend.read_latency(&mut self.rng),
-            RemoteIoKind::Write => self.backend.write_latency(&mut self.rng),
-        };
-        let transfer = self.apply_faults(transfer, now);
-        let outcome = self.device_queues.dispatch(core, now, transfer);
-        breakdown.push(Stage::QueueingAndBatching, outcome.queueing_delay);
+        let (transfer, _) = self.device.transfer(kind, &mut self.rng, now);
+        let queueing_delay = self.device.dispatch(core, now, transfer);
+        breakdown.push(Stage::QueueingAndBatching, queueing_delay);
         breakdown.push(Stage::DeviceTransfer, transfer);
         if kind == RemoteIoKind::Read {
             breakdown.push(Stage::MmuUpdate, MMU_UPDATE);
@@ -172,12 +130,19 @@ impl DataPath for LegacyDataPath {
         "linux-default"
     }
 
+    /// Installs the epoch faults of `(seed, spec)`; the block-layer path
+    /// has no remote cluster to fail or partition, and no recovery layer,
+    /// so `recovery` does not apply here.
+    fn install_faults(&mut self, seed: u64, spec: &FaultSpec, _recovery: RecoveryPolicy) {
+        self.device.install_epoch_faults(seed, spec);
+    }
+
     fn fault_stats(&self) -> FaultInjectionStats {
-        self.fault_stats
+        self.device.fault_stats()
     }
 
     fn set_active_tenant(&mut self, tenant: u32) {
-        self.active_tenant = tenant;
+        self.device.set_active_tenant(tenant);
     }
 }
 
@@ -276,7 +241,7 @@ mod tests {
     fn empty_fault_plan_reproduces_healthy_breakdowns() {
         let mut healthy = LegacyDataPath::new(BackendKind::Rdma, DetRng::seed_from(21));
         let mut faulted = LegacyDataPath::new(BackendKind::Rdma, DetRng::seed_from(21));
-        faulted.install_fault_plan(FaultPlan::empty());
+        faulted.install_faults(21, &FaultSpec::none(), RecoveryPolicy::none());
         for i in 0..200u64 {
             let now = Nanos::from_micros(3 * i);
             assert_eq!(healthy.read_page(i, 0, now), faulted.read_page(i, 0, now));
@@ -286,8 +251,6 @@ mod tests {
 
     #[test]
     fn latency_spikes_stretch_the_device_transfer() {
-        use leap_remote::FaultSpec;
-
         let spec = FaultSpec {
             latency_spikes: 1,
             spike_multiplier_milli: 4000,
@@ -296,10 +259,9 @@ mod tests {
             horizon: Nanos::from_millis(1),
             ..FaultSpec::none()
         };
-        let plan = FaultPlan::from_spec(9, &spec, 0);
         let mut healthy = LegacyDataPath::new(BackendKind::Rdma, DetRng::seed_from(33));
         let mut faulted = LegacyDataPath::new(BackendKind::Rdma, DetRng::seed_from(33));
-        faulted.install_fault_plan(plan);
+        faulted.install_faults(9, &spec, RecoveryPolicy::none());
         // Sample inside the spike epoch: the faulted path's device transfer
         // must be exactly 4x the healthy one while software stages match.
         let now = Nanos::from_millis(50);

@@ -1,5 +1,6 @@
 //! Named data-path stages and latency breakdowns.
 
+use leap_remote::{FaultInjectionStats, FaultSpec, RecoveryPolicy};
 use leap_sim_core::Nanos;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -207,11 +208,14 @@ pub trait DataPath: Send + std::fmt::Debug {
     /// A short name for reports ("linux-default" or "leap").
     fn name(&self) -> &'static str;
 
-    /// Fault-injection accounting for this path. Paths without a fault
-    /// layer report the quiet default (no faults observed).
-    fn fault_stats(&self) -> leap_remote::FaultInjectionStats {
-        leap_remote::FaultInjectionStats::default()
-    }
+    /// Installs the fault schedule `(seed, spec)` expands to against this
+    /// path's own remote cluster, and the recovery policy. The defaults,
+    /// [`FaultSpec::none`] and [`RecoveryPolicy::none`], reproduce healthy
+    /// runs bit-for-bit.
+    fn install_faults(&mut self, seed: u64, spec: &FaultSpec, recovery: RecoveryPolicy);
+
+    /// Fault-injection accounting for this path.
+    fn fault_stats(&self) -> FaultInjectionStats;
 
     /// Recovery accounting for this path. Paths without a recovery layer
     /// report the quiet default (no recovery action taken).
@@ -225,10 +229,10 @@ pub trait DataPath: Send + std::fmt::Debug {
         Vec::new()
     }
 
-    /// Tags subsequent accesses with the issuing tenant (`0` = untagged).
-    /// The engine calls this before every access; paths without
-    /// tenant-aware fault/recovery layers ignore it.
-    fn set_active_tenant(&mut self, _tenant: u32) {}
+    /// Tags subsequent accesses with the issuing tenant (`0` = untagged),
+    /// so a plan aimed at one tenant slows only that tenant's requests.
+    /// The engine calls this before every access.
+    fn set_active_tenant(&mut self, tenant: u32);
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use leap_prefetcher::{
     LeapConfig, LeapPrefetcher, NextNLinePrefetcher, NoPrefetcher, Prefetcher, PrefetcherKind,
     ReadAheadPrefetcher, StridePrefetcher,
 };
-use leap_remote::{FaultPlan, HostAgent, HostAgentConfig, RemoteCluster};
+use leap_remote::{HostAgent, HostAgentConfig, RemoteCluster};
 use leap_sim_core::DetRng;
 use std::fmt;
 use std::sync::Arc;
@@ -80,17 +80,8 @@ impl DataPathKind {
     /// Builds the data path serving cache misses for `config`. Randomness
     /// comes only from `rng`, so runs stay deterministic for a seed.
     pub fn build(self, config: &SimConfig, rng: &mut DetRng) -> Box<dyn DataPath> {
-        match self {
-            DataPathKind::LinuxDefault => {
-                let mut path = LegacyDataPath::new(config.backend, rng.fork());
-                if config.fault.is_active() {
-                    // machine_count 0: the block-layer path has no remote
-                    // cluster, so it sees the epoch faults but never machine
-                    // failures.
-                    path.install_fault_plan(FaultPlan::from_spec(config.seed, &config.fault, 0));
-                }
-                Box::new(path)
-            }
+        let mut path: Box<dyn DataPath> = match self {
+            DataPathKind::LinuxDefault => Box::new(LegacyDataPath::new(config.backend, rng.fork())),
             DataPathKind::Leap => {
                 let agent = HostAgent::new(
                     HostAgentConfig {
@@ -101,24 +92,11 @@ impl DataPathKind {
                     RemoteCluster::homogeneous(4, 256),
                     rng.fork(),
                 );
-                let mut path = LeanDataPath::new(agent, rng.fork());
-                if config.fault.is_active() {
-                    let machines = path.agent().cluster().len() as u32;
-                    path.agent_mut().install_fault_plan(FaultPlan::from_spec(
-                        config.seed,
-                        &config.fault,
-                        machines,
-                    ));
-                }
-                if config.recovery.is_active() {
-                    path.agent_mut().install_recovery(
-                        config.recovery,
-                        leap_remote::recovery_stream_seed(config.seed),
-                    );
-                }
-                Box::new(path)
+                Box::new(LeanDataPath::new(agent, rng.fork()))
             }
-        }
+        };
+        path.install_faults(config.seed, &config.fault, config.recovery);
+        path
     }
 }
 

@@ -6,9 +6,9 @@
 //! memory balanced (§4.5), optionally replicates slabs for fault tolerance,
 //! and forwards page reads/writes to per-core RDMA dispatch queues.
 
-use crate::backend::{BackendKind, StorageBackend};
-use crate::dispatch::DispatchQueues;
-use crate::fault::{FaultInjectionStats, FaultModifiers, FaultPlan};
+use crate::backend::BackendKind;
+use crate::device::Device;
+use crate::fault::{FaultInjectionStats, FaultPlan, FaultSpec};
 use crate::recovery::{self, RecoveryPolicy, RecoveryStats, TenantRecovery};
 use crate::slab::{MachineId, RemoteCluster, SlabId, SlabMap, DEFAULT_SLAB_BYTES};
 use leap_sim_core::{scale_nanos_milli, DetRng, Nanos};
@@ -100,22 +100,16 @@ pub struct HostAgent {
     config: HostAgentConfig,
     cluster: RemoteCluster,
     slab_map: SlabMap,
-    backend: StorageBackend,
-    queues: DispatchQueues,
+    /// The transport behind the per-core dispatch queues, with the
+    /// installed fault schedule, the tenant tag and the fault accounting.
+    device: Device,
     rng: DetRng,
-    /// The installed fault schedule; empty by default (healthy fabric).
-    plan: FaultPlan,
-    /// Cursor into `plan.failures()`: failures at or before the current
+    /// Cursor into the plan's failures: failures at or before the current
     /// request time have been applied.
     next_failure: usize,
-    /// The plan's step-function segments started by the previous request's
-    /// time ([`FaultPlan::modifiers_from`]).
-    segment_cursor: usize,
     /// The slab [`HostAgent::ensure_mapped`] resolved last, while no machine
     /// has failed since.
     placement_memo: Option<PlacementMemo>,
-    /// Accounting for every fault the agent observed.
-    fault_stats: FaultInjectionStats,
     /// Reconstruction cost accrued by slab repairs, charged to the transport
     /// latency of the next request (the repair stalls the fabric, and the
     /// next page access pays for it).
@@ -132,9 +126,6 @@ pub struct HostAgent {
     recovery_requests: u64,
     /// Accounting for every recovery action the agent took.
     recovery_stats: RecoveryStats,
-    /// The tenant the currently executing access belongs to (`0` = untagged
-    /// single-process traffic). Set by the engine before every access.
-    active_tenant: u32,
     /// Per-tenant recovery ledger; only touched for tagged traffic, so the
     /// single-tenant hot path never probes the map.
     tenant_recovery: BTreeMap<u32, TenantRecovery>,
@@ -150,45 +141,50 @@ impl HostAgent {
         assert!(config.replication >= 1, "replication must be at least 1");
         HostAgent {
             slab_map: SlabMap::new(DEFAULT_SLAB_BYTES),
-            backend: StorageBackend::new(config.backend),
-            queues: DispatchQueues::new(config.cores),
+            device: Device::new(config.backend, config.cores),
             config,
             cluster,
             rng,
-            plan: FaultPlan::empty(),
             next_failure: 0,
-            segment_cursor: 0,
             placement_memo: None,
-            fault_stats: FaultInjectionStats::default(),
             pending_reconstruction: Nanos::ZERO,
             recovery: RecoveryPolicy::none(),
             recovery_seed: 0,
             recovery_requests: 0,
             recovery_stats: RecoveryStats::default(),
-            active_tenant: 0,
             tenant_recovery: BTreeMap::new(),
         }
     }
 
-    /// Installs a fault schedule. The empty plan (the default) reproduces
-    /// healthy runs bit-for-bit: no RNG stream is perturbed and no fault
-    /// branch fires.
-    pub fn install_fault_plan(&mut self, plan: FaultPlan) {
-        self.plan = plan;
+    /// Installs the fault schedule `(seed, spec)` expands to against this
+    /// agent's cluster, and the recovery policy with its request streams
+    /// salted from the same seed (`seed ^ RECOVERY_SALT`).
+    ///
+    /// [`FaultSpec::none`] and [`RecoveryPolicy::none`] — the defaults —
+    /// reproduce healthy runs bit-for-bit: no RNG stream is perturbed, no
+    /// fault or recovery branch fires and no checksum word is folded.
+    pub fn install_faults(&mut self, seed: u64, spec: &FaultSpec, recovery: RecoveryPolicy) {
+        let machines = self.cluster.len() as u32;
+        self.install_fault_plan(FaultPlan::from_spec(seed, spec, machines));
+        self.install_recovery(recovery, recovery::recovery_stream_seed(seed));
+    }
+
+    /// Installs an expanded fault schedule, restarting its cursors.
+    pub(crate) fn install_fault_plan(&mut self, plan: FaultPlan) {
+        self.device.install_fault_plan(plan);
         self.next_failure = 0;
-        self.segment_cursor = 0;
     }
 
     /// Fault-injection accounting for this agent.
     pub fn fault_stats(&self) -> FaultInjectionStats {
-        self.fault_stats
+        self.device.fault_stats()
     }
 
     /// Installs the recovery policy and the (already salted) recovery stream
-    /// seed. [`RecoveryPolicy::none`] — the default — keeps every request on
-    /// the exact pre-recovery code path: no extra RNG derivation, no extra
-    /// queue operation, no checksum word.
-    pub fn install_recovery(&mut self, policy: RecoveryPolicy, recovery_seed: u64) {
+    /// seed. [`RecoveryPolicy::none`] keeps every request on the exact
+    /// pre-recovery code path: no extra RNG derivation, no extra queue
+    /// operation, no checksum word.
+    fn install_recovery(&mut self, policy: RecoveryPolicy, recovery_seed: u64) {
         self.recovery = policy;
         self.recovery_seed = recovery_seed;
         self.recovery_requests = 0;
@@ -210,8 +206,8 @@ impl HostAgent {
     /// The recovery ledger of the tenant tagged on the current access, or
     /// `None` when the access is untagged (tenant `0`).
     fn active_tenant_ledger(&mut self) -> Option<&mut TenantRecovery> {
-        (self.active_tenant != 0)
-            .then(|| self.tenant_recovery.entry(self.active_tenant).or_default())
+        let tenant = self.device.active_tenant;
+        (tenant != 0).then(|| self.tenant_recovery.entry(tenant).or_default())
     }
 
     /// Tags subsequent accesses with the tenant that issued them (`0` clears
@@ -219,7 +215,7 @@ impl HostAgent {
     /// tenant-targeted fault plans and per-tenant recovery ledgers attribute
     /// work correctly.
     pub fn set_active_tenant(&mut self, tenant: u32) {
-        self.active_tenant = tenant;
+        self.device.set_active_tenant(tenant);
     }
 
     /// The cluster state (for balance/inventory reports).
@@ -294,13 +290,14 @@ impl HostAgent {
             .filter(|&m| !self.cluster.is_failed(m))
             .collect();
         let lost = old.len() - survivors.len();
-        let nominal = self.backend.nominal_read_latency();
+        let nominal = self.device.backend.nominal_read_latency();
 
         let (placements, cost) = if survivors.is_empty() {
             // Every replica died: recover the slab from the durable tier.
             let placements = self.place_slab()?;
-            self.fault_stats.slabs_lost += 1;
-            self.fault_stats
+            self.device.stats.slabs_lost += 1;
+            self.device
+                .stats
                 .record(0x51ab_1057u64 ^ slab.0.rotate_left(17));
             let cost = Nanos::from_nanos(nominal.as_nanos().saturating_mul(FULL_RECOVERY_PAGES));
             (placements, cost)
@@ -318,8 +315,9 @@ impl HostAgent {
                     None => break,
                 }
             }
-            self.fault_stats.slabs_rereplicated += 1;
-            self.fault_stats
+            self.device.stats.slabs_rereplicated += 1;
+            self.device
+                .stats
                 .record(0x5e9e_9a7eu64 ^ slab.0.rotate_left(9));
             let cost = Nanos::from_nanos(
                 nominal
@@ -329,10 +327,8 @@ impl HostAgent {
             (placements, cost)
         };
 
-        self.fault_stats.reconstruction_cost_total = self
-            .fault_stats
-            .reconstruction_cost_total
-            .saturating_add(cost);
+        let stats = &mut self.device.stats;
+        stats.reconstruction_cost_total = stats.reconstruction_cost_total.saturating_add(cost);
         self.pending_reconstruction = self.pending_reconstruction.saturating_add(cost);
         let primary = placements.first().copied();
         self.slab_map.place(slab, placements);
@@ -435,36 +431,22 @@ impl HostAgent {
     /// all dispatch queues (the requests were travelling to a machine that
     /// no longer exists); the queues clamp to `now`, never backwards.
     fn apply_due_failures(&mut self, now: Nanos) {
-        while let Some(failure) = self.plan.failures().get(self.next_failure) {
+        while let Some(failure) = self.device.plan.failures().get(self.next_failure) {
             if failure.at > now {
                 break;
             }
             let failure = *failure;
             self.next_failure += 1;
             if self.cluster.fail_machine(failure.victim as usize).is_some() {
-                let cancelled = self.queues.cancel_in_flight(now);
-                self.fault_stats.machines_failed += 1;
-                self.fault_stats.cancelled_requests += cancelled;
-                self.fault_stats.record(
+                let stats = &mut self.device.stats;
+                stats.machines_failed += 1;
+                stats.cancelled_requests += self.device.queues.cancel_in_flight(now);
+                stats.record(
                     0xdead_ac3du64
                         ^ failure.at.as_nanos().rotate_left(5)
                         ^ u64::from(failure.victim),
                 );
             }
-        }
-    }
-
-    /// The fault modifiers the *current access* must pay: the plan's
-    /// modifiers at `now`, unless the plan targets a specific tenant and the
-    /// active access belongs to someone else. The always-resolve discipline
-    /// (resolve, then maybe discard) keeps the code path shape identical for
-    /// targeted and untargeted traffic.
-    fn effective_modifiers(&mut self, now: Nanos) -> FaultModifiers {
-        let mods = self.plan.modifiers_from(&mut self.segment_cursor, now);
-        if self.plan.applies_to_tenant(self.active_tenant) {
-            mods
-        } else {
-            FaultModifiers::IDENTITY
         }
     }
 
@@ -482,10 +464,7 @@ impl HostAgent {
         core: usize,
         now: Nanos,
     ) -> Option<MachineId> {
-        if !self.plan.has_partitions() || !self.plan.applies_to_tenant(self.active_tenant) {
-            return Some(primary);
-        }
-        if !self.plan.link_partitioned(core, primary.0, now) {
+        if !self.device.link_severed(core, primary, now) {
             return Some(primary);
         }
         // The primary link is down: fail fast onto the first alive,
@@ -495,7 +474,7 @@ impl HostAgent {
             replicas.iter().copied().find(|&m| {
                 m != primary
                     && !self.cluster.is_failed(m)
-                    && !self.plan.link_partitioned(core, m.0, now)
+                    && !self.device.link_severed(core, m, now)
             })
         });
         match alternate {
@@ -532,15 +511,9 @@ impl HostAgent {
     ) -> Option<MachineId> {
         let slab = self.slab_map.slab_of_page(page_offset);
         let replicas = self.slab_map.machines_of(slab)?;
-        let partitioned = |m: MachineId| {
-            self.plan.has_partitions()
-                && self.plan.applies_to_tenant(self.active_tenant)
-                && self.plan.link_partitioned(core, m.0, now)
-        };
-        replicas
-            .iter()
-            .copied()
-            .find(|&m| m != served && !self.cluster.is_failed(m) && !partitioned(m))
+        replicas.iter().copied().find(|&m| {
+            m != served && !self.cluster.is_failed(m) && !self.device.link_severed(core, m, now)
+        })
     }
 
     /// Resolves the recovery outcome for one request whose primary attempt
@@ -578,10 +551,11 @@ impl HostAgent {
             && self.hedge_replica(page_offset, served, core, now).is_some()
         {
             self.recovery_stats.hedges_issued += 1;
-            let hedge_sample = self.backend.read_latency(&mut req_rng);
+            let hedge_sample = self.device.backend.read_latency(&mut req_rng);
             let hedge_total = self.recovery.hedge_delay.saturating_add(hedge_sample);
             if hedge_total < attempt {
                 let _ = self
+                    .device
                     .queues
                     .cancel_request(core, start.saturating_add(hedge_total));
                 self.recovery_stats.hedges_won += 1;
@@ -608,6 +582,7 @@ impl HostAgent {
             let mut retries = 0u32;
             while attempt > deadline && retries < self.recovery.max_retries {
                 let _ = self
+                    .device
                     .queues
                     .cancel_request(core, start.saturating_add(elapsed).saturating_add(deadline));
                 self.recovery_stats.deadline_timeouts += 1;
@@ -638,16 +613,9 @@ impl HostAgent {
                 }
                 // Retry against the next-best replica over the same (still
                 // congested) fabric: resample scaled by the active epochs.
-                attempt = match kind {
-                    RemoteIoKind::Read => self
-                        .backend
-                        .read_latency_scaled(&mut req_rng, multiplier_milli),
-                    RemoteIoKind::Write => self
-                        .backend
-                        .write_latency_scaled(&mut req_rng, multiplier_milli),
-                };
+                attempt = self.device.sample(kind, &mut req_rng, multiplier_milli);
                 let _ = self
-                    .queues
+                    .device
                     .dispatch(core, start.saturating_add(elapsed), attempt);
             }
         }
@@ -676,21 +644,12 @@ impl HostAgent {
         core: usize,
         now: Nanos,
     ) -> Option<RemoteIoResult> {
-        if !self.plan.is_empty() {
+        if !self.device.plan.is_empty() {
             self.apply_due_failures(now);
         }
         let machine = self.ensure_mapped(page_offset)?;
         let machine = self.route_reachable(kind, page_offset, machine, core, now)?;
-        let mods = self.effective_modifiers(now);
-        let transport = match kind {
-            RemoteIoKind::Read => self
-                .backend
-                .read_latency_scaled(&mut self.rng, mods.multiplier_milli),
-            RemoteIoKind::Write => self
-                .backend
-                .write_latency_scaled(&mut self.rng, mods.multiplier_milli),
-        };
-        let transport = self.fault_stats.charge_modifiers(&mods, transport, now);
+        let (transport, multiplier_milli) = self.device.transfer(kind, &mut self.rng, now);
         // The request that triggered (or immediately follows) a slab repair
         // pays the reconstruction stall, before the attempt itself runs.
         let repair = if self.pending_reconstruction.is_zero() {
@@ -698,16 +657,14 @@ impl HostAgent {
         } else {
             std::mem::replace(&mut self.pending_reconstruction, Nanos::ZERO)
         };
-        let outcome = self
-            .queues
+        let queueing_delay = self
+            .device
             .dispatch(core, now, transport.saturating_add(repair));
         let transport = if self.recovery.is_active() {
             // Recovery governs the attempt only — the repair stall is fabric
             // work that no hedge or retry can cancel — so the recovered
             // request starts after queueing and the repair.
-            let start = now
-                .saturating_add(outcome.queueing_delay)
-                .saturating_add(repair);
+            let start = now.saturating_add(queueing_delay).saturating_add(repair);
             repair.saturating_add(self.resolve_recovery(
                 kind,
                 page_offset,
@@ -716,16 +673,16 @@ impl HostAgent {
                 now,
                 start,
                 transport,
-                mods.multiplier_milli,
+                multiplier_milli,
             ))
         } else {
             transport.saturating_add(repair)
         };
         Some(RemoteIoResult {
             machine,
-            queueing_delay: outcome.queueing_delay,
+            queueing_delay,
             transport_latency: transport,
-            total: outcome.queueing_delay.saturating_add(transport),
+            total: queueing_delay.saturating_add(transport),
         })
     }
 }
@@ -733,6 +690,7 @@ impl HostAgent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::StorageBackend;
     use leap_sim_core::units::PAGE_SIZE;
 
     fn agent_with(cluster: RemoteCluster, replication: usize) -> HostAgent {
@@ -798,7 +756,7 @@ mod tests {
     #[test]
     fn io_counts_and_latency_composition() {
         let mut agent = agent_with(RemoteCluster::homogeneous(2, 8), 1);
-        agent.backend = StorageBackend::constant(Nanos::from_micros(4));
+        agent.device.backend = StorageBackend::constant(Nanos::from_micros(4));
         let r = agent
             .remote_io(RemoteIoKind::Read, 0, 0, Nanos::ZERO)
             .unwrap();
@@ -813,7 +771,7 @@ mod tests {
     #[test]
     fn back_to_back_reads_on_one_core_queue_up() {
         let mut agent = agent_with(RemoteCluster::homogeneous(2, 8), 1);
-        agent.backend = StorageBackend::constant(Nanos::from_micros(4));
+        agent.device.backend = StorageBackend::constant(Nanos::from_micros(4));
         let first = agent
             .remote_io(RemoteIoKind::Read, 0, 3, Nanos::ZERO)
             .unwrap();
@@ -836,7 +794,7 @@ mod tests {
     #[test]
     fn failed_machine_triggers_failover_to_survivor() {
         let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-        agent.backend = StorageBackend::constant(Nanos::from_micros(4));
+        agent.device.backend = StorageBackend::constant(Nanos::from_micros(4));
         let primary = agent.ensure_mapped(0).unwrap();
         // Kill the primary; the slab must fail over to the surviving replica
         // and re-replicate exactly once.
@@ -879,7 +837,7 @@ mod tests {
         // exactly once, whichever copy was lost.
         for lose_primary in [true, false] {
             let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-            agent.backend = StorageBackend::constant(Nanos::from_micros(4));
+            agent.device.backend = StorageBackend::constant(Nanos::from_micros(4));
             let read = |agent: &mut HostAgent, page: u64| {
                 agent
                     .remote_io(RemoteIoKind::Read, page, 0, Nanos::ZERO)
@@ -989,9 +947,9 @@ mod tests {
             target_tenant: 0,
         };
         let mut agent = agent_with(RemoteCluster::homogeneous(4, 16), 2);
-        agent.backend = StorageBackend::constant(Nanos::from_micros(40));
-        agent.install_fault_plan(FaultPlan::from_spec(7, &spec, 4));
-        assert_eq!(agent.plan.failures().len(), 1);
+        agent.device.backend = StorageBackend::constant(Nanos::from_micros(40));
+        agent.install_faults(7, &spec, RecoveryPolicy::none());
+        assert_eq!(agent.device.plan.failures().len(), 1);
         // Before the failure time: healthy, and queue 0 goes busy until 40 µs.
         let _ = agent
             .remote_io(RemoteIoKind::Read, 0, 0, Nanos::ZERO)
@@ -1213,7 +1171,7 @@ mod tests {
         spec.target_tenant = 2;
         let run = |tenant: u32, spec: &FaultSpec| {
             let mut agent = agent_with(RemoteCluster::homogeneous(4, 64), 2);
-            agent.install_fault_plan(FaultPlan::from_spec(11, spec, 4));
+            agent.install_faults(11, spec, RecoveryPolicy::none());
             agent.set_active_tenant(tenant);
             let mut out = Vec::new();
             for i in 0..200u64 {

@@ -157,7 +157,8 @@ impl StorageBackend {
     }
 
     /// Samples the latency of a 4 KB write.
-    pub fn write_latency(&self, rng: &mut DetRng) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn write_latency(&self, rng: &mut DetRng) -> Nanos {
         self.write.sample(rng)
     }
 

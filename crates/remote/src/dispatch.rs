@@ -10,32 +10,15 @@
 use leap_sim_core::Nanos;
 
 /// Per-core dispatch queues with queueing-delay accounting.
-///
-/// # Examples
-///
-/// ```
-/// use leap_remote::DispatchQueues;
-/// use leap_sim_core::Nanos;
-///
-/// let mut queues = DispatchQueues::new(2);
-/// // Two back-to-back requests on core 0, each taking 4 µs of service time.
-/// let first = queues.dispatch(0, Nanos::ZERO, Nanos::from_micros(4));
-/// let second = queues.dispatch(0, Nanos::ZERO, Nanos::from_micros(4));
-/// assert_eq!(first.queueing_delay, Nanos::ZERO);
-/// assert_eq!(second.queueing_delay, Nanos::from_micros(4));
-/// // A request on core 1 is unaffected: the queues are independent.
-/// let other = queues.dispatch(1, Nanos::ZERO, Nanos::from_micros(4));
-/// assert_eq!(other.queueing_delay, Nanos::ZERO);
-/// ```
 #[derive(Debug, Clone)]
-pub struct DispatchQueues {
+pub(crate) struct DispatchQueues {
     /// Completion time of the last request staged on each queue.
     busy_until: Vec<Nanos>,
 }
 
 /// The outcome of staging one request on a dispatch queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DispatchOutcome {
+pub(crate) struct DispatchOutcome {
     /// Time spent waiting behind earlier requests on the same queue.
     pub queueing_delay: Nanos,
     /// Absolute time at which the request completes.
@@ -48,7 +31,7 @@ impl DispatchQueues {
     /// # Panics
     ///
     /// Panics if `cores` is zero.
-    pub fn new(cores: usize) -> Self {
+    pub(crate) fn new(cores: usize) -> Self {
         assert!(cores > 0, "DispatchQueues needs at least one core");
         DispatchQueues {
             busy_until: vec![Nanos::ZERO; cores],
@@ -60,7 +43,12 @@ impl DispatchQueues {
     ///
     /// The core index is reduced modulo the number of queues, so callers can
     /// pass a raw CPU id without worrying about the queue count.
-    pub fn dispatch(&mut self, core: usize, now: Nanos, service_time: Nanos) -> DispatchOutcome {
+    pub(crate) fn dispatch(
+        &mut self,
+        core: usize,
+        now: Nanos,
+        service_time: Nanos,
+    ) -> DispatchOutcome {
         let idx = core % self.busy_until.len();
         let start = self.busy_until[idx].max(now);
         let queueing_delay = start.saturating_sub(now);

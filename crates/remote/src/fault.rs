@@ -246,7 +246,7 @@ impl PartitionEpoch {
 
 /// The fault modifiers in force at one instant, as seen by a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultModifiers {
+pub(crate) struct FaultModifiers {
     /// Product of all active epoch multipliers, in thousandths.
     pub multiplier_milli: u64,
     /// Total reconnect penalty owed by a request issued now.
@@ -265,18 +265,14 @@ impl FaultModifiers {
         spike_active: false,
         degraded_active: false,
     };
-
-    /// True if these modifiers leave the request untouched.
-    pub fn is_identity(&self) -> bool {
-        *self == FaultModifiers::IDENTITY
-    }
 }
 
 /// A concrete, fully expanded fault schedule.
 ///
-/// Built once from `(seed, spec, machine_count)` and installed into the
-/// remote agent (or the legacy data path); identical inputs always expand to
-/// the identical plan, in either replay mode.
+/// Built once from `(seed, spec, machine_count)` and installed into a
+/// [`crate::Device`] (by the host agent, or by the legacy data path);
+/// identical inputs always expand to the identical plan, in either replay
+/// mode.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     spec: FaultSpec,
@@ -331,7 +327,7 @@ impl FaultPlan {
     /// True if the plan's epochs and partitions apply to accesses issued by
     /// `tenant`. A `target_tenant` of zero targets everyone; tenant zero
     /// (untagged traffic) is only hit by untargeted plans.
-    pub fn applies_to_tenant(&self, tenant: u32) -> bool {
+    pub(crate) fn applies_to_tenant(&self, tenant: u32) -> bool {
         self.spec.target_tenant == 0 || tenant == self.spec.target_tenant
     }
 
@@ -341,8 +337,8 @@ impl FaultPlan {
     /// simulation component shares, so plan expansion never perturbs healthy
     /// runs. `machine_count` is the size of the cluster the plan targets;
     /// failures are capped at `machine_count - 1` so at least one machine
-    /// survives (a count of zero disables failures entirely, which is how
-    /// the cluster-less legacy data path opts out).
+    /// survives (a count of zero disables failures and partitions entirely,
+    /// which is how a device with no cluster behind it opts out).
     pub fn from_spec(seed: u64, spec: &FaultSpec, machine_count: u32) -> Self {
         if !spec.is_active() {
             return FaultPlan::empty();
@@ -461,7 +457,7 @@ impl FaultPlan {
     /// O(log E) in the plan's E epochs. Either way `cursor` ends as the
     /// number of segments started by `now`.
     #[inline]
-    pub fn modifiers_from(&self, cursor: &mut usize, now: Nanos) -> FaultModifiers {
+    pub(crate) fn modifiers_from(&self, cursor: &mut usize, now: Nanos) -> FaultModifiers {
         let segments = &self.segments;
         let started = |past: usize| past < segments.len() && segments[past].0 <= now;
         let mut past = (*cursor).min(segments.len());
@@ -626,10 +622,15 @@ impl FaultInjectionStats {
     /// in force: counts it against an active latency spike, degraded epoch
     /// and reconnect storm, folds one tagged word per modifier into the
     /// checksum, and returns `latency` (already scaled by
-    /// `mods.multiplier_milli`) plus the reconnect penalty it owes. The
-    /// remote agent and the legacy block path both charge through here.
+    /// `mods.multiplier_milli`) plus the reconnect penalty it owes.
+    /// [`crate::Device::transfer`] charges every request through here.
     #[inline]
-    pub fn charge_modifiers(&mut self, mods: &FaultModifiers, latency: Nanos, now: Nanos) -> Nanos {
+    pub(crate) fn charge_modifiers(
+        &mut self,
+        mods: &FaultModifiers,
+        latency: Nanos,
+        now: Nanos,
+    ) -> Nanos {
         if mods.spike_active {
             self.spiked_requests += 1;
             self.record(0x5b1c_e000u64 ^ now.as_nanos());
@@ -835,9 +836,10 @@ mod tests {
 
     #[test]
     fn modifiers_compose_multiplicatively() {
-        assert!(FaultPlan::empty()
-            .modifiers_at(Nanos::from_micros(5))
-            .is_identity());
+        assert_eq!(
+            FaultPlan::empty().modifiers_at(Nanos::from_micros(5)),
+            FaultModifiers::IDENTITY
+        );
         let spec = FaultSpec {
             reconnect_penalty: Nanos::from_micros(10),
             ..FaultSpec::none()
@@ -871,7 +873,10 @@ mod tests {
         let storm = plan.modifiers_at(Nanos::from_micros(130));
         assert_eq!(storm.multiplier_milli, 3_000);
         assert_eq!(storm.reconnect_penalty, Nanos::from_micros(10));
-        assert!(plan.modifiers_at(Nanos::from_micros(500)).is_identity());
+        assert_eq!(
+            plan.modifiers_at(Nanos::from_micros(500)),
+            FaultModifiers::IDENTITY
+        );
     }
 
     /// A plan of `(kind, start, len, multiplier)` epochs whose spikes,

@@ -12,6 +12,8 @@
 //! - [`agent`]: the host agent — slab placement with the power of two
 //!   choices, optional replication, and address translation from swap-slot
 //!   offsets to `(machine, slab)` locations.
+//! - [`device`]: the transfer both data paths share — a backend behind its
+//!   per-core dispatch queues, under the installed fault schedule.
 //! - [`dispatch`]: per-core RDMA dispatch queues with queueing-delay
 //!   accounting.
 //! - [`fault`]: seeded, deterministic fault injection — latency-spike and
@@ -24,6 +26,7 @@
 
 pub mod agent;
 pub mod backend;
+pub mod device;
 pub mod dispatch;
 pub mod fault;
 pub mod recovery;
@@ -31,9 +34,7 @@ pub mod slab;
 
 pub use agent::{HostAgent, HostAgentConfig, RemoteIoKind};
 pub use backend::{BackendKind, StorageBackend};
-pub use dispatch::DispatchQueues;
+pub use device::Device;
 pub use fault::{FaultInjectionStats, FaultPlan, FaultSpec};
-pub use recovery::{
-    recovery_stream_seed, RecoveryPolicy, RecoveryStats, TenantRecovery, RECOVERY_SALT,
-};
+pub use recovery::{RecoveryPolicy, RecoveryStats, TenantRecovery, RECOVERY_SALT};
 pub use slab::{RemoteCluster, DEFAULT_SLAB_BYTES};

@@ -26,11 +26,11 @@ use serde::{Deserialize, Serialize};
 /// (`fault::FAULT_SALT`).
 pub const RECOVERY_SALT: u64 = 0x7ec0_4e8a_9a1b_5afe;
 
-/// Derives the recovery stream seed for a run. Callers pass this to
-/// `HostAgent::install_recovery` so every shard derives per-request streams
-/// from the same root.
+/// Derives the recovery stream seed for a run.
+/// [`crate::HostAgent::install_faults`] salts the run seed with it, so every
+/// shard derives per-request streams from the same root.
 #[must_use]
-pub fn recovery_stream_seed(run_seed: u64) -> u64 {
+pub(crate) fn recovery_stream_seed(run_seed: u64) -> u64 {
     run_seed ^ RECOVERY_SALT
 }
 
@@ -123,9 +123,12 @@ impl Default for RecoveryPolicy {
 }
 
 /// Aggregate recovery accounting, merged across shards into
-/// `RunResult.recovery_stats`. The checksum uses the same FNV drift scheme as
-/// `FaultInjectionStats`: order-insensitive within a shard stream and under
-/// cross-shard merge, sensitive to any change in the set of recorded events.
+/// `RunResult.recovery_stats`. The checksum adds one FNV-mixed word per
+/// recovery event, so it is order-insensitive within a shard stream and
+/// sensitive to any change in the set of recorded events; shards merge by
+/// summing drifts from the seed. `FaultInjectionStats` merges the same way
+/// but folds its words in order (`checksum_fold`), so its per-shard
+/// checksum is order-sensitive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryStats {
     /// Attempts that blew their (epoch-scaled) deadline and were cancelled.

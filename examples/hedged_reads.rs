@@ -18,9 +18,7 @@
 
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
 use leap_repro::leap_metrics::{LatencyHistogram, TextTable};
-use leap_repro::leap_remote::{
-    recovery_stream_seed, FaultPlan, FaultSpec, RecoveryPolicy, RecoveryStats,
-};
+use leap_repro::leap_remote::{FaultSpec, RecoveryPolicy, RecoveryStats};
 use leap_repro::leap_sim_core::{DetRng, Nanos};
 
 const SEED: u64 = 2020;
@@ -30,15 +28,7 @@ const CORES: u64 = 4;
 /// Replays `READS` page reads spread uniformly over the storm window.
 fn run(spec: &FaultSpec, policy: RecoveryPolicy) -> (LatencyHistogram, RecoveryStats) {
     let mut path = LeanDataPath::with_default_cluster(DetRng::seed_from(SEED));
-    if spec.is_active() {
-        let machines = path.agent().cluster().len() as u32;
-        path.agent_mut()
-            .install_fault_plan(FaultPlan::from_spec(SEED, spec, machines));
-    }
-    if policy.is_active() {
-        path.agent_mut()
-            .install_recovery(policy, recovery_stream_seed(SEED));
-    }
+    path.install_faults(SEED, spec, policy);
     let span = spec.horizon.saturating_sub(spec.start).as_nanos().max(1);
     let mut latencies = LatencyHistogram::default();
     for i in 0..READS {

@@ -212,7 +212,7 @@ fn failed_machine_slabs_are_rereplicated_exactly_once_and_rereads_succeed() {
         horizon: Nanos::from_micros(20),
         ..FaultSpec::none()
     };
-    agent.install_fault_plan(FaultPlan::from_spec(11, &spec, 4));
+    agent.install_faults(11, &spec, RecoveryPolicy::none());
 
     // Re-read every slab after the failure fires: all reads must succeed.
     let after = Nanos::from_micros(50);

@@ -28,7 +28,7 @@ use leap_repro::leap_prefetcher::{
     LeapConfig, LeapPrefetcher, PageAddr, Prefetcher, PrefetcherKind, INLINE_DECISION_PAGES,
 };
 use leap_repro::leap_remote::{
-    FaultPlan, FaultSpec, HostAgent, HostAgentConfig, RemoteCluster, RemoteIoKind,
+    FaultSpec, HostAgent, HostAgentConfig, RecoveryPolicy, RemoteCluster, RemoteIoKind,
 };
 use leap_repro::leap_sim_core::{DetRng, Nanos};
 use leap_repro::leap_workloads::{Access, AccessTrace};
@@ -245,7 +245,7 @@ fn remote_io_does_not_allocate_in_steady_state() {
         horizon: Nanos::from_millis(40),
         ..FaultSpec::none()
     };
-    agent.install_fault_plan(FaultPlan::from_spec(21, &spec, 8));
+    agent.install_faults(21, &spec, RecoveryPolicy::none());
     let pages: Vec<u64> = (0..8u64).map(|i| i * 3).collect();
     // Warm up: map every slab the requests touch.
     let mut now = Nanos::ZERO;

@@ -16,7 +16,6 @@
 //! `RecoveryPolicy::validate` rule as a typed `InvalidRecoveryPolicy`.
 
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
-use leap_repro::leap_remote::{recovery_stream_seed, FaultPlan};
 use leap_repro::leap_sim_core::{DetRng, Nanos};
 use leap_repro::leap_workloads::ingest::ingest_path;
 use leap_repro::leap_workloads::AccessTrace;
@@ -147,9 +146,6 @@ proptest! {
         let retries_with = |timeout: Nanos| {
             let mut path = LeanDataPath::with_default_cluster(DetRng::seed_from(seed));
             let storm = FaultSpec::canonical_storm();
-            let machines = path.agent().cluster().len() as u32;
-            path.agent_mut()
-                .install_fault_plan(FaultPlan::from_spec(seed, &storm, machines));
             let policy = RecoveryPolicy {
                 timeout,
                 max_retries: 3,
@@ -158,8 +154,7 @@ proptest! {
                 hedge_delay: Nanos::ZERO,
             };
             assert!(policy.validate().is_ok());
-            path.agent_mut()
-                .install_recovery(policy, recovery_stream_seed(seed));
+            path.install_faults(seed, &storm, policy);
             let span = storm.horizon.saturating_sub(storm.start).as_nanos().max(1);
             const READS: u64 = 400;
             for i in 0..READS {

@@ -47,8 +47,6 @@ REASONS = {
     "ArenaReport": "returned by `arena::run_arena`, which the `arena` binary calls",
     "ArenaTrace": "returned by `arena::build_corpus`, which tests/arena_errors.rs calls",
     "CoreStats": "element of `CoreActivity::per_core`, which examples/multi_tenant.rs reads",
-    "DispatchOutcome": "returned by `DispatchQueues::dispatch`, which leap-datapath calls",
-    "FaultModifiers": "returned by `FaultPlan::modifiers_from`, which leap-datapath calls",
     "FigureArgs": "returned by `parse_figure_args`, which the `all_figures` binary calls",
     "FxHasher": "named by the public `FxHashMap` alias",
     "MachineId": "returned by `HostAgent::ensure_mapped`, which tests/fault_injection.rs calls",

@@ -8,23 +8,19 @@
 //! update — which is why a miss lands within a few µs of the raw RDMA time
 //! (Figure 6).
 
-use crate::stages::{DataPath, PathLatency, Stage};
+use crate::stages::{DataPath, PathLatency, Stage, CACHE_LOOKUP, MMU_UPDATE};
 use leap_remote::{
     FaultInjectionStats, FaultSpec, HostAgent, HostAgentConfig, RecoveryPolicy, RemoteCluster,
     RemoteIoKind,
 };
 use leap_sim_core::{DetRng, Nanos, TableLatency};
 
-/// Median cache (swap cache) lookup cost.
-const CACHE_LOOKUP: Nanos = Nanos(270);
 /// Median cost of the prefetcher (trend detection + candidate generation).
 /// The paper's ~400-line kernel prefetcher costs well under a µs per fault
 /// even at Hsize = 32 (§3.3).
 const PREFETCHER: Nanos = Nanos(350);
 /// Median cost of the remote I/O interface (slot lookup + RDMA post).
 const REMOTE_INTERFACE: Nanos = Nanos(600);
-/// Median MMU/page-table update cost (2.1 µs).
-const MMU_UPDATE: Nanos = Nanos(2_100);
 /// Log-space sigma for the software stages (small: these are short,
 /// predictable code paths).
 const SOFTWARE_SIGMA: f64 = 0.2;

@@ -8,14 +8,12 @@
 //! MMU work), with heavy-tailed variance: the paper notes the preparation and
 //! batching stages vary enough to pull the average far from the median.
 
-use crate::stages::{DataPath, PathLatency, Stage};
+use crate::stages::{DataPath, PathLatency, Stage, CACHE_LOOKUP, MMU_UPDATE};
 use leap_remote::{
     BackendKind, Device, FaultInjectionStats, FaultSpec, RecoveryPolicy, RemoteIoKind,
 };
 use leap_sim_core::{DetRng, Nanos, TableLatency};
 
-/// Median cache (swap cache / VFS cache) lookup cost.
-const CACHE_LOOKUP: Nanos = Nanos(270);
 /// Median bio construction / request preparation cost (10.04 µs).
 const BIO_PREPARATION: Nanos = Nanos(10_040);
 /// Median plugging + merging + sorting + staging cost. Figure 1 folds
@@ -24,8 +22,6 @@ const BIO_PREPARATION: Nanos = Nanos(10_040);
 const QUEUEING_BATCHING: Nanos = Nanos(17_500);
 /// Median I/O scheduler dispatch cost (4.38 µs).
 const DISPATCH: Nanos = Nanos(4_380);
-/// Median MMU/page-table update cost (2.1 µs).
-const MMU_UPDATE: Nanos = Nanos(2_100);
 /// Log-space sigma applied to the block-layer stages (they are the variable
 /// ones).
 const BLOCK_LAYER_SIGMA: f64 = 0.6;

@@ -34,6 +34,7 @@ use crate::result::RunResult;
 use crate::sched::CoreScheduler;
 use crate::session::{AccessOutcome, FaultEvent, Simulator};
 use crate::slots::{pid_slot, Slots};
+use leap_datapath::stages::CACHE_LOOKUP;
 use leap_mem::{
     EvictionPolicy, MemoryLimit, PageState, PageTable, Pid, ShardedSwap, SwapSlot, VirtPage,
 };
@@ -47,8 +48,6 @@ use leap_workloads::{Access, AccessTrace};
 const LOCAL_ACCESS: Nanos = Nanos(100);
 /// Cost of a demand-zero minor fault (allocate + zero + map).
 const MINOR_FAULT: Nanos = Nanos(1_500);
-/// Cost of looking up the swap cache on the fault path.
-const CACHE_LOOKUP: Nanos = Nanos(270);
 /// Cost of mapping a page that is already present in the swap cache (no I/O,
 /// no new frame: just the PTE update and bookkeeping).
 const FAST_MAP: Nanos = Nanos(400);

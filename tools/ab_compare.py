@@ -5,11 +5,14 @@
                                 [--seconds S] [--seed N] [--trace 0|1]
 
 Run from anywhere inside the repository. The base side is REV's committed
-files, unpacked with `git archive` under the work directory (default
-`.ab_build/` at the repository root) and built into its own target
-directory there. The change side is this checkout as it stands, built into
-`.bench_build/`, where `perfbench/run.py` puts it by default. Each side runs
-its own `perfbench/run.py`.
+files, unpacked with `git archive` into `<work>/base-<commit>/src` (the work
+directory defaults to `.ab_build/` at the repository root). The change side
+is this checkout as it stands, its tracked and untracked, non-ignored files
+copied once into `<work>/head-<stamp>/src`, where the stamp hashes HEAD, the
+tracked changes against it and the untracked files. Both names carry 12 hex
+digits, so the two sides build from paths of equal length, each into the
+`target/` beside its `src/`, and run their own `perfbench/run.py`. Edits
+made to the checkout after the copy do not reach the comparison.
 
 For every workload the script runs N pairs, alternating which side goes
 first, and prints, per metric, each side's median and quartiles, the
@@ -18,13 +21,6 @@ better direction `BENCHMARK.json` declares). It also prints the failed
 replays of each side. The exit status is 1 when any `sim_*` metric differs
 between any two runs of a workload (simulated results must not depend on
 the code's speed), 2 when a run gave no result, and 0 otherwise.
-
-Every change-side run rebuilds from the checkout, so an edit made while the
-comparison runs would mix two trees into one side's medians. The script
-therefore stamps the checkout before the first run (a hash of HEAD, the
-tracked changes against it and every untracked, non-ignored file) and
-checks the stamp before each change-side run; if it moved, the script stops
-with exit status 3.
 """
 
 import argparse
@@ -72,24 +68,43 @@ def unpack(root: Path, rev: str, work: Path) -> Path:
     return tree
 
 
-def tree_stamp(root: Path, skip: list) -> str:
-    """A hash of the checkout as the change side builds it: HEAD, the
-    tracked changes against it, and every untracked, non-ignored file
-    outside the `skip` directories (the builds' own output)."""
+def snapshot(root: Path, work: Path) -> Path:
+    """The checkout as it stands under `work`, copied once per content.
+
+    The copy holds every tracked file still present and every untracked,
+    non-ignored one, outside `work` itself. Its directory is named after a
+    hash of HEAD, the tracked changes against it and the untracked files,
+    so an unchanged checkout reuses its copy and a changed one gets a new
+    one. Like `unpack`, the files land beside `src/` and are renamed to it
+    once complete.
+    """
     def output(*args: str) -> bytes:
         return subprocess.run(["git", *args], cwd=root, check=True,
                               stdout=subprocess.PIPE).stdout
 
     top = root.resolve()
-    excludes = [f":(exclude){p.resolve().relative_to(top)}"
-                for p in skip if p.resolve().is_relative_to(top)]
+    excludes = ([f":(exclude){work.resolve().relative_to(top)}"]
+                if work.resolve().is_relative_to(top) else [])
     stamp = hashlib.sha256(output("rev-parse", "HEAD"))
     stamp.update(output("diff", "--binary", "HEAD"))
     untracked = output("ls-files", "-z", "--others", "--exclude-standard", "--", ".", *excludes)
     for name in filter(None, untracked.decode().split("\0")):
         stamp.update(name.encode() + b"\0")
         stamp.update((root / name).read_bytes())
-    return stamp.hexdigest()
+    tree = work / f"head-{stamp.hexdigest()[:12]}"
+    src = tree / "src"
+    if not src.is_dir():
+        partial = tree / "src.partial"
+        shutil.rmtree(partial, ignore_errors=True)
+        files = output("ls-files", "-z", "--cached", "--others", "--exclude-standard",
+                       "--", ".", *excludes)
+        for name in filter(None, files.decode().split("\0")):
+            source = root / name
+            if source.is_symlink() or source.is_file():
+                (partial / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(source, partial / name, follow_symlinks=False)
+        partial.rename(src)
+    return tree
 
 
 def run_once(tree: Path, target: Path, workload: str, args) -> dict:
@@ -183,25 +198,18 @@ def main() -> int:
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     work = root / args.work_dir
-    base_tree = unpack(root, args.base, work)
     sides = {
-        "base": (base_tree / "src", base_tree / "target"),
-        "head": (root, root / os.environ.get("CARGO_TARGET_DIR", ".bench_build")),
+        side: (tree / "src", tree / "target")
+        for side, tree in (("base", unpack(root, args.base, work)),
+                           ("head", snapshot(root, work)))
     }
     better = directions(root)
-    skip = [work, sides["head"][1]]
-    stamp = tree_stamp(root, skip)
     identical, complete = True, True
     for workload in workloads:
         runs = {"base": [], "head": []}
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
-                if side == "head" and tree_stamp(root, skip) != stamp:
-                    print(f"\nab_compare: the checkout changed during the comparison "
-                          f"({workload}, pair {pair + 1}); the change side would mix two "
-                          "trees, so no result is reported", file=sys.stderr)
-                    return 3
                 tree, target = sides[side]
                 result = run_once(tree, target, workload, args)
                 complete &= "metrics" in result

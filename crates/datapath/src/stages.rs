@@ -2,7 +2,6 @@
 
 use leap_remote::{FaultInjectionStats, FaultSpec, RecoveryPolicy};
 use leap_sim_core::Nanos;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::AddAssign;
 
@@ -23,7 +22,7 @@ pub(crate) const MMU_UPDATE: Nanos = Nanos(2_100);
 /// legacy block-layer path; the device/transport stage is where the HDD, SSD,
 /// or RDMA access happens; Leap adds its own (much cheaper) prefetcher and
 /// remote-interface stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     /// Page-cache (swap cache / VFS cache) lookup.
     CacheLookup,
@@ -94,7 +93,7 @@ impl fmt::Display for Stage {
 }
 
 /// One stage's contribution to a request's latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StageLatency {
     /// Which stage.
     pub stage: Stage,

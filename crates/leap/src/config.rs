@@ -14,10 +14,9 @@ pub use leap_eviction::EvictionPolicy;
 use leap_prefetcher::PrefetcherKind;
 use leap_remote::{BackendKind, FaultSpec, RecoveryPolicy};
 use leap_sim_core::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Which data path serves cache misses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataPathKind {
     /// The default Linux block-layer path (§2.2, Figure 1).
     LinuxDefault,
@@ -52,7 +51,7 @@ impl DataPathKind {
 /// Front-ends without per-core shard state (the VFS simulator, the VMM
 /// without per-process isolation) replay as one worker stepped in the
 /// scheduler's global interleaving, regardless of the configured mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplayMode {
     /// The calling thread runs the core shards one after another.
     Serial,
@@ -80,7 +79,7 @@ impl ReplayMode {
 /// [`SimConfig::builder`] / [`SimConfig::to_builder`] so invalid
 /// combinations are rejected with a [`ConfigError`] instead of surfacing as
 /// nonsense results.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// The prefetching algorithm.
     pub prefetcher: PrefetcherKind,

@@ -6,7 +6,6 @@
 //! when it is reclaimed; charges beyond the limit must trigger reclaim first.
 
 use leap_sim_core::units::bytes_to_pages;
-use serde::{Deserialize, Serialize};
 
 /// A memory limit expressed in pages, with current usage accounting.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// limit.uncharge(1);
 /// assert!(limit.try_charge(1));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryLimit {
     limit_pages: u64,
     used_pages: u64,

@@ -16,7 +16,6 @@
 use crate::types::{Pid, SwapSlot};
 use leap_sim_core::hash::{fx_map_with_capacity, FxHashMap};
 use leap_sim_core::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::Entry;
 
 /// How a page entered the swap cache.
@@ -29,7 +28,7 @@ pub enum CacheOrigin {
 }
 
 /// Which prefetch-cache eviction policy a cache follows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Kernel-style lazy background LRU reclaim (§2.3): every entry is on
     /// the LRU, and a hit only moves it to the most recently used end.

@@ -1,15 +1,12 @@
 //! Identifier types for the memory-management substrate.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A process identifier.
 ///
 /// Leap isolates page-access tracking per process (§4.1); the simulator uses
 /// `Pid` to key per-process page tables, access histories, and prefetchers.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Pid(pub u32);
 
 impl fmt::Display for Pid {
@@ -19,9 +16,7 @@ impl fmt::Display for Pid {
 }
 
 /// A virtual page number within one process's address space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtPage(pub u64);
 
 impl fmt::Display for VirtPage {
@@ -35,9 +30,7 @@ impl fmt::Display for VirtPage {
 /// Swap slots are what the remote-memory backend stores and what the Leap
 /// prefetcher observes: the page access tracker records *swap-offset* deltas,
 /// not virtual-address deltas.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SwapSlot(pub u64);
 
 impl fmt::Display for SwapSlot {

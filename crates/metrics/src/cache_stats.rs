@@ -1,7 +1,5 @@
 //! Cache counters: adds, hits, misses, evictions, pollution.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters describing how a (prefetch) cache behaved during a run.
 ///
 /// These feed Figure 9a of the paper ("Cache Add" / "Cache Miss" per
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.cache_adds(), 4);
 /// assert_eq!(stats.hit_ratio(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     cache_adds: u64,
     prefetch_hits: u64,

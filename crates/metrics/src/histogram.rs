@@ -1,7 +1,6 @@
 //! Latency histograms with percentile queries.
 
 use leap_sim_core::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// A collection of latency samples supporting percentile and mean queries.
 ///
@@ -31,13 +30,12 @@ use serde::{Deserialize, Serialize};
 /// Two histograms are equal when they hold the same multiset of samples,
 /// whatever order the samples were recorded or merged in and whether or
 /// not a query has sorted either side.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyHistogram {
     /// Samples below 2³² ns.
     small: Vec<u32>,
     /// Samples of 2³² ns and above.
     large: Vec<u64>,
-    #[serde(skip)]
     sorted: bool,
 }
 

@@ -16,7 +16,6 @@
 //! and `Threaded` replays agree bit-for-bit.
 
 use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
-use serde::{Deserialize, Serialize};
 
 /// Event tags folded into the checksum ahead of each event word, so the
 /// stream distinguishes a covered slot from a prefetched one.
@@ -48,7 +47,7 @@ const TAG_WASTED_UNCONSUMED: u64 = 0x55;
 /// assert_eq!(outcomes.wasted(), 1);
 /// assert!((outcomes.wasted_ratio() - 0.5).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrefetchOutcomes {
     /// Pages admitted into the cache by prefetching (one event per page).
     prefetched: u64,

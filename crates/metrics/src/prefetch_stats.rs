@@ -2,7 +2,6 @@
 
 use crate::histogram::LatencyHistogram;
 use leap_sim_core::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Accuracy, coverage, and timeliness accounting for one prefetcher run.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(stats.accuracy(), 0.25);
 /// assert_eq!(stats.coverage(), 0.5);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrefetchStats {
     pages_prefetched: u64,
     prefetch_hits: u64,

@@ -17,10 +17,9 @@ use crate::history::{AccessHistory, DEFAULT_HISTORY_SIZE};
 use crate::trend::{find_trend, TrendOutcome, DEFAULT_N_SPLIT};
 use crate::types::{Delta, PageAddr, PrefetchDecision, Prefetcher, PrefetcherKind};
 use crate::window::{PrefetchWindow, DEFAULT_MAX_WINDOW};
-use serde::{Deserialize, Serialize};
 
 /// Configuration for a [`LeapPrefetcher`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LeapConfig {
     /// `Hsize`: number of deltas kept in the access history (paper default 32).
     pub history_size: usize,

@@ -13,14 +13,13 @@
 
 use crate::history::AccessHistory;
 use crate::types::Delta;
-use serde::{Deserialize, Serialize};
 
 /// Default number of splits of the history used to size the initial
 /// detection window (`Nsplit` in Algorithm 1).
 pub(crate) const DEFAULT_N_SPLIT: usize = 4;
 
 /// The outcome of a trend-detection attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrendOutcome {
     /// A majority delta was found within some detection window.
     Trend {

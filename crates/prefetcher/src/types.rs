@@ -1,7 +1,6 @@
 //! Shared types for the prefetcher crate: page addresses, deltas, the
 //! [`Prefetcher`] trait, and prefetch decisions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A page address in the slower-memory (swap / remote) offset space.
@@ -9,9 +8,7 @@ use std::fmt;
 /// Leap records accesses at page granularity: for paging front-ends this is
 /// the swap-slot offset, for VFS front-ends it is the file page index. The
 /// prefetcher never needs to know which.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PageAddr(pub u64);
 
 impl PageAddr {
@@ -56,9 +53,7 @@ impl fmt::Display for PageAddr {
 ///
 /// `AccessHistory` stores deltas rather than absolute addresses (§4.1): this
 /// keeps the history compact and makes majority voting directly meaningful.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Delta(pub i64);
 
 impl Delta {
@@ -84,7 +79,7 @@ impl fmt::Display for Delta {
 /// Which prefetching algorithm a component is using.
 ///
 /// Used by the experiment harness to parameterise runs and label results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrefetcherKind {
     /// No prefetching at all; only the demanded page is read.
     None,

@@ -8,13 +8,11 @@
 //! hits drop, and suspends prefetching entirely when there have been no hits
 //! and the faulting page does not even follow the current trend.
 
-use serde::{Deserialize, Serialize};
-
 /// Default maximum prefetch window used in the paper's evaluation (§5).
 pub(crate) const DEFAULT_MAX_WINDOW: usize = 8;
 
 /// State for Algorithm 2's prefetch-window computation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct PrefetchWindow {
     /// Maximum window size (`PWsize_max`).
     max_size: usize,

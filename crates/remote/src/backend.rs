@@ -9,10 +9,9 @@
 //! meaningful.
 
 use leap_sim_core::{DetRng, Nanos, TableLatency};
-use serde::{Deserialize, Serialize};
 
 /// The kind of slower-tier backing store a page lives on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// A spinning disk (average 4 KB access ≈ 91.5 µs).
     Hdd,

@@ -21,7 +21,6 @@
 
 use leap_sim_core::hash::{checksum_fold, CHECKSUM_SEED};
 use leap_sim_core::{DetRng, Nanos, MULTIPLIER_IDENTITY_MILLI};
-use serde::{Deserialize, Serialize};
 
 /// Salt folded into the run seed before expanding a plan, so the fault
 /// schedule draws from its own stream and leaves component streams untouched.
@@ -33,7 +32,7 @@ const FAULT_SALT: u64 = 0x8F1B_BCDC_FA17_71AD;
 /// epochs and failure events. A spec with all counts zero (see
 /// [`FaultSpec::none`]) injects nothing and reproduces healthy runs
 /// byte-for-byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FaultSpec {
     /// Number of latency-spike epochs to schedule.
     pub latency_spikes: u32,
@@ -566,7 +565,7 @@ fn compose_multiplier_milli(a: u64, b: u64) -> u64 {
 /// (FNV-style, the same constants as the engine's pipeline stats) and merges
 /// across shards with a commutative `wrapping_add`, so `Serial` and
 /// `Threaded` replays of the same `(seed, plan)` agree bit-for-bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultInjectionStats {
     /// Requests served during at least one latency-spike epoch.
     pub spiked_requests: u64,

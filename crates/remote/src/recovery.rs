@@ -19,7 +19,6 @@
 
 use leap_sim_core::hash::{CHECKSUM_PRIME, CHECKSUM_SEED};
 use leap_sim_core::{DetRng, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Salt applied to the run seed to derive the recovery stream, keeping it
 /// disjoint from the agent stream and the fault-plan stream
@@ -44,7 +43,7 @@ pub(crate) fn request_stream(recovery_seed: u64, ordinal: u64) -> DetRng {
 
 /// Recovery knobs carried by `SimConfig`. All-zero (`none()`) disables the
 /// layer entirely; the data path then takes the exact pre-recovery code path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RecoveryPolicy {
     /// Virtual-time deadline for one attempt, expressed in healthy-fabric
     /// terms; the agent scales it by the active epoch multiplier so a known
@@ -129,7 +128,7 @@ impl Default for RecoveryPolicy {
 /// summing drifts from the seed. `FaultInjectionStats` merges the same way
 /// but folds its words in order (`checksum_fold`), so its per-shard
 /// checksum is order-sensitive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Attempts that blew their (epoch-scaled) deadline and were cancelled.
     pub deadline_timeouts: u64,
@@ -204,7 +203,7 @@ impl Default for RecoveryStats {
 
 /// Per-tenant recovery ledger surfaced through the service layer's QoS
 /// report. Only populated for accesses attributed to a non-zero tenant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantRecovery {
     /// Retries charged to this tenant's accesses.
     pub retries: u64,

@@ -5,7 +5,6 @@
 //! lookup) and ~91.5 µs (HDD access), so a `u64` nanosecond counter covers
 //! multi-hour simulations without overflow.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -26,9 +25,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!((rdma + lookup).as_nanos(), 4_570);
 /// assert!(rdma.as_micros_f64() > 4.2 && rdma.as_micros_f64() < 4.4);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(pub u64);
 
 impl Nanos {

@@ -22,10 +22,9 @@
 use crate::trace::{Access, AccessTrace};
 use leap_sim_core::units::bytes_to_pages;
 use leap_sim_core::{DetRng, Nanos};
-use serde::{Deserialize, Serialize};
 
 /// Which application a model mimics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppKind {
     /// Graph analytics (PowerGraph PageRank on a Twitter-like graph).
     PowerGraph,
@@ -71,7 +70,7 @@ impl std::fmt::Display for AppKind {
 }
 
 /// A configurable synthetic application model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AppModel {
     /// Which application is being modelled.
     pub kind: AppKind,

@@ -7,10 +7,8 @@
 //! or stride if a strict majority of its deltas agree — the relaxation Leap's
 //! trend detection exploits.
 
-use serde::{Deserialize, Serialize};
-
 /// Whether all deltas in a window must match (strict) or only a majority.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PatternMode {
     /// Every delta in the window must follow the pattern.
     Strict,
@@ -19,7 +17,7 @@ pub enum PatternMode {
 }
 
 /// Counts of windows per pattern class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PatternBreakdown {
     /// Windows whose deltas are (mostly) +1.
     pub sequential: u64,

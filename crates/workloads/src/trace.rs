@@ -3,10 +3,9 @@
 use std::sync::OnceLock;
 
 use leap_sim_core::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// One memory access at page granularity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// The virtual page touched.
     pub page: u64,
@@ -52,14 +51,13 @@ impl Access {
 /// assert_eq!(trace.len(), 2);
 /// assert_eq!(trace.working_set_pages(), 2);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AccessTrace {
     name: String,
     accesses: Vec<Access>,
     /// [`AccessTrace::working_set_pages`], computed on first use. Every
     /// replay registers each process with its working set, and the
     /// accesses never change, so the sort runs at most once per trace.
-    #[serde(skip)]
     working_set: OnceLock<u64>,
 }
 

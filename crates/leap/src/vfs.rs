@@ -27,8 +27,6 @@ use leap_workloads::{Access, AccessTrace};
 
 /// Latency of a VFS cache hit (page already cached locally).
 const VFS_CACHE_HIT: Nanos = Nanos(800);
-/// Cost of looking up the VFS cache before going remote.
-const VFS_CACHE_LOOKUP: Nanos = Nanos(270);
 /// Software cost of accepting a buffered write into the cache.
 const BUFFERED_WRITE: Nanos = Nanos(900);
 
@@ -105,8 +103,8 @@ impl VfsSimulator {
         }
 
         self.engine.result.cache_stats.record_miss();
-        let breakdown = self.engine.read_remote(page);
-        let latency = VFS_CACHE_LOOKUP.saturating_add(breakdown.total());
+        // The path's breakdown starts with the VFS cache lookup.
+        let latency = self.engine.read_remote(page).total();
 
         // Cache the demand-fetched page.
         self.ensure_cache_room(slot);
@@ -202,6 +200,7 @@ impl Simulator for VfsSimulator {
 mod tests {
     use super::*;
     use crate::config::EvictionPolicy;
+    use leap_datapath::Stage;
     use leap_sim_core::units::MIB;
     use leap_workloads::{sequential_trace, stride_trace};
 
@@ -282,6 +281,23 @@ mod tests {
         let b = VfsSimulator::new(config).run(&trace);
         assert_eq!(a.completion_time, b.completion_time);
         assert_eq!(a.cache_stats, b.cache_stats);
+    }
+
+    #[test]
+    fn a_read_miss_costs_exactly_its_path_breakdown() {
+        // The path's breakdown already holds the VFS cache lookup
+        // (`Stage::CacheLookup`); the read must not pay it a second time.
+        // Two simulators in the same state: one serves a read miss, the
+        // other issues the same remote read directly.
+        for config in [SimConfig::linux_defaults(), SimConfig::leap_defaults()] {
+            let mut vfs = VfsSimulator::new(config);
+            let mut reference = VfsSimulator::new(config);
+            let breakdown = reference.engine.read_remote(7);
+            assert!(!breakdown.stage_total(Stage::CacheLookup).is_zero());
+            let (latency, outcome, _) = vfs.read(Pid(1), 7);
+            assert_eq!(outcome, AccessOutcome::RemoteFetch);
+            assert_eq!(latency, breakdown.total(), "{:?}", config.data_path);
+        }
     }
 
     #[test]

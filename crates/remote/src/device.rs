@@ -1,12 +1,6 @@
-//! The device both data paths transfer pages over, with its fault layer.
-//!
-//! Figure 1 of the paper splits a remote access into software stages, which
-//! differ between the block-layer path and Leap's lean path, and a device
-//! transfer that both share. [`Device`] is that shared part: the storage
-//! backend, its dispatch queues, and the installed fault schedule. Both the
-//! legacy path and the host agent draw every transfer through
-//! [`Device::transfer`], so one rule applies a fault plan's epochs — and
-//! D-VMM and Leap face the same churn under the same plan.
+//! The device transfer both data paths share (Figure 1), with its fault
+//! layer: the legacy path and the host agent draw every transfer through
+//! [`Device::transfer`], so one rule applies a fault plan to both.
 
 use crate::agent::RemoteIoKind;
 use crate::backend::{BackendKind, StorageBackend};
@@ -16,10 +10,7 @@ use crate::slab::MachineId;
 use leap_sim_core::{DetRng, Nanos};
 
 /// A storage backend behind its dispatch queues, under a fault schedule.
-///
-/// The empty plan (the default) reproduces healthy runs bit-for-bit: every
-/// transfer draws exactly one sample from the caller's stream, scaled by
-/// the identity, and no fault is charged.
+/// The empty plan (the default) reproduces healthy runs bit-for-bit.
 ///
 /// # Examples
 ///
@@ -39,24 +30,18 @@ use leap_sim_core::{DetRng, Nanos};
 pub struct Device {
     pub(crate) backend: StorageBackend,
     pub(crate) queues: DispatchQueues,
-    /// The installed fault schedule; empty by default (healthy device).
     pub(crate) plan: FaultPlan,
-    /// The plan's step-function segments started by the previous request's
-    /// time ([`FaultPlan::modifiers_from`]).
+    /// The plan's segments started by the previous request's time
+    /// ([`FaultPlan::modifiers_from`]).
     segment_cursor: usize,
-    /// The tenant that issued the current access (`0` = untagged); a plan
-    /// aimed at one tenant slows only that tenant's requests.
+    /// The tenant that issued the current access (`0` = untagged).
     pub(crate) active_tenant: u32,
-    /// Accounting for every fault observed on this device.
     pub(crate) stats: FaultInjectionStats,
 }
 
 impl Device {
-    /// A healthy device of the given kind with `queues` dispatch queues.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queues` is zero.
+    /// A healthy device of the given kind with `queues` (at least one)
+    /// dispatch queues.
     pub fn new(kind: BackendKind, queues: usize) -> Self {
         Device {
             backend: StorageBackend::new(kind),
@@ -68,16 +53,13 @@ impl Device {
         }
     }
 
-    /// Installs a fault schedule, restarting its segment cursor.
     pub(crate) fn install_fault_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
         self.segment_cursor = 0;
     }
 
-    /// Installs the schedule `(seed, spec)` expands to on a device with no
-    /// remote cluster behind it: only the epoch faults (latency spikes,
-    /// degraded bandwidth, reconnect storms) apply, never machine failures
-    /// or link partitions.
+    /// Installs what `(seed, spec)` expands to with no cluster behind the
+    /// device: only the epoch faults, never machine failures or partitions.
     pub fn install_epoch_faults(&mut self, seed: u64, spec: &FaultSpec) {
         self.install_fault_plan(FaultPlan::from_spec(seed, spec, 0));
     }
@@ -87,21 +69,17 @@ impl Device {
         self.stats
     }
 
-    /// Tags subsequent requests with the tenant that issued them (`0`
-    /// clears the tag).
+    /// Tags subsequent requests with the tenant that issued them.
     pub fn set_active_tenant(&mut self, tenant: u32) {
         self.active_tenant = tenant;
     }
 
-    /// True if the installed plan's epochs and partitions apply to the
-    /// tenant tagged on the current request.
     fn targets_active_tenant(&self) -> bool {
         self.plan.applies_to_tenant(self.active_tenant)
     }
 
-    /// One sample of a `kind` transfer from `rng`, scaled by a fault-epoch
-    /// multiplier in thousandths. The sample is always drawn, so the stream
-    /// moves identically under any multiplier.
+    /// One `kind` sample from `rng`, always drawn, then scaled by a
+    /// multiplier in thousandths.
     pub(crate) fn sample(
         &self,
         kind: RemoteIoKind,
@@ -114,15 +92,11 @@ impl Device {
         }
     }
 
-    /// One `kind` transfer issued at `now`, drawn from `rng` under the fault
-    /// epochs in force: resolves the plan's modifiers at `now` (for every
-    /// request, so the segment cursor advances the same way whichever
-    /// tenant the plan targets), drops them for a tenant the plan does not
-    /// target, draws the scaled sample, and charges the request's fault
-    /// accounting, reconnect penalty included.
-    ///
-    /// Returns the transfer time and the epoch multiplier it was scaled by
-    /// (`1000` when no epoch applies).
+    /// One `kind` transfer issued at `now`: resolves the plan's modifiers
+    /// (for every request, so the cursor moves alike whichever tenant the
+    /// plan targets), drops them for a tenant the plan does not target,
+    /// draws the scaled sample and charges it, reconnect penalty included.
+    /// Returns the transfer and the multiplier it was scaled by.
     #[inline]
     pub fn transfer(&mut self, kind: RemoteIoKind, rng: &mut DetRng, now: Nanos) -> (Nanos, u64) {
         let mods = self.plan.modifiers_from(&mut self.segment_cursor, now);
@@ -138,18 +112,15 @@ impl Device {
         )
     }
 
-    /// Stages a request issued by `core` at `now` whose service takes
-    /// `service_time` on that core's dispatch queue (the core index is
-    /// reduced modulo the queue count), returning the time it waits behind
-    /// earlier requests.
+    /// Stages a request from `core` on its dispatch queue, returning the
+    /// time it waits behind earlier ones.
     #[inline]
     pub fn dispatch(&mut self, core: usize, now: Nanos, service_time: Nanos) -> Nanos {
         self.queues.dispatch(core, now, service_time).queueing_delay
     }
 
-    /// True if a link partition in force at `now` severs `core` from
-    /// `machine` for the tagged tenant. Partition-free plans answer without
-    /// looking at the clock.
+    /// True if a partition in force at `now` severs `core` from `machine`
+    /// for the tagged tenant.
     pub(crate) fn link_severed(&self, core: usize, machine: MachineId, now: Nanos) -> bool {
         self.plan.has_partitions()
             && self.targets_active_tenant()

@@ -613,7 +613,10 @@ impl HostAgent {
                 }
                 // Retry against the next-best replica over the same (still
                 // congested) fabric: resample scaled by the active epochs.
-                attempt = self.device.sample(kind, &mut req_rng, multiplier_milli);
+                attempt = self
+                    .device
+                    .backend
+                    .sample_scaled(kind, &mut req_rng, multiplier_milli);
                 let _ = self
                     .device
                     .dispatch(core, start.saturating_add(elapsed), attempt);

@@ -8,6 +8,7 @@
 //! network congestion) so the tail behaviour in the latency CDFs is
 //! meaningful.
 
+use crate::agent::RemoteIoKind;
 use leap_sim_core::{DetRng, Nanos, TableLatency};
 
 /// The kind of slower-tier backing store a page lives on.
@@ -161,20 +162,22 @@ impl StorageBackend {
         self.write.sample(rng)
     }
 
-    /// Samples a read latency and scales it by a fault-epoch multiplier in
-    /// thousandths (`1000` = identity).
+    /// Samples the latency of a 4 KB `kind` transfer and scales it by a
+    /// fault-epoch multiplier in thousandths (`1000` = identity).
     ///
     /// The sample is always drawn, so the RNG stream advances identically
     /// whether or not a fault epoch is active — the determinism contract for
     /// empty fault plans depends on this.
-    pub(crate) fn read_latency_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
-        self.read.sample_scaled(rng, multiplier_milli)
-    }
-
-    /// Samples a write latency and scales it by a fault-epoch multiplier in
-    /// thousandths; see [`StorageBackend::read_latency_scaled`].
-    pub(crate) fn write_latency_scaled(&self, rng: &mut DetRng, multiplier_milli: u64) -> Nanos {
-        self.write.sample_scaled(rng, multiplier_milli)
+    pub(crate) fn sample_scaled(
+        &self,
+        kind: RemoteIoKind,
+        rng: &mut DetRng,
+        multiplier_milli: u64,
+    ) -> Nanos {
+        match kind {
+            RemoteIoKind::Read => self.read.sample_scaled(rng, multiplier_milli),
+            RemoteIoKind::Write => self.write.sample_scaled(rng, multiplier_milli),
+        }
     }
 
     /// The nominal (median) read latency of this backend.
@@ -262,7 +265,7 @@ mod tests {
         for i in 0..100 {
             let base = backend.read_latency(&mut healthy_rng);
             let multiplier = if i % 2 == 0 { 1_000 } else { 3_000 };
-            let scaled = backend.read_latency_scaled(&mut faulty_rng, multiplier);
+            let scaled = backend.sample_scaled(RemoteIoKind::Read, &mut faulty_rng, multiplier);
             if multiplier == 1_000 {
                 assert_eq!(scaled, base, "identity multiplier must not perturb");
             } else {

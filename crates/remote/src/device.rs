@@ -78,20 +78,6 @@ impl Device {
         self.plan.applies_to_tenant(self.active_tenant)
     }
 
-    /// One `kind` sample from `rng`, always drawn, then scaled by a
-    /// multiplier in thousandths.
-    pub(crate) fn sample(
-        &self,
-        kind: RemoteIoKind,
-        rng: &mut DetRng,
-        multiplier_milli: u64,
-    ) -> Nanos {
-        match kind {
-            RemoteIoKind::Read => self.backend.read_latency_scaled(rng, multiplier_milli),
-            RemoteIoKind::Write => self.backend.write_latency_scaled(rng, multiplier_milli),
-        }
-    }
-
     /// One `kind` transfer issued at `now`: resolves the plan's modifiers
     /// (for every request, so the cursor moves alike whichever tenant the
     /// plan targets), drops them for a tenant the plan does not target,
@@ -105,7 +91,7 @@ impl Device {
         } else {
             FaultModifiers::IDENTITY
         };
-        let sample = self.sample(kind, rng, mods.multiplier_milli);
+        let sample = self.backend.sample_scaled(kind, rng, mods.multiplier_milli);
         (
             self.stats.charge_modifiers(&mods, sample, now),
             mods.multiplier_milli,

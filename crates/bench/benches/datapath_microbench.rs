@@ -56,11 +56,7 @@ fn bench_eviction(c: &mut Criterion) {
                 cache
             },
             |mut cache| {
-                black_box(leap_eviction::make_space(
-                    &mut cache,
-                    256,
-                    Nanos::from_millis(1),
-                ));
+                black_box(cache.make_space(256, Nanos::from_millis(1)));
             },
         )
     });

@@ -10,7 +10,7 @@
 
 use crate::builder::SimConfigBuilder;
 use crate::error::ConfigError;
-pub use leap_eviction::EvictionPolicy;
+pub use leap_mem::EvictionPolicy;
 use leap_prefetcher::PrefetcherKind;
 use leap_remote::{BackendKind, FaultSpec, RecoveryPolicy};
 use leap_sim_core::Nanos;

@@ -33,9 +33,9 @@ use crate::slots::{pid_slot, Slots};
 use crate::stage_timing::{self, Stage};
 use crate::tracker::PageAccessTracker;
 use leap_datapath::{DataPath, PathLatency};
-use leap_eviction::EvictionReport;
 use leap_mem::{
-    CacheEntry, CacheOrigin, EvictionPolicy, MemoryLimit, Pid, ShardedSwapCache, SwapSlot,
+    CacheEntry, CacheOrigin, EvictionPolicy, EvictionReport, MemoryLimit, Pid, ShardedSwapCache,
+    SwapSlot,
 };
 use leap_prefetcher::PageAddr;
 use leap_sim_core::{DetRng, Nanos, SimClock};
@@ -469,7 +469,7 @@ impl EngineCore {
     pub(crate) fn force_evict(&mut self, shard: usize) -> bool {
         let now = self.clock.now();
         let report = stage_timing::time(Stage::Eviction, || {
-            leap_eviction::make_space(self.cache.shard_mut(shard), 1, now)
+            self.cache.shard_mut(shard).make_space(1, now)
         });
         let freed = !report.is_empty();
         self.record_eviction_report(&report);
@@ -502,7 +502,7 @@ impl EngineCore {
     /// Pages the active shard's reclaimer currently tracks (what a direct
     /// reclaim on the faulting core would have to scan).
     pub(crate) fn reclaim_scan_pages(&self) -> u64 {
-        leap_eviction::tracked_pages(self.cache.shard(self.active_shard()))
+        self.cache.shard(self.active_shard()).tracked_pages()
     }
 
     /// Runs the active core's shard's background reclaimer (a no-op for
@@ -522,7 +522,7 @@ impl EngineCore {
         }
         let now = self.clock.now();
         let report = stage_timing::time(Stage::Eviction, || {
-            leap_eviction::background_reclaim(self.cache.shard_mut(shard), now)
+            self.cache.shard_mut(shard).background_reclaim(now)
         });
         if let Some(report) = report {
             self.record_eviction_report(&report);

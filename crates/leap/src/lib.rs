@@ -2,9 +2,9 @@
 //!
 //! This crate is the core library of the reproduction of *Effectively
 //! Prefetching Remote Memory with Leap* (USENIX ATC 2020). It composes the
-//! substrate crates — memory management (`leap-mem`), remote memory
-//! (`leap-remote`), data paths (`leap-datapath`), prefetchers
-//! (`leap-prefetcher`), eviction policies (`leap-eviction`), workloads
+//! substrate crates — memory management and the swap cache with its
+//! eviction policies (`leap-mem`), remote memory (`leap-remote`), data paths
+//! (`leap-datapath`), prefetchers (`leap-prefetcher`), workloads
 //! (`leap-workloads`) and metrics (`leap-metrics`) — into two front-ends
 //! behind one [`Simulator`] trait:
 //!

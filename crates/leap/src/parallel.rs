@@ -236,7 +236,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::vmm::VmmSimulator;
-    use leap_eviction::EvictionPolicy;
+    use leap_mem::EvictionPolicy;
     use leap_remote::{FaultSpec, RecoveryPolicy};
     use leap_sim_core::units::MIB;
     use leap_workloads::{sequential_trace, stride_trace, AppKind, AppModel};

@@ -12,7 +12,9 @@
 //!   is why consecutive slots can belong to different processes (§2.3).
 //! - `swap_cache`: the swap/prefetch cache ([`SwapCache`]) holding pages
 //!   brought in from the slower tier before they are mapped, each on the
-//!   eviction list its [`EvictionPolicy`] puts it on.
+//!   eviction list its [`EvictionPolicy`] puts it on, and the victim rules
+//!   that drain those lists: Linux's lazy background reclaim and Leap's
+//!   eager eviction ([`SwapCache::make_space`], [`EvictionReport`]).
 //! - [`sharded`]: per-core shards of both ([`ShardedSwap`],
 //!   [`ShardedSwapCache`]) for the multi-core scheduled replays.
 //! - [`cgroup`]: cgroup-style per-process memory limits ([`MemoryLimit`]).
@@ -32,5 +34,5 @@ use lru::LruList;
 pub use page_table::{PageState, PageTable};
 pub use sharded::{ShardedSwap, ShardedSwapCache};
 pub use swap::SwapSpace;
-pub use swap_cache::{CacheEntry, CacheList, CacheOrigin, EvictionPolicy, SwapCache};
+pub use swap_cache::{CacheEntry, CacheOrigin, EvictionPolicy, EvictionReport, SwapCache};
 pub use types::{Pid, SwapSlot, VirtPage};

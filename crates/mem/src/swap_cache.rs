@@ -1,4 +1,5 @@
-//! The swap/prefetch cache, with its eviction order built in.
+//! The swap/prefetch cache, with its eviction order and victim rules built
+//! in.
 //!
 //! Pages read from the slower tier (disk or remote memory) land in the swap
 //! cache before being mapped into the faulting process. Prefetched pages sit
@@ -9,9 +10,14 @@
 //!
 //! Each entry also sits on exactly one of the cache's two eviction lists:
 //! Leap's prefetch FIFO (`PrefetchFifoLruList`, §4.3) or the kernel's LRU
-//! (§2.3). Which list an entry joins, and what a hit does to it, is the
-//! cache's [`EvictionPolicy`]; the victim rules that drain the lists live in
-//! the `leap-eviction` crate.
+//! (§2.3). The cache's [`EvictionPolicy`] decides which list an entry joins,
+//! what a hit does to it, and how [`SwapCache::make_space`] drains the
+//! lists. Linux's background reclaimer (kswapd,
+//! [`SwapCache::background_reclaim`]) leaves consumed prefetches on the LRU
+//! until a scan finds them, and that scan ([`SwapCache::tracked_pages`])
+//! inflates page-allocation latency under pressure (§2.3, Figure 4). Leap
+//! frees a prefetched page on its first hit and reclaims unconsumed ones in
+//! arrival order (§4.3).
 
 use crate::types::{Pid, SwapSlot};
 use leap_sim_core::hash::{fx_map_with_capacity, FxHashMap};
@@ -51,7 +57,7 @@ impl EvictionPolicy {
 
 /// One of a cache's two eviction lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheList {
+enum CacheList {
     /// Leap's prefetch FIFO: unconsumed prefetched pages in arrival order.
     Fifo,
     /// The LRU list, least recently used first.
@@ -86,6 +92,34 @@ impl CacheEntry {
         self.origin == CacheOrigin::Prefetch && self.first_hit_at.is_none()
     }
 }
+
+/// What one eviction pass freed, in the categories the metrics care about.
+#[derive(Debug, Clone, Default)]
+pub struct EvictionReport {
+    /// Prefetched pages reclaimed before ever being hit (cache pollution).
+    pub freed_unused_prefetches: u64,
+    /// Everything else freed (consumed prefetches, demand entries).
+    pub freed_other: u64,
+    /// For each freed page that had been hit, how long it sat in the cache
+    /// after its first hit (the paper's Figure 4 wait time).
+    pub post_hit_wait: Vec<Nanos>,
+}
+
+impl EvictionReport {
+    /// Total pages freed by the pass.
+    fn freed_total(&self) -> u64 {
+        self.freed_unused_prefetches + self.freed_other
+    }
+
+    /// True if the pass freed nothing.
+    pub fn is_empty(&self) -> bool {
+        self.freed_total() == 0
+    }
+}
+
+/// Cache size (pages) past which the lazy policy's background reclaimer
+/// kicks in, a stand-in for the kernel's watermarks.
+const LAZY_CACHE_HIGH_WATERMARK: u64 = 4_096;
 
 /// End-of-list marker for the slab links.
 const NIL: u32 = u32::MAX;
@@ -237,11 +271,6 @@ impl SwapCache {
             .map(|&idx| &self.nodes[idx as usize].entry)
     }
 
-    /// Number of entries on `list`.
-    pub fn list_len(&self, list: CacheList) -> u64 {
-        self.ends(list).len
-    }
-
     /// Inserts a page.
     ///
     /// Returns `false` (without inserting) if the cache is full and the slot
@@ -318,7 +347,7 @@ impl SwapCache {
 
     /// Removes the oldest entry of `list` (the FIFO's front, the LRU's least
     /// recently used end), returning its slot and entry.
-    pub fn pop_oldest(&mut self, list: CacheList) -> Option<(SwapSlot, CacheEntry)> {
+    fn pop_oldest(&mut self, list: CacheList) -> Option<(SwapSlot, CacheEntry)> {
         let idx = self.ends(list).front;
         if idx == NIL {
             return None;
@@ -327,6 +356,102 @@ impl SwapCache {
         self.index.remove(&slot);
         self.release(idx);
         Some((slot, entry))
+    }
+
+    /// Frees up to `target` pages at time `now`, by the cache's policy.
+    ///
+    /// - Lazy: pages leave from the LRU end, and every freed page that had
+    ///   been hit reports how long it waited after that hit. kswapd scans at
+    ///   most a quarter of the list plus the target per pass,
+    ///   `ceil(len / 4) + target` pages; every page on the list is cached, so
+    ///   each scanned page is freed and that budget never binds before the
+    ///   target does.
+    /// - Eager: unconsumed prefetches leave the FIFO in arrival order first;
+    ///   only once the FIFO is drained do demand pages leave from the LRU
+    ///   end. Consumed prefetches were freed on their hit, so no waits are
+    ///   reported.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use leap_mem::{CacheOrigin, EvictionPolicy, Pid, SwapCache, SwapSlot};
+    /// use leap_sim_core::Nanos;
+    ///
+    /// let mut cache = SwapCache::new(4, EvictionPolicy::Eager);
+    /// cache.insert(SwapSlot(1), Pid(1), CacheOrigin::Demand, Nanos::ZERO);
+    /// cache.insert(SwapSlot(2), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
+    /// cache.insert(SwapSlot(3), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
+    ///
+    /// // The unread prefetches go first, oldest first; the demand page stays.
+    /// let report = cache.make_space(2, Nanos::from_micros(5));
+    /// assert_eq!(report.freed_unused_prefetches, 2);
+    /// assert!(cache.contains(SwapSlot(1)));
+    /// assert_eq!(cache.tracked_pages(), 0);
+    /// ```
+    pub fn make_space(&mut self, target: u64, now: Nanos) -> EvictionReport {
+        let mut report = EvictionReport::default();
+        match self.policy {
+            EvictionPolicy::Lazy => {
+                self.free_oldest(CacheList::Lru, target, Some(now), &mut report)
+            }
+            EvictionPolicy::Eager => {
+                self.free_oldest(CacheList::Fifo, target, None, &mut report);
+                let rest = target - report.freed_total();
+                self.free_oldest(CacheList::Lru, rest, None, &mut report);
+            }
+        }
+        report
+    }
+
+    /// Runs the lazy policy's background reclaimer: past
+    /// `LAZY_CACHE_HIGH_WATERMARK` cached pages it frees down to half the
+    /// watermark. Returns `None` when nothing needed doing, and always under
+    /// the eager policy, which has no background scanner.
+    pub fn background_reclaim(&mut self, now: Nanos) -> Option<EvictionReport> {
+        self.reclaim_above(LAZY_CACHE_HIGH_WATERMARK, now)
+    }
+
+    fn reclaim_above(&mut self, high_watermark: u64, now: Nanos) -> Option<EvictionReport> {
+        if self.policy == EvictionPolicy::Eager || self.len() <= high_watermark {
+            return None;
+        }
+        let target = self.len() - high_watermark / 2;
+        Some(self.make_space(target, now))
+    }
+
+    /// Number of pages the policy's reclaimer has to scan to find
+    /// candidates: the whole LRU under the lazy policy, only the unconsumed
+    /// prefetches on the FIFO under the eager one. Page-allocation wait
+    /// grows with it (§2.3).
+    pub fn tracked_pages(&self) -> u64 {
+        match self.policy {
+            EvictionPolicy::Lazy => self.lru.len,
+            EvictionPolicy::Eager => self.fifo.len,
+        }
+    }
+
+    /// Frees up to `target` of `list`'s oldest entries into `report`, with
+    /// post-hit waits measured at `waits_at` when given.
+    fn free_oldest(
+        &mut self,
+        list: CacheList,
+        target: u64,
+        waits_at: Option<Nanos>,
+        report: &mut EvictionReport,
+    ) {
+        for _ in 0..target {
+            let Some((_, entry)) = self.pop_oldest(list) else {
+                break;
+            };
+            if entry.is_unused_prefetch() {
+                report.freed_unused_prefetches += 1;
+            } else {
+                report.freed_other += 1;
+            }
+            if let (Some(now), Some(hit_at)) = (waits_at, entry.first_hit_at) {
+                report.post_hit_wait.push(now.saturating_sub(hit_at));
+            }
+        }
     }
 
     /// Iterates over all cached entries.
@@ -476,6 +601,9 @@ fn list_for(policy: EvictionPolicy, origin: CacheOrigin) -> CacheList {
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -555,7 +683,7 @@ mod tests {
             assert!(cache.insert(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, t(0)));
         }
         assert!(!cache.is_full());
-        assert_eq!(cache.list_len(CacheList::Fifo), 10_000);
+        assert_eq!(cache.fifo.len, 10_000);
     }
 
     #[test]
@@ -567,7 +695,7 @@ mod tests {
         cache.record_hit(SwapSlot(0), t(9));
         cache.insert(SwapSlot(1), Pid(1), CacheOrigin::Demand, t(10));
         assert_eq!(order(&cache, CacheList::Lru), vec![2, 3, 0, 1]);
-        assert_eq!(cache.list_len(CacheList::Fifo), 0);
+        assert_eq!(cache.fifo.len, 0);
         assert_eq!(
             cache.pop_oldest(CacheList::Lru).map(|(s, _)| s),
             Some(SwapSlot(2))
@@ -601,7 +729,7 @@ mod tests {
         }
         cache.insert(SwapSlot(0), Pid(1), CacheOrigin::Demand, t(5));
         assert_eq!(order(&cache, CacheList::Fifo), vec![0, 1, 2]);
-        assert_eq!(cache.list_len(CacheList::Lru), 0);
+        assert_eq!(cache.lru.len, 0);
         // Now a demand entry, it survives a hit and keeps its place.
         cache.record_hit(SwapSlot(0), t(6));
         assert_eq!(order(&cache, CacheList::Fifo), vec![0, 1, 2]);
@@ -621,6 +749,126 @@ mod tests {
         }
         assert_eq!(cache.nodes.len(), 2);
         assert!(cache.lists_partition_entries());
+    }
+
+    fn cache_with(policy: EvictionPolicy, entries: &[(u64, CacheOrigin)]) -> SwapCache {
+        let mut cache = SwapCache::new(8, policy);
+        for &(slot, origin) in entries {
+            cache.insert(SwapSlot(slot), Pid(1), origin, Nanos::ZERO);
+        }
+        cache
+    }
+
+    fn cached(cache: &SwapCache) -> Vec<u64> {
+        let mut slots: Vec<u64> = cache.iter().map(|(s, _)| s.0).collect();
+        slots.sort_unstable();
+        slots
+    }
+
+    #[test]
+    fn eager_frees_prefetch_entries_on_hit_and_keeps_demand_ones() {
+        use CacheOrigin::*;
+        let mut cache = cache_with(EvictionPolicy::Eager, &[(1, Prefetch), (2, Demand)]);
+        cache.record_hit(SwapSlot(1), t(1));
+        cache.record_hit(SwapSlot(2), t(1));
+        assert_eq!(cached(&cache), vec![2]);
+        assert_eq!(cache.tracked_pages(), 0);
+    }
+
+    #[test]
+    fn eager_make_space_prefers_unconsumed_prefetches_in_arrival_order() {
+        use CacheOrigin::*;
+        let mut cache = cache_with(
+            EvictionPolicy::Eager,
+            &[(1, Demand), (4, Prefetch), (2, Prefetch), (3, Prefetch)],
+        );
+        assert_eq!(cache.tracked_pages(), 3);
+        let report = cache.make_space(2, t(5));
+        assert_eq!(report.freed_unused_prefetches, 2);
+        assert_eq!(report.freed_other, 0);
+        assert_eq!(cached(&cache), vec![1, 3], "demand entry survives");
+        assert_eq!(cache.tracked_pages(), 1);
+    }
+
+    #[test]
+    fn eager_make_space_passes_over_hit_prefetches_then_falls_back_to_demand() {
+        use CacheOrigin::*;
+        let mut cache = cache_with(
+            EvictionPolicy::Eager,
+            &[(1, Demand), (2, Demand), (3, Prefetch), (4, Prefetch)],
+        );
+        cache.record_hit(SwapSlot(3), t(1));
+        cache.record_hit(SwapSlot(1), t(2));
+        let report = cache.make_space(2, t(5));
+        assert_eq!(report.freed_unused_prefetches, 1);
+        // Slot 2 is the demand LRU's least recently used page.
+        assert_eq!(report.freed_other, 1);
+        assert!(report.post_hit_wait.is_empty());
+        assert_eq!(cached(&cache), vec![1]);
+    }
+
+    #[test]
+    fn eager_reclaims_a_written_over_prefetch_as_other() {
+        use CacheOrigin::*;
+        let mut cache = cache_with(EvictionPolicy::Eager, &[(1, Prefetch), (2, Prefetch)]);
+        cache.insert(SwapSlot(1), Pid(1), Demand, t(1));
+        let report = cache.make_space(1, t(5));
+        assert_eq!((report.freed_unused_prefetches, report.freed_other), (0, 1));
+        assert_eq!(cached(&cache), vec![2]);
+    }
+
+    #[test]
+    fn lazy_keeps_entries_on_hit_and_reports_waits() {
+        let mut cache = cache_with(EvictionPolicy::Lazy, &[(1, CacheOrigin::Prefetch)]);
+        cache.record_hit(SwapSlot(1), t(10));
+        assert!(cache.contains(SwapSlot(1)));
+        let report = cache.make_space(1, t(500));
+        assert_eq!(report.freed_other, 1);
+        assert_eq!(report.post_hit_wait, vec![t(490)]);
+    }
+
+    #[test]
+    fn lazy_reclaims_in_lru_order_and_counts_pollution() {
+        use CacheOrigin::*;
+        let mut cache = cache_with(
+            EvictionPolicy::Lazy,
+            &[(0, Prefetch), (1, Prefetch), (2, Demand), (3, Prefetch)],
+        );
+        cache.record_hit(SwapSlot(0), t(1));
+        assert_eq!(cache.tracked_pages(), 4);
+        let report = cache.make_space(2, t(10));
+        assert_eq!((report.freed_unused_prefetches, report.freed_other), (1, 1));
+        assert!(report.post_hit_wait.is_empty());
+        assert_eq!(cached(&cache), vec![0, 3]);
+        // Asking for more than is cached frees what there is.
+        assert_eq!(cache.make_space(10, t(20)).freed_total(), 2);
+        assert!(cache.make_space(1, t(30)).is_empty());
+    }
+
+    #[test]
+    fn lazy_background_reclaim_respects_watermark() {
+        let mut cache = SwapCache::unbounded(EvictionPolicy::Lazy);
+        for i in 0..8 {
+            cache.insert(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
+        }
+        let report = cache
+            .reclaim_above(4, Nanos::ZERO)
+            .expect("past the watermark");
+        assert_eq!(report.freed_total(), 6);
+        assert_eq!(cache.len(), 2);
+        // Below the watermark nothing happens, and the real watermark is far.
+        assert!(cache.reclaim_above(4, Nanos::ZERO).is_none());
+        assert!(cache.background_reclaim(Nanos::ZERO).is_none());
+    }
+
+    #[test]
+    fn eager_has_no_background_reclaimer() {
+        let mut cache = SwapCache::unbounded(EvictionPolicy::Eager);
+        for i in 0..8 {
+            cache.insert(SwapSlot(i), Pid(1), CacheOrigin::Prefetch, Nanos::ZERO);
+        }
+        assert!(cache.reclaim_above(4, Nanos::ZERO).is_none());
+        assert_eq!(cache.len(), 8);
     }
 
     proptest! {

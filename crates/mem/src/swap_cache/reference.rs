@@ -4,8 +4,8 @@
 //! two policies that kept them in step with the cache through insert and
 //! hit notifications. A proptest drives both side by side.
 
-use crate::{make_space, reclaim_above, tracked_pages, EvictionReport};
-use leap_mem::{CacheEntry, CacheOrigin, EvictionPolicy, Pid, SwapCache, SwapSlot};
+use super::{CacheEntry, CacheOrigin, EvictionPolicy, EvictionReport, SwapCache};
+use crate::types::{Pid, SwapSlot};
 use leap_sim_core::hash::FxHashMap;
 use leap_sim_core::Nanos;
 use proptest::prelude::*;
@@ -364,7 +364,7 @@ impl SideBySide {
     fn make_space(&mut self, target: u64) -> Result<EvictionReport, Ending> {
         let stale = self.old.has_stale_fallback(&self.old_cache);
         let old = self.old.make_space(&mut self.old_cache, target, self.now);
-        let new = make_space(&mut self.cache, target, self.now);
+        let new = self.cache.make_space(target, self.now);
         if stale && old.freed_total() < new.freed_total() {
             return Err(Ending::StaleFallbackDivergence);
         }
@@ -421,7 +421,7 @@ impl SideBySide {
             }
             Op::Background => {
                 let old = self.old.background_reclaim(&mut self.old_cache, self.now);
-                let new = reclaim_above(&mut self.cache, TEST_WATERMARK, self.now);
+                let new = self.cache.reclaim_above(TEST_WATERMARK, self.now);
                 match (new, old) {
                     (Some(new), Some(old)) => assert_same_report(&new, &old),
                     (None, None) => {}
@@ -445,7 +445,7 @@ impl SideBySide {
         new.sort_unstable_by_key(|&(s, _)| s);
         old.sort_unstable_by_key(|&(s, _)| s);
         assert_eq!(new, old, "cache contents differ");
-        assert_eq!(tracked_pages(&self.cache), self.old.tracked_pages());
+        assert_eq!(self.cache.tracked_pages(), self.old.tracked_pages());
         assert!(self.cache.lists_partition_entries());
     }
 }

@@ -6,8 +6,8 @@
 //!
 //! - [`leap`] — the core library (fault engine, VMM/VFS front-ends).
 //! - [`leap_prefetcher`] — the majority-trend prefetcher and baselines.
-//! - [`leap_mem`], [`leap_remote`], [`leap_datapath`], [`leap_eviction`] —
-//!   the substrates.
+//! - [`leap_mem`], [`leap_remote`], [`leap_datapath`] — the substrates
+//!   (the swap cache in `leap_mem` carries its own eviction rules).
 //! - [`leap_service`] — the multi-tenant far-memory paging service
 //!   (admission, budgets, per-tenant QoS).
 //! - [`leap_workloads`] — trace generators.
@@ -20,7 +20,6 @@
 
 pub use leap;
 pub use leap_datapath;
-pub use leap_eviction;
 pub use leap_mem;
 pub use leap_metrics;
 pub use leap_prefetcher;

@@ -19,10 +19,9 @@ use std::collections::VecDeque;
 use leap_repro::leap::tracker::PageAccessTracker;
 use leap_repro::leap::{AsyncPipeline, IoKind};
 use leap_repro::leap_datapath::{DataPath, LeanDataPath};
-use leap_repro::leap_eviction::make_space;
 use leap_repro::leap_mem::{
-    CacheList, CacheOrigin, EvictionPolicy, PageState, PageTable, Pid, SwapCache, SwapSlot,
-    SwapSpace, VirtPage,
+    CacheOrigin, EvictionPolicy, PageState, PageTable, Pid, SwapCache, SwapSlot, SwapSpace,
+    VirtPage,
 };
 use leap_repro::leap_prefetcher::{
     LeapConfig, LeapPrefetcher, PageAddr, Prefetcher, PrefetcherKind, INLINE_DECISION_PAGES,
@@ -434,7 +433,7 @@ fn eager_fifo_insert_hit_reclaim_cycle_does_not_allocate() {
             }
             if cache.len() > BUDGET {
                 let over = cache.len() - BUDGET;
-                let report = make_space(&mut cache, over, now);
+                let report = cache.make_space(over, now);
                 assert_eq!(report.freed_unused_prefetches, over);
             }
         }
@@ -445,7 +444,7 @@ fn eager_fifo_insert_hit_reclaim_cycle_does_not_allocate() {
         allocs, 0,
         "eager FIFO insert/hit/reclaim cycle allocated {allocs} times"
     );
-    assert_eq!(cache.list_len(CacheList::Fifo), cache.len());
+    assert_eq!(cache.tracked_pages(), cache.len());
 }
 
 #[test]

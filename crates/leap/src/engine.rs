@@ -6,9 +6,10 @@
 //! prefetcher tracker, the data path, the eviction rules each cache shard's
 //! policy selects, result accumulation, and the core bookkeeping. The
 //! front-ends keep only what genuinely differs — page tables, swap space
-//! and cgroup limits for the VMM; the cache budget for the VFS — and drive
-//! the core through the helpers below, so hit/miss accounting and eviction
-//! bookkeeping are implemented exactly once.
+//! and cgroup limits for the VMM; the file-cache budget, its one cache
+//! shard's capacity, for the VFS — and drive the core through the helpers
+//! below, so hit/miss accounting and eviction bookkeeping are implemented
+//! exactly once.
 //!
 //! Single-process replays run the core in its legacy layout: one cache
 //! shard, one monotonic clock, and a round-robin dispatch core per request;
@@ -71,10 +72,6 @@ pub(crate) struct EngineCore {
     core_cursor: usize,
     active_core: usize,
     scheduled: bool,
-    /// Whole-cache page budget on top of the per-shard capacities (the VFS
-    /// front-end's local file-cache limit). `None` — the VMM's setting —
-    /// skips the budget check entirely on the hot path.
-    cache_budget: Option<u64>,
     /// This shard's async I/O submission queue: prefetch reads and
     /// write-backs go through it so the in-flight budget
     /// ([`SimConfig::async_depth`]) can stall the submitter once the
@@ -135,7 +132,6 @@ impl EngineCore {
         );
         worker.active_core = core;
         worker.scheduled = true;
-        worker.cache_budget = self.cache_budget;
         worker
     }
 
@@ -162,7 +158,6 @@ impl EngineCore {
             core_cursor: 0,
             active_core: 0,
             scheduled: false,
-            cache_budget: None,
             pipeline: AsyncPipeline::new(config.async_depth),
             pending_stall: Nanos::ZERO,
             tenant_limits: Slots::default(),
@@ -181,10 +176,17 @@ impl EngineCore {
 
     /// Reshapes the engine for a scheduled multi-core replay: `cache_shards`
     /// cache shards of [`shard_capacity`] each, routed by slot-region width
-    /// `span`, and scheduler-driven per-core clocks.
+    /// `span`, and scheduler-driven per-core clocks. A one-shard cache is
+    /// kept as built (the VFS's is capped by its file-cache budget).
     pub(crate) fn enter_scheduled_mode(&mut self, cache_shards: usize, span: u64) {
-        let per_shard = shard_capacity(&self.config, cache_shards);
-        self.cache = ShardedSwapCache::new(cache_shards, per_shard, span, self.config.eviction);
+        debug_assert!(
+            self.cache.is_empty(),
+            "the cache is reshaped before the replay"
+        );
+        if cache_shards > 1 {
+            let per_shard = shard_capacity(&self.config, cache_shards);
+            self.cache = ShardedSwapCache::new(cache_shards, per_shard, span, self.config.eviction);
+        }
         self.scheduled = true;
     }
 
@@ -403,27 +405,10 @@ impl EngineCore {
         })
     }
 
-    /// Caps the whole cache at `pages` on top of the per-shard capacities
-    /// (the VFS front-end's file-cache budget; `u64::MAX` lifts the cap).
-    pub(crate) fn set_cache_budget(&mut self, pages: u64) {
-        self.cache_budget = (pages != u64::MAX).then_some(pages);
-    }
-
-    /// True when the configured whole-cache budget is exhausted.
-    fn over_budget(&self) -> bool {
-        match self.cache_budget {
-            Some(budget) => self.cache.len() >= budget,
-            None => false,
-        }
-    }
-
-    /// Makes room in cache shard `shard`, honouring both the shard's
-    /// capacity and the whole-cache budget.
+    /// Makes room in cache shard `shard` when it is full. Returns `false`
+    /// if the shard stays full.
     pub(crate) fn make_cache_space_at(&mut self, shard: usize) -> bool {
-        if !self.cache.shard(shard).is_full() && !self.over_budget() {
-            return true;
-        }
-        self.force_evict(shard)
+        !self.cache.shard(shard).is_full() || self.force_evict(shard)
     }
 
     /// Admits a prefetch span into the cache, one candidate at a time:

@@ -10,8 +10,8 @@
 //! patterns.
 //!
 //! Like the VMM front-end, all cross-cutting machinery lives in the shared
-//! engine core; this file models only the VFS cache budget and the
-//! read/buffered-write split.
+//! engine core; this file models only the VFS cache budget (the capacity of
+//! the VFS's one cache shard) and the read/buffered-write split.
 
 use crate::builder::SimSetup;
 use crate::config::SimConfig;
@@ -19,7 +19,7 @@ use crate::engine::EngineCore;
 use crate::result::RunResult;
 use crate::sched::CoreScheduler;
 use crate::session::{AccessOutcome, FaultEvent, Simulator};
-use leap_mem::{MemoryLimit, Pid, SwapSlot};
+use leap_mem::{MemoryLimit, Pid, ShardedSwapCache, SwapSlot};
 use leap_prefetcher::PageAddr;
 use leap_sim_core::units::PAGE_SIZE;
 use leap_sim_core::Nanos;
@@ -111,9 +111,8 @@ impl VfsSimulator {
         self.engine.insert_demand(slot, pid);
 
         // Prefetch neighbouring file pages: per candidate, the engine
-        // probes presence, makes room (under the file-cache budget —
-        // `EngineCore::make_cache_space_at` is budget-aware), issues the
-        // read, and inserts.
+        // probes presence, makes room (the cache's capacity is the
+        // file-cache budget), issues the read, and inserts.
         let decision = self.engine.prefetch_decision(pid, PageAddr(page));
         self.span_slots.clear();
         self.span_slots
@@ -126,9 +125,9 @@ impl VfsSimulator {
         (latency, AccessOutcome::RemoteFetch, issued)
     }
 
-    /// Frees cache space for `slot` when the local file-cache budget or the
-    /// configured prefetch cache capacity is exhausted (both live in the
-    /// engine; see [`EngineCore::make_cache_space_at`]).
+    /// Frees cache space for `slot` when the cache is full: at the smaller
+    /// of the local file-cache budget and the configured prefetch cache
+    /// capacity (see [`Simulator::prepare`]).
     fn ensure_cache_room(&mut self, slot: SwapSlot) {
         let shard = self.engine.cache.shard_of(slot);
         self.engine.make_cache_space_at(shard);
@@ -144,13 +143,16 @@ impl Simulator for VfsSimulator {
         &self.engine.label
     }
 
+    /// Sizes the VFS's one cache shard: the local file cache is limited to
+    /// `memory_fraction` of the total working set, matching how the paper
+    /// constrains the VMM experiments, and never holds more than the
+    /// configured prefetch cache capacity.
     fn prepare(&mut self, traces: &[AccessTrace]) {
-        // The local VFS cache is limited to `memory_fraction` of the total
-        // working set, matching how the paper constrains the VMM experiments.
+        let config = self.engine.config;
         let total_ws: u64 = traces.iter().map(|t| t.working_set_pages()).sum();
-        let budget =
-            MemoryLimit::fraction_of(total_ws * PAGE_SIZE, self.engine.config.memory_fraction);
-        self.engine.set_cache_budget(budget.limit_pages());
+        let budget = MemoryLimit::fraction_of(total_ws * PAGE_SIZE, config.memory_fraction);
+        let capacity = budget.limit_pages().min(config.prefetch_cache_pages);
+        self.engine.cache = ShardedSwapCache::single(capacity, config.eviction);
         self.engine
             .stamp_run(format!("vfs-{}", EngineCore::workload_name(traces)));
     }
@@ -158,7 +160,8 @@ impl Simulator for VfsSimulator {
     /// One worker spanning every core: the VFS keeps one shared cache (its
     /// budget models one file cache, not per-core swap regions), so it
     /// cannot be split per core, but it still gets per-core trend state and
-    /// per-core clocks from the engine.
+    /// per-core clocks from the engine. The one shard keeps the capacity
+    /// [`Simulator::prepare`] gave it.
     fn into_workers(mut self, traces: &[AccessTrace], _sched: &CoreScheduler) -> Vec<Self> {
         self.prepare(traces);
         self.engine.enter_scheduled_mode(1, u64::MAX);
@@ -297,6 +300,68 @@ mod tests {
             let (latency, outcome, _) = vfs.read(Pid(1), 7);
             assert_eq!(outcome, AccessOutcome::RemoteFetch);
             assert_eq!(latency, breakdown.total(), "{:?}", config.data_path);
+        }
+    }
+
+    /// The most pages a budget of `memory_fraction` of `traces`' working
+    /// set and the configured prefetch cache capacity allow together.
+    fn cache_bound(config: SimConfig, traces: &[AccessTrace]) -> u64 {
+        let working_set: u64 = traces.iter().map(|t| t.working_set_pages()).sum();
+        MemoryLimit::fraction_of(working_set * PAGE_SIZE, config.memory_fraction)
+            .limit_pages()
+            .min(config.prefetch_cache_pages)
+    }
+
+    #[test]
+    fn the_cache_never_outgrows_the_smaller_of_its_capacity_and_budget() {
+        let mut write_read: Vec<Access> =
+            (0..512u64).map(|p| Access::write(p, Nanos::ZERO)).collect();
+        write_read.extend((0..512u64).map(|p| Access::read(p, Nanos::ZERO)));
+        let traces = [
+            stride_trace(2 * MIB, 10, 1),
+            sequential_trace(MIB, 1),
+            AccessTrace::new("write-read", write_read),
+        ];
+        // The first setting binds at the prefetch cache's capacity, the
+        // second at the file-cache budget.
+        for (fraction, cache_pages) in [(0.5, 32), (0.05, u64::MAX)] {
+            let config = SimConfig::builder()
+                .memory_fraction(fraction)
+                .prefetch_cache_pages(cache_pages)
+                .cores(2)
+                .build()
+                .unwrap();
+
+            // A single run: the unsplit simulator, prepared for one trace.
+            let single = &traces[..1];
+            let bound = cache_bound(config, single);
+            let mut vfs = VfsSimulator::new(config);
+            vfs.prepare(single);
+            let mut peak = 0;
+            for &access in single[0].accesses() {
+                vfs.step_access(Pid(1), access);
+                assert!(vfs.engine.cache.len() <= bound, "single run over {bound}");
+                peak = peak.max(vfs.engine.cache.len());
+            }
+            assert_eq!(peak, bound, "the single run never filled its cache");
+
+            // A multi-process run, driven as the scheduled replay drives it.
+            let bound = cache_bound(config, &traces);
+            let lens: Vec<usize> = traces.iter().map(|t| t.len()).collect();
+            let mut sched =
+                CoreScheduler::new(&lens, config.cores, config.sched_quantum, config.seed);
+            let mut workers = VfsSimulator::new(config).into_workers(&traces, &sched);
+            let vfs = &mut workers[0];
+            let mut peak = 0;
+            while let Some(slot) = sched.next_slot() {
+                vfs.enter_core(slot.core, slot.now);
+                let access = traces[slot.process].accesses()[slot.access_index];
+                vfs.step_access(Pid(slot.process as u32 + 1), access);
+                sched.completed(&slot, vfs.now());
+                assert!(vfs.engine.cache.len() <= bound, "multi run over {bound}");
+                peak = peak.max(vfs.engine.cache.len());
+            }
+            assert_eq!(peak, bound, "the multi-process run never filled its cache");
         }
     }
 

@@ -128,8 +128,10 @@ impl DataPath for LegacyDataPath {
 
     /// Installs the epoch faults of `(seed, spec)`; the block-layer path
     /// has no remote cluster to fail or partition, and no recovery layer,
-    /// so `recovery` does not apply here.
-    fn install_faults(&mut self, seed: u64, spec: &FaultSpec, _recovery: RecoveryPolicy) {
+    /// so `recovery` must be inactive (`SimConfig` validation rejects an
+    /// active one for this path).
+    fn install_faults(&mut self, seed: u64, spec: &FaultSpec, recovery: RecoveryPolicy) {
+        debug_assert!(!recovery.is_active(), "no recovery on the block path");
         self.device.install_epoch_faults(seed, spec);
     }
 

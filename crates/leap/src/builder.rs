@@ -213,6 +213,10 @@ impl SimConfigBuilder {
     /// keeps runs byte-identical to a build without the layer. Validated
     /// for consistency at build time.
     ///
+    /// Only the lean data path has a recovery layer: an active policy with
+    /// [`DataPathKind::LinuxDefault`] fails to build with
+    /// [`ConfigError::RecoveryOnLegacyPath`] rather than run without it.
+    ///
     /// [`RecoveryPolicy::none`]: leap_remote::RecoveryPolicy::none
     pub fn recovery_policy(mut self, policy: leap_remote::RecoveryPolicy) -> Self {
         self.config.recovery = policy;

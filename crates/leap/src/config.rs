@@ -233,6 +233,9 @@ impl SimConfig {
         self.recovery
             .validate()
             .map_err(|reason| ConfigError::InvalidRecoveryPolicy { reason })?;
+        if self.recovery.is_active() && self.data_path == DataPathKind::LinuxDefault {
+            return Err(ConfigError::RecoveryOnLegacyPath);
+        }
         Ok(())
     }
 

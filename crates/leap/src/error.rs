@@ -55,6 +55,11 @@ pub enum ConfigError {
         /// What the recovery policy got wrong.
         reason: &'static str,
     },
+    /// An active recovery policy was paired with
+    /// [`crate::DataPathKind::LinuxDefault`]. The block-layer path has no
+    /// recovery layer, so its deadlines, retries and hedges would silently
+    /// never run.
+    RecoveryOnLegacyPath,
 }
 
 impl fmt::Display for ConfigError {
@@ -88,6 +93,7 @@ impl fmt::Display for ConfigError {
             ConfigError::InvalidRecoveryPolicy { reason } => {
                 write!(f, "invalid recovery policy: {reason}")
             }
+            ConfigError::RecoveryOnLegacyPath => write!(f, "recovery needs the lean data path"),
         }
     }
 }

@@ -235,3 +235,33 @@ fn invalid_recovery_policies_are_a_typed_build_error() {
         assert!(SimConfig::builder().recovery_policy(policy).build().is_ok());
     }
 }
+
+#[test]
+fn recovery_on_the_legacy_path_is_a_typed_build_error() {
+    // The block-layer path has no recovery layer: an active policy there
+    // must fail to build instead of running without deadlines or hedges.
+    let hedge_only = RecoveryPolicy {
+        hedge_delay: RecoveryPolicy::tail_tolerant().hedge_delay,
+        ..RecoveryPolicy::none()
+    };
+    for policy in [RecoveryPolicy::tail_tolerant(), hedge_only] {
+        let err = SimConfig::linux_defaults()
+            .to_builder()
+            .recovery_policy(policy)
+            .build()
+            .expect_err("recovery on the legacy path must not build");
+        assert_eq!(err, ConfigError::RecoveryOnLegacyPath);
+        assert!(err.to_string().contains("lean data path"), "{err}");
+    }
+    // No policy on the legacy path, and the policy on the lean path, build.
+    let legacy = SimConfig::linux_defaults().to_builder();
+    assert!(legacy
+        .recovery_policy(RecoveryPolicy::none())
+        .build()
+        .is_ok());
+    let lean = SimConfig::linux_defaults()
+        .to_builder()
+        .data_path(DataPathKind::Leap)
+        .recovery_policy(RecoveryPolicy::tail_tolerant());
+    assert!(lean.build().is_ok());
+}

@@ -298,10 +298,7 @@ impl VmmSimulator {
         let scan_wait = Nanos(80).saturating_add(Nanos(20) * scan_pages.min(64));
         wait = wait.saturating_add(scan_wait);
 
-        let table = self
-            .page_tables
-            .get_mut(pid_slot(pid))
-            .expect("registered process");
+        let table = table_mut(&mut self.page_tables, pid);
         for _ in 0..need {
             let Some(victim_page) = table.lru_page() else {
                 break;
@@ -377,11 +374,23 @@ impl VmmSimulator {
         // make_room should have freed space; if the charge still does not
         // fit, the limit saturates and one more page is evicted next time.
         let _ = self.engine.charge_tenant(pid);
-        self.page_tables
-            .get_mut(pid_slot(pid))
-            .expect("registered process")
-            .map(page);
+        table_mut(&mut self.page_tables, pid).map(page);
     }
+}
+
+/// The page table of registered process `pid`. A free function over the
+/// table slots rather than a method, so a caller can hold the table while it
+/// also works on the swap space and the engine.
+///
+/// # Panics
+///
+/// Panics if `pid` was never registered (by [`Simulator::prepare`] or a
+/// shard worker's split).
+#[track_caller]
+fn table_mut(tables: &mut Slots<PageTable>, pid: Pid) -> &mut PageTable {
+    tables
+        .get_mut(pid_slot(pid))
+        .unwrap_or_else(|| panic!("process {pid} not registered"))
 }
 
 impl Simulator for VmmSimulator {
@@ -444,11 +453,7 @@ impl Simulator for VmmSimulator {
         pages.dedup();
         for page in pages {
             let vp = VirtPage(page);
-            let table = self
-                .page_tables
-                .get(pid_slot(pid))
-                .expect("registered process");
-            if table.is_resident(vp) {
+            if table_mut(&mut self.page_tables, pid).is_resident(vp) {
                 continue;
             }
             let _ = self.make_room(pid);
@@ -468,11 +473,7 @@ impl Simulator for VmmSimulator {
         let page = VirtPage(access.page);
         // One probe classifies the access and, for a resident page, moves
         // it to the MRU end of the process's LRU.
-        let state = self
-            .page_tables
-            .get_mut(pid_slot(pid))
-            .unwrap_or_else(|| panic!("process {pid} not registered"))
-            .lookup_touch(page);
+        let state = table_mut(&mut self.page_tables, pid).lookup_touch(page);
 
         let (latency, outcome, prefetches_issued) = match state {
             PageState::Resident => (LOCAL_ACCESS, AccessOutcome::LocalHit, 0),

@@ -5,14 +5,24 @@
                                 [--seconds S] [--seed N] [--trace 0|1]
 
 Run from anywhere inside the repository. The base side is REV's committed
-files, unpacked with `git archive` into `<work>/base-<commit>/src` (the work
-directory defaults to `.ab_build/` at the repository root). The change side
-is this checkout as it stands, its tracked and untracked, non-ignored files
-copied once into `<work>/head-<stamp>/src`, where the stamp hashes HEAD, the
-tracked changes against it and the untracked files. Both names carry 12 hex
-digits, so the two sides build from paths of equal length, each into the
-`target/` beside its `src/`, and run their own `perfbench/run.py`. Edits
-made to the checkout after the copy do not reach the comparison.
+files (`git archive`); the change side is this checkout as it stands, its
+tracked and untracked, non-ignored files. Edits made to the checkout after
+the script starts do not reach the comparison.
+
+Both sides are built, one after the other, from the same source directory,
+`<work>/src`, into the same target directory, `<work>/target` (the work
+directory defaults to `.ab_build/` at the repository root). Cargo hashes
+each path dependency's location into its crates' metadata, and so into
+symbol names and the linked code layout: two trees at different paths,
+even paths of equal length, build different binaries from identical code,
+and have read several percent apart. Built at one path, the sides differ
+only by their code. Each side's `leap-perfbench` binary (and its
+`stage-timing` build when `--trace 1`) is copied out to
+`<work>/bin/base-<commit>/` or `<work>/bin/head-<stamp>/`, where the stamp
+hashes HEAD, the tracked changes against it and the untracked files; both
+carry 12 hex digits, and a side whose binaries are already there is not
+rebuilt. The copies run with the arguments `perfbench/run.py` passes its
+binary, and they are built with the commands it uses.
 
 For every workload the script runs N pairs, alternating which side goes
 first, and prints, per metric, each side's median and quartiles, the
@@ -20,13 +30,13 @@ change in the median, and how many pairs the change won (for metrics whose
 better direction `BENCHMARK.json` declares). It also prints the failed
 replays of each side. The exit status is 1 when any `sim_*` metric differs
 between any two runs of a workload (simulated results must not depend on
-the code's speed), 2 when a run gave no result, and 0 otherwise.
+the code's speed), 2 when a run gave no result, 3 when a side failed to
+build, and 0 otherwise.
 """
 
 import argparse
 import hashlib
 import json
-import os
 import shutil
 import statistics
 import subprocess
@@ -35,94 +45,131 @@ import tarfile
 from pathlib import Path
 
 WORKLOADS = ["apps", "stream", "apps-dvmm", "tenants-storm"]
+# `perfbench/run.py`'s limit on one run.
+RUN_TIMEOUT_S = 170
+
+
+def output(root: Path, *args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=root, check=True,
+                          stdout=subprocess.PIPE).stdout
 
 
 def git(root: Path, *args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=root, check=True, stdout=subprocess.PIPE, text=True
-    ).stdout.strip()
+    return output(root, *args).decode().strip()
 
 
-def unpack(root: Path, rev: str, work: Path) -> Path:
-    """REV's committed files under `work`, unpacked once per commit.
-
-    The files are unpacked beside the tree's `src/` and renamed to it only
-    once the whole archive is in, so an interrupted unpack is redone rather
-    than reused.
-    """
-    commit = git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
-    tree = work / f"base-{commit[:12]}"
-    src = tree / "src"
-    if not src.is_dir():
-        partial = tree / "src.partial"
-        shutil.rmtree(partial, ignore_errors=True)
-        partial.mkdir(parents=True)
-        archive = subprocess.Popen(
-            ["git", "archive", "--format=tar", commit], cwd=root, stdout=subprocess.PIPE
-        )
-        with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
-            tar.extractall(partial, filter="data")
-        if archive.wait() != 0:
-            sys.exit(f"ab_compare: git archive {rev} failed")
-        partial.rename(src)
-    return tree
+def unpack(root: Path, commit: str, dest: Path) -> None:
+    """Writes `commit`'s committed files into `dest`."""
+    archive = subprocess.Popen(
+        ["git", "archive", "--format=tar", commit], cwd=root, stdout=subprocess.PIPE
+    )
+    with tarfile.open(fileobj=archive.stdout, mode="r|") as tar:
+        tar.extractall(dest, filter="data")
+    if archive.wait() != 0:
+        sys.exit(f"ab_compare: git archive {commit} failed")
 
 
-def snapshot(root: Path, work: Path) -> Path:
-    """The checkout as it stands under `work`, copied once per content.
-
-    The copy holds every tracked file still present and every untracked,
-    non-ignored one, outside `work` itself. Its directory is named after a
-    hash of HEAD, the tracked changes against it and the untracked files,
-    so an unchanged checkout reuses its copy and a changed one gets a new
-    one. Like `unpack`, the files land beside `src/` and are renamed to it
-    once complete.
-    """
-    def output(*args: str) -> bytes:
-        return subprocess.run(["git", *args], cwd=root, check=True,
-                              stdout=subprocess.PIPE).stdout
-
+def checkout_files(root: Path, work: Path, *which: str) -> list:
+    """The checkout's files that `git ls-files` lists with the options
+    `which`, outside `work` itself and still present on disk."""
     top = root.resolve()
     excludes = ([f":(exclude){work.resolve().relative_to(top)}"]
                 if work.resolve().is_relative_to(top) else [])
-    stamp = hashlib.sha256(output("rev-parse", "HEAD"))
-    stamp.update(output("diff", "--binary", "HEAD"))
-    untracked = output("ls-files", "-z", "--others", "--exclude-standard", "--", ".", *excludes)
-    for name in filter(None, untracked.decode().split("\0")):
+    files = output(root, "ls-files", "-z", *which, "--", ".", *excludes)
+    return [name for name in files.decode().split("\0")
+            if name and ((root / name).is_symlink() or (root / name).is_file())]
+
+
+def head_stamp(root: Path, work: Path) -> str:
+    """A hash of HEAD, the tracked changes against it and the untracked,
+    non-ignored files: an unchanged checkout keeps its stamp, a changed one
+    gets a new one."""
+    stamp = hashlib.sha256(output(root, "rev-parse", "HEAD"))
+    stamp.update(output(root, "diff", "--binary", "HEAD"))
+    for name in checkout_files(root, work, "--others", "--exclude-standard"):
         stamp.update(name.encode() + b"\0")
         stamp.update((root / name).read_bytes())
-    tree = work / f"head-{stamp.hexdigest()[:12]}"
-    src = tree / "src"
-    if not src.is_dir():
-        partial = tree / "src.partial"
-        shutil.rmtree(partial, ignore_errors=True)
-        files = output("ls-files", "-z", "--cached", "--others", "--exclude-standard",
-                       "--", ".", *excludes)
-        for name in filter(None, files.decode().split("\0")):
-            source = root / name
-            if source.is_symlink() or source.is_file():
-                (partial / name).parent.mkdir(parents=True, exist_ok=True)
-                shutil.copy2(source, partial / name, follow_symlinks=False)
-        partial.rename(src)
-    return tree
+    return stamp.hexdigest()[:12]
 
 
-def run_once(tree: Path, target: Path, workload: str, args) -> dict:
-    """One `perfbench/run.py` result, or a record of the failure."""
+def copy_checkout(root: Path, work: Path, dest: Path) -> None:
+    """Copies the checkout as it stands, its tracked and untracked,
+    non-ignored files, into `dest`."""
+    for name in checkout_files(root, work, "--cached", "--others", "--exclude-standard"):
+        (dest / name).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copy2(root / name, dest / name, follow_symlinks=False)
+
+
+def binaries(bins: Path, trace: int) -> dict:
+    """Where a side's copied binaries live: the default build, and the
+    `stage-timing` one when the traced pass runs."""
+    return {"timed": bins / "leap-perfbench",
+            **({"traced": bins / "leap-perfbench-stage-timing"} if trace else {})}
+
+
+def build_side(work: Path, bins: Path, populate, trace: int) -> dict:
+    """The side's binaries, built unless already copied out.
+
+    The side's files are written into the shared `<work>/src` and built
+    from scratch into the shared `<work>/target`, as `perfbench/run.py`
+    builds them; the binaries land beside `bins` and are renamed to it only
+    once all are in, so an interrupted build is redone rather than reused.
+    """
+    wanted = binaries(bins, trace)
+    if all(path.is_file() for path in wanted.values()):
+        return wanted
+    src, target = work / "src", work / "target"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.rmtree(target, ignore_errors=True)
+    src.mkdir(parents=True)
+    populate(src)
+    partial = bins.with_name(bins.name + ".partial")
+    shutil.rmtree(partial, ignore_errors=True)
+    partial.mkdir(parents=True)
+    for kind, features, out in (("timed", [], target),
+                                ("traced", ["--features", "stage-timing"],
+                                 target / "stage-timing")):
+        if kind not in wanted:
+            continue
+        command = [
+            "cargo", "build", "--release", "--offline", "--quiet",
+            "--manifest-path", str(src / "perfbench" / "Cargo.toml"),
+            "--target-dir", str(out),
+        ] + features
+        if subprocess.run(command, cwd=src, stdout=sys.stderr).returncode != 0:
+            print(f"ab_compare: building {bins.name} failed", file=sys.stderr)
+            sys.exit(3)
+        shutil.copy2(out / "release" / "leap-perfbench", partial / wanted[kind].name)
+    shutil.rmtree(bins, ignore_errors=True)
+    partial.rename(bins)
+    return wanted
+
+
+def run_once(bins: dict, workload: str, args) -> dict:
+    """One run of a side's binary with `perfbench/run.py`'s arguments, or a
+    record of the failure."""
+    binary = bins["traced" if args.trace else "timed"]
     command = [
-        sys.executable, str(tree / "perfbench" / "run.py"),
+        str(binary),
         "--workload", workload,
         "--seed", str(args.seed),
         "--seconds", str(args.seconds),
         "--trace", str(args.trace),
     ]
-    env = dict(os.environ, CARGO_TARGET_DIR=str(target))
-    run = subprocess.run(command, cwd=tree, env=env, stdout=subprocess.PIPE, text=True)
+    if args.trace:
+        spans = binary.parent / "perfbench-spans"
+        spans.mkdir(parents=True, exist_ok=True)
+        command += ["--spans", str(spans / f"{workload}-seed{args.seed}.json")]
+    try:
+        run = subprocess.run(command, cwd=binary.parent, stdout=subprocess.PIPE, text=True,
+                             timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return {"error": f"no result within {RUN_TIMEOUT_S} s"}
     lines = run.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
-        return {"error": f"run.py exit {run.returncode}, no result line"}
+        return {"error": f"exit {run.returncode}, no result line"}
 
 
 def quartiles(values: list) -> tuple:
@@ -188,7 +235,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--trace", type=int, default=0, choices=[0, 1])
     parser.add_argument("--work-dir", default=".ab_build",
-                        help="base checkouts and builds, relative to the repository root")
+                        help="the shared build tree and the copied binaries, "
+                             "relative to the repository root")
     args = parser.parse_args()
     workloads = [w for w in args.workloads.split(",") if w]
     unknown = sorted(set(workloads) - set(WORKLOADS))
@@ -198,10 +246,14 @@ def main() -> int:
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     work = root / args.work_dir
+    commit = git(root, "rev-parse", "--verify", f"{args.base}^{{commit}}")
+    # The head side is built first, so edits to the checkout after the
+    # script starts do not reach the comparison.
     sides = {
-        side: (tree / "src", tree / "target")
-        for side, tree in (("base", unpack(root, args.base, work)),
-                           ("head", snapshot(root, work)))
+        "head": build_side(work, work / "bin" / f"head-{head_stamp(root, work)}",
+                           lambda src: copy_checkout(root, work, src), args.trace),
+        "base": build_side(work, work / "bin" / f"base-{commit[:12]}",
+                           lambda src: unpack(root, commit, src), args.trace),
     }
     better = directions(root)
     identical, complete = True, True
@@ -210,8 +262,7 @@ def main() -> int:
         for pair in range(args.pairs):
             order = ("base", "head") if pair % 2 == 0 else ("head", "base")
             for side in order:
-                tree, target = sides[side]
-                result = run_once(tree, target, workload, args)
+                result = run_once(sides[side], workload, args)
                 complete &= "metrics" in result
                 runs[side].append(result)
             print(f"{workload}: pair {pair + 1}/{args.pairs} done", file=sys.stderr)

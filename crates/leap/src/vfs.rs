@@ -80,7 +80,7 @@ impl VfsSimulator {
     /// critical path.
     fn buffered_write(&mut self, pid: Pid, page: u64) -> Nanos {
         let slot = SwapSlot(page);
-        self.ensure_cache_room(slot);
+        self.ensure_cache_room();
         self.engine.insert_demand(slot, pid);
         let _ = self.engine.write_remote(page);
         BUFFERED_WRITE
@@ -107,7 +107,7 @@ impl VfsSimulator {
         let latency = self.engine.read_remote(page).total();
 
         // Cache the demand-fetched page.
-        self.ensure_cache_room(slot);
+        self.ensure_cache_room();
         self.engine.insert_demand(slot, pid);
 
         // Prefetch neighbouring file pages: per candidate, the engine
@@ -125,12 +125,11 @@ impl VfsSimulator {
         (latency, AccessOutcome::RemoteFetch, issued)
     }
 
-    /// Frees cache space for `slot` when the cache is full: at the smaller
-    /// of the local file-cache budget and the configured prefetch cache
-    /// capacity (see [`Simulator::prepare`]).
-    fn ensure_cache_room(&mut self, slot: SwapSlot) {
-        let shard = self.engine.cache.shard_of(slot);
-        self.engine.make_cache_space_at(shard);
+    /// Frees room in the VFS's one cache shard when it is full: at the
+    /// smaller of the local file-cache budget and the configured prefetch
+    /// cache capacity (see [`Simulator::prepare`]).
+    fn ensure_cache_room(&mut self) {
+        self.engine.make_cache_space_at(0);
     }
 }
 
